@@ -642,7 +642,7 @@ let tcp_config ~clients ~per_client domains =
   | Ok (store, _) ->
     let server =
       match
-        Pet_net.Server.start ~store ~sweep_interval:0. ~domains ~port:0
+        Pet_net.Server.start ~store ~sweep_interval:0. ~domains ~listen:(Tcp 0)
           ~now:Unix.gettimeofday ()
       with
       | Ok server -> server

@@ -767,29 +767,6 @@ let fill_cmd =
 
 module Log = Pet_obs.Log
 
-(* Structured-log field builders (the closed Trace.value type keeps
-   valuations out of log lines by construction). *)
-let fstr k v = (k, Pet_obs.Trace.String v)
-let fint k v = (k, Pet_obs.Trace.Int v)
-
-let contains_sub s sub =
-  let n = String.length sub and m = String.length s in
-  let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
-  n = 0 || at 0
-
-(* Tee structured log lines into a flight journal (alongside the
-   default standard-error sink); returns the encoder so the exit path
-   can reuse its sequence numbers. *)
-let flight_log_tee fl =
-  let enc = Pet_obs.Flight.create () in
-  Log.set_sink (fun line ->
-      prerr_endline line;
-      try
-        Pet_store.Flight_log.append fl
-          (Pet_obs.Flight.log_event enc ~now:(Pet_obs.Metrics.now ()) line)
-      with Sys_error _ -> ());
-  enc
-
 let serve_cmd =
   let serve_backend_arg =
     let doc =
@@ -859,14 +836,6 @@ let serve_cmd =
     in
     Arg.(value & flag & info [ "no-fsync" ] ~doc)
   in
-  let metrics_interval_arg =
-    let doc =
-      "Every $(docv) handled requests, print a one-line metrics snapshot \
-       (counters, gauges, latency p50/p99) to standard error. 0 disables \
-       the heartbeat; the $(b,metrics) protocol method works either way."
-    in
-    Arg.(value & opt int 0 & info [ "metrics-interval" ] ~docv:"N" ~doc)
-  in
   let trace_slow_arg =
     let doc =
       "Also keep any request lasting at least $(docv) milliseconds in \
@@ -895,7 +864,9 @@ let serve_cmd =
   let stdio_arg =
     let doc =
       "Serve requests over standard input/output, one JSON line each way \
-       (the default transport)."
+       (the default transport): the same serving core as $(b,--tcp), as \
+       one shard with one connection. End of input, or a bare $(b,quit) \
+       line, stops the service once every reply is written."
     in
     Arg.(value & flag & info [ "stdio" ] ~doc)
   in
@@ -936,8 +907,8 @@ let serve_cmd =
     Arg.(value & flag & info [ "flight" ] ~doc)
   in
   let run backend compiled payoff deterministic cache ttl tenant_quota
-      data_dir no_fsync metrics_interval trace_slow log_level log_json stdio
-      tcp domains port_file flight =
+      data_dir no_fsync trace_slow log_level log_json stdio tcp domains
+      port_file flight =
     (* An explicit --backend wins; otherwise the compiled path brings
        its own engine backend, and --no-compiled reverts to the
        pre-compiled default. *)
@@ -946,9 +917,8 @@ let serve_cmd =
       | Some backend -> backend
       | None -> if compiled then Engine.Compiled else Engine.Bdd
     in
-    (* The deterministic clocks are atomic so the TCP server's shards
-       share one logical timeline; under --stdio the single consumer
-       makes the sequence identical to the old [ref]-based one. *)
+    (* The deterministic clocks are atomic so the shards share one
+       logical timeline. *)
     let now =
       if deterministic then (
         let tick = Atomic.make 0 in
@@ -997,271 +967,54 @@ let serve_cmd =
           "--flight requires --data-dir (the journal lives in the data \
            directory)" )
     else
-    match tcp with
-    | Some tcp_port -> (
-      (* TCP: recovery replay happens inside Server.start so each event
-         lands on the shard that will own its session; torn-tail and
-         damage reporting stays here, identical to stdio. *)
-      let open_store k =
-        match data_dir with
-        | None -> k None []
-        | Some dir -> (
-          match Pet_store.Store.open_dir ~fsync:(not no_fsync) dir with
-          | Error m -> `Error (false, Printf.sprintf "--data-dir %s: %s" dir m)
-          | Ok (store, recovery) ->
-            Option.iter
-              (fun (d : Pet_store.Store.damage) ->
-                Log.warn "store.torn_tail"
-                  ~fields:
-                    [
-                      fstr "file" d.Pet_store.Store.file;
-                      fint "offset" d.Pet_store.Store.offset;
-                      fstr "reason" d.Pet_store.Store.reason;
-                    ])
-              recovery.Pet_store.Store.truncated;
-            List.iter
-              (fun (d : Pet_store.Store.damage) ->
-                Log.error "store.damage"
-                  ~fields:
-                    [
-                      fstr "file" d.Pet_store.Store.file;
-                      fint "offset" d.Pet_store.Store.offset;
-                      fstr "reason" d.Pet_store.Store.reason;
-                      fstr "hint"
-                        (Printf.sprintf
-                           "replay stopped there; run `pet store verify %s`"
-                           dir);
-                    ])
-              recovery.Pet_store.Store.damage;
-            Log.info "store.recovered"
-              ~fields:
-                [
-                  fint "events" (List.length recovery.Pet_store.Store.events);
-                  fint "files" recovery.Pet_store.Store.files;
-                ];
-            k (Some store) recovery.Pet_store.Store.events)
-      in
-      open_store @@ fun store recovery ->
-      let open_flight k =
-        if not flight then k None
-        else
-          match Pet_store.Flight_log.open_dir (Option.get data_dir) with
-          | Error m ->
-            Option.iter Pet_store.Store.close store;
-            `Error (false, Printf.sprintf "--flight: %s" m)
-          | Ok fl ->
-            ignore (flight_log_tee fl);
-            k (Some fl)
-      in
-      open_flight @@ fun fl ->
-      let close_flight () =
-        match fl with
-        | None -> ()
-        | Some fl ->
-          Log.set_sink prerr_endline;
-          Pet_store.Flight_log.close fl
-      in
-      match
-        Pet_net.Server.start ~backend ~compiled ~payoff ~capacity:cache ~ttl
-          ~tenant_quota ~resolve ?store ~recovery
-          ~sweep_interval:(if deterministic then 0. else 1.)
-          ?flight:fl ~domains ~port:tcp_port ~now ()
-      with
-      | Error m ->
-        close_flight ();
-        Option.iter Pet_store.Store.close store;
-        `Error (false, m)
-      | Ok server ->
-        Option.iter
-          (fun file ->
-            Out_channel.with_open_text file (fun oc ->
-                Printf.fprintf oc "%d\n" (Pet_net.Server.port server)))
-          port_file;
-        let result = Pet_net.Server.wait server in
-        Pet_net.Server.stop server;
-        Pet_net.Server.flight_dump server ~event:"exit";
-        close_flight ();
-        Option.iter Pet_store.Store.close store;
-        match result with
-        | Ok () -> `Ok ()
-        | Error m -> `Error (false, m))
-    | None ->
-    let service =
-      Pet_server.Service.create ~backend ~compiled ~payoff ~capacity:cache
-        ~ttl ~tenant_quota ~resolve ~durable:(data_dir <> None) ~now ()
-    in
-    let with_store k =
+    let opened =
       match data_dir with
-      | None -> k None
+      | None -> Ok (None, None, None)
       | Some dir -> (
         match Pet_store.Store.open_dir ~fsync:(not no_fsync) dir with
-        | Error m -> `Error (false, Printf.sprintf "--data-dir %s: %s" dir m)
+        | Error m -> Error (Printf.sprintf "--data-dir %s: %s" dir m)
         | Ok (store, recovery) ->
-          let replay_errors =
-            List.fold_left
-              (fun errors event ->
-                match Pet_server.Service.apply_event service event with
-                | Ok () -> errors
-                | Error m ->
-                  Log.error "store.replay_error" ~fields:[ fstr "reason" m ];
-                  errors + 1)
-              0 recovery.Pet_store.Store.events
-          in
-          Option.iter
-            (fun (d : Pet_store.Store.damage) ->
-              Log.warn "store.torn_tail"
-                ~fields:
-                  [
-                    fstr "file" d.Pet_store.Store.file;
-                    fint "offset" d.Pet_store.Store.offset;
-                    fstr "reason" d.Pet_store.Store.reason;
-                  ])
-            recovery.Pet_store.Store.truncated;
-          List.iter
-            (fun (d : Pet_store.Store.damage) ->
-              Log.error "store.damage"
-                ~fields:
-                  [
-                    fstr "file" d.Pet_store.Store.file;
-                    fint "offset" d.Pet_store.Store.offset;
-                    fstr "reason" d.Pet_store.Store.reason;
-                    fstr "hint"
-                      (Printf.sprintf
-                         "replay stopped there; run `pet store verify %s`" dir);
-                  ])
-            recovery.Pet_store.Store.damage;
-          Log.info "store.recovered"
-            ~fields:
-              ([
-                 fint "events" (List.length recovery.Pet_store.Store.events);
-                 fint "files" recovery.Pet_store.Store.files;
-               ]
-              @
-              if replay_errors > 0 then [ fint "replay_errors" replay_errors ]
-              else []);
-          (* Apply expiry horizons that passed while the service was
-             down, before the sink is attached (the application is
-             derivable, never re-logged). *)
-          let expired = Pet_server.Service.apply_horizons service in
-          if expired > 0 then
-            Log.info "store.horizons_applied" ~fields:[ fint "expired" expired ];
-          Pet_server.Service.set_sink service (Pet_store.Store.sink store);
-          k (Some store))
+          if not flight then Ok (Some store, Some recovery, None)
+          else
+            match Pet_store.Flight_log.open_dir dir with
+            | Ok fl -> Ok (Some store, Some recovery, Some fl)
+            | Error m ->
+              Pet_store.Store.close store;
+              Error (Printf.sprintf "--flight: %s" m))
     in
-    with_store @@ fun store ->
-    let with_flight k =
-      if not flight then k None
-      else
-        match Pet_store.Flight_log.open_dir (Option.get data_dir) with
-        | Error m ->
-          Option.iter Pet_store.Store.close store;
-          `Error (false, Printf.sprintf "--flight: %s" m)
-        | Ok fl ->
-          let enc = flight_log_tee fl in
-          Pet_store.Flight_log.append fl
-            (Pet_obs.Flight.meta enc ~now:(Pet_obs.Metrics.now ())
-               ~event:"start"
-               [ ("mode", "stdio") ]);
-          k (Some (fl, enc))
+    match opened with
+    | Error m -> `Error (false, m)
+    | Ok (store, recovery, fl) ->
+    let close () =
+      Option.iter Pet_store.Flight_log.close fl;
+      Option.iter Pet_store.Store.close store
     in
-    with_flight @@ fun fl ->
-    (* One snapshot into the journal: service gauges and SLO reports are
-       synced first (the SLO clock is the service clock — the same
-       timeline [Slo.record] stamped), the record itself is stamped with
-       the obs clock like every other flight record. *)
-    let flight_snap () =
-      match fl with
-      | None -> ()
-      | Some (fl, enc) -> (
-        try
-          let service_now = now () in
-          Pet_server.Service.sync_gauges service;
-          Pet_obs.Slo.sync Pet_server.Service.slo ~now:service_now;
-          Pet_store.Flight_log.append fl
-            (Pet_obs.Flight.snap enc
-               ?wal:(Option.map Pet_store.Store.position store)
-               ~now:(Pet_obs.Metrics.now ())
-               (Pet_obs.Metrics.snapshot ()))
-        with Sys_error _ -> ())
+    let listen =
+      match tcp with
+      | Some port -> Pet_net.Server.Tcp port
+      | None -> Pet_net.Server.Stdio (stdin, stdout)
     in
-    (* A watch line takes over the stream: the same request line is
-       re-dispatched once per frame (each a full snapshot — clients diff
-       consecutive frames), so the response bytes for everything else
-       are untouched. [frames = 0] streams until the driver closes
-       stdin, exactly like the TCP transport. *)
-    let watch_params line =
-      if contains_sub line "\"watch\"" then
-        match Pet_server.Proto.decode line with
-        | Ok { request = Pet_server.Proto.Watch { interval; frames }; _ } ->
-          Some (interval, frames)
-        | _ -> None
-      else None
-    in
-    let handled = ref 0 in
-    let rec loop () =
-      match In_channel.input_line stdin with
-      | None -> ()
-      | Some line ->
-        if String.trim line <> "" then begin
-          (match watch_params line with
-          | Some (interval, frames) ->
-            let rec stream i =
-              if frames = 0 || i < frames then begin
-                print_endline (Pet_server.Service.handle_line service line);
-                flush stdout;
-                if interval > 0. then Unix.sleepf interval;
-                stream (i + 1)
-              end
-            in
-            stream 0
-          | None ->
-            print_endline (Pet_server.Service.handle_line service line);
-            flush stdout);
-          incr handled;
-          if Option.is_some fl && !handled mod 32 = 0 then flight_snap ();
-          if metrics_interval > 0 && !handled mod metrics_interval = 0 then begin
-            Pet_server.Service.sync_gauges service;
-            Log.info "metrics.snapshot"
-              ~fields:
-                [
-                  fstr "line"
-                    (Pet_obs.Export.line (Pet_obs.Metrics.snapshot ()));
-                ]
-          end;
-          Option.iter
-            (fun store ->
-              if Pet_store.Store.wants_compaction store then
-                match
-                  Pet_store.Store.compact store
-                    ~events:(Pet_server.Service.state_events service)
-                with
-                | Ok _ -> ()
-                | Error m ->
-                  Log.error "store.compaction_failed"
-                    ~fields:[ fstr "reason" m ])
-            store
-        end;
-        loop ()
-    in
-    loop ();
-    (match fl with
-    | None -> ()
-    | Some (flj, enc) ->
-      flight_snap ();
-      (try
-         List.iter
-           (Pet_store.Flight_log.append flj)
-           (Pet_obs.Flight.slow_traces enc ~now:(Pet_obs.Metrics.now ())
-              (Pet_obs.Trace.slow ()));
-         Pet_store.Flight_log.append flj
-           (Pet_obs.Flight.meta enc ~now:(Pet_obs.Metrics.now ()) ~event:"exit"
-              [])
-       with Sys_error _ -> ());
-      Log.set_sink prerr_endline;
-      Pet_store.Flight_log.close flj);
-    Pet_server.Service.shutdown service;
-    Option.iter Pet_store.Store.close store;
-    `Ok ()
+    match
+      Pet_net.Server.start ~backend ~compiled ~payoff ~capacity:cache ~ttl
+        ~tenant_quota ~resolve ?store ?recovery
+        ~sweep_interval:(if deterministic then 0. else 1.)
+        ?flight:fl ~domains ~listen ~now ()
+    with
+    | Error m ->
+      close ();
+      `Error (false, m)
+    | Ok server ->
+      Option.iter
+        (fun file ->
+          Out_channel.with_open_text file (fun oc ->
+              Printf.fprintf oc "%d\n" (Pet_net.Server.port server)))
+        port_file;
+      let result = Pet_net.Server.wait server in
+      Pet_net.Server.stop server;
+      close ();
+      match result with
+      | Ok () -> `Ok ()
+      | Error m -> `Error (false, m)
   in
   let doc =
     "Run the collection service: read one JSON request per line from \
@@ -1278,10 +1031,10 @@ let serve_cmd =
      $(b,--data-dir) the service is durable: every state change is \
      appended to a checksummed write-ahead log before it is acknowledged, \
      and a restart recovers the rule sets, sessions and consent archive \
-     (ids continuing where they left off). With $(b,--tcp) the same \
-     protocol is served over localhost TCP by $(b,--domains) worker \
-     domains (sessions sharded by id, log appends group-committed \
-     through a single writer domain)."
+     (ids continuing where they left off); the log is compacted as it \
+     grows. With $(b,--tcp) the same protocol is served over localhost \
+     TCP by $(b,--domains) worker domains (sessions sharded by id, log \
+     appends group-committed through a single writer domain)."
   in
   Cmd.v
     (Cmd.info "serve" ~doc)
@@ -1289,7 +1042,7 @@ let serve_cmd =
       ret
         (const run $ serve_backend_arg $ compiled_arg $ payoff_arg
        $ deterministic_arg $ cache_arg $ ttl_arg $ tenant_quota_arg
-       $ data_dir_arg $ no_fsync_arg $ metrics_interval_arg $ trace_slow_arg
+       $ data_dir_arg $ no_fsync_arg $ trace_slow_arg
        $ log_level_arg $ log_json_arg $ stdio_arg $ tcp_arg $ domains_arg
        $ port_file_arg $ flight_arg))
 
@@ -1301,70 +1054,41 @@ let ping_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"HOST:PORT" ~doc)
   in
   let run addr =
-    let split =
-      match String.rindex_opt addr ':' with
-      | None -> None
-      | Some i ->
-        let host = String.sub addr 0 i in
-        let host = if host = "" || host = "localhost" then "127.0.0.1" else host in
-        Option.map
-          (fun port -> (host, port))
-          (int_of_string_opt
-             (String.sub addr (i + 1) (String.length addr - i - 1)))
-    in
-    match split with
-    | None ->
-      `Error (false, Printf.sprintf "%s: expected HOST:PORT" addr)
-    | Some (host, port) -> (
-      match
-        let inet =
-          try Unix.inet_addr_of_string host
-          with Failure _ -> (Unix.gethostbyname host).h_addr_list.(0)
-        in
-        let fd = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
-        (try Unix.connect fd (ADDR_INET (inet, port))
-         with e -> Unix.close fd; raise e);
-        fd
-      with
-      | exception Unix.Unix_error (e, _, _) ->
-        `Error
-          (false, Printf.sprintf "cannot connect to %s:%d: %s" host port
-               (Unix.error_message e))
-      | exception Not_found ->
-        `Error (false, Printf.sprintf "cannot resolve host %s" host)
-      | fd ->
-        let ic = Unix.in_channel_of_descr fd in
-        let oc = Unix.out_channel_of_descr fd in
-        (* One request line in, one response line out — the transport's
-           own contract — so interleaving stays lockstep and transcripts
-           are deterministic. *)
-        let rec pump () =
-          match In_channel.input_line stdin with
-          | None -> `Ok ()
-          | Some line ->
-            if String.trim line = "" then pump ()
-            else begin
-              output_string oc line;
-              output_char oc '\n';
-              flush oc;
-              if String.trim line = "quit" then `Ok ()
-              else
-                match In_channel.input_line ic with
-                | Some response ->
-                  print_endline response;
-                  flush stdout;
-                  pump ()
-                | None ->
-                  `Error (false, "server closed the connection")
-            end
-        in
-        let result =
-          try pump () with
-          | Sys_error m -> `Error (false, m)
-          | End_of_file -> `Error (false, "server closed the connection")
-        in
-        close_out_noerr oc;
-        result)
+    match Pet_net.Dial.connect addr with
+    | Error m -> `Error (false, m)
+    | Ok fd ->
+      let ic = Unix.in_channel_of_descr fd in
+      let oc = Unix.out_channel_of_descr fd in
+      (* One request line in, one response line out — the transport's
+         own contract — so interleaving stays lockstep and transcripts
+         are deterministic. *)
+      let rec pump () =
+        match In_channel.input_line stdin with
+        | None -> `Ok ()
+        | Some line ->
+          if String.trim line = "" then pump ()
+          else begin
+            output_string oc line;
+            output_char oc '\n';
+            flush oc;
+            if String.trim line = "quit" then `Ok ()
+            else
+              match In_channel.input_line ic with
+              | Some response ->
+                print_endline response;
+                flush stdout;
+                pump ()
+              | None ->
+                `Error (false, "server closed the connection")
+          end
+      in
+      let result =
+        try pump () with
+        | Sys_error m -> `Error (false, m)
+        | End_of_file -> `Error (false, "server closed the connection")
+      in
+      close_out_noerr oc;
+      result
   in
   let doc =
     "Line-protocol smoke client for $(b,pet serve --tcp): connect, \
@@ -1470,221 +1194,188 @@ let corpus_cmd =
       Arg.(value & opt int 0 & info [ "update-every" ] ~docv:"K" ~doc)
     in
     let run seed lo hi count sessions update_every addr =
-      let split =
-        match String.rindex_opt addr ':' with
-        | None -> None
-        | Some i ->
-          let host = String.sub addr 0 i in
-          let host =
-            if host = "" || host = "localhost" then "127.0.0.1" else host
+      match Pet_net.Dial.connect addr with
+      | Error m -> `Error (false, m)
+      | Ok fd -> (
+        let ic = Unix.in_channel_of_descr fd in
+        let oc = Unix.out_channel_of_descr fd in
+        (* Lockstep request/response over one connection: a drive
+           measures the mix, not concurrency (the bench harness does
+           that). *)
+        let call request =
+          output_string oc (Json.to_string request);
+          output_char oc '\n';
+          flush oc;
+          match In_channel.input_line ic with
+          | Some line -> Json.parse_exn line
+          | None -> failwith "server closed the connection"
+        in
+        let req method_ params =
+          Json.Obj
+            [
+              ("pet", Json.Int 1);
+              ("method", Json.String method_);
+              ("params", Json.Obj params);
+            ]
+        in
+        let error_code response =
+          match Json.member "error" response with
+          | Some e ->
+            Option.bind (Json.member "code" e) Json.string_opt
+          | None -> None
+        in
+        let result_field response name =
+          Option.bind (Json.member "ok" response) (Json.member name)
+        in
+        let scenario = Corpus.scenario ~seed ~lo ~hi ~count () in
+        let forms = Array.map (fun f -> ref f) scenario.Corpus.forms in
+        let rng = Random.State.make [| seed; 11 |] in
+        let published = ref 0
+        and build_failures = ref 0
+        and updates = ref 0
+        and opened = ref 0
+        and ineligible = ref 0
+        and quota_refused = ref 0
+        and submitted = ref 0
+        and unexpected = ref [] in
+        let expect kind response allowed =
+          match error_code response with
+          | None -> true
+          | Some code ->
+            if List.mem code allowed then false
+            else begin
+              unexpected := Printf.sprintf "%s: %s" kind code :: !unexpected;
+              false
+            end
+        in
+        let barrier name =
+          (* tenant+wait blocks until the tenant's builds settle; the
+             response's state tells whether the build survived. *)
+          let response =
+            call
+              (req "tenant"
+                 [ ("name", Json.String name); ("wait", Json.Bool true) ])
           in
-          Option.map
-            (fun port -> (host, port))
-            (int_of_string_opt
-               (String.sub addr (i + 1) (String.length addr - i - 1)))
-      in
-      match split with
-      | None -> `Error (false, Printf.sprintf "%s: expected HOST:PORT" addr)
-      | Some (host, port) -> (
-        match
-          let inet =
-            try Unix.inet_addr_of_string host
-            with Failure _ -> (Unix.gethostbyname host).h_addr_list.(0)
-          in
-          let fd = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
-          (try Unix.connect fd (ADDR_INET (inet, port))
-           with e ->
-             Unix.close fd;
-             raise e);
-          fd
-        with
-        | exception Unix.Unix_error (e, _, _) ->
-          `Error
-            ( false,
-              Printf.sprintf "cannot connect to %s:%d: %s" host port
-                (Unix.error_message e) )
-        | exception Not_found ->
-          `Error (false, Printf.sprintf "cannot resolve host %s" host)
-        | fd -> (
-          let ic = Unix.in_channel_of_descr fd in
-          let oc = Unix.out_channel_of_descr fd in
-          (* Lockstep request/response over one connection: the driver
-             measures the mix, not concurrency (the bench harness does
-             that). *)
-          let call request =
-            output_string oc (Json.to_string request);
-            output_char oc '\n';
-            flush oc;
-            match In_channel.input_line ic with
-            | Some line -> Json.parse_exn line
-            | None -> failwith "server closed the connection"
-          in
-          let req method_ params =
-            Json.Obj
-              [
-                ("pet", Json.Int 1);
-                ("method", Json.String method_);
-                ("params", Json.Obj params);
-              ]
-          in
-          let error_code response =
-            match Json.member "error" response with
-            | Some e ->
-              Option.bind (Json.member "code" e) Json.string_opt
-            | None -> None
-          in
-          let result_field response name =
-            Option.bind (Json.member "ok" response) (Json.member name)
-          in
-          let scenario = Corpus.scenario ~seed ~lo ~hi ~count () in
-          let forms = Array.map (fun f -> ref f) scenario.Corpus.forms in
-          let rng = Random.State.make [| seed; 11 |] in
-          let published = ref 0
-          and build_failures = ref 0
-          and updates = ref 0
-          and opened = ref 0
-          and ineligible = ref 0
-          and quota_refused = ref 0
-          and submitted = ref 0
-          and unexpected = ref [] in
-          let expect kind response allowed =
-            match error_code response with
-            | None -> true
-            | Some code ->
-              if List.mem code allowed then false
-              else begin
-                unexpected := Printf.sprintf "%s: %s" kind code :: !unexpected;
-                false
-              end
-          in
-          let barrier name =
-            (* tenant+wait blocks until the tenant's builds settle; the
-               response's state tells whether the build survived. *)
-            let response =
-              call
-                (req "tenant"
-                   [ ("name", Json.String name); ("wait", Json.Bool true) ])
-            in
-            match Option.bind (result_field response "state") Json.string_opt with
-            | Some "failed" -> `Failed
-            | Some _ -> `Ready
-            | None -> `Ready
-          in
-          (match
-             for i = 0 to count - 1 do
-               let form = !(forms.(i)) in
+          match Option.bind (result_field response "state") Json.string_opt with
+          | Some "failed" -> `Failed
+          | Some _ -> `Ready
+          | None -> `Ready
+        in
+        (match
+           for i = 0 to count - 1 do
+             let form = !(forms.(i)) in
+             let response =
+               call
+                 (req "publish_rules"
+                    [
+                      ("rules", Json.String form.Corpus.text);
+                      ("tenant", Json.String form.Corpus.name);
+                    ])
+             in
+             if expect "publish_rules" response [] then begin
+               incr published;
+               match barrier form.Corpus.name with
+               | `Failed -> incr build_failures
+               | `Ready -> ()
+             end
+           done;
+           for r = 0 to sessions - 1 do
+             if update_every > 0 && r mod update_every = update_every - 1
+             then begin
+               let i = Corpus.pick rng scenario.Corpus.popularity in
+               let next = Corpus.update ~seed !(forms.(i)) in
                let response =
                  call
-                   (req "publish_rules"
+                   (req "update_rules"
                       [
-                        ("rules", Json.String form.Corpus.text);
-                        ("tenant", Json.String form.Corpus.name);
+                        ("tenant", Json.String next.Corpus.name);
+                        ("rules", Json.String next.Corpus.text);
                       ])
                in
-               if expect "publish_rules" response [] then begin
-                 incr published;
-                 match barrier form.Corpus.name with
-                 | `Failed -> incr build_failures
-                 | `Ready -> ()
+               if expect "update_rules" response [] then begin
+                 forms.(i) := next;
+                 incr updates;
+                 ignore (barrier next.Corpus.name)
                end
-             done;
-             for r = 0 to sessions - 1 do
-               if update_every > 0 && r mod update_every = update_every - 1
-               then begin
-                 let i = Corpus.pick rng scenario.Corpus.popularity in
-                 let next = Corpus.update ~seed !(forms.(i)) in
+             end;
+             let i = Corpus.pick rng scenario.Corpus.popularity in
+             let form = !(forms.(i)) in
+             let response =
+               call
+                 (req "new_session"
+                    [ ("tenant", Json.String form.Corpus.name) ])
+             in
+             (match error_code response with
+             | Some "quota_exceeded" -> incr quota_refused
+             | Some "build_failed" -> ()
+               (* oversized corpus forms fail their build by design *)
+             | Some code ->
+               unexpected :=
+                 Printf.sprintf "new_session: %s" code :: !unexpected
+             | None -> (
+               incr opened;
+               match
+                 Option.bind (result_field response "session")
+                   Json.string_opt
+               with
+               | None -> unexpected := "new_session: no id" :: !unexpected
+               | Some session ->
                  let response =
                    call
-                     (req "update_rules"
+                     (req "get_report"
                         [
-                          ("tenant", Json.String next.Corpus.name);
-                          ("rules", Json.String next.Corpus.text);
+                          ("session", Json.String session);
+                          ( "valuation",
+                            Json.String (Corpus.valuation ~seed form r) );
                         ])
                  in
-                 if expect "update_rules" response [] then begin
-                   forms.(i) := next;
-                   incr updates;
-                   ignore (barrier next.Corpus.name)
-                 end
-               end;
-               let i = Corpus.pick rng scenario.Corpus.popularity in
-               let form = !(forms.(i)) in
-               let response =
-                 call
-                   (req "new_session"
-                      [ ("tenant", Json.String form.Corpus.name) ])
-               in
-               (match error_code response with
-               | Some "quota_exceeded" -> incr quota_refused
-               | Some "build_failed" -> ()
-                 (* oversized corpus forms fail their build by design *)
-               | Some code ->
-                 unexpected :=
-                   Printf.sprintf "new_session: %s" code :: !unexpected
-               | None -> (
-                 incr opened;
-                 match
-                   Option.bind (result_field response "session")
-                     Json.string_opt
-                 with
-                 | None -> unexpected := "new_session: no id" :: !unexpected
-                 | Some session ->
+                 if
+                   expect "get_report" response [ "ineligible" ]
+                 then begin
                    let response =
                      call
-                       (req "get_report"
+                       (req "choose_option"
                           [
                             ("session", Json.String session);
-                            ( "valuation",
-                              Json.String (Corpus.valuation ~seed form r) );
+                            ("option", Json.Int 0);
                           ])
                    in
-                   if
-                     expect "get_report" response [ "ineligible" ]
-                   then begin
+                   if expect "choose_option" response [] then
                      let response =
                        call
-                         (req "choose_option"
-                            [
-                              ("session", Json.String session);
-                              ("option", Json.Int 0);
-                            ])
+                         (req "submit_form"
+                            [ ("session", Json.String session) ])
                      in
-                     if expect "choose_option" response [] then
-                       let response =
-                         call
-                           (req "submit_form"
-                              [ ("session", Json.String session) ])
-                       in
-                       if expect "submit_form" response [] then incr submitted
-                   end
-                   else if error_code response = Some "ineligible" then
-                     incr ineligible))
-             done
-           with
-          | () ->
-            close_out_noerr oc;
-            Fmt.pr "tenants    %d published, %d build failures@." !published
-              !build_failures;
-            Fmt.pr "updates    %d@." !updates;
-            Fmt.pr
-              "sessions   %d opened, %d ineligible, %d quota refusals, %d \
-               submitted@."
-              !opened !ineligible !quota_refused !submitted;
-            let unexpected = List.sort_uniq compare !unexpected in
-            if unexpected = [] then `Ok ()
-            else begin
-              List.iter (Fmt.epr "unexpected error: %s@.") unexpected;
-              `Error (false, "the drive hit unexpected protocol errors")
-            end
-          | exception Failure m ->
-            close_out_noerr oc;
-            `Error (false, m)
-          | exception Sys_error m ->
-            close_out_noerr oc;
-            `Error (false, m)
-          | exception End_of_file ->
-            close_out_noerr oc;
-            `Error (false, "server closed the connection"))))
+                     if expect "submit_form" response [] then incr submitted
+                 end
+                 else if error_code response = Some "ineligible" then
+                   incr ineligible))
+           done
+         with
+        | () ->
+          close_out_noerr oc;
+          Fmt.pr "tenants    %d published, %d build failures@." !published
+            !build_failures;
+          Fmt.pr "updates    %d@." !updates;
+          Fmt.pr
+            "sessions   %d opened, %d ineligible, %d quota refusals, %d \
+             submitted@."
+            !opened !ineligible !quota_refused !submitted;
+          let unexpected = List.sort_uniq compare !unexpected in
+          if unexpected = [] then `Ok ()
+          else begin
+            List.iter (Fmt.epr "unexpected error: %s@.") unexpected;
+            `Error (false, "the drive hit unexpected protocol errors")
+          end
+        | exception Failure m ->
+          close_out_noerr oc;
+          `Error (false, m)
+        | exception Sys_error m ->
+          close_out_noerr oc;
+          `Error (false, m)
+        | exception End_of_file ->
+          close_out_noerr oc;
+          `Error (false, "server closed the connection")))
     in
     let doc =
       "Drive a corpus scenario against a running $(b,pet serve --tcp): \
@@ -2398,242 +2089,211 @@ let top_cmd =
     Arg.(value & opt int 0 & info [ "frames" ] ~docv:"N" ~doc)
   in
   let run addr interval frames =
-    let split =
-      match String.rindex_opt addr ':' with
-      | None -> None
-      | Some i ->
-        let host = String.sub addr 0 i in
-        let host =
-          if host = "" || host = "localhost" then "127.0.0.1" else host
+    match Pet_net.Dial.connect addr with
+    | Error m -> `Error (false, m)
+    | Ok fd ->
+      let ic = Unix.in_channel_of_descr fd in
+      let oc = Unix.out_channel_of_descr fd in
+      output_string oc
+        (Printf.sprintf
+           "{\"pet\":1,\"id\":1,\"method\":\"watch\",\"params\":{\"interval\":%g,\"frames\":%d}}\n"
+           interval frames);
+      flush oc;
+      (* Each frame is a full snapshot (the server starts a fresh
+         delta encoder per frame), so rates are the difference of
+         consecutive frames over their timestamps. *)
+      let tbl kvs = List.map (fun (k, v) -> (k, v)) kvs in
+      let parse_frame line =
+        match Json.parse line with
+        | Error _ -> None
+        | Ok response -> (
+          match Option.bind (Json.member "ok" response) (Json.member "watch") with
+          | None -> None
+          | Some w ->
+            let t =
+              Option.fold ~none:0. ~some:json_num (Json.member "t" w)
+            in
+            let counters =
+              List.map
+                (fun (k, v) -> (k, json_num v))
+                (Option.fold ~none:[] ~some:json_obj
+                   (Json.member "counters" w))
+            in
+            let gauges =
+              List.map
+                (fun (k, v) -> (k, json_num v))
+                (Option.fold ~none:[] ~some:json_obj
+                   (Json.member "gauges" w))
+            in
+            let hists =
+              List.map
+                (fun (k, h) ->
+                  let n =
+                    Option.fold ~none:0. ~some:json_num (Json.member "n" h)
+                  in
+                  let buckets =
+                    List.map
+                      (fun (le, c) ->
+                        (le_value le, int_of_float (json_num c)))
+                      (Option.fold ~none:[] ~some:json_obj
+                         (Json.member "buckets" h))
+                  in
+                  (k, (n, buckets)))
+                (Option.fold ~none:[] ~some:json_obj (Json.member "hist" w))
+            in
+            Some (t, tbl counters, tbl gauges, hists))
+      in
+      let lookup table name =
+        Option.value ~default:0. (List.assoc_opt name table)
+      in
+      let render frame_no prev (t, counters, gauges, hists) =
+        if Unix.isatty Unix.stdout then print_string "\027[H\027[2J";
+        let dt =
+          match prev with
+          | Some (pt, _, _, _) when t -. pt > 0. -> Some (t -. pt)
+          | _ -> None
         in
-        Option.map
-          (fun port -> (host, port))
-          (int_of_string_opt
-             (String.sub addr (i + 1) (String.length addr - i - 1)))
-    in
-    match split with
-    | None -> `Error (false, Printf.sprintf "%s: expected HOST:PORT" addr)
-    | Some (host, port) -> (
-      match
-        let inet =
-          try Unix.inet_addr_of_string host
-          with Failure _ -> (Unix.gethostbyname host).h_addr_list.(0)
+        let rate cur_v prev_v =
+          match (dt, prev) with
+          | Some dt, Some _ -> Printf.sprintf "%8.1f/s" ((cur_v -. prev_v) /. dt)
+          | _ -> "       --"
         in
-        let fd = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
-        (try Unix.connect fd (ADDR_INET (inet, port))
-         with e -> Unix.close fd; raise e);
-        fd
-      with
-      | exception Unix.Unix_error (e, _, _) ->
-        `Error
-          ( false,
-            Printf.sprintf "cannot connect to %s:%d: %s" host port
-              (Unix.error_message e) )
-      | exception Not_found ->
-        `Error (false, Printf.sprintf "cannot resolve host %s" host)
-      | fd ->
-        let ic = Unix.in_channel_of_descr fd in
-        let oc = Unix.out_channel_of_descr fd in
-        output_string oc
-          (Printf.sprintf
-             "{\"pet\":1,\"id\":1,\"method\":\"watch\",\"params\":{\"interval\":%g,\"frames\":%d}}\n"
-             interval frames);
-        flush oc;
-        (* Each frame is a full snapshot (the server starts a fresh
-           delta encoder per frame), so rates are the difference of
-           consecutive frames over their timestamps. *)
-        let tbl kvs = List.map (fun (k, v) -> (k, v)) kvs in
-        let parse_frame line =
-          match Json.parse line with
-          | Error _ -> None
-          | Ok response -> (
-            match Option.bind (Json.member "ok" response) (Json.member "watch") with
-            | None -> None
-            | Some w ->
-              let t =
-                Option.fold ~none:0. ~some:json_num (Json.member "t" w)
+        let prev_counters =
+          match prev with Some (_, c, _, _) -> c | None -> []
+        in
+        let prev_hists =
+          match prev with Some (_, _, _, h) -> h | None -> []
+        in
+        let total = lookup counters "pet_server_requests_total" in
+        let errors = lookup counters "pet_server_errors_total" in
+        Fmt.pr "pet top %s — frame %d, t=%g@." addr frame_no t;
+        Fmt.pr "requests %8.0f %s   errors %8.0f %s@." total
+          (rate total (lookup prev_counters "pet_server_requests_total"))
+          errors
+          (rate errors (lookup prev_counters "pet_server_errors_total"));
+        Fmt.pr
+          "sessions active %g   commit queue %g   tenants %g   uptime %gs@."
+          (lookup gauges "pet_sessions_active")
+          (lookup gauges "pet_net_commit_queue_depth")
+          (lookup gauges "pet_tenants")
+          (lookup gauges "pet_process_uptime_seconds");
+        (* Per-method rows from the request-latency histograms: the
+           frame-to-frame n delta is the rate, the bucket deltas give
+           the interval p99 (full-frame p99 on the first frame). *)
+        let methods =
+          List.filter_map
+            (fun (name, (n, buckets)) ->
+              let fam, labels = metric_labels name in
+              if fam = "pet_server_request_seconds" then
+                Option.map
+                  (fun m -> (m, name, n, buckets))
+                  (List.assoc_opt "method" labels)
+              else None)
+            hists
+          |> List.sort compare
+        in
+        if methods <> [] then begin
+          Fmt.pr "per-method:@.";
+          List.iter
+            (fun (m, name, n, buckets) ->
+              let pn, pbuckets =
+                match List.assoc_opt name prev_hists with
+                | Some (pn, pb) -> (pn, pb)
+                | None -> (0., [])
               in
-              let counters =
+              let delta_buckets =
                 List.map
-                  (fun (k, v) -> (k, json_num v))
-                  (Option.fold ~none:[] ~some:json_obj
-                     (Json.member "counters" w))
+                  (fun (b, c) ->
+                    ( b,
+                      c
+                      - Option.value ~default:0 (List.assoc_opt b pbuckets)
+                    ))
+                  buckets
               in
-              let gauges =
-                List.map
-                  (fun (k, v) -> (k, json_num v))
-                  (Option.fold ~none:[] ~some:json_obj
-                     (Json.member "gauges" w))
+              let dn = int_of_float (n -. pn) in
+              let p99 =
+                if dt <> None && dn > 0 then
+                  quantile_of_buckets delta_buckets dn 0.99
+                else
+                  quantile_of_buckets buckets (int_of_float n) 0.99
               in
-              let hists =
-                List.map
-                  (fun (k, h) ->
-                    let n =
-                      Option.fold ~none:0. ~some:json_num (Json.member "n" h)
-                    in
-                    let buckets =
-                      List.map
-                        (fun (le, c) ->
-                          (le_value le, int_of_float (json_num c)))
-                        (Option.fold ~none:[] ~some:json_obj
-                           (Json.member "buckets" h))
-                    in
-                    (k, (n, buckets)))
-                  (Option.fold ~none:[] ~some:json_obj (Json.member "hist" w))
+              Fmt.pr "  %-16s %8.0f req %s  p99 <= %gs@." m n
+                (rate n pn) p99)
+            methods
+        end;
+        (* Per-tenant and SLO rows ride the same gauge/counter
+           families the Prometheus export serves. *)
+        let tenants =
+          List.filter_map
+            (fun (name, v) ->
+              let fam, labels = metric_labels name in
+              if fam = "pet_tenant_requests_total" then
+                Option.map
+                  (fun tn -> (tn, name, v))
+                  (List.assoc_opt "tenant" labels)
+              else None)
+            counters
+          |> List.sort compare
+        in
+        if tenants <> [] then begin
+          Fmt.pr "per-tenant:@.";
+          List.iter
+            (fun (tn, name, v) ->
+              Fmt.pr "  %-16s %8.0f req %s@." tn v
+                (rate v (lookup prev_counters name)))
+            tenants
+        end;
+        let slos =
+          List.filter_map
+            (fun (name, _) ->
+              let fam, labels = metric_labels name in
+              if fam = "pet_slo_window_requests" then
+                List.assoc_opt "slo" labels
+              else None)
+            gauges
+          |> List.sort_uniq compare
+        in
+        if slos <> [] then begin
+          Fmt.pr "slo:@.";
+          List.iter
+            (fun key ->
+              let g family =
+                lookup gauges (Printf.sprintf "%s{slo=\"%s\"}" family key)
               in
-              Some (t, tbl counters, tbl gauges, hists))
-        in
-        let lookup table name =
-          Option.value ~default:0. (List.assoc_opt name table)
-        in
-        let render frame_no prev (t, counters, gauges, hists) =
-          if Unix.isatty Unix.stdout then print_string "\027[H\027[2J";
-          let dt =
-            match prev with
-            | Some (pt, _, _, _) when t -. pt > 0. -> Some (t -. pt)
-            | _ -> None
-          in
-          let rate cur_v prev_v =
-            match (dt, prev) with
-            | Some dt, Some _ -> Printf.sprintf "%8.1f/s" ((cur_v -. prev_v) /. dt)
-            | _ -> "       --"
-          in
-          let prev_counters =
-            match prev with Some (_, c, _, _) -> c | None -> []
-          in
-          let prev_hists =
-            match prev with Some (_, _, _, h) -> h | None -> []
-          in
-          let total = lookup counters "pet_server_requests_total" in
-          let errors = lookup counters "pet_server_errors_total" in
-          Fmt.pr "pet top %s — frame %d, t=%g@." addr frame_no t;
-          Fmt.pr "requests %8.0f %s   errors %8.0f %s@." total
-            (rate total (lookup prev_counters "pet_server_requests_total"))
-            errors
-            (rate errors (lookup prev_counters "pet_server_errors_total"));
-          Fmt.pr
-            "sessions active %g   commit queue %g   tenants %g   uptime %gs@."
-            (lookup gauges "pet_sessions_active")
-            (lookup gauges "pet_net_commit_queue_depth")
-            (lookup gauges "pet_tenants")
-            (lookup gauges "pet_process_uptime_seconds");
-          (* Per-method rows from the request-latency histograms: the
-             frame-to-frame n delta is the rate, the bucket deltas give
-             the interval p99 (full-frame p99 on the first frame). *)
-          let methods =
-            List.filter_map
-              (fun (name, (n, buckets)) ->
-                let fam, labels = metric_labels name in
-                if fam = "pet_server_request_seconds" then
-                  Option.map
-                    (fun m -> (m, name, n, buckets))
-                    (List.assoc_opt "method" labels)
-                else None)
-              hists
-            |> List.sort compare
-          in
-          if methods <> [] then begin
-            Fmt.pr "per-method:@.";
-            List.iter
-              (fun (m, name, n, buckets) ->
-                let pn, pbuckets =
-                  match List.assoc_opt name prev_hists with
-                  | Some (pn, pb) -> (pn, pb)
-                  | None -> (0., [])
-                in
-                let delta_buckets =
-                  List.map
-                    (fun (b, c) ->
-                      ( b,
-                        c
-                        - Option.value ~default:0 (List.assoc_opt b pbuckets)
-                      ))
-                    buckets
-                in
-                let dn = int_of_float (n -. pn) in
-                let p99 =
-                  if dt <> None && dn > 0 then
-                    quantile_of_buckets delta_buckets dn 0.99
-                  else
-                    quantile_of_buckets buckets (int_of_float n) 0.99
-                in
-                Fmt.pr "  %-16s %8.0f req %s  p99 <= %gs@." m n
-                  (rate n pn) p99)
-              methods
-          end;
-          (* Per-tenant and SLO rows ride the same gauge/counter
-             families the Prometheus export serves. *)
-          let tenants =
-            List.filter_map
-              (fun (name, v) ->
-                let fam, labels = metric_labels name in
-                if fam = "pet_tenant_requests_total" then
-                  Option.map
-                    (fun tn -> (tn, name, v))
-                    (List.assoc_opt "tenant" labels)
-                else None)
-              counters
-            |> List.sort compare
-          in
-          if tenants <> [] then begin
-            Fmt.pr "per-tenant:@.";
-            List.iter
-              (fun (tn, name, v) ->
-                Fmt.pr "  %-16s %8.0f req %s@." tn v
-                  (rate v (lookup prev_counters name)))
-              tenants
-          end;
-          let slos =
-            List.filter_map
-              (fun (name, _) ->
-                let fam, labels = metric_labels name in
-                if fam = "pet_slo_window_requests" then
-                  List.assoc_opt "slo" labels
-                else None)
-              gauges
-            |> List.sort_uniq compare
-          in
-          if slos <> [] then begin
-            Fmt.pr "slo:@.";
-            List.iter
-              (fun key ->
-                let g family =
-                  lookup gauges (Printf.sprintf "%s{slo=\"%s\"}" family key)
-                in
-                Fmt.pr
-                  "  %-24s %6.0f req  p99=%gs err=%.4f  burn lat=%.2f \
-                   err=%.2f%s@."
-                  key
-                  (g "pet_slo_window_requests")
-                  (g "pet_slo_p99_seconds")
-                  (g "pet_slo_error_ratio")
-                  (g "pet_slo_latency_burn")
-                  (g "pet_slo_error_burn")
-                  (if g "pet_slo_breached" > 0. then "  BREACHED" else ""))
-              slos
-          end
-        in
-        let rec pump frame_no prev =
-          if frames > 0 && frame_no > frames then `Ok ()
-          else
-            match In_channel.input_line ic with
-            | None -> if frames = 0 then `Ok () else `Error (false, "server closed the connection")
-            | Some line -> (
-              match parse_frame line with
-              | None ->
-                `Error
-                  (false, Printf.sprintf "unexpected response: %s" line)
-              | Some frame ->
-                render frame_no prev frame;
-                pump (frame_no + 1) (Some frame))
-        in
-        let result =
-          try pump 1 None with
-          | Sys_error m -> `Error (false, m)
-          | End_of_file -> `Error (false, "server closed the connection")
-        in
-        close_out_noerr oc;
-        result)
+              Fmt.pr
+                "  %-24s %6.0f req  p99=%gs err=%.4f  burn lat=%.2f \
+                 err=%.2f%s@."
+                key
+                (g "pet_slo_window_requests")
+                (g "pet_slo_p99_seconds")
+                (g "pet_slo_error_ratio")
+                (g "pet_slo_latency_burn")
+                (g "pet_slo_error_burn")
+                (if g "pet_slo_breached" > 0. then "  BREACHED" else ""))
+            slos
+        end
+      in
+      let rec pump frame_no prev =
+        if frames > 0 && frame_no > frames then `Ok ()
+        else
+          match In_channel.input_line ic with
+          | None -> if frames = 0 then `Ok () else `Error (false, "server closed the connection")
+          | Some line -> (
+            match parse_frame line with
+            | None ->
+              `Error
+                (false, Printf.sprintf "unexpected response: %s" line)
+            | Some frame ->
+              render frame_no prev frame;
+              pump (frame_no + 1) (Some frame))
+      in
+      let result =
+        try pump 1 None with
+        | Sys_error m -> `Error (false, m)
+        | End_of_file -> `Error (false, "server closed the connection")
+      in
+      close_out_noerr oc;
+      result
   in
   let doc =
     "Live operations view over a running $(b,pet serve --tcp) server: \

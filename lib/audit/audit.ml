@@ -49,7 +49,8 @@ type ctx = {
   sessions : (string, string) Hashtbl.t;  (* live session -> digest *)
   revoked : (string, unit) Hashtbl.t;
   horizons : (string, float) Hashtbl.t;  (* session -> latest horizon *)
-  next_id : (string, int) Hashtbl.t;  (* ledger key -> expected grant id *)
+  grant_ids : (string * int, unit) Hashtbl.t;  (* (ledger key, id) seen *)
+  top_id : (string, int) Hashtbl.t;  (* ledger key -> highest grant id *)
   integrity : prop;
   r2 : prop;
   minimality : prop;
@@ -69,7 +70,8 @@ let create_ctx ~mode ~backend =
     sessions = Hashtbl.create 64;
     revoked = Hashtbl.create 16;
     horizons = Hashtbl.create 16;
-    next_id = Hashtbl.create 8;
+    grant_ids = Hashtbl.create 64;
+    top_id = Hashtbl.create 8;
     integrity = prop "integrity";
     r2 = prop "r2";
     minimality = prop "minimality";
@@ -208,18 +210,18 @@ let check_event ctx ~file ~offset event =
     Hashtbl.replace ctx.horizons id horizon
   | Persist.Grant { digest; grant_id; form; benefits; session; tenant; revoked }
     ->
+    (* Shards draw ids from one ledger but may reach the writer in
+       either order, so grants need not arrive in id order; an id may
+       only appear once. Ids never seen are noted at the end. *)
     let key = ledger_key ~digest ~tenant in
     ctx.replay.pchecked <- ctx.replay.pchecked + 1;
-    let expected =
-      match Hashtbl.find_opt ctx.next_id key with Some n -> n | None -> 0
-    in
-    if grant_id <> expected then
+    if Hashtbl.mem ctx.grant_ids (key, grant_id) then
       flag ctx.replay ~file ~offset
-        (Printf.sprintf
-           "grant %d out of sequence for ledger %s (expected %d)" grant_id
-           key expected);
-    (* Resync so one gap is one violation, not a cascade. *)
-    Hashtbl.replace ctx.next_id key (grant_id + 1);
+        (Printf.sprintf "grant %d appears twice in ledger %s" grant_id key)
+    else Hashtbl.add ctx.grant_ids (key, grant_id) ();
+    (match Hashtbl.find_opt ctx.top_id key with
+    | Some top when top >= grant_id -> ()
+    | _ -> Hashtbl.replace ctx.top_id key grant_id);
     if not revoked then begin
       (match session with
       | Some sid ->
@@ -282,6 +284,28 @@ let seal prop =
     violations = List.rev prop.faults;
   }
 
+(* Grant ids below a ledger's highest that no record carries: a crash
+   cut those grants in flight (never acknowledged), so like a torn tail
+   they are a note, not a violation. *)
+let missing_grants ctx =
+  Hashtbl.fold (fun key top acc -> (key, top) :: acc) ctx.top_id []
+  |> List.sort compare
+  |> List.filter_map (fun (key, top) ->
+         match
+           List.filter
+             (fun id -> not (Hashtbl.mem ctx.grant_ids (key, id)))
+             (List.init (top + 1) Fun.id)
+         with
+         | [] -> None
+         | ids ->
+           Some
+             (Printf.sprintf
+                "grant id%s %s of ledger %s never reached the log: in flight \
+                 at a crash"
+                (if List.length ids = 1 then "" else "s")
+                (String.concat ", " (List.map string_of_int ids))
+                key))
+
 let run ?(mode = Algorithm1.Chain) ?(backend = Engine.Bdd) dir =
   match Store.replay_chain dir with
   | Error m -> Error m
@@ -315,12 +339,13 @@ let run ?(mode = Algorithm1.Chain) ?(backend = Engine.Bdd) dir =
               flag ctx.integrity ~file ~offset ("torn record: " ^ reason)
             end))
       chain;
+    let notes = Option.to_list !note @ missing_grants ctx in
     Ok
       {
         dir;
         files = List.length chain;
         records = !records;
-        note = !note;
+        note = (if notes = [] then None else Some (String.concat "; " notes));
         properties =
           List.map seal
             [

@@ -27,9 +27,13 @@
       session's [session_expiry] horizon, no later record establishes
       data for it. The latest horizon for a session wins, matching the
       service.
-    - {b replay} — the log is self-consistent under replay: grant ids
-      are sequential per (tenant, digest) ledger, sessions transition
+    - {b replay} — the log is self-consistent under replay: no grant id
+      appears twice in a (tenant, digest) ledger, sessions transition
       only after they are created, and no session is created twice.
+      Grant ids may arrive out of order — two shards draw ids from one
+      ledger and reach the single writer in either order — and an id
+      below a ledger's highest that no record carries is a grant a
+      crash cut in flight: a note, like a torn tail.
 
     Every violation is anchored at the byte offset of the offending
     record in its file, so an operator can inspect (or excise) the exact
@@ -58,8 +62,9 @@ type report = {
   files : int;  (** snapshot + segments walked *)
   records : int;  (** whole records read *)
   note : string option;
-      (** a torn tail on the last segment: legitimate crash damage,
-          reported but not a violation *)
+      (** legitimate crash damage, reported but not a violation: a torn
+          tail on the last segment, grant ids that never reached the
+          log (notes joined by ["; "]) *)
   properties : property list;  (** the six properties, fixed order *)
 }
 
@@ -75,7 +80,7 @@ val run :
     the online auditor. *)
 
 val pass : report -> bool
-(** No property has a violation. A note (torn tail) does not fail. *)
+(** No property has a violation. A note (crash damage) does not fail. *)
 
 val to_json : report -> Pet_pet.Json.t
 (** Machine-readable rendering: [{"dir", "files", "records", "pass",

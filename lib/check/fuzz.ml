@@ -566,7 +566,7 @@ let run_store ?(seed = 0) ~count () =
                          d.Store.offset f.Store.bytes))
                 faults
         end;
-        (* Invariant 4: the surviving stream replays into a service
+        (* Invariant 4: the surviving stream recovers into a service
            without raising (structured replay errors are possible for
            spliced logs, e.g. a duplicated grant record, and counted). *)
         let service =
@@ -575,14 +575,11 @@ let run_store ?(seed = 0) ~count () =
             ~now:(fun () -> 0.)
             ()
         in
-        List.iter
-          (fun event ->
-            match Pet_server.Service.apply_event service event with
-            | Ok () -> ()
-            | Error _ -> incr replay_errors
-            | exception e ->
-              violate "apply_event raised" (Printexc.to_string e))
-          r.Store.events;
+        (match Pet_net.Recovery.replay [| service |] r.Store.events with
+        | outcome ->
+          replay_errors :=
+            !replay_errors + List.length outcome.Pet_net.Recovery.errors
+        | exception e -> violate "replay raised" (Printexc.to_string e));
         (* Invariant 5: the directory stays writable — open (truncating
            any torn tail), append, and the appended record recovers. *)
         match Store.open_dir ~fsync:false dir with
@@ -1116,14 +1113,10 @@ let run_consent ?(seed = 0) ~count () =
         let fresh =
           Service.create ~durable:true ~resolve:(fun _ -> None) ~now ()
         in
-        List.iter
-          (fun event ->
-            match Service.apply_event fresh event with
-            | Ok () -> ()
-            | Error m -> violate "replay error" m
-            | exception e -> violate "replay raised" (Printexc.to_string e))
-          recovery.Store.events;
-        ignore (Service.apply_horizons fresh);
+        (match Pet_net.Recovery.replay [| fresh |] recovery.Store.events with
+        | outcome ->
+          List.iter (violate "replay error") outcome.Pet_net.Recovery.errors
+        | exception e -> violate "replay raised" (Printexc.to_string e));
         Service.set_sink fresh (Store.sink store);
         let revoked_ids =
           List.filter_map

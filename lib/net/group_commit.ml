@@ -30,6 +30,8 @@ type t = {
      WAL batch they followed — submitters never block on telemetry *)
   flight : Flight_log.t option;
   fq : string Queue.t;
+  ttl : float option;  (* session idle cut-off for compaction *)
+  mutable compacting : bool;  (* cleared by a failed compaction *)
   mutable stopping : bool;
   mutable batches : int;
   mutable events_total : int;
@@ -83,6 +85,20 @@ let gather t =
   in
   wait ()
 
+(* Between batches the writer is the store's only user, so it squashes
+   the log here once enough segments have sealed. Submitters queue
+   meanwhile; shards serving reads never notice. A failure is logged
+   once and turns compaction off: retrying would re-read the whole
+   chain after every batch. *)
+let compact t =
+  if t.compacting && Store.wants_compaction t.store then
+    match Store.compact_chain ?ttl:t.ttl t.store with
+    | Ok _ -> ()
+    | Error m ->
+      t.compacting <- false;
+      Pet_obs.Log.error "store.compaction_failed"
+        ~fields:[ ("reason", Pet_obs.Trace.String m) ]
+
 let rec writer_loop t =
   Mutex.lock t.m;
   while Queue.is_empty t.queue && Queue.is_empty t.fq && not t.stopping do
@@ -133,10 +149,11 @@ let rec writer_loop t =
       (* A failing telemetry disk must not take the WAL writer down. *)
       try Flight_log.append_batch fl records with Sys_error _ -> ())
     | _ -> ());
+    compact t;
     writer_loop t
   end
 
-let start ?(batch_target = 1) ?(gather_s = 2e-4) ?flight store =
+let start ?(batch_target = 1) ?(gather_s = 2e-4) ?flight ?ttl store =
   let pipe_r, pipe_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock pipe_r;
   let t =
@@ -151,6 +168,8 @@ let start ?(batch_target = 1) ?(gather_s = 2e-4) ?flight store =
       pipe_w;
       flight;
       fq = Queue.create ();
+      ttl;
+      compacting = true;
       stopping = false;
       batches = 0;
       events_total = 0;

@@ -23,11 +23,15 @@ val start :
   ?batch_target:int ->
   ?gather_s:float ->
   ?flight:Pet_store.Flight_log.t ->
+  ?ttl:float ->
   Pet_store.Store.t ->
   t
-(** Spawn the writer domain. The store must not be appended to by
-    anyone else from then on (reads and compaction stay with the
-    caller; the store is not closed by {!stop}).
+(** Spawn the writer domain. The store must not be appended to or
+    compacted by anyone else from then on (it is not closed by
+    {!stop}). Between batches, whenever
+    {!Pet_store.Store.wants_compaction} holds, the writer compacts the
+    log with {!Pet_store.Store.compact_chain}, dropping sessions idle
+    for [ttl] seconds (the service's session timeout).
 
     [batch_target] (default 1: commit immediately) is the batch size
     worth briefly waiting for — the number of shards submitting.

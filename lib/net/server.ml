@@ -12,9 +12,10 @@ module Trace = Pet_obs.Trace
 (* --- Wiring -------------------------------------------------------------------
 
    Threads and domains:
-   - the main domain runs the acceptor thread plus one thread per
-     connection (blocking line I/O releases the runtime lock, so they
-     interleave freely);
+   - the main domain runs one thread per connection (blocking line I/O
+     releases the runtime lock, so they interleave freely) and, over
+     TCP, the acceptor thread; standard input/output is one more
+     connection, made at start instead of accepted;
    - each shard is a domain running a plain queue-drain loop over its
      own [Service.t] — sessions never leave their shard, so the service
      needs no locking;
@@ -43,9 +44,12 @@ type conn = {
   cc : Condition.t;
   mutable outstanding : int;
   mutable closed : bool;
-      (* reader saw EOF: watch streamers must stop producing frames so
-         the outstanding budget can drain and the descriptor close *)
+      (* reader saw EOF, or a write failed: watch streamers must stop
+         producing frames so the outstanding budget can drain and the
+         descriptor close *)
 }
+
+type listen = Tcp of int | Stdio of in_channel * out_channel
 
 let max_outstanding = 64
 
@@ -81,16 +85,16 @@ type t = {
   fenc : Pet_obs.Flight.t;
   store_h : Store.t option;  (* for WAL-frontier stamps on snapshots *)
   nowf : unit -> float;
-  listen : Unix.file_descr;
+  listen : Unix.file_descr option;  (* [None] under stdio *)
   port : int;
   rr : int Atomic.t;  (* round-robin for sessionless requests *)
   conns : int Atomic.t;
   stop_flag : bool Atomic.t;
   failure : string option ref;
+  mutable finished : bool;  (* the stdio connection reached EOF, drained *)
   fm : Mutex.t;
   fc : Condition.t;
   mutable acceptor : Thread.t option;
-  mutable ticker : Thread.t option;
 }
 
 let obs_accepted = Obs.counter "pet_net_accepted_total"
@@ -138,8 +142,7 @@ let route t line =
 (* A WAL failure is fatal: the shard answers the one affected client
    with an [internal] error (its state change is in memory but was never
    durable) and flags the server; [wait] returns so the driver can shut
-   down. Matches the stdio server, where the same [Sys_error] kills the
-   serving loop. *)
+   down. *)
 let fail t reason =
   Mutex.lock t.fm;
   let first = !(t.failure) = None in
@@ -153,14 +156,20 @@ let fail t reason =
     | Some fl -> (
       try
         Pet_store.Flight_log.append fl
-          (Pet_obs.Flight.meta t.fenc ~now:(t.nowf ()) ~event:"fatal"
+          (Pet_obs.Flight.meta t.fenc ~now:(Obs.now ()) ~event:"fatal"
              [ ("reason", reason) ])
       with Sys_error _ -> ())
     | None -> ()
 
+let finish t =
+  Mutex.lock t.fm;
+  t.finished <- true;
+  Condition.broadcast t.fc;
+  Mutex.unlock t.fm
+
 let wait t =
   Mutex.lock t.fm;
-  while !(t.failure) = None && not (Atomic.get t.stop_flag) do
+  while !(t.failure) = None && not (Atomic.get t.stop_flag || t.finished) do
     Condition.wait t.fc t.fm
   done;
   let result = match !(t.failure) with Some m -> Error m | None -> Ok () in
@@ -180,6 +189,15 @@ let sync_active shard =
   Obs.set_gauge shard.obs_active
     (float_of_int (Service.session_counters shard.service).Session.active)
 
+(* Flight records are stamped with the obs clock; SLO windows are
+   synced at the service clock, the timeline [Slo.record] stamped. *)
+let flight_snap t service =
+  Service.sync_gauges service;
+  Pet_obs.Slo.sync Service.slo ~now:(t.nowf ());
+  Pet_obs.Flight.snap t.fenc
+    ?wal:(Option.map Store.position t.store_h)
+    ~now:(Obs.now ()) (Obs.snapshot ())
+
 (* Assemble one flight snapshot on a shard domain (syncing that shard's
    service gauges is safe there) and queue it behind the WAL batches.
    Slow traces ride along; the encoder dedups ids, so a trace is
@@ -187,12 +205,8 @@ let sync_active shard =
 let emit_flight t shard =
   match t.writer with
   | Some writer when t.flight <> None && Obs.enabled () ->
-    let nowv = t.nowf () in
-    Service.sync_gauges shard.service;
-    Pet_obs.Slo.sync Service.slo ~now:nowv;
-    let wal = Option.map Store.position t.store_h in
-    let record = Pet_obs.Flight.snap t.fenc ?wal ~now:nowv (Obs.snapshot ()) in
-    let traces = Pet_obs.Flight.slow_traces t.fenc ~now:nowv (Trace.slow ()) in
+    let record = flight_snap t shard.service in
+    let traces = Pet_obs.Flight.slow_traces t.fenc ~now:(Obs.now ()) (Trace.slow ()) in
     List.iter (Group_commit.submit_flight writer) (record :: traces)
   | _ -> ()
 
@@ -202,13 +216,17 @@ let emit_flight t shard =
    still runs, so the reader can drain and close. *)
 let respond conn response =
   Mutex.lock conn.wm;
-  (try
-     output_string conn.oc response;
-     output_char conn.oc '\n';
-     flush conn.oc
-   with Sys_error _ -> ());
+  let written =
+    try
+      output_string conn.oc response;
+      output_char conn.oc '\n';
+      flush conn.oc;
+      true
+    with Sys_error _ -> false
+  in
   Mutex.unlock conn.wm;
   Mutex.lock conn.cm;
+  if not written then conn.closed <- true;
   conn.outstanding <- conn.outstanding - 1;
   Condition.broadcast conn.cc;
   Mutex.unlock conn.cm
@@ -261,13 +279,6 @@ let strip_cr line =
   let n = String.length line in
   if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
 
-let contains_sub line sub =
-  let n = String.length line and m = String.length sub in
-  let rec go i =
-    i + m <= n && (String.sub line i m = sub || go (i + 1))
-  in
-  go 0
-
 (* Recognize a well-formed [watch] request without parsing anything on
    the non-watch path: a cheap substring scan gates the full decode, so
    lines that merely mention "watch" in a value decode once and take the
@@ -275,47 +286,65 @@ let contains_sub line sub =
    Malformed watch requests also return [None] — the shard produces the
    same error response it always did. *)
 let watch_params line =
-  if not (contains_sub line "\"watch\"") then None
+  let key = {|"watch"|} in
+  let n = String.length line and m = String.length key in
+  let rec mentions i = i + m <= n && (String.sub line i m = key || mentions (i + 1)) in
+  if not (mentions 0) then None
   else
     match Proto.decode line with
     | Ok { Proto.request = Proto.Watch { interval; frames }; _ } ->
       Some (interval, frames)
     | Ok _ | Error _ -> None
 
-(* Stream a watch subscription: a dedicated thread re-enqueues the same
-   request line every [interval], so each frame travels the ordinary
-   request path (same queues, same outstanding budget, one ok-response
-   per frame echoing the id). Stops after [frames] frames, when the
-   reader sees EOF ([conn.closed]) or at server stop — the [closed]
-   check is what lets the close path drain [outstanding] to zero. *)
-let start_watch t conn line ~interval ~frames =
-  let shard = t.shards.(route t line) in
-  ignore
-    (Thread.create
-       (fun () ->
-         let rec go sent =
-           if not (Atomic.get t.stop_flag) then begin
-             Mutex.lock conn.cm;
-             while conn.outstanding >= max_outstanding && not conn.closed do
-               Condition.wait conn.cc conn.cm
-             done;
-             let stop = conn.closed in
-             if not stop then conn.outstanding <- conn.outstanding + 1;
-             Mutex.unlock conn.cm;
-             if not stop then begin
-               enqueue shard (Request { line; conn });
-               let sent = sent + 1 in
-               if frames = 0 || sent < frames then begin
-                 if interval > 0. then Thread.delay interval;
-                 go sent
-               end
-             end
-           end
-         in
-         go 0)
-       ())
+(* Take one slot of the connection's outstanding budget, blocking at
+   [max_outstanding]. A watch frame gives up instead once the
+   connection is [closed]; a request line never does — the close path
+   waits for its response either way. *)
+let acquire ?(unless_closed = false) conn =
+  Mutex.lock conn.cm;
+  while conn.outstanding >= max_outstanding && not (unless_closed && conn.closed) do
+    Condition.wait conn.cc conn.cm
+  done;
+  let ok = not (unless_closed && conn.closed) in
+  if ok then conn.outstanding <- conn.outstanding + 1;
+  Mutex.unlock conn.cm;
+  ok
 
+let drain conn =
+  Mutex.lock conn.cm;
+  while conn.outstanding > 0 do
+    Condition.wait conn.cc conn.cm
+  done;
+  Mutex.unlock conn.cm
+
+(* Stream a watch subscription: the same request line is enqueued once
+   per frame, [interval] apart, so each frame travels the ordinary
+   request path (same queue, same outstanding budget, one ok-response
+   per frame echoing the id). Stops after [frames] frames ([0]: no
+   limit), when the connection closes, or at server stop. *)
+let stream t conn line ~interval ~frames =
+  let shard = t.shards.(route t line) in
+  let rec go sent =
+    if (frames = 0 || sent < frames)
+       && (not (Atomic.get t.stop_flag))
+       && acquire ~unless_closed:true conn
+    then begin
+      enqueue shard (Request { line; conn });
+      let sent = sent + 1 in
+      if interval > 0. && (frames = 0 || sent < frames) then
+        Thread.delay interval;
+      go sent
+    end
+  in
+  go 0
+
+(* A watch takes over the stream: requests after it on the same
+   connection are dispatched only once its last frame is answered, so
+   a transcript is deterministic on any number of shards. A bounded
+   watch streams from the reader itself; an unbounded one streams from
+   its own thread while the reader waits for EOF, which ends it. *)
 let conn_loop t ic conn =
+  let unbounded = ref None in
   let rec go () =
     match In_channel.input_line ic with
     | None -> ()
@@ -326,30 +355,39 @@ let conn_loop t ic conn =
       else if trimmed = "quit" then ()
       else if Atomic.get t.stop_flag then ()
       else begin
+        Option.iter
+          (fun streamer ->
+            Thread.join streamer;
+            unbounded := None;
+            drain conn)
+          !unbounded;
         (match watch_params line with
+        | Some (interval, 0) ->
+          unbounded :=
+            Some
+              (Thread.create (fun () -> stream t conn line ~interval ~frames:0) ())
         | Some (interval, frames) ->
-          start_watch t conn line ~interval ~frames
+          stream t conn line ~interval ~frames;
+          drain conn
         | None ->
-          let shard = t.shards.(route t line) in
-          Mutex.lock conn.cm;
-          while conn.outstanding >= max_outstanding do
-            Condition.wait conn.cc conn.cm
-          done;
-          conn.outstanding <- conn.outstanding + 1;
-          Mutex.unlock conn.cm;
-          enqueue shard (Request { line; conn }));
+          ignore (acquire conn);
+          enqueue t.shards.(route t line) (Request { line; conn }));
         go ()
       end
   in
   go ()
 
-let handle_conn t fd =
+(* Serve one connection until EOF (or [quit]), then release it with
+   [close] — once every queued request's response is written: a shard
+   must never write to a descriptor that may have been recycled by a
+   newer accept. Raising [closed] first stops any watch streamer from
+   producing further frames, so the budget can actually reach zero. *)
+let serve_conn t ic oc ~close =
   Atomic.incr t.conns;
   Obs.set_gauge obs_conns (float_of_int (Atomic.get t.conns));
-  let ic = Unix.in_channel_of_descr fd in
   let conn =
     {
-      oc = Unix.out_channel_of_descr fd;
+      oc;
       wm = Mutex.create ();
       cm = Mutex.create ();
       cc = Condition.create ();
@@ -359,32 +397,33 @@ let handle_conn t fd =
   in
   Fun.protect
     ~finally:(fun () ->
-      (* Wait for every queued request's response before closing: a
-         shard must never write to a descriptor that may have been
-         recycled by a newer accept. Raising [closed] first stops any
-         watch streamer from producing further frames, so the budget
-         can actually reach zero. *)
       Mutex.lock conn.cm;
       conn.closed <- true;
       Condition.broadcast conn.cc;
-      while conn.outstanding > 0 do
-        Condition.wait conn.cc conn.cm
-      done;
       Mutex.unlock conn.cm;
+      drain conn;
       Atomic.decr t.conns;
       Obs.set_gauge obs_conns (float_of_int (Atomic.get t.conns));
-      (* Exactly one close: channels and [conn.fd] share the
-         descriptor, and the reader thread is its sole owner. *)
-      close_out_noerr conn.oc)
+      close ())
     (fun () ->
       try conn_loop t ic conn with Sys_error _ | End_of_file -> ())
 
-let acceptor_loop t =
+let acceptor_loop t listen =
   let rec go () =
-    match Unix.accept ~cloexec:true t.listen with
+    match Unix.accept ~cloexec:true listen with
     | fd, _ ->
       Obs.incr obs_accepted;
-      ignore (Thread.create (fun () -> handle_conn t fd) ());
+      (* Replies are single small writes: Nagle would hold each one
+         back until the client's delayed ACK. *)
+      (try Unix.setsockopt fd TCP_NODELAY true with Unix.Unix_error _ -> ());
+      let ic = Unix.in_channel_of_descr fd in
+      let oc = Unix.out_channel_of_descr fd in
+      (* Exactly one close: both channels share the descriptor, and the
+         connection thread is its sole owner. *)
+      ignore
+        (Thread.create
+           (fun () -> serve_conn t ic oc ~close:(fun () -> close_out_noerr oc))
+           ());
       go ()
     | exception Unix.Unix_error (EINTR, _, _) -> go ()
     | exception Unix.Unix_error _ ->
@@ -406,9 +445,35 @@ let ticker_loop t interval =
 
 (* --- Lifecycle -------------------------------------------------------------------- *)
 
+(* Structured log lines also go to the flight journal, stamped with the
+   obs clock, until [stop] detaches the tee. *)
+let tee_log t fl =
+  Log.set_sink (fun line ->
+      prerr_endline line;
+      try
+        Pet_store.Flight_log.append fl
+          (Pet_obs.Flight.log_event t.fenc ~now:(Obs.now ()) line)
+      with Sys_error _ -> ())
+
+let bind port =
+  match
+    let fd = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
+    Unix.setsockopt fd SO_REUSEADDR true;
+    Unix.bind fd (ADDR_INET (Unix.inet_addr_loopback, port));
+    Unix.listen fd 128;
+    fd
+  with
+  | exception Unix.Unix_error (e, _, _) ->
+    Error
+      (Printf.sprintf "cannot listen on port %d: %s" port (Unix.error_message e))
+  | fd -> (
+    match Unix.getsockname fd with
+    | Unix.ADDR_INET (_, p) -> Ok (fd, p)
+    | _ -> Ok (fd, port))
+
 let start ?backend ?compiled ?payoff ?capacity ?ttl ?(tenant_quota = 0)
-    ?resolve ?store ?(recovery = []) ?(sweep_interval = 1.) ?flight ~domains
-    ~port ~now () =
+    ?resolve ?store ?recovery ?(sweep_interval = 1.) ?flight ~domains ~listen
+    ~now () =
   let domains = max 1 domains in
   let shared = Shared.create () in
   let tenants = Pet_tenant.Tenant.create ~quota:tenant_quota () in
@@ -433,33 +498,15 @@ let start ?backend ?compiled ?payoff ?capacity ?ttl ?(tenant_quota = 0)
           domain = None;
         })
   in
-  (* Replay routes each event to the shard that will serve it — the id
-     hash is stable across runs — before any domain is spawned, so no
-     locking is needed. Rule sets and grants go to shard 0: texts and
-     ledgers land in the shared state either way, and any other shard
-     recompiles lazily from the shared text on first touch. *)
-  List.iter
-    (fun event ->
-      let target =
-        match event with
-        | Persist.Rules _ | Persist.Tenant_published _ | Persist.Grant _ -> 0
-        | Persist.Session_created { id; _ }
-        | Persist.Session_chosen { id; _ }
-        | Persist.Session_submitted { id; _ }
-        | Persist.Session_revoked { id; _ }
-        | Persist.Session_expiry { id; _ } ->
-          Shard_map.owner ~shards:domains id
-      in
-      match Service.apply_event shards.(target).service event with
-      | Ok () -> ()
-      | Error reason ->
-        Log.error "store.replay_error"
-          ~fields:[ ("reason", Trace.String reason) ])
-    recovery;
-  (* Horizons that passed while the process was down take effect before
-     the first request. The consent store is shared, so one pass from
-     any shard covers them all. *)
-  ignore (Service.apply_horizons shards.(0).service);
+  (* Recovery runs before any domain is spawned, so it needs no
+     locking, and before the flight tee, so its log lines stay out of
+     the journal. *)
+  (match (store, recovery) with
+  | Some store, Some recovery ->
+    ignore
+      (Recovery.recover ~dir:(Store.dir store) recovery
+         (Array.map (fun shard -> shard.service) shards))
+  | _ -> ());
   (match store with
   | None -> ()
   | Some _ ->
@@ -472,84 +519,123 @@ let start ?backend ?compiled ?payoff ?capacity ?ttl ?(tenant_quota = 0)
           })
       shards);
   match
-    let fd = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
-    Unix.setsockopt fd SO_REUSEADDR true;
-    Unix.bind fd (ADDR_INET (Unix.inet_addr_loopback, port));
-    Unix.listen fd 128;
-    fd
+    match listen with
+    | Tcp port -> Result.map (fun (fd, port) -> (Some fd, port)) (bind port)
+    | Stdio _ -> Ok (None, 0)
   with
-  | exception Unix.Unix_error (e, _, _) ->
-    Error (Printf.sprintf "cannot listen on port %d: %s" port
-             (Unix.error_message e))
-  | listen ->
-    let port =
-      match Unix.getsockname listen with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> port
-    in
+  | Error m ->
+    Pet_tenant.Tenant.stop tenants;
+    Error m
+  | Ok (listen_fd, port) ->
     let t =
       {
         shards;
         shared;
         tenants;
         writer =
-          Option.map (Group_commit.start ~batch_target:domains ?flight) store;
+          Option.map
+            (Group_commit.start ~batch_target:domains ?flight ?ttl)
+            store;
         flight;
         fenc = Pet_obs.Flight.create ();
         store_h = store;
         nowf = now;
-        listen;
+        listen = listen_fd;
         port;
         rr = Atomic.make 0;
         conns = Atomic.make 0;
         stop_flag = Atomic.make false;
         failure = ref None;
+        finished = false;
         fm = Mutex.create ();
         fc = Condition.create ();
         acceptor = None;
-        ticker = None;
       }
     in
+    Option.iter
+      (fun fl ->
+        tee_log t fl;
+        let fields =
+          match listen with
+          | Stdio _ -> [ ("mode", "stdio") ]
+          | Tcp _ ->
+            [
+              ("transport", "tcp");
+              ("domains", string_of_int domains);
+              ("port", string_of_int port);
+            ]
+        in
+        try
+          Pet_store.Flight_log.append fl
+            (Pet_obs.Flight.meta t.fenc ~now:(Obs.now ()) ~event:"start" fields)
+        with Sys_error _ -> ())
+      flight;
     Array.iter
       (fun shard ->
         shard.domain <- Some (Domain.spawn (fun () -> shard_loop t shard)))
       t.shards;
-    t.acceptor <- Some (Thread.create (fun () -> acceptor_loop t) ());
+    (match listen with
+    | Stdio (ic, oc) ->
+      (* One connection, made here rather than accepted; its EOF ends
+         the server once every reply is out. *)
+      ignore
+        (Thread.create
+           (fun () ->
+             serve_conn t ic oc ~close:(fun () ->
+                 try flush oc with Sys_error _ -> ());
+             finish t)
+           ())
+    | Tcp _ -> ());
+    Option.iter
+      (fun fd ->
+        t.acceptor <- Some (Thread.create (fun () -> acceptor_loop t fd) ());
+        Obs.set_gauge
+          (Obs.gauge ~help:"Shard domains serving this process." "pet_net_domains")
+          (float_of_int domains);
+        Log.info "net.listening"
+          ~fields:[ ("port", Trace.Int port); ("domains", Trace.Int domains) ])
+      listen_fd;
     if sweep_interval > 0. then
-      t.ticker <- Some (Thread.create (fun () -> ticker_loop t sweep_interval) ());
-    Obs.set_gauge
-      (Obs.gauge ~help:"Shard domains serving this process." "pet_net_domains")
-      (float_of_int domains);
-    Log.info "net.listening"
-      ~fields:
-        [ ("port", Trace.Int port); ("domains", Trace.Int domains) ];
-    (match flight with
-    | Some fl -> (
-      try
-        Pet_store.Flight_log.append fl
-          (Pet_obs.Flight.meta t.fenc ~now:(now ()) ~event:"start"
-             [
-               ("transport", "tcp");
-               ("domains", string_of_int domains);
-               ("port", string_of_int port);
-             ])
-      with Sys_error _ -> ())
-    | None -> ());
+      ignore (Thread.create (fun () -> ticker_loop t sweep_interval) ());
     Ok t
 
 let port t = t.port
+
+(* The at-exit flight dump — a final delta snapshot, any slow traces the
+   periodic ticks missed, the exit mark — then the log tee comes off.
+   Runs with every domain joined, so syncing shard 0's gauges is
+   race-free; the fatal-path record is written by [fail] at the moment
+   of failure. *)
+let dump_flight t =
+  match t.flight with
+  | None -> ()
+  | Some fl ->
+    (try
+       if Obs.enabled () then
+         Pet_store.Flight_log.append fl (flight_snap t t.shards.(0).service);
+       List.iter
+         (Pet_store.Flight_log.append fl)
+         (Pet_obs.Flight.slow_traces t.fenc ~now:(Obs.now ()) (Trace.slow ()));
+       Pet_store.Flight_log.append fl
+         (Pet_obs.Flight.meta t.fenc ~now:(Obs.now ()) ~event:"exit" [])
+     with Sys_error _ -> ());
+    Log.set_sink prerr_endline
 
 let stop t =
   if not (Atomic.exchange t.stop_flag true) then begin
     Mutex.lock t.fm;
     Condition.broadcast t.fc;
     Mutex.unlock t.fm;
-    (* Shutting the listener down (not just closing it) wakes the
-       acceptor blocked in [accept]. *)
-    (try Unix.shutdown t.listen Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    Option.iter Thread.join t.acceptor;
-    t.acceptor <- None;
-    (try Unix.close t.listen with Unix.Unix_error _ -> ());
+    Option.iter
+      (fun listen ->
+        (* Shutting the listener down (not just closing it) wakes the
+           acceptor blocked in [accept]. *)
+        (try Unix.shutdown listen Unix.SHUTDOWN_ALL
+         with Unix.Unix_error _ -> ());
+        Option.iter Thread.join t.acceptor;
+        t.acceptor <- None;
+        try Unix.close listen with Unix.Unix_error _ -> ())
+      t.listen;
     Array.iter
       (fun shard ->
         Mutex.lock shard.qm;
@@ -564,35 +650,10 @@ let stop t =
       t.shards;
     Option.iter Group_commit.stop t.writer;
     Pet_tenant.Tenant.stop t.tenants;
-    Option.iter Thread.join t.ticker;
-    t.ticker <- None
+    (* The ticker is not joined: it sleeps up to a sweep interval and
+       exits on its own once it sees [stop_flag]. *)
+    dump_flight t
   end
-
-(* The at-exit dump: lifecycle record, any slow traces the periodic
-   ticks missed, and a final delta snapshot. Meant to run after {!stop}
-   (domains joined, so syncing shard 0's gauges is race-free); the
-   fatal-path record is written by [fail] at the moment of failure. *)
-let flight_dump t ~event =
-  match t.flight with
-  | None -> ()
-  | Some fl -> (
-    try
-      let nowv = t.nowf () in
-      if Atomic.get t.stop_flag then Service.sync_gauges t.shards.(0).service;
-      let records =
-        Pet_obs.Flight.meta t.fenc ~now:nowv ~event []
-        :: Pet_obs.Flight.slow_traces t.fenc ~now:nowv (Trace.slow ())
-        @
-        if Obs.enabled () then
-          [
-            Pet_obs.Flight.snap t.fenc
-              ?wal:(Option.map Store.position t.store_h)
-              ~now:nowv (Obs.snapshot ());
-          ]
-        else []
-      in
-      Pet_store.Flight_log.append_batch fl records
-    with Sys_error _ -> ())
 
 let batch_stats t = Option.map Group_commit.stats t.writer
 

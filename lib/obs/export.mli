@@ -16,8 +16,8 @@ val prometheus : Metrics.snapshot -> string
 
 val line : Metrics.snapshot -> string
 (** A compact single-line [k=v] summary (counters and gauges verbatim,
-    histograms as [name.count/.p50/.p99]), for
-    [pet serve --metrics-interval] stderr heartbeats. Zero counters and
+    histograms as [name.count/.p50/.p99]), for log lines and test
+    output. Zero counters and
     never-observed histograms are omitted — the quiet parts of the
     system don't drown the active ones; gauges are always shown. No
     trailing newline. *)

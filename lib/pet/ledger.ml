@@ -6,14 +6,26 @@ type t = { mutable entries : entry list (* newest first *); mutable next : int }
 
 let create () = { entries = []; next = 0 }
 
-let record_entry t grant =
+let record t grant =
   let id = t.next in
   t.next <- id + 1;
-  t.entries <- { id; grant } :: t.entries;
+  t.entries <- { id; grant = Some grant } :: t.entries;
   id
 
-let record t grant = record_entry t (Some grant)
-let record_tombstone t = record_entry t None
+(* Entries stay newest-id first; a record replayed late lands a few
+   places down the list, so the walk is as long as its displacement. *)
+let restore t id grant =
+  let rec insert = function
+    | e :: rest when e.id > id -> Option.map (List.cons e) (insert rest)
+    | e :: _ when e.id = id -> None
+    | rest -> Some ({ id; grant } :: rest)
+  in
+  match insert t.entries with
+  | None -> false
+  | Some entries ->
+    t.entries <- entries;
+    t.next <- max t.next (id + 1);
+    true
 
 let entries t = List.rev t.entries
 

@@ -23,9 +23,13 @@ val create : unit -> t
 val record : t -> Workflow.grant -> int
 (** Append a grant; returns its archive id (sequential from 0). *)
 
-val record_tombstone : t -> int
-(** Append an already-tombstoned entry — snapshot replay recreating a
-    revoked record without ever materializing its form. *)
+val restore : t -> int -> Workflow.grant option -> bool
+(** Replay: put a record ([None]: an already-tombstoned one) at its own
+    id. Ids may arrive out of order — shards draw them from one ledger
+    but reach the log's single writer in either order — and an id never
+    replayed stays an empty slot below {!size} (only a crash cutting an
+    in-flight grant leaves one). [false], changing nothing, if the id is
+    already taken. *)
 
 val revoke : t -> int -> [ `Revoked | `Already | `Unknown ]
 (** Erase the record's subvaluation in place. [`Already] if the record

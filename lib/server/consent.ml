@@ -148,14 +148,6 @@ let all_due t ~now =
       else acc)
     t.entries []
 
-let entries t =
-  locked t (fun () ->
-      Hashtbl.fold (fun _ entry acc -> entry :: acc) t.entries [])
-  |> List.sort (fun a b ->
-         compare
-           (String.length a.session, a.session)
-           (String.length b.session, b.session))
-
 let counters t =
   locked t @@ fun () ->
   let pending =

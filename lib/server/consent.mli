@@ -65,7 +65,4 @@ val all_due : t -> now:float -> entry list
 (** Every armed entry past [now], unbudgeted — the post-recovery pass
     applying whatever horizons a crash interrupted. *)
 
-val entries : t -> entry list
-(** Every entry, ordered by (id length, id) — snapshot order. *)
-
 val counters : t -> counters

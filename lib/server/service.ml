@@ -161,11 +161,6 @@ let retained_text t digest =
   | Some shared -> Shared.find_text shared digest
   | None -> Hashtbl.find_opt t.rule_texts digest
 
-let retained_texts t =
-  match t.shared with
-  | Some shared -> Shared.texts shared
-  | None -> Hashtbl.fold (fun d x acc -> (d, x) :: acc) t.rule_texts []
-
 let with_ledger t digest f =
   match t.shared with
   | Some shared -> Shared.with_ledger shared digest f
@@ -195,13 +190,6 @@ let ledger_count t =
    rule sets keep the bare digest and old logs replay unchanged. *)
 let ledger_key ~digest ~tenant =
   match tenant with None -> digest | Some name -> digest ^ "@" ^ name
-
-let split_ledger_key key =
-  match String.index_opt key '@' with
-  | None -> (key, None)
-  | Some i ->
-    ( String.sub key 0 i,
-      Some (String.sub key (i + 1) (String.length key - i - 1)) )
 
 (* --- Rule-set resolution ----------------------------------------------------- *)
 
@@ -948,29 +936,25 @@ let apply_event t event =
   | Persist.Grant { digest; grant_id; form; benefits; session; tenant; revoked }
     ->
     let key = ledger_key ~digest ~tenant in
-    let* record =
+    let* grant =
       if revoked then
-        (* A snapshot tombstone: the id slot is preserved (ordering
-           checks below still hold) but the empty form is never parsed. *)
-        Ok (fun ledger -> ignore (Ledger.record_tombstone ledger))
+        (* A snapshot tombstone: the id slot is restored but the empty
+           form is never parsed. *)
+        Ok None
       else
         let* compiled = compiled_of_digest t digest in
         let* form = partial_of compiled form in
-        Ok
-          (fun ledger ->
-            ignore (Ledger.record ledger { Workflow.form; benefits }))
+        Ok (Some { Workflow.form; benefits })
     in
+    (* Each grant lands at its own id: shards draw ids from one ledger
+       but may reach the single WAL writer in either order. *)
     let* () =
-      with_ledger t key (fun ledger ->
-          if Ledger.size ledger <> grant_id then
-            Error
-              (Printf.sprintf
-                 "grant %d for rule set %s arrived out of order (ledger at %d)"
-                 grant_id key (Ledger.size ledger))
-          else begin
-            record ledger;
-            Ok ()
-          end)
+      if with_ledger t key (fun ledger -> Ledger.restore ledger grant_id grant)
+      then Ok ()
+      else
+        Error
+          (Printf.sprintf "grant %d for rule set %s appears twice in the log"
+             grant_id key)
     in
     (* Re-link the consent entry so a post-recovery revoke (or a replayed
        one) finds the archived record. *)
@@ -1008,132 +992,6 @@ let apply_event t event =
     let entry = Consent.register t.consents ~session:id () in
     Consent.set_horizon t.consents entry ~horizon ~at;
     Ok ()
-
-(* The live state as an equivalent event sequence — what a snapshot
-   stores. Replaying [state_events] recreates every rule set, archived
-   grant and live session (a [Reported] session reverts to [Created]:
-   its raw valuation is exactly what must not be persisted). Ordering:
-   rule sets and tenant versions first, then grants in id order per
-   rule set, then sessions in id order, so replay dependencies always
-   point backwards. *)
-let state_events t =
-  let by_key l = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
-  let rules =
-    List.map
-      (fun (digest, text) -> Persist.Rules { digest; text })
-      (by_key (retained_texts t))
-  in
-  let tenants =
-    List.concat_map
-      (fun (name, quota, versions) ->
-        let quota = if quota = 0 then None else Some quota in
-        List.map
-          (fun (version, digest, text, at) ->
-            Persist.Tenant_published
-              { tenant = name; version; digest; text; quota; at })
-          versions)
-      (Tenant.dump t.tenants)
-  in
-  (* Which session produced each grant, from the consent entries — the
-     ledger itself stores no identifiers beyond the minimized form. *)
-  let consent_entries = Consent.entries t.consents in
-  let grant_session =
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun (e : Consent.entry) ->
-        match e.Consent.grant_id with
-        | Some grant_id when e.Consent.key <> "" ->
-          Hashtbl.replace tbl (e.Consent.key, grant_id) e.Consent.session
-        | _ -> ())
-      consent_entries;
-    tbl
-  in
-  let grants =
-    List.concat_map
-      (fun (key, ledger) ->
-        let digest, tenant = split_ledger_key key in
-        List.map
-          (fun (e : Ledger.entry) ->
-            let session = Hashtbl.find_opt grant_session (key, e.Ledger.id) in
-            match e.Ledger.grant with
-            | Some grant ->
-              Persist.Grant
-                {
-                  digest;
-                  grant_id = e.Ledger.id;
-                  form = Partial.to_string grant.Workflow.form;
-                  benefits = grant.Workflow.benefits;
-                  session;
-                  tenant;
-                  revoked = false;
-                }
-            | None ->
-              (* The id slot of an erased grant: replay keeps the
-                 sequence aligned without ever materializing a form. *)
-              Persist.Grant
-                {
-                  digest;
-                  grant_id = e.Ledger.id;
-                  form = "";
-                  benefits = [];
-                  session;
-                  tenant;
-                  revoked = true;
-                })
-          (Ledger.entries ledger))
-      (by_key (fold_ledgers t (fun d l acc -> (d, l) :: acc) []))
-  in
-  let session_key (s : Session.t) =
-    (String.length s.Session.id, s.Session.id)
-  in
-  let sessions =
-    Session.all t.store
-    |> List.sort (fun a b -> compare (session_key a) (session_key b))
-    |> List.concat_map (fun (s : Session.t) ->
-           Persist.Session_created
-             {
-               id = s.Session.id;
-               digest = s.Session.digest;
-               tenant = s.Session.tenant;
-               at = s.Session.created_at;
-             }
-           :: (match s.Session.chosen with
-              | Some (mas, benefits) ->
-                [
-                  Persist.Session_chosen
-                    {
-                      id = s.Session.id;
-                      mas = Partial.to_string mas;
-                      benefits;
-                      at = s.Session.last_active;
-                    };
-                ]
-              | None -> [])
-           @
-           match (s.Session.state, s.Session.grant_id) with
-           | Session.Submitted, Some grant_id ->
-             [
-               Persist.Session_submitted
-                 { id = s.Session.id; grant_id; at = s.Session.last_active };
-             ]
-           | _ -> [])
-  in
-  (* Lifecycle events last: a revocation (or horizon) may reference a
-     session the snapshot no longer holds — replay tolerates that — but
-     never one that appears later. An expired entry re-emits its
-     horizon; re-applying it on recovery is idempotent. *)
-  let lifecycle =
-    List.concat_map
-      (fun (e : Consent.entry) ->
-        match (e.Consent.revoked_at, e.Consent.horizon) with
-        | Some at, _ ->
-          [ Persist.Session_revoked { id = e.Consent.session; at } ]
-        | None, Some (horizon, at) ->
-          [ Persist.Session_expiry { id = e.Consent.session; horizon; at } ]
-        | None, None -> [])
-      consent_entries
-  in
-  rules @ tenants @ grants @ sessions @ lifecycle
 
 (* --- Observability ---------------------------------------------------------------- *)
 

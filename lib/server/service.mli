@@ -10,11 +10,11 @@
     compute, not the legally retained records).
 
     The core is transport-agnostic and deliberately synchronous:
-    {!handle_line} maps one request line to one response line, so any
-    driver — the [pet serve] stdin/stdout loop, a socket accept loop, a
-    test harness — provides the I/O and, if it wants parallelism, the
-    locking around a service instance. The sharded TCP server
-    ({!Pet_net}) runs one instance per worker domain, each serving only
+    {!handle_line} maps one request line to one response line, so its
+    caller — the serving core of [pet serve] ({!Pet_net}), a test
+    harness — provides the I/O and, if it wants parallelism, the
+    locking around a service instance. The serving core runs one
+    instance per worker domain, each serving only
     the sessions whose ids hash to it ([owns]) and deferring rule texts
     and grant ledgers to the process-wide {!Shared} state. Determinism
     is preserved by injecting the clock: tests and cram transcripts pass
@@ -117,13 +117,6 @@ val apply_event : t -> Persist.event -> (unit, string) result
     means the event contradicts the accumulated state — a damaged or
     reordered log — and identifies the contradiction. *)
 
-val state_events : t -> Persist.event list
-(** The current state as an equivalent event sequence — the content of a
-    snapshot. Replaying it through {!apply_event} on a fresh service
-    reproduces every rule set, archived grant and live session; sessions
-    in the transient [Reported] state revert to [Created] because their
-    raw valuation is never persisted (R2). Deterministically ordered. *)
-
 val handle_line : t -> string -> string
 (** Process one request line, return the response line (no trailing
     newline). Never raises: every failure becomes a structured protocol
@@ -167,8 +160,8 @@ val sync_gauges : t -> unit
 (** Mirror the service-owned aggregates (registry, sessions, ledgers)
     into the global {!Pet_obs.Metrics} gauges. The [metrics] request
     handler does this automatically; drivers that export snapshots out
-    of band ([pet serve --metrics-interval], the bench harness) call it
-    before {!Pet_obs.Metrics.snapshot} so gauges are never stale. *)
+    of band (the flight recorder, the bench harness) call it before
+    {!Pet_obs.Metrics.snapshot} so gauges are never stale. *)
 
 val metrics_payload :
   t -> now:float -> Proto.metrics_format -> Pet_pet.Json.t

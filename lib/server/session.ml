@@ -174,9 +174,6 @@ let sweep_step ?(budget = 32) store ~now =
     !swept
   end
 
-let all store =
-  Hashtbl.fold (fun _ session acc -> session :: acc) store.sessions []
-
 let counters store =
   {
     active = Hashtbl.length store.sessions;

@@ -93,7 +93,4 @@ val sweep_step : ?budget:int -> store -> now:float -> int
     called on every request so abandoned sessions are reclaimed even if
     nothing ever looks them up again. *)
 
-val all : store -> t list
-(** Every live session, in no particular order (snapshot/compaction). *)
-
 val counters : store -> counters

@@ -33,9 +33,6 @@ let remember_text t ~digest ~text =
 
 let find_text t digest = locked t (fun () -> Hashtbl.find_opt t.texts digest)
 
-let texts t =
-  locked t (fun () -> Hashtbl.fold (fun d x acc -> (d, x) :: acc) t.texts [])
-
 let with_ledger t digest f =
   locked t @@ fun () ->
   let ledger =

@@ -31,9 +31,6 @@ val remember_text : t -> digest:string -> text:string -> bool
 
 val find_text : t -> string -> string option
 
-val texts : t -> (string * string) list
-(** Snapshot of (digest, canonical text), unordered. *)
-
 val with_ledger : t -> string -> (Pet_pet.Ledger.t -> 'a) -> 'a
 (** Run [f] on the (lazily created) ledger for a digest, holding the
     lock for the whole call — ledger reads and writes are only ever

@@ -98,14 +98,14 @@ let decode payload =
 let read_file path =
   In_channel.with_open_bin path In_channel.input_all
 
-(* Replay the file chain into the longest clean prefix of events. A torn
-   tail is legitimate only on the last file (the one being appended when
-   the process died); torn bytes anywhere else, checksum failures and
-   undecodable events are damage: replay stops there so the recovered
-   state never builds on bytes after a hole. *)
-let recover_chain dir chain =
-  let events = ref [] and records = ref 0 in
-  let truncated = ref None and damage = ref [] in
+(* Walk the file chain record by record, handing every decoded event
+   of the longest clean prefix to [on_event]. A torn tail is legitimate
+   only on the last file (the one being appended when the process
+   died); torn bytes anywhere else, checksum failures and undecodable
+   events are damage: the walk stops there so the recovered state never
+   builds on bytes after a hole. *)
+let walk_chain dir chain ~on_event =
+  let records = ref 0 and truncated = ref None and damage = ref [] in
   let rec through_files = function
     | [] -> ()
     | file :: rest ->
@@ -117,7 +117,7 @@ let recover_chain dir chain =
         | Record.Record { payload; next } -> (
           match decode payload with
           | Ok event ->
-            events := event :: !events;
+            on_event event;
             incr records;
             through_records next
           | Error reason ->
@@ -135,12 +135,19 @@ let recover_chain dir chain =
       | `Stop d -> damage := [ d ])
   in
   through_files chain;
+  (!records, !truncated, !damage)
+
+let recover_chain dir chain =
+  let events = ref [] in
+  let records, truncated, damage =
+    walk_chain dir chain ~on_event:(fun event -> events := event :: !events)
+  in
   {
     events = List.rev !events;
     files = List.length chain;
-    records = !records;
-    truncated = !truncated;
-    damage = !damage;
+    records;
+    truncated;
+    damage;
   }
 
 let guard f = match f () with v -> Ok v | exception Sys_error m -> Error m
@@ -223,6 +230,7 @@ let seal t =
           ("sealed", Pet_obs.Trace.Int t.sealed);
         ]
 
+let dir t = t.dir
 let position t = (wal_name t.seg, t.written)
 
 let obs_appends = Pet_obs.Metrics.counter "pet_store_appends_total"
@@ -438,7 +446,10 @@ module Compactor = struct
         (* session -> (horizon, set_at), latest wins *)
     links : (string, (string * string option) * int) Hashtbl.t;
         (* session -> (ledger key, grant id) — where its grant lives *)
-    mutable clock : float;  (* newest timestamp seen *)
+    mutable clock : float;
+        (* the last timestamp in log order — not the largest: a logical
+           clock restarts with the process, and sessions the restarted
+           service still serves must not look idle *)
   }
 
   let create () =
@@ -453,7 +464,7 @@ module Compactor = struct
       clock = 0.;
     }
 
-  let tick state at = if at > state.clock then state.clock <- at
+  let tick state at = state.clock <- at
 
   let add state = function
     | Persist.Rules { digest; text } ->
@@ -610,8 +621,9 @@ module Compactor = struct
                  [ Persist.Session_submitted { id; grant_id; at } ]
                | None -> [])
     in
-    (* Lifecycle events last (the order {!Service.state_events} uses):
-       revocations survive compaction so a second revoke still errors,
+    (* Lifecycle events last: they may name sessions the snapshot
+       dropped, never ones that appear later. Revocations survive
+       compaction so a second revoke still errors,
        and horizons re-arm so recovery re-applies any that passed. *)
     let by_id l = List.sort (fun (a, _) (b, _) ->
         compare (String.length a, a) (String.length b, b)) l
@@ -629,3 +641,20 @@ module Compactor = struct
     in
     rules @ tenants @ grants @ sessions @ lifecycle
 end
+
+(* --- Online compaction ----------------------------------------------------------------- *)
+
+let compact_chain ?ttl t =
+  let compactor = Compactor.create () in
+  match
+    guard (fun () ->
+        walk_chain t.dir
+          (snd (replay_files (listing t.dir)))
+          ~on_event:(Compactor.add compactor))
+  with
+  | Error m -> Error m
+  | Ok (_, _, d :: _) ->
+    Error
+      (Printf.sprintf "replay chain damaged at byte %d of %s: %s" d.offset
+         d.file d.reason)
+  | Ok (_, _, []) -> compact t ~events:(Compactor.events ?ttl compactor)

@@ -70,6 +70,9 @@ val append_batch : t -> Persist.event list -> unit
 val sink : t -> Persist.sink
 (** The store as a service sink ({!Pet_server.Service.set_sink}). *)
 
+val dir : t -> string
+(** The data directory this store was opened on. *)
+
 val position : t -> string * int
 (** The WAL frontier: current segment file name and the byte offset at
     which the next record's frame header will land — the coordinate
@@ -80,8 +83,7 @@ val position : t -> string * int
 
 val wants_compaction : t -> bool
 (** Enough sealed segments have accumulated that the driver should call
-    {!compact} with the live state
-    ({!Pet_server.Service.state_events}). *)
+    {!compact_chain}. *)
 
 val compact : t -> events:Persist.event list -> (int, string) result
 (** Write [events] as the new snapshot (atomically: temp file, fsync,
@@ -121,8 +123,8 @@ val replay_chain : string -> (string list, string) result
 
     Squashes an event stream without compiling any rule engine: rule
     sets are deduplicated, grants accumulated, and each session reduced
-    to its surviving transitions. [pet store compact] uses this; the
-    online path snapshots the service state directly. *)
+    to its surviving transitions. [pet store compact] uses this, and so
+    does the online path ({!compact_chain}). *)
 
 module Compactor : sig
   type state
@@ -133,7 +135,18 @@ module Compactor : sig
   val events : ?ttl:float -> state -> Persist.event list
   (** The squashed stream, deterministically ordered (rule sets, then
       grants, then sessions). Sessions idle for more than [ttl] seconds
-      (default 3600) before the newest event timestamp are dropped —
+      (default 3600) before the log's last event timestamp are dropped —
       they would only expire again on recovery; their grants are kept
-      regardless. [ttl <= 0.] keeps every session. *)
+      regardless. [ttl <= 0.] keeps every session. The last timestamp
+      in log order is the log's clock, not the largest: a logical clock
+      restarts with the process, and a restarted service still serves
+      the sessions it recovered. *)
 end
+
+val compact_chain : ?ttl:float -> t -> (int, string) result
+(** Online compaction: stream this store's own replay chain, record by
+    record, through a {!Compactor} (sessions idle past [ttl] dropped, as
+    in {!Compactor.events}) into {!compact}. Call it from the one domain
+    that appends, between appends. Refuses a chain with mid-log damage,
+    which recovery could not replay past either. Returns the number of
+    files removed. *)

@@ -439,17 +439,3 @@ let totals t =
         build_failures = t.failures;
         building = t.building;
       })
-
-(* Every version of every tenant, tenants sorted by name and versions
-   ascending — the snapshot order ([state_events]): replaying the dump
-   through {!restore} reproduces the registry (lazily compiled). *)
-let dump t =
-  locked t (fun () ->
-      Hashtbl.fold (fun name tenant acc -> (name, tenant) :: acc) t.tenants []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      |> List.map (fun (name, (tenant : _ tenant)) ->
-             ( name,
-               tenant.quota,
-               List.rev_map
-                 (fun v -> (v.number, v.digest, v.text, v.published_at))
-                 tenant.versions )))

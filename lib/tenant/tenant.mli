@@ -155,8 +155,3 @@ type totals = {
 }
 
 val totals : 'a t -> totals
-
-val dump : 'a t -> (string * int * (int * string * string * float) list) list
-(** [(name, quota, versions)] with tenants sorted by name and versions
-    ascending as [(number, digest, text, published_at)] — the snapshot
-    order; replaying through {!restore} reproduces the registry. *)

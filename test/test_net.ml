@@ -1,8 +1,9 @@
-(* Tests for the TCP transport layer: shard-map stability and
-   distribution, collision-free sharded id generation, group-commit
-   batching under concurrent submitters, durable-before-reply over a
-   real socket, batched-append crash prefixes, sweep fairness across
-   shards, and cross-shard rule sharing. *)
+(* Tests for the serving core: shard-map stability and distribution,
+   collision-free sharded id generation, group-commit batching under
+   concurrent submitters, durable-before-reply over a real socket,
+   batched-append crash prefixes, sweep fairness across shards,
+   cross-shard rule sharing, compaction under TCP, watch streaming on
+   both transports, and HOST:PORT dialing. *)
 
 module Spec = Pet_rules.Spec
 module Persist = Pet_server.Persist
@@ -13,6 +14,7 @@ module Store = Pet_store.Store
 module Shard_map = Pet_net.Shard_map
 module Group_commit = Pet_net.Group_commit
 module Server = Pet_net.Server
+module Dial = Pet_net.Dial
 module Running = Pet_casestudies.Running
 
 let temp_dir =
@@ -221,10 +223,11 @@ let request oc ic line =
   | Some response -> response
   | None -> Alcotest.fail "server closed the connection"
 
-let with_server ?store ?(domains = 4) f =
+let with_server ?store ?recovery ?ttl ?(domains = 4) ?(now = Unix.gettimeofday)
+    f =
   match
-    Server.start ~resolve ?store ~sweep_interval:0. ~domains ~port:0
-      ~now:Unix.gettimeofday ()
+    Server.start ~resolve ?store ?recovery ?ttl ~sweep_interval:0. ~domains
+      ~listen:(Tcp 0) ~now ()
   with
   | Error m -> Alcotest.failf "server start: %s" m
   | Ok server ->
@@ -407,6 +410,234 @@ let test_sweep_fairness () =
   Alcotest.(check int) "expired summed" 103 (sum (fun c -> c.Session.expired));
   Alcotest.(check int) "active summed" 0 (sum (fun c -> c.Session.active))
 
+(* --- Compaction under TCP ---------------------------------------------------------- *)
+
+let logical_clock () =
+  let tick = Atomic.make 0 in
+  fun () -> float_of_int (Atomic.fetch_and_add tick 1 + 1)
+
+let test_tcp_compaction () =
+  (* Tiny segments and a two-segment threshold: the writer domain must
+     compact between batches, so a long-running server keeps a bounded
+     directory and a restart replays a bounded log, whatever it served.
+     Sessions idle past the ttl are what compaction drops; grants are
+     kept. *)
+  let dir = temp_dir () in
+  let auto = 2 in
+  let open_store () =
+    match
+      Store.open_dir ~segment_bytes:2048 ~auto_compact_segments:auto
+        ~fsync:false dir
+    with
+    | Ok pair -> pair
+    | Error m -> Alcotest.failf "open_dir: %s" m
+  in
+  let most_files = ref 0 in
+  let serve ?(submit = 0) sessions =
+    let store, recovery = open_store () in
+    Fun.protect
+      ~finally:(fun () -> Store.close store)
+      (fun () ->
+        with_server ~store ~recovery ~ttl:50. ~domains:2 ~now:(logical_clock ())
+          (fun server ->
+            let fd, ic, oc = connect (Server.port server) in
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                let call line =
+                  let response = request oc ic line in
+                  most_files := max !most_files (Array.length (Sys.readdir dir));
+                  if not (contains response {|"ok"|}) then
+                    Alcotest.failf "%s -> %s" line response;
+                  response
+                in
+                ignore
+                  (call
+                     {|{"pet":1,"id":0,"method":"publish_rules","params":{"source":"running"}}|});
+                for i = 1 to sessions do
+                  let sid =
+                    session_of
+                      (call
+                         {|{"pet":1,"id":1,"method":"new_session","params":{"source":"running"}}|})
+                  in
+                  ignore
+                    (call
+                       (Printf.sprintf
+                          {|{"pet":1,"id":2,"method":"get_report","params":{"session":"%s","valuation":"101"}}|}
+                          sid));
+                  ignore
+                    (call
+                       (Printf.sprintf
+                          {|{"pet":1,"id":3,"method":"choose_option","params":{"session":"%s","option":0}}|}
+                          sid));
+                  if i <= submit then
+                    ignore
+                      (call
+                         (Printf.sprintf
+                            {|{"pet":1,"id":4,"method":"submit_form","params":{"session":"%s"}}|}
+                            sid))
+                done;
+                call {|{"pet":1,"id":5,"method":"stats"}|})))
+  in
+  let ledger_of stats =
+    match Pet_pet.Json.parse stats with
+    | Ok json ->
+      Pet_pet.Json.to_string
+        (Option.get
+           (Pet_pet.Json.member "ledger"
+              (Option.get (Pet_pet.Json.member "ok" json))))
+    | Error m -> Alcotest.failf "stats: %s" m
+  in
+  let replayed () =
+    let store, recovery = open_store () in
+    Store.close store;
+    recovery.Store.records
+  in
+  let served = serve ~submit:5 300 in
+  let after_first = replayed () in
+  let restarted = serve 0 in
+  Alcotest.(check string) "the restarted server keeps the archive"
+    (ledger_of served) (ledger_of restarted);
+  ignore (serve 300);
+  let after_second = replayed () in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most %d files at any reply (saw %d)" (auto + 2)
+       !most_files)
+    true
+    (!most_files <= auto + 2);
+  (* 300 sessions log 600+ events; the live state plus the tail
+     segments is far less, and serving 300 more does not grow it. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "replay bounded (%d records)" after_first)
+    true (after_first < 200);
+  Alcotest.(check bool)
+    (Printf.sprintf "replay bounded after 300 more sessions (%d then %d records)"
+       after_first after_second)
+    true
+    (after_second < 200);
+  match Pet_audit.Audit.run dir with
+  | Error m -> Alcotest.fail m
+  | Ok report ->
+    Alcotest.(check bool)
+      (Format.asprintf "audit passes: %a" Pet_audit.Audit.pp report)
+      true (Pet_audit.Audit.pass report)
+
+(* --- Watch on both transports ------------------------------------------------------- *)
+
+let watch_line frames =
+  Printf.sprintf
+    {|{"pet":1,"id":"w","method":"watch","params":{"frames":%d,"interval":0.01}}|}
+    frames
+
+let stats_line = {|{"pet":1,"id":"after","method":"stats"}|}
+let is_frame line = contains line {|"ok":{"watch"|}
+
+let test_tcp_watch_then_request () =
+  (* Pipelined in one write: the stats request lands on another shard
+     than the watch (round-robin over two), yet is answered only after
+     the watch's last frame. *)
+  with_server ~domains:2 (fun server ->
+      let fd, ic, oc = connect (Server.port server) in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          output_string oc (watch_line 3 ^ "\n" ^ stats_line ^ "\n");
+          flush oc;
+          let lines = List.init 4 (fun _ -> Option.get (In_channel.input_line ic)) in
+          Alcotest.(check (list bool)) "three frames, then the stats reply"
+            [ true; true; true; false ] (List.map is_frame lines);
+          Alcotest.(check bool) "stats answered last" true
+            (contains (List.nth lines 3) {|"id":"after"|})))
+
+(* A stdio server over pipes: [feed] writes request lines, [close]
+   sends EOF, [read] takes one response line; [finished] polls whether
+   {!Server.wait} has returned. *)
+let with_stdio_server f =
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let resp_r, resp_w = Unix.pipe ~cloexec:true () in
+  let server_in = Unix.in_channel_of_descr req_r in
+  let server_out = Unix.out_channel_of_descr resp_w in
+  let feed = Unix.out_channel_of_descr req_w in
+  let responses = Unix.in_channel_of_descr resp_r in
+  match
+    Server.start ~resolve ~sweep_interval:0. ~domains:1
+      ~listen:(Stdio (server_in, server_out)) ~now:Unix.gettimeofday ()
+  with
+  | Error m -> Alcotest.failf "server start: %s" m
+  | Ok server ->
+    let waited = Atomic.make None in
+    ignore (Thread.create (fun () -> Atomic.set waited (Some (Server.wait server))) ());
+    let finished ~within =
+      let deadline = Unix.gettimeofday () +. within in
+      let rec poll () =
+        match Atomic.get waited with
+        | Some result -> Some result
+        | None when Unix.gettimeofday () > deadline -> None
+        | None -> Thread.delay 0.01; poll ()
+      in
+      poll ()
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Server.stop server;
+        List.iter close_in_noerr [ server_in; responses ];
+        List.iter close_out_noerr [ server_out; feed ])
+      (fun () ->
+        f
+          ~feed:(fun line -> output_string feed (line ^ "\n"); flush feed)
+          ~close:(fun () -> close_out feed)
+          ~read:(fun () -> Option.get (In_channel.input_line responses))
+          ~finished)
+
+let test_stdio_watch_then_request () =
+  with_stdio_server (fun ~feed ~close ~read ~finished ->
+      feed (watch_line 2);
+      feed stats_line;
+      close ();
+      let lines = List.init 3 (fun _ -> read ()) in
+      Alcotest.(check (list bool)) "two frames, then the stats reply"
+        [ true; true; false ] (List.map is_frame lines);
+      Alcotest.(check bool) "EOF ends the server" true
+        (finished ~within:10. = Some (Ok ())))
+
+let test_stdio_unbounded_watch_stops_at_eof () =
+  with_stdio_server (fun ~feed ~close ~read ~finished ->
+      feed (watch_line 0);
+      Alcotest.(check bool) "first frame" true (is_frame (read ()));
+      Alcotest.(check bool) "second frame" true (is_frame (read ()));
+      Alcotest.(check bool) "still streaming" true (finished ~within:0.05 = None);
+      close ();
+      Alcotest.(check bool) "stdin EOF ends the stream and the server" true
+        (finished ~within:10. = Some (Ok ())))
+
+(* --- Dialing ----------------------------------------------------------------------- *)
+
+let test_dial () =
+  with_server ~domains:1 (fun server ->
+      let port = Server.port server in
+      let dial addr =
+        match Dial.connect addr with
+        | Ok fd ->
+          let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+          let response = request oc ic stats_line in
+          Unix.close fd;
+          Ok (contains response {|"id":"after"|})
+        | Error m -> Error m
+      in
+      Alcotest.(check (result bool string)) "localhost:N" (Ok true)
+        (dial (Printf.sprintf "localhost:%d" port));
+      Alcotest.(check (result bool string)) ":N" (Ok true)
+        (dial (Printf.sprintf ":%d" port));
+      Alcotest.(check (result bool string)) "missing port"
+        (Error "localhost: expected HOST:PORT") (dial "localhost");
+      Alcotest.(check (result bool string)) "port not a number"
+        (Error "localhost:http: expected HOST:PORT") (dial "localhost:http"));
+  (* Resolution is injected so the test never leaves the machine. *)
+  Alcotest.(check bool) "unknown host" true
+    (match Dial.connect ~resolve:(fun _ -> None) "no-such-host:80" with
+    | Error "cannot resolve host no-such-host" -> true
+    | _ -> false)
+
 let () =
   Alcotest.run "pet_net"
     [
@@ -430,6 +661,18 @@ let () =
           Alcotest.test_case "durable before reply" `Quick
             test_durable_before_reply;
           Alcotest.test_case "cross-shard rules" `Quick test_cross_shard_rules;
+          Alcotest.test_case "compaction bounds the log" `Quick
+            test_tcp_compaction;
+          Alcotest.test_case "watch, then a request" `Quick
+            test_tcp_watch_then_request;
+          Alcotest.test_case "dial HOST:PORT" `Quick test_dial;
+        ] );
+      ( "stdio",
+        [
+          Alcotest.test_case "watch, then a request" `Quick
+            test_stdio_watch_then_request;
+          Alcotest.test_case "unbounded watch stops at EOF" `Quick
+            test_stdio_unbounded_watch_stops_at_eof;
         ] );
       ( "sweep",
         [ Alcotest.test_case "fairness" `Quick test_sweep_fairness ] );

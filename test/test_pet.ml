@@ -303,6 +303,21 @@ let test_ledger () =
   let id2 = Ledger.record ledger forged in
   Alcotest.(check (list int)) "audit flags the forgery" [ id2 ]
     (Ledger.audit ledger provider);
+  (* Replay restores records at their own ids, in any order; a taken
+     id is refused and an id never restored stays an empty slot. *)
+  let replayed = Ledger.create () in
+  Alcotest.(check bool) "late id first" true
+    (Ledger.restore replayed 1 (Some (grant "1_0")));
+  Alcotest.(check bool) "early id second" true
+    (Ledger.restore replayed 0 (Some (grant "_11")));
+  Alcotest.(check bool) "tombstone past a gap" true (Ledger.restore replayed 3 None);
+  Alcotest.(check bool) "duplicate refused" false
+    (Ledger.restore replayed 0 (Some (grant "_11")));
+  Alcotest.(check (list int)) "entries in id order" [ 0; 1; 3 ]
+    (List.map (fun (e : Ledger.entry) -> e.Ledger.id) (Ledger.entries replayed));
+  Alcotest.(check int) "size spans the gap" 4 (Ledger.size replayed);
+  Alcotest.(check int) "next id after the gap" 4
+    (Ledger.record replayed (grant "_11"));
   (* JSON rendering mentions both forms. *)
   let json = Json.to_string (Ledger.to_json ledger) in
   Alcotest.(check bool) "json has _11" true (contains json "\"_11\"");

@@ -8,6 +8,7 @@ module Proto = Pet_server.Proto
 module Registry = Pet_server.Registry
 module Session = Pet_server.Session
 module Service = Pet_server.Service
+module Persist = Pet_server.Persist
 module Running = Pet_casestudies.Running
 
 let contains haystack needle =
@@ -1048,7 +1049,7 @@ let test_consent_sweep_budget () =
   let sessions = Option.get (Json.member "sessions" stats) in
   Alcotest.(check int) "no active sessions leak" 0 (int_field "active" sessions)
 
-(* [state_events] only includes rule sets a durable service retained. *)
+(* Durable: rule sets are announced to the sink, so the log replays. *)
 let make_durable_service () =
   let tick = ref 0 in
   let now () =
@@ -1062,9 +1063,13 @@ let make_durable_service () =
   Service.create ~durable:true ~resolve ~now ()
 
 let test_consent_snapshot_replay () =
-  (* Tombstones and armed horizons survive snapshot + replay: recovery
-     never resurrects revoked consent. *)
+  (* Tombstones and armed horizons survive a snapshot (the log squashed
+     by the store's compactor) and its replay: recovery never
+     resurrects revoked consent. *)
   let service = make_durable_service () in
+  let logged = ref [] in
+  Service.set_sink service
+    { Persist.emit = (fun event -> logged := event :: !logged) };
   let digest =
     str "digest"
       (ok_of (request service "publish_rules" [ ("source", Json.String "running") ]))
@@ -1076,7 +1081,9 @@ let test_consent_snapshot_replay () =
     (ok_of
        (request service "expire"
           [ ("session", Json.String s2); ("after", Json.Int 10_000) ]));
-  let events = Service.state_events service in
+  let compactor = Pet_store.Store.Compactor.create () in
+  List.iter (Pet_store.Store.Compactor.add compactor) (List.rev !logged);
+  let events = Pet_store.Store.Compactor.events ~ttl:0. compactor in
   let recovered = make_durable_service () in
   List.iter
     (fun event ->

@@ -519,15 +519,23 @@ let merge_json file fields =
    sections): publish once, then per respondent a new_session by digest,
    a consent report, a choice and a submission. Returns the summary
    JSON, the measured requests/second, and the service (so callers can
-   read its metrics afterwards). *)
-let server_case ?backend ?compiled name exposure respondents =
+   read its metrics afterwards). The service clock is logical (+1 per
+   read) unless [now] is given; [on_create] sees the service before the
+   first request. *)
+let server_case ?backend ?compiled ?now ?(on_create = ignore) name exposure
+    respondents =
   let escape s = Pet_pet.Json.to_string (Pet_pet.Json.String s) in
-    let tick = ref 0. in
-    let service =
-      Pet_server.Service.create ?backend ?compiled ~capacity:4 ~ttl:0.
-        ~now:(fun () -> tick := !tick +. 1.; !tick)
-        ()
+    let now =
+      match now with
+      | Some now -> now
+      | None ->
+        let tick = ref 0. in
+        fun () -> tick := !tick +. 1.; !tick
     in
+    let service =
+      Pet_server.Service.create ?backend ?compiled ~capacity:4 ~ttl:0. ~now ()
+    in
+    on_create service;
     let text = Pet_rules.Spec.to_string exposure in
     let _, publish_dt =
       time_once (fun () ->
@@ -1092,9 +1100,11 @@ let tenants () =
 
 (* The price of the observability layer, measured on the server workload
    it instruments most densely: the H-cov request loop with metrics off
-   (the library default) vs fully on. Also dumps the enabled run's
-   snapshot, so CI trends the same counters the [metrics] endpoint
-   serves. Uses an ABBA run schedule so machine drift cancels out of a
+   (the library default) vs fully on. The per-request accounting record
+   behind [stats] is made in both arms, so the ratio prices what the
+   switch turns on. The service runs on the wall clock, and the enabled
+   run's snapshot is dumped, so CI trends the same counters, latency
+   histograms and SLO windows the [metrics] endpoint serves. Uses an ABBA run schedule so machine drift cancels out of a
    ratio whose acceptance bound is 6% (it was 3% before the compiled
    fast path: the absolute instrumentation cost per request is
    unchanged, but compiled serving roughly halved the per-request time
@@ -1103,7 +1113,14 @@ let obs () =
   section "Obs: instrumentation overhead and metrics snapshot";
   let module Obs = Pet_obs.Metrics in
   Obs.set_clock Unix.gettimeofday;
-  let workload name = server_case name (Lazy.force hcov) 1560 in
+  (* Wall-clock service latencies, so the histograms and SLO windows in
+     the snapshot below are real measurements. *)
+  let current = Atomic.make None in
+  let workload name =
+    server_case ~now:Unix.gettimeofday
+      ~on_create:(fun s -> Atomic.set current (Some s))
+      name (Lazy.force hcov) 1560
+  in
   (* Run-to-run throughput on this workload drifts by ±10% (heap
      growth, frequency scaling), dwarfing the effect we measure, so the
      schedule must cancel drift rather than hope it averages out: ABBA
@@ -1136,11 +1153,9 @@ let obs () =
   let rps_off = float_of_int (2 * blocks) /. !t_off in
   let rps_on = float_of_int (2 * blocks) /. !t_on in
   let service = Option.get !service in
-  (* [now = 0.]: the bench service's logical clock is private to the
-     workload, and at 0 the SLO window covers every retained slice, so
-     the payload dumps whatever the tracker currently holds. *)
   let payload =
-    Pet_server.Service.metrics_payload service ~now:0. Pet_server.Proto.Mjson
+    Pet_server.Service.metrics_payload service ~now:(Unix.gettimeofday ())
+      Pet_server.Proto.Mjson
   in
   let overhead = 1. -. (rps_on /. rps_off) in
   Fmt.pr
@@ -1167,11 +1182,17 @@ let obs () =
       (fun () ->
         while not (Atomic.get stop) do
           Thread.delay 0.05;
-          if Obs.enabled () then
+          match Atomic.get current with
+          | Some service when Obs.enabled () -> (
+            (* the serving core's flight snapshot: the one [Service.snapshot] *)
+            let snapshot =
+              Pet_server.Service.snapshot service ~now:(Unix.gettimeofday ())
+            in
             try
               Pet_store.Flight_log.append fl
-                (Pet_obs.Flight.snap fenc ~now:(Obs.now ()) (Obs.snapshot ()))
-            with Sys_error _ -> ()
+                (Pet_obs.Flight.snap fenc ~now:(Obs.now ()) snapshot)
+            with Sys_error _ -> ())
+          | _ -> ()
         done)
       ()
   in

@@ -1518,29 +1518,21 @@ let store_compact_cmd =
   let run dir ttl =
     match Pet_store.Store.open_dir dir with
     | Error m -> `Error (false, m)
-    | Ok (store, recovery) ->
-      (match recovery.Pet_store.Store.damage with
-      | (d : Pet_store.Store.damage) :: _ ->
+    | Ok (store, _) -> (
+      let warn (d : Pet_store.Store.damage) =
         Fmt.epr
           "warning: replay stopped at byte %d of %s (%s); compacting the \
            clean prefix@."
           d.Pet_store.Store.offset d.Pet_store.Store.file
           d.Pet_store.Store.reason
-      | [] -> ());
-      let compactor = Pet_store.Store.Compactor.create () in
-      List.iter
-        (Pet_store.Store.Compactor.add compactor)
-        recovery.Pet_store.Store.events;
-      let events = Pet_store.Store.Compactor.events ~ttl compactor in
-      (match Pet_store.Store.compact store ~events with
-      | Error m ->
-        Pet_store.Store.close store;
-        `Error (false, m)
-      | Ok removed ->
-        Pet_store.Store.close store;
+      in
+      let result = Pet_store.Store.compact_chain ~ttl ~on_damage:warn store in
+      Pet_store.Store.close store;
+      match result with
+      | Error m -> `Error (false, m)
+      | Ok c ->
         Fmt.pr "compacted %d event(s) into a snapshot of %d; %d file(s) retired@."
-          (List.length recovery.Pet_store.Store.events)
-          (List.length events) removed;
+          c.Pet_store.Store.read c.Pet_store.Store.kept c.Pet_store.Store.retired;
         `Ok ())
   in
   let doc =
@@ -1680,78 +1672,7 @@ let trace_cmd =
 
 (* --- flight ----------------------------------------------------------------------- *)
 
-(* Shared plumbing for the flight-journal reader and the live watch
-   client: both reconstruct rates and quantiles from the same record
-   shape (Pet_obs.Flight), one from disk deltas, one from full frames. *)
-
-(* Parse an instrument name back into family and labels — the inverse
-   of Metrics.render for the identifier-only label values this
-   codebase emits. *)
-let metric_labels name =
-  match String.index_opt name '{' with
-  | None -> (name, [])
-  | Some i -> (
-    let family = String.sub name 0 i in
-    let n = String.length name in
-    let labels = ref [] in
-    let j = ref (i + 1) in
-    try
-      while !j < n && name.[!j] <> '}' do
-        let eq = String.index_from name !j '=' in
-        let key = String.sub name !j (eq - !j) in
-        let buf = Buffer.create 8 in
-        let p = ref (eq + 2) in
-        while name.[!p] <> '"' do
-          if name.[!p] = '\\' && !p + 1 < n then begin
-            Buffer.add_char buf name.[!p + 1];
-            p := !p + 2
-          end
-          else begin
-            Buffer.add_char buf name.[!p];
-            incr p
-          end
-        done;
-        labels := (key, Buffer.contents buf) :: !labels;
-        j := !p + 1;
-        if !j < n && name.[!j] = ',' then incr j
-      done;
-      (family, List.rev !labels)
-    with Not_found | Invalid_argument _ -> (family, List.rev !labels))
-
-let le_value s =
-  if s = "+Inf" then infinity
-  else match float_of_string_opt s with Some f -> f | None -> infinity
-
-(* Bucket-granular quantile over per-bucket counts (not cumulative):
-   the upper bound of the bucket where the quantile falls, clamped to
-   the largest finite bound when it lands in +Inf. *)
-let quantile_of_buckets buckets total q =
-  if total <= 0 then 0.
-  else begin
-    let sorted = List.sort (fun (a, _) (b, _) -> compare a b) buckets in
-    let target = q *. float_of_int total in
-    let last_finite =
-      List.fold_left
-        (fun acc (b, _) -> if b < infinity then b else acc)
-        0. sorted
-    in
-    let rec go cum = function
-      | [] -> last_finite
-      | (b, n) :: rest ->
-        let cum = cum + n in
-        if float_of_int cum >= target then
-          if b = infinity then last_finite else b
-        else go cum rest
-    in
-    go 0 sorted
-  end
-
-let json_num = function
-  | Json.Int i -> float_of_int i
-  | Json.Float f -> f
-  | _ -> 0.
-
-let json_obj = function Json.Obj kvs -> kvs | _ -> []
+module Flight_view = Pet_store.Flight_view
 
 let flight_report_cmd =
   let dir_arg =
@@ -1763,271 +1684,67 @@ let flight_report_cmd =
     Arg.(value & flag & info [ "json" ] ~doc)
   in
   let run dir json =
-    (* Accumulators over the whole journal: counter increments sum to
-       totals, gauges keep last-seen and maximum (burn-rate peaks),
-       histogram bucket deltas sum back to cumulative distributions. *)
-    let counters = Hashtbl.create 64 in
-    let gauges = Hashtbl.create 64 in
-    let hists = Hashtbl.create 32 in
-    let kinds = Hashtbl.create 4 in
-    let metas = ref [] in
-    let wal_last = ref None in
-    let tmin = ref infinity and tmax = ref neg_infinity in
-    let records = ref 0 in
-    let bad = ref 0 in
-    let add_record (r : Pet_store.Flight_log.record) =
-      match Json.parse r.Pet_store.Flight_log.payload with
-      | Error _ -> incr bad
-      | Ok payload ->
-        incr records;
-        let t = Option.fold ~none:0. ~some:json_num (Json.member "t" payload) in
-        if t < !tmin then tmin := t;
-        if t > !tmax then tmax := t;
-        let kind =
-          match Json.member "kind" payload with
-          | Some (Json.String k) -> k
-          | _ -> "?"
-        in
-        Hashtbl.replace kinds kind
-          (1 + Option.value ~default:0 (Hashtbl.find_opt kinds kind));
-        (match Json.member "event" payload with
-        | Some (Json.String e) when kind = "meta" -> metas := (e, t) :: !metas
-        | _ -> ());
-        (match Json.member "wal" payload with
-        | Some w -> (
-          match (Json.member "file" w, Json.member "off" w) with
-          | Some (Json.String file), Some off ->
-            wal_last := Some (file, int_of_float (json_num off), t)
-          | _ -> ())
-        | None -> ());
-        List.iter
-          (fun (name, v) ->
-            Hashtbl.replace counters name
-              (int_of_float (json_num v)
-              + Option.value ~default:0 (Hashtbl.find_opt counters name)))
-          (Option.fold ~none:[] ~some:json_obj (Json.member "counters" payload));
-        List.iter
-          (fun (name, v) ->
-            let v = json_num v in
-            let _, prev_max =
-              Option.value ~default:(0., neg_infinity)
-                (Hashtbl.find_opt gauges name)
-            in
-            Hashtbl.replace gauges name (v, Float.max v prev_max))
-          (Option.fold ~none:[] ~some:json_obj (Json.member "gauges" payload));
-        List.iter
-          (fun (name, h) ->
-            let n = Option.fold ~none:0. ~some:json_num (Json.member "n" h) in
-            let buckets =
-              Option.fold ~none:[] ~some:json_obj (Json.member "buckets" h)
-            in
-            let hn, hbuckets =
-              match Hashtbl.find_opt hists name with
-              | Some acc -> acc
-              | None ->
-                let acc = (ref 0, Hashtbl.create 8) in
-                Hashtbl.add hists name acc;
-                acc
-            in
-            hn := !hn + int_of_float n;
-            List.iter
-              (fun (le, c) ->
-                let b = le_value le in
-                Hashtbl.replace hbuckets b
-                  (int_of_float (json_num c)
-                  + Option.value ~default:0 (Hashtbl.find_opt hbuckets b)))
-              buckets)
-          (Option.fold ~none:[] ~some:json_obj (Json.member "hist" payload))
-    in
-    match Pet_store.Flight_log.fold dir ~init:() (fun () r -> add_record r) with
+    match Flight_view.report dir with
     | Error m -> `Error (false, Printf.sprintf "%s: %s" dir m)
-    | Ok ((), damage) ->
-      (* Per-method and per-tenant latency distributions, reconstructed
-         from the summed bucket deltas. *)
-      let latency_rows family label =
-        Hashtbl.fold
-          (fun name (hn, hbuckets) acc ->
-            let fam, labels = metric_labels name in
-            if fam = family then
-              match List.assoc_opt label labels with
-              | Some key ->
-                let buckets =
-                  Hashtbl.fold (fun b c l -> (b, c) :: l) hbuckets []
-                in
-                (key, !hn, quantile_of_buckets buckets !hn 0.99) :: acc
-              | None -> acc
-            else acc)
-          hists []
-        |> List.sort compare
+    | Ok report when json ->
+      print_endline (Json.to_string report);
+      `Ok ()
+    | Ok report ->
+      let get key j = Option.value ~default:Json.Null (Json.member key j) in
+      let num key j =
+        match get key j with Json.Int i -> float_of_int i | Json.Float f -> f | _ -> 0.
       in
-      let method_rows = latency_rows "pet_server_request_seconds" "method" in
-      let tenant_rows = latency_rows "pet_tenant_request_seconds" "tenant" in
-      (* SLO series: one row per key from the pet_slo_* gauge family,
-         last value plus the observed peak for the burn rates. *)
-      let slo_keys = Hashtbl.create 8 in
-      Hashtbl.iter
-        (fun name _ ->
-          let fam, labels = metric_labels name in
-          if String.length fam >= 8 && String.sub fam 0 8 = "pet_slo_" then
-            match List.assoc_opt "slo" labels with
-            | Some key -> Hashtbl.replace slo_keys key ()
-            | None -> ())
-        gauges;
-      let slo_gauge key family =
-        Option.value ~default:(0., 0.)
-          (Hashtbl.find_opt gauges
-             (Printf.sprintf "%s{slo=\"%s\"}" family key))
-      in
-      let slo_rows =
-        Hashtbl.fold (fun key () acc -> key :: acc) slo_keys []
-        |> List.sort compare
-        |> List.map (fun key ->
-               let requests, _ = slo_gauge key "pet_slo_window_requests" in
-               let p99, _ = slo_gauge key "pet_slo_p99_seconds" in
-               let err, _ = slo_gauge key "pet_slo_error_ratio" in
-               let eb, eb_max = slo_gauge key "pet_slo_error_burn" in
-               let lb, lb_max = slo_gauge key "pet_slo_latency_burn" in
-               let _, breached = slo_gauge key "pet_slo_breached" in
-               (key, requests, p99, err, eb, eb_max, lb, lb_max, breached > 0.))
-      in
-      let kind k = Option.value ~default:0 (Hashtbl.find_opt kinds k) in
-      if json then begin
-        let fnum v = if Float.is_integer v then Json.Int (int_of_float v) else Json.Float v in
-        let payload =
-          Json.Obj
-            [
-              ("dir", Json.String dir);
-              ("records", Json.Int !records);
-              ( "kinds",
-                Json.Obj
-                  (List.map
-                     (fun k -> (k, Json.Int (kind k)))
-                     [ "snap"; "log"; "trace"; "meta" ]) );
-              ("unparsed", Json.Int !bad);
-              ("t_min", fnum (if !records = 0 then 0. else !tmin));
-              ("t_max", fnum (if !records = 0 then 0. else !tmax));
-              ( "damage",
-                Json.List
-                  (List.map
-                     (fun (d : Pet_store.Flight_log.damage) ->
-                       Json.Obj
-                         [
-                           ("file", Json.String d.Pet_store.Flight_log.dfile);
-                           ("offset", Json.Int d.Pet_store.Flight_log.doffset);
-                           ("reason", Json.String d.Pet_store.Flight_log.dreason);
-                         ])
-                     damage) );
-              ( "wal",
-                match !wal_last with
-                | None -> Json.Null
-                | Some (file, off, t) ->
-                  Json.Obj
-                    [
-                      ("file", Json.String file);
-                      ("off", Json.Int off);
-                      ("t", fnum t);
-                    ] );
-              ( "lifecycle",
-                Json.List
-                  (List.rev_map
-                     (fun (e, t) ->
-                       Json.Obj [ ("event", Json.String e); ("t", fnum t) ])
-                     !metas) );
-              ( "methods",
-                Json.List
-                  (List.map
-                     (fun (m, n, p99) ->
-                       Json.Obj
-                         [
-                           ("method", Json.String m);
-                           ("requests", Json.Int n);
-                           ("p99_s", Json.Float p99);
-                         ])
-                     method_rows) );
-              ( "tenants",
-                Json.List
-                  (List.map
-                     (fun (tn, n, p99) ->
-                       Json.Obj
-                         [
-                           ("tenant", Json.String tn);
-                           ("requests", Json.Int n);
-                           ("p99_s", Json.Float p99);
-                         ])
-                     tenant_rows) );
-              ( "slo",
-                Json.List
-                  (List.map
-                     (fun (key, requests, p99, err, eb, eb_max, lb, lb_max, br) ->
-                       Json.Obj
-                         [
-                           ("key", Json.String key);
-                           ("window_requests", Json.Int (int_of_float requests));
-                           ("p99_s", Json.Float p99);
-                           ("error_ratio", Json.Float err);
-                           ("error_burn", Json.Float eb);
-                           ("error_burn_max", Json.Float eb_max);
-                           ("latency_burn", Json.Float lb);
-                           ("latency_burn_max", Json.Float lb_max);
-                           ("breached", Json.Bool br);
-                         ])
-                     slo_rows) );
-            ]
-        in
-        print_endline (Json.to_string payload);
-        `Ok ()
-      end
-      else begin
-        Fmt.pr "flight journal %s: %d records (%d snap, %d log, %d trace, %d \
-                meta)@."
-          dir !records (kind "snap") (kind "log") (kind "trace") (kind "meta");
-        if !records > 0 then Fmt.pr "  time range t=%g..%g@." !tmin !tmax;
-        if !bad > 0 then Fmt.pr "  unparsed records: %d@." !bad;
-        (match damage with
-        | [] -> ()
-        | damage ->
-          List.iter
-            (fun (d : Pet_store.Flight_log.damage) ->
-              Fmt.pr "  damage %s:%d %s@." d.Pet_store.Flight_log.dfile
-                d.Pet_store.Flight_log.doffset d.Pet_store.Flight_log.dreason)
-            damage);
-        List.iter
-          (fun (e, t) -> Fmt.pr "  lifecycle %s at t=%g@." e t)
-          (List.rev !metas);
-        (match !wal_last with
-        | None -> ()
-        | Some (file, off, t) ->
+      let int key j = int_of_float (num key j) in
+      let str key j = match get key j with Json.String s -> s | _ -> "" in
+      let list key = match get key report with Json.List l -> l | _ -> [] in
+      let kind k = int k (get "kinds" report) in
+      Fmt.pr "flight journal %s: %d records (%d snap, %d log, %d trace, %d \
+              meta)@."
+        dir (int "records" report) (kind "snap") (kind "log") (kind "trace")
+        (kind "meta");
+      if int "records" report > 0 then
+        Fmt.pr "  time range t=%g..%g@." (num "t_min" report) (num "t_max" report);
+      if int "unparsed" report > 0 then
+        Fmt.pr "  unparsed records: %d@." (int "unparsed" report);
+      List.iter
+        (fun d ->
+          Fmt.pr "  damage %s:%d %s@." (str "file" d) (int "offset" d) (str "reason" d))
+        (list "damage");
+      List.iter
+        (fun e -> Fmt.pr "  lifecycle %s at t=%g@." (str "event" e) (num "t" e))
+        (list "lifecycle");
+      (match get "wal" report with
+      | Json.Null -> ()
+      | w ->
+        Fmt.pr "  wal frontier %s:%d at t=%g (byte offsets as in pet audit \
+                --json)@."
+          (str "file" w) (int "off" w) (num "t" w));
+      List.iter
+        (fun (title, rows, label) ->
+          if rows <> [] then begin
+            Fmt.pr "%s@." title;
+            List.iter
+              (fun r ->
+                Fmt.pr "  %-16s %8d requests  p99 <= %gs@." (str label r)
+                  (int "requests" r) (num "p99_s" r))
+              rows
+          end)
+        [
+          ("per-method latency (reconstructed):", list "methods", "method");
+          ("per-tenant latency (reconstructed):", list "tenants", "tenant");
+        ];
+      if list "slo" <> [] then Fmt.pr "slo (last window seen / peak burn):@.";
+      List.iter
+        (fun r ->
           Fmt.pr
-            "  wal frontier %s:%d at t=%g (byte offsets as in pet audit \
-             --json)@."
-            file off t);
-        if method_rows <> [] then begin
-          Fmt.pr "per-method latency (reconstructed):@.";
-          List.iter
-            (fun (m, n, p99) ->
-              Fmt.pr "  %-16s %8d requests  p99 <= %gs@." m n p99)
-            method_rows
-        end;
-        if tenant_rows <> [] then begin
-          Fmt.pr "per-tenant latency (reconstructed):@.";
-          List.iter
-            (fun (tn, n, p99) ->
-              Fmt.pr "  %-16s %8d requests  p99 <= %gs@." tn n p99)
-            tenant_rows
-        end;
-        if slo_rows <> [] then begin
-          Fmt.pr "slo (last window seen / peak burn):@.";
-          List.iter
-            (fun (key, requests, p99, err, eb, eb_max, lb, lb_max, br) ->
-              Fmt.pr
-                "  %-24s %6d req  p99=%gs err=%.4f  burn err=%.2f (peak \
-                 %.2f) lat=%.2f (peak %.2f)%s@."
-                key (int_of_float requests) p99 err eb eb_max lb lb_max
-                (if br then "  BREACHED" else ""))
-            slo_rows
-        end;
-        `Ok ()
-      end
+            "  %-24s %6d req  p99=%gs err=%.4f  burn err=%.2f (peak %.2f) \
+             lat=%.2f (peak %.2f)%s@."
+            (str "key" r) (int "window_requests" r) (num "p99_s" r)
+            (num "error_ratio" r) (num "error_burn" r) (num "error_burn_max" r)
+            (num "latency_burn" r) (num "latency_burn_max" r)
+            (if get "breached" r = Json.Bool true then "  BREACHED" else ""))
+        (list "slo");
+      `Ok ()
   in
   let doc =
     "Reconstruct the story a flight journal tells: record counts and \
@@ -2102,164 +1819,69 @@ let top_cmd =
       (* Each frame is a full snapshot (the server starts a fresh
          delta encoder per frame), so rates are the difference of
          consecutive frames over their timestamps. *)
-      let tbl kvs = List.map (fun (k, v) -> (k, v)) kvs in
-      let parse_frame line =
-        match Json.parse line with
-        | Error _ -> None
-        | Ok response -> (
-          match Option.bind (Json.member "ok" response) (Json.member "watch") with
-          | None -> None
-          | Some w ->
-            let t =
-              Option.fold ~none:0. ~some:json_num (Json.member "t" w)
-            in
-            let counters =
-              List.map
-                (fun (k, v) -> (k, json_num v))
-                (Option.fold ~none:[] ~some:json_obj
-                   (Json.member "counters" w))
-            in
-            let gauges =
-              List.map
-                (fun (k, v) -> (k, json_num v))
-                (Option.fold ~none:[] ~some:json_obj
-                   (Json.member "gauges" w))
-            in
-            let hists =
-              List.map
-                (fun (k, h) ->
-                  let n =
-                    Option.fold ~none:0. ~some:json_num (Json.member "n" h)
-                  in
-                  let buckets =
-                    List.map
-                      (fun (le, c) ->
-                        (le_value le, int_of_float (json_num c)))
-                      (Option.fold ~none:[] ~some:json_obj
-                         (Json.member "buckets" h))
-                  in
-                  (k, (n, buckets)))
-                (Option.fold ~none:[] ~some:json_obj (Json.member "hist" w))
-            in
-            Some (t, tbl counters, tbl gauges, hists))
-      in
-      let lookup table name =
-        Option.value ~default:0. (List.assoc_opt name table)
-      in
-      let render frame_no prev (t, counters, gauges, hists) =
+      let render frame_no prev (frame : Flight_view.frame) =
         if Unix.isatty Unix.stdout then print_string "\027[H\027[2J";
         let dt =
           match prev with
-          | Some (pt, _, _, _) when t -. pt > 0. -> Some (t -. pt)
+          | Some (p : Flight_view.frame) when frame.t -. p.t > 0. -> Some (frame.t -. p.t)
           | _ -> None
         in
         let rate cur_v prev_v =
-          match (dt, prev) with
-          | Some dt, Some _ -> Printf.sprintf "%8.1f/s" ((cur_v -. prev_v) /. dt)
-          | _ -> "       --"
+          match dt with
+          | Some dt -> Printf.sprintf "%8.1f/s" ((cur_v -. prev_v) /. dt)
+          | None -> "       --"
         in
-        let prev_counters =
-          match prev with Some (_, c, _, _) -> c | None -> []
+        let counter = Flight_view.sample frame.counters in
+        let gauge = Flight_view.sample frame.gauges in
+        let prev_counter =
+          Flight_view.sample
+            (match prev with Some p -> p.Flight_view.counters | None -> [])
         in
-        let prev_hists =
-          match prev with Some (_, _, _, h) -> h | None -> []
-        in
-        let total = lookup counters "pet_server_requests_total" in
-        let errors = lookup counters "pet_server_errors_total" in
-        Fmt.pr "pet top %s — frame %d, t=%g@." addr frame_no t;
+        let total = counter "pet_server_requests_total" in
+        let errors = counter "pet_server_errors_total" in
+        Fmt.pr "pet top %s — frame %d, t=%g@." addr frame_no frame.t;
         Fmt.pr "requests %8.0f %s   errors %8.0f %s@." total
-          (rate total (lookup prev_counters "pet_server_requests_total"))
+          (rate total (prev_counter "pet_server_requests_total"))
           errors
-          (rate errors (lookup prev_counters "pet_server_errors_total"));
+          (rate errors (prev_counter "pet_server_errors_total"));
         Fmt.pr
           "sessions active %g   commit queue %g   tenants %g   uptime %gs@."
-          (lookup gauges "pet_sessions_active")
-          (lookup gauges "pet_net_commit_queue_depth")
-          (lookup gauges "pet_tenants")
-          (lookup gauges "pet_process_uptime_seconds");
+          (gauge "pet_sessions_active")
+          (gauge "pet_net_commit_queue_depth")
+          (gauge "pet_tenants")
+          (gauge "pet_process_uptime_seconds");
         (* Per-method rows from the request-latency histograms: the
-           frame-to-frame n delta is the rate, the bucket deltas give
+           frame-to-frame count delta is the rate, the bucket deltas give
            the interval p99 (full-frame p99 on the first frame). *)
-        let methods =
-          List.filter_map
-            (fun (name, (n, buckets)) ->
-              let fam, labels = metric_labels name in
-              if fam = "pet_server_request_seconds" then
-                Option.map
-                  (fun m -> (m, name, n, buckets))
-                  (List.assoc_opt "method" labels)
-              else None)
-            hists
-          |> List.sort compare
-        in
+        let methods = Flight_view.method_latency ?prev frame in
         if methods <> [] then begin
           Fmt.pr "per-method:@.";
           List.iter
-            (fun (m, name, n, buckets) ->
-              let pn, pbuckets =
-                match List.assoc_opt name prev_hists with
-                | Some (pn, pb) -> (pn, pb)
-                | None -> (0., [])
-              in
-              let delta_buckets =
-                List.map
-                  (fun (b, c) ->
-                    ( b,
-                      c
-                      - Option.value ~default:0 (List.assoc_opt b pbuckets)
-                    ))
-                  buckets
-              in
-              let dn = int_of_float (n -. pn) in
-              let p99 =
-                if dt <> None && dn > 0 then
-                  quantile_of_buckets delta_buckets dn 0.99
-                else
-                  quantile_of_buckets buckets (int_of_float n) 0.99
-              in
-              Fmt.pr "  %-16s %8.0f req %s  p99 <= %gs@." m n
-                (rate n pn) p99)
+            (fun (m, n, pn, p99) ->
+              Fmt.pr "  %-16s %8.0f req %s  p99 <= %gs@." m n (rate n pn) p99)
             methods
         end;
         (* Per-tenant and SLO rows ride the same gauge/counter
            families the Prometheus export serves. *)
         let tenants =
-          List.filter_map
-            (fun (name, v) ->
-              let fam, labels = metric_labels name in
-              if fam = "pet_tenant_requests_total" then
-                Option.map
-                  (fun tn -> (tn, name, v))
-                  (List.assoc_opt "tenant" labels)
-              else None)
-            counters
-          |> List.sort compare
+          Flight_view.series "pet_tenant_requests_total" "tenant"
+            frame.counters
         in
         if tenants <> [] then begin
           Fmt.pr "per-tenant:@.";
           List.iter
             (fun (tn, name, v) ->
-              Fmt.pr "  %-16s %8.0f req %s@." tn v
-                (rate v (lookup prev_counters name)))
+              Fmt.pr "  %-16s %8.0f req %s@." tn v (rate v (prev_counter name)))
             tenants
         end;
         let slos =
-          List.filter_map
-            (fun (name, _) ->
-              let fam, labels = metric_labels name in
-              if fam = "pet_slo_window_requests" then
-                List.assoc_opt "slo" labels
-              else None)
-            gauges
-          |> List.sort_uniq compare
+          Flight_view.series "pet_slo_window_requests" "slo" frame.gauges
         in
         if slos <> [] then begin
           Fmt.pr "slo:@.";
           List.iter
-            (fun key ->
-              let g family =
-                lookup gauges (Printf.sprintf "%s{slo=\"%s\"}" family key)
-              in
+            (fun (key, _, _) ->
+              let g family = gauge (Printf.sprintf "%s{slo=\"%s\"}" family key) in
               Fmt.pr
                 "  %-24s %6.0f req  p99=%gs err=%.4f  burn lat=%.2f \
                  err=%.2f%s@."
@@ -2279,7 +1901,7 @@ let top_cmd =
           match In_channel.input_line ic with
           | None -> if frames = 0 then `Ok () else `Error (false, "server closed the connection")
           | Some line -> (
-            match parse_frame line with
+            match Flight_view.frame line with
             | None ->
               `Error
                 (false, Printf.sprintf "unexpected response: %s" line)

@@ -30,7 +30,9 @@ type t = {
      WAL batch they followed — submitters never block on telemetry *)
   flight : Flight_log.t option;
   fq : string Queue.t;
-  ttl : float option;  (* session idle cut-off for compaction *)
+  mutable expired : (string, unit) Hashtbl.t;
+      (* sessions the shards have dropped from memory since the last
+         compaction, which may therefore leave the log; under [m] *)
   mutable compacting : bool;  (* cleared by a failed compaction *)
   mutable stopping : bool;
   mutable batches : int;
@@ -87,17 +89,27 @@ let gather t =
 
 (* Between batches the writer is the store's only user, so it squashes
    the log here once enough segments have sealed. Submitters queue
-   meanwhile; shards serving reads never notice. A failure is logged
-   once and turns compaction off: retrying would re-read the whole
-   chain after every batch. *)
+   meanwhile; shards serving reads never notice. Only sessions a shard
+   has already dropped leave the log — never one that merely looks idle
+   in it, since reads keep a session alive without logging. A failure
+   is logged once and turns compaction off: retrying would re-read the
+   whole chain after every batch. *)
 let compact t =
-  if t.compacting && Store.wants_compaction t.store then
-    match Store.compact_chain ?ttl:t.ttl t.store with
+  if t.compacting && Store.wants_compaction t.store then begin
+    Mutex.lock t.m;
+    let expired = t.expired in
+    t.expired <- Hashtbl.create 64;
+    Mutex.unlock t.m;
+    match Store.compact_chain ~ttl:0. ~expired:(Hashtbl.mem expired) t.store with
     | Ok _ -> ()
     | Error m ->
+      Mutex.lock t.m;
       t.compacting <- false;
+      Hashtbl.reset t.expired;
+      Mutex.unlock t.m;
       Pet_obs.Log.error "store.compaction_failed"
         ~fields:[ ("reason", Pet_obs.Trace.String m) ]
+  end
 
 let rec writer_loop t =
   Mutex.lock t.m;
@@ -153,7 +165,7 @@ let rec writer_loop t =
     writer_loop t
   end
 
-let start ?(batch_target = 1) ?(gather_s = 2e-4) ?flight ?ttl store =
+let start ?(batch_target = 1) ?(gather_s = 2e-4) ?flight store =
   let pipe_r, pipe_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock pipe_r;
   let t =
@@ -168,8 +180,8 @@ let start ?(batch_target = 1) ?(gather_s = 2e-4) ?flight ?ttl store =
       pipe_w;
       flight;
       fq = Queue.create ();
-      ttl;
-      compacting = true;
+      expired = Hashtbl.create 64;
+      compacting = Store.compacts store;
       stopping = false;
       batches = 0;
       events_total = 0;
@@ -211,6 +223,11 @@ let submit t events =
     (match outcome with
     | Done | Pending -> ()
     | Failed m -> raise (Sys_error m))
+
+let note_expired t id =
+  Mutex.lock t.m;
+  if t.compacting then Hashtbl.replace t.expired id ();
+  Mutex.unlock t.m
 
 let submit_flight t record =
   Mutex.lock t.m;

@@ -23,15 +23,16 @@ val start :
   ?batch_target:int ->
   ?gather_s:float ->
   ?flight:Pet_store.Flight_log.t ->
-  ?ttl:float ->
   Pet_store.Store.t ->
   t
 (** Spawn the writer domain. The store must not be appended to or
     compacted by anyone else from then on (it is not closed by
     {!stop}). Between batches, whenever
     {!Pet_store.Store.wants_compaction} holds, the writer compacts the
-    log with {!Pet_store.Store.compact_chain}, dropping sessions idle
-    for [ttl] seconds (the service's session timeout).
+    log with {!Pet_store.Store.compact_chain}. The snapshot keeps every
+    session except those handed to {!note_expired} since the last
+    compaction: a session leaves the log only once a shard has dropped
+    it from memory.
 
     [batch_target] (default 1: commit immediately) is the batch size
     worth briefly waiting for — the number of shards submitting.
@@ -51,6 +52,12 @@ val submit : t -> Pet_server.Persist.event list -> unit
     possibly sharing the fsync with other submissions). No-op on [[]].
     Raises [Sys_error] if the disk refused the batch or the writer is
     stopped — the caller must not acknowledge the request. *)
+
+val note_expired : t -> string -> unit
+(** Record that a shard dropped this session from memory (swept,
+    expired on lookup, or purged), so the next compaction may drop it
+    from the log. Non-blocking apart from a short lock; ignored when the
+    store never compacts. *)
 
 val submit_flight : t -> string -> unit
 (** Enqueue one rendered flight-recorder record for the writer domain

@@ -67,7 +67,6 @@ type shard = {
   pending : Persist.event list ref;
       (* events the request being handled emitted, newest first; the
          shard flushes them to the writer before replying *)
-  obs_requests : Obs.counter;
   obs_active : Obs.gauge;
   obs_queue : Obs.gauge;
   mutable stopped : bool;
@@ -190,13 +189,12 @@ let sync_active shard =
     (float_of_int (Service.session_counters shard.service).Session.active)
 
 (* Flight records are stamped with the obs clock; SLO windows are
-   synced at the service clock, the timeline [Slo.record] stamped. *)
+   judged at the service clock, the timeline requests are recorded on. *)
 let flight_snap t service =
-  Service.sync_gauges service;
-  Pet_obs.Slo.sync Service.slo ~now:(t.nowf ());
+  let snapshot = Service.snapshot service ~now:(t.nowf ()) in
   Pet_obs.Flight.snap t.fenc
     ?wal:(Option.map Store.position t.store_h)
-    ~now:(Obs.now ()) (Obs.snapshot ())
+    ~now:(Obs.now ()) snapshot
 
 (* Assemble one flight snapshot on a shard domain (syncing that shard's
    service gauges is safe there) and queue it behind the WAL batches.
@@ -232,7 +230,6 @@ let respond conn response =
   Mutex.unlock conn.cm
 
 let handle_request t shard line conn =
-  Obs.incr shard.obs_requests;
   let response =
     let response = Service.handle_line shard.service line in
     match t.writer with
@@ -321,12 +318,13 @@ let drain conn =
    per frame, [interval] apart, so each frame travels the ordinary
    request path (same queue, same outstanding budget, one ok-response
    per frame echoing the id). Stops after [frames] frames ([0]: no
-   limit), when the connection closes, or at server stop. *)
-let stream t conn line ~interval ~frames =
+   limit), once [stop] is set, when the connection closes, or at server
+   stop. *)
+let stream ?(stop = Atomic.make false) t conn line ~interval ~frames =
   let shard = t.shards.(route t line) in
   let rec go sent =
     if (frames = 0 || sent < frames)
-       && (not (Atomic.get t.stop_flag))
+       && (not (Atomic.get stop || Atomic.get t.stop_flag))
        && acquire ~unless_closed:true conn
     then begin
       enqueue shard (Request { line; conn });
@@ -341,41 +339,51 @@ let stream t conn line ~interval ~frames =
 (* A watch takes over the stream: requests after it on the same
    connection are dispatched only once its last frame is answered, so
    a transcript is deterministic on any number of shards. A bounded
-   watch streams from the reader itself; an unbounded one streams from
-   its own thread while the reader waits for EOF, which ends it. *)
+   watch streams from the reader itself. An unbounded one streams from
+   its own thread until the client's EOF (or [quit]) ends it; lines
+   read meanwhile are held, then answered after its last frame. *)
 let conn_loop t ic conn =
-  let unbounded = ref None in
-  let rec go () =
+  let watching = ref None and held = Queue.create () in
+  let dispatch ~ended line =
+    match watch_params line with
+    | Some (_, 0) when ended -> () (* it would stream until EOF: passed *)
+    | Some (interval, 0) ->
+      let stop = Atomic.make false in
+      watching :=
+        Some
+          ( stop,
+            Thread.create
+              (fun () -> stream ~stop t conn line ~interval ~frames:0)
+              () )
+    | Some (interval, frames) ->
+      stream t conn line ~interval ~frames;
+      drain conn
+    | None ->
+      ignore (acquire conn);
+      enqueue t.shards.(route t line) (Request { line; conn })
+  in
+  let rec read () =
     match In_channel.input_line ic with
-    | None -> ()
+    | None | (exception (Sys_error _ | End_of_file)) -> ()
     | Some line ->
-      let line = strip_cr line in
       let trimmed = String.trim line in
-      if trimmed = "" then go ()
-      else if trimmed = "quit" then ()
-      else if Atomic.get t.stop_flag then ()
+      if trimmed = "" then read ()
+      else if trimmed = "quit" || Atomic.get t.stop_flag then ()
       else begin
-        Option.iter
-          (fun streamer ->
-            Thread.join streamer;
-            unbounded := None;
-            drain conn)
-          !unbounded;
-        (match watch_params line with
-        | Some (interval, 0) ->
-          unbounded :=
-            Some
-              (Thread.create (fun () -> stream t conn line ~interval ~frames:0) ())
-        | Some (interval, frames) ->
-          stream t conn line ~interval ~frames;
-          drain conn
-        | None ->
-          ignore (acquire conn);
-          enqueue t.shards.(route t line) (Request { line; conn }));
-        go ()
+        let line = strip_cr line in
+        if !watching = None then dispatch ~ended:false line
+        else Queue.add line held;
+        read ()
       end
   in
-  go ()
+  read ();
+  Option.iter
+    (fun (stop, streamer) ->
+      Atomic.set stop true;
+      Thread.join streamer;
+      drain conn)
+    !watching;
+  Queue.iter (dispatch ~ended:true) held
 
 (* Serve one connection until EOF (or [quit]), then release it with
    [close] — once every queued request's response is written: a shard
@@ -405,8 +413,7 @@ let serve_conn t ic oc ~close =
       Atomic.decr t.conns;
       Obs.set_gauge obs_conns (float_of_int (Atomic.get t.conns));
       close ())
-    (fun () ->
-      try conn_loop t ic conn with Sys_error _ | End_of_file -> ())
+    (fun () -> conn_loop t ic conn)
 
 let acceptor_loop t listen =
   let rec go () =
@@ -491,7 +498,6 @@ let start ?backend ?compiled ?payoff ?capacity ?ttl ?(tenant_quota = 0)
           qm = Mutex.create ();
           qc = Condition.create ();
           pending = ref [];
-          obs_requests = Obs.counter ~labels "pet_net_shard_requests_total";
           obs_active = Obs.gauge ~labels "pet_net_shard_sessions_active";
           obs_queue = Obs.gauge ~labels "pet_net_shard_queue_depth";
           stopped = false;
@@ -533,9 +539,7 @@ let start ?backend ?compiled ?payoff ?capacity ?ttl ?(tenant_quota = 0)
         shared;
         tenants;
         writer =
-          Option.map
-            (Group_commit.start ~batch_target:domains ?flight ?ttl)
-            store;
+          Option.map (Group_commit.start ~batch_target:domains ?flight) store;
         flight;
         fenc = Pet_obs.Flight.create ();
         store_h = store;
@@ -570,6 +574,13 @@ let start ?backend ?compiled ?payoff ?capacity ?ttl ?(tenant_quota = 0)
             (Pet_obs.Flight.meta t.fenc ~now:(Obs.now ()) ~event:"start" fields)
         with Sys_error _ -> ())
       flight;
+    Option.iter
+      (fun writer ->
+        Array.iter
+          (fun shard ->
+            Service.set_on_expire shard.service (Group_commit.note_expired writer))
+          t.shards)
+      t.writer;
     Array.iter
       (fun shard ->
         shard.domain <- Some (Domain.spawn (fun () -> shard_loop t shard)))
@@ -656,14 +667,3 @@ let stop t =
   end
 
 let batch_stats t = Option.map Group_commit.stats t.writer
-
-let session_totals t =
-  Array.fold_left
-    (fun (active, created, expired) shard ->
-      let c = Service.session_counters shard.service in
-      ( active + c.Session.active,
-        created + c.Session.created,
-        expired + c.Session.expired ))
-    (0, 0, 0) t.shards
-
-let shard_services t = Array.map (fun shard -> shard.service) t.shards

@@ -116,11 +116,3 @@ val stop : t -> unit
 
 val batch_stats : t -> Group_commit.stats option
 (** Group-commit totals, [None] when running without a store. *)
-
-val session_totals : t -> int * int * int
-(** [(active, created, expired)] summed across shards. Exact when the
-    server is quiescent; monitoring-grade otherwise. *)
-
-val shard_services : t -> Pet_server.Service.t array
-(** The per-shard services, index = shard. For tests and stats
-    endpoints; do not mutate while the shard domains run. *)

@@ -1,11 +1,9 @@
-(* Rolling-window service-level objectives.
+(* Service-level objectives judged over one summed window.
 
-   A tracker keeps, per key ("get_report", "tenant:acme", ...), a ring
-   of time-aligned slices — each slice a small latency histogram (the
-   same log-spaced buckets as Metrics) plus request/error counts.
-   Recording touches exactly one slice; reporting sums the slices still
-   inside the window, so the window slides with slice granularity
-   (window_s / slices) and stale slices age out without a sweeper.
+   The windows themselves belong to the per-request accounting cells
+   (each keeps a ring of [slices] time-aligned slices); a reader sums
+   the slices still inside the window into one histogram plus an error
+   count, and this module turns that sum into burn rates.
 
    Burn rates follow the error-budget convention: a p99 objective
    grants a 1% budget of requests over the target, an error-ratio
@@ -26,98 +24,6 @@ let burn_cap = 1e6
 
 let slices = 12
 
-type slice = {
-  mutable t0 : float; (* aligned slice start; nan when never used *)
-  mutable n : int;
-  mutable errors : int;
-  counts : int array;
-  mutable sum : float;
-  mutable smax : float;
-}
-
-type series = { mutable objective : objective; ring : slice array }
-
-type t = {
-  m : Mutex.t;
-  table : (string, series) Hashtbl.t;
-  mutable default : objective;
-}
-
-let create ?(objective = default_objective) () =
-  { m = Mutex.create (); table = Hashtbl.create 16; default = objective }
-
-let locked t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
-
-let n_buckets = Array.length Metrics.bucket_bounds
-
-let fresh_slice () =
-  {
-    t0 = nan;
-    n = 0;
-    errors = 0;
-    counts = Array.make n_buckets 0;
-    sum = 0.;
-    smax = 0.;
-  }
-
-let series_of t key =
-  match Hashtbl.find_opt t.table key with
-  | Some s -> s
-  | None ->
-    let s =
-      { objective = t.default; ring = Array.init slices (fun _ -> fresh_slice ()) }
-    in
-    Hashtbl.add t.table key s;
-    s
-
-let set_objective t key objective =
-  locked t @@ fun () -> (series_of t key).objective <- objective
-
-let objective t key =
-  locked t @@ fun () ->
-  match Hashtbl.find_opt t.table key with
-  | Some s -> s.objective
-  | None -> t.default
-
-let keys t =
-  locked t @@ fun () ->
-  List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.table [])
-
-(* The slice a timestamp lands in, resetting it if it still holds data
-   from a previous revolution of the ring. *)
-let slice_for series ~width ~now =
-  let turn = floor (now /. width) in
-  let idx =
-    let i = int_of_float turn mod slices in
-    if i < 0 then i + slices else i
-  in
-  let t0 = turn *. width in
-  let s = series.ring.(idx) in
-  if s.t0 <> t0 then begin
-    s.t0 <- t0;
-    s.n <- 0;
-    s.errors <- 0;
-    Array.fill s.counts 0 n_buckets 0;
-    s.sum <- 0.;
-    s.smax <- 0.
-  end;
-  s
-
-let record t key ~now ~latency ~error =
-  let latency = if latency < 0. then 0. else latency in
-  locked t @@ fun () ->
-  let series = series_of t key in
-  let width = series.objective.window_s /. float_of_int slices in
-  let s = slice_for series ~width ~now in
-  s.n <- s.n + 1;
-  if error then s.errors <- s.errors + 1;
-  let b = Metrics.bucket_of latency in
-  s.counts.(b) <- s.counts.(b) + 1;
-  s.sum <- s.sum +. latency;
-  if latency > s.smax then s.smax <- latency
-
 type report = {
   key : string;
   window_s : float;
@@ -134,134 +40,68 @@ type report = {
 
 let cap b = if b > burn_cap then burn_cap else b
 
-let report_series key (series : series) ~now =
-  let o = series.objective in
-  let counts = Array.make n_buckets 0 in
-  let requests = ref 0 and errors = ref 0 and smax = ref 0. in
-  Array.iter
-    (fun s ->
-      (* A slice belongs to the window if it started within window_s of
-         now; untouched slices keep a stale t0 and age out here. *)
-      if (not (Float.is_nan s.t0)) && s.t0 > now -. o.window_s then begin
-        requests := !requests + s.n;
-        errors := !errors + s.errors;
-        for i = 0 to n_buckets - 1 do
-          counts.(i) <- counts.(i) + s.counts.(i)
-        done;
-        if s.smax > !smax then smax := s.smax
-      end)
-    series.ring;
-  let requests = !requests and errors = !errors in
-  if requests = 0 then
-    {
-      key;
-      window_s = o.window_s;
-      requests = 0;
-      errors = 0;
-      error_ratio = 0.;
-      p99_s = 0.;
-      p99_target_s = o.p99_s;
-      over_target = 0;
-      latency_burn = 0.;
-      error_burn = 0.;
-      breached = false;
-    }
-  else begin
-    let p99 =
-      let rank =
-        let r = int_of_float (ceil (0.99 *. float_of_int requests)) in
-        if r < 1 then 1 else if r > requests then requests else r
-      in
-      let rec go seen i =
-        if i >= n_buckets then !smax
-        else if seen + counts.(i) >= rank then
-          Float.min Metrics.bucket_bounds.(i) !smax
-        else go (seen + counts.(i)) (i + 1)
-      in
-      go 0 0
-    in
-    (* Observations over the latency target, at bucket granularity: the
-       bucket containing the target counts as within it (optimistic by
-       at most one bucket width — buckets double, so the estimate is
-       within 2x; the same bucketing the p99 itself uses). *)
-    let over_target =
-      let tb = Metrics.bucket_of o.p99_s in
-      let over = ref 0 in
-      for i = tb + 1 to n_buckets - 1 do
-        over := !over + counts.(i)
-      done;
-      !over
-    in
-    let error_ratio = float_of_int errors /. float_of_int requests in
-    let latency_burn =
-      cap
-        (float_of_int over_target
-        /. float_of_int requests /. latency_budget)
-    in
-    let error_burn =
-      if o.max_error_ratio > 0. then cap (error_ratio /. o.max_error_ratio)
-      else if errors > 0 then burn_cap
-      else 0.
-    in
-    {
-      key;
-      window_s = o.window_s;
-      requests;
-      errors;
-      error_ratio;
-      p99_s = p99;
-      p99_target_s = o.p99_s;
-      over_target;
-      latency_burn;
-      error_burn;
-      breached = latency_burn >= 1. || error_burn >= 1.;
-    }
-  end
+let evaluate ?(objective = default_objective) key ~errors
+    (window : Metrics.hist_stats) =
+  let o = objective in
+  let requests = window.Metrics.count in
+  let ratio n = if requests = 0 then 0. else float_of_int n /. float_of_int requests in
+  (* Observations over the latency target, at bucket granularity: the
+     bucket containing the target counts as within it (optimistic by at
+     most one bucket width — buckets double, so the estimate is within
+     2x; the same bucketing the p99 itself uses). *)
+  let over_target =
+    let target = Metrics.bucket_bounds.(Metrics.bucket_of o.p99_s) in
+    List.fold_left
+      (fun over (bound, n) -> if bound > target then over + n else over)
+      0 window.Metrics.buckets
+  in
+  let error_ratio = ratio errors in
+  let latency_burn = cap (ratio over_target /. latency_budget) in
+  let error_burn =
+    if o.max_error_ratio > 0. then cap (error_ratio /. o.max_error_ratio)
+    else if errors > 0 then burn_cap
+    else 0.
+  in
+  {
+    key;
+    window_s = o.window_s;
+    requests;
+    errors;
+    error_ratio;
+    p99_s = Metrics.quantile window 0.99;
+    p99_target_s = o.p99_s;
+    over_target;
+    latency_burn;
+    error_burn;
+    breached = latency_burn >= 1. || error_burn >= 1.;
+  }
 
-let report t key ~now =
-  locked t @@ fun () ->
-  Option.map
-    (fun series -> report_series key series ~now)
-    (Hashtbl.find_opt t.table key)
+let families =
+  [
+    ( "pet_slo_window_requests",
+      "Requests in the SLO rolling window, per objective key." );
+    ("pet_slo_error_ratio", "Windowed error ratio, per objective key.");
+    ( "pet_slo_p99_seconds",
+      "Windowed p99 latency in seconds, per objective key." );
+    ( "pet_slo_error_burn",
+      "Error-budget burn rate (>1 burns faster than the budget)." );
+    ( "pet_slo_latency_burn",
+      "Latency-budget burn rate (>1 burns faster than the budget)." );
+    ("pet_slo_breached", "1 when either burn rate is >= 1.");
+  ]
 
-let reports t ~now =
-  locked t @@ fun () ->
-  Hashtbl.fold (fun key series acc -> (key, series) :: acc) t.table []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.map (fun (key, series) -> report_series key series ~now)
+let () = List.iter (fun (name, help) -> Metrics.set_help name help) families
 
-(* Mirror the windowed view into gauges so the metrics method,
-   Prometheus export, watch frames and the flight journal all pick the
-   SLO state up without knowing this module exists. *)
-let sync t ~now =
-  List.iter
-    (fun (r : report) ->
-      let g name help =
-        Metrics.gauge ~labels:[ ("slo", r.key) ] ~help name
-      in
-      Metrics.set_gauge
-        (g "pet_slo_window_requests"
-           "Requests in the SLO rolling window, per objective key.")
-        (float_of_int r.requests);
-      Metrics.set_gauge
-        (g "pet_slo_error_ratio"
-           "Windowed error ratio, per objective key.")
-        r.error_ratio;
-      Metrics.set_gauge
-        (g "pet_slo_p99_seconds"
-           "Windowed p99 latency in seconds, per objective key.")
-        r.p99_s;
-      Metrics.set_gauge
-        (g "pet_slo_error_burn"
-           "Error-budget burn rate (>1 burns faster than the budget).")
-        r.error_burn;
-      Metrics.set_gauge
-        (g "pet_slo_latency_burn"
-           "Latency-budget burn rate (>1 burns faster than the budget).")
-        r.latency_burn;
-      Metrics.set_gauge
-        (g "pet_slo_breached" "1 when either burn rate is >= 1.")
-        (if r.breached then 1. else 0.))
-    (reports t ~now)
-
-let reset t = locked t @@ fun () -> Hashtbl.reset t.table
+let gauges r =
+  let label = Printf.sprintf "{slo=\"%s\"}" (Metrics.escape_label r.key) in
+  List.map2
+    (fun (family, _) v -> (family ^ label, v))
+    families
+    [
+      float_of_int r.requests;
+      r.error_ratio;
+      r.p99_s;
+      r.error_burn;
+      r.latency_burn;
+      (if r.breached then 1. else 0.);
+    ]

@@ -1,11 +1,14 @@
-(** Rolling-window service-level objectives (SLOs) and burn rates.
+(** Service-level objectives (SLOs) and burn rates over one window.
 
-    A tracker holds one series per key — by convention bare protocol
-    method names plus ["tenant:NAME"] keys — each a ring of
-    time-aligned slices over the objective's window (latency counts in
-    the same log-spaced buckets as {!Metrics} histograms, plus
-    request/error totals). {!record} is hot-path cheap (one mutex, one
-    slice update); stale slices age out by alignment, no sweeper.
+    This module holds no state. The rolling windows live in the
+    per-request accounting cells of the service
+    ({!Pet_server.Accounting}): each cell keeps a ring of {!slices}
+    time-aligned slices over the objective's window, and a reader sums
+    the slices still inside the window — across every shard — into one
+    {!Metrics.hist_stats} plus an error count. {!evaluate} judges that
+    sum against an objective; {!gauges} names the result as the
+    [pet_slo_*] gauge series that [metrics], Prometheus, [watch] frames
+    and the flight journal carry.
 
     Burn rates use the error-budget convention: a [p99_s] target grants
     a 1% budget of requests over target, [max_error_ratio] grants
@@ -22,19 +25,10 @@ type objective = {
 val default_objective : objective
 (** 50 ms p99, 1% errors, 60 s window. *)
 
-type t
-
-val create : ?objective:objective -> unit -> t
-(** A tracker whose unseen keys start with [objective]
-    (default {!default_objective}). *)
-
-val set_objective : t -> string -> objective -> unit
-val objective : t -> string -> objective
-
-val record : t -> string -> now:float -> latency:float -> error:bool -> unit
-(** Record one request outcome for [key] at time [now] (any monotone
-    clock — the deterministic logical clock works; slices align to
-    [window_s / 12] multiples of it). *)
+val slices : int
+(** Slices per window ring (12): a window slides with
+    [window_s / slices] granularity, and stale slices age out by
+    alignment, without a sweeper. *)
 
 type report = {
   key : string;
@@ -42,7 +36,7 @@ type report = {
   requests : int;  (** requests inside the window *)
   errors : int;
   error_ratio : float;
-  p99_s : float;  (** windowed p99 (bucket upper bound, capped at max) *)
+  p99_s : float;  (** windowed p99 ({!Metrics.quantile}: bucket bound, capped at max) *)
   p99_target_s : float;
   over_target : int;  (** observations above the target, bucket-granular *)
   latency_burn : float;
@@ -50,19 +44,15 @@ type report = {
   breached : bool;  (** either burn rate reached 1 *)
 }
 
-val report : t -> string -> now:float -> report option
-val reports : t -> now:float -> report list
-(** All keys, sorted, evaluated at [now]. *)
+val evaluate :
+  ?objective:objective -> string -> errors:int -> Metrics.hist_stats -> report
+(** [evaluate key ~errors window] judges one summed window ([count] is
+    the request count, [max] caps the p99) against [objective]
+    (default {!default_objective}). *)
 
-val keys : t -> string list
-
-val sync : t -> now:float -> unit
-(** Mirror every report into gauges labeled [{slo="KEY"}]
-    ([pet_slo_window_requests], [pet_slo_error_ratio],
-    [pet_slo_p99_seconds], [pet_slo_error_burn], [pet_slo_latency_burn],
-    [pet_slo_breached]) so metrics/Prometheus/watch/flight surfaces see
-    the SLO state as ordinary instruments. *)
-
-val reset : t -> unit
-(** Drop every series (objectives for unseen keys revert to the
-    tracker default). *)
+val gauges : report -> (string * float) list
+(** The report as gauge samples labeled [{slo="KEY"}]:
+    [pet_slo_window_requests], [pet_slo_error_ratio],
+    [pet_slo_p99_seconds], [pet_slo_error_burn], [pet_slo_latency_burn]
+    and [pet_slo_breached], in that order (their help strings are
+    registered with {!Metrics.set_help}). *)

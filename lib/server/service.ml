@@ -34,13 +34,6 @@ type compiled = {
          with an array read and a few buffer appends *)
 }
 
-type method_stats = {
-  mutable count : int;
-  mutable errors : int;
-  mutable total_latency : float;
-  mutable max_latency : float;
-}
-
 type t = {
   backend : Engine.backend;
   compiled : bool;
@@ -55,7 +48,9 @@ type t = {
       (* archives outlive engine evictions: the cache bounds compute, not
          the legally retained records *)
   store : Session.store;
-  methods : (string, method_stats) Hashtbl.t;
+  acct : Accounting.t;
+      (* this instance's per-request accounting: it is the only writer;
+         sibling shards read it through [shared] *)
   durable : bool;
   rule_texts : (string, string) Hashtbl.t;
       (* durable mode only: digest -> canonical text for every rule set
@@ -81,7 +76,7 @@ type t = {
          respondent can revoke long after the session was swept. Shared
          process-wide in a sharded deployment, like the ledgers. *)
   mutable sink : Persist.sink;
-  mutable requests : int;
+  mutable on_expire : string -> unit;
   mutable submitted : int;
 }
 
@@ -104,7 +99,7 @@ let create ?(backend = Engine.Compiled) ?(compiled = true)
       registry = Registry.create ?capacity ();
       ledgers = Hashtbl.create 8;
       store = Session.create_store ?ttl ?owns ();
-      methods = Hashtbl.create 8;
+      acct = Accounting.create ();
       durable;
       rule_texts = Hashtbl.create 8;
       shared;
@@ -115,20 +110,22 @@ let create ?(backend = Engine.Compiled) ?(compiled = true)
         | Some shared -> Shared.consents shared
         | None -> Consent.create ());
       sink = Persist.null;
-      requests = 0;
+      on_expire = ignore;
       submitted = 0;
     }
   in
+  Option.iter (fun shared -> Shared.register_accounts shared t.acct) shared;
   (* A swept tenant session frees its quota slot even though nothing
      ever looked it up again. *)
   Session.set_on_expire t.store (fun (session : Session.t) ->
-      match session.Session.tenant with
+      (match session.Session.tenant with
       | Some name -> Tenant.release t.tenants name
       | None -> ());
+      t.on_expire session.Session.id);
   t
 
 let set_sink t sink = t.sink <- sink
-let tenant_registry t = t.tenants
+let set_on_expire t f = t.on_expire <- f
 
 let shutdown t =
   if t.tenants_owned then Tenant.stop t.tenants
@@ -997,119 +994,47 @@ let apply_event t event =
 
 module Obs = Pet_obs.Metrics
 module Trace = Pet_obs.Trace
-module Slo = Pet_obs.Slo
-
-(* One process-global SLO tracker, like the metrics registry: in the
-   sharded TCP server every shard records into it, so windows describe
-   the whole process, not one shard. Keys are wire method names plus
-   "tenant:NAME". *)
-let slo = Slo.create ()
-
-(* Requests are counted on arrival (before dispatch), so a [metrics]
-   response includes the request that asked for it; latencies are
-   observed after the response is built. Histograms are cached per
-   method so the per-request path does no label rendering. *)
-let obs_requests = Obs.counter "pet_server_requests_total"
-let obs_errors = Obs.counter "pet_server_errors_total"
 let obs_swept = Obs.counter "pet_server_sessions_swept_total"
 
-let latency_hist name =
-  Obs.histogram ~labels:[ ("method", name) ] "pet_server_request_seconds"
+(* The aggregates this instance owns, as gauges read when a snapshot is
+   taken — stale-free and free on the request path. *)
+let service_gauges t =
+  let r = Registry.stats t.registry and s = Session.counters t.store in
+  let c = Consent.counters t.consents and tt = Tenant.totals t.tenants in
+  List.map
+    (fun (name, v) -> (name, float_of_int v))
+    [
+      ("pet_registry_engines", r.Registry.size);
+      ("pet_registry_hits", r.Registry.hits);
+      ("pet_registry_misses", r.Registry.misses);
+      ("pet_registry_evictions", r.Registry.evictions);
+      ("pet_sessions_active", s.Session.active);
+      ("pet_sessions_created", s.Session.created);
+      ("pet_sessions_expired", s.Session.expired);
+      ("pet_grants_submitted", t.submitted);
+      ("pet_ledger_records", fold_ledgers t (fun _ l acc -> acc + Ledger.size l) 0);
+      ("pet_consent_revoked", c.Consent.revoked);
+      ("pet_consent_expired", c.Consent.expired);
+      ("pet_consent_pending", c.Consent.pending);
+      ("pet_tenants", tt.Tenant.tenants);
+      ("pet_tenant_builds", tt.Tenant.builds);
+      ("pet_tenant_build_failures", tt.Tenant.build_failures);
+      ("pet_tenant_building", tt.Tenant.building);
+    ]
 
-(* One histogram per wire method, resolved by a static match so the
-   per-request path does no hashing or label rendering. *)
-let obs_lat_publish_rules = latency_hist "publish_rules"
-let obs_lat_update_rules = latency_hist "update_rules"
-let obs_lat_tenant = latency_hist "tenant"
-let obs_lat_new_session = latency_hist "new_session"
-let obs_lat_get_report = latency_hist "get_report"
-let obs_lat_choose_option = latency_hist "choose_option"
-let obs_lat_submit_form = latency_hist "submit_form"
-let obs_lat_revoke = latency_hist "revoke"
-let obs_lat_expire = latency_hist "expire"
-let obs_lat_audit = latency_hist "audit"
-let obs_lat_stats = latency_hist "stats"
-let obs_lat_metrics = latency_hist "metrics"
-let obs_lat_trace = latency_hist "trace"
-let obs_lat_invalid = latency_hist "invalid"
+(* Every shard's accounting set when sharded, else this instance's. *)
+let accounts t =
+  match t.shared with Some shared -> Shared.accounts shared | None -> [ t.acct ]
 
-let obs_lat_watch = latency_hist "watch"
-
-(* Per-tenant request attribution is label-rendered per request (only
-   for requests that name a tenant), so help lines register once here
-   rather than on the hot path. *)
-let () =
-  Obs.set_help "pet_tenant_requests_total"
-    "Requests attributed to a tenant (by session or by name).";
-  Obs.set_help "pet_tenant_errors_total"
-    "Failed requests attributed to a tenant.";
-  Obs.set_help "pet_tenant_request_seconds"
-    "Request latency attributed to a tenant.";
-  Obs.set_help "pet_server_requests_total" "Protocol requests received.";
-  Obs.set_help "pet_server_errors_total" "Protocol requests answered with an error.";
-  Obs.set_help "pet_server_request_seconds" "Request latency by wire method."
-
-let obs_latency = function
-  | "publish_rules" -> obs_lat_publish_rules
-  | "update_rules" -> obs_lat_update_rules
-  | "tenant" -> obs_lat_tenant
-  | "new_session" -> obs_lat_new_session
-  | "get_report" -> obs_lat_get_report
-  | "choose_option" -> obs_lat_choose_option
-  | "submit_form" -> obs_lat_submit_form
-  | "revoke" -> obs_lat_revoke
-  | "expire" -> obs_lat_expire
-  | "audit" -> obs_lat_audit
-  | "stats" -> obs_lat_stats
-  | "metrics" -> obs_lat_metrics
-  | "trace" -> obs_lat_trace
-  | "watch" -> obs_lat_watch
-  | _ -> obs_lat_invalid
-
-let obs_registry_size = Obs.gauge "pet_registry_engines"
-let obs_registry_hits = Obs.gauge "pet_registry_hits"
-let obs_registry_misses = Obs.gauge "pet_registry_misses"
-let obs_registry_evictions = Obs.gauge "pet_registry_evictions"
-let obs_sessions_active = Obs.gauge "pet_sessions_active"
-let obs_sessions_created = Obs.gauge "pet_sessions_created"
-let obs_sessions_expired = Obs.gauge "pet_sessions_expired"
-let obs_submitted = Obs.gauge "pet_grants_submitted"
-let obs_ledger_records = Obs.gauge "pet_ledger_records"
-let obs_consent_revoked = Obs.gauge "pet_consent_revoked"
-let obs_consent_expired = Obs.gauge "pet_consent_expired"
-let obs_consent_pending = Obs.gauge "pet_consent_pending"
-let obs_tenants = Obs.gauge "pet_tenants"
-let obs_tenant_builds = Obs.gauge "pet_tenant_builds"
-let obs_tenant_build_failures = Obs.gauge "pet_tenant_build_failures"
-let obs_tenant_building = Obs.gauge "pet_tenant_building"
-
-(* The service owns these aggregates, so rather than pushing deltas on
-   every request it mirrors them into gauges when a snapshot is taken —
-   stale-free and free on the request path. *)
-let sync_gauges t =
-  let r = Registry.stats t.registry in
-  Obs.set_gauge obs_registry_size (float_of_int r.Registry.size);
-  Obs.set_gauge obs_registry_hits (float_of_int r.Registry.hits);
-  Obs.set_gauge obs_registry_misses (float_of_int r.Registry.misses);
-  Obs.set_gauge obs_registry_evictions (float_of_int r.Registry.evictions);
-  let s = Session.counters t.store in
-  Obs.set_gauge obs_sessions_active (float_of_int s.Session.active);
-  Obs.set_gauge obs_sessions_created (float_of_int s.Session.created);
-  Obs.set_gauge obs_sessions_expired (float_of_int s.Session.expired);
-  Obs.set_gauge obs_submitted (float_of_int t.submitted);
-  let records = fold_ledgers t (fun _ l acc -> acc + Ledger.size l) 0 in
-  Obs.set_gauge obs_ledger_records (float_of_int records);
-  let c = Consent.counters t.consents in
-  Obs.set_gauge obs_consent_revoked (float_of_int c.Consent.revoked);
-  Obs.set_gauge obs_consent_expired (float_of_int c.Consent.expired);
-  Obs.set_gauge obs_consent_pending (float_of_int c.Consent.pending);
-  let tt = Tenant.totals t.tenants in
-  Obs.set_gauge obs_tenants (float_of_int tt.Tenant.tenants);
-  Obs.set_gauge obs_tenant_builds (float_of_int tt.Tenant.builds);
-  Obs.set_gauge obs_tenant_build_failures
-    (float_of_int tt.Tenant.build_failures);
-  Obs.set_gauge obs_tenant_building (float_of_int tt.Tenant.building);
-  Pet_obs.Process.sync ()
+(* The one snapshot behind [metrics], [watch] frames and the flight
+   recorder: the registry plus this instance's aggregates, and the
+   per-request series merged from every shard's accounting set, SLO
+   windows at [now] (the service clock). *)
+let snapshot t ~now =
+  Pet_obs.Process.sync ();
+  let base = Obs.snapshot () in
+  Accounting.snapshot ~domains:(t.shared <> None) (accounts t) ~now
+    { base with Obs.gauges = base.Obs.gauges @ service_gauges t }
 
 let json_of_hist (h : Obs.hist_stats) =
   Json.Obj
@@ -1123,9 +1048,7 @@ let json_of_hist (h : Obs.hist_stats) =
     ]
 
 let metrics_payload t ~now format =
-  sync_gauges t;
-  Slo.sync slo ~now;
-  let snapshot = Obs.snapshot () in
+  let snapshot = snapshot t ~now in
   match format with
   | Proto.Mprometheus -> Json.String (Pet_obs.Export.prometheus snapshot)
   | Proto.Mjson ->
@@ -1154,12 +1077,10 @@ let metrics_payload t ~now format =
    Rendered (not Tree): the flight encoder already emits JSON text, and
    sharing it keeps watch frames and journal records one format. *)
 let watch_frame t ~now =
-  sync_gauges t;
-  Slo.sync slo ~now;
-  let snapshot = Obs.snapshot () in
   let enc = Pet_obs.Flight.create () in
   Rendered
-    (Printf.sprintf "{\"watch\":%s}" (Pet_obs.Flight.snap enc ~now snapshot))
+    (Printf.sprintf "{\"watch\":%s}"
+       (Pet_obs.Flight.snap enc ~now (snapshot t ~now)))
 
 (* --- Traces --------------------------------------------------------------------- *)
 
@@ -1254,23 +1175,6 @@ let sweep_tick ?budget t =
 let stats_json t =
   let r = Registry.stats t.registry in
   let s = Session.counters t.store in
-  let by_method =
-    Hashtbl.fold (fun name m acc -> (name, m) :: acc) t.methods []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    |> List.map (fun (name, m) ->
-           ( name,
-             Json.Obj
-               [
-                 ("count", Json.Int m.count);
-                 ("errors", Json.Int m.errors);
-                 ( "latency_s",
-                   Json.Obj
-                     [
-                       ("total", Json.Float m.total_latency);
-                       ("max", Json.Float m.max_latency);
-                     ] );
-               ] ))
-  in
   let records, stored_values =
     fold_ledgers t
       (fun _ ledger (records, values) ->
@@ -1279,10 +1183,7 @@ let stats_json t =
   in
   Json.Obj
     ([
-      ( "requests",
-        Json.Obj
-          [ ("total", Json.Int t.requests); ("by_method", Json.Obj by_method) ]
-      );
+      ("requests", Accounting.requests_json t.acct);
       ( "registry",
         Json.Obj
           [
@@ -1387,8 +1288,7 @@ let handle_request t request ~now =
 
 (* Which tenant a request belongs to, for per-tenant metrics and SLOs:
    explicitly named tenants directly, session-bearing requests through
-   the session's owner (one non-mutating lookup, only taken when
-   observability is on). *)
+   the session's owner (one non-mutating lookup). *)
 let tenant_of_request t = function
   | Proto.New_session (Proto.Tenant name)
   | Proto.Publish_rules { tenant = Some name; _ }
@@ -1400,22 +1300,6 @@ let tenant_of_request t = function
   | Proto.Expire { session; _ } ->
     Option.bind (Session.peek t.store session) (fun s -> s.Session.tenant)
   | _ -> None
-
-let record_method t name ~latency ~failed =
-  let m =
-    match Hashtbl.find_opt t.methods name with
-    | Some m -> m
-    | None ->
-      let m =
-        { count = 0; errors = 0; total_latency = 0.; max_latency = 0. }
-      in
-      Hashtbl.add t.methods name m;
-      m
-  in
-  m.count <- m.count + 1;
-  if failed then m.errors <- m.errors + 1;
-  m.total_latency <- m.total_latency +. latency;
-  m.max_latency <- Float.max m.max_latency latency
 
 (* Identifier annotations only: sessions, digests and source names go on
    the capture; rule text and valuations never do (DESIGN.md §12). *)
@@ -1450,8 +1334,7 @@ let annotate_request request =
 
 let handle_line t line =
   let start = t.now () in
-  t.requests <- t.requests + 1;
-  Obs.incr obs_requests;
+  Accounting.arrive t.acct;
   (* The AST-free scanner first (when the compiled path is on): it
      either agrees exactly with [Proto.decode] or declines, so the
      fallback — not the fast path — decides every error. *)
@@ -1477,11 +1360,10 @@ let handle_line t line =
         Trace.annotate "method" (Trace.String "invalid");
         Trace.annotate "error" (Trace.String (Proto.code_name e.Proto.code))
       end;
-      (id, "invalid", Error e)
+      (id, Accounting.invalid, Error e)
     | Ok { Proto.id; request; _ } ->
-      let name = Proto.method_name request in
       if tracing then begin
-        Trace.annotate "method" (Trace.String name);
+        Trace.annotate "method" (Trace.String (Proto.method_name request));
         Trace.annotate "backend"
           (Trace.String (Engine.backend_name t.backend));
         annotate_request request
@@ -1492,9 +1374,9 @@ let handle_line t line =
          | Error e ->
            Trace.annotate "error" (Trace.String (Proto.code_name e.Proto.code))
          | Ok _ -> ());
-      (id, name, result)
+      (id, Accounting.method_index request, result)
   in
-  let id, name, result =
+  let id, meth, result =
     match trace_id with
     | Some tid -> Trace.run ~id:tid dispatch
     | None -> dispatch ()
@@ -1512,27 +1394,16 @@ let handle_line t line =
      id for everyone else. The sweep is incremental — a bounded number
      of sessions per request — so abandoned sessions are reclaimed in
      amortized O(budget) instead of a full O(sessions) scan per line. *)
-  let swept = Session.sweep_step t.store ~now:finish in
+  Obs.add obs_swept (Session.sweep_step t.store ~now:finish);
   ignore (consent_step t ~now:finish);
-  let latency = finish -. start in
-  let failed = Result.is_error result in
-  record_method t name ~latency ~failed;
-  if Obs.enabled () then begin
-    Obs.add obs_swept swept;
-    if failed then Obs.incr obs_errors;
-    Obs.observe (obs_latency name) latency;
-    Slo.record slo name ~now:finish ~latency ~error:failed;
-    match Result.map (fun e -> tenant_of_request t e.Proto.request) decoded with
-    | Ok (Some tn) ->
-      Obs.incr
-        (Obs.counter ~labels:[ ("tenant", tn) ] "pet_tenant_requests_total");
-      if failed then
-        Obs.incr
-          (Obs.counter ~labels:[ ("tenant", tn) ] "pet_tenant_errors_total");
-      Obs.observe
-        (Obs.histogram ~labels:[ ("tenant", tn) ] "pet_tenant_request_seconds")
-        latency;
-      Slo.record slo ("tenant:" ^ tn) ~now:finish ~latency ~error:failed
-    | Ok None | Error _ -> ()
-  end;
+  (* The one accounting record, after the sweep like the tenant lookup
+     it needs: [stats], metrics, SLO windows, watch and flight all read
+     it. *)
+  let tenant =
+    match decoded with
+    | Ok { Proto.request; _ } -> tenant_of_request t request
+    | Error _ -> None
+  in
+  Accounting.record t.acct ~meth ~tenant ~now:finish ~latency:(finish -. start)
+    ~error:(Result.is_error result);
   response

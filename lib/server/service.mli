@@ -81,11 +81,6 @@ val create :
     per-tenant active-session cap (default 0 = unlimited) and
     {!shutdown} stops it. *)
 
-val tenant_registry : t -> compiled Pet_tenant.Tenant.t
-(** The tenant registry this instance serves from (private or shared —
-    drivers use it for out-of-band inspection and to build the shared
-    instance's peers). *)
-
 val shutdown : t -> unit
 (** Stop the private tenant registry's builder domain, if this instance
     owns one ({!create} without [?tenants]). Idempotent; services
@@ -95,6 +90,13 @@ val shutdown : t -> unit
 val set_sink : t -> Persist.sink -> unit
 (** Install the persistence sink (initially {!Persist.null}). Attached
     {e after} recovery replay so recovered events are not re-logged. *)
+
+val set_on_expire : t -> (string -> unit) -> unit
+(** Call [f id] whenever a live session leaves memory without a logged
+    event: swept or looked up past its TTL, or purged by a revocation
+    or an expiry horizon (initially a no-op). Reads log nothing, so the
+    durable server hands these ids to its log compactor, which may then
+    drop exactly the sessions the service has dropped. *)
 
 val ledger_key : digest:string -> tenant:string option -> string
 (** The archive namespace for a grant: the bare digest for tenant-less
@@ -120,8 +122,10 @@ val apply_event : t -> Persist.event -> (unit, string) result
 val handle_line : t -> string -> string
 (** Process one request line, return the response line (no trailing
     newline). Never raises: every failure becomes a structured protocol
-    error. Also sweeps expired sessions and updates the per-endpoint
-    counters/latency aggregates reported by the [stats] method.
+    error. Also sweeps expired sessions and makes the request's one
+    accounting record ({!Accounting}): its arrival, then its method's
+    and (if any) its tenant's cell — the record [stats], [metrics],
+    the SLO windows, [watch] and the flight recorder all derive from.
 
     When {!Pet_obs.Trace} is enabled the whole dispatch runs under a
     capture labelled with the request's trace id (client-supplied
@@ -131,16 +135,6 @@ val handle_line : t -> string -> string
     the capture with the [trace] method. With tracing disabled the only
     per-request cost is one branch, and a client-supplied trace id is
     still echoed. *)
-
-val stats_json : t -> Pet_pet.Json.t
-(** The [stats] payload: request totals and per-method count/error/latency
-    aggregates, registry size/hits/misses/evictions, session
-    active/created/expired/submitted counts, and archive totals. Once a
-    tenant exists a [tenants] section is appended (registry totals plus
-    per-tenant versions/state/quota/session counters), and once a
-    revocation or expiry has happened a [consent] section
-    (revoked/expired/pending counts); deployments using neither keep
-    their earlier payload bytes. *)
 
 val registry_stats : t -> Registry.stats
 
@@ -156,25 +150,20 @@ val sweep_tick : ?budget:int -> t -> int
     traffic still expires its sessions and a hot shard cannot starve
     the others' sweeps. Returns the number of sessions swept. *)
 
-val sync_gauges : t -> unit
-(** Mirror the service-owned aggregates (registry, sessions, ledgers)
-    into the global {!Pet_obs.Metrics} gauges. The [metrics] request
-    handler does this automatically; drivers that export snapshots out
-    of band (the flight recorder, the bench harness) call it before
-    {!Pet_obs.Metrics.snapshot} so gauges are never stale. *)
+val snapshot : t -> now:float -> Pet_obs.Metrics.snapshot
+(** The one observability snapshot behind [metrics], [watch] frames and
+    the flight recorder: the {!Pet_obs.Metrics} registry, this
+    instance's aggregates (registry, sessions, ledgers, consent,
+    tenants) read as gauges, and the per-request series
+    {!Accounting.snapshot} merges from every shard's accounting set
+    (every set registered in [shared], else this instance's), SLO
+    windows judged at [now] (the service clock). Sibling shards' cells
+    are read racily: word-sized, memory-safe, possibly behind requests
+    still in flight. *)
 
 val metrics_payload :
   t -> now:float -> Proto.metrics_format -> Pet_pet.Json.t
-(** The [metrics] response payload: the full observability snapshot
-    (after {!sync_gauges} and an SLO gauge sync at [now], the service
-    clock), either as structured JSON ([counters]/[gauges]/[histograms]
-    with p50/p90/p99) or as a Prometheus text exposition wrapped in one
-    JSON string. *)
-
-val slo : Pet_obs.Slo.t
-(** The process-global SLO tracker. Every {!handle_line} records its
-    method's outcome here (plus a ["tenant:NAME"] key when the request
-    is tenant-attributable) while observability is enabled; its reports
-    surface as [pet_slo_*] gauges in {!metrics_payload}, [watch] frames
-    and the flight journal. Shared across shards by design — windows
-    describe the process. *)
+(** The [metrics] response payload: {!snapshot} at [now], either as
+    structured JSON ([counters]/[gauges]/[histograms] with
+    p50/p90/p99) or as a Prometheus text exposition wrapped in one JSON
+    string. *)

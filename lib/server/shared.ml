@@ -7,6 +7,7 @@ type t = {
   consents : Consent.t;
       (* consent lifecycle state is process-wide like the ledgers: a
          revocation must reach the grant whichever shard recorded it *)
+  mutable accounts : Accounting.t list;  (* in registration order *)
 }
 
 let create () =
@@ -15,6 +16,7 @@ let create () =
     texts = Hashtbl.create 8;
     ledgers = Hashtbl.create 8;
     consents = Consent.create ();
+    accounts = [];
   }
 
 let consents t = t.consents
@@ -49,3 +51,8 @@ let ledger_count t = locked t (fun () -> Hashtbl.length t.ledgers)
 
 let fold_ledgers t f init =
   locked t (fun () -> Hashtbl.fold f t.ledgers init)
+
+let register_accounts t accounts =
+  locked t (fun () -> t.accounts <- t.accounts @ [ accounts ])
+
+let accounts t = locked t (fun () -> t.accounts)

@@ -2,7 +2,9 @@
 
     A sharded deployment ({!Pet_net}) runs one {!Service.t} per domain,
     and almost everything a service touches — sessions, compiled
-    engines, per-method stats — stays domain-private. Two things cannot:
+    engines — stays domain-private, and each shard is the only writer of
+    its own per-request accounting. Some things must be reachable from
+    every shard:
 
     - the canonical rule texts, keyed by digest, so a session created on
       one shard can be served by any shard (which recompiles the text
@@ -11,9 +13,12 @@
     - the grant ledgers, because grant ids are sequential per rule set
       across the whole process and the audit must see every grant;
     - the consent-lifecycle store ({!Consent}), because a revocation must
-      reach the grant whichever shard recorded it.
+      reach the grant whichever shard recorded it;
+    - the list of every shard's per-request accounting set
+      ({!Accounting}), so a [metrics] request, a [watch] frame or a
+      flight snapshot taken on one shard merges all of them.
 
-    All three live here behind one mutex (the consent store carries its
+    All of it lives here behind one mutex (the consent store carries its
     own). The critical sections are short
     (a hash-table probe; recording or auditing one ledger) and — by
     design of the protocol — never contain a raw valuation: what crosses
@@ -43,3 +48,13 @@ val fold_ledgers : t -> (string -> Pet_pet.Ledger.t -> 'a -> 'a) -> 'a -> 'a
 
 val consents : t -> Consent.t
 (** The process-wide consent-lifecycle store. *)
+
+val register_accounts : t -> Accounting.t -> unit
+(** Add one shard's accounting set; sets keep registration order, which
+    the sharded server makes its domain order. *)
+
+val accounts : t -> Accounting.t list
+(** Every registered set. The list is read under the lock; the cells
+    inside are not — their owning shards keep recording while a reader
+    merges them (word-sized, memory-safe racy reads that may lag
+    in-flight requests; see {!Accounting}). *)

@@ -281,8 +281,8 @@ let append_batch t events =
 
 let sink t = { Persist.emit = (fun event -> append t event) }
 
-let wants_compaction t =
-  t.auto_compact_segments > 0 && t.sealed >= t.auto_compact_segments
+let compacts t = t.auto_compact_segments > 0
+let wants_compaction t = compacts t && t.sealed >= t.auto_compact_segments
 
 let close t =
   match t.channel with
@@ -541,7 +541,7 @@ module Compactor = struct
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-  let events ?(ttl = 3600.) state =
+  let events ?(ttl = 3600.) ?(expired = fun _ -> false) state =
     let rules =
       List.map
         (fun (digest, text) -> Persist.Rules { digest; text })
@@ -595,6 +595,7 @@ module Compactor = struct
     in
     let live id (sess : sess) =
       (ttl <= 0. || state.clock -. sess.last <= ttl)
+      && (not (expired id))
       && not (erased (Some id) false)
     in
     let sessions =
@@ -644,7 +645,9 @@ end
 
 (* --- Online compaction ----------------------------------------------------------------- *)
 
-let compact_chain ?ttl t =
+type compaction = { read : int; kept : int; retired : int }
+
+let compact_chain ?ttl ?expired ?on_damage t =
   let compactor = Compactor.create () in
   match
     guard (fun () ->
@@ -653,8 +656,13 @@ let compact_chain ?ttl t =
           ~on_event:(Compactor.add compactor))
   with
   | Error m -> Error m
-  | Ok (_, _, d :: _) ->
+  | Ok (_, _, d :: _) when on_damage = None ->
     Error
       (Printf.sprintf "replay chain damaged at byte %d of %s: %s" d.offset
          d.file d.reason)
-  | Ok (_, _, []) -> compact t ~events:(Compactor.events ?ttl compactor)
+  | Ok (read, _, damage) ->
+    Option.iter (fun f -> List.iter f damage) on_damage;
+    let events = Compactor.events ?ttl ?expired compactor in
+    Result.map
+      (fun retired -> { read; kept = List.length events; retired })
+      (compact t ~events)

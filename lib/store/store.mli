@@ -81,6 +81,10 @@ val position : t -> string * int
     domain get a monitoring-grade, possibly momentarily stale answer,
     which is exactly what flight-recorder correlation needs. *)
 
+val compacts : t -> bool
+(** Whether this store ever asks for compaction
+    ([auto_compact_segments > 0]). *)
+
 val wants_compaction : t -> bool
 (** Enough sealed segments have accumulated that the driver should call
     {!compact_chain}. *)
@@ -132,21 +136,38 @@ module Compactor : sig
   val create : unit -> state
   val add : state -> Persist.event -> unit
 
-  val events : ?ttl:float -> state -> Persist.event list
+  val events :
+    ?ttl:float -> ?expired:(string -> bool) -> state -> Persist.event list
   (** The squashed stream, deterministically ordered (rule sets, then
       grants, then sessions). Sessions idle for more than [ttl] seconds
       (default 3600) before the log's last event timestamp are dropped —
       they would only expire again on recovery; their grants are kept
-      regardless. [ttl <= 0.] keeps every session. The last timestamp
+      regardless. [ttl <= 0.] keeps every session. Sessions whose id
+      satisfies [expired] (default none) are dropped too: a live server
+      compacts with [ttl = 0.] and names only the sessions it has
+      itself expired, because a read keeps a session alive without
+      logging anything, so its logged idle time overstates it. The last timestamp
       in log order is the log's clock, not the largest: a logical clock
       restarts with the process, and a restarted service still serves
       the sessions it recovered. *)
 end
 
-val compact_chain : ?ttl:float -> t -> (int, string) result
-(** Online compaction: stream this store's own replay chain, record by
-    record, through a {!Compactor} (sessions idle past [ttl] dropped, as
-    in {!Compactor.events}) into {!compact}. Call it from the one domain
-    that appends, between appends. Refuses a chain with mid-log damage,
-    which recovery could not replay past either. Returns the number of
-    files removed. *)
+type compaction = {
+  read : int;  (** events replayed from the chain *)
+  kept : int;  (** events in the snapshot *)
+  retired : int;  (** files removed *)
+}
+
+val compact_chain :
+  ?ttl:float ->
+  ?expired:(string -> bool) ->
+  ?on_damage:(damage -> unit) ->
+  t ->
+  (compaction, string) result
+(** Stream this store's own replay chain, record by record, through a
+    {!Compactor} ([ttl] and [expired] as in {!Compactor.events}) into
+    {!compact}. Call it from the one domain that appends, between
+    appends: the group-commit writer does, and so does
+    [pet store compact]. A chain with mid-log damage is refused, unless
+    [on_damage] is given: then the damage is reported to it and the
+    clean prefix (all that recovery could replay) is compacted. *)

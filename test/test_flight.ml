@@ -1,11 +1,13 @@
 (* Tests for the flight-recorder stack: the delta encoder, the on-disk
    segment family (rotation, retention, torn tails, mid-journal
-   damage), the SLO window/burn math, and the metrics registry under
+   damage), the SLO window/burn math over accounting cells, reading
+   journals and watch frames back, and the metrics registry under
    concurrent multi-domain registration and observation. *)
 
 module Metrics = Pet_obs.Metrics
 module Flight = Pet_obs.Flight
 module Slo = Pet_obs.Slo
+module Accounting = Pet_server.Accounting
 module Flight_log = Pet_store.Flight_log
 
 let contains haystack needle =
@@ -206,60 +208,206 @@ let test_mid_journal_damage_is_reported () =
 
 (* --- SLO ------------------------------------------------------------------------- *)
 
+(* SLO windows live in the per-request accounting cells; these tests
+   record into one shard's set directly and judge its windows. *)
+let meth name =
+  Option.get (Array.find_index (String.equal name) Accounting.methods)
+
+(* One key's SLO gauges in the snapshot merged from [sets] at [now]. *)
+let slo_gauges sets key ~now =
+  let s = Accounting.snapshot sets ~now (Metrics.snapshot ()) in
+  fun family ->
+    List.assoc_opt (Printf.sprintf "%s{slo=\"%s\"}" family key) s.Metrics.gauges
+
 let test_slo_window_and_burn () =
   fresh ();
-  let slo = Slo.create () in
+  let acct = Accounting.create () in
   (* 100 requests at 1ms, 2 errors: under the 50ms p99 target, over the
      1% error budget. *)
   for i = 1 to 100 do
-    Slo.record slo "get_report" ~now:(float_of_int i /. 10.)
-      ~latency:0.001 ~error:(i <= 2)
+    Accounting.record acct ~meth:(meth "get_report") ~tenant:None
+      ~now:(float_of_int i /. 10.) ~latency:0.001 ~error:(i <= 2)
   done;
-  let r = Option.get (Slo.report slo "get_report" ~now:10.) in
-  Alcotest.(check int) "windowed requests" 100 r.Slo.requests;
-  Alcotest.(check int) "windowed errors" 2 r.Slo.errors;
-  Alcotest.(check (float 1e-9)) "error ratio" 0.02 r.Slo.error_ratio;
-  Alcotest.(check bool) "p99 under target" true (r.Slo.p99_s <= 0.05);
-  Alcotest.(check int) "none over target" 0 r.Slo.over_target;
-  Alcotest.(check (float 1e-9)) "latency burn" 0. r.Slo.latency_burn;
+  let g = slo_gauges [ acct ] "get_report" ~now:10. in
+  let v family = Option.get (g family) in
+  Alcotest.(check (float 0.)) "windowed requests" 100. (v "pet_slo_window_requests");
+  Alcotest.(check (float 1e-9)) "error ratio" 0.02 (v "pet_slo_error_ratio");
+  Alcotest.(check bool) "p99 under target" true (v "pet_slo_p99_seconds" <= 0.05);
+  Alcotest.(check (float 1e-9)) "latency burn" 0. (v "pet_slo_latency_burn");
   (* 2% errors against a 1% objective burns at 2x. *)
-  Alcotest.(check (float 1e-9)) "error burn" 2. r.Slo.error_burn;
-  Alcotest.(check bool) "breached" true r.Slo.breached;
+  Alcotest.(check (float 1e-9)) "error burn" 2. (v "pet_slo_error_burn");
+  Alcotest.(check (float 0.)) "breached" 1. (v "pet_slo_breached");
   (* The same series evaluated after the window passed is empty: slices
      age out by alignment alone. *)
-  let r' = Option.get (Slo.report slo "get_report" ~now:1000.) in
-  Alcotest.(check int) "aged out" 0 r'.Slo.requests;
-  Alcotest.(check bool) "no longer breached" false r'.Slo.breached
+  let g' = slo_gauges [ acct ] "get_report" ~now:1000. in
+  Alcotest.(check (option (float 0.))) "aged out" (Some 0.) (g' "pet_slo_window_requests");
+  Alcotest.(check (option (float 0.))) "no longer breached" (Some 0.) (g' "pet_slo_breached");
+  (* Two shards' sets merge into one window. *)
+  let other = Accounting.create () in
+  Accounting.record other ~meth:(meth "get_report") ~tenant:None ~now:9.
+    ~latency:0.001 ~error:true;
+  let g2 = slo_gauges [ acct; other ] "get_report" ~now:10. in
+  Alcotest.(check (option (float 0.))) "merged requests" (Some 101.)
+    (g2 "pet_slo_window_requests");
+  Alcotest.(check (option (float 1e-9))) "merged errors" (Some (3. /. 101.))
+    (g2 "pet_slo_error_ratio");
+  Alcotest.(check (option (float 0.))) "unknown key" None
+    (slo_gauges [ acct ] "tenant:nobody" ~now:10. "pet_slo_window_requests")
 
 let test_slo_latency_burn () =
   fresh ();
-  let slo = Slo.create () in
+  let acct = Accounting.create () in
   (* 5 of 100 requests over the 50ms target: 5% consumption against a
      1% budget burns at 5x. *)
   for i = 1 to 100 do
-    Slo.record slo "submit_form" ~now:(float_of_int i /. 10.)
+    Accounting.record acct ~meth:(meth "submit_form") ~tenant:(Some "acme")
+      ~now:(float_of_int i /. 10.)
       ~latency:(if i mod 20 = 0 then 0.5 else 0.001)
       ~error:false
   done;
-  let r = Option.get (Slo.report slo "submit_form" ~now:10.) in
-  Alcotest.(check int) "over target" 5 r.Slo.over_target;
-  Alcotest.(check (float 1e-9)) "latency burn" 5. r.Slo.latency_burn;
-  Alcotest.(check bool) "p99 over target" true (r.Slo.p99_s > 0.05);
-  Alcotest.(check bool) "breached" true r.Slo.breached;
-  Alcotest.(check (float 1e-9)) "error burn" 0. r.Slo.error_burn
+  List.iter
+    (fun key ->
+      let v family = Option.get (slo_gauges [ acct ] key ~now:10. family) in
+      Alcotest.(check (float 1e-9)) (key ^ " latency burn") 5. (v "pet_slo_latency_burn");
+      Alcotest.(check bool) (key ^ " p99 over target") true (v "pet_slo_p99_seconds" > 0.05);
+      Alcotest.(check (float 0.)) (key ^ " breached") 1. (v "pet_slo_breached");
+      Alcotest.(check (float 1e-9)) (key ^ " error burn") 0. (v "pet_slo_error_burn"))
+    [ "submit_form"; "tenant:acme" ];
+  (* Over-target counting is bucket-granular around the target. *)
+  let window = { Metrics.count = 100; sum = 0.; max = 0.5; buckets = [ (0.001024, 95); (0.524288, 5) ] } in
+  Alcotest.(check int) "over target" 5 (Slo.evaluate "k" ~errors:0 window).Slo.over_target
 
 let test_slo_sync_gauges () =
   fresh ();
-  let slo = Slo.create () in
-  Slo.record slo "stats" ~now:1. ~latency:0.001 ~error:false;
-  Slo.sync slo ~now:1.;
-  let s = Metrics.snapshot () in
+  let acct = Accounting.create () in
+  Accounting.record acct ~meth:(meth "stats") ~tenant:None ~now:1.
+    ~latency:0.001 ~error:false;
+  let s = Accounting.snapshot [ acct ] ~now:1. (Metrics.snapshot ()) in
   let gauge name =
     List.assoc (Printf.sprintf "%s{slo=\"stats\"}" name) s.Metrics.gauges
   in
   Alcotest.(check (float 0.)) "window requests gauge" 1.
     (gauge "pet_slo_window_requests");
-  Alcotest.(check (float 0.)) "breached gauge" 0. (gauge "pet_slo_breached")
+  Alcotest.(check (float 0.)) "breached gauge" 0. (gauge "pet_slo_breached");
+  (* Keys that never recorded a request have no SLO series. *)
+  Alcotest.(check bool) "no series for an unused method" false
+    (List.mem_assoc "pet_slo_breached{slo=\"audit\"}" s.Metrics.gauges)
+
+let test_method_index () =
+  (* The static index agrees with the wire name of every request. *)
+  List.iter
+    (fun line ->
+      match Pet_server.Proto.decode line with
+      | Error _ -> Alcotest.failf "does not decode: %s" line
+      | Ok { Pet_server.Proto.request; _ } ->
+        Alcotest.(check string) line
+          (Pet_server.Proto.method_name request)
+          Accounting.methods.(Accounting.method_index request))
+    [
+      {|{"pet":1,"id":1,"method":"publish_rules","params":{"source":"x"}}|};
+      {|{"pet":1,"id":1,"method":"update_rules","params":{"tenant":"a","source":"x"}}|};
+      {|{"pet":1,"id":1,"method":"tenant"}|};
+      {|{"pet":1,"id":1,"method":"new_session","params":{"source":"x"}}|};
+      {|{"pet":1,"id":1,"method":"get_report","params":{"session":"s","valuation":"1"}}|};
+      {|{"pet":1,"id":1,"method":"choose_option","params":{"session":"s","option":0}}|};
+      {|{"pet":1,"id":1,"method":"submit_form","params":{"session":"s"}}|};
+      {|{"pet":1,"id":1,"method":"revoke","params":{"session":"s"}}|};
+      {|{"pet":1,"id":1,"method":"expire","params":{"session":"s","after":1}}|};
+      {|{"pet":1,"id":1,"method":"audit","params":{"source":"x"}}|};
+      {|{"pet":1,"id":1,"method":"stats"}|};
+      {|{"pet":1,"id":1,"method":"metrics"}|};
+      {|{"pet":1,"id":1,"method":"trace","params":{"query":"last"}}|};
+      {|{"pet":1,"id":1,"method":"watch","params":{"frames":1}}|};
+    ];
+  Alcotest.(check string) "invalid" "invalid" Accounting.methods.(Accounting.invalid)
+
+(* --- Reading snapshots back ------------------------------------------------------ *)
+
+module View = Pet_store.Flight_view
+
+let test_view_labels_and_p99 () =
+  Alcotest.(check (pair string (list (pair string string))))
+    "escaped label values"
+    ("fam", [ ("a", "x\"y"); ("b", "z") ])
+    (View.metric_labels {|fam{a="x\"y",b="z"}|});
+  Alcotest.(check (pair string (list (pair string string))))
+    "no labels" ("fam", []) (View.metric_labels "fam");
+  Alcotest.(check (float 0.)) "+Inf bound" infinity (View.le_value "+Inf");
+  Alcotest.(check (float 0.)) "finite bound" 0.25 (View.le_value "0.25");
+  (* 100 observations, the 99th in the 0.5 bucket. *)
+  Alcotest.(check (float 0.)) "p99 bucket" 0.5
+    (View.p99 [ (0.5, 2); (0.001, 98) ] 100);
+  (* Landing in +Inf reads as the largest finite bound present. *)
+  Alcotest.(check (float 0.)) "+Inf clamp" 0.5
+    (View.p99 [ (0.001, 50); (0.5, 1); (infinity, 49) ] 100);
+  Alcotest.(check (float 0.)) "empty" 0. (View.p99 [] 0)
+
+let test_view_journal_and_frames () =
+  fresh ();
+  let dir = temp_dir () in
+  let acct = Accounting.create () in
+  let record ~tenant ~latency ~error =
+    Accounting.record acct ~meth:(meth "get_report") ~tenant ~now:1. ~latency
+      ~error
+  in
+  let snap enc ~now = Flight.snap enc ~now (Accounting.snapshot [ acct ] ~now:1. (Metrics.snapshot ())) in
+  let enc = Flight.create () in
+  for _ = 1 to 3 do record ~tenant:(Some "acme") ~latency:0.001 ~error:false done;
+  let r1 = snap enc ~now:1. in
+  record ~tenant:None ~latency:0.2 ~error:true;
+  let r2 = snap enc ~now:2. in
+  write_records dir [ Flight.meta enc ~now:0. ~event:"start" []; r1; r2 ];
+  (match View.report dir with
+  | Error m -> Alcotest.fail m
+  | Ok j ->
+    let get keys = List.fold_left (fun j k -> Option.get (Pet_pet.Json.member k j)) j keys in
+    let rows key label =
+      match get [ key ] with
+      | Pet_pet.Json.List rows ->
+        List.map
+          (fun r -> Pet_pet.Json.to_string (Pet_pet.Json.Obj [ (label, Option.get (Pet_pet.Json.member label r)); ("requests", Option.get (Pet_pet.Json.member "requests" r)) ]))
+          rows
+      | _ -> Alcotest.fail key
+    in
+    Alcotest.(check string) "records" "3" (Pet_pet.Json.to_string (get [ "records" ]));
+    Alcotest.(check string) "snaps" "2" (Pet_pet.Json.to_string (get [ "kinds"; "snap" ]));
+    Alcotest.(check string) "lifecycle" {|[{"event":"start","t":0}]|}
+      (Pet_pet.Json.to_string (get [ "lifecycle" ]));
+    (* Deltas sum back to the cumulative distribution. *)
+    Alcotest.(check (list string)) "methods" [ {|{"method":"get_report","requests":4}|} ]
+      (rows "methods" "method");
+    Alcotest.(check (list string)) "tenants" [ {|{"tenant":"acme","requests":3}|} ]
+      (rows "tenants" "tenant");
+    match get [ "slo" ] with
+    | Pet_pet.Json.List slos ->
+      let slo =
+        List.find (fun r -> Pet_pet.Json.member "key" r = Some (Pet_pet.Json.String "get_report")) slos
+      in
+      Alcotest.(check string) "window requests, last seen" "4"
+        (Pet_pet.Json.to_string (Option.get (Pet_pet.Json.member "window_requests" slo)));
+      Alcotest.(check string) "breached" "true"
+        (Pet_pet.Json.to_string (Option.get (Pet_pet.Json.member "breached" slo)))
+    | _ -> Alcotest.fail "slo");
+  (* Watch frames are full snapshots: the second's interval p99 covers
+     only the slow request. *)
+  let frame ~now =
+    Option.get
+      (View.frame
+         (Printf.sprintf {|{"pet":1,"id":1,"ok":{"watch":%s}}|}
+            (Flight.snap (Flight.create ()) ~now
+               (Accounting.snapshot [ acct ] ~now:1. (Metrics.snapshot ())))))
+  in
+  let f1 = frame ~now:1. in
+  record ~tenant:None ~latency:0.4 ~error:false;
+  let f2 = frame ~now:2. in
+  Alcotest.(check (float 0.)) "errors counter" 1.
+    (View.sample f2.View.counters "pet_server_errors_total");
+  let row = List.find (fun (m, _, _, _) -> m = "get_report") (View.method_latency ~prev:f1 f2) in
+  let _, n, pn, p99 = row in
+  Alcotest.(check (list (float 0.))) "count, previous count" [ 5.; 4. ] [ n; pn ];
+  Alcotest.(check bool) "interval p99 is the new request's bucket" true
+    (p99 >= 0.4 && p99 < 0.9);
+  Alcotest.(check bool) "not a watch frame" true (View.frame {|{"ok":{}}|} = None)
 
 (* --- Concurrency ----------------------------------------------------------------- *)
 
@@ -349,6 +497,13 @@ let () =
             test_slo_window_and_burn;
           Alcotest.test_case "latency burn" `Quick test_slo_latency_burn;
           Alcotest.test_case "sync to gauges" `Quick test_slo_sync_gauges;
+          Alcotest.test_case "method index" `Quick test_method_index;
+        ] );
+      ( "view",
+        [
+          Alcotest.test_case "labels and p99" `Quick test_view_labels_and_p99;
+          Alcotest.test_case "journal and frames" `Quick
+            test_view_journal_and_frames;
         ] );
       ( "concurrency",
         [

@@ -2,8 +2,9 @@
    collision-free sharded id generation, group-commit batching under
    concurrent submitters, durable-before-reply over a real socket,
    batched-append crash prefixes, sweep fairness across shards,
-   cross-shard rule sharing, compaction under TCP, watch streaming on
-   both transports, and HOST:PORT dialing. *)
+   cross-shard rule sharing, compaction under TCP (including sessions
+   only reads kept alive), per-request accounting merged across shards,
+   watch streaming on both transports, and HOST:PORT dialing. *)
 
 module Spec = Pet_rules.Spec
 module Persist = Pet_server.Persist
@@ -522,6 +523,249 @@ let test_tcp_compaction () =
       (Format.asprintf "audit passes: %a" Pet_audit.Audit.pp report)
       true (Pet_audit.Audit.pass report)
 
+let test_compaction_keeps_read_sessions () =
+  (* A report read keeps a session alive in memory but logs nothing, so
+     the log alone makes it look idle. Compaction must keep it anyway:
+     its later choice and submission name it, and a restart must replay
+     them. *)
+  let dir = temp_dir () in
+  let open_store () =
+    match
+      Store.open_dir ~segment_bytes:512 ~auto_compact_segments:1 ~fsync:false
+        dir
+    with
+    | Ok pair -> pair
+    | Error m -> Alcotest.failf "open_dir: %s" m
+  in
+  let clock = ref 0. in
+  let store, recovery = open_store () in
+  Fun.protect
+    ~finally:(fun () -> Store.close store)
+    (fun () ->
+      with_server ~store ~recovery ~ttl:100. ~domains:1
+        ~now:(fun () -> !clock)
+        (fun server ->
+          let fd, ic, oc = connect (Server.port server) in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              let call line =
+                let response = request oc ic line in
+                if not (contains response {|"ok"|}) then
+                  Alcotest.failf "%s -> %s" line response
+              in
+              let new_session () =
+                session_of
+                  (request oc ic
+                     {|{"pet":1,"id":1,"method":"new_session","params":{"source":"running"}}|})
+              in
+              call
+                {|{"pet":1,"id":0,"method":"publish_rules","params":{"source":"running"}}|};
+              let sid = new_session () in
+              clock := 60.;
+              call
+                (Printf.sprintf
+                   {|{"pet":1,"id":2,"method":"get_report","params":{"session":"%s","valuation":"101"}}|}
+                   sid);
+              (* Sessions opened at 120 move the log's clock 120s past
+                 the read session's last logged event (ttl 100), and
+                 seal segments until the writer compacts. *)
+              clock := 120.;
+              let compacted () =
+                Array.exists
+                  (fun f -> String.length f > 5 && String.sub f 0 5 = "snap-")
+                  (Sys.readdir dir)
+              in
+              let rec fill n =
+                if n > 500 then Alcotest.fail "the writer never compacted"
+                else if not (compacted ()) then begin
+                  ignore (new_session ());
+                  fill (n + 1)
+                end
+              in
+              fill 0;
+              call
+                (Printf.sprintf
+                   {|{"pet":1,"id":3,"method":"choose_option","params":{"session":"%s","option":0}}|}
+                   sid);
+              call
+                (Printf.sprintf
+                   {|{"pet":1,"id":4,"method":"submit_form","params":{"session":"%s"}}|}
+                   sid))));
+  let store, recovery = open_store () in
+  Store.close store;
+  let service = Service.create ~durable:true ~resolve ~now:(fun () -> 130.) () in
+  let errors =
+    List.filter_map
+      (fun event -> Result.fold ~ok:(fun () -> None) ~error:Option.some
+          (Service.apply_event service event))
+      recovery.Store.events
+  in
+  Service.shutdown service;
+  Alcotest.(check (list string)) "no replay errors" [] errors;
+  match Pet_audit.Audit.run dir with
+  | Error m -> Alcotest.fail m
+  | Ok report ->
+    Alcotest.(check bool)
+      (Format.asprintf "audit passes: %a" Pet_audit.Audit.pp report)
+      true (Pet_audit.Audit.pass report)
+
+(* --- Accounting across shards ------------------------------------------------------- *)
+
+let json_of line =
+  match Pet_pet.Json.parse line with
+  | Ok json -> json
+  | Error m -> Alcotest.failf "not JSON (%s): %s" m line
+
+let path json keys =
+  List.fold_left
+    (fun json key ->
+      match Pet_pet.Json.member key json with
+      | Some v -> v
+      | None -> Alcotest.failf "no %s in %s" key (Pet_pet.Json.to_string json))
+    json keys
+
+let int_at json keys =
+  match path json keys with
+  | Pet_pet.Json.Int n -> n
+  | Pet_pet.Json.Float f -> int_of_float f
+  | v -> Alcotest.failf "not a number: %s" (Pet_pet.Json.to_string v)
+
+let fold_obj json f init =
+  match json with
+  | Pet_pet.Json.Obj kvs -> List.fold_left (fun acc (k, v) -> f k v acc) init kvs
+  | _ -> init
+
+let test_accounting_across_shards () =
+  (* Two shards and four concurrent clients across methods and tenants:
+     the merged metrics count exactly what was sent, the SLO windows
+     agree with them, and the shards' own stats sum to the same
+     totals. *)
+  with_server ~domains:2 (fun server ->
+      let port = Server.port server in
+      let fd, ic, oc = connect port in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let call line = request oc ic line in
+          List.iter
+            (fun line -> ignore (call line))
+            [
+              {|{"pet":1,"id":0,"method":"publish_rules","params":{"source":"running","tenant":"acme"}}|};
+              {|{"pet":1,"id":0,"method":"publish_rules","params":{"source":"running","tenant":"beta"}}|};
+              {|{"pet":1,"id":0,"method":"tenant","params":{"name":"acme","wait":true}}|};
+              {|{"pet":1,"id":0,"method":"tenant","params":{"name":"beta","wait":true}}|};
+            ];
+          (* Per client: 7 requests, 2 errors; 5 of them (1 error)
+             attributed to its tenant. *)
+          let client tenant () =
+            let fd, ic, oc = connect port in
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                let call fmt = Printf.ksprintf (request oc ic) fmt in
+                let sid =
+                  session_of
+                    (call
+                       {|{"pet":1,"id":1,"method":"new_session","params":{"tenant":"%s"}}|}
+                       tenant)
+                in
+                List.iter
+                  (fun (line, ok) ->
+                    let response = line () in
+                    if contains response {|"ok"|} <> ok then
+                      Alcotest.failf "unexpected reply %s" response)
+                  [
+                    ( (fun () ->
+                        call
+                          {|{"pet":1,"id":2,"method":"get_report","params":{"session":"%s","valuation":"101"}}|}
+                          sid),
+                      true );
+                    ( (fun () ->
+                        call
+                          {|{"pet":1,"id":3,"method":"choose_option","params":{"session":"%s","option":0}}|}
+                          sid),
+                      true );
+                    ( (fun () ->
+                        call
+                          {|{"pet":1,"id":4,"method":"choose_option","params":{"session":"%s","option":0}}|}
+                          sid),
+                      false );
+                    ( (fun () ->
+                        call
+                          {|{"pet":1,"id":5,"method":"submit_form","params":{"session":"%s"}}|}
+                          sid),
+                      true );
+                    ( (fun () ->
+                        call
+                          {|{"pet":1,"id":6,"method":"get_report","params":{"session":"nope","valuation":"101"}}|}),
+                      false );
+                    ((fun () -> call {|{"pet":1,"id":7,"method":"stats"}|}), true);
+                  ])
+          in
+          List.iter Thread.join
+            (List.map
+               (fun tenant -> Thread.create (client tenant) ())
+               [ "acme"; "beta"; "acme"; "beta" ]);
+          let sent = 4 + (4 * 7) and errors = 4 * 2 in
+          let metrics = json_of (call {|{"pet":1,"id":8,"method":"metrics"}|}) in
+          let counter name = int_at metrics [ "ok"; "counters"; name ] in
+          let gauge name = int_at metrics [ "ok"; "gauges"; name ] in
+          (* The metrics request counts itself on arrival, not yet as
+             answered. *)
+          Alcotest.(check int) "requests" (sent + 1)
+            (counter "pet_server_requests_total");
+          Alcotest.(check int) "per-domain requests" (sent + 1)
+            (counter {|pet_net_shard_requests_total{domain="0"}|}
+            + counter {|pet_net_shard_requests_total{domain="1"}|});
+          Alcotest.(check int) "errors" errors (counter "pet_server_errors_total");
+          List.iter
+            (fun tenant ->
+              let label = Printf.sprintf {|{tenant="%s"}|} tenant in
+              Alcotest.(check int) (tenant ^ " requests") 11
+                (counter ("pet_tenant_requests_total" ^ label));
+              Alcotest.(check int) (tenant ^ " errors") 2
+                (counter ("pet_tenant_errors_total" ^ label));
+              Alcotest.(check int) (tenant ^ " latency count") 11
+                (int_at metrics
+                   [ "ok"; "histograms"; "pet_tenant_request_seconds" ^ label; "count" ]);
+              Alcotest.(check int) (tenant ^ " slo window") 11
+                (gauge (Printf.sprintf {|pet_slo_window_requests{slo="tenant:%s"}|} tenant)))
+            [ "acme"; "beta" ];
+          let answered =
+            fold_obj (path metrics [ "ok"; "histograms" ])
+              (fun name h n ->
+                if String.starts_with ~prefix:"pet_server_request_seconds" name
+                then n + int_at h [ "count" ]
+                else n)
+              0
+          in
+          Alcotest.(check int) "answered, by method" sent answered;
+          let windowed =
+            fold_obj (path metrics [ "ok"; "gauges" ])
+              (fun name v n ->
+                if String.starts_with ~prefix:"pet_slo_window_requests" name
+                   && not (contains name "tenant:")
+                then n + int_at v []
+                else n)
+              0
+          in
+          Alcotest.(check int) "slo windows, by method" sent windowed;
+          (* Two sessionless requests round-robin onto both shards; each
+             answers from its own set only. *)
+          let stats =
+            List.init 2 (fun _ ->
+                path (json_of (call {|{"pet":1,"id":9,"method":"stats"}|}))
+                  [ "ok"; "requests" ])
+          in
+          let sum f = List.fold_left (fun n s -> n + f s) 0 stats in
+          let by_method field s =
+            fold_obj (path s [ "by_method" ]) (fun _ m n -> n + int_at m [ field ]) 0
+          in
+          Alcotest.(check int) "stats totals" (sent + 3) (sum (fun s -> int_at s [ "total" ]));
+          Alcotest.(check int) "stats counts" (sent + 1) (sum (by_method "count"));
+          Alcotest.(check int) "stats errors" errors (sum (by_method "errors"))))
+
 (* --- Watch on both transports ------------------------------------------------------- *)
 
 let watch_line frames =
@@ -547,7 +791,31 @@ let test_tcp_watch_then_request () =
           Alcotest.(check (list bool)) "three frames, then the stats reply"
             [ true; true; true; false ] (List.map is_frame lines);
           Alcotest.(check bool) "stats answered last" true
-            (contains (List.nth lines 3) {|"id":"after"|})))
+            (contains (List.nth lines 3) {|"id":"after"|})));
+  (* Unbounded: the line after the watch is held until the client's EOF
+     ends the stream, then answered after the last frame. *)
+  with_server ~domains:2 (fun server ->
+      let fd, ic, oc = connect (Server.port server) in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          output_string oc (watch_line 0 ^ "\n" ^ stats_line ^ "\n");
+          flush oc;
+          Alcotest.(check bool) "streaming" true
+            (is_frame (Option.get (In_channel.input_line ic)));
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          let rec after_frames n =
+            match In_channel.input_line ic with
+            | Some line when is_frame line ->
+              if n > 1000 then Alcotest.fail "EOF never ended the stream";
+              after_frames (n + 1)
+            | other -> other
+          in
+          let reply = after_frames 0 in
+          Alcotest.(check bool) "stats answered after the last frame" true
+            (match reply with Some l -> contains l {|"id":"after"|} | None -> false);
+          Alcotest.(check (option string)) "then the server closes" None
+            (In_channel.input_line ic)))
 
 (* A stdio server over pipes: [feed] writes request lines, [close]
    sends EOF, [read] takes one response line; [finished] polls whether
@@ -608,6 +876,23 @@ let test_stdio_unbounded_watch_stops_at_eof () =
       Alcotest.(check bool) "still streaming" true (finished ~within:0.05 = None);
       close ();
       Alcotest.(check bool) "stdin EOF ends the stream and the server" true
+        (finished ~within:10. = Some (Ok ())));
+  (* A line after the unbounded watch is held until EOF ends the stream,
+     then answered after its last frame. *)
+  with_stdio_server (fun ~feed ~close ~read ~finished ->
+      feed (watch_line 0);
+      feed stats_line;
+      Alcotest.(check bool) "streaming" true (is_frame (read ()));
+      close ();
+      let rec after_frames n =
+        let line = read () in
+        if not (is_frame line) then line
+        else if n > 1000 then Alcotest.fail "EOF never ended the stream"
+        else after_frames (n + 1)
+      in
+      Alcotest.(check bool) "stats answered after the last frame" true
+        (contains (after_frames 0) {|"id":"after"|});
+      Alcotest.(check bool) "EOF ends the server" true
         (finished ~within:10. = Some (Ok ())))
 
 (* --- Dialing ----------------------------------------------------------------------- *)
@@ -663,6 +948,10 @@ let () =
           Alcotest.test_case "cross-shard rules" `Quick test_cross_shard_rules;
           Alcotest.test_case "compaction bounds the log" `Quick
             test_tcp_compaction;
+          Alcotest.test_case "compaction keeps read sessions"
+            `Quick test_compaction_keeps_read_sessions;
+          Alcotest.test_case "accounting merges shards" `Quick
+            test_accounting_across_shards;
           Alcotest.test_case "watch, then a request" `Quick
             test_tcp_watch_then_request;
           Alcotest.test_case "dial HOST:PORT" `Quick test_dial;

@@ -22,6 +22,22 @@ type conj = { mask : int; bits : int }
     [(v land mask) = bits]. The empty conjunction is
     [{mask = 0; bits = 0}] and holds everywhere. *)
 
+val compile_conjunction :
+  Pet_valuation.Universe.t -> Pet_logic.Dnf.conjunction -> conj
+(** Compile a conjunction over the universe's predicates. The
+    conjunction must be free of complementary literals (the
+    {!Pet_logic.Dnf} invariant). No size limit.
+    @raise Not_found when a literal names a variable outside the
+    universe. *)
+
+val compile_formula :
+  Pet_valuation.Universe.t -> Pet_logic.Formula.t -> int -> bool
+(** Compile a formula over the universe's predicates into a test on
+    valuation words: variable indices are resolved once, so the result
+    does no name lookups. No size limit.
+    @raise Not_found when the formula mentions a variable outside the
+    universe. *)
+
 type t
 
 val max_tabulated_predicates : int

@@ -2,6 +2,8 @@ module Total = Pet_valuation.Total
 module Partial = Pet_valuation.Partial
 module Engine = Pet_rules.Engine
 module Exposure = Pet_rules.Exposure
+module Rule = Pet_rules.Rule
+module Code = Pet_compile.Code
 
 type t = {
   engine : Engine.t;
@@ -17,32 +19,79 @@ module Pmap = Map.Make (struct
   let compare = Partial.compare
 end)
 
-module Tmap = Map.Make (Total)
-
 let max_enumerable_predicates = 24
 
 let obs_mas_gauge = Pet_obs.Metrics.gauge "pet_atlas_mas"
 let obs_players_gauge = Pet_obs.Metrics.gauge "pet_atlas_players"
 
+(* Algorithm 1's answer for [v] is a function of a key, so it runs once
+   per distinct key. In Chain and Entail mode the key is the set of rule
+   conjunctions [v] satisfies: the candidates are products of those
+   conjunctions (a conjunction [v] satisfies restricted to [v] is the
+   conjunction itself), and closure, the accuracy filter and
+   [keep_minimal] see only the candidates. In Exact mode the MAS are
+   restrictions of [v]'s own bits, so the key is [v]. *)
+let algorithm1_key mode conjs =
+  match mode with
+  | Algorithm1.Exact -> fun v -> [| v |]
+  | Chain | Entail ->
+    let words = (Array.length conjs + Sys.int_size - 1) / Sys.int_size in
+    fun v ->
+      let key = Array.make words 0 in
+      Array.iteri
+        (fun j c ->
+          if Code.conj_holds c v then
+            let w = j / Sys.int_size in
+            key.(w) <- key.(w) lor (1 lsl (j mod Sys.int_size)))
+        conjs;
+      key
+
+(* The players of MAS [m] proving [proves] (a benefit bitset): the
+   completions of [m] whose benefit bitset in [benefit_tab] equals it,
+   ascending. [(s - 1) land free] walks the submasks of the free
+   positions downwards, so consing yields increasing words. *)
+let crowd benefit_tab ~full ~proves m =
+  let dom = Partial.domain_mask m and bits = Partial.bits m in
+  let free = full land lnot dom in
+  let rec go s acc =
+    let v = bits lor s in
+    let acc = if benefit_tab.(v) = proves then v :: acc else acc in
+    if s = 0 then acc else go ((s - 1) land free) acc
+  in
+  go free []
+
 let build ?(mode = Algorithm1.Chain) engine =
   Pet_obs.Span.enter "atlas.build" @@ fun () ->
   let exposure = Engine.exposure engine in
-  if
-    Pet_valuation.Universe.size (Exposure.xp exposure)
-    > max_enumerable_predicates
-  then
+  let xp = Exposure.xp exposure in
+  let n = Pet_valuation.Universe.size xp in
+  if n > max_enumerable_predicates then
     invalid_arg
       "Atlas.build: form too large to enumerate; use Symbolic.build for \
        the global statistics";
+  let rules =
+    Array.of_list
+      (List.map
+         (fun r ->
+           Array.of_list
+             (List.map (Code.compile_conjunction xp) (Rule.conjunctions r)))
+         (Exposure.rules exposure))
+  in
   (* Collect the deduplicated MAS set over all realistic eligible
-     valuations. *)
+     valuations, running Algorithm 1 once per key. *)
+  let key = algorithm1_key mode (Array.concat (Array.to_list rules)) in
+  let seen = Hashtbl.create 1024 in
   let mas_set = ref Pmap.empty in
   List.iter
     (fun v ->
-      List.iter
-        (fun (c : Algorithm1.choice) ->
-          mas_set := Pmap.add c.mas c !mas_set)
-        (Algorithm1.mas_of ~mode engine v))
+      let k = key (Total.bits v) in
+      if not (Hashtbl.mem seen k) then begin
+        Hashtbl.add seen k ();
+        List.iter
+          (fun (c : Algorithm1.choice) ->
+            mas_set := Pmap.add c.mas c !mas_set)
+          (Algorithm1.mas_of ~mode engine v)
+      end)
     (Exposure.eligible exposure);
   let mas =
     Pmap.bindings !mas_set
@@ -51,22 +100,43 @@ let build ?(mode = Algorithm1.Chain) engine =
            Partial.compare_lex a.mas b.mas)
     |> Array.of_list
   in
-  (* Potential players per MAS, then the deduplicated player set. *)
-  let crowd = Array.map (fun c -> Algorithm1.potential_players engine c.Algorithm1.mas) mas in
-  let player_set = ref Tmap.empty in
-  Array.iter
-    (List.iter (fun v -> player_set := Tmap.add v () !player_set))
-    crowd;
-  let players = Array.of_list (List.map fst (Tmap.bindings !player_set)) in
-  let player_index = Hashtbl.create (Array.length players) in
-  Array.iteri (fun i v -> Hashtbl.add player_index (Total.bits v) i) players;
-  let choices_of_player = Array.make (Array.length players) [] in
-  let players_of_mas =
-    Array.map
-      (fun vs ->
-        List.map (fun v -> Hashtbl.find player_index (Total.bits v)) vs)
-      crowd
+  (* Potential players per MAS (Algorithm 1, lines 18-23): the
+     extensions with the benefit set the MAS proves, read off one table
+     of benefit bitsets over every total valuation. A MAS proves exactly
+     the benefits it was chosen for. *)
+  let full = (1 lsl n) - 1 in
+  let benefit_tab =
+    Array.init (full + 1) (fun v ->
+        let granted = ref 0 in
+        Array.iteri
+          (fun i conjs ->
+            if Array.exists (fun c -> Code.conj_holds c v) conjs then
+              granted := !granted lor (1 lsl i))
+          rules;
+        !granted)
   in
+  let xb = Exposure.xb exposure in
+  let crowds =
+    Array.map
+      (fun (c : Algorithm1.choice) ->
+        let proves =
+          List.fold_left
+            (fun acc b -> acc lor (1 lsl Pet_valuation.Universe.index xb b))
+            0 c.benefits
+        in
+        crowd benefit_tab ~full ~proves c.mas)
+      mas
+  in
+  let players =
+    Array.of_list
+      (List.sort_uniq Int.compare (List.concat (Array.to_list crowds)))
+  in
+  let player_index = Hashtbl.create (Array.length players) in
+  Array.iteri (fun i v -> Hashtbl.add player_index v i) players;
+  let players_of_mas =
+    Array.map (List.map (Hashtbl.find player_index)) crowds
+  in
+  let choices_of_player = Array.make (Array.length players) [] in
   Array.iteri
     (fun mi ps ->
       List.iter
@@ -77,6 +147,7 @@ let build ?(mode = Algorithm1.Chain) engine =
   Pet_obs.Metrics.set_gauge obs_mas_gauge (float_of_int (Array.length mas));
   Pet_obs.Metrics.set_gauge obs_players_gauge
     (float_of_int (Array.length players));
+  let players = Array.map (Total.of_bits xp) players in
   { engine; mas; players; choices_of_player; players_of_mas }
 
 let engine t = t.engine
@@ -88,13 +159,25 @@ let mas t i =
 
 let mas_list t = Array.to_list t.mas
 
-let find_mas t w =
-  let rec go i =
-    if i >= Array.length t.mas then None
-    else if Partial.equal t.mas.(i).Algorithm1.mas w then Some i
-    else go (i + 1)
+(* Binary search over [a], sorted by [cmp]. *)
+let search a cmp x =
+  let rec go lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) / 2 in
+      let c = cmp a.(mid) x in
+      if c = 0 then Some mid else if c < 0 then go (mid + 1) hi else go lo mid
   in
-  go 0
+  go 0 (Array.length a)
+
+(* [compare_lex] ranks each position _ < 0 < 1 from the domain and value
+   masks, so on one universe it is 0 exactly when [Partial.equal] holds;
+   the final [equal] also rejects a [w] with bits beyond the universe. *)
+let find_mas t w =
+  let cmp (c : Algorithm1.choice) w = Partial.compare_lex c.mas w in
+  match search t.mas cmp w with
+  | Some i when Partial.equal t.mas.(i).mas w -> Some i
+  | _ -> None
 
 let player_count t = Array.length t.players
 
@@ -103,13 +186,7 @@ let player t i =
     invalid_arg "Atlas.player: out of range";
   t.players.(i)
 
-let find_player t v =
-  let rec go i =
-    if i >= Array.length t.players then None
-    else if Total.equal t.players.(i) v then Some i
-    else go (i + 1)
-  in
-  go 0
+let find_player t v = search t.players Total.compare v
 
 let choices_of_player t i =
   if i < 0 || i >= Array.length t.choices_of_player then

@@ -1,6 +1,7 @@
 module F = Pet_logic.Formula
 module Universe = Pet_valuation.Universe
 module Total = Pet_valuation.Total
+module Code = Pet_compile.Code
 
 type t = {
   xp : Universe.t;
@@ -95,12 +96,30 @@ let benefits_of_assignment e rho =
 let satisfies_constraints e v =
   List.for_all (fun c -> F.eval (Total.rho v) c) e.constraints
 
-let realistic e = List.filter (satisfies_constraints e) (Total.all e.xp)
+(* The valuations whose word passes [keep], in increasing bit order. *)
+let valuations_where e keep =
+  let rec go bits acc =
+    if bits < 0 then acc
+    else
+      go (bits - 1) (if keep bits then Total.of_bits e.xp bits :: acc else acc)
+  in
+  go ((1 lsl Universe.size e.xp) - 1) []
+
+let consistent_word e =
+  let checks = List.map (Code.compile_formula e.xp) e.constraints in
+  fun bits -> List.for_all (fun check -> check bits) checks
+
+let realistic e = valuations_where e (consistent_word e)
 
 let eligible e =
-  List.filter
-    (fun v -> benefits_of_assignment e (Total.rho v) <> [])
-    (realistic e)
+  let consistent = consistent_word e in
+  let conjs =
+    List.concat_map Rule.conjunctions e.rules
+    |> List.map (Code.compile_conjunction e.xp)
+    |> Array.of_list
+  in
+  valuations_where e (fun bits ->
+      consistent bits && Array.exists (fun c -> Code.conj_holds c bits) conjs)
 
 let pp ppf e =
   Fmt.pf ppf "@[<v>form %a@,benefits %a@,@[<v>%a@]@,@[<v>%a@]@]" Universe.pp

@@ -233,25 +233,49 @@ let prop_cnf_equivalent =
   QCheck2.Test.make ~count:300 ~name:"CNF is equivalent" ~print:print_formula
     gen_formula (fun f -> F.equivalent f (Cnf.to_formula (Cnf.of_formula f)))
 
-(* Tseitin is equisatisfiable and model-projecting: every model of f extends
-   to a model of the clauses, and every model of the clauses restricts to a
-   model of f. We check both directions by enumeration. *)
+(* Tseitin is model-projecting: every model of f extends to a model of
+   the clauses, and every model of the clauses restricts to a model of
+   f. So for every assignment rho of f's own variables, f holds under
+   rho iff the clauses are satisfiable together with rho's literals.
+   Only f's variables are enumerated; the SAT solver settles the
+   Tseitin auxiliaries, whose enumeration exhausted memory at some
+   seeds. *)
+let tseitin_faithful f =
+  let cnf = Cnf.tseitin ~fresh_prefix:"@t" f in
+  let solver = Pet_sat.Solver.create () in
+  let ids = Hashtbl.create 16 in
+  let var x =
+    match Hashtbl.find_opt ids x with
+    | Some i -> i
+    | None ->
+      let i = Pet_sat.Solver.new_var solver in
+      Hashtbl.add ids x i;
+      i
+  in
+  let lit x sign = Pet_sat.Lit.make (var x) sign in
+  List.iter
+    (fun clause ->
+      Pet_sat.Solver.add_clause solver
+        (List.map (fun (l : Literal.t) -> lit l.var l.sign) clause))
+    cnf;
+  let vars = F.vars f in
+  List.for_all
+    (fun rho ->
+      let assumptions = List.map (fun x -> lit x (rho x)) vars in
+      Bool.equal (F.eval rho f)
+        (Pet_sat.Solver.solve ~assumptions solver = Pet_sat.Solver.Sat))
+    (F.all_assignments vars)
+
 let prop_tseitin_faithful =
   QCheck2.Test.make ~count:300 ~name:"Tseitin CNF is faithful"
-    ~print:print_formula gen_formula (fun f ->
-      let cnf = Cnf.tseitin ~fresh_prefix:"@t" f in
-      let cnf_formula = Cnf.to_formula cnf in
-      let all_vars =
-        List.sort_uniq String.compare (F.vars f @ F.vars cnf_formula)
-      in
-      List.for_all
-        (fun rho ->
-          (* model of clauses -> model of f *)
-          (not (F.eval rho cnf_formula)) || F.eval rho f)
-        (F.all_assignments all_vars)
-      &&
-      (* satisfiability is preserved in both directions *)
-      Bool.equal (F.satisfiable f) (F.satisfiable cnf_formula))
+    ~print:print_formula gen_formula tseitin_faithful
+
+(* The QCHECK_SEED at which enumerating the auxiliaries ran out of
+   memory. *)
+let test_tseitin_seed_5434518 =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 5434518 |])
+    (QCheck2.Test.make ~count:300 ~name:"Tseitin CNF is faithful, seed 5434518"
+       ~print:print_formula gen_formula tseitin_faithful)
 
 let test_tseitin_shapes () =
   Alcotest.(check bool) "true gives no clause" true
@@ -290,6 +314,7 @@ let () =
           Alcotest.test_case "dnf normalize" `Quick test_dnf_normalize;
           Alcotest.test_case "dnf holds" `Quick test_dnf_holds;
           Alcotest.test_case "tseitin shapes" `Quick test_tseitin_shapes;
+          test_tseitin_seed_5434518;
         ] );
       qsuite "properties"
         [

@@ -167,6 +167,167 @@ let test_atlas_running () =
        (fun i -> Total.to_string (Atlas.player atlas i))
        (Atlas.forced_players_of_mas atlas m11))
 
+(* --- Atlas against the per-valuation construction ------------------------------ *)
+
+(* The construction [Atlas.build] replaced, kept as the reference:
+   Algorithm 1 on every realistic eligible valuation, enumerated from
+   [Total.all] by name, and each crowd from [potential_players]. *)
+type reference = {
+  r_mas : A1.choice array;
+  r_players : Total.t array;
+  r_choices : int list array;
+  r_crowds : int list array;
+}
+
+let reference_atlas ?mode engine =
+  let e = Engine.exposure engine in
+  let eligible =
+    List.filter
+      (fun v ->
+        Exposure.satisfies_constraints e v
+        && Exposure.benefits_of_assignment e (Total.rho v) <> [])
+      (Total.all (Exposure.xp e))
+  in
+  let r_mas =
+    List.concat_map (A1.mas_of ?mode engine) eligible
+    |> List.sort_uniq (fun (a : A1.choice) b ->
+           Partial.compare_lex a.mas b.mas)
+    |> Array.of_list
+  in
+  let crowds =
+    Array.map (fun (c : A1.choice) -> A1.potential_players engine c.mas) r_mas
+  in
+  let r_players =
+    Array.of_list
+      (List.sort_uniq Total.compare (List.concat (Array.to_list crowds)))
+  in
+  let index = Hashtbl.create 1024 in
+  Array.iteri (fun i v -> Hashtbl.add index (Total.bits v) i) r_players;
+  let r_crowds =
+    Array.map (List.map (fun v -> Hashtbl.find index (Total.bits v))) crowds
+  in
+  let r_choices = Array.make (Array.length r_players) [] in
+  for mi = Array.length r_mas - 1 downto 0 do
+    List.iter (fun pi -> r_choices.(pi) <- mi :: r_choices.(pi)) r_crowds.(mi)
+  done;
+  { r_mas; r_players; r_choices; r_crowds }
+
+let check_against_reference ?mode name engine =
+  let r = reference_atlas ?mode engine and atlas = Atlas.build ?mode engine in
+  let check what testable expected actual =
+    Alcotest.check testable (name ^ ": " ^ what) expected actual
+  in
+  let ints = Alcotest.(list int) in
+  let mas_line (c : A1.choice) =
+    Partial.to_string c.mas ^ " " ^ String.concat "," c.benefits
+  in
+  check "mas" Alcotest.(list string)
+    (Array.to_list (Array.map mas_line r.r_mas))
+    (List.map mas_line (Atlas.mas_list atlas));
+  check "players_of_mas" Alcotest.(list ints) (Array.to_list r.r_crowds)
+    (List.init (Atlas.mas_count atlas) (Atlas.players_of_mas atlas));
+  check "players" Alcotest.(list string)
+    (Array.to_list (Array.map Total.to_string r.r_players))
+    (List.init (Atlas.player_count atlas) (fun i ->
+         Total.to_string (Atlas.player atlas i)));
+  check "choices_of_player" Alcotest.(list ints) (Array.to_list r.r_choices)
+    (List.init (Atlas.player_count atlas) (Atlas.choices_of_player atlas));
+  (* Binary searches: every total valuation, player or not; each MAS,
+     and each MAS with one predicate blanked. *)
+  let index = Hashtbl.create 1024 in
+  Array.iteri (fun i v -> Hashtbl.add index (Total.bits v) i) r.r_players;
+  let totals = Total.all (Exposure.xp (Engine.exposure engine)) in
+  check "find_player" Alcotest.(list (option int))
+    (List.map (fun v -> Hashtbl.find_opt index (Total.bits v)) totals)
+    (List.map (Atlas.find_player atlas) totals);
+  let partials =
+    Array.to_list r.r_mas
+    |> List.concat_map (fun (c : A1.choice) ->
+           c.mas :: List.map (Partial.unset c.mas) (Partial.domain c.mas))
+  in
+  check "find_mas" Alcotest.(list (option int))
+    (List.map
+       (fun w ->
+         Array.find_index
+           (fun (c : A1.choice) -> Partial.equal c.mas w)
+           r.r_mas)
+       partials)
+    (List.map (Atlas.find_mas atlas) partials);
+  atlas
+
+let case_studies () =
+  [
+    ("running", Running.exposure ());
+    ("hcov", Hcov.exposure ());
+    ("rsa", Pet_casestudies.Rsa.exposure ());
+    ("loan", Pet_casestudies.Loan.exposure ());
+  ]
+
+(* Seed-0 corpus forms of 6 to 13 predicates. *)
+let corpus_forms count =
+  List.init count (fun i ->
+      let f = Pet_corpus.Corpus.form ~seed:0 ~size:(6 + (i mod 8)) i in
+      (f.name, Pet_rules.Spec.parse_exn f.text))
+
+(* Algorithm 2's moves, one line per player, over every form: pinned to
+   the digest the per-valuation construction gave, so the game layer
+   sees the same atlas. *)
+let profile_lines atlas =
+  let p = Pet_game.Strategy.compute atlas in
+  String.concat ""
+    (List.init (Atlas.player_count atlas) (fun i ->
+         Printf.sprintf "%s %d\n"
+           (Total.to_string (Atlas.player atlas i))
+           (Pet_game.Profile.move_of p i)))
+
+let reference_profiles_digest = "73d0e701deb299fc7574b825ede615bc"
+
+let test_atlas_matches_reference () =
+  let forms = case_studies () @ corpus_forms 300 in
+  List.iter
+    (fun backend ->
+      let profiles = Buffer.create (1 lsl 20) in
+      List.iter
+        (fun (name, e) ->
+          let name = name ^ "/" ^ Engine.backend_name backend in
+          let atlas =
+            check_against_reference name (Engine.create ~backend e)
+          in
+          Buffer.add_string profiles (profile_lines atlas))
+        forms;
+      Alcotest.(check string)
+        (Engine.backend_name backend ^ ": Algorithm 2 profiles")
+        reference_profiles_digest
+        (Digest.to_hex (Digest.string (Buffer.contents profiles))))
+    [ Engine.Bdd; Engine.Compiled ]
+
+(* Exact mode runs Algorithm 1 on every eligible valuation (its key is
+   the valuation) at 2^n engine queries each, so it takes the forms of
+   at most 10 predicates among the first 40. *)
+let test_atlas_matches_reference_exact () =
+  List.iter
+    (fun (name, e) ->
+      if Universe.size (Exposure.xp e) <= 10 then
+        ignore
+          (check_against_reference ~mode:A1.Exact (name ^ "/exact")
+             (Engine.create ~backend:Engine.Compiled e)))
+    (case_studies () @ corpus_forms 40)
+
+let test_atlas_runs_algorithm1_per_key () =
+  let e = Hcov.exposure () in
+  let runs = Pet_obs.Metrics.counter "pet_algorithm1_runs_total" in
+  let was_on = Pet_obs.Metrics.enabled () in
+  Pet_obs.Metrics.enable ();
+  let before = Pet_obs.Metrics.counter_value runs in
+  ignore (Atlas.build (Engine.create ~backend:Engine.Bdd e));
+  let calls = Pet_obs.Metrics.counter_value runs - before in
+  if not was_on then Pet_obs.Metrics.disable ();
+  let eligible = List.length (Exposure.eligible e) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d mas_of calls < %d eligible valuations" calls eligible)
+    true
+    (calls > 0 && calls < eligible)
+
 (* --- Random-problem properties ----------------------------------------------- *)
 
 let gen_problem =
@@ -580,7 +741,16 @@ let () =
           Alcotest.test_case "closure laws" `Quick
             test_chain_close_idempotent_monotone;
         ] );
-      ("atlas", [ Alcotest.test_case "running example" `Quick test_atlas_running ]);
+      ( "atlas",
+        [
+          Alcotest.test_case "running example" `Quick test_atlas_running;
+          Alcotest.test_case "matches the per-valuation reference" `Slow
+            test_atlas_matches_reference;
+          Alcotest.test_case "exact mode matches the reference" `Slow
+            test_atlas_matches_reference_exact;
+          Alcotest.test_case "algorithm 1 once per key" `Quick
+            test_atlas_runs_algorithm1_per_key;
+        ] );
       ( "baseline",
         [
           Alcotest.test_case "hcov overestimate" `Quick

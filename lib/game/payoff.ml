@@ -44,14 +44,11 @@ let deduced_blanks atlas ~mas ~crowd =
            let i = Universe.index universe name in
            (name, (bits lsr i) land 1 = 1))
 
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
-
 let value atlas kind ~mas ~crowd =
   match kind with
   | Sm -> float_of_int (max 0 (List.length crowd - 1))
-  | Blank -> float_of_int (popcount (disagreement_mask atlas ~mas ~crowd))
+  | Blank ->
+    float_of_int (Universe.popcount (disagreement_mask atlas ~mas ~crowd))
   | Weighted weight ->
     List.fold_left
       (fun acc name -> acc +. weight name)

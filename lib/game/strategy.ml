@@ -4,24 +4,103 @@ module Universe = Pet_valuation.Universe
 module Total = Pet_valuation.Total
 module Partial = Pet_valuation.Partial
 
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
-
 (* Incremental per-move crowd aggregates, so that scoring a prospective
    commitment is O(1): [ones]/[zeros] are the bitwise ORs of the committed
    members' (negated) valuations, [count] their number. *)
 type agg = { mutable ones : int; mutable zeros : int; mutable count : int }
 
+(* How a move is scored. [Weights] holds the per-bit weights of
+   [Payoff.Weighted], looked up once instead of on every score. *)
+type scoring = Count | Blanks | Weights of float array
+
+(* A binary heap. Deletion is lazy: an entry that went stale stays where
+   it is and is dropped by [pop_valid] when it reaches the top. *)
+module Heap = struct
+  type 'a t = {
+    before : 'a -> 'a -> bool;
+    mutable data : 'a array;
+    mutable size : int;
+  }
+
+  (* [x] only fills the unused slots. *)
+  let create before x = { before; data = Array.make 16 x; size = 0 }
+
+  let push h x =
+    if h.size = Array.length h.data then begin
+      let data = Array.make (2 * h.size) x in
+      Array.blit h.data 0 data 0 h.size;
+      h.data <- data
+    end;
+    let rec up i =
+      let parent = (i - 1) / 2 in
+      if i > 0 && h.before x h.data.(parent) then begin
+        h.data.(i) <- h.data.(parent);
+        up parent
+      end
+      else h.data.(i) <- x
+    in
+    up h.size;
+    h.size <- h.size + 1
+
+  let remove_top h =
+    h.size <- h.size - 1;
+    let last = h.data.(h.size) in
+    let rec down i =
+      let l = (2 * i) + 1 in
+      if l >= h.size then h.data.(i) <- last
+      else
+        let c =
+          if l + 1 < h.size && h.before h.data.(l + 1) h.data.(l) then l + 1
+          else l
+        in
+        if h.before h.data.(c) last then begin
+          h.data.(i) <- h.data.(c);
+          down c
+        end
+        else h.data.(i) <- last
+    in
+    if h.size > 0 then down 0
+
+  (* Pop entries until one satisfies [valid], and return that one. *)
+  let rec pop_valid h valid =
+    if h.size = 0 then None
+    else
+      let x = h.data.(0) in
+      remove_top h;
+      if valid x then Some x else pop_valid h valid
+end
+
+(* A pending player's best move and its score, as cached when the entry
+   was pushed. *)
+type entry = { score : float; move : int; player : int }
+
+(* The deadlock order of lines 11-16: highest score, then lowest move,
+   then lowest player. *)
+let deadlock_before a b =
+  a.score > b.score
+  || (a.score = b.score
+     && (a.move < b.move || (a.move = b.move && a.player < b.player)))
+
 type state = {
   atlas : Atlas.t;
-  payoff : Payoff.kind;
+  scoring : scoring;
   full : int; (* mask of the whole form universe *)
-  universe : Universe.t;
   blank_mask : int array; (* per MAS *)
   player_bits : int array;
+  (* Per MAS, in [live.(m)].(0 .. [live_len.(m)] - 1): the players to
+     update on a commit to it — those who can play it, less the committed
+     and, under [Count], [delisted] ones. *)
+  live : int array array;
+  live_len : int array;
   aggs : agg array;
   committed : int array; (* player -> MAS, -1 while pending *)
+  (* Per pending player, kept current after every commit: *)
+  best : int array; (* the first move with the maximum score *)
+  dominant : bool array; (* the best move strictly beats every other *)
+  delisted : int array; (* [Count] only: the MAS whose [live] skips the
+                           player, or -1 *)
+  dominants : int Heap.t; (* dominant players, lowest index on top *)
+  deadlock : entry Heap.t; (* non-dominant players, in deadlock order *)
 }
 
 let make_state atlas payoff =
@@ -31,22 +110,120 @@ let make_state atlas payoff =
     Pet_rules.Exposure.xp (Pet_rules.Engine.exposure (Atlas.engine atlas))
   in
   let full = (1 lsl Universe.size universe) - 1 in
+  let live =
+    Array.init nm (fun m -> Array.of_list (Atlas.players_of_mas atlas m))
+  in
   {
     atlas;
-    payoff;
+    scoring =
+      (match payoff with
+      | Payoff.Sm -> Count
+      | Payoff.Blank -> Blanks
+      | Payoff.Weighted weight ->
+        Weights (Array.of_list (List.map weight (Universe.names universe))));
     full;
-    universe;
     blank_mask =
       Array.init nm (fun m ->
           lnot (Partial.domain_mask (Atlas.mas atlas m).Algorithm1.mas)
           land full);
-    player_bits =
-      Array.init np (fun i -> Total.bits (Atlas.player atlas i));
+    player_bits = Array.init np (fun i -> Total.bits (Atlas.player atlas i));
+    live;
+    live_len = Array.map Array.length live;
     aggs = Array.init nm (fun _ -> { ones = 0; zeros = 0; count = 0 });
     committed = Array.make np (-1);
+    best = Array.make np (-1);
+    dominant = Array.make np false;
+    delisted = Array.make (match payoff with Payoff.Sm -> np | _ -> 0) (-1);
+    dominants = Heap.create (fun (i : int) j -> i < j) 0;
+    deadlock = Heap.create deadlock_before { score = 0.; move = 0; player = 0 };
   }
 
-let commit st i m =
+(* Sum of the weights of the set bits of [mask], in ascending bit order
+   (the order [Payoff.value] adds them in). *)
+let rec weighted weights mask k total =
+  if mask = 0 then total
+  else
+    weighted weights (mask lsr 1) (k + 1)
+      (if mask land 1 = 1 then total +. weights.(k) else total)
+
+(* Payoff of a player with valuation [bits] if they joined a crowd of
+   [count] on move [m] whose aggregates are [ones] and [zeros]. *)
+let value st bits m ~ones ~zeros ~count =
+  match st.scoring with
+  | Count -> float_of_int count
+  | Blanks | Weights _ -> (
+    let disagreement =
+      (ones lor bits)
+      land (zeros lor (lnot bits land st.full))
+      land st.blank_mask.(m)
+    in
+    match st.scoring with
+    | Weights weights -> weighted weights disagreement 0 0.
+    | _ -> float_of_int (Universe.popcount disagreement))
+
+(* Payoff of player [i] if they joined move [m]'s committed crowd. *)
+let score st i m =
+  let a = st.aggs.(m) in
+  value st st.player_bits.(i) m ~ones:a.ones ~zeros:a.zeros ~count:a.count
+
+(* Cache a pending player's best move [bm], of score [bs], and file the
+   player: one who turns dominant gets a [dominants] entry, any other a
+   fresh [deadlock] entry. A player no longer dominant at the MAS that
+   delisted them goes back on its [live]. *)
+let file st i bm bs dominant =
+  (match st.scoring with
+  | Count ->
+    let d = st.delisted.(i) in
+    if d >= 0 && not (dominant && bm = d) then begin
+      st.delisted.(i) <- -1;
+      st.live.(d).(st.live_len.(d)) <- i;
+      st.live_len.(d) <- st.live_len.(d) + 1
+    end
+  | Blanks | Weights _ -> ());
+  let was_dominant = st.dominant.(i) in
+  st.best.(i) <- bm;
+  st.dominant.(i) <- dominant;
+  if dominant then begin
+    if not was_dominant then Heap.push st.dominants i
+  end
+  else Heap.push st.deadlock { score = bs; move = bm; player = i }
+
+(* Score every move of a pending player. Best move: highest score; ties
+   broken by the lexicographic order on moves (MAS indices are in
+   lexicographic order, choices ascending). *)
+let rescore st i =
+  let rec go bm bs dominant = function
+    | [] -> file st i bm bs dominant
+    | m :: rest ->
+      let s = score st i m in
+      if s > bs then go m s true rest
+      else if s = bs && m <> bm then go bm bs false rest
+      else go bm bs dominant rest
+  in
+  match Atlas.choices_of_player st.atlas i with
+  | [] -> assert false (* every player has at least one choice *)
+  | m :: rest -> go m (score st i m) true rest
+
+(* Pending player [i]'s score for [m] went from [before] to [after]; their
+   other scores did not move. The cached best move decides the new one in
+   O(1), and the player is filed again only if it changed. A best or tied
+   move that loses score (a negative weight) takes a rescan. *)
+let update st i m ~before ~after =
+  let bm = st.best.(i) in
+  if m = bm then begin
+    if after > before then file st i bm after true
+    else if after < before then rescore st i
+  end
+  else
+    let bs = score st i bm in
+    if after > bs then file st i m after true
+    else if after = bs then begin
+      if before < bs && (st.dominant.(i) || m < bm) then
+        file st i (min bm m) bs false
+    end
+    else if before = bs then rescore st i
+
+let join st i m =
   st.committed.(i) <- m;
   let a = st.aggs.(m) in
   let bits = st.player_bits.(i) in
@@ -54,83 +231,83 @@ let commit st i m =
   a.zeros <- a.zeros lor (lnot bits land st.full);
   a.count <- a.count + 1
 
-(* Payoff of player [i] if they joined move [m]'s committed crowd. *)
-let score st i m =
+(* Commit player [i] to move [m], then update the pending players whose
+   score can have changed. Only [m]'s aggregate moved, so only players
+   who can play [m]. A [Count] score moves on every commit; the others
+   only when [ones] or [zeros] grows on one of [m]'s blanks, which
+   happens at most twice per blank. A [Count] commit to [m] leaves a
+   player dominant at [m] dominant there, so [m] delists them until
+   that changes. *)
+let commit st i m =
   let a = st.aggs.(m) in
-  let bits = st.player_bits.(i) in
-  let disagreement =
-    (a.ones lor bits)
-    land (a.zeros lor (lnot bits land st.full))
-    land st.blank_mask.(m)
+  let ones = a.ones and zeros = a.zeros and count = a.count in
+  join st i m;
+  let moved =
+    match st.scoring with
+    | Count -> true
+    | Blanks | Weights _ ->
+      ((a.ones lxor ones) lor (a.zeros lxor zeros)) land st.blank_mask.(m) <> 0
   in
-  match st.payoff with
-  | Payoff.Sm -> float_of_int a.count
-  | Payoff.Blank -> float_of_int (popcount disagreement)
-  | Payoff.Weighted weight ->
-    let total = ref 0. in
-    List.iteri
-      (fun k name ->
-        if (disagreement lsr k) land 1 = 1 then total := !total +. weight name)
-      (Universe.names st.universe);
-    !total
-
-(* Best move of a player: highest score; ties broken by the lexicographic
-   order on moves (MAS indices are in lexicographic order). [dominant]
-   tells whether the best strictly beats every other move. *)
-let best_move st i choices =
-  let rec go best dominant = function
-    | [] -> (best, dominant)
-    | m :: rest ->
-      let s = score st i m in
-      let bm, bs = best in
-      if s > bs then go (m, s) true rest
-      else if s = bs && m <> bm then go best false rest
-      else go best dominant rest
-  in
-  match choices with
-  | [] -> assert false (* every player has at least one choice *)
-  | m :: rest -> go (m, score st i m) true rest
+  if moved then begin
+    let delist = match st.scoring with Count -> true | _ -> false in
+    let live = st.live.(m) in
+    let kept = ref 0 in
+    for k = 0 to st.live_len.(m) - 1 do
+      let j = live.(k) in
+      if st.committed.(j) < 0 then begin
+        update st j m
+          ~before:(value st st.player_bits.(j) m ~ones ~zeros ~count)
+          ~after:(score st j m);
+        if delist && st.best.(j) = m && st.dominant.(j) then
+          st.delisted.(j) <- m
+        else begin
+          live.(!kept) <- j;
+          incr kept
+        end
+      end
+    done;
+    st.live_len.(m) <- !kept
+  end
 
 let compute ?(payoff = Payoff.Blank) atlas =
   Pet_obs.Span.enter "algorithm2" @@ fun () ->
   let st = make_state atlas payoff in
   let n = Atlas.player_count atlas in
   (* Players with a single possible move play it outright (lines 1-3 of
-     Algorithm 2). *)
-  let pending = ref [] in
-  for i = n - 1 downto 0 do
+     Algorithm 2); everyone else is scored against those crowds. *)
+  let pending = ref 0 in
+  for i = 0 to n - 1 do
     match Atlas.choices_of_player atlas i with
-    | [ m ] -> commit st i m
-    | choices -> pending := (i, choices) :: !pending
+    | [ m ] -> join st i m
+    | _ -> incr pending
+  done;
+  for i = 0 to n - 1 do
+    if st.committed.(i) < 0 then rescore st i
   done;
   (* Main loop. A player commits as soon as one of their moves strictly
      dominates their alternatives under the current crowds ("wait until
-     the payoff of best move dominates all other to play it"); committing
-     changes the crowds, so the scan restarts. When nobody has a
-     dominating move, the deadlock is broken as in lines 11-16: the
-     player/move pair with the globally best payoff — ties resolved by
-     the lexicographic order on moves, then on players — commits. *)
-  while !pending <> [] do
-    let dominant =
-      List.find_opt
-        (fun (i, choices) -> snd (best_move st i choices))
-        !pending
-    in
+     the payoff of best move dominates all other to play it"), the lowest
+     index first. When nobody has a dominating move, the deadlock is
+     broken as in lines 11-16: the player/move pair with the globally best
+     payoff — ties resolved by the lexicographic order on moves, then on
+     players — commits. *)
+  let still_dominant i = st.committed.(i) < 0 && st.dominant.(i) in
+  let current e =
+    st.committed.(e.player) < 0
+    && st.best.(e.player) = e.move
+    && Float.equal (score st e.player e.move) e.score
+  in
+  while !pending > 0 do
     let i, m =
-      match dominant with
-      | Some (i, choices) -> (i, fst (fst (best_move st i choices)))
-      | None ->
-        let take acc (i, choices) =
-          let (m, s), _ = best_move st i choices in
-          match acc with
-          | Some (_, m', s') when s' > s || (s' = s && m' <= m) -> acc
-          | _ -> Some (i, m, s)
-        in
-        let i, m, _ = Option.get (List.fold_left take None !pending) in
-        (i, m)
+      match Heap.pop_valid st.dominants still_dominant with
+      | Some i -> (i, st.best.(i))
+      | None -> (
+        match Heap.pop_valid st.deadlock current with
+        | Some e -> (e.player, e.move)
+        | None -> assert false (* every pending player has a current entry *))
     in
     commit st i m;
-    pending := List.filter (fun (j, _) -> j <> i) !pending
+    decr pending
   done;
   Profile.make atlas (fun i -> st.committed.(i))
 

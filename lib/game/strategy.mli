@@ -13,6 +13,10 @@
     payoff commits, ties resolved by the lexicographic order on moves and
     then on players.
 
+    Selection is incremental: a commit re-scores only the pending
+    players whose score it can change, and the commits come in the order
+    above (DESIGN.md §5).
+
     Theorem 4.6: for [PO_blank] and [PO_SM] the resulting profile is a
     Nash equilibrium; {!Equilibrium.is_nash} verifies this on the case
     studies and on random instances in the tests. *)

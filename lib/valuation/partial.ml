@@ -75,11 +75,7 @@ let blanks w =
     (fun i _ -> (w.dom lsr i) land 1 = 0)
     (Universe.names w.u)
 
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
-
-let domain_size w = popcount w.dom
+let domain_size w = Universe.popcount w.dom
 let blank_count w = Universe.size w.u - domain_size w
 
 let set w name value =

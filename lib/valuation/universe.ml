@@ -36,4 +36,8 @@ let equal a b =
 
 let union a b = of_names (names a @ names b)
 
+let popcount x =
+  let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
+  go x 0
+
 let pp ppf u = Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma string) (names u)

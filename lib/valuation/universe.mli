@@ -23,4 +23,8 @@ val union : t -> t -> t
 (** Names of the first followed by names of the second.
     @raise Invalid_argument if they share a name. *)
 
+val popcount : int -> int
+(** Number of set bits of a non-negative bitmask over a universe's
+    positions, e.g. the domain mask of a partial valuation. *)
+
 val pp : t Fmt.t

@@ -407,6 +407,175 @@ let prop_payoff_monotone_in_crowd =
           sorted (values Payoff.Blank) && sorted (values Payoff.Sm))
         (List.init (Atlas.mas_count atlas) Fun.id))
 
+(* --- Algorithm 2 against the list-rescan reference --------------------------- *)
+
+(* The straightforward Algorithm 2 that [Strategy.compute] replaced:
+   after every commit it rescans the pending list from its head for a
+   dominant player, else folds over it for the deadlock pair. Θ(players²),
+   so it is kept here only as the reference the incremental selection
+   must match move for move. It also counts the commits made through
+   each branch. *)
+let reference_compute ?(payoff = Payoff.Blank) atlas =
+  let nm = Atlas.mas_count atlas in
+  let n = Atlas.player_count atlas in
+  let universe = Exposure.xp (Engine.exposure (Atlas.engine atlas)) in
+  let full = (1 lsl Universe.size universe) - 1 in
+  let blank_mask =
+    Array.init nm (fun m ->
+        lnot (Partial.domain_mask (Atlas.mas atlas m).A1.mas) land full)
+  in
+  let bits = Array.init n (fun i -> Total.bits (Atlas.player atlas i)) in
+  let ones = Array.make nm 0 and zeros = Array.make nm 0 in
+  let count = Array.make nm 0 in
+  let committed = Array.make n (-1) in
+  let commit i m =
+    committed.(i) <- m;
+    ones.(m) <- ones.(m) lor bits.(i);
+    zeros.(m) <- zeros.(m) lor (lnot bits.(i) land full);
+    count.(m) <- count.(m) + 1
+  in
+  let score i m =
+    let disagreement =
+      (ones.(m) lor bits.(i))
+      land (zeros.(m) lor (lnot bits.(i) land full))
+      land blank_mask.(m)
+    in
+    match payoff with
+    | Payoff.Sm -> float_of_int count.(m)
+    | Payoff.Blank -> float_of_int (Universe.popcount disagreement)
+    | Payoff.Weighted weight ->
+      let total = ref 0. in
+      List.iteri
+        (fun k name ->
+          if (disagreement lsr k) land 1 = 1 then
+            total := !total +. weight name)
+        (Universe.names universe);
+      !total
+  in
+  let best_move i choices =
+    let rec go best dominant = function
+      | [] -> (best, dominant)
+      | m :: rest ->
+        let s = score i m in
+        let bm, bs = best in
+        if s > bs then go (m, s) true rest
+        else if s = bs && m <> bm then go best false rest
+        else go best dominant rest
+    in
+    match choices with
+    | [] -> assert false
+    | m :: rest -> go (m, score i m) true rest
+  in
+  let pending = ref [] in
+  for i = n - 1 downto 0 do
+    match Atlas.choices_of_player atlas i with
+    | [ m ] -> commit i m
+    | choices -> pending := (i, choices) :: !pending
+  done;
+  let dominant_commits = ref 0 and deadlock_commits = ref 0 in
+  while !pending <> [] do
+    let dominant =
+      List.find_opt (fun (i, choices) -> snd (best_move i choices)) !pending
+    in
+    let i, m =
+      match dominant with
+      | Some (i, choices) ->
+        incr dominant_commits;
+        (i, fst (fst (best_move i choices)))
+      | None ->
+        incr deadlock_commits;
+        let take acc (i, choices) =
+          let (m, s), _ = best_move i choices in
+          match acc with
+          | Some (_, m', s') when s' > s || (s' = s && m' <= m) -> acc
+          | _ -> Some (i, m, s)
+        in
+        let i, m, _ = Option.get (List.fold_left take None !pending) in
+        (i, m)
+    in
+    commit i m;
+    pending := List.filter (fun (j, _) -> j <> i) !pending
+  done;
+  ( Profile.make atlas (fun i -> committed.(i)),
+    !dominant_commits,
+    !deadlock_commits )
+
+let differential_case_studies () =
+  [
+    ("running", Running.exposure ());
+    ("hcov", Pet_casestudies.Hcov.exposure ());
+    ("rsa", Pet_casestudies.Rsa.exposure ());
+    ("loan", Pet_casestudies.Loan.exposure ());
+  ]
+
+let corpus_form ~size i =
+  let f = Pet_corpus.Corpus.form ~seed:0 ~size i in
+  (f.name, Pet_rules.Spec.parse_exn f.text)
+
+(* Non-uniform weights whose sums depend on the order they are added in. *)
+let uneven_weight name = 0.5 +. (0.3 *. float_of_int (Hashtbl.hash name mod 5))
+
+let moves profile =
+  let atlas = Profile.atlas profile in
+  String.concat " "
+    (List.init (Atlas.player_count atlas) (fun i ->
+         string_of_int (Profile.move_of profile i)))
+
+(* Compares every form's moves under each payoff; returns the commits the
+   reference made through the dominant and the deadlock branch. *)
+let check_against_reference payoffs forms =
+  let atlases =
+    List.map
+      (fun (name, e) ->
+        (name, Atlas.build (Engine.create ~backend:Engine.Bdd e)))
+      forms
+  in
+  List.map
+    (fun payoff ->
+      List.fold_left
+        (fun (dominant, deadlock) (name, atlas) ->
+          let expected, d, k = reference_compute ~payoff atlas in
+          Alcotest.(check string)
+            (Fmt.str "%s under %a" name Payoff.pp_kind payoff)
+            (moves expected)
+            (moves (Strategy.compute ~payoff atlas));
+          (dominant + d, deadlock + k))
+        (0, 0) atlases)
+    payoffs
+
+let test_matches_reference () =
+  let forms =
+    differential_case_studies ()
+    @ List.init 300 (fun i -> corpus_form ~size:(6 + (i mod 8)) i)
+  in
+  let payoffs = [ Payoff.Blank; Payoff.Sm; Payoff.Weighted uneven_weight ] in
+  List.iter2
+    (fun payoff (dominant, deadlock) ->
+      Alcotest.(check bool)
+        (Fmt.str "%a: %d dominant commits" Payoff.pp_kind payoff dominant)
+        true (dominant > 0);
+      Alcotest.(check bool)
+        (Fmt.str "%a: %d deadlock commits" Payoff.pp_kind payoff deadlock)
+        true (deadlock > 0))
+    payoffs
+    (check_against_reference payoffs forms)
+
+(* Weights of both signs make a move's score fall as its crowd grows,
+   which the incremental selection answers with a full rescan. *)
+let test_matches_reference_signed_weights () =
+  let signed_weight name = uneven_weight name -. 1.0 in
+  ignore
+    (check_against_reference
+       [ Payoff.Weighted signed_weight ]
+       (differential_case_studies ()
+       @ List.init 40 (fun i -> corpus_form ~size:(6 + (i mod 8)) i)))
+
+(* The reference takes about 2 s on these three, so only [Blank]. *)
+let test_matches_reference_size14 () =
+  ignore
+    (check_against_reference [ Payoff.Blank ]
+       (List.init 3 (corpus_form ~size:14)))
+
 let () =
   let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests) in
   Alcotest.run "pet_game"
@@ -430,6 +599,12 @@ let () =
           Alcotest.test_case "running example" `Quick test_strategy_running;
           Alcotest.test_case "nash" `Quick test_strategy_is_nash_running;
           Alcotest.test_case "deviation found" `Quick test_deviation_found;
+          Alcotest.test_case "matches the list-rescan reference" `Slow
+            test_matches_reference;
+          Alcotest.test_case "matches the reference under signed weights"
+            `Slow test_matches_reference_signed_weights;
+          Alcotest.test_case "matches the reference on size-14 forms" `Slow
+            test_matches_reference_size14;
         ] );
       ( "deduction",
         [ Alcotest.test_case "disclosure" `Quick test_disclosure_running ] );

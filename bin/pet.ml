@@ -329,12 +329,7 @@ let check_cmd =
           | Some count ->
             let stats = Pet_check.Fuzz.run ~seed:fuzz_seed ~count () in
             Fmt.pr "%a@." Pet_check.Fuzz.pp stats;
-            if
-              stats.crashes <> []
-              || stats.invalid_responses > 0
-              || stats.cursor_mismatches <> []
-              || stats.boundary_failures <> []
-            then incr failures;
+            if not (Pet_check.Fuzz.passed stats) then incr failures;
             Ok ()
         in
         let* () =
@@ -343,7 +338,7 @@ let check_cmd =
           | Some count ->
             let stats = Pet_check.Fuzz.run_store ~seed:fuzz_seed ~count () in
             Fmt.pr "%a@." Pet_check.Fuzz.pp_store stats;
-            if stats.store_violations <> [] then incr failures;
+            if not (Pet_check.Fuzz.passed_store stats) then incr failures;
             Ok ()
         in
         let* () =
@@ -352,12 +347,7 @@ let check_cmd =
           | Some count ->
             let stats = Pet_check.Fuzz.run_corpus ~seed:fuzz_seed ~count () in
             Fmt.pr "%a@." Pet_check.Fuzz.pp_corpus stats;
-            if
-              stats.corpus_crashes <> []
-              || stats.corpus_invalid > 0
-              || stats.swap_mismatches <> []
-              || stats.corpus_build_failures = 0
-            then incr failures;
+            if not (Pet_check.Fuzz.passed_corpus stats) then incr failures;
             Ok ()
         in
         let* () =
@@ -366,10 +356,7 @@ let check_cmd =
           | Some count ->
             let stats = Pet_check.Fuzz.run_consent ~seed:fuzz_seed ~count () in
             Fmt.pr "%a@." Pet_check.Fuzz.pp_consent stats;
-            if
-              stats.consent_violations <> []
-              || (count > 0 && stats.audits_passed = 0)
-            then incr failures;
+            if not (Pet_check.Fuzz.passed_consent stats) then incr failures;
             Ok ()
         in
         if !failures = 0 then Ok ()

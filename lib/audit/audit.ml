@@ -241,7 +241,7 @@ let check_record ctx ~file ~offset payload =
     flag ctx.integrity ~file ~offset ("payload is not JSON: " ^ m)
   | Ok json -> (
     ctx.r2.pchecked <- ctx.r2.pchecked + 1;
-    if Json.member "valuation" json <> None then
+    if Persist.carries_valuation json then
       flag ctx.r2 ~file ~offset
         "record carries a \"valuation\" field — a raw form reached disk";
     match Persist.of_json json with

@@ -12,7 +12,8 @@
       signature of a crash mid-append (recovery truncates it) and is
       reported as a note, not a violation; torn or corrupt bytes
       anywhere else are violations.
-    - {b r2} — no record carries a ["valuation"] field: the raw form
+    - {b r2} — no record carries a ["valuation"] key at any depth
+      ({!Pet_server.Persist.carries_valuation}): the raw form
       must never reach disk (requirement R2), only minimized forms.
     - {b minimality} — every persisted form (a grant's archived record,
       a session's chosen option) still proves {e exactly} the benefits

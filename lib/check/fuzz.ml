@@ -299,6 +299,10 @@ let run ?(seed = 0) ~count () =
     boundary_failures = List.rev !boundary_failures;
   }
 
+let passed s =
+  s.crashes = [] && s.invalid_responses = 0 && s.cursor_mismatches = []
+  && s.boundary_failures = []
+
 let pp ppf s =
   Fmt.pf ppf
     "fuzz: %d requests, %d ok, %d structured errors, %d invalid responses, \
@@ -884,6 +888,10 @@ let run_corpus ?(seed = 0) ~count () =
     swap_mismatches = List.rev !swap_mismatches;
   }
 
+let passed_corpus s =
+  s.corpus_crashes = [] && s.corpus_invalid = 0 && s.swap_mismatches = []
+  && s.corpus_build_failures > 0
+
 let pp_corpus ppf s =
   Fmt.pf ppf
     "fuzz-corpus: %d requests over %d tenants, %d ok, %d structured errors, \
@@ -902,6 +910,8 @@ let pp_corpus ppf s =
   List.iter
     (fun (line, why) -> Fmt.pf ppf "@.swap mismatch: %s@.  on: %s" why line)
     s.swap_mismatches
+
+let passed_store s = s.store_violations = []
 
 let pp_store ppf s =
   Fmt.pf ppf
@@ -1241,6 +1251,9 @@ let run_consent ?(seed = 0) ~count () =
     injections_caught = !caught;
     consent_violations = List.rev !violations;
   }
+
+let passed_consent s =
+  s.consent_violations = [] && (s.rounds = 0 || s.audits_passed > 0)
 
 let pp_consent ppf s =
   Fmt.pf ppf

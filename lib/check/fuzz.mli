@@ -44,6 +44,10 @@ type stats = {
 
 val run : ?seed:int -> count:int -> unit -> stats
 
+val passed : stats -> bool
+(** The verdict of [pet check --fuzz]: no crash, no invalid response,
+    no cursor mismatch and no boundary failure. *)
+
 val pp : stats Fmt.t
 (** One summary line, plus one line per crash. *)
 
@@ -82,6 +86,11 @@ type corpus_stats = {
 
 val run_corpus : ?seed:int -> count:int -> unit -> corpus_stats
 
+val passed_corpus : corpus_stats -> bool
+(** The verdict of [pet check --fuzz-corpus]: no crash, no invalid
+    response, no swap mismatch, and the oversized form's build was seen
+    to fail. *)
+
 val pp_corpus : corpus_stats Fmt.t
 (** Two summary lines, plus one line per crash or swap mismatch. *)
 
@@ -109,6 +118,9 @@ type store_stats = {
 }
 
 val run_store : ?seed:int -> count:int -> unit -> store_stats
+
+val passed_store : store_stats -> bool
+(** The verdict of [pet check --fuzz-store]: no violation. *)
 
 val pp_store : store_stats Fmt.t
 (** One summary line, plus one line per violation. *)
@@ -139,6 +151,10 @@ type consent_stats = {
 }
 
 val run_consent : ?seed:int -> count:int -> unit -> consent_stats
+
+val passed_consent : consent_stats -> bool
+(** The verdict of [pet check --fuzz-consent]: no violation, and at
+    least one healthy audit passed unless no round ran. *)
 
 val pp_consent : consent_stats Fmt.t
 (** One summary line, plus one line per violation. *)

@@ -175,7 +175,7 @@ let judge key cells ~now =
   let hist, errors = summed slices in
   Slo.evaluate key ~errors hist
 
-let snapshot ?(domains = false) sets ~now (base : Metrics.snapshot) =
+let snapshot sets ~now (base : Metrics.snapshot) =
   let label k v = Printf.sprintf "{%s=\"%s\"}" k (Metrics.escape_label v) in
   (* One series per method and per tenant: its cells on every shard,
      their merged histogram and error count. *)
@@ -200,13 +200,11 @@ let snapshot ?(domains = false) sets ~now (base : Metrics.snapshot) =
       ("pet_server_requests_total", sum (fun t -> t.arrivals) sets);
       ("pet_server_errors_total", sum (fun (_, _, _, e) -> e) by_method);
     ]
-    @ (if not domains then []
-       else
-         List.mapi
-           (fun i t ->
-             ( "pet_net_shard_requests_total" ^ label "domain" (string_of_int i),
-               t.arrivals ))
-           sets)
+    @ List.mapi
+        (fun i t ->
+          ( "pet_net_shard_requests_total" ^ label "domain" (string_of_int i),
+            t.arrivals ))
+        sets
     @ List.concat_map
         (fun (name, _, (h : Metrics.hist_stats), errors) ->
           ("pet_tenant_requests_total" ^ label "tenant" name, h.Metrics.count)

@@ -51,17 +51,16 @@ val requests_json : t -> Pet_pet.Json.t
     [total]/[max]. *)
 
 val snapshot :
-  ?domains:bool ->
   t list ->
   now:float ->
   Pet_obs.Metrics.snapshot ->
   Pet_obs.Metrics.snapshot
 (** Add the series merged from the sets to a snapshot, every list kept
     sorted by name: counters [pet_server_requests_total] (arrivals),
-    [pet_server_errors_total], [pet_tenant_requests_total{tenant}] and,
-    once that tenant failed a request, [pet_tenant_errors_total{tenant}]
-    (with [domains], also [pet_net_shard_requests_total{domain="I"}] for
-    the [I]th set's arrivals); histograms
+    [pet_server_errors_total], [pet_net_shard_requests_total{domain="I"}]
+    (the [I]th set's arrivals), [pet_tenant_requests_total{tenant}] and,
+    once that tenant failed a request, [pet_tenant_errors_total{tenant}];
+    histograms
     [pet_server_request_seconds{method}] for every method and
     [pet_tenant_request_seconds{tenant}]; and the {!Pet_obs.Slo.gauges}
     of every key that recorded a request, windowed at [now]. *)

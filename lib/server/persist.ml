@@ -253,6 +253,14 @@ let of_json j =
     Ok (Grant { digest; grant_id; form; benefits; session; tenant; revoked })
   | other -> Error (Printf.sprintf "unknown event kind %S" other)
 
+(* Anywhere in the record, not only at the top level: a decodable event
+   may carry fields [of_json] ignores. *)
+let rec carries_valuation = function
+  | Json.Obj fields ->
+    List.exists (fun (k, v) -> k = "valuation" || carries_valuation v) fields
+  | Json.List items -> List.exists carries_valuation items
+  | _ -> false
+
 type sink = { emit : event -> unit }
 
 let null = { emit = (fun _ -> ()) }

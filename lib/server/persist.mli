@@ -88,6 +88,12 @@ val to_json : event -> Json.t
 val of_json : Json.t -> (event, string) result
 (** Inverse of {!to_json}; [Error] explains the first malformed field. *)
 
+val carries_valuation : Json.t -> bool
+(** The on-disk R2 predicate: a ["valuation"] key anywhere in a
+    record's JSON, at any depth. No event {!to_json} writes has one; a
+    record that does means a raw form reached disk. [pet store verify]
+    and [pet audit]'s [r2] property both judge records by it. *)
+
 type sink = { emit : event -> unit }
 (** Called synchronously after the state change it describes has been
     applied in memory and before the response is sent — a durable sink

@@ -111,7 +111,8 @@ type code =
   | Unknown_method
   | Invalid_params
   | Unknown_rules
-      (** digest not in the registry (never published or evicted); the
+      (** no rule set with that digest was ever published here (an
+          evicted one is recompiled from its retained text); the
           message names the offending digest *)
   | Unknown_source  (** no built-in rule set of that name *)
   | Unknown_session

@@ -44,23 +44,22 @@ type t = {
   now : unit -> float;
   resolve : string -> string option;
   registry : compiled Registry.t;
-  ledgers : (string, Ledger.t) Hashtbl.t;
-      (* archives outlive engine evictions: the cache bounds compute, not
-         the legally retained records *)
   store : Session.store;
   acct : Accounting.t;
       (* this instance's per-request accounting: it is the only writer;
          sibling shards read it through [shared] *)
   durable : bool;
-  rule_texts : (string, string) Hashtbl.t;
-      (* durable mode only: digest -> canonical text for every rule set
-         ever compiled, so evicted engines can be recompiled instead of
-         erroring — the log, not the LRU cache, is the source of truth *)
-  shared : Shared.t option;
-      (* sharded deployments route rule texts and ledgers through the
-         process-wide [Shared] state instead of the tables above, so a
-         rule set published on one shard is servable (and auditable,
-         with one grant-id sequence) on every other *)
+      (* whether a first compilation is announced to the sink as a
+         [Rules] event *)
+  shared : Shared.t;
+      (* rule texts, grant ledgers, consent entries and the accounting
+         sets live here: private to a standalone instance, process-wide
+         when the serving core passes one to every shard, so a rule set
+         published on one shard is servable (and auditable, with one
+         grant-id sequence) on every other. Texts outlive engine
+         evictions, so an evicted engine is recompiled instead of
+         erroring; ledgers outlive them too — the cache bounds compute,
+         not the legally retained records. *)
   tenants : compiled Tenant.t;
       (* the multi-tenant form registry: in a sharded deployment every
          shard shares one instance (like [shared]), so a tenant
@@ -71,10 +70,10 @@ type t = {
          domain (false when the registry was passed in by the caller,
          who then owns its lifecycle) *)
   consents : Consent.t;
-      (* consent-lifecycle entries (revocations, expiry horizons) keyed
-         by session id; identifiers only, kept past session TTL so a
-         respondent can revoke long after the session was swept. Shared
-         process-wide in a sharded deployment, like the ledgers. *)
+      (* [Shared.consents shared]: consent-lifecycle entries (revocations,
+         expiry horizons) keyed by session id; identifiers only, kept past
+         session TTL so a respondent can revoke long after the session was
+         swept *)
   mutable sink : Persist.sink;
   mutable on_expire : string -> unit;
   mutable submitted : int;
@@ -89,6 +88,7 @@ let create ?(backend = Engine.Compiled) ?(compiled = true)
     | Some registry -> (registry, false)
     | None -> (Tenant.create ~quota:tenant_quota (), true)
   in
+  let shared = match shared with Some s -> s | None -> Shared.create () in
   let t =
     {
       backend;
@@ -97,24 +97,19 @@ let create ?(backend = Engine.Compiled) ?(compiled = true)
       now;
       resolve;
       registry = Registry.create ?capacity ();
-      ledgers = Hashtbl.create 8;
       store = Session.create_store ?ttl ?owns ();
       acct = Accounting.create ();
       durable;
-      rule_texts = Hashtbl.create 8;
       shared;
       tenants;
       tenants_owned;
-      consents =
-        (match shared with
-        | Some shared -> Shared.consents shared
-        | None -> Consent.create ());
+      consents = Shared.consents shared;
       sink = Persist.null;
       on_expire = ignore;
       submitted = 0;
     }
   in
-  Option.iter (fun shared -> Shared.register_accounts shared t.acct) shared;
+  Shared.register_accounts shared t.acct;
   (* A swept tenant session frees its quota slot even though nothing
      ever looked it up again. *)
   Session.set_on_expire t.store (fun (session : Session.t) ->
@@ -131,54 +126,6 @@ let shutdown t =
   if t.tenants_owned then Tenant.stop t.tenants
 
 let ( let* ) = Result.bind
-
-(* --- Shard-shared state accessors -------------------------------------------------
-
-   A standalone service owns its rule texts and ledgers; a sharded one
-   defers both to the process-wide [Shared] state. Everything below is
-   written against these four accessors so the handlers read the same
-   either way. *)
-
-(* Retain the canonical text for a digest; [true] when it was new (the
-   caller then owns persisting the [Rules] event exactly once,
-   process-wide). A sharded service retains even when not durable —
-   cross-shard digest resolution needs the text regardless. *)
-let remember_text t ~digest ~text =
-  match t.shared with
-  | Some shared -> Shared.remember_text shared ~digest ~text
-  | None ->
-    t.durable
-    && (not (Hashtbl.mem t.rule_texts digest))
-    &&
-    (Hashtbl.replace t.rule_texts digest text;
-     true)
-
-let retained_text t digest =
-  match t.shared with
-  | Some shared -> Shared.find_text shared digest
-  | None -> Hashtbl.find_opt t.rule_texts digest
-
-let with_ledger t digest f =
-  match t.shared with
-  | Some shared -> Shared.with_ledger shared digest f
-  | None ->
-    f
-      (match Hashtbl.find_opt t.ledgers digest with
-      | Some ledger -> ledger
-      | None ->
-        let ledger = Ledger.create () in
-        Hashtbl.add t.ledgers digest ledger;
-        ledger)
-
-let fold_ledgers t f init =
-  match t.shared with
-  | Some shared -> Shared.fold_ledgers shared f init
-  | None -> Hashtbl.fold f t.ledgers init
-
-let ledger_count t =
-  match t.shared with
-  | Some shared -> Shared.ledger_count shared
-  | None -> Hashtbl.length t.ledgers
 
 (* Ledgers are namespaced per (tenant, digest): two tenants publishing
    byte-identical rules must not share a grant archive (or a grant-id
@@ -207,7 +154,7 @@ let build_artifact ~backend ~payoff ~tabulate exposure digest =
 
 (* [remember:false] for tenant texts: the tenant registry retains them
    (and [Tenant_published] persists them), so they are neither copied
-   into the rule-text table nor re-logged as [Rules] events. *)
+   into the shared rule texts nor re-logged as [Rules] events. *)
 let compile ?(remember = true) t text =
   match Spec.parse text with
   | Error m -> Error (Proto.errorf Proto.Invalid_params "rules: %s" m)
@@ -219,11 +166,13 @@ let compile ?(remember = true) t text =
               ~tabulate:t.compiled exposure digest)
     with
     | compiled, hit ->
-      (* Durable mode retains the canonical text and logs each rule set
-         the first time it compiles; replay refills the retained texts
+      (* Retain the canonical text and, when durable, log each rule set
+         the first time it compiles process-wide; replay refills the texts
          before the sink is attached, so recovered rule sets are not
          re-logged. *)
-      if remember && remember_text t ~digest ~text:canonical && t.durable then
+      if remember && Shared.remember_text t.shared ~digest ~text:canonical
+         && t.durable
+      then
         t.sink.emit (Persist.Rules { digest; text = canonical });
       Ok (compiled, hit)
     | exception Invalid_argument m ->
@@ -259,6 +208,17 @@ let resolve_tenant t name =
     in
     Ok (resolved, compiled, cached)
 
+(* Recompile a rule set the cache no longer holds from its retained
+   canonical text: a published text from [Shared], else a tenant
+   version's text from the tenant registry. [None] for a digest never
+   compiled here. *)
+let recompile t digest =
+  match Shared.find_text t.shared digest with
+  | Some text -> Some (compile t text)
+  | None ->
+    Option.map (compile ~remember:false t)
+      (Tenant.text_of_digest t.tenants digest)
+
 (* Counting resolution (publish_rules / new_session / audit): cache hits
    and misses here measure how often a compilation was saved. *)
 let resolve_rules t = function
@@ -275,40 +235,31 @@ let resolve_rules t = function
     match Registry.find t.registry digest with
     | Some compiled -> Ok (compiled, true)
     | None -> (
-      (* Durable mode never forgets a published rule set: recompile it
-         from the retained canonical text instead of erroring. Tenant
-         versions retain their text in the tenant registry, so a digest
-         of any published tenant version also resolves here. *)
-      match retained_text t digest with
-      | Some text -> compile t text
-      | None -> (
-        match Tenant.text_of_digest t.tenants digest with
-        | Some text -> compile ~remember:false t text
-        | None ->
-          Error
-            (Proto.errorf Proto.Unknown_rules
-               "no rule set with digest %s (never published, or evicted — \
-                republish the rules)"
-               digest))))
+      match recompile t digest with
+      | Some result -> result
+      | None ->
+        Error
+          (Proto.errorf Proto.Unknown_rules
+             "no rule set with digest %s (never published, or evicted — \
+              republish the rules)"
+             digest)))
 
 (* Non-counting engine re-read for a session that already resolved its
-   rule set; fails only if the engine was evicted underneath it and no
-   durable rule text is retained to recompile it from. *)
+   rule set. Its text is retained, so an evicted engine is recompiled;
+   no protocol sequence reaches the error, only a session recovered from
+   a log that lost its [rules] event. *)
 let engine_of_session t (session : Session.t) =
   match Registry.peek t.registry session.Session.digest with
   | Some compiled -> Ok compiled
   | None -> (
-    match retained_text t session.Session.digest with
-    | Some text -> Result.map fst (compile t text)
-    | None -> (
-      match Tenant.text_of_digest t.tenants session.Session.digest with
-      | Some text -> Result.map fst (compile ~remember:false t text)
-      | None ->
-        Error
-          (Proto.errorf Proto.Unknown_rules
-             "the engine for this session's rules (digest %s) was evicted \
-              from the cache; republish the rules and retry"
-             session.Session.digest)))
+    match recompile t session.Session.digest with
+    | Some result -> Result.map fst result
+    | None ->
+      Error
+        (Proto.errorf Proto.Unknown_rules
+           "the engine for this session's rules (digest %s) was evicted \
+            from the cache; republish the rules and retry"
+           session.Session.digest))
 
 let find_session t id ~now =
   match Session.find t.store id ~now with
@@ -332,7 +283,7 @@ let require_state (session : Session.t) allowed ~verb =
 let tombstone_grant t (entry : Consent.entry) =
   match entry.Consent.grant_id with
   | Some grant_id when entry.Consent.key <> "" ->
-    with_ledger t entry.Consent.key (fun ledger ->
+    Shared.with_ledger t.shared entry.Consent.key (fun ledger ->
         match Ledger.revoke ledger grant_id with
         | `Revoked -> Some grant_id
         | `Already | `Unknown -> None)
@@ -785,7 +736,8 @@ let submit_form t ~session:sid ~now =
       ledger_key ~digest:session.Session.digest ~tenant:session.Session.tenant
     in
     let grant_id =
-      with_ledger t key (fun ledger -> Ledger.record ledger grant)
+      Shared.with_ledger t.shared key (fun ledger ->
+          Ledger.record ledger grant)
     in
     session.Session.grant_id <- Some grant_id;
     session.Session.state <- Session.Submitted;
@@ -834,7 +786,7 @@ let audit t rules =
   in
   let key = ledger_key ~digest:compiled.digest ~tenant in
   let records, stored_values, tombstones, failures =
-    with_ledger t key (fun ledger ->
+    Shared.with_ledger t.shared key (fun ledger ->
         ( Ledger.size ledger,
           Ledger.stored_values ledger,
           Ledger.tombstones ledger,
@@ -859,19 +811,10 @@ let compiled_of_digest t digest =
   match Registry.peek t.registry digest with
   | Some compiled -> Ok compiled
   | None -> (
-    let recompile ?remember text =
-      match compile ?remember t text with
-      | Ok (compiled, _) -> Ok compiled
-      | Error e -> Error e.Proto.message
-    in
-    match retained_text t digest with
-    | Some text -> recompile text
-    | None -> (
-      (* Tenant versions retain their text in the tenant registry, not
-         the plain rule-text table — same fallback as [engine_of_session]. *)
-      match Tenant.text_of_digest t.tenants digest with
-      | Some text -> recompile ~remember:false text
-      | None -> Error (Printf.sprintf "unknown rule set %s" digest)))
+    match recompile t digest with
+    | Some (Ok (compiled, _)) -> Ok compiled
+    | Some (Error e) -> Error e.Proto.message
+    | None -> Error (Printf.sprintf "unknown rule set %s" digest))
 
 (* Replay one recovered event. The log records only transitions that
    committed, so replay bypasses the request-level guards (state checks,
@@ -946,7 +889,9 @@ let apply_event t event =
     (* Each grant lands at its own id: shards draw ids from one ledger
        but may reach the single WAL writer in either order. *)
     let* () =
-      if with_ledger t key (fun ledger -> Ledger.restore ledger grant_id grant)
+      if
+        Shared.with_ledger t.shared key (fun ledger ->
+            Ledger.restore ledger grant_id grant)
       then Ok ()
       else
         Error
@@ -1012,7 +957,8 @@ let service_gauges t =
       ("pet_sessions_created", s.Session.created);
       ("pet_sessions_expired", s.Session.expired);
       ("pet_grants_submitted", t.submitted);
-      ("pet_ledger_records", fold_ledgers t (fun _ l acc -> acc + Ledger.size l) 0);
+      ( "pet_ledger_records",
+        Shared.fold_ledgers t.shared (fun _ l acc -> acc + Ledger.size l) 0 );
       ("pet_consent_revoked", c.Consent.revoked);
       ("pet_consent_expired", c.Consent.expired);
       ("pet_consent_pending", c.Consent.pending);
@@ -1022,10 +968,6 @@ let service_gauges t =
       ("pet_tenant_building", tt.Tenant.building);
     ]
 
-(* Every shard's accounting set when sharded, else this instance's. *)
-let accounts t =
-  match t.shared with Some shared -> Shared.accounts shared | None -> [ t.acct ]
-
 (* The one snapshot behind [metrics], [watch] frames and the flight
    recorder: the registry plus this instance's aggregates, and the
    per-request series merged from every shard's accounting set, SLO
@@ -1033,7 +975,7 @@ let accounts t =
 let snapshot t ~now =
   Pet_obs.Process.sync ();
   let base = Obs.snapshot () in
-  Accounting.snapshot ~domains:(t.shared <> None) (accounts t) ~now
+  Accounting.snapshot (Shared.accounts t.shared) ~now
     { base with Obs.gauges = base.Obs.gauges @ service_gauges t }
 
 let json_of_hist (h : Obs.hist_stats) =
@@ -1176,7 +1118,7 @@ let stats_json t =
   let r = Registry.stats t.registry in
   let s = Session.counters t.store in
   let records, stored_values =
-    fold_ledgers t
+    Shared.fold_ledgers t.shared
       (fun _ ledger (records, values) ->
         (records + Ledger.size ledger, values + Ledger.stored_values ledger))
       (0, 0)
@@ -1204,7 +1146,7 @@ let stats_json t =
       ( "ledger",
         Json.Obj
           [
-            ("rule_sets", Json.Int (ledger_count t));
+            ("rule_sets", Json.Int (Shared.ledger_count t.shared));
             ("records", Json.Int records);
             ("stored_values", Json.Int stored_values);
           ] );

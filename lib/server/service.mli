@@ -4,10 +4,11 @@
     One [Service.t] serves many concurrent respondent sessions over many
     published rule sets. It owns the compiled-engine {!Registry} (one
     {!Pet_pet.Workflow.provider} per distinct rule set, shared by every
-    session), the {!Session} store (per-respondent state machines with
-    TTL expiry, swept on every request), and one {!Pet_pet.Ledger} per
-    rule set (archives survive engine evictions — the cache bounds
-    compute, not the legally retained records).
+    session) and the {!Session} store (per-respondent state machines
+    with TTL expiry, swept on every request). Rule texts and one
+    {!Pet_pet.Ledger} per rule set live in a {!Shared} state and
+    survive engine evictions — the cache bounds compute, not the
+    legally retained records.
 
     The core is transport-agnostic and deliberately synchronous:
     {!handle_line} maps one request line to one response line, so its
@@ -62,16 +63,16 @@ val create :
     call yields fully deterministic latencies and expiry.
 
     [owns] restricts which session ids this instance creates (see
-    {!Session.create_store}); [shared] routes rule texts and grant
-    ledgers through cross-shard state instead of instance-private
-    tables. Both default to the standalone single-instance behavior.
+    {!Session.create_store}); absent, it creates every id. [shared]
+    holds the rule texts, grant ledgers, consent entries and
+    accounting sets: the serving core passes one to every shard, and
+    absent, the instance creates a private {!Shared.create}, so a
+    standalone instance behaves exactly like a one-shard [pet serve].
+    Every compiled rule set's canonical text is retained there, so an
+    engine evicted from the LRU cache is recompiled transparently.
 
-    [durable] (default false) prepares the service for a persistence
-    backend: the canonical text of every compiled rule set is retained
-    (so an engine evicted from the LRU cache is recompiled transparently
-    instead of failing with [unknown_rules]) and each first compilation
-    is announced to the {!Persist.sink}. The default keeps today's pure
-    in-memory semantics, including eviction errors.
+    [durable] (default false) announces each rule set's first
+    compilation to the {!Persist.sink} as a [Rules] event.
 
     [tenants] shares a multi-tenant form registry with other service
     instances — the sharded TCP server passes one registry to every
@@ -155,8 +156,8 @@ val snapshot : t -> now:float -> Pet_obs.Metrics.snapshot
     the flight recorder: the {!Pet_obs.Metrics} registry, this
     instance's aggregates (registry, sessions, ledgers, consent,
     tenants) read as gauges, and the per-request series
-    {!Accounting.snapshot} merges from every shard's accounting set
-    (every set registered in [shared], else this instance's), SLO
+    {!Accounting.snapshot} merges from every accounting set registered
+    in the instance's {!Shared} state, SLO
     windows judged at [now] (the service clock). Sibling shards' cells
     are read racily: word-sized, memory-safe, possibly behind requests
     still in flight. *)

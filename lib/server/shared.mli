@@ -1,7 +1,9 @@
 (** State one collection process shares across its worker domains.
 
-    A sharded deployment ({!Pet_net}) runs one {!Service.t} per domain,
-    and almost everything a service touches — sessions, compiled
+    Every {!Service.t} keeps the state below in a [Shared.t]: the
+    serving core ({!Pet_net}) runs one service per domain and passes
+    them one, and a service created without one makes a private one.
+    Almost everything a service touches — sessions, compiled
     engines — stays domain-private, and each shard is the only writer of
     its own per-request accounting. Some things must be reachable from
     every shard:

@@ -350,12 +350,6 @@ type file_report = {
   r2 : damage list;
 }
 
-let rec has_key name = function
-  | Json.Obj fields ->
-    List.exists (fun (k, v) -> k = name || has_key name v) fields
-  | Json.List items -> List.exists (has_key name) items
-  | _ -> false
-
 let scan_file dir file =
   let buf = read_file (Filename.concat dir file) in
   let records = ref 0 and kinds = Hashtbl.create 8 in
@@ -375,7 +369,7 @@ let scan_file dir file =
           { file; offset; reason = "record holds invalid JSON: " ^ m }
           :: !damage
       | Ok json -> (
-        if has_key "valuation" json then
+        if Persist.carries_valuation json then
           r2 :=
             {
               file;

@@ -172,6 +172,95 @@ let test_fuzz_smoke () =
   let s' = Fuzz.run ~seed:7 ~count:2000 () in
   Alcotest.(check int) "deterministic" s.Fuzz.ok s'.Fuzz.ok
 
+(* --- Fuzz verdicts ----------------------------------------------------------- *)
+
+(* Each verdict starts from a clean summary and must flip on every
+   failure condition [pet check] gates on, one at a time. *)
+let check_verdict name passed clean failing =
+  Alcotest.(check bool) (name ^ ": clean passes") true (passed clean);
+  List.iter
+    (fun (why, s) ->
+      Alcotest.(check bool) (name ^ ": " ^ why) false (passed s))
+    failing
+
+let test_fuzz_verdicts () =
+  let bad = [ ("line", "why") ] in
+  let s =
+    {
+      Fuzz.requests = 10;
+      ok = 4;
+      errors = 6;
+      invalid_responses = 0;
+      crashes = [];
+      by_code = [];
+      cursor_checked = 10;
+      cursor_fast = 2;
+      cursor_mismatches = [];
+      boundary_checks = 3;
+      boundary_failures = [];
+    }
+  in
+  check_verdict "fuzz" Fuzz.passed s
+    [
+      ("crash", { s with Fuzz.crashes = bad });
+      ("invalid response", { s with Fuzz.invalid_responses = 1 });
+      ("cursor mismatch", { s with Fuzz.cursor_mismatches = bad });
+      ("boundary failure", { s with Fuzz.boundary_failures = bad });
+    ];
+  let c =
+    {
+      Fuzz.corpus_requests = 10;
+      corpus_ok = 4;
+      corpus_errors = 6;
+      corpus_invalid = 0;
+      corpus_crashes = [];
+      corpus_tenants = 3;
+      corpus_build_failures = 1;
+      corpus_updates = 2;
+      swap_checks = 2;
+      swap_mismatches = [];
+    }
+  in
+  check_verdict "corpus" Fuzz.passed_corpus c
+    [
+      ("crash", { c with Fuzz.corpus_crashes = bad });
+      ("invalid response", { c with Fuzz.corpus_invalid = 1 });
+      ("swap mismatch", { c with Fuzz.swap_mismatches = bad });
+      ("oversized build never failed", { c with Fuzz.corpus_build_failures = 0 });
+    ];
+  let st =
+    {
+      Fuzz.logs = 2;
+      mutations = [ ("bitflip", 2) ];
+      recovered_events = 5;
+      damage_reports = 1;
+      torn_tails = 1;
+      replay_errors = 0;
+      store_violations = [];
+    }
+  in
+  check_verdict "store" Fuzz.passed_store st
+    [ ("violation", { st with Fuzz.store_violations = bad }) ];
+  let co =
+    {
+      Fuzz.rounds = 2;
+      consent_requests = 20;
+      revokes = 1;
+      expiries = 1;
+      crash_recoveries = 2;
+      audits_passed = 4;
+      injections_caught = 1;
+      consent_violations = [];
+    }
+  in
+  check_verdict "consent" Fuzz.passed_consent co
+    [
+      ("violation", { co with Fuzz.consent_violations = bad });
+      ("no audit passed", { co with Fuzz.audits_passed = 0 });
+    ];
+  Alcotest.(check bool) "consent: no rounds, no audits needed" true
+    (Fuzz.passed_consent { co with Fuzz.rounds = 0; audits_passed = 0 })
+
 let () =
   Alcotest.run "pet_check"
     [
@@ -205,5 +294,9 @@ let () =
           Alcotest.test_case "injected fault to <= 5 rules" `Quick
             test_shrink_injected_fault;
         ] );
-      ("fuzz", [ Alcotest.test_case "smoke" `Quick test_fuzz_smoke ]);
+      ( "fuzz",
+        [
+          Alcotest.test_case "smoke" `Quick test_fuzz_smoke;
+          Alcotest.test_case "verdicts" `Quick test_fuzz_verdicts;
+        ] );
     ]

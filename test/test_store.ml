@@ -407,6 +407,50 @@ let test_midlog_corruption_localized () =
    hand-built log with grants 1, 0, 3 (2 never logged) must recover
    every grant at its own id and pass the audit with a note; a
    duplicated id is the one thing both refuse. *)
+let test_r2_nested_valuation () =
+  (* A decodable [rules] event with a valuation tucked inside a field the
+     decoder ignores: [store verify] and [pet audit] judge it by the same
+     predicate, so both must flag it. *)
+  let dir = temp_dir () in
+  let text = Spec.to_string (Running.exposure ()) in
+  let rules = Persist.Rules { digest = Pet_server.Registry.digest text; text } in
+  let store, _ = open_ok dir in
+  Store.append store rules;
+  Store.close store;
+  let tainted =
+    match Persist.to_json rules with
+    | Json.Obj fields ->
+      Json.Obj
+        (fields @ [ ("meta", Json.Obj [ ("valuation", Json.String "0101") ]) ])
+    | _ -> Alcotest.fail "an event encodes as an object"
+  in
+  Alcotest.(check bool) "still decodable" true
+    (Result.is_ok (Persist.of_json tainted));
+  let wal =
+    match Sys.readdir dir with
+    | [| file |] -> Filename.concat dir file
+    | files -> Alcotest.failf "expected one segment, found %d" (Array.length files)
+  in
+  write_file wal (read_file wal ^ Record.frame (Json.to_string tainted));
+  (match Store.scan dir with
+  | Error m -> Alcotest.fail m
+  | Ok reports ->
+    Alcotest.(check int) "store verify flags it" 1
+      (List.fold_left
+         (fun n (r : Store.file_report) -> n + List.length r.Store.r2)
+         0 reports));
+  match Pet_audit.Audit.run dir with
+  | Error m -> Alcotest.fail m
+  | Ok report ->
+    let r2 =
+      List.find
+        (fun (p : Pet_audit.Audit.property) -> p.Pet_audit.Audit.name = "r2")
+        report.Pet_audit.Audit.properties
+    in
+    Alcotest.(check int) "audit r2 flags it" 1
+      (List.length r2.Pet_audit.Audit.violations);
+    Alcotest.(check bool) "audit fails" false (Pet_audit.Audit.pass report)
+
 let test_grants_swapped_and_gap () =
   let digest =
     let service = make_service () in
@@ -650,6 +694,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_recovery_deterministic;
           Alcotest.test_case "grant ids continue" `Quick test_grant_ids_continue;
           Alcotest.test_case "r2 on disk" `Quick test_r2_on_disk;
+          Alcotest.test_case "r2 nested valuation" `Quick
+            test_r2_nested_valuation;
           Alcotest.test_case "grants swapped and a gap" `Quick
             test_grants_swapped_and_gap;
           Alcotest.test_case "corruption localized" `Quick

@@ -3,8 +3,8 @@
    DESIGN.md, and measures timings with bechamel.
 
    Usage: dune exec bench/main.exe [-- SECTION ...]
-   Sections: tables figures solidarity ablations timings sweep symbolic
-   server all (default: all). *)
+   Sections: tables figures solidarity ablations timings sweep provider
+   symbolic server tenants obs store audit check all (default: all). *)
 
 module Universe = Pet_valuation.Universe
 module Total = Pet_valuation.Total
@@ -445,6 +445,86 @@ let sweep () =
      Algorithm 2 on a Java prototype; here the atlas, built once per \
      conjunction signature, costs more than Algorithm 2, which \
      re-scores only the players a commit touches)@."
+
+(* --- Provider builds and the minor GC ----------------------------------------------------------- *)
+
+(* In a process of several domains every minor collection stops them
+   all, so a collection a provider build forces (DESIGN.md §5) is paid
+   for by every domain beside it. First the atlas over the fleet
+   workload's 200 tenant forms and the four case studies, with the GC
+   counters it moves; then the 200 fleet provider builds alone and
+   beside idle domains blocked on a condition variable, as [pet serve]'s
+   writer and builder domains mostly are. Compiled backend, as
+   [pet serve] runs. *)
+let provider_gc () =
+  section "Provider builds: allocation and minor collections";
+  let fleet =
+    Array.to_list
+      (Pet_corpus.Corpus.scenario ~seed:0 ~lo:8 ~hi:12 ~count:200 ())
+        .Pet_corpus.Corpus.forms
+    |> List.map (fun (f : Pet_corpus.Corpus.form) ->
+           Pet_rules.Spec.parse_exn f.Pet_corpus.Corpus.text)
+  in
+  let cases =
+    List.map Lazy.force [ running; hcov; rsa ]
+    @ [ Pet_casestudies.Loan.exposure () ]
+  in
+  let engines =
+    List.map (Engine.create ~backend:Engine.Compiled) (fleet @ cases)
+  in
+  (* The final [Gc.minor] promotes what the builds left in the minor
+     heap; it is not counted as one of theirs. *)
+  Gc.minor ();
+  let before = Gc.quick_stat () and words = Gc.minor_words () in
+  let (), dt =
+    time_once (fun () -> List.iter (fun e -> ignore (Atlas.build e)) engines)
+  in
+  let words = Gc.minor_words () -. words in
+  Gc.minor ();
+  let after = Gc.quick_stat () in
+  Fmt.pr
+    "atlas over %d forms: %.1f ms, %.2fM minor words, %.2fM promoted \
+     words, %d minor collections@."
+    (List.length engines) (dt *. 1e3) (words /. 1e6)
+    ((after.Gc.promoted_words -. before.Gc.promoted_words) /. 1e6)
+    (after.Gc.minor_collections - before.Gc.minor_collections - 1);
+  let beside k f =
+    let m = Mutex.create () and c = Condition.create () in
+    let stop = ref false in
+    let idle () =
+      Mutex.lock m;
+      while not !stop do
+        Condition.wait c m
+      done;
+      Mutex.unlock m
+    in
+    let domains = List.init k (fun _ -> Domain.spawn idle) in
+    let result = f () in
+    Mutex.lock m;
+    stop := true;
+    Condition.broadcast c;
+    Mutex.unlock m;
+    List.iter Domain.join domains;
+    result
+  in
+  List.iter
+    (fun k ->
+      let collections = (Gc.quick_stat ()).Gc.minor_collections in
+      let (), dt =
+        beside k (fun () ->
+            time_once (fun () ->
+                List.iter
+                  (fun e ->
+                    ignore
+                      (Pet_pet.Workflow.provider ~backend:Engine.Compiled e))
+                  fleet))
+      in
+      Fmt.pr
+        "%d fleet provider builds beside %d idle domains: %.3f s, %d minor \
+         collections@."
+        (List.length fleet) k dt
+        ((Gc.quick_stat ()).Gc.minor_collections - collections))
+    [ 0; 1; 4 ]
 
 (* --- Symbolic atlas -------------------------------------------------------------------------------- *)
 
@@ -1532,6 +1612,7 @@ let () =
       ("ablations", fun () -> ablation_modes (); ablation_baseline ());
       ("timings", timings);
       ("sweep", sweep);
+      ("provider", provider_gc);
       ("symbolic", symbolic);
       ("server", server);
       ("tenants", tenants);

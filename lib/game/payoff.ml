@@ -1,7 +1,6 @@
 module Atlas = Pet_minimize.Atlas
 module Algorithm1 = Pet_minimize.Algorithm1
 module Universe = Pet_valuation.Universe
-module Total = Pet_valuation.Total
 module Partial = Pet_valuation.Partial
 
 type kind = Blank | Sm | Weighted of (string -> float)
@@ -16,7 +15,7 @@ let disagreement_mask atlas ~mas ~crowd =
   let ones, zeros =
     List.fold_left
       (fun (ones, zeros) i ->
-        let bits = Total.bits (Atlas.player atlas i) in
+        let bits = Atlas.player_bits atlas i in
         (ones lor bits, zeros lor (lnot bits land full)))
       (0, 0) crowd
   in
@@ -38,7 +37,7 @@ let deduced_blanks atlas ~mas ~crowd =
     let full = (1 lsl Universe.size universe) - 1 in
     let blank_mask = lnot (Partial.domain_mask w) land full in
     let agree = blank_mask land lnot (disagreement_mask atlas ~mas ~crowd) in
-    let bits = Total.bits (Atlas.player atlas first) in
+    let bits = Atlas.player_bits atlas first in
     List.filteri (fun i _ -> (agree lsr i) land 1 = 1) (Universe.names universe)
     |> List.map (fun name ->
            let i = Universe.index universe name in

@@ -1,13 +1,7 @@
 module Atlas = Pet_minimize.Atlas
 module Algorithm1 = Pet_minimize.Algorithm1
 module Universe = Pet_valuation.Universe
-module Total = Pet_valuation.Total
 module Partial = Pet_valuation.Partial
-
-(* Incremental per-move crowd aggregates, so that scoring a prospective
-   commitment is O(1): [ones]/[zeros] are the bitwise ORs of the committed
-   members' (negated) valuations, [count] their number. *)
-type agg = { mutable ones : int; mutable zeros : int; mutable count : int }
 
 (* How a move is scored. [Weights] holds the per-bit weights of
    [Payoff.Weighted], looked up once instead of on every score. *)
@@ -25,12 +19,11 @@ module Heap = struct
   (* [x] only fills the unused slots. *)
   let create before x = { before; data = Array.make 16 x; size = 0 }
 
+  (* Doubling copies the entries into the new upper half too, where they
+     are unused: [Array.make] from a young [x] would first empty the
+     minor heap once the heap outgrows 256 entries (DESIGN.md §5). *)
   let push h x =
-    if h.size = Array.length h.data then begin
-      let data = Array.make (2 * h.size) x in
-      Array.blit h.data 0 data 0 h.size;
-      h.data <- data
-    end;
+    if h.size = Array.length h.data then h.data <- Array.append h.data h.data;
     let rec up i =
       let parent = (i - 1) / 2 in
       if i > 0 && h.before x h.data.(parent) then begin
@@ -92,7 +85,12 @@ type state = {
      and, under [Count], [delisted] ones. *)
   live : int array array;
   live_len : int array;
-  aggs : agg array;
+  (* Per MAS, the committed crowd's aggregates, so that scoring a
+     prospective commitment is O(1): [ones]/[zeros] are the bitwise ORs
+     of the members' (negated) valuations, [count] their number. *)
+  ones : int array;
+  zeros : int array;
+  count : int array;
   committed : int array; (* player -> MAS, -1 while pending *)
   (* Per pending player, kept current after every commit: *)
   best : int array; (* the first move with the maximum score *)
@@ -110,9 +108,12 @@ let make_state atlas payoff =
     Pet_rules.Exposure.xp (Pet_rules.Engine.exposure (Atlas.engine atlas))
   in
   let full = (1 lsl Universe.size universe) - 1 in
-  let live =
-    Array.init nm (fun m -> Array.of_list (Atlas.players_of_mas atlas m))
-  in
+  (* Filled from an immediate: [Array.init] from a young first row
+     would empty the minor heap first (DESIGN.md §5). *)
+  let live = Array.make nm [||] in
+  for m = 0 to nm - 1 do
+    live.(m) <- Array.of_list (Atlas.players_of_mas atlas m)
+  done;
   {
     atlas;
     scoring =
@@ -126,10 +127,12 @@ let make_state atlas payoff =
       Array.init nm (fun m ->
           lnot (Partial.domain_mask (Atlas.mas atlas m).Algorithm1.mas)
           land full);
-    player_bits = Array.init np (fun i -> Total.bits (Atlas.player atlas i));
+    player_bits = Array.init np (Atlas.player_bits atlas);
     live;
     live_len = Array.map Array.length live;
-    aggs = Array.init nm (fun _ -> { ones = 0; zeros = 0; count = 0 });
+    ones = Array.make nm 0;
+    zeros = Array.make nm 0;
+    count = Array.make nm 0;
     committed = Array.make np (-1);
     best = Array.make np (-1);
     dominant = Array.make np false;
@@ -147,8 +150,10 @@ let rec weighted weights mask k total =
       (if mask land 1 = 1 then total +. weights.(k) else total)
 
 (* Payoff of a player with valuation [bits] if they joined a crowd of
-   [count] on move [m] whose aggregates are [ones] and [zeros]. *)
-let value st bits m ~ones ~zeros ~count =
+   [count] on move [m] whose aggregates are [ones] and [zeros]. It is
+   inlined, as are [score] and [update], so that scores stay unboxed:
+   boxed, they would be about a third of a [PO_SM] run's minor words. *)
+let[@inline] value st bits m ~ones ~zeros ~count =
   match st.scoring with
   | Count -> float_of_int count
   | Blanks | Weights _ -> (
@@ -162,9 +167,9 @@ let value st bits m ~ones ~zeros ~count =
     | _ -> float_of_int (Universe.popcount disagreement))
 
 (* Payoff of player [i] if they joined move [m]'s committed crowd. *)
-let score st i m =
-  let a = st.aggs.(m) in
-  value st st.player_bits.(i) m ~ones:a.ones ~zeros:a.zeros ~count:a.count
+let[@inline] score st i m =
+  value st st.player_bits.(i) m ~ones:st.ones.(m) ~zeros:st.zeros.(m)
+    ~count:st.count.(m)
 
 (* Cache a pending player's best move [bm], of score [bs], and file the
    player: one who turns dominant gets a [dominants] entry, any other a
@@ -208,7 +213,7 @@ let rescore st i =
    other scores did not move. The cached best move decides the new one in
    O(1), and the player is filed again only if it changed. A best or tied
    move that loses score (a negative weight) takes a rescan. *)
-let update st i m ~before ~after =
+let[@inline] update st i m ~before ~after =
   let bm = st.best.(i) in
   if m = bm then begin
     if after > before then file st i bm after true
@@ -225,11 +230,10 @@ let update st i m ~before ~after =
 
 let join st i m =
   st.committed.(i) <- m;
-  let a = st.aggs.(m) in
   let bits = st.player_bits.(i) in
-  a.ones <- a.ones lor bits;
-  a.zeros <- a.zeros lor (lnot bits land st.full);
-  a.count <- a.count + 1
+  st.ones.(m) <- st.ones.(m) lor bits;
+  st.zeros.(m) <- st.zeros.(m) lor (lnot bits land st.full);
+  st.count.(m) <- st.count.(m) + 1
 
 (* Commit player [i] to move [m], then update the pending players whose
    score can have changed. Only [m]'s aggregate moved, so only players
@@ -239,14 +243,15 @@ let join st i m =
    player dominant at [m] dominant there, so [m] delists them until
    that changes. *)
 let commit st i m =
-  let a = st.aggs.(m) in
-  let ones = a.ones and zeros = a.zeros and count = a.count in
+  let ones = st.ones.(m) and zeros = st.zeros.(m) and count = st.count.(m) in
   join st i m;
   let moved =
     match st.scoring with
     | Count -> true
     | Blanks | Weights _ ->
-      ((a.ones lxor ones) lor (a.zeros lxor zeros)) land st.blank_mask.(m) <> 0
+      ((st.ones.(m) lxor ones) lor (st.zeros.(m) lxor zeros))
+      land st.blank_mask.(m)
+      <> 0
   in
   if moved then begin
     let delist = match st.scoring with Count -> true | _ -> false in

@@ -7,8 +7,9 @@ module Code = Pet_compile.Code
 
 type t = {
   engine : Engine.t;
+  xp : Pet_valuation.Universe.t;
   mas : Algorithm1.choice array; (* lexicographic order *)
-  players : Total.t array; (* increasing bit order *)
+  players : int array; (* valuation bits, increasing *)
   choices_of_player : int list array; (* ascending MAS indices *)
   players_of_mas : int list array; (* ascending player indices *)
 }
@@ -46,6 +47,26 @@ let algorithm1_key mode conjs =
         conjs;
       key
 
+(* The benefit bitset of every total valuation: each conjunction of
+   benefit [i]'s rule sets bit [i] on its completions. *)
+let benefit_table rules ~full =
+  let tab = Array.make (full + 1) 0 in
+  Array.iteri
+    (fun i conjs ->
+      let bit = 1 lsl i in
+      Array.iter
+        (fun (c : Code.conj) ->
+          let free = full land lnot c.mask in
+          let s = ref free and continue = ref true in
+          while !continue do
+            let v = c.bits lor !s in
+            tab.(v) <- tab.(v) lor bit;
+            if !s = 0 then continue := false else s := (!s - 1) land free
+          done)
+        conjs)
+    rules;
+  tab
+
 (* The players of MAS [m] proving [proves] (a benefit bitset): the
    completions of [m] whose benefit bitset in [benefit_tab] equals it,
    ascending. [(s - 1) land free] walks the submasks of the free
@@ -69,6 +90,10 @@ let build ?(mode = Algorithm1.Chain) engine =
     invalid_arg
       "Atlas.build: form too large to enumerate; use Symbolic.build for \
        the global statistics";
+  let xb = Exposure.xb exposure in
+  (* Benefit bitsets are ints, so they stay non-negative. *)
+  if Pet_valuation.Universe.size xb >= Sys.int_size then
+    invalid_arg "Atlas.build: too many benefits";
   let rules =
     Array.of_list
       (List.map
@@ -93,62 +118,68 @@ let build ?(mode = Algorithm1.Chain) engine =
           (Algorithm1.mas_of ~mode engine v)
       end)
     (Exposure.eligible exposure);
+  (* OCaml empties the minor heap before [Array.make], [init], [map] or
+     [of_list] creates an array of more than 256 (Max_young_wosize)
+     elements from a young block, and in a process of several domains
+     every minor collection stops the world (DESIGN.md §5). So every
+     array below starts from an immediate and is filled, or holds ints,
+     or, here, comes from [Array.concat], which allocates a large result
+     in the major heap. *)
   let mas =
-    Pmap.bindings !mas_set
-    |> List.map snd
+    Pmap.fold (fun _ c acc -> c :: acc) !mas_set []
     |> List.sort (fun (a : Algorithm1.choice) b ->
            Partial.compare_lex a.mas b.mas)
-    |> Array.of_list
+    |> List.map (fun c -> [| c |])
+    |> Array.concat
   in
+  let nm = Array.length mas in
   (* Potential players per MAS (Algorithm 1, lines 18-23): the
      extensions with the benefit set the MAS proves, read off one table
      of benefit bitsets over every total valuation. A MAS proves exactly
      the benefits it was chosen for. *)
   let full = (1 lsl n) - 1 in
-  let benefit_tab =
-    Array.init (full + 1) (fun v ->
-        let granted = ref 0 in
-        Array.iteri
-          (fun i conjs ->
-            if Array.exists (fun c -> Code.conj_holds c v) conjs then
-              granted := !granted lor (1 lsl i))
-          rules;
-        !granted)
-  in
-  let xb = Exposure.xb exposure in
-  let crowds =
-    Array.map
-      (fun (c : Algorithm1.choice) ->
-        let proves =
-          List.fold_left
-            (fun acc b -> acc lor (1 lsl Pet_valuation.Universe.index xb b))
-            0 c.benefits
-        in
-        crowd benefit_tab ~full ~proves c.mas)
-      mas
-  in
-  let players =
-    Array.of_list
-      (List.sort_uniq Int.compare (List.concat (Array.to_list crowds)))
-  in
-  let player_index = Hashtbl.create (Array.length players) in
-  Array.iteri (fun i v -> Hashtbl.add player_index v i) players;
-  let players_of_mas =
-    Array.map (List.map (Hashtbl.find player_index)) crowds
-  in
-  let choices_of_player = Array.make (Array.length players) [] in
+  let tab = benefit_table rules ~full in
+  let players_of_mas = Array.make nm [] in
   Array.iteri
-    (fun mi ps ->
-      List.iter
-        (fun pi -> choices_of_player.(pi) <- mi :: choices_of_player.(pi))
-        ps)
+    (fun mi (c : Algorithm1.choice) ->
+      let proves =
+        List.fold_left
+          (fun acc b -> acc lor (1 lsl Pet_valuation.Universe.index xb b))
+          0 c.benefits
+      in
+      players_of_mas.(mi) <- crowd tab ~full ~proves c.mas)
+    mas;
+  (* The benefit table is dead now; it becomes the player index. Crowd
+     members are marked -1 (benefit bitsets are non-negative), then
+     numbered in one ascending pass. *)
+  let np = ref 0 in
+  Array.iter
+    (List.iter (fun v ->
+         if tab.(v) >= 0 then begin
+           tab.(v) <- -1;
+           incr np
+         end))
     players_of_mas;
-  let choices_of_player = Array.map List.rev choices_of_player in
-  Pet_obs.Metrics.set_gauge obs_mas_gauge (float_of_int (Array.length mas));
-  Pet_obs.Metrics.set_gauge obs_players_gauge
-    (float_of_int (Array.length players));
-  let players = Array.map (Total.of_bits xp) players in
-  { engine; mas; players; choices_of_player; players_of_mas }
+  let players = Array.make !np 0 in
+  let next = ref 0 in
+  for v = 0 to full do
+    if tab.(v) < 0 then begin
+      tab.(v) <- !next;
+      players.(!next) <- v;
+      incr next
+    end
+  done;
+  let choices_of_player = Array.make !np [] in
+  for mi = nm - 1 downto 0 do
+    let ps = List.map (fun v -> tab.(v)) players_of_mas.(mi) in
+    players_of_mas.(mi) <- ps;
+    List.iter
+      (fun pi -> choices_of_player.(pi) <- mi :: choices_of_player.(pi))
+      ps
+  done;
+  Pet_obs.Metrics.set_gauge obs_mas_gauge (float_of_int nm);
+  Pet_obs.Metrics.set_gauge obs_players_gauge (float_of_int !np);
+  { engine; xp; mas; players; choices_of_player; players_of_mas }
 
 let engine t = t.engine
 let mas_count t = Array.length t.mas
@@ -181,12 +212,13 @@ let find_mas t w =
 
 let player_count t = Array.length t.players
 
-let player t i =
+let player_bits t i =
   if i < 0 || i >= Array.length t.players then
     invalid_arg "Atlas.player: out of range";
   t.players.(i)
 
-let find_player t v = search t.players Total.compare v
+let player t i = Total.of_bits t.xp (player_bits t i)
+let find_player t v = search t.players Int.compare (Total.bits v)
 
 let choices_of_player t i =
   if i < 0 || i >= Array.length t.choices_of_player then

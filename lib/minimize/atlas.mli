@@ -30,6 +30,12 @@ val player_count : t -> int
     least one MAS. *)
 
 val player : t -> int -> Pet_valuation.Total.t
+(** Players are kept as valuation words, so each call allocates the
+    valuation; {!player_bits} does not. *)
+
+val player_bits : t -> int -> int
+(** [Total.bits (player t i)]. *)
+
 val find_player : t -> Pet_valuation.Total.t -> int option
 
 val choices_of_player : t -> int -> int list

@@ -76,8 +76,8 @@ let add t key value =
   touch t slot;
   Hashtbl.add t.table key slot
 
-let find_or_add t key build =
-  match find t key with
+let find_or_add ?(count = true) t key build =
+  match (if count then find else peek) t key with
   | Some v -> (v, true)
   | None ->
     let v = build () in

@@ -47,7 +47,9 @@ val add : 'a t -> string -> 'a -> unit
 (** Insert (replacing any previous binding), evicting the least recently
     used entry when the cache is full. *)
 
-val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a * bool
-(** Counting lookup-or-build; the boolean is [true] on a hit. *)
+val find_or_add : ?count:bool -> 'a t -> string -> (unit -> 'a) -> 'a * bool
+(** Counting lookup-or-build; the boolean is [true] on a hit.
+    [count:false] leaves the counters alone, for a caller whose own
+    {!find} already counted the miss. *)
 
 val stats : 'a t -> stats

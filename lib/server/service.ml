@@ -154,14 +154,16 @@ let build_artifact ~backend ~payoff ~tabulate exposure digest =
 
 (* [remember:false] for tenant texts: the tenant registry retains them
    (and [Tenant_published] persists them), so they are neither copied
-   into the shared rule texts nor re-logged as [Rules] events. *)
-let compile ?(remember = true) t text =
+   into the shared rule texts nor re-logged as [Rules] events.
+   [count:false] when the caller's own lookup already counted this
+   rule set's hit or miss, so a compilation counts one miss. *)
+let compile ?(remember = true) ?count t text =
   match Spec.parse text with
   | Error m -> Error (Proto.errorf Proto.Invalid_params "rules: %s" m)
   | Ok exposure -> (
     let canonical = Spec.to_string exposure in
     let digest = Registry.digest canonical in
-    match Registry.find_or_add t.registry digest (fun () ->
+    match Registry.find_or_add ?count t.registry digest (fun () ->
             build_artifact ~backend:t.backend ~payoff:t.payoff
               ~tabulate:t.compiled exposure digest)
     with
@@ -204,19 +206,20 @@ let resolve_tenant t name =
       | None -> (
         match Registry.find t.registry resolved.Tenant.res_digest with
         | Some compiled -> Ok (compiled, true)
-        | None -> compile ~remember:false t resolved.Tenant.res_text)
+        | None ->
+          compile ~remember:false ~count:false t resolved.Tenant.res_text)
     in
     Ok (resolved, compiled, cached)
 
 (* Recompile a rule set the cache no longer holds from its retained
    canonical text: a published text from [Shared], else a tenant
    version's text from the tenant registry. [None] for a digest never
-   compiled here. *)
-let recompile t digest =
+   compiled here. [count] as for [compile]. *)
+let recompile ?count t digest =
   match Shared.find_text t.shared digest with
-  | Some text -> Some (compile t text)
+  | Some text -> Some (compile ?count t text)
   | None ->
-    Option.map (compile ~remember:false t)
+    Option.map (compile ~remember:false ?count t)
       (Tenant.text_of_digest t.tenants digest)
 
 (* Counting resolution (publish_rules / new_session / audit): cache hits
@@ -235,13 +238,13 @@ let resolve_rules t = function
     match Registry.find t.registry digest with
     | Some compiled -> Ok (compiled, true)
     | None -> (
-      match recompile t digest with
+      match recompile ~count:false t digest with
       | Some result -> result
       | None ->
         Error
           (Proto.errorf Proto.Unknown_rules
-             "no rule set with digest %s (never published, or evicted — \
-              republish the rules)"
+             "no rule set with digest %s was published here; publish the \
+              rules first"
              digest)))
 
 (* Non-counting engine re-read for a session that already resolved its
@@ -257,8 +260,8 @@ let engine_of_session t (session : Session.t) =
     | None ->
       Error
         (Proto.errorf Proto.Unknown_rules
-           "the engine for this session's rules (digest %s) was evicted \
-            from the cache; republish the rules and retry"
+           "the text of this session's rules (digest %s) is not retained \
+            here; republish the rules and retry"
            session.Session.digest))
 
 let find_session t id ~now =

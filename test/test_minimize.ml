@@ -328,6 +328,72 @@ let test_atlas_runs_algorithm1_per_key () =
     true
     (calls > 0 && calls < eligible)
 
+(* --- Provider builds and the minor heap -------------------------------------- *)
+
+(* In a process of several domains every minor collection stops the
+   world, and OCaml empties the minor heap before it creates an array of
+   more than 256 (Max_young_wosize) elements from a young block
+   ([Array.make], [init], [map], [of_list]). The provider build must not
+   do that. It runs in a spawned domain with a 1M-word minor heap. Each
+   stage starts on an empty minor heap and allocates less than it holds;
+   it also starts a fresh major cycle, whose end would empty the minor
+   heap too. So any minor collection a stage counts was forced. *)
+let minor_heap_words = 1 lsl 20
+
+(* [f ()], its minor words and the minor collections it ran. *)
+let minor_cost f =
+  Gc.full_major ();
+  let words = Gc.minor_words ()
+  and collections = (Gc.quick_stat ()).Gc.minor_collections in
+  let x = f () in
+  ( x,
+    Gc.minor_words () -. words,
+    (Gc.quick_stat ()).Gc.minor_collections - collections )
+
+let test_provider_forces_no_minor_gc () =
+  let measure () =
+    Gc.set { (Gc.get ()) with Gc.minor_heap_size = minor_heap_words };
+    let costs = ref [] in
+    let stage name f =
+      let x, words, collections = minor_cost f in
+      costs := (name, words, collections) :: !costs;
+      x
+    in
+    let strategies name atlas =
+      List.iter
+        (fun (label, payoff) ->
+          ignore
+            (stage
+               (name ^ " Strategy.compute " ^ label)
+               (fun () -> Pet_game.Strategy.compute ~payoff atlas)))
+        [ ("Blank", Pet_game.Payoff.Blank); ("Sm", Pet_game.Payoff.Sm) ]
+    in
+    List.iter
+      (fun (name, e) ->
+        let engine =
+          stage (name ^ " Engine.create") (fun () ->
+              Engine.create ~backend:Engine.Compiled e)
+        in
+        strategies name
+          (stage (name ^ " Atlas.build") (fun () -> Atlas.build engine)))
+      (("hcov", Hcov.exposure ())
+      :: ("loan", Pet_casestudies.Loan.exposure ())
+      :: corpus_forms 40);
+    strategies "rsa"
+      (Atlas.build
+         (Engine.create ~backend:Engine.Compiled
+            (Pet_casestudies.Rsa.exposure ())));
+    List.rev !costs
+  in
+  List.iter
+    (fun (name, words, collections) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words fit the heap" name words)
+        true
+        (words < float_of_int minor_heap_words);
+      Alcotest.(check int) (name ^ ": forced minor collections") 0 collections)
+    (Domain.join (Domain.spawn measure))
+
 (* --- Random-problem properties ----------------------------------------------- *)
 
 let gen_problem =
@@ -750,6 +816,8 @@ let () =
             test_atlas_matches_reference_exact;
           Alcotest.test_case "algorithm 1 once per key" `Quick
             test_atlas_runs_algorithm1_per_key;
+          Alcotest.test_case "provider build forces no minor collection"
+            `Quick test_provider_forces_no_minor_gc;
         ] );
       ( "baseline",
         [

@@ -130,12 +130,17 @@ let test_registry_counters () =
   Alcotest.(check bool) "built" true (v = 2 && not hit);
   let v, hit = Registry.find_or_add r "b" (fun () -> 99) in
   Alcotest.(check bool) "cached" true (v = 2 && hit);
+  (* A lookup-or-build told not to count leaves the counters alone. *)
+  let v, hit = Registry.find_or_add ~count:false r "c" (fun () -> 3) in
+  Alcotest.(check bool) "built, uncounted" true (v = 3 && not hit);
+  let v, hit = Registry.find_or_add ~count:false r "c" (fun () -> 99) in
+  Alcotest.(check bool) "cached, uncounted" true (v = 3 && hit);
   (* peek does not count. *)
   Alcotest.(check bool) "peek" true (Registry.peek r "a" = Some 1);
   let s = Registry.stats r in
   Alcotest.(check int) "hits" 2 s.Registry.hits;
   Alcotest.(check int) "misses" 2 s.Registry.misses;
-  Alcotest.(check int) "size" 2 s.Registry.size
+  Alcotest.(check int) "size" 3 s.Registry.size
 
 let test_registry_lru () =
   let r = Registry.create ~capacity:2 () in
@@ -565,13 +570,41 @@ let test_service_ledger_survives_eviction () =
   in
   let after = Service.registry_stats service in
   Alcotest.(check string) "same digest" digest (str "digest" audit);
-  Alcotest.(check bool) "recompiled, not cached" true
+  Alcotest.(check bool) "recompiled, not cached: one miss" true
     (after.Registry.hits = before.Registry.hits
-    && after.Registry.misses > before.Registry.misses);
+    && after.Registry.misses = before.Registry.misses + 1);
   Alcotest.(check bool) "record survived the eviction" true
     (Json.member "records" audit = Some (Json.Int 1));
   Alcotest.(check bool) "still clean" true
     (Json.member "failures" audit = Some (Json.List []))
+
+let test_service_tenant_recompile_counts_one_miss () =
+  (* A tenant whose engine the cache evicted recompiles from the tenant
+     registry's text on its next resolution, and that compilation counts
+     one registry miss, as a recompile by digest does. *)
+  let service = make_service ~capacity:1 () in
+  let text = Spec.to_string (Running.exposure ()) in
+  ignore
+    (ok_of
+       (request service "publish_rules"
+          [ ("rules", Json.String text); ("tenant", Json.String "alpha") ]));
+  ignore
+    (ok_of
+       (request service "tenant"
+          [ ("name", Json.String "alpha"); ("wait", Json.Bool true) ]));
+  ignore
+    (ok_of (request service "new_session" [ ("tenant", Json.String "alpha") ]));
+  ignore
+    (ok_of
+       (request service "publish_rules"
+          [ ("rules", Json.String "form a b\nbenefits z\nrule z := a & b") ]));
+  let before = Service.registry_stats service in
+  ignore
+    (ok_of (request service "new_session" [ ("tenant", Json.String "alpha") ]));
+  let after = Service.registry_stats service in
+  Alcotest.(check (pair int int)) "no hit, one miss" (0, 1)
+    ( after.Registry.hits - before.Registry.hits,
+      after.Registry.misses - before.Registry.misses )
 
 let test_registry_randomized_counters () =
   (* Randomized finds/adds against a naive model: contents, hit/miss and
@@ -1179,6 +1212,8 @@ let () =
             test_service_unknown_rules_names_digest;
           Alcotest.test_case "ledger survives eviction" `Quick
             test_service_ledger_survives_eviction;
+          Alcotest.test_case "tenant recompile counts one miss" `Quick
+            test_service_tenant_recompile_counts_one_miss;
           Alcotest.test_case "canonical digest" `Quick
             test_service_canonical_digest;
           Alcotest.test_case "metrics endpoint" `Quick test_service_metrics;

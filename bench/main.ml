@@ -443,21 +443,26 @@ let sweep () =
   Fmt.pr
     "(the paper reports minutes for Algorithm 1 and seconds for \
      Algorithm 2 on a Java prototype; here the atlas, built once per \
-     conjunction signature, costs more than Algorithm 2, which \
-     re-scores only the players a commit touches)@."
+     conjunction signature with Algorithm 1 on machine words, costs \
+     about as much as Algorithm 2, which re-scores only the players a \
+     commit touches)@."
 
 (* --- Provider builds and the minor GC ----------------------------------------------------------- *)
 
-(* In a process of several domains every minor collection stops them
-   all, so a collection a provider build forces (DESIGN.md §5) is paid
-   for by every domain beside it. First the atlas over the fleet
-   workload's 200 tenant forms and the four case studies, with the GC
-   counters it moves; then the 200 fleet provider builds alone and
-   beside idle domains blocked on a condition variable, as [pet serve]'s
-   writer and builder domains mostly are. Compiled backend, as
-   [pet serve] runs. *)
+(* A provider build is three stages: the engine, the atlas (Algorithm 1)
+   and Algorithm 2. Each is timed and its minor words and minor
+   collections counted, summed over two form sets: the fleet workload's
+   200 tenant forms on the compiled backend, as [pet serve] builds them,
+   and the substrate workload's 28 forms (the four case studies and 24
+   seed-0 corpus forms of sizes 8 to 12, as bench/load/substrate.ml
+   picks them) on the BDD backend. A set-up regression then names its
+   stage. In a process of several domains every minor collection stops
+   them all, so a collection a provider build forces (DESIGN.md §5) is
+   paid for by every domain beside it: the 200 fleet provider builds
+   run last alone and beside idle domains blocked on a condition
+   variable, as [pet serve]'s writer and builder domains mostly are. *)
 let provider_gc () =
-  section "Provider builds: allocation and minor collections";
+  section "Provider builds: stages, allocation and minor collections";
   let fleet =
     Array.to_list
       (Pet_corpus.Corpus.scenario ~seed:0 ~lo:8 ~hi:12 ~count:200 ())
@@ -465,29 +470,50 @@ let provider_gc () =
     |> List.map (fun (f : Pet_corpus.Corpus.form) ->
            Pet_rules.Spec.parse_exn f.Pet_corpus.Corpus.text)
   in
-  let cases =
-    List.map Lazy.force [ running; hcov; rsa ]
-    @ [ Pet_casestudies.Loan.exposure () ]
+  let substrate =
+    List.map Lazy.force [ running; hcov ]
+    @ [ Pet_casestudies.Loan.exposure (); Lazy.force rsa ]
+    @ List.init 24 (fun i ->
+          let f =
+            Pet_corpus.Corpus.form ~seed:0 ~size:(8 + (i mod 5)) i
+          in
+          Pet_rules.Spec.parse_exn f.Pet_corpus.Corpus.text)
   in
-  let engines =
-    List.map (Engine.create ~backend:Engine.Compiled) (fleet @ cases)
-  in
-  (* The final [Gc.minor] promotes what the builds left in the minor
-     heap; it is not counted as one of theirs. *)
-  Gc.minor ();
-  let before = Gc.quick_stat () and words = Gc.minor_words () in
-  let (), dt =
-    time_once (fun () -> List.iter (fun e -> ignore (Atlas.build e)) engines)
-  in
-  let words = Gc.minor_words () -. words in
-  Gc.minor ();
-  let after = Gc.quick_stat () in
-  Fmt.pr
-    "atlas over %d forms: %.1f ms, %.2fM minor words, %.2fM promoted \
-     words, %d minor collections@."
-    (List.length engines) (dt *. 1e3) (words /. 1e6)
-    ((after.Gc.promoted_words -. before.Gc.promoted_words) /. 1e6)
-    (after.Gc.minor_collections - before.Gc.minor_collections - 1);
+  Fmt.pr "%-24s %-12s %10s %12s %12s@." "forms" "stage" "ms" "minor words"
+    "minor GCs";
+  List.iter
+    (fun (label, backend, forms) ->
+      (* Per stage: seconds, minor words, minor collections. *)
+      let totals = Array.make_matrix 3 3 0. in
+      let stage k f =
+        let words = Gc.minor_words ()
+        and collections = (Gc.quick_stat ()).Gc.minor_collections in
+        let x, dt = time_once f in
+        let t = totals.(k) in
+        t.(0) <- t.(0) +. dt;
+        t.(1) <- t.(1) +. (Gc.minor_words () -. words);
+        t.(2) <-
+          t.(2)
+          +. float_of_int
+               ((Gc.quick_stat ()).Gc.minor_collections - collections);
+        x
+      in
+      Gc.compact ();
+      List.iter
+        (fun e ->
+          let engine = stage 0 (fun () -> Engine.create ~backend e) in
+          let atlas = stage 1 (fun () -> Atlas.build engine) in
+          ignore (stage 2 (fun () -> Strategy.compute atlas)))
+        forms;
+      Array.iteri
+        (fun k name ->
+          let t = totals.(k) in
+          Fmt.pr "%-24s %-12s %10.1f %11.2fM %12.0f@."
+            (Printf.sprintf "%s (%d, %s)" label (List.length forms)
+               (Engine.backend_name backend))
+            name (t.(0) *. 1e3) (t.(1) /. 1e6) t.(2))
+        [| "engine"; "atlas"; "algorithm 2" |])
+    [ ("fleet", Engine.Compiled, fleet); ("substrate", Engine.Bdd, substrate) ];
   let beside k f =
     let m = Mutex.create () and c = Condition.create () in
     let stop = ref false in

@@ -78,9 +78,15 @@ let check_entailment tally engines ~brute_blank_cap w =
         others
     in
     disagree "diff/consistent" string_of_bool (fun e -> Engine.consistent e w);
+    (* The benefit names and the word-level mask Algorithm 1 filters
+       on, together: one check per partial valuation. On a partial
+       inconsistent with R every benefit is entailed vacuously, in both. *)
     disagree "diff/benefits"
-      (Fmt.str "{%a}" strings)
-      (fun e -> Engine.benefits e w);
+      (fun (names, mask) -> Fmt.str "{%a} (mask %#x)" strings names mask)
+      (fun e ->
+        ( Engine.benefits e w,
+          Engine.benefit_mask e ~dom:(Partial.domain_mask w)
+            ~bits:(Partial.bits w) ));
     disagree "diff/deduced"
       (Fmt.str "{%a}" bools)
       (fun e -> Engine.deduced_literals e w)

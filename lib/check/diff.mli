@@ -4,9 +4,10 @@
     [Bdd] agree on every input; this module checks that promise head-on
     for one exposure problem:
 
-    - the proof relation [w, R |= ·] — consistency, proven benefits and
-      deduced literals — pointwise on seeded random partial valuations
-      (and on every published MAS);
+    - the proof relation [w, R |= ·] — consistency, proven benefits
+      (as names and as {!Pet_rules.Engine.benefit_mask}) and deduced
+      literals — pointwise on seeded random partial valuations (and on
+      every published MAS);
     - the full MAS atlas, compared as a canonicalized list of
       (MAS, benefits, potential crowd, forced crowd);
     - the Algorithm 2 equilibrium computed from each backend's atlas,

@@ -5,7 +5,6 @@ module Universe = Pet_valuation.Universe
 type conj = { mask : int; bits : int }
 
 type t = {
-  xp : Universe.t;
   n : int;
   full : int; (* (1 lsl n) - 1 *)
   names : string array; (* benefit names, benefit-universe order *)
@@ -53,10 +52,11 @@ let rec compile_formula xp = function
 
 let conj_holds c v = v land c.mask = c.bits
 
-let dnf_holds rules v =
-  let k = Array.length rules in
-  let rec go i = i < k && (conj_holds rules.(i) v || go (i + 1)) in
-  go 0
+(* A top-level recursion, so tabulating 2^n valuations makes no closure
+   per valuation. *)
+let rec dnf_holds_from conjs v i =
+  i < Array.length conjs
+  && (conj_holds (Array.unsafe_get conjs i) v || dnf_holds_from conjs v (i + 1))
 
 let create ~xp ~benefits ~rule ~constraints =
   let n = Universe.size xp in
@@ -83,22 +83,21 @@ let create ~xp ~benefits ~rule ~constraints =
       (fun b -> Array.of_list (List.map (compile_conjunction xp) (rule b)))
       names
   in
-  let checks = List.map (compile_formula xp) constraints in
+  let consistent = compile_formula xp (F.conj constraints) in
   let size = 1 lsl n in
   let consistent_tab = Bytes.make size '\001' in
   let benefit_tab = Array.make size 0 in
   for v = 0 to size - 1 do
-    if not (List.for_all (fun check -> check v) checks) then
-      Bytes.unsafe_set consistent_tab v '\000';
+    if not (consistent v) then Bytes.unsafe_set consistent_tab v '\000';
     let granted = ref 0 in
-    Array.iteri
-      (fun i conjs -> if dnf_holds conjs v then granted := !granted lor (1 lsl i))
-      rules;
+    for i = 0 to Array.length rules - 1 do
+      if dnf_holds_from (Array.unsafe_get rules i) v 0 then
+        granted := !granted lor (1 lsl i)
+    done;
     benefit_tab.(v) <- !granted
   done;
-  { xp; n; full = size - 1; names; rules; consistent_tab; benefit_tab }
+  { n; full = size - 1; names; rules; consistent_tab; benefit_tab }
 
-let universe t = t.xp
 let predicates t = t.n
 let benefit_count t = Array.length t.names
 let benefit_name t i = t.names.(i)

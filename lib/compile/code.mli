@@ -59,7 +59,6 @@ val create :
     {!max_tabulated_predicates} or a formula mentions a variable
     outside [xp]. *)
 
-val universe : t -> Pet_valuation.Universe.t
 val predicates : t -> int
 (** Form universe size [n]; valuation words use bits [0..n-1]. *)
 

@@ -1,10 +1,10 @@
-module Dnf = Pet_logic.Dnf
 module Universe = Pet_valuation.Universe
 module Total = Pet_valuation.Total
 module Partial = Pet_valuation.Partial
 module Engine = Pet_rules.Engine
 module Exposure = Pet_rules.Exposure
 module Rule = Pet_rules.Rule
+module Code = Pet_compile.Code
 
 type mode = Chain | Entail | Exact
 
@@ -14,39 +14,6 @@ let is_accurate engine v w =
   let v' = Partial.of_total v in
   Partial.subvaluation w v'
   && List.equal String.equal (Engine.benefits engine v') (Engine.benefits engine w)
-
-(* The candidate subvaluations of Algorithm 1, lines 5-13: the Cartesian
-   product, across the benefits granted to [v], of the conjunctions of each
-   benefit's DNF that [v] satisfies — each candidate being [v] restricted
-   to the predicates of the chosen conjunctions. *)
-let raw_candidates exposure v granted =
-  let xp = Exposure.xp exposure in
-  let rho = Total.rho v in
-  let conjunction_restriction c =
-    (* v satisfies c, so restricting v to c's variables is c itself. *)
-    Partial.of_assoc xp
-      (List.map (fun (l : Pet_logic.Literal.t) -> (l.var, l.sign)) c)
-  in
-  let satisfied_restrictions b =
-    Rule.conjunctions (Exposure.rule_for exposure b)
-    |> List.filter (Dnf.conjunction_holds rho)
-    |> List.map conjunction_restriction
-  in
-  let combine acc restrictions =
-    List.concat_map
-      (fun w ->
-        List.map
-          (fun r ->
-            match Partial.merge w r with
-            | Some m -> m
-            | None -> assert false (* both below v *))
-          restrictions)
-      acc
-  in
-  List.fold_left combine
-    [ Partial.empty xp ]
-    (List.map satisfied_restrictions granted)
-  |> List.sort_uniq Partial.compare
 
 let chain_close exposure w =
   let implications = Exposure.implications exposure in
@@ -76,73 +43,171 @@ let entail_close engine w =
     w
     (Engine.deduced_literals engine w)
 
-let keep_minimal candidates =
-  let candidates = List.sort_uniq Partial.compare candidates in
-  List.filter
-    (fun w ->
-      not (List.exists (fun w' -> Partial.strict_subvaluation w' w) candidates))
-    candidates
+(* --- Algorithm 1 on words -------------------------------------------------- *)
 
-(* Exhaustive enumeration of Definition 3.13 for [Exact] mode: all subsets
-   of v's domain, keeping accurate subvaluations none of whose strict
-   subvaluations is accurate. *)
-let exhaustive_minimal engine v granted =
-  let exposure = Engine.exposure engine in
-  let xp = Exposure.xp exposure in
-  let n = Universe.size xp in
-  if n > 16 then invalid_arg "Algorithm1.mas_of ~mode:Exact: universe too large";
-  let bits = Total.bits v in
-  let accurate = Hashtbl.create 256 in
-  for dom = 0 to (1 lsl n) - 1 do
-    let w = Partial.of_masks xp ~dom ~bits:(bits land dom) in
-    if List.equal String.equal (Engine.benefits engine w) granted then
-      Hashtbl.add accurate dom w
+(* Every subvaluation Algorithm 1 considers for a valuation word [v] is
+   [v] restricted to a domain mask, so a candidate is its domain word
+   alone and its bits are [v land dom]. *)
+
+(* A chainable constraint [premises -> consequences] of [R_ADD]: it
+   fires on domain [dom] of [v] iff [dom] covers [pmask] and [v] carries
+   [pbits] there; firing adds [cmask]. [v] satisfies [R_ADD], so its
+   bits there are the consequences' signs. *)
+type impl = { pmask : int; pbits : int; cmask : int }
+
+(* A literal conjunction as [(mask, bits)]; [None] when it holds
+   complementary literals. *)
+let pack xp ls =
+  List.fold_left
+    (fun acc (l : Pet_logic.Literal.t) ->
+      match acc with
+      | None -> None
+      | Some (mask, bits) ->
+        let bit = 1 lsl Universe.index xp l.var in
+        let b = if l.sign then bit else 0 in
+        if mask land bit <> 0 && bits land bit <> b then None
+        else Some (mask lor bit, bits lor b))
+    (Some (0, 0)) ls
+
+(* Contradictory premises never hold, and contradictory consequences
+   make the premises false on every realistic valuation: such an
+   implication never fires, so it is dropped. *)
+let compile_implications xp exposure =
+  List.filter_map
+    (fun (premises, consequences) ->
+      match pack xp premises, pack xp consequences with
+      | Some (pmask, pbits), Some (cmask, _) -> Some { pmask; pbits; cmask }
+      | _ -> None)
+    (Exposure.implications exposure)
+  |> Array.of_list
+
+(* The fixpoint is unique, so saturating in array order reaches the one
+   {!chain_close} reaches. *)
+let chain_words impls v dom =
+  let dom = ref dom and changed = ref true in
+  while !changed do
+    changed := false;
+    for k = 0 to Array.length impls - 1 do
+      let i = impls.(k) in
+      if
+        !dom land i.pmask = i.pmask
+        && v land i.pmask = i.pbits
+        && !dom land i.cmask <> i.cmask
+      then begin
+        dom := !dom lor i.cmask;
+        changed := true
+      end
+    done
   done;
-  let is_accurate_dom d = Hashtbl.mem accurate d in
-  Hashtbl.fold
-    (fun dom w acc ->
-      let has_smaller =
-        (* strict sub-domains of dom *)
-        let rec go sub =
-          sub <> dom && (is_accurate_dom sub || go ((sub - 1) land dom))
-        in
-        go ((dom - 1) land dom)
-      in
-      if has_smaller then acc else w :: acc)
-    accurate []
+  !dom
+
+(* Entail mode: add every form predicate that [R] and the candidate
+   force. A forced value is [v]'s own, since [v] is a consistent
+   completion. *)
+let entail_words engine xp v dom =
+  List.fold_left
+    (fun dom (p, _) -> dom lor (1 lsl Universe.index xp p))
+    dom
+    (Engine.deduced_literals engine
+       (Partial.of_masks xp ~dom ~bits:(v land dom)))
+
+(* Lines 5-13: the Cartesian product, across the granted benefits, of
+   the conjunctions [v] satisfies; a product is the OR of their masks. *)
+let candidates conjs v granted =
+  let acc = ref [ 0 ] in
+  Array.iteri
+    (fun i cs ->
+      if granted land (1 lsl i) <> 0 then
+        acc :=
+          List.sort_uniq Int.compare
+            (Array.fold_left
+               (fun next (c : Code.conj) ->
+                 if Code.conj_holds c v then
+                   List.fold_left (fun next d -> (d lor c.mask) :: next) next !acc
+                 else next)
+               [] cs))
+    conjs;
+  !acc
+
+(* The domains with no strict subdomain among [doms]. *)
+let minimal_domains doms =
+  List.filter
+    (fun d -> not (List.exists (fun d' -> d' <> d && d' land d = d') doms))
+    doms
+
+(* Exact mode, Definition 3.13 verbatim: every subdomain of [v]'s. A
+   restriction of [v] proves at most [v]'s benefits and more as its
+   domain grows, so accuracy is upward closed and a domain is minimal
+   iff dropping any one of its positions loses accuracy. *)
+let exact_domains engine n v granted =
+  if n > 16 then invalid_arg "Algorithm1.mas_of ~mode:Exact: universe too large";
+  let accurate = Bytes.make (1 lsl n) '\000' in
+  for dom = 0 to (1 lsl n) - 1 do
+    if Engine.benefit_mask engine ~dom ~bits:(v land dom) = granted then
+      Bytes.set accurate dom '\001'
+  done;
+  let rec one_smaller dom rest =
+    rest <> 0
+    &&
+    let bit = rest land -rest in
+    Bytes.get accurate (dom lxor bit) = '\001' || one_smaller dom (rest lxor bit)
+  in
+  let selected = ref [] in
+  for dom = (1 lsl n) - 1 downto 0 do
+    if Bytes.get accurate dom = '\001' && not (one_smaller dom dom) then
+      selected := dom :: !selected
+  done;
+  !selected
 
 let obs_runs = Pet_obs.Metrics.counter "pet_algorithm1_runs_total"
 let obs_mas = Pet_obs.Metrics.counter "pet_algorithm1_mas_total"
 
-let mas_of ?(mode = Chain) engine v =
-  Pet_obs.Span.enter "algorithm1" @@ fun () ->
-  Pet_obs.Metrics.incr obs_runs;
+let mas_of ?(mode = Chain) engine =
   let exposure = Engine.exposure engine in
-  if not (Exposure.satisfies_constraints exposure v) then
-    invalid_arg "Algorithm1.mas_of: valuation violates the constraints";
-  let granted = Engine.benefits_of_total engine v in
-  let xp = Exposure.xp exposure in
-  let selected =
-    if granted = [] then [ Partial.empty xp ]
-    else
-      match mode with
-      | Exact -> exhaustive_minimal engine v granted
-      | Chain | Entail ->
-        let close =
-          match mode with
-          | Chain -> chain_close exposure
-          | Entail | Exact -> entail_close engine
-        in
-        raw_candidates exposure v granted
-        |> List.map close
-        |> List.filter (fun w ->
-               List.equal String.equal (Engine.benefits engine w) granted)
-        |> keep_minimal
+  let xp = Exposure.xp exposure and xb = Exposure.xb exposure in
+  let n = Universe.size xp in
+  let conjs = Exposure.conjunction_words exposure in
+  let consistent = Exposure.consistent_word exposure in
+  let close =
+    match mode with
+    | Chain -> chain_words (compile_implications xp exposure)
+    | Entail | Exact -> entail_words engine xp
   in
-  Pet_obs.Metrics.add obs_mas (List.length selected);
-  selected
-  |> List.sort Partial.compare_lex
-  |> List.map (fun mas -> { mas; benefits = granted })
+  fun v ->
+    Pet_obs.Span.enter "algorithm1" @@ fun () ->
+    Pet_obs.Metrics.incr obs_runs;
+    let bits = Total.bits v in
+    if not (consistent bits) then
+      invalid_arg "Algorithm1.mas_of: valuation violates the constraints";
+    let granted = ref 0 in
+    Array.iteri
+      (fun i cs ->
+        if Array.exists (fun c -> Code.conj_holds c bits) cs then
+          granted := !granted lor (1 lsl i))
+      conjs;
+    let granted = !granted in
+    let selected =
+      if granted = 0 then [ 0 ]
+      else
+        match mode with
+        | Exact -> exact_domains engine n bits granted
+        | Chain | Entail ->
+          candidates conjs bits granted
+          |> List.map (close bits)
+          |> List.sort_uniq Int.compare
+          |> List.filter (fun dom ->
+                 Engine.benefit_mask engine ~dom ~bits:(bits land dom)
+                 = granted)
+          |> minimal_domains
+    in
+    Pet_obs.Metrics.add obs_mas (List.length selected);
+    let benefits =
+      List.filteri (fun i _ -> granted land (1 lsl i) <> 0) (Universe.names xb)
+    in
+    selected
+    |> List.map (fun dom -> Partial.of_masks xp ~dom ~bits:(bits land dom))
+    |> List.sort Partial.compare_lex
+    |> List.map (fun mas -> { mas; benefits })
 
 (* Benefits proven by direct conjunction satisfaction: some conjunction of
    the benefit's DNF has all its literals bound with the right sign. This

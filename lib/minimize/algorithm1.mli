@@ -38,6 +38,18 @@ val mas_of :
 (** The MAS of [v], sorted in the paper's lexicographic order. [mode]
     defaults to {!Chain}. For a valuation granting no benefit the result
     is a single empty-domain choice (nothing needs to be sent).
+
+    Staged: [mas_of ~mode engine] compiles the exposure once (each
+    benefit's conjunctions and the chainable implications as machine
+    words) and returns the per-valuation function, so a caller running
+    many valuations, as {!Atlas.build} does, applies it partially. Each
+    application runs on words: a candidate is the OR of the masks of
+    the conjunctions [v] satisfies, closure extends that domain mask,
+    accuracy is one {!Pet_rules.Engine.benefit_mask} query and
+    minimality a subset test on domain words; a
+    {!Pet_valuation.Partial.t} is built only for each selected MAS.
+    Each application is one [algorithm1] span and one count of
+    [pet_algorithm1_runs_total].
     @raise Invalid_argument when [v] violates the problem's constraints
     (the form of an applicant is assumed realistic), or in {!Exact} mode
     on universes above 16 predicates. *)
@@ -69,12 +81,16 @@ val is_minimal :
     subvaluations are not candidates). In {!Exact} mode proofs are full
     entailment, matching the exhaustive enumeration; accuracy is
     interval-closed, so the 1-step check decides Definition 3.13
-    minimality exactly. [mode] defaults to {!Chain}. *)
+    minimality exactly. [mode] defaults to {!Chain}. It works on
+    partial valuations and literal lists and shares no code with
+    {!mas_of}'s word path, so it can audit that path's output. *)
 
 val chain_close :
   Pet_rules.Exposure.t -> Pet_valuation.Partial.t -> Pet_valuation.Partial.t
 (** Forward-chain the directed implications of [R_ADD] from the fixed
-    literals of [w] until fixpoint.
+    literals of [w] until fixpoint, on partial valuations: the
+    audit-side closure ({!is_minimal}, {!Symbolic}); {!mas_of} chains
+    on domain words.
     @raise Invalid_argument when chaining derives a contradiction with
     [w] (cannot happen for subvaluations of realistic valuations). *)
 

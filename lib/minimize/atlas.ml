@@ -2,7 +2,6 @@ module Total = Pet_valuation.Total
 module Partial = Pet_valuation.Partial
 module Engine = Pet_rules.Engine
 module Exposure = Pet_rules.Exposure
-module Rule = Pet_rules.Rule
 module Code = Pet_compile.Code
 
 type t = {
@@ -29,23 +28,25 @@ let obs_players_gauge = Pet_obs.Metrics.gauge "pet_atlas_players"
    per distinct key. In Chain and Entail mode the key is the set of rule
    conjunctions [v] satisfies: the candidates are products of those
    conjunctions (a conjunction [v] satisfies restricted to [v] is the
-   conjunction itself), and closure, the accuracy filter and
-   [keep_minimal] see only the candidates. In Exact mode the MAS are
-   restrictions of [v]'s own bits, so the key is [v]. *)
-let algorithm1_key mode conjs =
+   conjunction itself), and closure, the accuracy filter and the
+   minimality filter see only the candidates. In Exact mode the MAS are
+   restrictions of [v]'s own bits, so the key is [v]. [fill_key] writes
+   [v]'s key into [key], whose length {!key_words} gives. *)
+let key_words mode conjs =
   match mode with
-  | Algorithm1.Exact -> fun v -> [| v |]
+  | Algorithm1.Exact -> 1
+  | Chain | Entail -> (Array.length conjs + Sys.int_size - 1) / Sys.int_size
+
+let fill_key mode conjs key v =
+  match mode with
+  | Algorithm1.Exact -> key.(0) <- v
   | Chain | Entail ->
-    let words = (Array.length conjs + Sys.int_size - 1) / Sys.int_size in
-    fun v ->
-      let key = Array.make words 0 in
-      Array.iteri
-        (fun j c ->
-          if Code.conj_holds c v then
-            let w = j / Sys.int_size in
-            key.(w) <- key.(w) lor (1 lsl (j mod Sys.int_size)))
-        conjs;
-      key
+    Array.fill key 0 (Array.length key) 0;
+    for j = 0 to Array.length conjs - 1 do
+      if Code.conj_holds conjs.(j) v then
+        let w = j / Sys.int_size in
+        key.(w) <- key.(w) lor (1 lsl (j mod Sys.int_size))
+    done
 
 (* The benefit bitset of every total valuation: each conjunction of
    benefit [i]'s rule sets bit [i] on its completions. *)
@@ -94,30 +95,31 @@ let build ?(mode = Algorithm1.Chain) engine =
   (* Benefit bitsets are ints, so they stay non-negative. *)
   if Pet_valuation.Universe.size xb >= Sys.int_size then
     invalid_arg "Atlas.build: too many benefits";
-  let rules =
-    Array.of_list
-      (List.map
-         (fun r ->
-           Array.of_list
-             (List.map (Code.compile_conjunction xp) (Rule.conjunctions r)))
-         (Exposure.rules exposure))
-  in
+  let rules = Exposure.conjunction_words exposure in
+  let full = (1 lsl n) - 1 in
+  let tab = benefit_table rules ~full in
   (* Collect the deduplicated MAS set over all realistic eligible
-     valuations, running Algorithm 1 once per key. *)
-  let key = algorithm1_key mode (Array.concat (Array.to_list rules)) in
+     valuations (a non-zero benefit bitset and the constraints hold),
+     running Algorithm 1 once per key. The key is built in one buffer
+     and copied only when it is new. *)
+  let consistent = Exposure.consistent_word exposure in
+  let mas_of = Algorithm1.mas_of ~mode engine in
+  let conjs = Array.concat (Array.to_list rules) in
+  let key = Array.make (key_words mode conjs) 0 in
   let seen = Hashtbl.create 1024 in
   let mas_set = ref Pmap.empty in
-  List.iter
-    (fun v ->
-      let k = key (Total.bits v) in
-      if not (Hashtbl.mem seen k) then begin
-        Hashtbl.add seen k ();
+  for v = 0 to full do
+    if tab.(v) <> 0 && consistent v then begin
+      fill_key mode conjs key v;
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.add seen (Array.copy key) ();
         List.iter
           (fun (c : Algorithm1.choice) ->
             mas_set := Pmap.add c.mas c !mas_set)
-          (Algorithm1.mas_of ~mode engine v)
-      end)
-    (Exposure.eligible exposure);
+          (mas_of (Total.of_bits xp v))
+      end
+    end
+  done;
   (* OCaml empties the minor heap before [Array.make], [init], [map] or
      [of_list] creates an array of more than 256 (Max_young_wosize)
      elements from a young block, and in a process of several domains
@@ -137,8 +139,6 @@ let build ?(mode = Algorithm1.Chain) engine =
      extensions with the benefit set the MAS proves, read off one table
      of benefit bitsets over every total valuation. A MAS proves exactly
      the benefits it was chosen for. *)
-  let full = (1 lsl n) - 1 in
-  let tab = benefit_table rules ~full in
   let players_of_mas = Array.make nm [] in
   Array.iteri
     (fun mi (c : Algorithm1.choice) ->

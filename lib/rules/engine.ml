@@ -12,7 +12,7 @@ type backend = Brute | Sat | Bdd | Compiled
 
 type impl =
   | Ibrute
-  | Isat of { solver : Solver.t; var_of : string -> int }
+  | Isat of Solver.t
   | Ibdd of { man : Bdd.man; r : Bdd.node }
   | Icode of Code.t
 
@@ -56,7 +56,7 @@ let make_sat e =
            (fun (l : Pet_logic.Literal.t) -> Lit.make (var_of l.var) l.sign)
            clause))
     clauses;
-  Isat { solver; var_of }
+  Isat solver
 
 let make_bdd e =
   let man = Bdd.man () in
@@ -148,31 +148,36 @@ let brute_entails_literal e w p value =
 
 (* --- SAT backend ---------------------------------------------------------- *)
 
-let sat_assumptions var_of w =
-  List.map (fun (name, b) -> Lit.make (var_of name) b) (Partial.bindings w)
+(* The bound positions of [(dom, bits)] as assumptions, ascending; the
+   form predicates are solver variables [0 .. n-1]. *)
+let sat_assumptions ~dom ~bits =
+  let rec from i =
+    if dom lsr i = 0 then []
+    else if dom land (1 lsl i) = 0 then from (i + 1)
+    else Lit.make i (bits land (1 lsl i) <> 0) :: from (i + 1)
+  in
+  from 0
 
-let sat_consistent solver var_of w =
-  Solver.solve ~assumptions:(sat_assumptions var_of w) solver = Solver.Sat
-
-let sat_refutes solver var_of w extra =
-  (* Is [R /\ w /\ extra] unsatisfiable? *)
-  Solver.solve ~assumptions:(extra :: sat_assumptions var_of w) solver
+let sat_refutes solver ~dom ~bits extra =
+  (* Is [R /\ (dom, bits) /\ extra] unsatisfiable? *)
+  Solver.solve ~assumptions:(extra :: sat_assumptions ~dom ~bits) solver
   = Solver.Unsat
 
 (* --- BDD backend ------------------------------------------------------------ *)
 
-let bdd_restrict_by man r e w =
-  let xp = Exposure.xp e in
-  List.fold_left
-    (fun acc (name, b) -> Bdd.restrict man acc (Universe.index xp name) b)
-    r (Partial.bindings w)
+(* [r] cofactored by the bound positions of [(dom, bits)], ascending; the
+   form predicates are BDD variables [0 .. n-1]. *)
+let bdd_restrict man r ~dom ~bits =
+  let rec from r i =
+    if dom lsr i = 0 then r
+    else if dom land (1 lsl i) = 0 then from r (i + 1)
+    else from (Bdd.restrict man r i (bits land (1 lsl i) <> 0)) (i + 1)
+  in
+  from r 0
 
-let bdd_consistent man r e w = not (Bdd.is_unsat (bdd_restrict_by man r e w))
-
-let bdd_refutes man r e w var value =
-  (* Is [R /\ w /\ (var = value)] unsatisfiable? *)
-  let restricted = bdd_restrict_by man r e w in
-  Bdd.is_unsat (Bdd.restrict man restricted var value)
+let bdd_refutes man r ~dom ~bits var value =
+  (* Is [R /\ (dom, bits) /\ (var = value)] unsatisfiable? *)
+  Bdd.is_unsat (Bdd.restrict man (bdd_restrict man r ~dom ~bits) var value)
 
 (* --- Dispatch ------------------------------------------------------------------ *)
 
@@ -201,12 +206,13 @@ let sync_obs t =
 let consistent t w =
   check_universe t w;
   count_query t;
+  let dom = Partial.domain_mask w and bits = Partial.bits w in
   match t.impl with
   | Ibrute -> brute_consistent t.e w
-  | Isat { solver; var_of } -> sat_consistent solver var_of w
-  | Ibdd { man; r } -> bdd_consistent man r t.e w
-  | Icode c ->
-    Code.consistent c ~dom:(Partial.domain_mask w) ~bits:(Partial.bits w)
+  | Isat solver ->
+    Solver.solve ~assumptions:(sat_assumptions ~dom ~bits) solver = Solver.Sat
+  | Ibdd { man; r } -> not (Bdd.is_unsat (bdd_restrict man r ~dom ~bits))
+  | Icode c -> Code.consistent c ~dom ~bits
 
 let benefit_index t b =
   Universe.size (Exposure.xp t.e) + Universe.index (Exposure.xb t.e) b
@@ -214,19 +220,52 @@ let benefit_index t b =
 let entails_benefit t w b =
   check_universe t w;
   count_query t;
+  let dom = Partial.domain_mask w and bits = Partial.bits w in
   match t.impl with
   | Ibrute ->
     ignore (Universe.index (Exposure.xb t.e) b);
     brute_entails_benefit t.e w b
-  | Isat { solver; var_of } ->
-    sat_refutes solver var_of w (Lit.make (benefit_index t b) false)
-  | Ibdd { man; r } -> bdd_refutes man r t.e w (benefit_index t b) false
+  | Isat solver ->
+    sat_refutes solver ~dom ~bits (Lit.make (benefit_index t b) false)
+  | Ibdd { man; r } -> bdd_refutes man r ~dom ~bits (benefit_index t b) false
   | Icode c ->
-    Code.entails_benefit c ~dom:(Partial.domain_mask w) ~bits:(Partial.bits w)
-      (Universe.index (Exposure.xb t.e) b)
+    Code.entails_benefit c ~dom ~bits (Universe.index (Exposure.xb t.e) b)
+
+(* Bit [i] set iff [(dom, bits)] entails benefit [i]: one query for every
+   benefit. *)
+let benefit_mask t ~dom ~bits =
+  let xp = Exposure.xp t.e and xb = Exposure.xb t.e in
+  let np = Universe.size xp and nb = Universe.size xb in
+  if dom < 0 || dom lsr np <> 0 || bits land lnot dom <> 0 then
+    invalid_arg "Engine.benefit_mask: words outside the form universe";
+  count_query t;
+  (* Ask [entailed i] for each benefit, ascending. *)
+  let each entailed =
+    let rec go i acc =
+      if i = nb then acc
+      else go (i + 1) (if entailed i then acc lor (1 lsl i) else acc)
+    in
+    go 0 0
+  in
+  match t.impl with
+  | Icode c -> (Code.scan c ~dom ~bits).Code.benefit_and
+  | Ibdd { man; r } ->
+    let r = bdd_restrict man r ~dom ~bits in
+    each (fun i -> Bdd.is_unsat (Bdd.restrict man r (np + i) false))
+  | Isat solver ->
+    each (fun i -> sat_refutes solver ~dom ~bits (Lit.make (np + i) false))
+  | Ibrute ->
+    let w = Partial.of_masks xp ~dom ~bits in
+    each (fun i -> brute_entails_benefit t.e w (Universe.name xb i))
 
 let benefits t w =
-  List.filter (entails_benefit t w) (Universe.names (Exposure.xb t.e))
+  check_universe t w;
+  let mask =
+    benefit_mask t ~dom:(Partial.domain_mask w) ~bits:(Partial.bits w)
+  in
+  List.filteri
+    (fun i _ -> mask land (1 lsl i) <> 0)
+    (Universe.names (Exposure.xb t.e))
 
 let benefits_of_total t v =
   Exposure.benefits_of_assignment t.e (Total.rho v)
@@ -235,15 +274,12 @@ let entails_literal t w p value =
   check_universe t w;
   count_query t;
   let i = Universe.index (Exposure.xp t.e) p in
+  let dom = Partial.domain_mask w and bits = Partial.bits w in
   match t.impl with
   | Ibrute -> brute_entails_literal t.e w p value
-  | Isat { solver; var_of } ->
-    ignore i;
-    sat_refutes solver var_of w (Lit.make (var_of p) (not value))
-  | Ibdd { man; r } -> bdd_refutes man r t.e w i (not value)
-  | Icode c ->
-    Code.entails_literal c ~dom:(Partial.domain_mask w) ~bits:(Partial.bits w)
-      i value
+  | Isat solver -> sat_refutes solver ~dom ~bits (Lit.make i (not value))
+  | Ibdd { man; r } -> bdd_refutes man r ~dom ~bits i (not value)
+  | Icode c -> Code.entails_literal c ~dom ~bits i value
 
 let deduced_literals t w =
   check_universe t w;

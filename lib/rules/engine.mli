@@ -52,8 +52,23 @@ val entails_benefit : t -> Pet_valuation.Partial.t -> string -> bool
     inconsistent with [R].
     @raise Not_found for unknown benefit names. *)
 
+val benefit_mask : t -> dom:int -> bits:int -> int
+(** [benefit_mask t ~dom ~bits]: the benefits the partial valuation with
+    domain mask [dom] and value bits [bits] (as
+    {!Pet_valuation.Partial.domain_mask} and {!Pet_valuation.Partial.bits})
+    proves, as a bitset in benefit-universe order (bit [i] is benefit
+    [i]). One query answers every benefit: the compiled backend makes one
+    pass over the consistent completions, the BDD backend cofactors [R]
+    by the bound positions once and then once per benefit, the SAT and
+    brute backends ask their per-benefit question for each benefit. An
+    inconsistent partial valuation entails every benefit vacuously.
+    Counts as one query in [pet_engine_queries_total].
+    @raise Invalid_argument when the words exceed the form universe or
+    [bits] escapes [dom]. *)
+
 val benefits : t -> Pet_valuation.Partial.t -> string list
-(** Benefits proven by [w] under [R], in benefit-universe order. *)
+(** Benefits proven by [w] under [R], in benefit-universe order: the
+    names of {!benefit_mask}'s bits. *)
 
 val benefits_of_total : t -> Pet_valuation.Total.t -> string list
 (** Fast path for fully filled forms: evaluate the rule DNFs directly. For

@@ -105,19 +105,21 @@ let valuations_where e keep =
   in
   go ((1 lsl Universe.size e.xp) - 1) []
 
-let consistent_word e =
-  let checks = List.map (Code.compile_formula e.xp) e.constraints in
-  fun bits -> List.for_all (fun check -> check bits) checks
+let consistent_word e = Code.compile_formula e.xp (constraints_formula e)
+
+let conjunction_words e =
+  Array.of_list
+    (List.map
+       (fun r ->
+         Array.of_list
+           (List.map (Code.compile_conjunction e.xp) (Rule.conjunctions r)))
+       e.rules)
 
 let realistic e = valuations_where e (consistent_word e)
 
 let eligible e =
   let consistent = consistent_word e in
-  let conjs =
-    List.concat_map Rule.conjunctions e.rules
-    |> List.map (Code.compile_conjunction e.xp)
-    |> Array.of_list
-  in
+  let conjs = Array.concat (Array.to_list (conjunction_words e)) in
   valuations_where e (fun bits ->
       consistent bits && Array.exists (fun c -> Code.conj_holds c bits) conjs)
 

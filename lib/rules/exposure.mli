@@ -51,6 +51,16 @@ val benefits_of_assignment : t -> (string -> bool) -> string list
 
 val satisfies_constraints : t -> Pet_valuation.Total.t -> bool
 
+val consistent_word : t -> int -> bool
+(** [R_ADD] compiled into one test on valuation words
+    ({!Pet_valuation.Total.bits}): variable indices are resolved once and
+    a call allocates nothing. Agrees with {!satisfies_constraints}. *)
+
+val conjunction_words : t -> Pet_compile.Code.conj array array
+(** Each benefit's rule conjunctions compiled to words
+    ({!Pet_compile.Code.compile_conjunction}), in benefit-universe
+    order. *)
+
 val realistic : t -> Pet_valuation.Total.t list
 (** All total form valuations satisfying [R_ADD] — the "realistic"
     players of Section 4.1 — in increasing bit order. *)

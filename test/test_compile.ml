@@ -1,9 +1,9 @@
 (* Tests for the compiled fast path (lib/compile): bitmask rule
-   compilation checked against Pet_logic evaluation, the tabulated MAS
-   answer table checked against Algorithm 1, the Compiled engine
-   backend checked against brute force on both sides of the tabulation
-   threshold, and the zero-allocation JSON cursor checked against the
-   full parser. *)
+   compilation checked against Pet_logic evaluation, Algorithm 1 on the
+   Compiled engine checked against the brute-force engine, the Compiled
+   engine backend checked against brute force on both sides of the
+   tabulation threshold, and the zero-allocation JSON cursor checked
+   against the full parser. *)
 
 module F = Pet_logic.Formula
 module Dnf = Pet_logic.Dnf
@@ -16,7 +16,6 @@ module Engine = Pet_rules.Engine
 module Generate = Pet_rules.Generate
 module A1 = Pet_minimize.Algorithm1
 module Code = Pet_compile.Code
-module Answers = Pet_compile.Answers
 module Json = Pet_pet.Json
 module Proto = Pet_server.Proto
 module Running = Pet_casestudies.Running
@@ -26,8 +25,6 @@ let code_of e =
     ~benefits:(Universe.names (Exposure.xb e))
     ~rule:(fun b -> (Exposure.rule_for e b).Rule.dnf)
     ~constraints:(Exposure.constraints e)
-
-let answers_of e = Answers.build (code_of e) ~implications:(Exposure.implications e)
 
 (* Evaluate a formula on a valuation word without going through the
    engines — the independent reference for the compiled tables. *)
@@ -172,61 +169,70 @@ let test_create_refuses () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-(* --- Answers: the tabulated MAS table vs Algorithm 1 --------------------- *)
+(* --- Algorithm 1 on the Compiled engine ------------------------------------ *)
+
+(* [mas_of] staged once on the Compiled engine, applied to every
+   valuation word: [None] where the valuation violates the constraints
+   (Algorithm 1 refuses it). *)
+let compiled_mas e =
+  let mas_of = A1.mas_of (Engine.create ~backend:Engine.Compiled e) in
+  let xp = Exposure.xp e in
+  fun v ->
+    match mas_of (Total.of_bits xp v) with
+    | choices -> Some choices
+    | exception Invalid_argument _ -> None
 
 let test_answers_vs_algorithm1 () =
   List.iter
     (fun e ->
-      let answers = answers_of e in
-      let code = Answers.code answers in
-      let n = Code.predicates code in
+      let code = code_of e in
+      let mas_of = compiled_mas e in
       let brute = Engine.create ~backend:Engine.Brute e in
-      for v = 0 to (1 lsl n) - 1 do
-        if not (Code.consistent_bits code v) then
-          Alcotest.(check int)
-            (Printf.sprintf "inconsistent %d has no entry" v)
-            0
-            (Array.length (Answers.mas_domains answers v))
-        else begin
+      for v = 0 to (1 lsl Code.predicates code) - 1 do
+        match mas_of v with
+        | None ->
+          Alcotest.(check bool)
+            (Printf.sprintf "refused %d is inconsistent" v)
+            false (Code.consistent_bits code v)
+        | Some choices ->
           let total = Total.of_bits (Exposure.xp e) v in
-          let expected = A1.mas_of brute total in
+          let lines cs =
+            List.map
+              (fun (c : A1.choice) ->
+                Partial.to_string c.A1.mas ^ " " ^ String.concat "," c.benefits)
+              cs
+          in
           Alcotest.(check (list string))
             (Printf.sprintf "MAS of %s" (Total.to_string total))
-            (List.map (fun (c : A1.choice) -> Partial.to_string c.A1.mas) expected)
-            (List.map Partial.to_string (Answers.mas_list answers v));
-          Alcotest.(check (list string))
-            (Printf.sprintf "benefits of %s" (Total.to_string total))
-            (match expected with c :: _ -> c.A1.benefits | [] -> [])
-            (Answers.granted answers v)
-        end
+            (lines (A1.mas_of brute total))
+            (lines choices)
       done)
     (small_exposures ())
 
 let test_answers_are_minimal () =
   List.iter
     (fun e ->
-      let answers = answers_of e in
-      let code = Answers.code answers in
+      let code = code_of e in
+      let mas_of = compiled_mas e in
       let engine = Engine.create ~backend:Engine.Bdd e in
       for v = 0 to (1 lsl Code.predicates code) - 1 do
-        if Code.consistent_bits code v then
-          let benefits = Answers.granted answers v in
-          List.iter
-            (fun mas ->
-              Alcotest.(check bool)
-                (Printf.sprintf "MAS %s of %d minimal" (Partial.to_string mas) v)
-                true
-                (A1.is_minimal engine mas ~benefits))
-            (Answers.mas_list answers v)
+        List.iter
+          (fun (c : A1.choice) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "MAS %s of %d minimal" (Partial.to_string c.mas) v)
+              true
+              (A1.is_minimal engine c.mas ~benefits:c.benefits))
+          (Option.value ~default:[] (mas_of v))
       done)
     (small_exposures ())
 
 let test_answers_running_example () =
-  let answers = answers_of (Running.exposure ()) in
+  let mas_of = compiled_mas (Running.exposure ()) in
   let xp = Exposure.xp (Running.exposure ()) in
   let mas s =
-    List.map Partial.to_string
-      (Answers.mas_list answers (Total.bits (Total.of_string xp s)))
+    List.map
+      (fun (c : A1.choice) -> Partial.to_string c.mas)
+      (Option.get (mas_of (Total.bits (Total.of_string xp s))))
   in
   (* Figure 1 of the paper, as in test_minimize. *)
   Alcotest.(check (list string)) "111" [ "_11"; "1__" ] (mas "111");

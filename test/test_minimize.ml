@@ -328,6 +328,152 @@ let test_atlas_runs_algorithm1_per_key () =
     true
     (calls > 0 && calls < eligible)
 
+(* --- Algorithm 1 against its list-based reference ------------------------------ *)
+
+(* Algorithm 1 as it was written before it worked on machine words: names,
+   literal lists and [Partial.t] throughout. [A1.mas_of] must give the
+   same choices on every backend and in every mode. *)
+module Reference = struct
+  module Dnf = Pet_logic.Dnf
+
+  (* Lines 5-13: the Cartesian product, across the benefits granted to
+     [v], of the conjunctions of each benefit's DNF that [v] satisfies,
+     each candidate being [v] restricted to the chosen conjunctions. *)
+  let raw_candidates exposure v granted =
+    let xp = Exposure.xp exposure in
+    let rho = Total.rho v in
+    let restriction c =
+      Partial.of_assoc xp
+        (List.map (fun (l : Pet_logic.Literal.t) -> (l.var, l.sign)) c)
+    in
+    let satisfied b =
+      Rule.conjunctions (Exposure.rule_for exposure b)
+      |> List.filter (Dnf.conjunction_holds rho)
+      |> List.map restriction
+    in
+    let combine acc restrictions =
+      List.concat_map
+        (fun w -> List.map (fun r -> Option.get (Partial.merge w r)) restrictions)
+        acc
+    in
+    List.fold_left combine [ Partial.empty xp ] (List.map satisfied granted)
+    |> List.sort_uniq Partial.compare
+
+  let entail_close engine w =
+    List.fold_left
+      (fun acc (p, value) -> Partial.set acc p value)
+      w
+      (Engine.deduced_literals engine w)
+
+  let keep_minimal candidates =
+    let candidates = List.sort_uniq Partial.compare candidates in
+    List.filter
+      (fun w ->
+        not
+          (List.exists (fun w' -> Partial.strict_subvaluation w' w) candidates))
+      candidates
+
+  (* Exact mode: every subset of [v]'s domain, keeping the accurate ones
+     none of whose strict subsets is accurate. *)
+  let exhaustive_minimal engine v granted =
+    let xp = Exposure.xp (Engine.exposure engine) in
+    let n = Universe.size xp in
+    if n > 16 then invalid_arg "universe too large";
+    let bits = Total.bits v in
+    let accurate = Hashtbl.create 256 in
+    for dom = 0 to (1 lsl n) - 1 do
+      let w = Partial.of_masks xp ~dom ~bits:(bits land dom) in
+      if List.equal String.equal (Engine.benefits engine w) granted then
+        Hashtbl.add accurate dom w
+    done;
+    Hashtbl.fold
+      (fun dom w acc ->
+        let rec smaller sub =
+          sub <> dom && (Hashtbl.mem accurate sub || smaller ((sub - 1) land dom))
+        in
+        if smaller ((dom - 1) land dom) then acc else w :: acc)
+      accurate []
+
+  let mas_of ?(mode = A1.Chain) engine v =
+    let exposure = Engine.exposure engine in
+    if not (Exposure.satisfies_constraints exposure v) then
+      invalid_arg "valuation violates the constraints";
+    let granted = Engine.benefits_of_total engine v in
+    let selected =
+      if granted = [] then [ Partial.empty (Exposure.xp exposure) ]
+      else
+        match mode with
+        | A1.Exact -> exhaustive_minimal engine v granted
+        | Chain | Entail ->
+          let close =
+            if mode = A1.Chain then A1.chain_close exposure
+            else entail_close engine
+          in
+          raw_candidates exposure v granted
+          |> List.map close
+          |> List.filter (fun w ->
+                 List.equal String.equal (Engine.benefits engine w) granted)
+          |> keep_minimal
+    in
+    List.sort Partial.compare_lex selected
+    |> List.map (fun mas -> { A1.mas; benefits = granted })
+end
+
+let choice_lines choices =
+  List.map
+    (fun (c : A1.choice) ->
+      Partial.to_string c.mas ^ " " ^ String.concat "," c.benefits)
+    choices
+
+(* The largest form each backend and mode is run on. Brute force
+   enumerates completions per query, and Exact mode makes 2^n queries
+   per valuation, so they stop early; above 16 predicates Exact mode
+   refuses every valuation, which is compared too. *)
+let reference_cap backend mode =
+  match backend, mode with
+  | Engine.Brute, A1.Chain -> 10
+  | Engine.Brute, A1.Entail -> 8
+  | Engine.Brute, A1.Exact -> 6
+  | Engine.Sat, A1.Entail -> 11
+  | Engine.Sat, A1.Exact -> 7
+  | Engine.Bdd, A1.Exact -> 8
+  | Engine.Compiled, A1.Exact -> 10
+  | (Engine.Sat | Engine.Bdd | Engine.Compiled), (A1.Chain | A1.Entail) ->
+    max_int
+
+let test_mas_of_matches_reference () =
+  let run f v =
+    match f v with
+    | choices -> choice_lines choices
+    | exception Invalid_argument _ -> [ "refused" ]
+  in
+  List.iter
+    (fun (name, e) ->
+      let eligible = Exposure.eligible e in
+      let n = Universe.size (Exposure.xp e) in
+      List.iter
+        (fun backend ->
+          let engine = Engine.create ~backend e in
+          List.iter
+            (fun mode ->
+              if n <= reference_cap backend mode || (mode = A1.Exact && n > 16)
+              then
+                let mas_of = A1.mas_of ~mode engine in
+                List.iter
+                  (fun v ->
+                    let expected = run (Reference.mas_of ~mode engine) v
+                    and got = run mas_of v in
+                    if expected <> got then
+                      Alcotest.failf
+                        "%s/%s: MAS of %s: expected [%s], got [%s]" name
+                        (Engine.backend_name backend) (Total.to_string v)
+                        (String.concat "; " expected)
+                        (String.concat "; " got))
+                  eligible)
+            [ A1.Chain; A1.Entail; A1.Exact ])
+        Engine.all_backends)
+    (case_studies () @ corpus_forms 40)
+
 (* --- Provider builds and the minor heap -------------------------------------- *)
 
 (* In a process of several domains every minor collection stops the
@@ -383,6 +529,13 @@ let test_provider_forces_no_minor_gc () =
       (Atlas.build
          (Engine.create ~backend:Engine.Compiled
             (Pet_casestudies.Rsa.exposure ())));
+    (* The BDD backend, as the substrate workload builds its providers:
+       RSA's 17 predicates enumerate 2^17 valuation words. *)
+    List.iter
+      (fun (name, e) ->
+        let engine = Engine.create ~backend:Engine.Bdd e in
+        ignore (stage (name ^ " Atlas.build (bdd)") (fun () -> Atlas.build engine)))
+      (case_studies ());
     List.rev !costs
   in
   List.iter
@@ -806,6 +959,8 @@ let () =
           Alcotest.test_case "chain closure" `Quick test_chain_close;
           Alcotest.test_case "closure laws" `Quick
             test_chain_close_idempotent_monotone;
+          Alcotest.test_case "mas_of matches the list-based reference" `Slow
+            test_mas_of_matches_reference;
         ] );
       ( "atlas",
         [

@@ -215,6 +215,83 @@ let test_inconsistent_is_vacuous () =
   Alcotest.(check bool) "vacuously proves" true
     (Engine.entails_benefit t w "b1")
 
+(* Every partial valuation of small generated problems with constraints:
+   each backend's [benefit_mask] equals brute force's, is the full mask
+   exactly where the partial is inconsistent (vacuous entailment), and
+   [benefits] names its bits. *)
+let test_benefit_mask_agrees () =
+  let exposures =
+    Hcov.exposure ()
+    :: List.map
+         (fun seed ->
+           Pet_rules.Generate.exposure
+             ~config:
+               {
+                 Pet_rules.Generate.predicates = 5;
+                 benefits = 3;
+                 conjunctions = 3;
+                 width = 2;
+                 implications = 3;
+               }
+             ~seed ())
+         [ 1; 2; 3; 4; 5; 6 ]
+  in
+  let vacuous = ref 0 in
+  List.iter
+    (fun e ->
+      let xp = Exposure.xp e in
+      let n = Universe.size xp and nb = Universe.size (Exposure.xb e) in
+      let engines = List.map (fun backend -> Engine.create ~backend e) Engine.all_backends in
+      let brute = List.hd engines in
+      let partials =
+        if n > 5 then
+          (* H-cov: p1 and p5 cannot both hold. *)
+          [ Partial.of_assoc xp [ ("p1", true); ("p5", true) ];
+            Partial.of_assoc xp [ ("p12", true) ]; Partial.empty xp ]
+        else
+          List.concat_map
+            (fun dom ->
+              List.filter_map
+                (fun bits ->
+                  if bits land lnot dom = 0 then
+                    Some (Partial.of_masks xp ~dom ~bits)
+                  else None)
+                (List.init (1 lsl n) Fun.id))
+            (List.init (1 lsl n) Fun.id)
+      in
+      List.iter
+        (fun w ->
+          let mask t =
+            Engine.benefit_mask t ~dom:(Partial.domain_mask w)
+              ~bits:(Partial.bits w)
+          in
+          let expected = mask brute in
+          if not (Engine.consistent brute w) then begin
+            incr vacuous;
+            Alcotest.(check int)
+              (Fmt.str "%a vacuous" Partial.pp w)
+              ((1 lsl nb) - 1) expected
+          end;
+          List.iter
+            (fun t ->
+              let name = Fmt.str "%a on %a" Engine.pp_backend (Engine.backend t) Partial.pp w in
+              Alcotest.(check int) (name ^ ": mask") expected (mask t);
+              Alcotest.(check (list string)) (name ^ ": names")
+                (List.filteri
+                   (fun i _ -> expected land (1 lsl i) <> 0)
+                   (Universe.names (Exposure.xb e)))
+                (Engine.benefits t w))
+            engines)
+        partials)
+    exposures;
+  Alcotest.(check bool) (Printf.sprintf "%d inconsistent partials" !vacuous)
+    true (!vacuous > 10);
+  let t = Engine.create (Running.exposure ()) in
+  Alcotest.(check bool) "words outside the universe" true
+    (match Engine.benefit_mask t ~dom:0b1000 ~bits:0 with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
 let test_engine_universe_mismatch () =
   let t = Engine.create (Running.exposure ()) in
   let other = Universe.of_names [ "q1" ] in
@@ -349,6 +426,8 @@ let () =
           Alcotest.test_case "hcov deduction" `Quick test_deduced_literals_hcov;
           Alcotest.test_case "vacuous entailment" `Quick
             test_inconsistent_is_vacuous;
+          Alcotest.test_case "benefit_mask across backends" `Quick
+            test_benefit_mask_agrees;
           Alcotest.test_case "universe mismatch" `Quick
             test_engine_universe_mismatch;
         ] );

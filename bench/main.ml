@@ -648,8 +648,7 @@ let merge_json file fields =
    read its metrics afterwards). The service clock is logical (+1 per
    read) unless [now] is given; [on_create] sees the service before the
    first request. *)
-let server_case ?backend ?compiled ?now ?(on_create = ignore) name exposure
-    respondents =
+let server_case ?now ?(on_create = ignore) name exposure respondents =
   let escape s = Pet_pet.Json.to_string (Pet_pet.Json.String s) in
     let now =
       match now with
@@ -659,7 +658,7 @@ let server_case ?backend ?compiled ?now ?(on_create = ignore) name exposure
         fun () -> tick := !tick +. 1.; !tick
     in
     let service =
-      Pet_server.Service.create ?backend ?compiled ~capacity:4 ~ttl:0. ~now ()
+      Pet_server.Service.create ~capacity:4 ~ttl:0. ~now ()
     in
     on_create service;
     let text = Pet_rules.Spec.to_string exposure in
@@ -953,13 +952,12 @@ let tcp_scaling () =
       ("tcp_speedup_4_domains", Pet_pet.Json.Float speedup);
     ]
 
-(* Cache-hit traffic for the compiled fast path: many sessions
-   repeatedly asking for reports over a small valuation pool, so almost
-   every [get_report] can be answered from the per-valuation table of
-   rendered responses (and every line takes the cursor decoder). The
-   same workload runs compiled-on and compiled-off (plain BDD engine
-   path) in an ABBA schedule so machine drift cancels out of the
-   speedup. *)
+(* Memo-hit traffic: many sessions repeatedly asking for reports over
+   a small valuation pool, so almost every [get_report] is answered
+   from the rendered-report memo (and every line takes the cursor
+   decoder). The memo's payoff reads against the [server] case on the
+   same form, where every respondent is a distinct valuation and so
+   every report is a miss. *)
 let compiled_hit_case exposure =
   let escape s = Pet_pet.Json.to_string (Pet_pet.Json.String s) in
   let text = Pet_rules.Spec.to_string exposure in
@@ -968,12 +966,10 @@ let compiled_hit_case exposure =
   let pool = Array.init 32 (fun i -> population.(i * Array.length population / 32)) in
   let sessions = 200 and reports = 16 in
   let requests = ref 0 and errors = ref 0 in
-  let run ~compiled () =
+  let run () =
     let tick = ref 0. in
     let service =
-      Pet_server.Service.create ~compiled
-        ~backend:(if compiled then Engine.Compiled else Engine.Bdd)
-        ~capacity:4 ~ttl:0.
+      Pet_server.Service.create ~capacity:4 ~ttl:0.
         ~now:(fun () -> tick := !tick +. 1.; !tick)
         ()
     in
@@ -1019,23 +1015,15 @@ let compiled_hit_case exposure =
     in
     float_of_int !requests /. dt
   in
-  ignore (run ~compiled:true ());
-  (* warm-up: page in both code paths *)
-  let t_on = ref 0. and t_off = ref 0. in
-  let blocks = 2 in
-  for _ = 1 to blocks do
-    t_on := !t_on +. (1. /. run ~compiled:true ());
-    t_off := !t_off +. (1. /. run ~compiled:false ());
-    t_off := !t_off +. (1. /. run ~compiled:false ());
-    t_on := !t_on +. (1. /. run ~compiled:true ())
+  ignore (run ());
+  (* warm-up: page in the code path; then the harmonic mean of 4 runs *)
+  let runs = 4 in
+  let t = ref 0. in
+  for _ = 1 to runs do
+    t := !t +. (1. /. run ())
   done;
-  let rps_on = float_of_int (2 * blocks) /. !t_on in
-  let rps_off = float_of_int (2 * blocks) /. !t_off in
-  let speedup = rps_on /. rps_off in
-  Fmt.pr
-    "compiled H-cov cache-hit traffic: %.0f req/s engine path, %.0f req/s \
-     compiled = %.1fx (acceptance >= 5x)@."
-    rps_off rps_on speedup;
+  let rps = float_of_int runs /. !t in
+  Fmt.pr "compiled H-cov memo-hit traffic: %.0f req/s@." rps;
   Pet_pet.Json.Obj
     [
       ("case", Pet_pet.Json.String "H-cov");
@@ -1044,9 +1032,7 @@ let compiled_hit_case exposure =
           "cache-hit consent reports over a 32-valuation pool" );
       ("requests", Pet_pet.Json.Int !requests);
       ("errors", Pet_pet.Json.Int !errors);
-      ("compiled_requests_per_s", Pet_pet.Json.Float rps_on);
-      ("engine_requests_per_s", Pet_pet.Json.Float rps_off);
-      ("speedup", Pet_pet.Json.Float speedup);
+      ("compiled_requests_per_s", Pet_pet.Json.Float rps);
     ]
 
 let server () =

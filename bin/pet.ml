@@ -755,36 +755,6 @@ let fill_cmd =
 module Log = Pet_obs.Log
 
 let serve_cmd =
-  let serve_backend_arg =
-    let doc =
-      "Entailment backend for compiled engines: $(b,brute), $(b,sat), \
-       $(b,bdd) or $(b,compiled). Defaults to $(b,compiled), or to \
-       $(b,bdd) under $(b,--no-compiled)."
-    in
-    Arg.(
-      value
-      & opt (some (enum backend_names)) None
-      & info [ "backend" ] ~docv:"BACKEND" ~doc)
-  in
-  let compiled_arg =
-    let on =
-      Arg.info [ "compiled" ]
-        ~doc:
-          "Enable the compiled fast path (the default): published forms \
-           small enough to tabulate answer $(b,get_report) from a \
-           per-valuation table of rendered responses, and common request \
-           shapes take an AST-free decoder. Responses are byte-identical \
-           with or without it."
-    in
-    let off =
-      Arg.info [ "no-compiled" ]
-        ~doc:
-          "Disable the compiled fast path: every request takes the full \
-           JSON decoder and report pipeline (and the engine backend \
-           defaults to $(b,bdd)). For A/B checks and benchmarks."
-    in
-    Arg.(value & vflag true [ (true, on); (false, off) ])
-  in
   let deterministic_arg =
     let doc =
       "Use a logical clock (advancing 1s per clock read) instead of wall \
@@ -793,7 +763,7 @@ let serve_cmd =
     Arg.(value & flag & info [ "deterministic" ] ~doc)
   in
   let cache_arg =
-    let doc = "Capacity of the compiled-engine LRU cache." in
+    let doc = "Capacity of the compiled-engine LRU cache (at least 1)." in
     Arg.(value & opt int 16 & info [ "cache" ] ~docv:"N" ~doc)
   in
   let ttl_arg =
@@ -893,17 +863,8 @@ let serve_cmd =
     in
     Arg.(value & flag & info [ "flight" ] ~doc)
   in
-  let run backend compiled payoff deterministic cache ttl tenant_quota
-      data_dir no_fsync trace_slow log_level log_json stdio tcp domains
-      port_file flight =
-    (* An explicit --backend wins; otherwise the compiled path brings
-       its own engine backend, and --no-compiled reverts to the
-       pre-compiled default. *)
-    let backend =
-      match backend with
-      | Some backend -> backend
-      | None -> if compiled then Engine.Compiled else Engine.Bdd
-    in
+  let run payoff deterministic cache ttl tenant_quota data_dir no_fsync
+      trace_slow log_level log_json stdio tcp domains port_file flight =
     (* The deterministic clocks are atomic so the shards share one
        logical timeline. *)
     let now =
@@ -944,7 +905,9 @@ let serve_cmd =
         Some (Spec.to_string exposure)
       | _ -> None
     in
-    if stdio && tcp <> None then
+    if cache < 1 then
+      `Error (false, Printf.sprintf "--cache %d: expected at least 1" cache)
+    else if stdio && tcp <> None then
       `Error (false, "--stdio and --tcp are mutually exclusive")
     else if tcp = None && domains <> 1 then
       `Error (false, "--domains only applies to the TCP server (--tcp)")
@@ -982,7 +945,7 @@ let serve_cmd =
       | None -> Pet_net.Server.Stdio (stdin, stdout)
     in
     match
-      Pet_net.Server.start ~backend ~compiled ~payoff ~capacity:cache ~ttl
+      Pet_net.Server.start ~payoff ~capacity:cache ~ttl
         ~tenant_quota ~resolve ?store ?recovery
         ~sweep_interval:(if deterministic then 0. else 1.)
         ?flight:fl ~domains ~listen ~now ()
@@ -1007,8 +970,8 @@ let serve_cmd =
     "Run the collection service: read one JSON request per line from \
      standard input, write one JSON response per line to standard output \
      (methods: publish_rules, update_rules, new_session, get_report, \
-     choose_option, submit_form, audit, tenant, stats, metrics, trace, \
-     watch). \
+     choose_option, submit_form, revoke, expire, audit, tenant, stats, \
+     metrics, trace, watch). \
      Compiled rule engines are cached across \
      sessions; sessions expire after $(b,--ttl) idle seconds; raw \
      valuations are erased the moment an option is chosen. Forms published \
@@ -1027,9 +990,8 @@ let serve_cmd =
     (Cmd.info "serve" ~doc)
     Term.(
       ret
-        (const run $ serve_backend_arg $ compiled_arg $ payoff_arg
-       $ deterministic_arg $ cache_arg $ ttl_arg $ tenant_quota_arg
-       $ data_dir_arg $ no_fsync_arg $ trace_slow_arg
+        (const run $ payoff_arg $ deterministic_arg $ cache_arg $ ttl_arg
+       $ tenant_quota_arg $ data_dir_arg $ no_fsync_arg $ trace_slow_arg
        $ log_level_arg $ log_json_arg $ stdio_arg $ tcp_arg $ domains_arg
        $ port_file_arg $ flight_arg))
 

@@ -478,7 +478,7 @@ let bind port =
     | Unix.ADDR_INET (_, p) -> Ok (fd, p)
     | _ -> Ok (fd, port))
 
-let start ?backend ?compiled ?payoff ?capacity ?ttl ?(tenant_quota = 0)
+let start ?payoff ?capacity ?ttl ?(tenant_quota = 0)
     ?resolve ?store ?recovery ?(sweep_interval = 1.) ?flight ~domains ~listen
     ~now () =
   let domains = max 1 domains in
@@ -492,7 +492,7 @@ let start ?backend ?compiled ?payoff ?capacity ?ttl ?(tenant_quota = 0)
         {
           index;
           service =
-            Service.create ?backend ?compiled ?payoff ?capacity ?ttl ?resolve
+            Service.create ?payoff ?capacity ?ttl ?resolve
               ~owns ~shared ~tenants ~durable ~now ();
           q = Queue.create ();
           qm = Mutex.create ();

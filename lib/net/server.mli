@@ -45,8 +45,6 @@ type listen =
 type t
 
 val start :
-  ?backend:Pet_rules.Engine.backend ->
-  ?compiled:bool ->
   ?payoff:Pet_game.Payoff.kind ->
   ?capacity:int ->
   ?ttl:float ->
@@ -62,10 +60,9 @@ val start :
   unit ->
   (t, string) result
 (** Build the shards, recover, then start serving on [listen].
-    [backend] and [compiled] are forwarded to every per-shard
-    {!Pet_server.Service.create}, so the compiled fast path's answer
-    tables are per-shard, like the engines (they memoize rendered
-    responses and are never shared across domains).
+    Every shard is its own {!Pet_server.Service.create}, so the
+    rendered-report memos live with the engines they belong to: one per
+    shard, never shared across domains.
 
     With [store] and its [recovery] (both from
     {!Pet_store.Store.open_dir}), recovery runs through {!Recovery.recover}

@@ -552,9 +552,9 @@ let ok_response ~id ?trace result =
 
 (* Same bytes as {!ok_response} for a result already rendered by
    [Json.to_string]: the envelope fields are emitted around the cached
-   payload instead of re-walking its tree. The compiled fast path keeps
-   each tabulated report as its rendered string, so a cache hit reply
-   is a few [Buffer] appends. *)
+   payload instead of re-walking its tree. The service's report memo
+   keeps each player's report as its rendered string, so a memo hit
+   reply is a few [Buffer] appends. *)
 let ok_response_text ~id ?trace payload =
   let buf = Buffer.create (String.length payload + 48) in
   Buffer.add_string buf "{\"pet\":";

@@ -15,31 +15,24 @@ module Tenant = Pet_tenant.Tenant
 (* One memoized [get_report] answer: the rendered response payload plus
    the option list the session must remember for [choose_option]. Both
    are immutable, so entries are shared freely across sessions. *)
-type report_answer =
-  | Report_payload of {
-      payload : string;  (* [Json.to_string (Report.to_json report)] *)
-      options : (Partial.t * string list) list;
-    }
-  | Report_refused of string  (* the [ineligible] message *)
+type report_answer = {
+  payload : string;  (* [Json.to_string (Report.to_json report)] *)
+  options : (Partial.t * string list) list;
+}
 
 type compiled = {
   digest : string;
   exposure : Exposure.t;
   provider : Workflow.t;
-  fast : report_answer option array option;
-      (* the compiled fast path's per-valuation answer table, indexed by
-         [Total.bits]: allocated at publish time for tabulable forms
-         (when the service runs with the compiled path on), filled on
-         first computation — cache-hit traffic then answers [get_report]
-         with an array read and a few buffer appends *)
+  memo : report_answer option array;
+      (* the rendered-report memo, one slot per atlas player (indexed by
+         [Atlas.find_player]): allocated when the artifact is built,
+         filled on a player's first report — later respondents with the
+         same form contents answer [get_report] with an array read and a
+         few buffer appends *)
 }
 
 type t = {
-  backend : Engine.backend;
-  compiled : bool;
-      (* the [--compiled] flag: tabulated report answers for small
-         forms plus the AST-free request decoder; off, every request
-         takes the tree decoder and the full report pipeline *)
   payoff : Payoff.kind;
   now : unit -> float;
   resolve : string -> string option;
@@ -79,8 +72,7 @@ type t = {
   mutable submitted : int;
 }
 
-let create ?(backend = Engine.Compiled) ?(compiled = true)
-    ?(payoff = Payoff.Blank) ?capacity ?ttl ?owns ?shared ?tenants
+let create ?(payoff = Payoff.Blank) ?capacity ?ttl ?owns ?shared ?tenants
     ?(tenant_quota = 0) ?(resolve = fun _ -> None) ?(durable = false) ~now ()
     =
   let tenants, tenants_owned =
@@ -91,8 +83,6 @@ let create ?(backend = Engine.Compiled) ?(compiled = true)
   let shared = match shared with Some s -> s | None -> Shared.create () in
   let t =
     {
-      backend;
-      compiled;
       payoff;
       now;
       resolve;
@@ -137,20 +127,16 @@ let ledger_key ~digest ~tenant =
 
 (* --- Rule-set resolution ----------------------------------------------------- *)
 
-(* Build the full artifact for an exposure: compile the engine,
-   enumerate the atlas, solve the equilibrium, allocate the fast table.
+(* Build the full artifact for an exposure: compile the engine (the
+   compiled backend, which keeps BDDs above its tabulation threshold),
+   enumerate the atlas, solve the equilibrium, allocate the report memo.
    Pure apart from the allocation — it touches neither the registry nor
    the sink, so the tenant registry's builder domain can run it off the
    request path without any locking. *)
-let build_artifact ~backend ~payoff ~tabulate exposure digest =
-  let provider = Workflow.provider ~backend ~payoff exposure in
-  let n = Universe.size (Exposure.xp exposure) in
-  let fast =
-    if tabulate && n <= Pet_compile.Code.max_tabulated_predicates then
-      Some (Array.make (1 lsl n) None)
-    else None
-  in
-  { digest; exposure; provider; fast }
+let build_artifact ~payoff exposure digest =
+  let provider = Workflow.provider ~backend:Engine.Compiled ~payoff exposure in
+  let memo = Array.make (Atlas.player_count (Workflow.atlas provider)) None in
+  { digest; exposure; provider; memo }
 
 (* [remember:false] for tenant texts: the tenant registry retains them
    (and [Tenant_published] persists them), so they are neither copied
@@ -164,8 +150,7 @@ let compile ?(remember = true) ?count t text =
     let canonical = Spec.to_string exposure in
     let digest = Registry.digest canonical in
     match Registry.find_or_add ?count t.registry digest (fun () ->
-            build_artifact ~backend:t.backend ~payoff:t.payoff
-              ~tabulate:t.compiled exposure digest)
+            build_artifact ~payoff:t.payoff exposure digest)
     with
     | compiled, hit ->
       (* Retain the canonical text and, when durable, log each rule set
@@ -456,10 +441,7 @@ let prepare_tenant_build t rules =
     let canonical = Spec.to_string exposure in
     let digest = Registry.digest canonical in
     let build () =
-      match
-        build_artifact ~backend:t.backend ~payoff:t.payoff
-          ~tabulate:t.compiled exposure digest
-      with
+      match build_artifact ~payoff:t.payoff exposure digest with
       | artifact -> Ok artifact
       | exception Invalid_argument m -> Error m
       | exception e -> Error (Printexc.to_string e)
@@ -611,9 +593,9 @@ let new_session t rules ~now =
          ])
 
 (* A handler result: either a JSON tree for the encoder, or (from the
-   compiled answer table) the same JSON already rendered to text —
-   [Proto.ok_response_text] splices it without re-walking the tree,
-   producing byte-identical responses either way. *)
+   report memo, or a watch frame) the same JSON already rendered to
+   text — [Proto.ok_response_text] splices it without re-walking the
+   tree, producing byte-identical responses either way. *)
 type payload = Tree of Json.t | Rendered of string
 
 let get_report t ~session:sid ~valuation ~now =
@@ -629,50 +611,39 @@ let get_report t ~session:sid ~valuation ~now =
     | exception Invalid_argument m ->
       Error (Proto.errorf Proto.Invalid_params "valuation: %s" m)
   in
-  let reported options payload =
-    session.Session.valuation <- Some v;
-    session.Session.options <- options;
-    session.Session.state <- Session.Reported;
-    Session.touch session ~now;
-    Ok payload
-  in
-  let compute () =
+  let render () =
     match Workflow.report_for compiled.provider v with
     | Error m -> Error (Proto.error Proto.Ineligible m)
     | Ok report ->
-      let options =
-        List.map
-          (fun (o : Report.option_report) -> (o.Report.mas, o.Report.benefits))
-          report.Report.options
-      in
-      Ok (report, options)
+      Ok
+        {
+          payload = Json.to_string (Report.to_json report);
+          options =
+            List.map
+              (fun (o : Report.option_report) ->
+                (o.Report.mas, o.Report.benefits))
+              report.Report.options;
+        }
   in
-  match compiled.fast with
-  | None -> (
-    match compute () with
-    | Error e -> Error e
-    | Ok (report, options) -> reported options (Tree (Report.to_json report)))
-  | Some table -> (
-    let idx = Total.bits v in
-    match table.(idx) with
-    | Some (Report_payload { payload; options }) ->
-      reported options (Rendered payload)
-    | Some (Report_refused m) -> Error (Proto.error Proto.Ineligible m)
-    | None -> (
-      (* First sight of this valuation: compute once through the full
-         pipeline and keep the rendered bytes — every later respondent
-         with the same form contents replays them. *)
-      match compute () with
-      | Error e ->
-        (match e with
-        | { Proto.code = Proto.Ineligible; message } ->
-          table.(idx) <- Some (Report_refused message)
-        | _ -> ());
-        Error e
-      | Ok (report, options) ->
-        let payload = Json.to_string (Report.to_json report) in
-        table.(idx) <- Some (Report_payload { payload; options });
-        reported options (Rendered payload)))
+  (* A player's report is rendered once and replayed to every later
+     respondent with the same form contents; a valuation that is no
+     player gets [report_for]'s refusal on every request. *)
+  let* answer =
+    match Atlas.find_player (Workflow.atlas compiled.provider) v with
+    | None -> render ()
+    | Some i -> (
+      match compiled.memo.(i) with
+      | Some answer -> Ok answer
+      | None ->
+        let* answer = render () in
+        compiled.memo.(i) <- Some answer;
+        Ok answer)
+  in
+  session.Session.valuation <- Some v;
+  session.Session.options <- answer.options;
+  session.Session.state <- Session.Reported;
+  Session.touch session ~now;
+  Ok (Rendered answer.payload)
 
 let choose_option t ~session:sid ~choice ~now =
   let* () = horizon_guard t ~session:sid ~now in
@@ -1280,15 +1251,13 @@ let annotate_request request =
 let handle_line t line =
   let start = t.now () in
   Accounting.arrive t.acct;
-  (* The AST-free scanner first (when the compiled path is on): it
-     either agrees exactly with [Proto.decode] or declines, so the
-     fallback — not the fast path — decides every error. *)
+  (* The AST-free scanner first: it either agrees exactly with
+     [Proto.decode] or declines, so the fallback — not the fast path —
+     decides every error. *)
   let decoded =
-    if t.compiled then
-      match Proto.decode_fast line with
-      | Some envelope -> Ok envelope
-      | None -> Proto.decode line
-    else Proto.decode line
+    match Proto.decode_fast line with
+    | Some envelope -> Ok envelope
+    | None -> Proto.decode line
   in
   let tracing = Trace.enabled () in
   (* A client-supplied trace id is echoed even with tracing off; with
@@ -1309,8 +1278,7 @@ let handle_line t line =
     | Ok { Proto.id; request; _ } ->
       if tracing then begin
         Trace.annotate "method" (Trace.String (Proto.method_name request));
-        Trace.annotate "backend"
-          (Trace.String (Engine.backend_name t.backend));
+        Trace.annotate "backend" (Trace.String "compiled");
         annotate_request request
       end;
       let result = handle_request t request ~now:start in

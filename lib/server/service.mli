@@ -25,13 +25,11 @@ type t
 
 type compiled
 (** One fully built rule-set artifact: compiled engine, MAS atlas,
-    solved equilibrium, and (when tabulable) the fast-path answer
-    table. Abstract — it only appears as the artifact type of the
+    solved equilibrium, and the rendered-report memo (one slot per atlas
+    player). Abstract — it only appears as the artifact type of the
     tenant registry, [compiled Pet_tenant.Tenant.t]. *)
 
 val create :
-  ?backend:Pet_rules.Engine.backend ->
-  ?compiled:bool ->
   ?payoff:Pet_game.Payoff.kind ->
   ?capacity:int ->
   ?ttl:float ->
@@ -44,16 +42,15 @@ val create :
   now:(unit -> float) ->
   unit ->
   t
-(** [backend] picks the proof-relation backend for compiled engines
-    (default {!Pet_rules.Engine.Compiled} — the bitmask fast path,
-    which itself falls back to BDDs above the tabulation threshold).
-    [compiled] (default [true]) turns the request-path shortcuts on:
-    published forms small enough to tabulate keep a per-valuation table
-    of rendered [get_report] answers, and request lines in the common
-    envelope shape take the AST-free {!Proto.decode_fast} scanner.
-    Responses are byte-identical either way — [~compiled:false] only
-    disables the caches (see [test/compiled.t], which diffs the two
-    transcripts).
+(** Every rule set compiles to a {!Pet_rules.Engine.Compiled} engine
+    (bitmask tables, BDDs above the tabulation threshold), and its
+    artifact memoizes each atlas player's rendered [get_report] answer
+    on first computation; a valuation that is no player is refused
+    afresh each time. Request lines in the common envelope shape take
+    the AST-free {!Proto.decode_fast} scanner, every other line
+    {!Proto.decode}. Responses are those of the plain pipeline
+    ([test_server]'s "get_report memo matches the engine path" checks
+    it).
 
     [capacity] bounds the engine registry (default 16); [ttl] is the
     session idle timeout in seconds (default 3600, [<= 0.] disables);

@@ -3,7 +3,7 @@
 
     Tenants are named forms. Each publish or rule update appends a
     {e version} (monotonic number + canonical-text digest) whose
-    artifact — engine, MAS atlas, compiled answer table — is built on a
+    artifact — engine, MAS atlas, rendered-report memo — is built on a
     single background builder domain, so publishing returns
     immediately. A version becomes the tenant's {e active} version (the
     one new sessions resolve) atomically when its build completes;

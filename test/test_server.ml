@@ -1176,6 +1176,103 @@ let test_ledger_tenant_namespacing () =
   Alcotest.(check int) "alpha sees one record" 1 (records "alpha");
   Alcotest.(check int) "beta sees one record" 1 (records "beta")
 
+(* --- Report memo ------------------------------------------------------------------- *)
+
+(* The memo's reference is the plain pipeline: for every valuation
+   [pick] draws from the form's atlas, a first session's [get_report]
+   (computed, then memoized) and a second session's (replayed from the
+   memo) must both answer exactly the bytes of [Proto.ok_response] over
+   [Report.to_json (Workflow.report_for …)], and a valuation that is no
+   player the same [ineligible] error both times. *)
+let check_report_memo exposure pick =
+  let service = make_service () in
+  let text = Spec.to_string exposure in
+  ignore (request service "publish_rules" [ ("rules", Json.String text) ]);
+  let digest = Registry.digest text in
+  let provider =
+    Pet_pet.Workflow.provider ~backend:Pet_rules.Engine.Compiled exposure
+  in
+  List.iter
+    (fun v ->
+      let bits = Pet_valuation.Total.to_string v in
+      let expected =
+        match Pet_pet.Workflow.report_for provider v with
+        | Ok report -> Ok (Pet_pet.Report.to_json report)
+        | Error m -> Error (Proto.error Proto.Ineligible m)
+      in
+      for pass = 1 to 2 do
+        let session =
+          str "session"
+            (ok_of
+               (request service "new_session"
+                  [ ("digest", Json.String digest) ]))
+        in
+        let response =
+          Service.handle_line service
+            (Json.to_string
+               (Json.Obj
+                  [
+                    ("pet", Json.Int Proto.version);
+                    ("id", Json.Int 1);
+                    ("method", Json.String "get_report");
+                    ( "params",
+                      Json.Obj
+                        [
+                          ("session", Json.String session);
+                          ("valuation", Json.String bits);
+                        ] );
+                  ]))
+        in
+        (* Tracing is process-wide state another test may have turned
+           on: expect whatever trace id the response carries. *)
+        let trace =
+          match Json.parse response with
+          | Ok json -> Option.bind (Json.member "trace" json) Json.string_opt
+          | Error m -> Alcotest.failf "response is not JSON: %s" m
+        in
+        let expected =
+          match expected with
+          | Ok report -> Proto.ok_response ~id:(Json.Int 1) ?trace report
+          | Error e -> Proto.error_response ~id:(Json.Int 1) ?trace e
+        in
+        Alcotest.(check string) (Printf.sprintf "%s, session %d" bits pass)
+          expected response
+      done)
+    (pick (Pet_pet.Workflow.atlas provider))
+
+let test_report_memo_matches_engine () =
+  let module Atlas = Pet_minimize.Atlas in
+  let module Total = Pet_valuation.Total in
+  (* H-cov: every player, plus one realistic valuation that is no
+     player and one that breaks a consistency constraint — the two
+     refusals [Workflow.report_for] words differently. *)
+  let hcov = Pet_casestudies.Hcov.exposure () in
+  check_report_memo hcov (fun atlas ->
+      let xp = Pet_rules.Exposure.xp hcov in
+      let universe =
+        List.init (1 lsl Pet_valuation.Universe.size xp) (Total.of_bits xp)
+      in
+      let refused ~realistic =
+        List.find
+          (fun v ->
+            Atlas.find_player atlas v = None
+            && Pet_rules.Exposure.satisfies_constraints hcov v = realistic)
+          universe
+      in
+      List.init (Atlas.player_count atlas) (Atlas.player atlas)
+      @ [ refused ~realistic:true; refused ~realistic:false ]);
+  (* RSA (17 predicates, above the engine's tabulation threshold): the
+     first 200 players. *)
+  check_report_memo (Pet_casestudies.Rsa.exposure ()) (fun atlas ->
+      List.init 200 (Atlas.player atlas));
+  (* A seed-0 corpus form of 20 predicates: 20 players spread evenly
+     over its several hundred thousand (each report there costs
+     milliseconds). *)
+  let form = Pet_corpus.Corpus.form ~seed:0 ~size:20 5 in
+  check_report_memo (Spec.parse_exn form.Pet_corpus.Corpus.text) (fun atlas ->
+      let n = Atlas.player_count atlas in
+      List.init 20 (fun i -> Atlas.player atlas (i * (n / 20))))
+
 let () =
   Alcotest.run "pet_server"
     [
@@ -1217,6 +1314,8 @@ let () =
           Alcotest.test_case "canonical digest" `Quick
             test_service_canonical_digest;
           Alcotest.test_case "metrics endpoint" `Quick test_service_metrics;
+          Alcotest.test_case "get_report memo matches the engine path" `Quick
+            test_report_memo_matches_engine;
         ] );
       ( "consent",
         [

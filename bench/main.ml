@@ -1610,8 +1610,8 @@ let check () =
     stats.Pet_check.Fuzz.requests fuzz_dt
     (float_of_int stats.Pet_check.Fuzz.requests /. fuzz_dt)
     stats.Pet_check.Fuzz.ok stats.Pet_check.Fuzz.errors
-    stats.Pet_check.Fuzz.invalid_responses
-    (List.length stats.Pet_check.Fuzz.crashes)
+    (Pet_check.Fuzz.count Invalid_response stats)
+    (Pet_check.Fuzz.count Crash stats)
 
 (* --- Main ---------------------------------------------------------------------------------------- *)
 

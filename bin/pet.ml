@@ -171,7 +171,10 @@ let check_cmd =
     Arg.(value & opt (some int) None & info [ "fuzz" ] ~docv:"N" ~doc)
   in
   let fuzz_seed_arg =
-    let doc = "Seed for the $(b,--fuzz) and $(b,--fuzz-store) mutation streams." in
+    let doc =
+      "Seed for the $(b,--fuzz), $(b,--fuzz-store), $(b,--fuzz-corpus) and \
+       $(b,--fuzz-consent) streams."
+    in
     Arg.(value & opt int 0 & info [ "fuzz-seed" ] ~docv:"SEED" ~doc)
   in
   let fuzz_store_arg =
@@ -281,10 +284,20 @@ let check_cmd =
       end
     in
     let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
+    (* The fuzz modes, in the order their summaries print. *)
+    let fuzzers =
+      Pet_check.Fuzz.
+        [
+          (fuzz, run ~seed:fuzz_seed);
+          (fuzz_store, run_store ~seed:fuzz_seed);
+          (fuzz_corpus, run_corpus ~seed:fuzz_seed);
+          (fuzz_consent, run_consent ~seed:fuzz_seed);
+        ]
+    in
     let result =
       if
-        source = None && seeds = None && fuzz = None && fuzz_store = None
-        && fuzz_corpus = None && fuzz_consent = None
+        source = None && seeds = None
+        && List.for_all (fun (count, _) -> count = None) fuzzers
       then
         Error
           ( true,
@@ -323,42 +336,15 @@ let check_cmd =
                 seeds;
               Ok ())
         in
-        let* () =
-          match fuzz with
-          | None -> Ok ()
-          | Some count ->
-            let stats = Pet_check.Fuzz.run ~seed:fuzz_seed ~count () in
-            Fmt.pr "%a@." Pet_check.Fuzz.pp stats;
-            if not (Pet_check.Fuzz.passed stats) then incr failures;
-            Ok ()
-        in
-        let* () =
-          match fuzz_store with
-          | None -> Ok ()
-          | Some count ->
-            let stats = Pet_check.Fuzz.run_store ~seed:fuzz_seed ~count () in
-            Fmt.pr "%a@." Pet_check.Fuzz.pp_store stats;
-            if not (Pet_check.Fuzz.passed_store stats) then incr failures;
-            Ok ()
-        in
-        let* () =
-          match fuzz_corpus with
-          | None -> Ok ()
-          | Some count ->
-            let stats = Pet_check.Fuzz.run_corpus ~seed:fuzz_seed ~count () in
-            Fmt.pr "%a@." Pet_check.Fuzz.pp_corpus stats;
-            if not (Pet_check.Fuzz.passed_corpus stats) then incr failures;
-            Ok ()
-        in
-        let* () =
-          match fuzz_consent with
-          | None -> Ok ()
-          | Some count ->
-            let stats = Pet_check.Fuzz.run_consent ~seed:fuzz_seed ~count () in
-            Fmt.pr "%a@." Pet_check.Fuzz.pp_consent stats;
-            if not (Pet_check.Fuzz.passed_consent stats) then incr failures;
-            Ok ()
-        in
+        List.iter
+          (fun (count, run) ->
+            Option.iter
+              (fun count ->
+                let summary = run ~count () in
+                Fmt.pr "%a@." Pet_check.Fuzz.pp summary;
+                if not (Pet_check.Fuzz.passed summary) then incr failures)
+              count)
+          fuzzers;
         if !failures = 0 then Ok ()
         else
           Error

@@ -162,8 +162,8 @@ let test_seeds_of_string () =
 let test_fuzz_smoke () =
   let s = Fuzz.run ~seed:7 ~count:2000 () in
   Alcotest.(check int) "all requests answered" 2000 s.Fuzz.requests;
-  Alcotest.(check (list (pair string string))) "no crashes" [] s.Fuzz.crashes;
-  Alcotest.(check int) "no malformed responses" 0 s.Fuzz.invalid_responses;
+  Alcotest.(check int) "no crashes" 0 (Fuzz.count Crash s);
+  Alcotest.(check int) "no malformed responses" 0 (Fuzz.count Invalid_response s);
   Alcotest.(check bool) "some requests succeed" true (s.Fuzz.ok > 0);
   Alcotest.(check bool) "some structured errors" true (s.Fuzz.errors > 1000);
   Alcotest.(check bool) "several error codes seen" true
@@ -172,94 +172,69 @@ let test_fuzz_smoke () =
   let s' = Fuzz.run ~seed:7 ~count:2000 () in
   Alcotest.(check int) "deterministic" s.Fuzz.ok s'.Fuzz.ok
 
+(* Every corpus request, pinned-session replays included, is classified
+   exactly once by the feed: the summary adds up. *)
+let test_fuzz_corpus_adds_up () =
+  let s = Fuzz.run_corpus ~seed:3 ~count:500 () in
+  Alcotest.(check bool) "passed" true (Fuzz.passed s);
+  Alcotest.(check bool) "swap checks ran" true (Fuzz.tally "swap checks" s > 0);
+  Alcotest.(check int) "ok + errors + invalid = requests" s.Fuzz.requests
+    (s.Fuzz.ok + s.Fuzz.errors + Fuzz.count Invalid_response s)
+
 (* --- Fuzz verdicts ----------------------------------------------------------- *)
 
-(* Each verdict starts from a clean summary and must flip on every
-   failure condition [pet check] gates on, one at a time. *)
-let check_verdict name passed clean failing =
-  Alcotest.(check bool) (name ^ ": clean passes") true (passed clean);
+(* Each mode starts from a clean summary, and the one verdict must flip
+   on every failure condition [pet check] gates on, one at a time. *)
+let check_verdict name clean failing =
+  Alcotest.(check bool) (name ^ ": clean passes") true (Fuzz.passed clean);
   List.iter
     (fun (why, s) ->
-      Alcotest.(check bool) (name ^ ": " ^ why) false (passed s))
+      Alcotest.(check bool) (name ^ ": " ^ why) false (Fuzz.passed s))
     failing
 
 let test_fuzz_verdicts () =
-  let bad = [ ("line", "why") ] in
-  let s =
+  let summary mode tallies =
     {
-      Fuzz.requests = 10;
+      Fuzz.mode;
+      requests = 10;
       ok = 4;
       errors = 6;
-      invalid_responses = 0;
-      crashes = [];
       by_code = [];
-      cursor_checked = 10;
-      cursor_fast = 2;
-      cursor_mismatches = [];
-      boundary_checks = 3;
-      boundary_failures = [];
+      tallies;
+      violations = [];
     }
   in
-  check_verdict "fuzz" Fuzz.passed s
+  let found kind s =
+    { s with Fuzz.violations = [ { Fuzz.kind; what = "why"; detail = "line" } ] }
+  in
+  let s = summary Protocol [ ("boundary checks", 3); ("cursor checked", 10) ] in
+  check_verdict "fuzz" s
     [
-      ("crash", { s with Fuzz.crashes = bad });
-      ("invalid response", { s with Fuzz.invalid_responses = 1 });
-      ("cursor mismatch", { s with Fuzz.cursor_mismatches = bad });
-      ("boundary failure", { s with Fuzz.boundary_failures = bad });
+      ("crash", found Crash s);
+      ("invalid response", found Invalid_response s);
+      ("cursor mismatch", found Cursor_mismatch s);
+      ("boundary failure", found Boundary_failure s);
     ];
-  let c =
-    {
-      Fuzz.corpus_requests = 10;
-      corpus_ok = 4;
-      corpus_errors = 6;
-      corpus_invalid = 0;
-      corpus_crashes = [];
-      corpus_tenants = 3;
-      corpus_build_failures = 1;
-      corpus_updates = 2;
-      swap_checks = 2;
-      swap_mismatches = [];
-    }
-  in
-  check_verdict "corpus" Fuzz.passed_corpus c
+  (* A tally that never moved is absent, as after a real run. *)
+  let c = summary Corpus [ ("build failures", 1); ("swap checks", 2) ] in
+  check_verdict "corpus" c
     [
-      ("crash", { c with Fuzz.corpus_crashes = bad });
-      ("invalid response", { c with Fuzz.corpus_invalid = 1 });
-      ("swap mismatch", { c with Fuzz.swap_mismatches = bad });
-      ("oversized build never failed", { c with Fuzz.corpus_build_failures = 0 });
+      ("crash", found Crash c);
+      ("invalid response", found Invalid_response c);
+      ("swap mismatch", found Swap_mismatch c);
+      ("oversized build never failed", summary Corpus [ ("swap checks", 2) ]);
     ];
-  let st =
-    {
-      Fuzz.logs = 2;
-      mutations = [ ("bitflip", 2) ];
-      recovered_events = 5;
-      damage_reports = 1;
-      torn_tails = 1;
-      replay_errors = 0;
-      store_violations = [];
-    }
-  in
-  check_verdict "store" Fuzz.passed_store st
-    [ ("violation", { st with Fuzz.store_violations = bad }) ];
-  let co =
-    {
-      Fuzz.rounds = 2;
-      consent_requests = 20;
-      revokes = 1;
-      expiries = 1;
-      crash_recoveries = 2;
-      audits_passed = 4;
-      injections_caught = 1;
-      consent_violations = [];
-    }
-  in
-  check_verdict "consent" Fuzz.passed_consent co
+  let st = summary Store [ ("bitflip", 2); ("mutated logs", 2) ] in
+  check_verdict "store" st [ ("violation", found Violation st) ];
+  let co = summary Consent [ ("audits passed", 4); ("rounds", 2) ] in
+  check_verdict "consent" co
     [
-      ("violation", { co with Fuzz.consent_violations = bad });
-      ("no audit passed", { co with Fuzz.audits_passed = 0 });
+      ("violation", found Violation co);
+      ("crash", found Crash co);
+      ("no audit passed", summary Consent [ ("rounds", 2) ]);
     ];
   Alcotest.(check bool) "consent: no rounds, no audits needed" true
-    (Fuzz.passed_consent { co with Fuzz.rounds = 0; audits_passed = 0 })
+    (Fuzz.passed (summary Consent []))
 
 let () =
   Alcotest.run "pet_check"
@@ -297,6 +272,8 @@ let () =
       ( "fuzz",
         [
           Alcotest.test_case "smoke" `Quick test_fuzz_smoke;
+          Alcotest.test_case "corpus summary adds up" `Quick
+            test_fuzz_corpus_adds_up;
           Alcotest.test_case "verdicts" `Quick test_fuzz_verdicts;
         ] );
     ]

@@ -95,14 +95,14 @@ type reply =
 
 let feed log service line =
   log := { !log with requests = !log.requests + 1 };
-  let on = "on: " ^ truncate_for_display line in
+  let on () = "on: " ^ truncate_for_display line in
   match Service.handle_line service line with
   | exception exn ->
-    violate ~kind:Crash log (Printexc.to_string exn) on;
+    violate ~kind:Crash log (Printexc.to_string exn) (on ());
     Raised
   | response -> (
     let invalid () =
-      violate ~kind:Invalid_response log (truncate_for_display response) on;
+      violate ~kind:Invalid_response log (truncate_for_display response) (on ());
       Invalid
     in
     match Json.parse response with

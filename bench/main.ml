@@ -449,18 +449,23 @@ let sweep () =
 
 (* --- Provider builds and the minor GC ----------------------------------------------------------- *)
 
-(* A provider build is three stages: the engine, the atlas (Algorithm 1)
-   and Algorithm 2. Each is timed and its minor words and minor
-   collections counted, summed over two form sets: the fleet workload's
-   200 tenant forms on the compiled backend, as [pet serve] builds them,
-   and the substrate workload's 28 forms (the four case studies and 24
-   seed-0 corpus forms of sizes 8 to 12, as bench/load/substrate.ml
-   picks them) on the BDD backend. A set-up regression then names its
-   stage. In a process of several domains every minor collection stops
-   them all, so a collection a provider build forces (DESIGN.md §5) is
-   paid for by every domain beside it: the 200 fleet provider builds
-   run last alone and beside idle domains blocked on a condition
-   variable, as [pet serve]'s writer and builder domains mostly are. *)
+(* A provider build is three stages: the engine, the atlas and
+   Algorithm 2. Each is timed and its minor words and minor collections
+   counted, summed over two form sets: the fleet workload's 200 tenant
+   forms on the compiled backend, as [pet serve] builds them, and the
+   substrate workload's 28 forms (the four case studies and 24 seed-0
+   corpus forms of sizes 8 to 12, as bench/load/substrate.ml picks them)
+   on the BDD backend. The atlas runs Algorithm 1 once per distinct set
+   of satisfied rule conjunctions; its own row runs the same word kernel
+   ([Algorithm1.mas_words]) again on one valuation per such set, so the
+   atlas row includes it. A set-up regression then names its stage. The
+   BDD node count after each substrate build shows that queries leave
+   the compiled rule BDD as it was. In a process of several domains
+   every minor collection stops them all, so a collection a provider
+   build forces (DESIGN.md §5) is paid for by every domain beside it:
+   the 200 fleet provider builds run last alone and beside idle domains
+   blocked on a condition variable, as [pet serve]'s writer and builder
+   domains mostly are. *)
 let provider_gc () =
   section "Provider builds: stages, allocation and minor collections";
   let fleet =
@@ -479,12 +484,39 @@ let provider_gc () =
           in
           Pet_rules.Spec.parse_exn f.Pet_corpus.Corpus.text)
   in
+  (* One eligible valuation word per set of satisfied conjunctions. *)
+  let key_valuations e =
+    let conjs =
+      Array.concat (Array.to_list (Pet_rules.Exposure.conjunction_words e))
+    in
+    let seen = Hashtbl.create 64 in
+    List.filter_map
+      (fun v ->
+        let v = Pet_valuation.Total.bits v in
+        let key =
+          Array.map (fun c -> Pet_compile.Code.conj_holds c v) conjs
+        in
+        if Hashtbl.mem seen key then None
+        else begin
+          Hashtbl.add seen key ();
+          Some v
+        end)
+      (Pet_rules.Exposure.eligible e)
+  in
+  let bdd_nodes = Pet_obs.Metrics.gauge "pet_bdd_nodes" in
+  let node_count engine =
+    let was_on = Pet_obs.Metrics.enabled () in
+    Pet_obs.Metrics.enable ();
+    Engine.sync_obs engine;
+    if not was_on then Pet_obs.Metrics.disable ();
+    int_of_float (Pet_obs.Metrics.gauge_value bdd_nodes)
+  in
   Fmt.pr "%-24s %-12s %10s %12s %12s@." "forms" "stage" "ms" "minor words"
     "minor GCs";
   List.iter
     (fun (label, backend, forms) ->
       (* Per stage: seconds, minor words, minor collections. *)
-      let totals = Array.make_matrix 3 3 0. in
+      let totals = Array.make_matrix 4 3 0. in
       let stage k f =
         let words = Gc.minor_words ()
         and collections = (Gc.quick_stat ()).Gc.minor_collections in
@@ -498,13 +530,19 @@ let provider_gc () =
                ((Gc.quick_stat ()).Gc.minor_collections - collections);
         x
       in
+      let keys = List.map key_valuations forms in
+      let nodes = ref [] in
       Gc.compact ();
-      List.iter
-        (fun e ->
+      List.iter2
+        (fun e keys ->
           let engine = stage 0 (fun () -> Engine.create ~backend e) in
           let atlas = stage 1 (fun () -> Atlas.build engine) in
-          ignore (stage 2 (fun () -> Strategy.compute atlas)))
-        forms;
+          stage 2 (fun () ->
+              let mas_words = A1.mas_words engine in
+              List.iter (fun v -> ignore (mas_words v ignore)) keys);
+          ignore (stage 3 (fun () -> Strategy.compute atlas));
+          if backend = Engine.Bdd then nodes := node_count engine :: !nodes)
+        forms keys;
       Array.iteri
         (fun k name ->
           let t = totals.(k) in
@@ -512,7 +550,10 @@ let provider_gc () =
             (Printf.sprintf "%s (%d, %s)" label (List.length forms)
                (Engine.backend_name backend))
             name (t.(0) *. 1e3) (t.(1) /. 1e6) t.(2))
-        [| "engine"; "atlas"; "algorithm 2" |])
+        [| "engine"; "atlas"; "algorithm 1"; "algorithm 2" |];
+      if !nodes <> [] then
+        Fmt.pr "BDD nodes after each %s build: %s@." label
+          (String.concat " " (List.rev_map string_of_int !nodes)))
     [ ("fleet", Engine.Compiled, fleet); ("substrate", Engine.Bdd, substrate) ];
   let beside k f =
     let m = Mutex.create () and c = Condition.create () in

@@ -7,29 +7,75 @@ let one = 1
    any real variable so that ordering logic treats them as deepest. *)
 let terminal_var = max_int
 
+(* Node triples and [ite] arguments, hashed and compared as ints rather
+   than through the polymorphic [Hashtbl.hash] and [compare]. *)
+module Triple = Hashtbl.Make (struct
+  type t = int * int * int
+
+  let equal (a, b, c) (a', b', c') = a = a' && b = b' && c = c'
+  let hash (a, b, c) = ((((a * 65599) + b) * 65599) + c) land max_int
+end)
+
 type man = {
   mutable vars : int array; (* variable of each node *)
   mutable lows : int array;
   mutable highs : int array;
   mutable next : int; (* next free node index *)
-  unique : (int * int * int, int) Hashtbl.t;
-  ite_cache : (int * int * int, int) Hashtbl.t;
+  unique : int Triple.t;
+  ite_cache : int Triple.t;
   mutable n_ite : int; (* memoized [ite] entries (cheap cases excluded) *)
   mutable n_ite_hits : int; (* of which answered from [ite_cache] *)
+  (* Per-node scratch of the memoized traversals ([restrict], [walk]),
+     sized to the arena when a traversal starts (a traversal memoizes
+     only nodes that existed then): node [n]'s entries belong to the
+     current traversal iff [stamp.(n) = epoch]. [restrict] keeps its
+     result in [memo]; [walk] keeps a node's four window masks in
+     [memo], [memo_f], [memo_ut] and [memo_uf]. Index 1 (the terminal
+     [one]) holds -1 in each, the masks of the one path that tests
+     nothing. *)
+  mutable epoch : int;
+  mutable stamp : int array;
+  mutable memo : int array;
+  mutable memo_f : int array;
+  mutable memo_ut : int array;
+  mutable memo_uf : int array;
+  w : walk;
+}
+
+and walk = {
+  mutable sat : bool;
+  mutable lower_true : int;
+  mutable lower_false : int;
+  mutable upper_true : int;
+  mutable upper_false : int;
 }
 
 let man () =
-  let cap = 1024 in
+  let cap = 256 in
   let m =
     {
       vars = Array.make cap terminal_var;
       lows = Array.make cap (-1);
       highs = Array.make cap (-1);
       next = 2;
-      unique = Hashtbl.create 1024;
-      ite_cache = Hashtbl.create 1024;
+      unique = Triple.create 256;
+      ite_cache = Triple.create 256;
       n_ite = 0;
       n_ite_hits = 0;
+      epoch = 0;
+      stamp = [||];
+      memo = [||];
+      memo_f = [||];
+      memo_ut = [||];
+      memo_uf = [||];
+      w =
+        {
+          sat = false;
+          lower_true = 0;
+          lower_false = 0;
+          upper_true = 0;
+          upper_false = 0;
+        };
     }
   in
   m.vars.(0) <- terminal_var;
@@ -58,7 +104,7 @@ let mk m v low high =
   if low = high then low
   else
     let key = (v, low, high) in
-    match Hashtbl.find_opt m.unique key with
+    match Triple.find_opt m.unique key with
     | Some n -> n
     | None ->
       if m.next >= Array.length m.vars then grow m;
@@ -67,7 +113,7 @@ let mk m v low high =
       m.vars.(n) <- v;
       m.lows.(n) <- low;
       m.highs.(n) <- high;
-      Hashtbl.add m.unique key n;
+      Triple.add m.unique key n;
       n
 
 let var m i =
@@ -89,7 +135,7 @@ let rec ite m f g h =
   else begin
     m.n_ite <- m.n_ite + 1;
     let key = (f, g, h) in
-    match Hashtbl.find_opt m.ite_cache key with
+    match Triple.find_opt m.ite_cache key with
     | Some r ->
       m.n_ite_hits <- m.n_ite_hits + 1;
       r
@@ -101,7 +147,7 @@ let rec ite m f g h =
       let r0 = ite m f0 g0 h0 in
       let r1 = ite m f1 g1 h1 in
       let r = mk m v r0 r1 in
-      Hashtbl.add m.ite_cache key r;
+      Triple.add m.ite_cache key r;
       r
   end
 
@@ -115,20 +161,120 @@ let iff m a b = ite m a b (neg m b)
 let conj_list m = List.fold_left (conj m) one
 let disj_list m = List.fold_left (disj m) zero
 
-let rec restrict m n v value =
-  if n < 2 then n
-  else
-    let nv = var_of m n in
-    if nv > v then n
-    else if nv = v then if value then high_of m n else low_of m n
+(* Start a traversal: cover the arena with scratch, doubling, and
+   return the traversal's stamp. Fresh stamps are 0, older than every
+   epoch. *)
+let next_epoch m =
+  if Array.length m.stamp < m.next then begin
+    let size = max m.next (2 * Array.length m.stamp) in
+    let fresh () =
+      let a = Array.make size 0 in
+      a.(one) <- -1;
+      a
+    in
+    m.stamp <- Array.make size 0;
+    m.memo <- fresh ();
+    m.memo_f <- fresh ();
+    m.memo_ut <- fresh ();
+    m.memo_uf <- fresh ()
+  end;
+  m.epoch <- m.epoch + 1;
+  m.epoch
+
+(* Memoized per call, so each node is rebuilt once: linear in the BDD
+   rather than in its paths. Only nodes that existed when the call
+   started are memoized, so the nodes [mk] adds need no scratch. *)
+let restrict m n v value =
+  let epoch = next_epoch m in
+  let rec go n =
+    if n < 2 then n
     else
-      mk m nv (restrict m (low_of m n) v value) (restrict m (high_of m n) v value)
+      let nv = var_of m n in
+      if nv > v then n
+      else if nv = v then if value then high_of m n else low_of m n
+      else if m.stamp.(n) = epoch then m.memo.(n)
+      else begin
+        let low = go (low_of m n) in
+        let r = mk m nv low (go (high_of m n)) in
+        m.stamp.(n) <- epoch;
+        m.memo.(n) <- r;
+        r
+      end
+  in
+  go n
 
 let exists m vs f =
   let exists_one f v =
     disj m (restrict m f v false) (restrict m f v true)
   in
   List.fold_left exists_one f vs
+
+(* Per node [n], over the satisfying paths from [n] that agree with the
+   cube: [memo.(n)] is the set of lower-window variables that some such
+   path tests high or does not test, [memo_f.(n)] those it tests low or
+   does not test, and [memo_ut]/[memo_uf] the same for the upper window.
+   A variable a path does not test is free, so either value extends the
+   path to a model. Every variable of a window is in one of the two sets
+   of any path, so a node with a satisfying path has [memo lor memo_f =
+   -1], and a node without one keeps both at 0. The cube's own variables
+   a path skips are masked at the root. *)
+let window_bit k = if k >= 0 && k < Sys.int_size then 1 lsl k else 0
+
+(* Top-level, so a walk allocates no closure. *)
+let rec visit m epoch ~dom ~bits ~upper n =
+  if n < 2 then n = one
+  else if m.stamp.(n) = epoch then m.memo.(n) lor m.memo_f.(n) <> 0
+  else begin
+    let v = var_of m n in
+    let lb = window_bit v and ub = window_bit (v - upper) in
+    let low = low_of m n and high = high_of m n in
+    let via_low =
+      (dom land lb = 0 || bits land lb = 0)
+      && visit m epoch ~dom ~bits ~upper low
+    in
+    let via_high =
+      (dom land lb = 0 || bits land lb <> 0)
+      && visit m epoch ~dom ~bits ~upper high
+    in
+    let lt =
+      (if via_low then m.memo.(low) land lnot lb else 0)
+      lor if via_high then m.memo.(high) else 0
+    and lf =
+      (if via_low then m.memo_f.(low) else 0)
+      lor if via_high then m.memo_f.(high) land lnot lb else 0
+    and ut =
+      (if via_low then m.memo_ut.(low) land lnot ub else 0)
+      lor if via_high then m.memo_ut.(high) else 0
+    and uf =
+      (if via_low then m.memo_uf.(low) else 0)
+      lor if via_high then m.memo_uf.(high) land lnot ub else 0
+    in
+    m.stamp.(n) <- epoch;
+    m.memo.(n) <- lt;
+    m.memo_f.(n) <- lf;
+    m.memo_ut.(n) <- ut;
+    m.memo_uf.(n) <- uf;
+    via_low || via_high
+  end
+
+let walk m f ~dom ~bits ~upper =
+  let w = m.w in
+  w.sat <- visit m (next_epoch m) ~dom ~bits ~upper f;
+  let udom = if upper < Sys.int_size then dom lsr upper else 0
+  and ubits = if upper < Sys.int_size then bits lsr upper else 0 in
+  if w.sat then begin
+    w.lower_true <- m.memo.(f) land lnot (dom land lnot bits);
+    w.lower_false <- m.memo_f.(f) land lnot (dom land bits);
+    w.upper_true <- m.memo_ut.(f) land lnot (udom land lnot ubits);
+    w.upper_false <- m.memo_uf.(f) land lnot (udom land ubits)
+  end
+  else begin
+    w.lower_true <- 0;
+    w.lower_false <- 0;
+    w.upper_true <- 0;
+    w.upper_false <- 0
+  end;
+  w
 
 let support m n =
   let seen = Hashtbl.create 16 in

@@ -52,11 +52,27 @@ let rec compile_formula xp = function
 
 let conj_holds c v = v land c.mask = c.bits
 
-(* A top-level recursion, so tabulating 2^n valuations makes no closure
-   per valuation. *)
-let rec dnf_holds_from conjs v i =
-  i < Array.length conjs
-  && (conj_holds (Array.unsafe_get conjs i) v || dnf_holds_from conjs v (i + 1))
+(* Each conjunction of group [i] sets bit [i] on its completions, the
+   submasks [s] of its free positions: [(s - 1) land free] walks them
+   downwards and the loop ends after [s = 0]. *)
+let benefit_table ~n groups =
+  let full = (1 lsl n) - 1 in
+  let tab = Array.make (full + 1) 0 in
+  Array.iteri
+    (fun i conjs ->
+      let bit = 1 lsl i in
+      Array.iter
+        (fun c ->
+          let free = full land lnot c.mask in
+          let s = ref free and continue = ref true in
+          while !continue do
+            let v = c.bits lor !s in
+            tab.(v) <- tab.(v) lor bit;
+            if !s = 0 then continue := false else s := (!s - 1) land free
+          done)
+        conjs)
+    groups;
+  tab
 
 let create ~xp ~benefits ~rule ~constraints =
   let n = Universe.size xp in
@@ -86,17 +102,11 @@ let create ~xp ~benefits ~rule ~constraints =
   let consistent = compile_formula xp (F.conj constraints) in
   let size = 1 lsl n in
   let consistent_tab = Bytes.make size '\001' in
-  let benefit_tab = Array.make size 0 in
   for v = 0 to size - 1 do
-    if not (consistent v) then Bytes.unsafe_set consistent_tab v '\000';
-    let granted = ref 0 in
-    for i = 0 to Array.length rules - 1 do
-      if dnf_holds_from (Array.unsafe_get rules i) v 0 then
-        granted := !granted lor (1 lsl i)
-    done;
-    benefit_tab.(v) <- !granted
+    if not (consistent v) then Bytes.unsafe_set consistent_tab v '\000'
   done;
-  { n; full = size - 1; names; rules; consistent_tab; benefit_tab }
+  { n; full = size - 1; names; rules; consistent_tab;
+    benefit_tab = benefit_table ~n rules }
 
 let predicates t = t.n
 let benefit_count t = Array.length t.names
@@ -107,31 +117,18 @@ let consistent_bits t v = Bytes.unsafe_get t.consistent_tab v <> '\000'
 let benefit_tab_get t v = Array.unsafe_get t.benefit_tab v
 let benefit_bits t v = t.benefit_tab.(v)
 
-type scan = { any : bool; and_bits : int; or_bits : int; benefit_and : int }
-
 (* The completions of (dom, bits) are [bits lor s] for every submask
    [s] of the free positions; [(s - 1) land free] steps through them in
-   decreasing order and the loop ends after s = 0. *)
-let scan t ~dom ~bits =
+   decreasing order and the walk ends after s = 0. Top-level, so a
+   query allocates no closure. *)
+let rec benefit_and_from t bits free s acc =
+  let v = bits lor s in
+  let acc = if consistent_bits t v then acc land benefit_tab_get t v else acc in
+  if s = 0 then acc else benefit_and_from t bits free ((s - 1) land free) acc
+
+let benefit_mask t ~dom ~bits =
   let free = t.full land lnot dom in
-  let any = ref false in
-  let and_bits = ref t.full
-  and or_bits = ref 0
-  and benefit_and = ref (full_benefit_mask t) in
-  let s = ref free in
-  let continue = ref true in
-  while !continue do
-    let v = bits lor !s in
-    if consistent_bits t v then begin
-      any := true;
-      and_bits := !and_bits land v;
-      or_bits := !or_bits lor v;
-      benefit_and := !benefit_and land benefit_tab_get t v
-    end;
-    if !s = 0 then continue := false else s := (!s - 1) land free
-  done;
-  { any = !any; and_bits = !and_bits; or_bits = !or_bits;
-    benefit_and = !benefit_and }
+  benefit_and_from t bits free free (full_benefit_mask t)
 
 let fold_completions t ~dom ~bits ~stop_when =
   let free = t.full land lnot dom in

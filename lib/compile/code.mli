@@ -38,6 +38,16 @@ val compile_formula :
     @raise Not_found when the formula mentions a variable outside the
     universe. *)
 
+val benefit_table : n:int -> conj array array -> int array
+(** [benefit_table ~n groups]: for every valuation word [v] of [n]
+    predicates, the bitset whose bit [i] is set iff some conjunction of
+    [groups.(i)] holds on [v]. With a benefit's rule per group it is the
+    benefit bitset of every total valuation, the table {!create} keeps.
+    Each conjunction sets its bit on its [2^(n - k)] completions ([k]
+    literals), so the cost follows the rules, not [2^n] times their
+    size. No size limit beyond the [2^n] entries; [groups] must have at
+    most [Sys.int_size] entries. *)
+
 type t
 
 val max_tabulated_predicates : int
@@ -81,20 +91,13 @@ val benefit_bits : t -> int -> int
     [v] (bit [i] = benefit [i] in benefit-universe order). Ignores the
     constraints, like {!Pet_rules.Exposure.benefits_of_assignment}. *)
 
-type scan = {
-  any : bool;  (** at least one consistent completion exists *)
-  and_bits : int;  (** AND of all consistent completions ([2^n - 1] if none) *)
-  or_bits : int;  (** OR of all consistent completions ([0] if none) *)
-  benefit_and : int;
-      (** AND of their benefit bitsets ({!full_benefit_mask} if none) *)
-}
-
-val scan : t -> dom:int -> bits:int -> scan
-(** One pass over the consistent completions of the partial valuation
-    [(dom, bits)]: enough to answer consistency, every benefit
-    entailment and every literal deduction at once. The vacuous
-    encodings (no consistent completion) make entailment vacuously
-    true, matching the brute-force reference semantics. *)
+val benefit_mask : t -> dom:int -> bits:int -> int
+(** The AND of the benefit bitsets of the consistent completions of the
+    partial valuation [(dom, bits)]: bit [i] is set iff it entails
+    benefit [i]. One pass over the completions, allocating nothing. With
+    no consistent completion every benefit is entailed vacuously, so the
+    result is {!full_benefit_mask}, matching the brute-force reference
+    semantics. *)
 
 val consistent : t -> dom:int -> bits:int -> bool
 (** Early-exit: stops at the first consistent completion. *)

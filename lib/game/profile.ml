@@ -6,12 +6,17 @@ type t = {
   crowds : int list array; (* mas index -> player indices, ascending *)
 }
 
+(* Whether MAS [m] is among player [i]'s choices from the [k]-th on. *)
+let rec has_choice atlas i m k =
+  k < Atlas.choice_count atlas i
+  && (Atlas.choice atlas i k = m || has_choice atlas i m (k + 1))
+
 let make atlas f =
   let n = Atlas.player_count atlas in
   let moves =
     Array.init n (fun i ->
         let m = f i in
-        if not (List.mem m (Atlas.choices_of_player atlas i)) then
+        if not (has_choice atlas i m 0) then
           invalid_arg
             (Printf.sprintf "Profile.make: MAS %d is not a choice of player %d"
                m i);

@@ -7,72 +7,97 @@ module Partial = Pet_valuation.Partial
    [Payoff.Weighted], looked up once instead of on every score. *)
 type scoring = Count | Blanks | Weights of float array
 
-(* A binary heap. Deletion is lazy: an entry that went stale stays where
-   it is and is dropped by [pop_valid] when it reaches the top. *)
+(* A binary heap of ints. Deletion is lazy: an entry that went stale
+   stays where it is and is dropped by [pop_valid] when it reaches the
+   top. Its operations are top-level recursions over int arrays, so
+   they allocate nothing but the doubling of [data]. *)
 module Heap = struct
-  type 'a t = {
-    before : 'a -> 'a -> bool;
-    mutable data : 'a array;
+  type t = {
+    before : int -> int -> bool;
+    mutable data : int array;
     mutable size : int;
   }
 
-  (* [x] only fills the unused slots. *)
-  let create before x = { before; data = Array.make 16 x; size = 0 }
+  let create before = { before; data = Array.make 16 0; size = 0 }
 
-  (* Doubling copies the entries into the new upper half too, where they
-     are unused: [Array.make] from a young [x] would first empty the
-     minor heap once the heap outgrows 256 entries (DESIGN.md §5). *)
+  let rec up h x i =
+    let parent = (i - 1) / 2 in
+    if i > 0 && h.before x h.data.(parent) then begin
+      h.data.(i) <- h.data.(parent);
+      up h x parent
+    end
+    else h.data.(i) <- x
+
   let push h x =
     if h.size = Array.length h.data then h.data <- Array.append h.data h.data;
-    let rec up i =
-      let parent = (i - 1) / 2 in
-      if i > 0 && h.before x h.data.(parent) then begin
-        h.data.(i) <- h.data.(parent);
-        up parent
-      end
-      else h.data.(i) <- x
-    in
-    up h.size;
+    up h x h.size;
     h.size <- h.size + 1
+
+  let rec down h last i =
+    let l = (2 * i) + 1 in
+    if l >= h.size then h.data.(i) <- last
+    else
+      let c =
+        if l + 1 < h.size && h.before h.data.(l + 1) h.data.(l) then l + 1
+        else l
+      in
+      if h.before h.data.(c) last then begin
+        h.data.(i) <- h.data.(c);
+        down h last c
+      end
+      else h.data.(i) <- last
 
   let remove_top h =
     h.size <- h.size - 1;
-    let last = h.data.(h.size) in
-    let rec down i =
-      let l = (2 * i) + 1 in
-      if l >= h.size then h.data.(i) <- last
-      else
-        let c =
-          if l + 1 < h.size && h.before h.data.(l + 1) h.data.(l) then l + 1
-          else l
-        in
-        if h.before h.data.(c) last then begin
-          h.data.(i) <- h.data.(c);
-          down c
-        end
-        else h.data.(i) <- last
-    in
-    if h.size > 0 then down 0
+    if h.size > 0 then down h h.data.(h.size) 0
 
-  (* Pop entries until one satisfies [valid], and return that one. *)
+  (* Pop entries until one satisfies [valid], and return that one; -1
+     when the heap runs out. *)
   let rec pop_valid h valid =
-    if h.size = 0 then None
+    if h.size = 0 then -1
     else
       let x = h.data.(0) in
       remove_top h;
-      if valid x then Some x else pop_valid h valid
+      if valid x then x else pop_valid h valid
 end
 
-(* A pending player's best move and its score, as cached when the entry
-   was pushed. *)
-type entry = { score : float; move : int; player : int }
+(* The deadlock heap's entries: entry [e] is a pending player's best
+   move and its score, as cached when the entry was pushed. They live in
+   three flat arrays, scores unboxed, so that filing one allocates
+   nothing. *)
+type entries = {
+  mutable scores : float array;
+  mutable moves : int array;
+  mutable players : int array;
+  mutable count : int;
+}
+
+let add_entry es score move player =
+  if es.count = Array.length es.moves then begin
+    let grow a fill =
+      let a' = Array.make (2 * es.count) fill in
+      Array.blit a 0 a' 0 es.count;
+      a'
+    in
+    es.scores <- grow es.scores 0.;
+    es.moves <- grow es.moves 0;
+    es.players <- grow es.players 0
+  end;
+  let e = es.count in
+  es.scores.(e) <- score;
+  es.moves.(e) <- move;
+  es.players.(e) <- player;
+  es.count <- e + 1;
+  e
 
 (* The deadlock order of lines 11-16: highest score, then lowest move,
    then lowest player. *)
-let deadlock_before a b =
-  a.score > b.score
-  || (a.score = b.score
-     && (a.move < b.move || (a.move = b.move && a.player < b.player)))
+let deadlock_before es a b =
+  let sa = es.scores.(a) and sb = es.scores.(b) in
+  sa > sb
+  || sa = sb
+     && (es.moves.(a) < es.moves.(b)
+        || (es.moves.(a) = es.moves.(b) && es.players.(a) < es.players.(b)))
 
 type state = {
   atlas : Atlas.t;
@@ -97,8 +122,9 @@ type state = {
   dominant : bool array; (* the best move strictly beats every other *)
   delisted : int array; (* [Count] only: the MAS whose [live] skips the
                            player, or -1 *)
-  dominants : int Heap.t; (* dominant players, lowest index on top *)
-  deadlock : entry Heap.t; (* non-dominant players, in deadlock order *)
+  dominants : Heap.t; (* dominant players, lowest index on top *)
+  entries : entries;
+  deadlock : Heap.t; (* entries of non-dominant players, in deadlock order *)
 }
 
 let make_state atlas payoff =
@@ -108,11 +134,19 @@ let make_state atlas payoff =
     Pet_rules.Exposure.xp (Pet_rules.Engine.exposure (Atlas.engine atlas))
   in
   let full = (1 lsl Universe.size universe) - 1 in
+  let entries =
+    {
+      scores = Array.make 16 0.;
+      moves = Array.make 16 0;
+      players = Array.make 16 0;
+      count = 0;
+    }
+  in
   (* Filled from an immediate: [Array.init] from a young first row
      would empty the minor heap first (DESIGN.md §5). *)
   let live = Array.make nm [||] in
   for m = 0 to nm - 1 do
-    live.(m) <- Array.of_list (Atlas.players_of_mas atlas m)
+    live.(m) <- Array.init (Atlas.crowd_size atlas m) (Atlas.crowd_member atlas m)
   done;
   {
     atlas;
@@ -137,8 +171,9 @@ let make_state atlas payoff =
     best = Array.make np (-1);
     dominant = Array.make np false;
     delisted = Array.make (match payoff with Payoff.Sm -> np | _ -> 0) (-1);
-    dominants = Heap.create (fun (i : int) j -> i < j) 0;
-    deadlock = Heap.create deadlock_before { score = 0.; move = 0; player = 0 };
+    dominants = Heap.create (fun (i : int) j -> i < j);
+    entries;
+    deadlock = Heap.create (deadlock_before entries);
   }
 
 (* Sum of the weights of the set bits of [mask], in ascending bit order
@@ -191,23 +226,26 @@ let file st i bm bs dominant =
   if dominant then begin
     if not was_dominant then Heap.push st.dominants i
   end
-  else Heap.push st.deadlock { score = bs; move = bm; player = i }
+  else Heap.push st.deadlock (add_entry st.entries bs bm i)
 
 (* Score every move of a pending player. Best move: highest score; ties
    broken by the lexicographic order on moves (MAS indices are in
    lexicographic order, choices ascending). *)
 let rescore st i =
-  let rec go bm bs dominant = function
-    | [] -> file st i bm bs dominant
-    | m :: rest ->
-      let s = score st i m in
-      if s > bs then go m s true rest
-      else if s = bs && m <> bm then go bm bs false rest
-      else go bm bs dominant rest
-  in
-  match Atlas.choices_of_player st.atlas i with
-  | [] -> assert false (* every player has at least one choice *)
-  | m :: rest -> go m (score st i m) true rest
+  (* Every player has at least one choice. *)
+  let first = Atlas.choice st.atlas i 0 in
+  let bm = ref first and bs = ref (score st i first) and dominant = ref true in
+  for k = 1 to Atlas.choice_count st.atlas i - 1 do
+    let m = Atlas.choice st.atlas i k in
+    let s = score st i m in
+    if s > !bs then begin
+      bm := m;
+      bs := s;
+      dominant := true
+    end
+    else if s = !bs && m <> !bm then dominant := false
+  done;
+  file st i !bm !bs !dominant
 
 (* Pending player [i]'s score for [m] went from [before] to [after]; their
    other scores did not move. The cached best move decides the new one in
@@ -282,9 +320,8 @@ let compute ?(payoff = Payoff.Blank) atlas =
      Algorithm 2); everyone else is scored against those crowds. *)
   let pending = ref 0 in
   for i = 0 to n - 1 do
-    match Atlas.choices_of_player atlas i with
-    | [ m ] -> join st i m
-    | _ -> incr pending
+    if Atlas.choice_count atlas i = 1 then join st i (Atlas.choice atlas i 0)
+    else incr pending
   done;
   for i = 0 to n - 1 do
     if st.committed.(i) < 0 then rescore st i
@@ -297,21 +334,22 @@ let compute ?(payoff = Payoff.Blank) atlas =
      payoff — ties resolved by the lexicographic order on moves, then on
      players — commits. *)
   let still_dominant i = st.committed.(i) < 0 && st.dominant.(i) in
+  let es = st.entries in
   let current e =
-    st.committed.(e.player) < 0
-    && st.best.(e.player) = e.move
-    && Float.equal (score st e.player e.move) e.score
+    let i = es.players.(e) and m = es.moves.(e) in
+    st.committed.(i) < 0
+    && st.best.(i) = m
+    && Float.equal (score st i m) es.scores.(e)
   in
   while !pending > 0 do
-    let i, m =
-      match Heap.pop_valid st.dominants still_dominant with
-      | Some i -> (i, st.best.(i))
-      | None -> (
-        match Heap.pop_valid st.deadlock current with
-        | Some e -> (e.player, e.move)
-        | None -> assert false (* every pending player has a current entry *))
-    in
-    commit st i m;
+    let i = Heap.pop_valid st.dominants still_dominant in
+    if i >= 0 then commit st i st.best.(i)
+    else begin
+      let e = Heap.pop_valid st.deadlock current in
+      (* Every pending player has a current entry. *)
+      assert (e >= 0);
+      commit st es.players.(e) es.moves.(e)
+    end;
     decr pending
   done;
   Profile.make atlas (fun i -> st.committed.(i))

@@ -112,34 +112,52 @@ let entail_words engine xp v dom =
        (Partial.of_masks xp ~dom ~bits:(v land dom)))
 
 (* Lines 5-13: the Cartesian product, across the granted benefits, of
-   the conjunctions [v] satisfies; a product is the OR of their masks. *)
-let candidates conjs v granted =
-  let acc = ref [ 0 ] in
-  Array.iteri
-    (fun i cs ->
-      if granted land (1 lsl i) <> 0 then
-        acc :=
-          List.sort_uniq Int.compare
-            (Array.fold_left
-               (fun next (c : Code.conj) ->
-                 if Code.conj_holds c v then
-                   List.fold_left (fun next d -> (d lor c.mask) :: next) next !acc
-                 else next)
-               [] cs))
-    conjs;
-  !acc
+   the conjunctions [v] satisfies; a product is the OR of their masks.
+   The products alternate between [a] and [b], deduplicated after each
+   benefit; the result is in the buffer returned. *)
+let candidates conjs v granted (a : Wordbuf.t) (b : Wordbuf.t) =
+  Wordbuf.clear a;
+  Wordbuf.push a 0;
+  let src = ref a and dst = ref b in
+  for i = 0 to Array.length conjs - 1 do
+    if granted land (1 lsl i) <> 0 then begin
+      let s = !src and d = !dst in
+      Wordbuf.clear d;
+      let cs = conjs.(i) in
+      for j = 0 to Array.length cs - 1 do
+        let c = cs.(j) in
+        if Code.conj_holds c v then
+          for k = 0 to s.len - 1 do
+            Wordbuf.push d (s.a.(k) lor c.Code.mask)
+          done
+      done;
+      Wordbuf.sort_unique d;
+      src := d;
+      dst := s
+    end
+  done;
+  !src
 
-(* The domains with no strict subdomain among [doms]. *)
-let minimal_domains doms =
-  List.filter
-    (fun d -> not (List.exists (fun d' -> d' <> d && d' land d = d') doms))
-    doms
+(* The domains of [src] with no strict subdomain among them, into
+   [dst]. *)
+let minimal_domains (src : Wordbuf.t) dst =
+  Wordbuf.clear dst;
+  for k = 0 to src.len - 1 do
+    let d = src.a.(k) in
+    let dominated = ref false and j = ref 0 in
+    while (not !dominated) && !j < src.len do
+      let d' = src.a.(!j) in
+      if d' <> d && d' land d = d' then dominated := true;
+      incr j
+    done;
+    if not !dominated then Wordbuf.push dst d
+  done
 
 (* Exact mode, Definition 3.13 verbatim: every subdomain of [v]'s. A
    restriction of [v] proves at most [v]'s benefits and more as its
    domain grows, so accuracy is upward closed and a domain is minimal
    iff dropping any one of its positions loses accuracy. *)
-let exact_domains engine n v granted =
+let exact_domains engine n v granted out =
   if n > 16 then invalid_arg "Algorithm1.mas_of ~mode:Exact: universe too large";
   let accurate = Bytes.make (1 lsl n) '\000' in
   for dom = 0 to (1 lsl n) - 1 do
@@ -152,19 +170,18 @@ let exact_domains engine n v granted =
     let bit = rest land -rest in
     Bytes.get accurate (dom lxor bit) = '\001' || one_smaller dom (rest lxor bit)
   in
-  let selected = ref [] in
-  for dom = (1 lsl n) - 1 downto 0 do
+  Wordbuf.clear out;
+  for dom = 0 to (1 lsl n) - 1 do
     if Bytes.get accurate dom = '\001' && not (one_smaller dom dom) then
-      selected := dom :: !selected
-  done;
-  !selected
+      Wordbuf.push out dom
+  done
 
 let obs_runs = Pet_obs.Metrics.counter "pet_algorithm1_runs_total"
 let obs_mas = Pet_obs.Metrics.counter "pet_algorithm1_mas_total"
 
-let mas_of ?(mode = Chain) engine =
+let mas_words ?(mode = Chain) engine =
   let exposure = Engine.exposure engine in
-  let xp = Exposure.xp exposure and xb = Exposure.xb exposure in
+  let xp = Exposure.xp exposure in
   let n = Universe.size xp in
   let conjs = Exposure.conjunction_words exposure in
   let consistent = Exposure.consistent_word exposure in
@@ -173,38 +190,70 @@ let mas_of ?(mode = Chain) engine =
     | Chain -> chain_words (compile_implications xp exposure)
     | Entail | Exact -> entail_words engine xp
   in
-  fun v ->
+  let a = Wordbuf.create () and b = Wordbuf.create () in
+  fun v emit ->
     Pet_obs.Span.enter "algorithm1" @@ fun () ->
     Pet_obs.Metrics.incr obs_runs;
-    let bits = Total.bits v in
-    if not (consistent bits) then
+    if not (consistent v) then
       invalid_arg "Algorithm1.mas_of: valuation violates the constraints";
     let granted = ref 0 in
-    Array.iteri
-      (fun i cs ->
-        if Array.exists (fun c -> Code.conj_holds c bits) cs then
-          granted := !granted lor (1 lsl i))
-      conjs;
+    for i = 0 to Array.length conjs - 1 do
+      let cs = conjs.(i) in
+      for j = 0 to Array.length cs - 1 do
+        if Code.conj_holds cs.(j) v then granted := !granted lor (1 lsl i)
+      done
+    done;
     let granted = !granted in
     let selected =
-      if granted = 0 then [ 0 ]
+      if granted = 0 then begin
+        Wordbuf.clear a;
+        Wordbuf.push a 0;
+        a
+      end
       else
         match mode with
-        | Exact -> exact_domains engine n bits granted
+        | Exact ->
+          exact_domains engine n v granted a;
+          a
         | Chain | Entail ->
-          candidates conjs bits granted
-          |> List.map (close bits)
-          |> List.sort_uniq Int.compare
-          |> List.filter (fun dom ->
-                 Engine.benefit_mask engine ~dom ~bits:(bits land dom)
-                 = granted)
-          |> minimal_domains
+          let c = candidates conjs v granted a b in
+          for k = 0 to c.len - 1 do
+            c.a.(k) <- close v c.a.(k)
+          done;
+          Wordbuf.sort_unique c;
+          (* The accuracy filter, in place. *)
+          let kept = ref 0 in
+          for k = 0 to c.len - 1 do
+            let dom = c.a.(k) in
+            if Engine.benefit_mask engine ~dom ~bits:(v land dom) = granted
+            then begin
+              c.a.(!kept) <- dom;
+              incr kept
+            end
+          done;
+          Wordbuf.truncate c !kept;
+          let out = if c == a then b else a in
+          minimal_domains c out;
+          out
     in
-    Pet_obs.Metrics.add obs_mas (List.length selected);
+    Pet_obs.Metrics.add obs_mas selected.len;
+    for k = 0 to selected.len - 1 do
+      emit selected.a.(k)
+    done;
+    granted
+
+let mas_of ?mode engine =
+  let words = mas_words ?mode engine in
+  let xp = Exposure.xp (Engine.exposure engine) in
+  let xb = Exposure.xb (Engine.exposure engine) in
+  fun v ->
+    let bits = Total.bits v in
+    let selected = ref [] in
+    let granted = words bits (fun dom -> selected := dom :: !selected) in
     let benefits =
       List.filteri (fun i _ -> granted land (1 lsl i) <> 0) (Universe.names xb)
     in
-    selected
+    !selected
     |> List.map (fun dom -> Partial.of_masks xp ~dom ~bits:(bits land dom))
     |> List.sort Partial.compare_lex
     |> List.map (fun mas -> { mas; benefits })

@@ -49,10 +49,24 @@ val mas_of :
     minimality a subset test on domain words; a
     {!Pet_valuation.Partial.t} is built only for each selected MAS.
     Each application is one [algorithm1] span and one count of
-    [pet_algorithm1_runs_total].
+    [pet_algorithm1_runs_total]. It is {!mas_words} plus the
+    {!Pet_valuation.Partial.t} of each MAS.
     @raise Invalid_argument when [v] violates the problem's constraints
     (the form of an applicant is assumed realistic), or in {!Exact} mode
     on universes above 16 predicates. *)
+
+val mas_words :
+  ?mode:mode -> Pet_rules.Engine.t -> int -> (int -> unit) -> int
+(** The word kernel under {!mas_of}: [mas_words ~mode engine v emit]
+    calls [emit dom] once for the domain word of each MAS of the
+    valuation word [v] (the MAS is [v] restricted to [dom]), ascending,
+    and returns [v]'s benefit bitset. Staged like {!mas_of}: the
+    candidates (products, closure, deduplication, the accuracy filter,
+    minimality) live in buffers that the function returned by
+    [mas_words ~mode engine] owns and reuses, so an application
+    allocates no candidate. One such function must not run on two
+    domains at once; stage one per build. Counts and spans as
+    {!mas_of}, and raises as it does. *)
 
 val is_accurate :
   Pet_rules.Engine.t ->

@@ -1,166 +1,237 @@
 module Total = Pet_valuation.Total
 module Partial = Pet_valuation.Partial
+module Universe = Pet_valuation.Universe
 module Engine = Pet_rules.Engine
 module Exposure = Pet_rules.Exposure
 module Code = Pet_compile.Code
 
 type t = {
   engine : Engine.t;
-  xp : Pet_valuation.Universe.t;
+  xp : Universe.t;
   mas : Algorithm1.choice array; (* lexicographic order *)
   players : int array; (* valuation bits, increasing *)
-  choices_of_player : int list array; (* ascending MAS indices *)
-  players_of_mas : int list array; (* ascending player indices *)
+  (* The bipartite graph as two flat adjacency lists. The players of MAS
+     [m] are [crowds.(crowd_off.(m) .. crowd_off.(m + 1) - 1)], ascending
+     player indices; the choices of player [i] are [choices] over
+     [choice_off.(i) .. choice_off.(i + 1) - 1], ascending MAS indices. *)
+  crowd_off : int array;
+  crowds : int array;
+  choice_off : int array;
+  choices : int array;
 }
-
-module Pmap = Map.Make (struct
-  type t = Partial.t
-
-  let compare = Partial.compare
-end)
 
 let max_enumerable_predicates = 24
 
 let obs_mas_gauge = Pet_obs.Metrics.gauge "pet_atlas_mas"
 let obs_players_gauge = Pet_obs.Metrics.gauge "pet_atlas_players"
 
+(* An insert-only set of non-negative ints: linear probing over a
+   power-of-two table, at most half full, -1 marking a free slot. *)
+module Int_set = struct
+  type t = { mutable slots : int array; mutable size : int }
+
+  let create () = { slots = Array.make 64 (-1); size = 0 }
+
+  let rec probe slots mask k i =
+    let x = slots.(i) in
+    if x = -1 || x = k then i else probe slots mask k ((i + 1) land mask)
+
+  let slot slots k =
+    let mask = Array.length slots - 1 in
+    let h = k * 0x9E3779B1 in
+    probe slots mask k ((h lxor (h lsr 29)) land mask)
+
+  let grow s =
+    let old = s.slots in
+    let slots = Array.make (2 * Array.length old) (-1) in
+    Array.iter (fun k -> if k >= 0 then slots.(slot slots k) <- k) old;
+    s.slots <- slots
+
+  let mem s k = s.slots.(slot s.slots k) = k
+
+  (* Whether [k] was new. *)
+  let add s k =
+    let i = slot s.slots k in
+    s.slots.(i) <> k
+    && begin
+         s.slots.(i) <- k;
+         s.size <- s.size + 1;
+         if 2 * s.size > Array.length s.slots then grow s;
+         true
+       end
+end
+
 (* Algorithm 1's answer for [v] is a function of a key, so it runs once
    per distinct key. In Chain and Entail mode the key is the set of rule
    conjunctions [v] satisfies: the candidates are products of those
    conjunctions (a conjunction [v] satisfies restricted to [v] is the
    conjunction itself), and closure, the accuracy filter and the
-   minimality filter see only the candidates. In Exact mode the MAS are
-   restrictions of [v]'s own bits, so the key is [v]. [fill_key] writes
-   [v]'s key into [key], whose length {!key_words} gives. *)
-let key_words mode conjs =
+   minimality filter see only the candidates. With fewer conjunctions
+   than the bits of a non-negative int, that set is one word, and the
+   benefit-table kernel fills a table of them with one group per
+   conjunction. A valuation's benefit bitset follows from its
+   conjunction set ([granted]), so that one table serves as both. In
+   Exact mode the MAS are restrictions of [v]'s own bits, so the key is
+   [v]; it is also the key of a form with more conjunctions, where the
+   answer is no less a function of [v], and the table is the benefit
+   table itself. [conjunction_groups] is [None] then, or else the mask,
+   over the conjunction table's bits, of each benefit's conjunctions. *)
+let conjunction_groups mode rules =
+  let count = Array.fold_left (fun k cs -> k + Array.length cs) 0 rules in
   match mode with
-  | Algorithm1.Exact -> 1
-  | Chain | Entail -> (Array.length conjs + Sys.int_size - 1) / Sys.int_size
+  | Algorithm1.Chain | Entail when count < Sys.int_size ->
+    let next = ref 0 in
+    Some
+      (Array.map
+         (fun cs ->
+           let first = !next in
+           next := first + Array.length cs;
+           ((1 lsl Array.length cs) - 1) lsl first)
+         rules)
+  | Chain | Entail | Exact -> None
 
-let fill_key mode conjs key v =
-  match mode with
-  | Algorithm1.Exact -> key.(0) <- v
-  | Chain | Entail ->
-    Array.fill key 0 (Array.length key) 0;
-    for j = 0 to Array.length conjs - 1 do
-      if Code.conj_holds conjs.(j) v then
-        let w = j / Sys.int_size in
-        key.(w) <- key.(w) lor (1 lsl (j mod Sys.int_size))
-    done
-
-(* The benefit bitset of every total valuation: each conjunction of
-   benefit [i]'s rule sets bit [i] on its completions. *)
-let benefit_table rules ~full =
-  let tab = Array.make (full + 1) 0 in
-  Array.iteri
-    (fun i conjs ->
-      let bit = 1 lsl i in
-      Array.iter
-        (fun (c : Code.conj) ->
-          let free = full land lnot c.mask in
-          let s = ref free and continue = ref true in
-          while !continue do
-            let v = c.bits lor !s in
-            tab.(v) <- tab.(v) lor bit;
-            if !s = 0 then continue := false else s := (!s - 1) land free
-          done)
-        conjs)
-    rules;
-  tab
-
-(* The players of MAS [m] proving [proves] (a benefit bitset): the
-   completions of [m] whose benefit bitset in [benefit_tab] equals it,
-   ascending. [(s - 1) land free] walks the submasks of the free
-   positions downwards, so consing yields increasing words. *)
-let crowd benefit_tab ~full ~proves m =
-  let dom = Partial.domain_mask m and bits = Partial.bits m in
-  let free = full land lnot dom in
-  let rec go s acc =
-    let v = bits lor s in
-    let acc = if benefit_tab.(v) = proves then v :: acc else acc in
-    if s = 0 then acc else go ((s - 1) land free) acc
-  in
-  go free []
+(* The benefit bitset of a valuation satisfying the conjunctions [set]. *)
+let granted groups set =
+  let g = ref 0 in
+  for i = 0 to Array.length groups - 1 do
+    if set land groups.(i) <> 0 then g := !g lor (1 lsl i)
+  done;
+  !g
 
 let build ?(mode = Algorithm1.Chain) engine =
   Pet_obs.Span.enter "atlas.build" @@ fun () ->
   let exposure = Engine.exposure engine in
   let xp = Exposure.xp exposure in
-  let n = Pet_valuation.Universe.size xp in
+  let n = Universe.size xp in
   if n > max_enumerable_predicates then
     invalid_arg
       "Atlas.build: form too large to enumerate; use Symbolic.build for \
        the global statistics";
   let xb = Exposure.xb exposure in
   (* Benefit bitsets are ints, so they stay non-negative. *)
-  if Pet_valuation.Universe.size xb >= Sys.int_size then
+  if Universe.size xb >= Sys.int_size then
     invalid_arg "Atlas.build: too many benefits";
   let rules = Exposure.conjunction_words exposure in
   let full = (1 lsl n) - 1 in
-  let tab = benefit_table rules ~full in
+  let groups = conjunction_groups mode rules in
+  let tab =
+    match groups with
+    | Some _ ->
+      Code.benefit_table ~n
+        (Array.map (fun c -> [| c |]) (Array.concat (Array.to_list rules)))
+    | None -> Code.benefit_table ~n rules
+  in
+  let benefits_of set =
+    match groups with Some g -> granted g set | None -> set
+  in
   (* Collect the deduplicated MAS set over all realistic eligible
      valuations (a non-zero benefit bitset and the constraints hold),
-     running Algorithm 1 once per key. The key is built in one buffer
-     and copied only when it is new. *)
+     running Algorithm 1 once per key. A MAS is its domain and value
+     words, deduplicated as one word, and the benefit bitset it proves,
+     which is that of every valuation it came from. *)
   let consistent = Exposure.consistent_word exposure in
-  let mas_of = Algorithm1.mas_of ~mode engine in
-  let conjs = Array.concat (Array.to_list rules) in
-  let key = Array.make (key_words mode conjs) 0 in
-  let seen = Hashtbl.create 1024 in
-  let mas_set = ref Pmap.empty in
+  let mas_words = Algorithm1.mas_words ~mode engine in
+  let seen = Int_set.create () and found = Int_set.create () in
+  let doms = Wordbuf.create ()
+  and bits = Wordbuf.create ()
+  and proves = Wordbuf.create () in
+  let current = ref 0 in
+  let emit dom =
+    let v = !current in
+    if Int_set.add found ((dom lsl n) lor (v land dom)) then begin
+      Wordbuf.push doms dom;
+      Wordbuf.push bits (v land dom);
+      Wordbuf.push proves (benefits_of tab.(v))
+    end
+  in
   for v = 0 to full do
-    if tab.(v) <> 0 && consistent v then begin
-      fill_key mode conjs key v;
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.add seen (Array.copy key) ();
-        List.iter
-          (fun (c : Algorithm1.choice) ->
-            mas_set := Pmap.add c.mas c !mas_set)
-          (mas_of (Total.of_bits xp v))
+    if tab.(v) <> 0 then begin
+      (* The constraints are tested only for a key not yet seen. *)
+      let key = match groups with Some _ -> tab.(v) | None -> v in
+      if (not (Int_set.mem seen key)) && consistent v then begin
+        ignore (Int_set.add seen key);
+        current := v;
+        ignore (mas_words v emit)
       end
     end
   done;
+  let nm = doms.len in
+  let order = Array.init nm Fun.id in
+  Array.sort
+    (fun i j ->
+      Partial.compare_lex_words doms.a.(i) bits.a.(i) doms.a.(j) bits.a.(j))
+    order;
   (* OCaml empties the minor heap before [Array.make], [init], [map] or
      [of_list] creates an array of more than 256 (Max_young_wosize)
      elements from a young block, and in a process of several domains
      every minor collection stops the world (DESIGN.md §5). So every
-     array below starts from an immediate and is filled, or holds ints,
-     or, here, comes from [Array.concat], which allocates a large result
-     in the major heap. *)
-  let mas =
-    Pmap.fold (fun _ c acc -> c :: acc) !mas_set []
-    |> List.sort (fun (a : Algorithm1.choice) b ->
-           Partial.compare_lex a.mas b.mas)
-    |> List.map (fun c -> [| c |])
-    |> Array.concat
-  in
-  let nm = Array.length mas in
-  (* Potential players per MAS (Algorithm 1, lines 18-23): the
-     extensions with the benefit set the MAS proves, read off one table
-     of benefit bitsets over every total valuation. A MAS proves exactly
-     the benefits it was chosen for. *)
-  let players_of_mas = Array.make nm [] in
-  Array.iteri
-    (fun mi (c : Algorithm1.choice) ->
-      let proves =
-        List.fold_left
-          (fun acc b -> acc lor (1 lsl Pet_valuation.Universe.index xb b))
-          0 c.benefits
+     array below holds ints, or, here, comes from [Array.concat], which
+     allocates a large result in the major heap. *)
+  (* The MAS of one benefit bitset share its list of names. *)
+  let names = Hashtbl.create 8 in
+  let benefits granted =
+    match Hashtbl.find_opt names granted with
+    | Some l -> l
+    | None ->
+      let l =
+        List.filteri
+          (fun i _ -> granted land (1 lsl i) <> 0)
+          (Universe.names xb)
       in
-      players_of_mas.(mi) <- crowd tab ~full ~proves c.mas)
-    mas;
+      Hashtbl.add names granted l;
+      l
+  in
+  let mas = ref [] in
+  for k = nm - 1 downto 0 do
+    let i = order.(k) in
+    let c : Algorithm1.choice =
+      {
+        mas = Partial.of_masks xp ~dom:doms.a.(i) ~bits:bits.a.(i);
+        benefits = benefits proves.a.(i);
+      }
+    in
+    mas := [| c |] :: !mas
+  done;
+  let mas = Array.concat !mas in
+  (* Potential players per MAS (Algorithm 1, lines 18-23): the
+     extensions with the benefit set the MAS proves, read off the benefit
+     table. [(s - free) land free] walks the submasks of the free
+     positions upwards, so each crowd comes out ascending. *)
+  (match groups with
+  | Some g ->
+    for v = 0 to full do
+      if tab.(v) <> 0 then tab.(v) <- granted g tab.(v)
+    done
+  | None -> ());
+  let members = Wordbuf.create () in
+  let crowd_off = Array.make (nm + 1) 0 in
+  for k = 0 to nm - 1 do
+    let i = order.(k) in
+    let b = bits.a.(i) and p = proves.a.(i) in
+    let free = full land lnot doms.a.(i) in
+    let s = ref 0 and continue = ref true in
+    while !continue do
+      let v = b lor !s in
+      if tab.(v) = p then Wordbuf.push members v;
+      s := (!s - free) land free;
+      continue := !s <> 0
+    done;
+    crowd_off.(k + 1) <- members.len
+  done;
+  let crowds = Wordbuf.to_array members in
   (* The benefit table is dead now; it becomes the player index. Crowd
      members are marked -1 (benefit bitsets are non-negative), then
-     numbered in one ascending pass. *)
+     numbered in one ascending pass, and the crowds renumbered. *)
   let np = ref 0 in
   Array.iter
-    (List.iter (fun v ->
-         if tab.(v) >= 0 then begin
-           tab.(v) <- -1;
-           incr np
-         end))
-    players_of_mas;
-  let players = Array.make !np 0 in
+    (fun v ->
+      if tab.(v) >= 0 then begin
+        tab.(v) <- -1;
+        incr np
+      end)
+    crowds;
+  let np = !np in
+  let players = Array.make np 0 in
   let next = ref 0 in
   for v = 0 to full do
     if tab.(v) < 0 then begin
@@ -169,17 +240,31 @@ let build ?(mode = Algorithm1.Chain) engine =
       incr next
     end
   done;
-  let choices_of_player = Array.make !np [] in
-  for mi = nm - 1 downto 0 do
-    let ps = List.map (fun v -> tab.(v)) players_of_mas.(mi) in
-    players_of_mas.(mi) <- ps;
-    List.iter
-      (fun pi -> choices_of_player.(pi) <- mi :: choices_of_player.(pi))
-      ps
+  Array.iteri (fun e v -> crowds.(e) <- tab.(v)) crowds;
+  (* The choices of each player: count them into [choice_off.(p + 1)]
+     and sum, so [choice_off.(p)] is where [p]'s start; fill in MAS
+     order, advancing [choice_off.(p)] to where [p + 1]'s start; shift
+     back. *)
+  let choice_off = Array.make (np + 1) 0 in
+  Array.iter (fun p -> choice_off.(p + 1) <- choice_off.(p + 1) + 1) crowds;
+  for p = 0 to np - 1 do
+    choice_off.(p + 1) <- choice_off.(p + 1) + choice_off.(p)
   done;
+  let choices = Array.make (Array.length crowds) 0 in
+  for m = 0 to nm - 1 do
+    for e = crowd_off.(m) to crowd_off.(m + 1) - 1 do
+      let p = crowds.(e) in
+      choices.(choice_off.(p)) <- m;
+      choice_off.(p) <- choice_off.(p) + 1
+    done
+  done;
+  for p = np downto 1 do
+    choice_off.(p) <- choice_off.(p - 1)
+  done;
+  choice_off.(0) <- 0;
   Pet_obs.Metrics.set_gauge obs_mas_gauge (float_of_int nm);
-  Pet_obs.Metrics.set_gauge obs_players_gauge (float_of_int !np);
-  { engine; xp; mas; players; choices_of_player; players_of_mas }
+  Pet_obs.Metrics.set_gauge obs_players_gauge (float_of_int np);
+  { engine; xp; mas; players; crowd_off; crowds; choice_off; choices }
 
 let engine t = t.engine
 let mas_count t = Array.length t.mas
@@ -220,28 +305,46 @@ let player_bits t i =
 let player t i = Total.of_bits t.xp (player_bits t i)
 let find_player t v = search t.players Int.compare (Total.bits v)
 
+let check_player t i =
+  if i < 0 || i >= Array.length t.players then
+    invalid_arg "Atlas.choices_of_player: out of range"
+
+let check_mas t m =
+  if m < 0 || m >= Array.length t.mas then
+    invalid_arg "Atlas.players_of_mas: out of range"
+
+let choice_count t i =
+  check_player t i;
+  t.choice_off.(i + 1) - t.choice_off.(i)
+
+let choice t i k =
+  if k < 0 || k >= choice_count t i then invalid_arg "Atlas.choice: out of range";
+  t.choices.(t.choice_off.(i) + k)
+
+let crowd_size t m =
+  check_mas t m;
+  t.crowd_off.(m + 1) - t.crowd_off.(m)
+
+let crowd_member t m k =
+  if k < 0 || k >= crowd_size t m then
+    invalid_arg "Atlas.crowd_member: out of range";
+  t.crowds.(t.crowd_off.(m) + k)
+
 let choices_of_player t i =
-  if i < 0 || i >= Array.length t.choices_of_player then
-    invalid_arg "Atlas.choices_of_player: out of range";
-  t.choices_of_player.(i)
+  List.init (choice_count t i) (fun k -> t.choices.(t.choice_off.(i) + k))
 
-let players_of_mas t i =
-  if i < 0 || i >= Array.length t.players_of_mas then
-    invalid_arg "Atlas.players_of_mas: out of range";
-  t.players_of_mas.(i)
+let players_of_mas t m =
+  List.init (crowd_size t m) (fun k -> t.crowds.(t.crowd_off.(m) + k))
 
-let forced_players_of_mas t i =
-  List.filter
-    (fun pi -> match t.choices_of_player.(pi) with [ _ ] -> true | _ -> false)
-    (players_of_mas t i)
+let forced_players_of_mas t m =
+  List.filter (fun i -> choice_count t i = 1) (players_of_mas t m)
 
 let choice_distribution t =
   let tbl = Hashtbl.create 8 in
-  Array.iter
-    (fun choices ->
-      let k = List.length choices in
-      Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-    t.choices_of_player;
+  for i = 0 to Array.length t.players - 1 do
+    let k = choice_count t i in
+    Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+  done;
   Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 

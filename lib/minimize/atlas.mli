@@ -39,10 +39,26 @@ val player_bits : t -> int -> int
 val find_player : t -> Pet_valuation.Total.t -> int option
 
 val choices_of_player : t -> int -> int list
-(** MAS indices the player can play, ascending. *)
+(** MAS indices the player can play, ascending. The atlas keeps them
+    flat; {!choice_count} and {!choice} read them without building the
+    list. *)
+
+val choice_count : t -> int -> int
+(** [List.length (choices_of_player t i)]. *)
+
+val choice : t -> int -> int -> int
+(** [choice t i k]: the [k]-th element of [choices_of_player t i]. *)
 
 val players_of_mas : t -> int -> int list
-(** Player indices that can play the MAS — the "potential" crowd. *)
+(** Player indices that can play the MAS — the "potential" crowd,
+    ascending. {!crowd_size} and {!crowd_member} read it without
+    building the list. *)
+
+val crowd_size : t -> int -> int
+(** [List.length (players_of_mas t m)]. *)
+
+val crowd_member : t -> int -> int -> int
+(** [crowd_member t m k]: the [k]-th element of [players_of_mas t m]. *)
 
 val forced_players_of_mas : t -> int -> int list
 (** Players whose only choice is this MAS — the crowd lower bound reported

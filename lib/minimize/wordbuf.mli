@@ -1,0 +1,20 @@
+(** Growable buffers of machine words, for the provider-build kernels
+    ({!Algorithm1.mas_words}, {!Atlas.build}). A buffer grows by
+    doubling into a fresh array; one of more than 256 words is allocated
+    in the major heap, so a grown buffer costs no minor words. *)
+
+type t = private { mutable a : int array; mutable len : int }
+(** The words are [a.(0 .. len - 1)]. *)
+
+val create : unit -> t
+val clear : t -> unit
+val push : t -> int -> unit
+
+val truncate : t -> int -> unit
+(** [truncate b k] keeps the first [k] words; [k <= len]. *)
+
+val sort_unique : t -> unit
+(** Sort ascending and drop repeats, in place (heapsort). *)
+
+val to_array : t -> int array
+(** A fresh array of the words. *)

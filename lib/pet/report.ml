@@ -60,7 +60,10 @@ let build ?weights atlas profile v =
       recommended = m = played;
     }
   in
-  let options = List.map option_of (Atlas.choices_of_player atlas player) in
+  let options =
+    List.init (Atlas.choice_count atlas player) (fun k ->
+        option_of (Atlas.choice atlas player k))
+  in
   let recommended = List.find (fun o -> o.recommended) options in
   let n = Universe.size (Partial.universe recommended.mas) in
   {

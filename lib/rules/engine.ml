@@ -165,19 +165,11 @@ let sat_refutes solver ~dom ~bits extra =
 
 (* --- BDD backend ------------------------------------------------------------ *)
 
-(* [r] cofactored by the bound positions of [(dom, bits)], ascending; the
-   form predicates are BDD variables [0 .. n-1]. *)
-let bdd_restrict man r ~dom ~bits =
-  let rec from r i =
-    if dom lsr i = 0 then r
-    else if dom land (1 lsl i) = 0 then from r (i + 1)
-    else from (Bdd.restrict man r i (bits land (1 lsl i) <> 0)) (i + 1)
-  in
-  from r 0
-
-let bdd_refutes man r ~dom ~bits var value =
-  (* Is [R /\ (dom, bits) /\ (var = value)] unsatisfiable? *)
-  Bdd.is_unsat (Bdd.restrict man (bdd_restrict man r ~dom ~bits) var value)
+(* One walk of [r] under the cube [(dom, bits)]: the form predicates are
+   BDD variables [0 .. np-1], the walk's lower window, and the benefits
+   follow from [np], its upper window. *)
+let bdd_walk t man r ~dom ~bits =
+  Bdd.walk man r ~dom ~bits ~upper:(Universe.size (Exposure.xp t.e))
 
 (* --- Dispatch ------------------------------------------------------------------ *)
 
@@ -211,7 +203,7 @@ let consistent t w =
   | Ibrute -> brute_consistent t.e w
   | Isat solver ->
     Solver.solve ~assumptions:(sat_assumptions ~dom ~bits) solver = Solver.Sat
-  | Ibdd { man; r } -> not (Bdd.is_unsat (bdd_restrict man r ~dom ~bits))
+  | Ibdd { man; r } -> (bdd_walk t man r ~dom ~bits).Bdd.sat
   | Icode c -> Code.consistent c ~dom ~bits
 
 let benefit_index t b =
@@ -227,36 +219,40 @@ let entails_benefit t w b =
     brute_entails_benefit t.e w b
   | Isat solver ->
     sat_refutes solver ~dom ~bits (Lit.make (benefit_index t b) false)
-  | Ibdd { man; r } -> bdd_refutes man r ~dom ~bits (benefit_index t b) false
+  | Ibdd { man; r } ->
+    let bit = 1 lsl Universe.index (Exposure.xb t.e) b in
+    (bdd_walk t man r ~dom ~bits).Bdd.upper_false land bit = 0
   | Icode c ->
     Code.entails_benefit c ~dom ~bits (Universe.index (Exposure.xb t.e) b)
 
+(* Bit [i] of the result set iff [entailed i], for each of [nb]
+   benefits. *)
+let each_benefit nb entailed =
+  let rec go i acc =
+    if i = nb then acc
+    else go (i + 1) (if entailed i then acc lor (1 lsl i) else acc)
+  in
+  go 0 0
+
 (* Bit [i] set iff [(dom, bits)] entails benefit [i]: one query for every
-   benefit. *)
+   benefit. The compiled and BDD answers allocate nothing. *)
 let benefit_mask t ~dom ~bits =
   let xp = Exposure.xp t.e and xb = Exposure.xb t.e in
   let np = Universe.size xp and nb = Universe.size xb in
   if dom < 0 || dom lsr np <> 0 || bits land lnot dom <> 0 then
     invalid_arg "Engine.benefit_mask: words outside the form universe";
   count_query t;
-  (* Ask [entailed i] for each benefit, ascending. *)
-  let each entailed =
-    let rec go i acc =
-      if i = nb then acc
-      else go (i + 1) (if entailed i then acc lor (1 lsl i) else acc)
-    in
-    go 0 0
-  in
   match t.impl with
-  | Icode c -> (Code.scan c ~dom ~bits).Code.benefit_and
+  | Icode c -> Code.benefit_mask c ~dom ~bits
   | Ibdd { man; r } ->
-    let r = bdd_restrict man r ~dom ~bits in
-    each (fun i -> Bdd.is_unsat (Bdd.restrict man r (np + i) false))
+    lnot (bdd_walk t man r ~dom ~bits).Bdd.upper_false land ((1 lsl nb) - 1)
   | Isat solver ->
-    each (fun i -> sat_refutes solver ~dom ~bits (Lit.make (np + i) false))
+    each_benefit nb (fun i ->
+        sat_refutes solver ~dom ~bits (Lit.make (np + i) false))
   | Ibrute ->
     let w = Partial.of_masks xp ~dom ~bits in
-    each (fun i -> brute_entails_benefit t.e w (Universe.name xb i))
+    each_benefit nb (fun i ->
+        brute_entails_benefit t.e w (Universe.name xb i))
 
 let benefits t w =
   check_universe t w;
@@ -270,24 +266,47 @@ let benefits t w =
 let benefits_of_total t v =
   Exposure.benefits_of_assignment t.e (Total.rho v)
 
-let entails_literal t w p value =
-  check_universe t w;
-  count_query t;
+(* Does [w] force predicate [p] to [value]? Uncounted: each public
+   query counts once. *)
+let forces t w p value =
   let i = Universe.index (Exposure.xp t.e) p in
   let dom = Partial.domain_mask w and bits = Partial.bits w in
   match t.impl with
   | Ibrute -> brute_entails_literal t.e w p value
   | Isat solver -> sat_refutes solver ~dom ~bits (Lit.make i (not value))
-  | Ibdd { man; r } -> bdd_refutes man r ~dom ~bits i (not value)
+  | Ibdd { man; r } ->
+    let walk = bdd_walk t man r ~dom ~bits in
+    (if value then walk.Bdd.lower_false else walk.Bdd.lower_true)
+    land (1 lsl i)
+    = 0
   | Icode c -> Code.entails_literal c ~dom ~bits i value
+
+let entails_literal t w p value =
+  check_universe t w;
+  count_query t;
+  forces t w p value
 
 let deduced_literals t w =
   check_universe t w;
+  count_query t;
+  let forced =
+    match t.impl with
+    | Ibdd { man; r } ->
+      (* One walk decides every predicate. *)
+      let walk =
+        bdd_walk t man r ~dom:(Partial.domain_mask w) ~bits:(Partial.bits w)
+      in
+      let can_true = walk.Bdd.lower_true and can_false = walk.Bdd.lower_false in
+      fun p value ->
+        let bit = 1 lsl Universe.index (Exposure.xp t.e) p in
+        (if value then can_false else can_true) land bit = 0
+    | Ibrute | Isat _ | Icode _ -> forces t w
+  in
   List.filter_map
     (fun p ->
       if Partial.defines w p then None
-      else if entails_literal t w p true then Some (p, true)
-      else if entails_literal t w p false then Some (p, false)
+      else if forced p true then Some (p, true)
+      else if forced p false then Some (p, false)
       else None)
     (Universe.names (Exposure.xp t.e))
 

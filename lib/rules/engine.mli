@@ -6,9 +6,10 @@
       the others are tested against);
     - [Sat]: one incremental CDCL query per question — [w, R |= x] iff
       [R /\ w /\ ~x] is unsatisfiable (the default);
-    - [Bdd]: compile [R] once into a BDD and answer each question by
-      cofactoring — the right choice for bulk workloads such as building
-      the full MAS atlas;
+    - [Bdd]: compile [R] once into a BDD and answer each question by one
+      memoized walk over it under the cube of [w]'s bindings
+      ({!Pet_bdd.Bdd.walk}), which builds no node — the right choice for
+      bulk workloads such as building the full MAS atlas;
     - [Compiled]: flatten the rules into branch-free bitmask tests and
       tabulate the [2^n] valuation answers at construction time
       ({!Pet_compile.Code}) — the serving fast path. Above
@@ -58,9 +59,9 @@ val benefit_mask : t -> dom:int -> bits:int -> int
     {!Pet_valuation.Partial.domain_mask} and {!Pet_valuation.Partial.bits})
     proves, as a bitset in benefit-universe order (bit [i] is benefit
     [i]). One query answers every benefit: the compiled backend makes one
-    pass over the consistent completions, the BDD backend cofactors [R]
-    by the bound positions once and then once per benefit, the SAT and
-    brute backends ask their per-benefit question for each benefit. An
+    pass over the consistent completions and the BDD backend one walk,
+    both without allocating; the SAT and brute backends ask their
+    per-benefit question for each benefit. An
     inconsistent partial valuation entails every benefit vacuously.
     Counts as one query in [pet_engine_queries_total].
     @raise Invalid_argument when the words exceed the form universe or
@@ -84,6 +85,7 @@ val deduced_literals :
 (** Form predicates outside [w]'s domain whose value is nevertheless forced
     by [R /\ w] — what a reasoning attacker learns from the rule set alone
     (before even considering other players' strategies). In universe
-    order. *)
+    order. One query: the BDD backend answers it with one walk, the
+    others with their per-predicate questions. *)
 
 val pp_backend : backend Fmt.t

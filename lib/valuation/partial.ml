@@ -158,15 +158,21 @@ let char_rank w i =
   else if (w.bits lsr i) land 1 = 0 then 1
   else 2
 
-let compare_lex a b =
-  let n = Universe.size a.u in
-  let rec go i =
-    if i >= n then 0
-    else
-      let c = Int.compare (char_rank a i) (char_rank b i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+(* Value bits lie inside the domain, so the two words differ in rank
+   exactly where their domain or value bits differ, and the lowest such
+   position decides. *)
+let compare_lex_words dom bits dom' bits' =
+  let diff = (dom lxor dom') lor (bits lxor bits') in
+  if diff = 0 then 0
+  else
+    let p = diff land -diff in
+    let rank = if dom land p = 0 then 0 else if bits land p = 0 then 1 else 2
+    and rank' =
+      if dom' land p = 0 then 0 else if bits' land p = 0 then 1 else 2
+    in
+    Int.compare rank rank'
+
+let compare_lex a b = compare_lex_words a.dom a.bits b.dom b.bits
 
 let to_string w =
   String.init (Universe.size w.u) (fun i ->

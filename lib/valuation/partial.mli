@@ -77,6 +77,11 @@ val compare_lex : t -> t -> int
 (** The paper's canonical order: valuations read as words over the ordered
     alphabet [_ < 0 < 1], first variable most significant. *)
 
+val compare_lex_words : int -> int -> int -> int -> int
+(** [compare_lex_words dom bits dom' bits'] is {!compare_lex} on the
+    partial valuations of one universe with those domain and value
+    words (as {!domain_mask} and {!bits}), without building them. *)
+
 val to_string : t -> string
 (** E.g. ["0_1"], first variable leftmost. *)
 

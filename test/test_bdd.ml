@@ -79,6 +79,51 @@ let test_exists () =
   Alcotest.(check int) "Ex. x&y = y" (Bdd.var m 1) (Bdd.exists m [ 0 ] f);
   Alcotest.(check int) "Exy. x&y = 1" Bdd.one (Bdd.exists m [ 0; 1 ] f)
 
+(* The parity of variables [0 .. n-1]: every path tests every variable,
+   so the BDD has 2n - 1 nodes and 2^n paths. A cofactor that recursed
+   into both children without a memo would visit every path. *)
+let parity m n =
+  List.fold_left (fun acc v -> Bdd.xor m acc (Bdd.var m v)) Bdd.zero
+    (List.init n Fun.id)
+
+let test_parity_restrict_exists () =
+  let m = Bdd.man () in
+  let n = 40 in
+  let f = parity m n in
+  let g = parity m (n - 1) in
+  Alcotest.(check int) "2n - 1 nodes" ((2 * n) - 1) (Bdd.size m f);
+  Alcotest.(check int) "f[x39:=0] = parity of 39" g
+    (Bdd.restrict m f (n - 1) false);
+  Alcotest.(check int) "f[x39:=1] = its negation" (Bdd.neg m g)
+    (Bdd.restrict m f (n - 1) true);
+  Alcotest.(check int) "f[x0:=1] = negated parity of x1..x39"
+    (Bdd.neg m
+       (List.fold_left
+          (fun acc v -> Bdd.xor m acc (Bdd.var m v))
+          Bdd.zero
+          (List.init (n - 1) (fun i -> i + 1))))
+    (Bdd.restrict m f 0 true);
+  Alcotest.(check int) "Ex39. f = 1" Bdd.one (Bdd.exists m [ n - 1 ] f);
+  Alcotest.(check int) "Ex0. f = 1" Bdd.one (Bdd.exists m [ 0 ] f);
+  let h = Bdd.conj m f (Bdd.var m n) in
+  Alcotest.(check int) "Ex40. f & x40 = f" f (Bdd.exists m [ n ] h)
+
+let test_walk_creates_no_node () =
+  let m = Bdd.man () in
+  let f = parity m 40 in
+  let g = Bdd.conj m f (Bdd.var m 0) in
+  let nodes = Bdd.node_count m in
+  let w = Bdd.walk m f ~dom:0b101 ~bits:0b001 ~upper:20 in
+  Alcotest.(check bool) "satisfiable" true w.Bdd.sat;
+  Alcotest.(check int) "x0 is bound true" 0 (w.Bdd.lower_false land 1);
+  Alcotest.(check int) "x2 is bound false" 0 (w.Bdd.lower_true land 4);
+  Alcotest.(check int) "x1 is free" 2 (w.Bdd.lower_true land w.Bdd.lower_false land 2);
+  Alcotest.(check int) "x20 (upper bit 0) is free" 1
+    (w.Bdd.upper_true land w.Bdd.upper_false land 1);
+  let w = Bdd.walk m g ~dom:1 ~bits:0 ~upper:20 in
+  Alcotest.(check bool) "contradicted by the cube" false w.Bdd.sat;
+  Alcotest.(check int) "no new node" nodes (Bdd.node_count m)
+
 let test_support () =
   let m = Bdd.man () in
   let f = Bdd.conj m (Bdd.var m 2) (Bdd.disj m (Bdd.var m 0) Bdd.one) in
@@ -203,6 +248,46 @@ let prop_tautology =
       let m = Bdd.man () in
       Bool.equal (Bdd.is_tautology (compile m f)) (F.tautology f))
 
+(* The models of [f] that agree with the cube, by truth table. *)
+let cube_models f ~dom ~bits =
+  List.filter
+    (fun v -> v land dom = bits && F.eval (rho_of_bits v) f)
+    (List.init (1 lsl nvars) Fun.id)
+
+let prop_walk =
+  QCheck2.Test.make ~count:500 ~name:"walk agrees with the truth table"
+    ~print:(fun (f, (dom, bits, upper)) ->
+      Printf.sprintf "%s dom=%d bits=%d upper=%d" (F.to_string f) dom bits
+        upper)
+    QCheck2.Gen.(
+      tup2 gen_formula
+        (let* dom = int_range 0 ((1 lsl nvars) - 1) in
+         let* bits = int_range 0 ((1 lsl nvars) - 1) in
+         let* upper = int_range 0 nvars in
+         return (dom, bits land dom, upper)))
+    (fun (f, (dom, bits, upper)) ->
+      let m = Bdd.man () in
+      let b = compile m f in
+      let nodes = Bdd.node_count m in
+      let w = Bdd.walk m b ~dom ~bits ~upper in
+      let models = cube_models f ~dom ~bits in
+      let can v value =
+        List.exists (fun x -> Bool.equal (x land (1 lsl v) <> 0) value) models
+      in
+      let mask value =
+        List.fold_left
+          (fun acc v -> if can v value then acc lor (1 lsl v) else acc)
+          0
+          (List.init nvars Fun.id)
+      in
+      let window = (1 lsl nvars) - 1 in
+      Bool.equal w.Bdd.sat (models <> [])
+      && w.Bdd.lower_true land window = mask true
+      && w.Bdd.lower_false land window = mask false
+      && w.Bdd.upper_true land (window lsr upper) = mask true lsr upper
+      && w.Bdd.upper_false land (window lsr upper) = mask false lsr upper
+      && Bdd.node_count m = nodes)
+
 let () =
   let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests) in
   Alcotest.run "pet_bdd"
@@ -218,6 +303,10 @@ let () =
           Alcotest.test_case "count models bad nvars" `Quick
             test_count_models_bad_nvars;
           Alcotest.test_case "any model" `Quick test_any_model;
+          Alcotest.test_case "restrict and exists on a 40-variable parity"
+            `Quick test_parity_restrict_exists;
+          Alcotest.test_case "walk creates no node" `Quick
+            test_walk_creates_no_node;
         ] );
       qsuite "bdd-properties"
         [
@@ -229,5 +318,6 @@ let () =
           prop_exists_is_disjunction_of_cofactors;
           prop_support_is_exact;
           prop_negation_involutive;
+          prop_walk;
         ];
     ]

@@ -112,9 +112,7 @@ let test_scan_vs_enumeration () =
             if v land dom = !bits && Code.consistent_bits code v then
               completions := v :: !completions
           done;
-          let scan = Code.scan code ~dom ~bits:!bits in
           let expect_any = !completions <> [] in
-          Alcotest.(check bool) "any" expect_any scan.Code.any;
           Alcotest.(check bool) "consistent" expect_any
             (Code.consistent code ~dom ~bits:!bits);
           let expected_and =
@@ -126,10 +124,8 @@ let test_scan_vs_enumeration () =
               (Code.full_benefit_mask code)
               !completions
           in
-          Alcotest.(check int) "and_bits" expected_and scan.Code.and_bits;
-          Alcotest.(check int) "or_bits" expected_or scan.Code.or_bits;
-          Alcotest.(check int) "benefit_and" expected_benefit_and
-            scan.Code.benefit_and;
+          Alcotest.(check int) "benefit_mask" expected_benefit_and
+            (Code.benefit_mask code ~dom ~bits:!bits);
           for i = 0 to Code.benefit_count code - 1 do
             Alcotest.(check bool) "entails_benefit"
               ((expected_benefit_and lsr i) land 1 = 1)
@@ -395,6 +391,42 @@ let test_decode_fast_oversized () =
     (Proto.decode_fast line = None);
   Alcotest.(check bool) "full decoder rejects it" true
     (match Proto.decode line with Error _ -> true | Ok _ -> false)
+(* The one benefit-table kernel (the compiled engine's table and the
+   atlas's) against its per-valuation definition: bit [i] of valuation
+   [v] is set iff some conjunction of benefit [i]'s rule holds on [v].
+   Over the fleet workload's 200 corpus forms and the four case
+   studies. *)
+let test_benefit_table_vs_definition () =
+  let fleet =
+    Array.to_list
+      (Pet_corpus.Corpus.scenario ~seed:0 ~lo:8 ~hi:12 ~count:200 ())
+        .Pet_corpus.Corpus.forms
+    |> List.map (fun (f : Pet_corpus.Corpus.form) ->
+           Pet_rules.Spec.parse_exn f.Pet_corpus.Corpus.text)
+  in
+  List.iter
+    (fun e ->
+      let n = Universe.size (Exposure.xp e) in
+      let rules = Exposure.conjunction_words e in
+      let tab = Code.benefit_table ~n rules in
+      let wrong = ref 0 in
+      for v = 0 to (1 lsl n) - 1 do
+        let expected = ref 0 in
+        Array.iteri
+          (fun i conjs ->
+            if Array.exists (fun c -> Code.conj_holds c v) conjs then
+              expected := !expected lor (1 lsl i))
+          rules;
+        if tab.(v) <> !expected then incr wrong
+      done;
+      Alcotest.(check int) "valuations whose bitset differs" 0 !wrong)
+    ([
+       Running.exposure ();
+       Pet_casestudies.Hcov.exposure ();
+       Pet_casestudies.Loan.exposure ();
+       Pet_casestudies.Rsa.exposure ();
+     ]
+    @ fleet)
 
 let () =
   Alcotest.run "pet_compile"
@@ -407,6 +439,8 @@ let () =
           Alcotest.test_case "scan vs enumeration" `Quick
             test_scan_vs_enumeration;
           Alcotest.test_case "create refuses" `Quick test_create_refuses;
+          Alcotest.test_case "benefit_table vs definition" `Quick
+            test_benefit_table_vs_definition;
         ] );
       ( "answers",
         [

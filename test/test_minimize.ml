@@ -496,56 +496,90 @@ let minor_cost f =
     Gc.minor_words () -. words,
     (Gc.quick_stat ()).Gc.minor_collections - collections )
 
+(* The forms the provider-build checks run over: H-cov, loan, RSA (17
+   predicates, so its compiled engine is a BDD) and the first 40 seed-0
+   corpus forms. *)
+let provider_forms () =
+  ("hcov", Hcov.exposure ())
+  :: ("loan", Pet_casestudies.Loan.exposure ())
+  :: ("rsa", Pet_casestudies.Rsa.exposure ())
+  :: corpus_forms 40
+
+(* Minor words per provider-build stage, summed over [provider_forms]
+   with metrics off: the measured value plus 10%. Minor words do not
+   depend on timing, so a kernel that starts allocating again fails
+   here deterministically. "algorithm 2" is [Strategy.compute] under
+   both [Blank] and [Sm]. *)
+let minor_word_ceilings =
+  [
+    ( Engine.Compiled,
+      [ ("engine", 70_293.); ("atlas", 129_724.); ("algorithm 2", 2_392_135.) ]
+    );
+    ( Engine.Bdd,
+      [ ("engine", 254_518.); ("atlas", 154_125.); ("algorithm 2", 2_392_135.) ]
+    );
+  ]
+
 let test_provider_forces_no_minor_gc () =
   let measure () =
     Gc.set { (Gc.get ()) with Gc.minor_heap_size = minor_heap_words };
     let costs = ref [] in
-    let stage name f =
+    let stage backend name form f =
       let x, words, collections = minor_cost f in
-      costs := (name, words, collections) :: !costs;
+      costs := (backend, name, form, words, collections) :: !costs;
       x
     in
-    let strategies name atlas =
-      List.iter
-        (fun (label, payoff) ->
-          ignore
-            (stage
-               (name ^ " Strategy.compute " ^ label)
-               (fun () -> Pet_game.Strategy.compute ~payoff atlas)))
-        [ ("Blank", Pet_game.Payoff.Blank); ("Sm", Pet_game.Payoff.Sm) ]
-    in
     List.iter
-      (fun (name, e) ->
-        let engine =
-          stage (name ^ " Engine.create") (fun () ->
-              Engine.create ~backend:Engine.Compiled e)
-        in
-        strategies name
-          (stage (name ^ " Atlas.build") (fun () -> Atlas.build engine)))
-      (("hcov", Hcov.exposure ())
-      :: ("loan", Pet_casestudies.Loan.exposure ())
-      :: corpus_forms 40);
-    strategies "rsa"
-      (Atlas.build
-         (Engine.create ~backend:Engine.Compiled
-            (Pet_casestudies.Rsa.exposure ())));
-    (* The BDD backend, as the substrate workload builds its providers:
-       RSA's 17 predicates enumerate 2^17 valuation words. *)
-    List.iter
-      (fun (name, e) ->
-        let engine = Engine.create ~backend:Engine.Bdd e in
-        ignore (stage (name ^ " Atlas.build (bdd)") (fun () -> Atlas.build engine)))
-      (case_studies ());
+      (fun backend ->
+        List.iter
+          (fun (form, e) ->
+            let engine =
+              stage backend "engine" form (fun () -> Engine.create ~backend e)
+            in
+            let atlas =
+              stage backend "atlas" form (fun () -> Atlas.build engine)
+            in
+            List.iter
+              (fun payoff ->
+                ignore
+                  (stage backend "algorithm 2" form (fun () ->
+                       Pet_game.Strategy.compute ~payoff atlas)))
+              [ Pet_game.Payoff.Blank; Pet_game.Payoff.Sm ])
+          (provider_forms ()))
+      [ Engine.Compiled; Engine.Bdd ];
     List.rev !costs
   in
+  let was_on = Pet_obs.Metrics.enabled () in
+  Pet_obs.Metrics.disable ();
+  let costs = Domain.join (Domain.spawn measure) in
+  if was_on then Pet_obs.Metrics.enable ();
   List.iter
-    (fun (name, words, collections) ->
+    (fun (backend, name, form, words, collections) ->
+      let name =
+        Printf.sprintf "%s %s (%s)" form name (Engine.backend_name backend)
+      in
       Alcotest.(check bool)
         (Printf.sprintf "%s: %.0f minor words fit the heap" name words)
         true
         (words < float_of_int minor_heap_words);
       Alcotest.(check int) (name ^ ": forced minor collections") 0 collections)
-    (Domain.join (Domain.spawn measure))
+    costs;
+  List.iter
+    (fun (backend, ceilings) ->
+      List.iter
+        (fun (name, ceiling) ->
+          let words =
+            List.fold_left
+              (fun acc (b, n, _, w, _) ->
+                if b = backend && n = name then acc +. w else acc)
+              0. costs
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: %.0f minor words <= %.0f"
+               (Engine.backend_name backend) name words ceiling)
+            true (words <= ceiling))
+        ceilings)
+    minor_word_ceilings
 
 (* --- Random-problem properties ----------------------------------------------- *)
 

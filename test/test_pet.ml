@@ -498,6 +498,37 @@ let test_benchdiff_zero_baseline () =
   Alcotest.(check bool) "0 -> 3 regresses" true
     (B.has_regression (B.diff (doc 0) (doc 3)))
 
+(* BDD queries walk the compiled rule BDD and build no cofactor, so the
+   manager keeps the nodes of the compile: serving reports and
+   submissions on a BDD-backed form leaks nothing into it. The node
+   count is read from the [pet_bdd_nodes] gauge that [Engine.sync_obs]
+   sets. *)
+let test_bdd_queries_keep_the_manager () =
+  let was_on = Pet_obs.Metrics.enabled () in
+  Pet_obs.Metrics.enable ();
+  let nodes = Pet_obs.Metrics.gauge "pet_bdd_nodes" in
+  let node_count engine =
+    Engine.sync_obs engine;
+    int_of_float (Pet_obs.Metrics.gauge_value nodes)
+  in
+  let e = Pet_casestudies.Rsa.exposure () in
+  let compiled = node_count (Engine.create ~backend:Engine.Bdd e) in
+  let p = Workflow.provider ~backend:Engine.Bdd e in
+  let atlas = Workflow.atlas p in
+  for k = 0 to 999 do
+    let v = Atlas.player atlas (k * 7919 mod Atlas.player_count atlas) in
+    match Workflow.report_for p v with
+    | Error m -> Alcotest.fail m
+    | Ok r -> (
+      match Workflow.submit p (List.hd r.Report.options).Report.mas with
+      | Ok _ -> ()
+      | Error m -> Alcotest.fail m)
+  done;
+  let served = node_count (Workflow.engine p) in
+  if not was_on then Pet_obs.Metrics.disable ();
+  Alcotest.(check int) "RSA nodes after 1000 reports and submissions"
+    compiled served
+
 let () =
   Alcotest.run "pet_pet"
     [
@@ -518,6 +549,8 @@ let () =
           Alcotest.test_case "end to end" `Quick test_workflow_end_to_end;
           Alcotest.test_case "rejections" `Quick test_workflow_rejections;
           Alcotest.test_case "sat backend" `Quick test_workflow_sat_backend;
+          Alcotest.test_case "BDD queries keep the manager" `Quick
+            test_bdd_queries_keep_the_manager;
         ] );
       ("ledger", [ Alcotest.test_case "ledger" `Quick test_ledger ]);
       ( "json",

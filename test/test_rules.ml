@@ -357,6 +357,130 @@ let prop_backends_agree_random =
       && Engine.deduced_literals sat w = Engine.deduced_literals brute w
       && Engine.deduced_literals bdd w = Engine.deduced_literals brute w)
 
+(* The BDD backend's queries as they were before they became one walk:
+   cofactor [R] by each bound position with [Bdd.restrict], then ask
+   whether the cofactor by the refuting literal is empty. Kept here as
+   the reference the walk must reproduce. Its [entails_literal] was
+   only ever asked about unbound predicates (by [deduced_literals]): on
+   a bound one it answered the cube's consistency instead. *)
+module Restrict_chain = struct
+  module Bdd = Pet_bdd.Bdd
+
+  type t = { man : Bdd.man; r : Bdd.node; np : int; e : Exposure.t }
+
+  let create e =
+    let man = Bdd.man () in
+    let xp = Exposure.xp e and xb = Exposure.xb e in
+    let np = Universe.size xp in
+    let index x =
+      match Universe.index_opt xp x with
+      | Some i -> i
+      | None -> np + Universe.index xb x
+    in
+    let rec compile = function
+      | F.True -> Bdd.one
+      | F.False -> Bdd.zero
+      | F.Var x -> Bdd.var man (index x)
+      | F.Not f -> Bdd.neg man (compile f)
+      | F.And (a, b) -> Bdd.conj man (compile a) (compile b)
+      | F.Or (a, b) -> Bdd.disj man (compile a) (compile b)
+      | F.Implies (a, b) -> Bdd.imp man (compile a) (compile b)
+      | F.Iff (a, b) -> Bdd.iff man (compile a) (compile b)
+    in
+    { man; r = compile (Exposure.to_formula e); np; e }
+
+  let restrict t w =
+    let dom = Partial.domain_mask w and bits = Partial.bits w in
+    let rec from r i =
+      if dom lsr i = 0 then r
+      else if dom land (1 lsl i) = 0 then from r (i + 1)
+      else from (Bdd.restrict t.man r i (bits land (1 lsl i) <> 0)) (i + 1)
+    in
+    from t.r 0
+
+  let refutes t w var value =
+    Bdd.is_unsat (Bdd.restrict t.man (restrict t w) var value)
+
+  let consistent t w = not (Bdd.is_unsat (restrict t w))
+  let benefit_index t b = t.np + Universe.index (Exposure.xb t.e) b
+  let entails_benefit t w b = refutes t w (benefit_index t b) false
+
+  let benefit_mask t w =
+    List.fold_left
+      (fun acc b ->
+        if entails_benefit t w b then
+          acc lor (1 lsl Universe.index (Exposure.xb t.e) b)
+        else acc)
+      0
+      (Universe.names (Exposure.xb t.e))
+
+  let entails_literal t w p value =
+    refutes t w (Universe.index (Exposure.xp t.e) p) (not value)
+
+  let deduced_literals t w =
+    List.filter_map
+      (fun p ->
+        if Partial.defines w p then None
+        else if entails_literal t w p true then Some (p, true)
+        else if entails_literal t w p false then Some (p, false)
+        else None)
+      (Universe.names (Exposure.xp t.e))
+end
+
+(* Property: the BDD backend's five queries, each one walk, equal the
+   brute backend's and the restrict chain's. *)
+let prop_bdd_walk_queries =
+  QCheck2.Test.make ~count:300
+    ~name:"BDD walk queries equal brute force and the restrict chain"
+    ~print:(fun ((f1, f2, c), (dom, bits)) ->
+      Fmt.str "b1:=%a b2:=%a c:%a dom=%d bits=%d" F.pp f1 F.pp f2
+        (Fmt.option F.pp) c dom bits)
+    gen_exposure_and_partial
+    (fun ((f1, f2, constraint_opt), (dom, bits)) ->
+      let xp = Universe.of_names [ "p1"; "p2"; "p3"; "p4" ] in
+      let xb = Universe.of_names [ "b1"; "b2" ] in
+      let e =
+        Exposure.create ~xp ~xb
+          ~rules:
+            [
+              Rule.of_formula ~benefit:"b1" f1;
+              Rule.of_formula ~benefit:"b2" f2;
+            ]
+          ~constraints:(Option.to_list constraint_opt) ()
+      in
+      let w = Partial.of_masks xp ~dom ~bits in
+      let brute = Engine.create ~backend:Engine.Brute e in
+      let bdd = Engine.create ~backend:Engine.Bdd e in
+      let chain = Restrict_chain.create e in
+      let same3 a b c = a = b && b = c in
+      same3 (Engine.consistent bdd w) (Engine.consistent brute w)
+        (Restrict_chain.consistent chain w)
+      && same3
+           (Engine.benefit_mask bdd ~dom ~bits)
+           (Engine.benefit_mask brute ~dom ~bits)
+           (Restrict_chain.benefit_mask chain w)
+      && List.for_all
+           (fun b ->
+             same3
+               (Engine.entails_benefit bdd w b)
+               (Engine.entails_benefit brute w b)
+               (Restrict_chain.entails_benefit chain w b))
+           [ "b1"; "b2" ]
+      && List.for_all
+           (fun p ->
+             List.for_all
+               (fun value ->
+                 let answer = Engine.entails_literal bdd w p value in
+                 answer = Engine.entails_literal brute w p value
+                 && (Partial.defines w p
+                    || answer = Restrict_chain.entails_literal chain w p value))
+               [ true; false ])
+           (Universe.names xp)
+      && same3
+           (Engine.deduced_literals bdd w)
+           (Engine.deduced_literals brute w)
+           (Restrict_chain.deduced_literals chain w))
+
 (* --- Spec parser -------------------------------------------------------------- *)
 
 let test_spec_roundtrip () =
@@ -437,5 +561,6 @@ let () =
           Alcotest.test_case "errors" `Quick test_spec_errors;
           Alcotest.test_case "comments" `Quick test_spec_comments;
         ] );
-      qsuite "engine-properties" [ prop_backends_agree_random ];
+      qsuite "engine-properties"
+        [ prop_backends_agree_random; prop_bdd_walk_queries ];
     ]

@@ -672,9 +672,9 @@ let store_cmd =
   in
   let verify_cmd =
     cmd "verify"
-      "Check every record: framing, CRC-32 checksums (damage is reported with its byte offset, \
-       torn tails included) and the R2-on-disk invariant that no decoded event contains a full \
-       valuation."
+      "Check every record: framing, CRC-32 checksums (damage is reported with its byte offset; \
+       a torn tail on the last segment is crash damage that recovery truncates, noted but not \
+       a fault) and the R2-on-disk invariant that no decoded event contains a full valuation."
       Term.(const (scanned Store.verify) $ dir_arg)
   in
   let replay_cmd =
@@ -800,7 +800,8 @@ let flight_cmd =
       | Error m -> `Error (false, Printf.sprintf "%s: %s" dir m)
       | Ok ((), damage) ->
         List.iter
-          (fun (d : Log.damage) -> Printf.eprintf "damage %s:%d %s\n" d.dfile d.doffset d.dreason)
+          (fun (d : Pet_store.Segment.damage) ->
+            Printf.eprintf "damage %s:%d %s\n" d.file d.offset d.reason)
           damage;
         `Ok ()
     in

@@ -6,7 +6,7 @@ module Engine = Pet_rules.Engine
 module Exposure = Pet_rules.Exposure
 module Algorithm1 = Pet_minimize.Algorithm1
 module Persist = Pet_server.Persist
-module Record = Pet_store.Record
+module Segment = Pet_store.Segment
 module Store = Pet_store.Store
 
 type violation = { file : string; offset : int; detail : string }
@@ -249,34 +249,6 @@ let check_record ctx ~file ~offset payload =
       flag ctx.integrity ~file ~offset ("unrecognized event: " ^ m)
     | Ok event -> check_event ctx ~file ~offset event)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Walk one file record by record. Returns the records read and, for a
-   torn tail, its description — the caller decides whether that is
-   crash damage (last file) or a violation. A corrupt record loses the
-   record boundaries, so scanning stops there either way. *)
-let walk_file ctx ~file buf =
-  let torn = ref None in
-  let records = ref 0 in
-  let rec go offset =
-    match Record.read buf offset with
-    | Record.Record { payload; next } ->
-      incr records;
-      check_record ctx ~file ~offset payload;
-      go next
-    | Record.End -> ()
-    | Record.Torn { offset; reason } -> torn := Some (offset, reason)
-    | Record.Corrupt { offset; reason } ->
-      ctx.integrity.pchecked <- ctx.integrity.pchecked + 1;
-      flag ctx.integrity ~file ~offset ("corrupt record: " ^ reason)
-  in
-  go 0;
-  (!records, !torn)
-
 let seal prop =
   {
     name = prop.pname;
@@ -316,28 +288,21 @@ let run ?(mode = Algorithm1.Chain) ?(backend = Engine.Bdd) dir =
     let last = List.length chain - 1 in
     List.iteri
       (fun i file ->
-        match read_file (Filename.concat dir file) with
+        match Segment.read_file (Filename.concat dir file) with
         | exception Sys_error m ->
           flag ctx.integrity ~file ~offset:0 ("unreadable: " ^ m)
         | buf -> (
-          let n, torn = walk_file ctx ~file buf in
-          records := !records + n;
-          match torn with
-          | None -> ()
-          | Some (offset, reason) ->
-            if i = last then
-              note :=
-                Some
-                  (Printf.sprintf
-                     "torn tail in %s at byte %d (%s): crash damage; \
-                      recovery truncates it"
-                     file offset reason)
-            else begin
-              (* A torn record mid-chain cannot come from a crash —
-                 appends always open a fresh segment. *)
-              ctx.integrity.pchecked <- ctx.integrity.pchecked + 1;
-              flag ctx.integrity ~file ~offset ("torn record: " ^ reason)
-            end))
+          let ending =
+            Segment.walk buf (fun offset payload ->
+                incr records;
+                check_record ctx ~file ~offset payload)
+          in
+          match Segment.judge ~file ~last:(i = last) ending with
+          | Segment.Clean -> ()
+          | Segment.Crash_tail d -> note := Some (Segment.tail_note d)
+          | Segment.Damaged d ->
+            ctx.integrity.pchecked <- ctx.integrity.pchecked + 1;
+            flag ctx.integrity ~file ~offset:d.offset d.reason))
       chain;
     let notes = Option.to_list !note @ missing_grants ctx in
     Ok

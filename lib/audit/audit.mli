@@ -5,13 +5,15 @@
 
     [pet audit <data-dir>] walks the exact files recovery would replay
     ({!Pet_store.Store.replay_chain}), re-reads every checksummed record
-    ({!Pet_store.Record}), and checks six properties:
+    ({!Pet_store.Segment.walk}), and checks six properties:
 
     - {b integrity} — every record is whole, checksummed and decodes to
-      a known event. A torn tail on the {e last} segment is the
-      signature of a crash mid-append (recovery truncates it) and is
-      reported as a note, not a violation; torn or corrupt bytes
-      anywhere else are violations.
+      a known event. Each file's ending is judged by recovery's own rule
+      ({!Pet_store.Segment.judge}): a torn tail on the {e last} segment
+      is the signature of a crash mid-append (recovery truncates it) and
+      is reported as a note, not a violation; torn or corrupt bytes
+      anywhere else are violations, and the walk goes on with the next
+      file.
     - {b r2} — no record carries a ["valuation"] key at any depth
       ({!Pet_server.Persist.carries_valuation}): the raw form
       must never reach disk (requirement R2), only minimized forms.

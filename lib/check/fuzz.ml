@@ -11,6 +11,7 @@ module Proto = Pet_server.Proto
 module Persist = Pet_server.Persist
 module Code = Pet_compile.Code
 module Store = Pet_store.Store
+module Segment = Pet_store.Segment
 module Corpus = Pet_corpus.Corpus
 module Audit = Pet_audit.Audit
 
@@ -159,10 +160,7 @@ let rounds log name ~count ~segment_bytes round =
 (* A log's segment files, in order. The last is the active segment: the
    one a crash tears. *)
 let segments dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (String.starts_with ~prefix:"wal-")
-  |> List.sort String.compare
-  |> List.map (Filename.concat dir)
+  List.map (fun (_, file) -> Filename.concat dir file) (Segment.list dir "wal")
 
 let last_segment dir = List.hd (List.rev (segments dir))
 
@@ -534,15 +532,8 @@ let run_store ?(seed = 0) ~count () =
       if mutation = 1 then last_segment dir
       else List.nth files (Random.State.int rng (List.length files))
     in
-    let bytes = In_channel.with_open_bin path In_channel.input_all in
+    let bytes = Segment.read_file path in
     let size = String.length bytes in
-    let rec boundaries offset =
-      offset
-      ::
-      (match Pet_store.Record.read bytes offset with
-      | Pet_store.Record.Record { next; _ } -> boundaries next
-      | _ -> [])
-    in
     let overwrite f =
       let b = Bytes.of_string bytes in
       f b;
@@ -584,13 +575,13 @@ let run_store ?(seed = 0) ~count () =
        into new positions). [detectable]: the mutation destroys at
        least one whole record in a way the framing can see, so any
        event loss must be reported — false for no-ops and for
-       truncation exactly on a record boundary, which is
-       indistinguishable from a log that simply ends there. *)
+       truncation exactly on a record boundary (the cut file's walk
+       ends cleanly), which is indistinguishable from a log that
+       simply ends there. *)
     let prefix_expected = what <> "splice" in
     let detectable =
       prefix_expected && mutated <> bytes
-      && not
-           (what = "truncate" && List.mem (String.length mutated) (boundaries 0))
+      && not (what = "truncate" && Segment.walk mutated (fun _ _ -> ()) = Segment.End)
     in
     add log what;
     Out_channel.with_open_bin path (fun oc ->
@@ -915,9 +906,17 @@ let run_consent ?(seed = 0) ~count () =
     let size = (Unix.stat path).Unix.st_size in
     if size > 0 then
       Unix.truncate path (size - Random.State.int rng (min size 64));
-    (* The audit tolerates the torn tail exactly like recovery does:
-       a note, never a violation. *)
+    (* The audit and verify tolerate the torn tail exactly like
+       recovery does: a note, never a violation. *)
     audit_passes "torn" dir;
+    (match Store.scan dir with
+    | Error m -> violate "scan on torn log failed" m
+    | Ok reports -> (
+      match List.concat_map (fun (r : Store.file_report) -> r.damage) reports with
+      | [] -> ()
+      | d :: _ ->
+        violate "torn log failed verify"
+          (Printf.sprintf "log %d: %s at byte %d: %s" i d.file d.offset d.reason)));
     (* Recover into a fresh service: replay must not raise, passed
        horizons apply, and whatever revocations and expiries survived
        the tear must still refuse a second lifecycle request. *)

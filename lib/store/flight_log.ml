@@ -1,14 +1,14 @@
 (* The flight recorder's on-disk segment family: flight-NNNNNN.log
-   files holding CRC-32 framed telemetry records (Record framing, same
-   as the WAL) in the same data directory as the store.
+   files holding CRC-32 framed telemetry records (a Segment family, as
+   the WAL is) in the same data directory as the store.
 
    Telemetry is not the source of truth, so the durability contract is
    deliberately weaker than the WAL's: appends flush to the OS but
    never fsync (a crash may lose the last buffered records; the WAL
    loses nothing), the tail of the last segment may be torn (readers
-   truncate, like the WAL), and mid-file corruption in an older segment
-   skips to the next segment instead of refusing service — degraded
-   telemetry must never block an investigation that needs the rest.
+   truncate, like the WAL), and damage in an older segment skips to
+   the next segment instead of refusing service — degraded telemetry
+   must never block an investigation that needs the rest.
 
    Sealed segments rotate out under a retention knob: on every seal the
    oldest segments beyond [keep] are deleted, bounding disk usage for
@@ -17,56 +17,30 @@
    Appends are mutex-guarded: the Group_commit writer domain journals
    snapshots while the log tee appends events from arbitrary domains. *)
 
-let prefix = "flight-"
-let name n = Printf.sprintf "flight-%06d.log" n
-
-let parse_name file =
-  let plen = String.length prefix in
-  if
-    String.length file = plen + 6 + 4
-    && String.sub file 0 plen = prefix
-    && Filename.check_suffix file ".log"
-  then int_of_string_opt (String.sub file plen 6)
-  else None
-
-let listing dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter_map (fun f ->
-         Option.map (fun n -> (n, f)) (parse_name f))
-  |> List.sort compare
+let prefix = "flight"
 
 type t = {
   dir : string;
-  segment_bytes : int;
   keep : int;
   m : Mutex.t;
-  mutable seg : int;
-  mutable chan : out_channel option;
-  mutable written : int;
+  log : Segment.writer;
   mutable records : int;
   mutable bytes : int;
 }
 
-let default_segment_bytes = 1 lsl 20
-let default_keep = 8
-
-let open_dir ?(segment_bytes = default_segment_bytes) ?(keep = default_keep)
-    dir =
+let open_dir ?(segment_bytes = 1 lsl 20) ?(keep = 8) dir =
   if not (Sys.file_exists dir) then Error (dir ^ ": no such directory")
   else if not (Sys.is_directory dir) then Error (dir ^ ": not a directory")
   else begin
     let seg =
-      match List.rev (listing dir) with (n, _) :: _ -> n + 1 | [] -> 0
+      match List.rev (Segment.list dir prefix) with (n, _) :: _ -> n + 1 | [] -> 0
     in
     Ok
       {
         dir;
-        segment_bytes = max segment_bytes 4096;
         keep = max keep 1;
         m = Mutex.create ();
-        seg;
-        chan = None;
-        written = 0;
+        log = Segment.writer ~dir ~prefix ~segment_bytes:(max segment_bytes 4096) seg;
         records = 0;
         bytes = 0;
       }
@@ -76,25 +50,12 @@ let locked t f =
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
-let chan t =
-  match t.chan with
-  | Some c -> c
-  | None ->
-    let c =
-      open_out_gen
-        [ Open_wronly; Open_creat; Open_append; Open_binary ]
-        0o644
-        (Filename.concat t.dir (name t.seg))
-    in
-    t.chan <- Some c;
-    c
-
 (* Retention: called with the lock held after sealing — delete the
    oldest sealed segments beyond [keep] (the open segment never
    counts). *)
 let prune t =
   let sealed =
-    List.filter (fun (n, _) -> n < t.seg) (listing t.dir)
+    List.filter (fun (n, _) -> n < Segment.number t.log) (Segment.list t.dir prefix)
   in
   let excess = List.length sealed - t.keep in
   if excess > 0 then
@@ -104,85 +65,39 @@ let prune t =
           try Sys.remove (Filename.concat t.dir f) with Sys_error _ -> ())
       sealed
 
-let seal t =
-  (match t.chan with
-  | Some c ->
-    close_out_noerr c;
-    t.chan <- None
-  | None -> ());
-  t.seg <- t.seg + 1;
-  t.written <- 0;
-  prune t
-
+(* One record at a time, so a batch seals wherever a single append
+   would have. *)
 let append_locked t payload =
-  let framed = Record.frame payload in
-  output_string (chan t) framed;
-  t.written <- t.written + String.length framed;
+  let bytes, sealed = Segment.append t.log [ payload ] in
   t.records <- t.records + 1;
-  t.bytes <- t.bytes + String.length framed;
-  if t.written >= t.segment_bytes then seal t
+  t.bytes <- t.bytes + bytes;
+  if sealed then prune t
 
-let append t payload =
-  locked t @@ fun () ->
-  append_locked t payload;
-  match t.chan with Some c -> flush c | None -> ()
-
-let append_batch t payloads =
-  locked t @@ fun () ->
-  List.iter (append_locked t) payloads;
-  match t.chan with Some c -> flush c | None -> ()
-
-let close t =
-  locked t @@ fun () ->
-  match t.chan with
-  | Some c ->
-    close_out_noerr c;
-    t.chan <- None
-  | None -> ()
-
+let append t payload = locked t @@ fun () -> append_locked t payload
+let append_batch t payloads = locked t @@ fun () -> List.iter (append_locked t) payloads
+let close t = locked t @@ fun () -> try Segment.close t.log with Sys_error _ -> ()
 let stats t = locked t @@ fun () -> (t.records, t.bytes)
 
 (* --- Reading ---------------------------------------------------------- *)
 
 type record = { file : string; offset : int; payload : string }
-type damage = { dfile : string; doffset : int; dreason : string }
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  really_input_string ic (in_channel_length ic)
 
 let fold dir ~init f =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     Error (dir ^ ": no such directory")
   else begin
-    let files = listing dir in
-    let n_files = List.length files in
-    let damage = ref [] in
-    let acc = ref init in
+    let files = Segment.list dir prefix in
+    let last = List.length files - 1 in
+    let acc = ref init and damage = ref [] in
     List.iteri
       (fun i (_, file) ->
-        let buf = read_file (Filename.concat dir file) in
-        let len = String.length buf in
-        let rec go offset =
-          if offset < len then
-            match Record.read buf offset with
-            | Record.Record { payload; next } ->
-              acc := f !acc { file; offset; payload };
-              go next
-            | Record.End -> ()
-            | Record.Torn { offset; reason } ->
-              (* Torn tails are the expected crash signature on the
-                 last segment; anywhere else they are damage (but we
-                 still keep the prefix we read). *)
-              if i <> n_files - 1 then
-                damage := { dfile = file; doffset = offset; dreason = reason }
-                          :: !damage
-            | Record.Corrupt { offset; reason } ->
-              damage := { dfile = file; doffset = offset; dreason = reason }
-                        :: !damage
+        let buf = Segment.read_file (Filename.concat dir file) in
+        let ending =
+          Segment.walk buf (fun offset payload -> acc := f !acc { file; offset; payload })
         in
-        go 0)
+        match Segment.judge ~file ~last:(i = last) ending with
+        | Segment.Damaged d -> damage := d :: !damage
+        | Segment.Clean | Segment.Crash_tail _ -> ())
       files;
     Ok (!acc, List.rev !damage)
   end

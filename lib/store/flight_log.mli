@@ -1,45 +1,36 @@
 (** The flight recorder's on-disk segment family.
 
-    [flight-NNNNNN.log] files in the store's data directory, CRC-32
-    framed with {!Record} like the WAL, but with telemetry durability:
+    [flight-NNNNNN.log] files in the store's data directory, a
+    {!Segment} family like the WAL, but with telemetry durability:
     appends flush and never fsync, the last segment's tail may be torn
-    (readers truncate it silently, the kill -9 signature), and
-    corruption in an older segment is reported and skipped rather than
-    fatal. Sealed segments beyond the [keep] retention knob are deleted
-    on rotation, bounding disk usage.
+    (readers truncate it silently, the kill -9 signature), and damage
+    in an older segment ({!Segment.judge}) is reported and skipped
+    rather than fatal. Sealed segments beyond the [keep] retention knob
+    are deleted on rotation, bounding disk usage.
 
     Appends are mutex-guarded so the {!Pet_net} writer domain, the log
     tee and exit-path dumps can share one handle. *)
 
 type t
 
-val default_segment_bytes : int
-(** 1 MiB. *)
-
-val default_keep : int
-(** 8 sealed segments. *)
-
 val open_dir : ?segment_bytes:int -> ?keep:int -> string -> (t, string) result
 (** Open [dir] for appending; writing starts a fresh segment numbered
     after the highest existing one (sealed history is never appended
-    to). The directory must exist — it is the store's data dir. *)
+    to). The directory must exist — it is the store's data dir.
+    [segment_bytes] defaults to 1 MiB (at least 4 KiB), [keep] to 8
+    sealed segments. *)
 
 val append : t -> string -> unit
 (** Frame, write and flush one record; seals the segment past
     [segment_bytes] and applies retention. No fsync. *)
 
 val append_batch : t -> string list -> unit
-(** Like {!append} with a single flush for the batch. *)
+(** {!append} every record in order under one lock. *)
 
 val close : t -> unit
 
 val stats : t -> int * int
 (** (records, framed bytes) appended over this handle's lifetime. *)
-
-val name : int -> string
-(** [name n] is ["flight-%06d.log"]. *)
-
-val parse_name : string -> int option
 
 (** {1 Reading} *)
 
@@ -48,14 +39,12 @@ type record = { file : string; offset : int; payload : string }
     [file] — the same coordinate system as [pet store inspect] and
     [pet audit] damage reports. *)
 
-type damage = { dfile : string; doffset : int; dreason : string }
-
 val fold :
   string ->
   init:'a ->
   ('a -> record -> 'a) ->
-  ('a * damage list, string) result
+  ('a * Segment.damage list, string) result
 (** Fold over every readable record in segment order. A torn tail on
-    the last segment is silently truncated; torn or corrupt frames
-    elsewhere are reported in the damage list and scanning resumes at
-    the next segment. *)
+    the last segment is silently truncated; damage elsewhere is
+    reported in the damage list and scanning resumes at the next
+    segment. *)

@@ -87,7 +87,7 @@ type report = {
   unparsed : int;
   t_min : float;
   t_max : float;
-  damage : Flight_log.damage list;
+  damage : Segment.damage list;
   wal : (string * int * float) option;
   lifecycle : (string * float) list;
   methods : latency list;
@@ -246,12 +246,12 @@ let to_json r =
       ( "damage",
         Json.List
           (List.map
-             (fun (d : Flight_log.damage) ->
+             (fun (d : Segment.damage) ->
                Json.Obj
                  [
-                   ("file", Json.String d.Flight_log.dfile);
-                   ("offset", Json.Int d.Flight_log.doffset);
-                   ("reason", Json.String d.Flight_log.dreason);
+                   ("file", Json.String d.file);
+                   ("offset", Json.Int d.offset);
+                   ("reason", Json.String d.reason);
                  ])
              r.damage) );
       ( "wal",
@@ -277,9 +277,8 @@ let pp_report ppf r =
   if r.records > 0 then Fmt.pf ppf "  time range t=%g..%g@." r.t_min r.t_max;
   if r.unparsed > 0 then Fmt.pf ppf "  unparsed records: %d@." r.unparsed;
   List.iter
-    (fun (d : Flight_log.damage) ->
-      Fmt.pf ppf "  damage %s:%d %s@." d.Flight_log.dfile d.Flight_log.doffset
-        d.Flight_log.dreason)
+    (fun (d : Segment.damage) ->
+      Fmt.pf ppf "  damage %s:%d %s@." d.file d.offset d.reason)
     r.damage;
   List.iter (fun (e, t) -> Fmt.pf ppf "  lifecycle %s at t=%g@." e t) r.lifecycle;
   Option.iter

@@ -42,7 +42,7 @@ type report = {
   unparsed : int;
   t_min : float;  (** [0.] without records *)
   t_max : float;
-  damage : Flight_log.damage list;
+  damage : Segment.damage list;
   wal : (string * int * float) option;
       (** the last WAL frontier stamp: file, byte offset, time *)
   lifecycle : (string * float) list;  (** meta events in order, with times *)

@@ -1,7 +1,7 @@
 module Persist = Pet_server.Persist
 module Json = Pet_pet.Json
 
-type damage = { file : string; offset : int; reason : string }
+type damage = Segment.damage = { file : string; offset : int; reason : string }
 
 type recovery = {
   events : Persist.event list;
@@ -13,32 +13,13 @@ type recovery = {
 
 type t = {
   dir : string;
-  segment_bytes : int;
   auto_compact_segments : int;
-  fsync : bool;
-  mutable seg : int;
-  mutable channel : (Unix.file_descr * out_channel) option;
-  mutable written : int;
+  sync : ((unit -> unit) -> unit) option;  (* fsync, timed; [None] skips it *)
+  wal : Segment.writer;
   mutable sealed : int;  (* full segments since the last snapshot *)
 }
 
 (* --- Directory layout ------------------------------------------------------- *)
-
-let wal_name n = Printf.sprintf "wal-%06d.log" n
-let snap_name n = Printf.sprintf "snap-%06d.log" n
-
-let parse_name name =
-  let numbered prefix =
-    let pl = String.length prefix and nl = String.length name in
-    if nl = pl + 10 && String.sub name 0 pl = prefix
-       && String.sub name (nl - 4) 4 = ".log"
-    then int_of_string_opt (String.sub name pl 6)
-    else None
-  in
-  match numbered "wal-" with
-  | Some n -> Some (`Wal n)
-  | None -> (
-    match numbered "snap-" with Some n -> Some (`Snap n) | None -> None)
 
 let rec mkdir_p dir =
   if dir <> "" && not (Sys.file_exists dir) then begin
@@ -46,43 +27,23 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
-let listing dir =
-  Array.to_list (Sys.readdir dir)
-  |> List.filter_map (fun name ->
-         match parse_name name with
-         | Some kind -> Some (kind, name)
-         | None -> None)
+(* The snapshots and the segments of a directory, each in number order. *)
+let families dir = (Segment.list dir "snap", Segment.list dir "wal")
 
 (* Replay order: the newest snapshot, then every segment after it. Stale
    files (segments at or below the snapshot, older snapshots) are
    leftovers of an interrupted compaction — already folded into the
    snapshot, so skipped for replay though [scan] still checks them. *)
-let replay_files files =
-  let snap =
-    List.fold_left
-      (fun acc (kind, _) ->
-        match kind with `Snap n -> max acc n | `Wal _ -> acc)
-      (-1) files
+let replay_files (snaps, wals) =
+  let snap, head =
+    match List.rev snaps with
+    | (n, file) :: _ -> (n, [ file ])
+    | [] -> (-1, [])
   in
-  let wals =
-    List.filter_map
-      (fun (kind, name) ->
-        match kind with
-        | `Wal n when n > snap -> Some (n, name)
-        | _ -> None)
-      files
-    |> List.sort compare |> List.map snd
-  in
-  let chain =
-    if snap >= 0 then snap_name snap :: wals else wals
-  in
-  (snap, chain)
+  (snap, head @ List.filter_map (fun (n, f) -> if n > snap then Some f else None) wals)
 
-let next_segment files =
-  List.fold_left
-    (fun acc (kind, _) ->
-      match kind with `Wal n | `Snap n -> max acc (n + 1))
-    0 files
+let next_segment (snaps, wals) =
+  List.fold_left (fun acc (n, _) -> max acc (n + 1)) 0 (snaps @ wals)
 
 (* --- Event codec -------------------------------------------------------------- *)
 
@@ -95,47 +56,36 @@ let decode payload =
 
 (* --- Recovery ------------------------------------------------------------------- *)
 
-let read_file path =
-  In_channel.with_open_bin path In_channel.input_all
+exception Undecodable of damage
 
 (* Walk the file chain record by record, handing every decoded event
-   of the longest clean prefix to [on_event]. A torn tail is legitimate
-   only on the last file (the one being appended when the process
-   died); torn bytes anywhere else, checksum failures and undecodable
-   events are damage: the walk stops there so the recovered state never
-   builds on bytes after a hole. *)
+   of the longest clean prefix to [on_event]. The walk stops at the
+   first damage ({!Segment.judge}) or undecodable event, so the
+   recovered state never builds on bytes after a hole. *)
 let walk_chain dir chain ~on_event =
-  let records = ref 0 and truncated = ref None and damage = ref [] in
+  let records = ref 0 and truncated = ref None in
   let rec through_files = function
-    | [] -> ()
-    | file :: rest ->
-      let buf = read_file (Filename.concat dir file) in
-      let last = rest = [] in
-      let rec through_records offset =
-        match Record.read buf offset with
-        | Record.End -> `Continue
-        | Record.Record { payload; next } -> (
-          match decode payload with
-          | Ok event ->
-            on_event event;
-            incr records;
-            through_records next
-          | Error reason ->
-            `Stop { file; offset; reason = "undecodable event: " ^ reason })
-        | Record.Torn { offset; reason } ->
-          if last then begin
-            truncated := Some { file; offset; reason };
-            `Continue
-          end
-          else `Stop { file; offset; reason = "torn mid-log: " ^ reason }
-        | Record.Corrupt { offset; reason } -> `Stop { file; offset; reason }
+    | [] -> []
+    | file :: rest -> (
+      let buf = Segment.read_file (Filename.concat dir file) in
+      let step offset payload =
+        match decode payload with
+        | Ok event ->
+          on_event event;
+          incr records
+        | Error reason ->
+          raise_notrace
+            (Undecodable { file; offset; reason = "undecodable event: " ^ reason })
       in
-      (match through_records 0 with
-      | `Continue -> through_files rest
-      | `Stop d -> damage := [ d ])
+      match Segment.judge ~file ~last:(rest = []) (Segment.walk buf step) with
+      | Segment.Clean -> through_files rest
+      | Segment.Crash_tail d ->
+        truncated := Some d;
+        through_files rest
+      | Segment.Damaged d | (exception Undecodable d) -> [ d ])
   in
-  through_files chain;
-  (!records, !truncated, !damage)
+  let damage = through_files chain in
+  (!records, !truncated, damage)
 
 let recover_chain dir chain =
   let events = ref [] in
@@ -154,20 +104,25 @@ let guard f = match f () with v -> Ok v | exception Sys_error m -> Error m
 
 let read dir =
   guard (fun () ->
-      let _, chain = replay_files (listing dir) in
+      let _, chain = replay_files (families dir) in
       recover_chain dir chain)
 
 let replay_chain dir =
-  guard (fun () -> snd (replay_files (listing dir)))
+  guard (fun () -> snd (replay_files (families dir)))
 
 let obs_recovery_h = Pet_obs.Metrics.histogram "pet_store_recovery_seconds"
 let obs_recovered = Pet_obs.Metrics.gauge "pet_store_recovered_records"
+let obs_appends = Pet_obs.Metrics.counter "pet_store_appends_total"
+let obs_append_bytes = Pet_obs.Metrics.counter "pet_store_append_bytes_total"
+let obs_append_h = Pet_obs.Metrics.histogram "pet_store_append_seconds"
+let obs_fsync_h = Pet_obs.Metrics.histogram "pet_store_fsync_seconds"
+let obs_segments = Pet_obs.Metrics.gauge "pet_store_segments"
 
 let open_dir ?(segment_bytes = 1 lsl 20) ?(auto_compact_segments = 8)
     ?(fsync = true) dir =
   guard (fun () ->
       mkdir_p dir;
-      let files = listing dir in
+      let files = families dir in
       let snap, chain = replay_files files in
       let recovery =
         Pet_obs.Span.enter "store.recover" (fun () ->
@@ -181,155 +136,66 @@ let open_dir ?(segment_bytes = 1 lsl 20) ?(auto_compact_segments = 8)
       Option.iter
         (fun d -> Unix.truncate (Filename.concat dir d.file) d.offset)
         recovery.truncated;
-      let sealed =
-        List.length
-          (List.filter
-             (fun (kind, _) ->
-               match kind with `Wal n -> n > snap | `Snap _ -> false)
-             files)
-      in
       let t =
         {
           dir;
-          segment_bytes;
           auto_compact_segments;
-          fsync;
-          seg = next_segment files;
-          channel = None;
-          written = 0;
-          sealed;
+          sync = (if fsync then Some (Pet_obs.Metrics.time obs_fsync_h) else None);
+          wal =
+            Segment.writer ~dir ~prefix:"wal" ~segment_bytes (next_segment files);
+          sealed = List.length (List.filter (fun (n, _) -> n > snap) (snd files));
         }
       in
       (t, recovery))
 
 (* --- Appending -------------------------------------------------------------------- *)
 
-let channel t =
-  match t.channel with
-  | Some (fd, oc) -> (fd, oc)
-  | None ->
-    let path = Filename.concat t.dir (wal_name t.seg) in
-    let fd = Unix.openfile path [ O_WRONLY; O_CREAT; O_APPEND ] 0o644 in
-    let oc = Unix.out_channel_of_descr fd in
-    t.channel <- Some (fd, oc);
-    (fd, oc)
+let dir t = t.dir
+let position t = Segment.position t.wal
 
-let seal t =
-  match t.channel with
-  | None -> ()
-  | Some (_, oc) ->
-    close_out oc;
-    t.channel <- None;
-    t.seg <- t.seg + 1;
-    t.written <- 0;
+let write t payloads =
+  Pet_obs.Metrics.time obs_append_h @@ fun () ->
+  let bytes, sealed = Segment.append ?sync:t.sync t.wal payloads in
+  if sealed then begin
     t.sealed <- t.sealed + 1;
     Pet_obs.Log.debug "store.segment_sealed"
       ~fields:
         [
-          ("next_segment", Pet_obs.Trace.Int t.seg);
+          ("next_segment", Pet_obs.Trace.Int (Segment.number t.wal));
           ("sealed", Pet_obs.Trace.Int t.sealed);
         ]
-
-let dir t = t.dir
-let position t = (wal_name t.seg, t.written)
-
-let obs_appends = Pet_obs.Metrics.counter "pet_store_appends_total"
-let obs_append_bytes = Pet_obs.Metrics.counter "pet_store_append_bytes_total"
-let obs_append_h = Pet_obs.Metrics.histogram "pet_store_append_seconds"
-let obs_fsync_h = Pet_obs.Metrics.histogram "pet_store_fsync_seconds"
-let obs_segments = Pet_obs.Metrics.gauge "pet_store_segments"
-
-let append t event =
-  Pet_obs.Metrics.time obs_append_h @@ fun () ->
-  let record = Record.frame (encode event) in
-  let fd, oc = channel t in
-  output_string oc record;
-  flush oc;
-  if t.fsync then Pet_obs.Metrics.time obs_fsync_h (fun () -> Unix.fsync fd);
-  t.written <- t.written + String.length record;
-  if t.written >= t.segment_bytes then seal t;
+  end;
   if Pet_obs.Metrics.enabled () then begin
-    Pet_obs.Metrics.incr obs_appends;
-    Pet_obs.Metrics.add obs_append_bytes (String.length record);
+    Pet_obs.Metrics.add obs_appends (List.length payloads);
+    Pet_obs.Metrics.add obs_append_bytes bytes;
     (* sealed segments plus the active one *)
     Pet_obs.Metrics.set_gauge obs_segments (float_of_int (t.sealed + 1))
   end
 
-let append_batch t events =
-  match events with
-  | [] -> ()
-  | events ->
-    Pet_obs.Metrics.time obs_append_h @@ fun () ->
-    let fd, oc = channel t in
-    let bytes =
-      List.fold_left
-        (fun bytes event ->
-          let record = Record.frame (encode event) in
-          output_string oc record;
-          bytes + String.length record)
-        0 events
-    in
-    flush oc;
-    if t.fsync then Pet_obs.Metrics.time obs_fsync_h (fun () -> Unix.fsync fd);
-    t.written <- t.written + bytes;
-    if t.written >= t.segment_bytes then seal t;
-    if Pet_obs.Metrics.enabled () then begin
-      Pet_obs.Metrics.add obs_appends (List.length events);
-      Pet_obs.Metrics.add obs_append_bytes bytes;
-      Pet_obs.Metrics.set_gauge obs_segments (float_of_int (t.sealed + 1))
-    end
-
+let append t event = write t [ encode event ]
+let append_batch t = function [] -> () | events -> write t (List.map encode events)
 let sink t = { Persist.emit = (fun event -> append t event) }
 
 let compacts t = t.auto_compact_segments > 0
 let wants_compaction t = compacts t && t.sealed >= t.auto_compact_segments
-
-let close t =
-  match t.channel with
-  | None -> ()
-  | Some (_, oc) ->
-    close_out oc;
-    t.channel <- None
+let close t = Segment.close t.wal
 
 (* --- Compaction --------------------------------------------------------------------- *)
-
-let fsync_dir dir =
-  match Unix.openfile dir [ O_RDONLY ] 0 with
-  | fd ->
-    (try Unix.fsync fd with Unix.Unix_error _ -> ());
-    Unix.close fd
-  | exception Unix.Unix_error _ -> ()
 
 let compact t ~events =
   guard (fun () ->
       (* The snapshot covers everything below the next segment number,
          including the active segment being abandoned. *)
-      close t;
-      let cover = t.seg in
-      let tmp = Filename.concat t.dir "snap.tmp" in
-      let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
-      let oc = Unix.out_channel_of_descr fd in
-      List.iter (fun event -> output_string oc (Record.frame (encode event))) events;
-      flush oc;
-      Unix.fsync fd;
-      close_out oc;
-      Sys.rename tmp (Filename.concat t.dir (snap_name cover));
-      fsync_dir t.dir;
-      let removed =
-        List.fold_left
-          (fun removed (kind, name) ->
-            let stale =
-              match kind with `Wal n -> n <= cover | `Snap n -> n < cover
-            in
-            if stale then begin
-              Sys.remove (Filename.concat t.dir name);
-              removed + 1
-            end
-            else removed)
-          0 (listing t.dir)
+      let cover = Segment.number t.wal in
+      Segment.seal t.wal;
+      Segment.write_atomic ~dir:t.dir ~prefix:"snap" cover encode events;
+      let snaps, wals = families t.dir in
+      let stale =
+        List.filter (fun (n, _) -> n <= cover) wals
+        @ List.filter (fun (n, _) -> n < cover) snaps
       in
-      t.seg <- cover + 1;
-      t.written <- 0;
+      List.iter (fun (_, file) -> Sys.remove (Filename.concat t.dir file)) stale;
+      let removed = List.length stale in
       t.sealed <- 0;
       Pet_obs.Log.debug "store.compacted"
         ~fields:
@@ -348,47 +214,38 @@ type file_report = {
   kinds : (string * int) list;
   damage : damage list;
   r2 : damage list;
+  tail : damage option;
 }
 
-let scan_file dir file =
-  let buf = read_file (Filename.concat dir file) in
+let scan_file dir ~last file =
+  let buf = Segment.read_file (Filename.concat dir file) in
   let records = ref 0 and kinds = Hashtbl.create 8 in
   let damage = ref [] and r2 = ref [] in
+  let fault list offset reason = list := { file; offset; reason } :: !list in
   let tally kind =
     Hashtbl.replace kinds kind
       (1 + Option.value ~default:0 (Hashtbl.find_opt kinds kind))
   in
-  let rec go offset =
-    match Record.read buf offset with
-    | Record.End -> ()
-    | Record.Record { payload; next } ->
-      incr records;
-      (match Json.parse payload with
-      | Error m ->
-        damage :=
-          { file; offset; reason = "record holds invalid JSON: " ^ m }
-          :: !damage
-      | Ok json -> (
-        if Persist.carries_valuation json then
-          r2 :=
-            {
-              file;
-              offset;
-              reason = "decoded event carries a \"valuation\" field";
-            }
-            :: !r2;
-        match Persist.of_json json with
-        | Ok event -> tally (Persist.kind event)
-        | Error m ->
-          damage :=
-            { file; offset; reason = "not a known event: " ^ m } :: !damage));
-      go next
-    | Record.Torn { offset; reason } ->
-      damage := { file; offset; reason = "torn: " ^ reason } :: !damage
-    | Record.Corrupt { offset; reason } ->
-      damage := { file; offset; reason } :: !damage
+  let ending =
+    Segment.walk buf (fun offset payload ->
+        incr records;
+        match Json.parse payload with
+        | Error m -> fault damage offset ("record holds invalid JSON: " ^ m)
+        | Ok json -> (
+          if Persist.carries_valuation json then
+            fault r2 offset "decoded event carries a \"valuation\" field";
+          match Persist.of_json json with
+          | Ok event -> tally (Persist.kind event)
+          | Error m -> fault damage offset ("not a known event: " ^ m)))
   in
-  go 0;
+  let tail =
+    match Segment.judge ~file ~last ending with
+    | Segment.Clean -> None
+    | Segment.Crash_tail d -> Some d
+    | Segment.Damaged d ->
+      damage := d :: !damage;
+      None
+  in
   {
     file;
     bytes = String.length buf;
@@ -398,16 +255,16 @@ let scan_file dir file =
       |> List.sort compare;
     damage = List.rev !damage;
     r2 = List.rev !r2;
+    tail;
   }
 
 let scan dir =
   guard (fun () ->
-      let files = listing dir in
-      let order (kind, name) =
-        match kind with `Snap n -> (0, n, name) | `Wal n -> (1, n, name)
-      in
-      List.sort (fun a b -> compare (order a) (order b)) files
-      |> List.map (fun (_, name) -> scan_file dir name))
+      let snaps, wals = families dir in
+      let last = List.nth_opt (List.rev (snd (replay_files (snaps, wals)))) 0 in
+      List.map
+        (fun (_, file) -> scan_file dir ~last:(Some file = last) file)
+        (snaps @ wals))
 
 let replay ppf dir =
   Result.bind (read dir) (fun recovery ->
@@ -429,10 +286,11 @@ let inspect ppf reports =
         (fun (kind, n) ->
           Hashtbl.replace kinds kind (n + Option.value ~default:0 (Hashtbl.find_opt kinds kind)))
         r.kinds;
-      Fmt.pf ppf "%-16s %8d bytes %6d record(s)%s@." r.file r.bytes r.records
+      Fmt.pf ppf "%-16s %8d bytes %6d record(s)%s%s@." r.file r.bytes r.records
         (match r.damage with
         | [] -> ""
-        | damage -> Printf.sprintf "  %d damaged" (List.length damage)))
+        | damage -> Printf.sprintf "  %d damaged" (List.length damage))
+        (if r.tail = None then "" else "  torn tail"))
     reports;
   Fmt.pf ppf "total: %d file(s), %d bytes, %d record(s)@." (List.length reports) !bytes
     !records;
@@ -449,6 +307,9 @@ let verify ppf reports =
         @ List.map (fun v -> ("R2 violation", v)) r.r2)
       reports
   in
+  List.iter
+    (fun r -> Option.iter (fun d -> Fmt.pf ppf "note: %s@." (Segment.tail_note d)) r.tail)
+    reports;
   List.iter
     (fun (label, (d : damage)) ->
       Fmt.pf ppf "%s: %s at byte %d: %s@." label d.file d.offset d.reason)
@@ -701,7 +562,7 @@ let compact_chain ?ttl ?expired ?on_damage t =
   match
     guard (fun () ->
         walk_chain t.dir
-          (snd (replay_files (listing t.dir)))
+          (snd (replay_files (families t.dir)))
           ~on_event:(Compactor.add compactor))
   with
   | Error m -> Error m

@@ -10,19 +10,22 @@
       numbered [<= N]. Compaction writes the snapshot and retires those
       segments.
 
-    Records are length-prefixed and CRC-32 checksummed ({!Record}), and
-    every append is flushed (and by default fsynced) before the emitting
-    request is answered — killing the process at any byte loses at most
-    the record being appended. Recovery replays the snapshot and the
-    segments after it, truncates a torn tail after the last whole record
-    (never raises), and surfaces any mid-log corruption as data, with
-    the recovered state being the longest clean prefix. *)
+    Both are {!Segment} families: records are length-prefixed and CRC-32
+    checksummed ({!Record}), and every append is flushed (and by default
+    fsynced) before the emitting request is answered — killing the
+    process at any byte loses at most the record being appended.
+    Recovery replays the snapshot and the segments after it and judges
+    each file's ending by {!Segment.judge}: it truncates a torn tail on
+    the last file (never raises), and stops at any other damage, which
+    it surfaces as data, the recovered state being the longest clean
+    prefix. [pet store verify] judges by the same rule, so a torn tail
+    is a note there, not a fault. *)
 
 module Persist = Pet_server.Persist
 
 type t
 
-type damage = { file : string; offset : int; reason : string }
+type damage = Segment.damage = { file : string; offset : int; reason : string }
 
 type recovery = {
   events : Persist.event list;  (** the clean prefix, oldest first *)
@@ -111,6 +114,9 @@ type file_report = {
   r2 : damage list;
       (** R2-on-disk violations: records whose decoded JSON carries a
           ["valuation"] field — the raw form must never be persisted *)
+  tail : damage option;
+      (** a torn tail on the last file of the replay chain: crash damage
+          that recovery truncates, not a fault *)
 }
 
 val scan : string -> (file_report list, string) result
@@ -124,19 +130,20 @@ val replay : Format.formatter -> string -> (unit, string) result
 
 val inspect : Format.formatter -> file_report list -> unit
 (** [pet store inspect]: one line per file (bytes, records, damage
-    count), the totals, then the event count of every kind across all
+    count, a torn tail), the totals, then the event count of every kind across all
     files, sorted by kind. *)
 
 val verify : Format.formatter -> file_report list -> (unit, string) result
-(** [pet store verify]: one line per fault (framing damage or R2
-    violation) with its file and byte offset, or else an ok line.
-    [Error] counts the faults and files. *)
+(** [pet store verify]: a note for a torn tail ({!Segment.tail_note}),
+    then one line per fault (framing damage or R2 violation) with its
+    file and byte offset, or else an ok line. [Error] counts the faults
+    and files. *)
 
 val replay_chain : string -> (string list, string) result
 (** The file names recovery would replay, in order: the newest snapshot
     (if any) followed by every later segment. Stale files skipped by
     recovery are omitted. The compliance auditor ({!Pet_audit}) walks
-    these with {!Record.read} to anchor findings at byte offsets. *)
+    these with {!Segment.walk} to anchor findings at byte offsets. *)
 
 (** {1 Offline compaction}
 

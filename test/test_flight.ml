@@ -9,6 +9,7 @@ module Flight = Pet_obs.Flight
 module Slo = Pet_obs.Slo
 module Accounting = Pet_server.Accounting
 module Flight_log = Pet_store.Flight_log
+module Segment = Pet_store.Segment
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -147,7 +148,7 @@ let test_segment_roundtrip () =
   (* Rotation happened: more than one segment on disk. *)
   let segments =
     Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Flight_log.parse_name f <> None)
+    |> List.filter (fun f -> Segment.parse_name "flight" f <> None)
   in
   Alcotest.(check bool) "rotated" true (List.length segments > 1)
 
@@ -157,7 +158,7 @@ let test_segment_retention () =
   write_records dir ~segment_bytes:4096 ~keep:2 records;
   let segments =
     Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Flight_log.parse_name f <> None)
+    |> List.filter (fun f -> Segment.parse_name "flight" f <> None)
   in
   (* keep sealed segments plus the live one. *)
   Alcotest.(check bool) "retention bounds the family"
@@ -174,7 +175,7 @@ let test_torn_tail_is_silent () =
   write_records dir records;
   (* Chop bytes off the last (only) segment, mid-record: the kill -9
      signature. Readers must truncate silently. *)
-  let file = Filename.concat dir (Flight_log.name 0) in
+  let file = Filename.concat dir (Segment.name "flight" 0) in
   let size = (Unix.stat file).Unix.st_size in
   let fd = Unix.openfile file [ Unix.O_WRONLY ] 0o644 in
   Unix.ftruncate fd (size - 3);
@@ -193,7 +194,7 @@ let test_mid_journal_damage_is_reported () =
   (* Flip a payload byte inside the first (sealed) segment: the CRC
      catches it, the damage is reported, and scanning continues with
      the next segment. *)
-  let file = Filename.concat dir (Flight_log.name 0) in
+  let file = Filename.concat dir (Segment.name "flight" 0) in
   let fd = Unix.openfile file [ Unix.O_WRONLY ] 0o644 in
   ignore (Unix.lseek fd 20 Unix.SEEK_SET);
   ignore (Unix.write_substring fd "~" 0 1);
@@ -201,8 +202,8 @@ let test_mid_journal_damage_is_reported () =
   let got, damage = read_all dir in
   Alcotest.(check bool) "damage reported" true (List.length damage >= 1);
   let d = List.hd damage in
-  Alcotest.(check string) "damage names the segment" (Flight_log.name 0)
-    d.Flight_log.dfile;
+  Alcotest.(check string) "damage names the segment" (Segment.name "flight" 0)
+    d.Segment.file;
   Alcotest.(check bool) "later segments still read" true
     (List.mem (fat_record 199) got)
 

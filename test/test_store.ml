@@ -11,6 +11,7 @@ module Service = Pet_server.Service
 module Crc32 = Pet_store.Crc32
 module Record = Pet_store.Record
 module Store = Pet_store.Store
+module Segment = Pet_store.Segment
 module Running = Pet_casestudies.Running
 
 let temp_dir =
@@ -289,6 +290,152 @@ let test_torn_tail_truncated_and_appendable () =
          r.Store.events);
     Alcotest.(check bool) "still no damage" true (r.Store.damage = []);
     ignore kinds
+
+(* A crash-torn tail is a note for verify, as for recovery and the
+   audit, not a fault; the same torn bytes in an earlier segment are
+   damage for all of them. *)
+let test_verify_torn_tail () =
+  let lines f = String.split_on_char '\n' (Fmt.str "%t" f) |> List.filter (( <> ) "") in
+  let views dir =
+    let reports = match Store.scan dir with Ok r -> r | Error m -> Alcotest.fail m in
+    let verdict = ref (Error "") in
+    let verify = lines (fun ppf -> verdict := Store.verify ppf reports) in
+    (verify, !verdict, lines (fun ppf -> Store.inspect ppf reports))
+  in
+  let dir, _ = populated_dir () in
+  let wal = Filename.concat dir "wal-000000.log" in
+  let size = String.length (read_file wal) in
+  write_file wal (read_file wal ^ "cut");
+  let verify, verdict, inspect = views dir in
+  Alcotest.(check (result unit string)) "verify passes" (Ok ()) verdict;
+  Alcotest.(check string) "verify notes the tail"
+    (Printf.sprintf
+       "note: torn tail in wal-000000.log at byte %d (truncated header (3 of 8 \
+        bytes)): crash damage; recovery truncates it"
+       size)
+    (List.hd verify);
+  Alcotest.(check bool) "then its ok line" true
+    (String.starts_with ~prefix:"ok: " (List.nth verify 1));
+  Alcotest.(check bool) "inspect marks the tail" true
+    (String.ends_with ~suffix:"  torn tail" (List.hd inspect));
+  (* A second process starts a fresh segment: the tail is no longer last. *)
+  let store, _ = open_ok dir in
+  Store.append store (Persist.Rules { digest = "later"; text = "form a\nbenefits b\nrule b := a" });
+  Store.close store;
+  write_file wal (read_file wal ^ "cut");
+  let verify, verdict, inspect = views dir in
+  Alcotest.(check (result unit string)) "verify fails" (Error "1 fault(s) in 2 file(s)") verdict;
+  Alcotest.(check (list string)) "verify names the damage"
+    [
+      Printf.sprintf
+        "damage: wal-000000.log at byte %d: torn mid-log: truncated header (3 of 8 bytes)" size;
+    ]
+    verify;
+  Alcotest.(check bool) "inspect counts it damaged" true
+    (String.ends_with ~suffix:"  1 damaged" (List.hd inspect))
+
+(* The WAL and the flight journal are one segment family: the same
+   payloads appended at the same segment size make byte-identical files.
+   Cut both at every byte of the last segment's last frame, and of the
+   first segment's last frame: recovery, scan (verify), the audit and
+   the flight reader count the same records and agree on crash tail
+   versus damage, at the same byte with the same reason. *)
+let test_readers_agree () =
+  let dir = temp_dir () in
+  let store, _ = open_ok ~segment_bytes:4096 dir in
+  let events =
+    List.init 48 (fun i ->
+        Persist.Rules { digest = Printf.sprintf "d%02d" i; text = String.make 80 'r' })
+  in
+  List.iter (Store.append store) events;
+  Store.close store;
+  (match Pet_store.Flight_log.open_dir ~segment_bytes:4096 dir with
+  | Error m -> Alcotest.fail m
+  | Ok fl ->
+    List.iter
+      (fun e -> Pet_store.Flight_log.append fl (Json.to_string (Persist.to_json e)))
+      events;
+    Pet_store.Flight_log.close fl);
+  let wals = List.map snd (Segment.list dir "wal") in
+  Alcotest.(check int) "two segments" 2 (List.length wals);
+  let pristine = List.map (fun f -> read_file (Filename.concat dir f)) wals in
+  List.iteri
+    (fun k bytes ->
+      Alcotest.(check bool) "the journal's bytes are the WAL's" true
+        (bytes = read_file (Filename.concat dir (Segment.name "flight" k))))
+    pristine;
+  let total = List.length events in
+  let frames bytes =
+    let offsets = ref [] in
+    ignore (Segment.walk bytes (fun offset _ -> offsets := offset :: !offsets));
+    !offsets
+  in
+  List.iter
+    (fun k ->
+      let bytes = List.nth pristine k and last = k = 1 in
+      let start = List.hd (frames bytes) in
+      let before = List.length (frames (List.hd pristine)) - 1 in
+      for cut = start to String.length bytes - 1 do
+        let what = Printf.sprintf "segment %d cut at %d" k cut in
+        List.iter
+          (fun prefix ->
+            write_file (Filename.concat dir (Segment.name prefix k)) (String.sub bytes 0 cut))
+          [ "wal"; "flight" ];
+        let torn = cut > start in
+        let recovery = match Store.read dir with Ok r -> r | Error m -> Alcotest.fail m in
+        let reports = match Store.scan dir with Ok r -> r | Error m -> Alcotest.fail m in
+        let audit = match Pet_audit.Audit.run dir with Ok r -> r | Error m -> Alcotest.fail m in
+        let flight, flight_damage =
+          match Pet_store.Flight_log.fold dir ~init:0 (fun n _ -> n + 1) with
+          | Ok r -> r
+          | Error m -> Alcotest.fail m
+        in
+        let integrity =
+          (List.find
+             (fun (p : Pet_audit.Audit.property) -> p.Pet_audit.Audit.name = "integrity")
+             audit.Pet_audit.Audit.properties)
+            .Pet_audit.Audit.violations
+        in
+        let scanned = List.fold_left (fun n r -> n + r.Store.records) 0 reports in
+        let damaged = List.concat_map (fun r -> r.Store.damage) reports in
+        Alcotest.(check (list int)) (what ^ ": scan, audit and flight counts")
+          [ total - 1; total - 1; total - 1 ]
+          [ scanned; audit.Pet_audit.Audit.records; flight ];
+        if last || not torn then begin
+          (* a crash tail, or a clean boundary: every reader goes on *)
+          Alcotest.(check int) (what ^ ": recovery count") (total - 1) recovery.Store.records;
+          Alcotest.(check (list bool)) (what ^ ": crash tail, everywhere or nowhere")
+            [ torn; torn; torn ]
+            [
+              recovery.Store.truncated <> None;
+              List.exists (fun r -> r.Store.tail <> None) reports;
+              audit.Pet_audit.Audit.note <> None;
+            ];
+          Alcotest.(check int) (what ^ ": no damage") 0
+            (List.length recovery.Store.damage + List.length damaged + List.length integrity
+           + List.length flight_damage)
+        end
+        else begin
+          (* damage: recovery stops there, the others report it and go on *)
+          Alcotest.(check int) (what ^ ": recovery stops at the damage") before
+            recovery.Store.records;
+          let d = match recovery.Store.damage with [ d ] -> d | _ -> Alcotest.fail what in
+          Alcotest.(check (list (pair int string))) (what ^ ": one damage, one place, one reason")
+            [ (start, d.Store.reason); (start, d.Store.reason); (start, d.Store.reason) ]
+            (List.map (fun (d : Segment.damage) -> (d.offset, d.reason)) (damaged @ flight_damage)
+            @ List.map
+                (fun (v : Pet_audit.Audit.violation) -> (v.offset, v.detail))
+                integrity);
+          Alcotest.(check bool) (what ^ ": no crash tail") true
+            (recovery.Store.truncated = None
+            && List.for_all (fun r -> r.Store.tail = None) reports
+            && audit.Pet_audit.Audit.note = None)
+        end
+      done;
+      List.iter
+        (fun prefix -> write_file (Filename.concat dir (Segment.name prefix k)) bytes)
+        [ "wal"; "flight" ])
+    [ 1; 0 ]
 
 (* --- Recovery semantics --------------------------------------------------------- *)
 
@@ -751,6 +898,8 @@ let () =
             test_truncate_everywhere;
           Alcotest.test_case "torn tail truncated, then appendable" `Quick
             test_torn_tail_truncated_and_appendable;
+          Alcotest.test_case "verify notes a torn tail" `Quick test_verify_torn_tail;
+          Alcotest.test_case "every reader agrees at every byte" `Quick test_readers_agree;
         ] );
       ( "recovery",
         [

@@ -279,36 +279,32 @@ let missing_grants ctx =
                 key))
 
 let run ?(mode = Algorithm1.Chain) ?(backend = Engine.Bdd) dir =
-  match Store.replay_chain dir with
+  let ctx = create_ctx ~mode ~backend in
+  let files = ref 0 and records = ref 0 and note = ref None in
+  match
+    Store.walk_replay dir
+      ~unreadable:(fun file m ->
+        incr files;
+        flag ctx.integrity ~file ~offset:0 ("unreadable: " ^ m))
+      (fun file offset payload ->
+        incr records;
+        check_record ctx ~file ~offset payload)
+      (fun file _ verdict ->
+        incr files;
+        match verdict with
+        | Segment.Clean -> ()
+        | Segment.Crash_tail d -> note := Some (Segment.tail_note d)
+        | Segment.Damaged d ->
+          ctx.integrity.pchecked <- ctx.integrity.pchecked + 1;
+          flag ctx.integrity ~file ~offset:d.offset d.reason)
+  with
   | Error m -> Error m
-  | Ok chain ->
-    let ctx = create_ctx ~mode ~backend in
-    let records = ref 0 in
-    let note = ref None in
-    let last = List.length chain - 1 in
-    List.iteri
-      (fun i file ->
-        match Segment.read_file (Filename.concat dir file) with
-        | exception Sys_error m ->
-          flag ctx.integrity ~file ~offset:0 ("unreadable: " ^ m)
-        | buf -> (
-          let ending =
-            Segment.walk buf (fun offset payload ->
-                incr records;
-                check_record ctx ~file ~offset payload)
-          in
-          match Segment.judge ~file ~last:(i = last) ending with
-          | Segment.Clean -> ()
-          | Segment.Crash_tail d -> note := Some (Segment.tail_note d)
-          | Segment.Damaged d ->
-            ctx.integrity.pchecked <- ctx.integrity.pchecked + 1;
-            flag ctx.integrity ~file ~offset:d.offset d.reason))
-      chain;
+  | Ok () ->
     let notes = Option.to_list !note @ missing_grants ctx in
     Ok
       {
         dir;
-        files = List.length chain;
+        files = !files;
         records = !records;
         note = (if notes = [] then None else Some (String.concat "; " notes));
         properties =

@@ -3,17 +3,17 @@
     what the PET allows it to persist — without a running service and
     without trusting the code that wrote the log.
 
-    [pet audit <data-dir>] walks the exact files recovery would replay
-    ({!Pet_store.Store.replay_chain}), re-reads every checksummed record
-    ({!Pet_store.Segment.walk}), and checks six properties:
+    [pet audit <data-dir>] walks the exact files recovery would replay,
+    by recovery's own walk ({!Pet_store.Store.walk_replay}), re-reads
+    every checksummed record, and checks six properties:
 
     - {b integrity} — every record is whole, checksummed and decodes to
       a known event. Each file's ending is judged by recovery's own rule
-      ({!Pet_store.Segment.judge}): a torn tail on the {e last} segment
-      is the signature of a crash mid-append (recovery truncates it) and
-      is reported as a note, not a violation; torn or corrupt bytes
-      anywhere else are violations, and the walk goes on with the next
-      file.
+      ({!Pet_store.Segment.walk_chain}): a torn tail on the {e last}
+      segment is the signature of a crash mid-append (recovery truncates
+      it) and is reported as a note, not a violation; torn or corrupt
+      bytes anywhere else, a snapshot included, are violations, and the
+      walk goes on with the next file.
     - {b r2} — no record carries a ["valuation"] key at any depth
       ({!Pet_server.Persist.carries_valuation}): the raw form
       must never reach disk (requirement R2), only minimized forms.

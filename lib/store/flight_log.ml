@@ -65,16 +65,17 @@ let prune t =
           try Sys.remove (Filename.concat t.dir f) with Sys_error _ -> ())
       sealed
 
-(* One record at a time, so a batch seals wherever a single append
-   would have. *)
-let append_locked t payload =
-  let bytes, sealed = Segment.append t.log [ payload ] in
-  t.records <- t.records + 1;
+(* Sealed record by record, so a batch seals wherever single appends
+   would; flushed once. *)
+let write t payloads =
+  locked t @@ fun () ->
+  let bytes, sealed = Segment.append ~seal_each:true t.log payloads in
+  t.records <- t.records + List.length payloads;
   t.bytes <- t.bytes + bytes;
   if sealed then prune t
 
-let append t payload = locked t @@ fun () -> append_locked t payload
-let append_batch t payloads = locked t @@ fun () -> List.iter (append_locked t) payloads
+let append t payload = write t [ payload ]
+let append_batch = write
 let close t = locked t @@ fun () -> try Segment.close t.log with Sys_error _ -> ()
 let stats t = locked t @@ fun () -> (t.records, t.bytes)
 
@@ -86,18 +87,12 @@ let fold dir ~init f =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     Error (dir ^ ": no such directory")
   else begin
-    let files = Segment.list dir prefix in
-    let last = List.length files - 1 in
     let acc = ref init and damage = ref [] in
-    List.iteri
-      (fun i (_, file) ->
-        let buf = Segment.read_file (Filename.concat dir file) in
-        let ending =
-          Segment.walk buf (fun offset payload -> acc := f !acc { file; offset; payload })
-        in
-        match Segment.judge ~file ~last:(i = last) ending with
+    Segment.walk_chain ~appended:prefix dir
+      (List.map snd (Segment.list dir prefix))
+      (fun file offset payload -> acc := f !acc { file; offset; payload })
+      (fun _ _ -> function
         | Segment.Damaged d -> damage := d :: !damage
-        | Segment.Clean | Segment.Crash_tail _ -> ())
-      files;
+        | Segment.Clean | Segment.Crash_tail _ -> ());
     Ok (!acc, List.rev !damage)
   end

@@ -4,7 +4,7 @@
     {!Segment} family like the WAL, but with telemetry durability:
     appends flush and never fsync, the last segment's tail may be torn
     (readers truncate it silently, the kill -9 signature), and damage
-    in an older segment ({!Segment.judge}) is reported and skipped
+    in an older segment ({!Segment.walk_chain}) is reported and skipped
     rather than fatal. Sealed segments beyond the [keep] retention knob
     are deleted on rotation, bounding disk usage.
 

@@ -43,31 +43,37 @@ let seal w =
   w.number <- w.number + 1;
   w.written <- 0
 
-let append ?sync w payloads =
-  let records = List.map Record.frame payloads in
-  let fd, oc =
-    match w.out with
-    | Some out -> out
-    | None ->
-      let path = Filename.concat w.dir (name w.prefix w.number) in
-      let fd = Unix.openfile path [ O_WRONLY; O_CREAT; O_APPEND ] 0o644 in
-      let out = (fd, Unix.out_channel_of_descr fd) in
-      w.out <- Some out;
-      out
-  in
-  let bytes =
-    List.fold_left
-      (fun bytes record ->
-        output_string oc record;
-        bytes + String.length record)
-      0 records
-  in
-  flush oc;
-  Option.iter (fun sync -> sync (fun () -> Unix.fsync fd)) sync;
-  w.written <- w.written + bytes;
-  let sealed = w.written >= w.segment_bytes in
-  if sealed then seal w;
-  (bytes, sealed)
+(* Every I/O failure of an append is a [Sys_error], as a channel write's
+   is: callers that must survive a failing disk catch that one type. *)
+let sys f =
+  try f () with Unix.Unix_error (e, fn, arg) ->
+    raise (Sys_error ((if arg = "" then fn else arg) ^ ": " ^ Unix.error_message e))
+
+let channel w =
+  match w.out with
+  | Some out -> out
+  | None ->
+    let path = Filename.concat w.dir (name w.prefix w.number) in
+    let fd = sys (fun () -> Unix.openfile path [ O_WRONLY; O_CREAT; O_APPEND ] 0o644) in
+    w.out <- Some (fd, Unix.out_channel_of_descr fd);
+    Option.get w.out
+
+let append ?sync ?(seal_each = false) w payloads =
+  let records = List.map Record.frame payloads and sealed = ref false in
+  let seal_if_full () = if w.written >= w.segment_bytes then (seal w; sealed := true) in
+  List.iter
+    (fun record ->
+      output_string (snd (channel w)) record;
+      w.written <- w.written + String.length record;
+      if seal_each then seal_if_full ())
+    records;
+  Option.iter
+    (fun (fd, oc) ->
+      flush oc;
+      Option.iter (fun sync -> sync (fun () -> sys (fun () -> Unix.fsync fd))) sync)
+    w.out;
+  seal_if_full ();
+  (List.fold_left (fun n record -> n + String.length record) 0 records, !sealed)
 
 let fsync_dir dir =
   match Unix.openfile dir [ O_RDONLY ] 0 with
@@ -118,6 +124,21 @@ let judge ~file ~last = function
   | Torn { offset; reason } ->
     Damaged { file; offset; reason = "torn mid-log: " ^ reason }
   | Corrupt { offset; reason } -> Damaged { file; offset; reason }
+
+(* Only the file the writer appends to can be torn by a crash: the
+   chain's final file, and only when it is a segment of the [appended]
+   family — a snapshot is renamed into place whole. *)
+let walk_chain ?unreadable ~appended dir files record on_file =
+  let final = List.length files - 1 in
+  List.iteri
+    (fun i file ->
+      match read_file (Filename.concat dir file) with
+      | buf ->
+        let last = i = final && parse_name appended file <> None in
+        on_file file (String.length buf) (judge ~file ~last (walk buf (record file)))
+      | exception Sys_error m -> (
+        match unreadable with Some f -> f file m | None -> raise (Sys_error m)))
+    files
 
 let tail_note d =
   Printf.sprintf

@@ -6,10 +6,12 @@
     judges how that walk ended.
 
     The rule: a torn record (the bytes end inside it) on the {e last}
-    file of a chain is the signature of a crash mid-append — every
-    process start and every seal opens a fresh file, so only the file
-    being appended can be torn. A torn record in any earlier file, and
-    every checksum mismatch or implausible length, is damage. Each
+    file of a chain, when that file is an appended segment, is the
+    signature of a crash mid-append — every process start and every
+    seal opens a fresh file, so only the file being appended can be
+    torn. A torn record in any earlier file or in a snapshot (written
+    whole by {!write_atomic}), and every checksum mismatch or
+    implausible length, is damage. {!walk_chain} applies it. Each
     reader keeps only its own policy after damage: recovery stops,
     [pet store verify] and [pet audit] report it and go on, the flight
     reader skips to the next file. *)
@@ -40,13 +42,15 @@ val writer : dir:string -> prefix:string -> segment_bytes:int -> int -> writer
 (** [writer ~dir ~prefix ~segment_bytes n] appends to [PREFIX-n.log]
     in [dir], sealing it once it holds [segment_bytes]. *)
 
-val append : ?sync:((unit -> unit) -> unit) -> writer -> string list -> int * bool
+val append :
+  ?sync:((unit -> unit) -> unit) -> ?seal_each:bool -> writer -> string list -> int * bool
 (** Frame every payload, write the frames to the active segment (opening
-    it if needed) and flush. With [sync], the segment is then fsynced
-    by calling [sync] with the fsync (the caller may time it). Past
-    [segment_bytes] the segment is sealed (checked once, after all the
-    payloads). Returns the framed bytes written and whether it sealed.
-    @raise Sys_error, Unix.Unix_error on I/O failure. *)
+    it if needed) and flush once. With [sync], the segment is then
+    fsynced by calling [sync] with the fsync (the caller may time it).
+    Past [segment_bytes] the segment is sealed: checked after the batch,
+    or after each payload with [seal_each]. Returns the framed bytes
+    written and whether it sealed. @raise Sys_error on any I/O failure,
+    an [open]/[fsync] error included. *)
 
 val write_atomic :
   dir:string -> prefix:string -> int -> ('a -> string) -> 'a list -> unit
@@ -91,9 +95,21 @@ type verdict =
       (** a torn record on the last file: recovery truncates it *)
   | Damaged of damage
 
-val judge : file:string -> last:bool -> ending -> verdict
-(** The one rule (see the top of this module). [last] says whether
-    [file] is the last of its chain. *)
+val walk_chain :
+  ?unreadable:(string -> string -> unit) ->
+  appended:string ->
+  string ->
+  string list ->
+  (string -> int -> string -> unit) ->
+  (string -> int -> verdict -> unit) ->
+  unit
+(** [walk_chain ~appended dir files record on_file] reads each of
+    [files] from [dir] in order, calls [record file offset payload] on
+    its records ({!walk}), then [on_file file bytes verdict] by the one
+    rule: only the final file, and only if it is an [appended] segment,
+    can end in a {!Crash_tail}. An unreadable file goes to [unreadable]
+    (else its [Sys_error] propagates); raising from a callback stops
+    the walk. *)
 
 val tail_note : damage -> string
 (** The note that [pet store verify] and [pet audit] print for a crash

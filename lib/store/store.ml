@@ -56,35 +56,33 @@ let decode payload =
 
 (* --- Recovery ------------------------------------------------------------------- *)
 
-exception Undecodable of damage
+exception Stop of damage
+
+(* Every reader of the store walks its files by one rule: the crash
+   tail can only end a chain on a [wal] segment. *)
+let walk ?unreadable dir files record on_file =
+  Segment.walk_chain ?unreadable ~appended:"wal" dir files record on_file
 
 (* Walk the file chain record by record, handing every decoded event
    of the longest clean prefix to [on_event]. The walk stops at the
-   first damage ({!Segment.judge}) or undecodable event, so the
-   recovered state never builds on bytes after a hole. *)
+   first damage or undecodable event, so the recovered state never
+   builds on bytes after a hole. *)
 let walk_chain dir chain ~on_event =
   let records = ref 0 and truncated = ref None in
-  let rec through_files = function
-    | [] -> []
-    | file :: rest -> (
-      let buf = Segment.read_file (Filename.concat dir file) in
-      let step offset payload =
-        match decode payload with
-        | Ok event ->
-          on_event event;
-          incr records
-        | Error reason ->
-          raise_notrace
-            (Undecodable { file; offset; reason = "undecodable event: " ^ reason })
-      in
-      match Segment.judge ~file ~last:(rest = []) (Segment.walk buf step) with
-      | Segment.Clean -> through_files rest
-      | Segment.Crash_tail d ->
-        truncated := Some d;
-        through_files rest
-      | Segment.Damaged d | (exception Undecodable d) -> [ d ])
+  let step file offset payload =
+    match decode payload with
+    | Ok event ->
+      on_event event;
+      incr records
+    | Error reason ->
+      raise_notrace (Stop { file; offset; reason = "undecodable event: " ^ reason })
   in
-  let damage = through_files chain in
+  let on_file _ _ = function
+    | Segment.Clean -> ()
+    | Segment.Crash_tail d -> truncated := Some d
+    | Segment.Damaged d -> raise_notrace (Stop d)
+  in
+  let damage = match walk dir chain step on_file with () -> [] | exception Stop d -> [ d ] in
   (!records, !truncated, damage)
 
 let recover_chain dir chain =
@@ -107,8 +105,8 @@ let read dir =
       let _, chain = replay_files (families dir) in
       recover_chain dir chain)
 
-let replay_chain dir =
-  guard (fun () -> snd (replay_files (families dir)))
+let walk_replay dir ~unreadable record on_file =
+  guard (fun () -> walk ~unreadable dir (snd (replay_files (families dir))) record on_file)
 
 let obs_recovery_h = Pet_obs.Metrics.histogram "pet_store_recovery_seconds"
 let obs_recovered = Pet_obs.Metrics.gauge "pet_store_recovered_records"
@@ -217,54 +215,56 @@ type file_report = {
   tail : damage option;
 }
 
-let scan_file dir ~last file =
-  let buf = Segment.read_file (Filename.concat dir file) in
-  let records = ref 0 and kinds = Hashtbl.create 8 in
-  let damage = ref [] and r2 = ref [] in
-  let fault list offset reason = list := { file; offset; reason } :: !list in
-  let tally kind =
-    Hashtbl.replace kinds kind
-      (1 + Option.value ~default:0 (Hashtbl.find_opt kinds kind))
-  in
-  let ending =
-    Segment.walk buf (fun offset payload ->
-        incr records;
-        match Json.parse payload with
-        | Error m -> fault damage offset ("record holds invalid JSON: " ^ m)
-        | Ok json -> (
-          if Persist.carries_valuation json then
-            fault r2 offset "decoded event carries a \"valuation\" field";
-          match Persist.of_json json with
-          | Ok event -> tally (Persist.kind event)
-          | Error m -> fault damage offset ("not a known event: " ^ m)))
-  in
-  let tail =
-    match Segment.judge ~file ~last ending with
-    | Segment.Clean -> None
-    | Segment.Crash_tail d -> Some d
-    | Segment.Damaged d ->
-      damage := d :: !damage;
-      None
-  in
-  {
-    file;
-    bytes = String.length buf;
-    records = !records;
-    kinds =
-      Hashtbl.fold (fun k n acc -> (k, n) :: acc) kinds []
-      |> List.sort compare;
-    damage = List.rev !damage;
-    r2 = List.rev !r2;
-    tail;
-  }
-
 let scan dir =
   guard (fun () ->
       let snaps, wals = families dir in
-      let last = List.nth_opt (List.rev (snd (replay_files (snaps, wals)))) 0 in
+      let files = List.map snd (snaps @ wals) in
+      let _, chain = replay_files (snaps, wals) in
+      let counts = Hashtbl.create 64 and ends = Hashtbl.create 8 and faults = ref [] in
+      let bump key =
+        Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
+      in
+      let fault kind file offset reason = faults := (kind, { file; offset; reason }) :: !faults in
+      let record file offset payload =
+        bump (file, None);
+        match Json.parse payload with
+        | Error m -> fault `Damage file offset ("record holds invalid JSON: " ^ m)
+        | Ok json -> (
+          if Persist.carries_valuation json then
+            fault `R2 file offset "decoded event carries a \"valuation\" field";
+          match Persist.of_json json with
+          | Ok event -> bump (file, Some (Persist.kind event))
+          | Error m -> fault `Damage file offset ("not a known event: " ^ m))
+      in
+      (* Stale files first, so the replay chain's own tail ends the walk. *)
+      walk dir
+        (List.filter (fun f -> not (List.mem f chain)) files @ chain)
+        record
+        (fun file bytes verdict ->
+          (match verdict with Segment.Damaged d -> faults := (`Damage, d) :: !faults | _ -> ());
+          Hashtbl.replace ends file (bytes, verdict));
+      let faults = List.rev !faults in
       List.map
-        (fun (_, file) -> scan_file dir ~last:(Some file = last) file)
-        (snaps @ wals))
+        (fun file ->
+          let bytes, verdict = Hashtbl.find ends file in
+          let only kind =
+            List.filter_map
+              (fun (k, (d : damage)) -> if k = kind && d.file = file then Some d else None)
+              faults
+          in
+          let kind (f, k) n acc =
+            match k with Some k when f = file -> (k, n) :: acc | _ -> acc
+          in
+          {
+            file;
+            bytes;
+            records = Option.value ~default:0 (Hashtbl.find_opt counts (file, None));
+            kinds = List.sort compare (Hashtbl.fold kind counts []);
+            damage = only `Damage;
+            r2 = only `R2;
+            tail = (match verdict with Segment.Crash_tail d -> Some d | _ -> None);
+          })
+        files)
 
 let replay ppf dir =
   Result.bind (read dir) (fun recovery ->

@@ -15,11 +15,12 @@
     fsynced) before the emitting request is answered — killing the
     process at any byte loses at most the record being appended.
     Recovery replays the snapshot and the segments after it and judges
-    each file's ending by {!Segment.judge}: it truncates a torn tail on
-    the last file (never raises), and stops at any other damage, which
-    it surfaces as data, the recovered state being the longest clean
-    prefix. [pet store verify] judges by the same rule, so a torn tail
-    is a note there, not a fault. *)
+    each file's ending by {!Segment.walk_chain}'s rule: it truncates a
+    torn tail on the last segment (never raises), and stops at any
+    other damage — a torn snapshot included — which it surfaces as
+    data, the recovered state being the longest clean prefix.
+    [pet store verify] and [pet audit] walk by the same rule, so a torn
+    tail is a note there, not a fault. *)
 
 module Persist = Pet_server.Persist
 
@@ -115,8 +116,8 @@ type file_report = {
       (** R2-on-disk violations: records whose decoded JSON carries a
           ["valuation"] field — the raw form must never be persisted *)
   tail : damage option;
-      (** a torn tail on the last file of the replay chain: crash damage
-          that recovery truncates, not a fault *)
+      (** a torn tail on the last segment of the replay chain: crash
+          damage that recovery truncates, not a fault *)
 }
 
 val scan : string -> (file_report list, string) result
@@ -139,11 +140,15 @@ val verify : Format.formatter -> file_report list -> (unit, string) result
     file and byte offset, or else an ok line. [Error] counts the faults
     and files. *)
 
-val replay_chain : string -> (string list, string) result
-(** The file names recovery would replay, in order: the newest snapshot
-    (if any) followed by every later segment. Stale files skipped by
-    recovery are omitted. The compliance auditor ({!Pet_audit}) walks
-    these with {!Segment.walk} to anchor findings at byte offsets. *)
+val walk_replay :
+  string ->
+  unreadable:(string -> string -> unit) ->
+  (string -> int -> string -> unit) ->
+  (string -> int -> Segment.verdict -> unit) ->
+  (unit, string) result
+(** {!Segment.walk_chain} over the files recovery would replay (the
+    newest snapshot, then every later segment), by recovery's rule: the
+    compliance auditor ({!Pet_audit}) walks the log with it. *)
 
 (** {1 Offline compaction}
 

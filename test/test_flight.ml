@@ -207,6 +207,24 @@ let test_mid_journal_damage_is_reported () =
   Alcotest.(check bool) "later segments still read" true
     (List.mem (fat_record 199) got)
 
+(* Telemetry must not take its caller down: when the next segment
+   cannot be opened (here a directory holds its name), appends fail with
+   [Sys_error], the one error type their callers catch. *)
+let test_unopenable_segment_raises_sys_error () =
+  let dir = temp_dir () in
+  match Flight_log.open_dir ~segment_bytes:4096 dir with
+  | Error m -> Alcotest.failf "open_dir: %s" m
+  | Ok fl ->
+    Unix.mkdir (Filename.concat dir (Segment.name "flight" 1)) 0o755;
+    (* 60 fat records seal segment 0 and reach segment 1 *)
+    (match Flight_log.append_batch fl (List.init 60 fat_record) with
+    | () -> Alcotest.fail "append_batch succeeded"
+    | exception Sys_error _ -> ());
+    (match Flight_log.append fl (fat_record 60) with
+    | () -> Alcotest.fail "append succeeded"
+    | exception Sys_error _ -> ());
+    Flight_log.close fl
+
 (* --- SLO ------------------------------------------------------------------------- *)
 
 (* SLO windows live in the per-request accounting cells; these tests
@@ -517,6 +535,8 @@ let () =
           Alcotest.test_case "retention" `Quick test_segment_retention;
           Alcotest.test_case "torn tail truncates silently" `Quick
             test_torn_tail_is_silent;
+          Alcotest.test_case "unopenable segment raises Sys_error" `Quick
+            test_unopenable_segment_raises_sys_error;
           Alcotest.test_case "mid-journal damage is reported" `Quick
             test_mid_journal_damage_is_reported;
         ] );

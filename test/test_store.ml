@@ -437,6 +437,51 @@ let test_readers_agree () =
         [ "wal"; "flight" ])
     [ 1; 0 ]
 
+(* A snapshot is renamed into place whole, so a torn one is damage even
+   when it ends the replay chain (right after a compaction, before any
+   append): verify and the audit fail it, and recovery stops there
+   without cutting the file. *)
+let test_torn_snapshot_is_damage () =
+  let dir = temp_dir () in
+  let store, _ = open_ok dir in
+  List.iter (Store.append store)
+    [
+      Persist.Rules { digest = "a"; text = "form a\nbenefits b\nrule b := a" };
+      Persist.Rules { digest = "b"; text = "form b\nbenefits c\nrule c := b" };
+    ];
+  (match Store.compact_chain store with
+  | Ok c -> Alcotest.(check int) "both events kept" 2 c.Store.kept
+  | Error m -> Alcotest.fail m);
+  Store.close store;
+  let snap =
+    match Segment.list dir "snap" with
+    | [ (_, file) ] -> file
+    | _ -> Alcotest.fail "one snapshot"
+  in
+  Alcotest.(check (list string)) "the snapshot ends the chain" []
+    (List.map snd (Segment.list dir "wal"));
+  let path = Filename.concat dir snap in
+  let bytes = read_file path in
+  let cut = String.length bytes - 5 in
+  write_file path (String.sub bytes 0 cut);
+  let reports = match Store.scan dir with Ok r -> r | Error m -> Alcotest.fail m in
+  Alcotest.(check (result unit string)) "verify fails" (Error "1 fault(s) in 1 file(s)")
+    (Store.verify Format.str_formatter reports);
+  ignore (Format.flush_str_formatter ());
+  Alcotest.(check bool) "no torn-tail note" true
+    (List.for_all (fun r -> r.Store.tail = None) reports);
+  let audit = match Pet_audit.Audit.run dir with Ok r -> r | Error m -> Alcotest.fail m in
+  Alcotest.(check bool) "audit fails" false (Pet_audit.Audit.pass audit);
+  Alcotest.(check bool) "audit has no note" true (audit.Pet_audit.Audit.note = None);
+  let _, recovery = open_ok dir in
+  Alcotest.(check int) "recovery keeps the clean prefix" 1 recovery.Store.records;
+  Alcotest.(check bool) "recovery reports damage, not a tail" true
+    (recovery.Store.truncated = None
+    && List.map (fun (d : Segment.damage) -> (d.file, d.offset)) recovery.Store.damage
+       = List.map (fun (d : Segment.damage) -> (d.file, d.offset))
+           (List.concat_map (fun r -> r.Store.damage) reports));
+  Alcotest.(check int) "the snapshot is not cut" cut (String.length (read_file path))
+
 (* --- Recovery semantics --------------------------------------------------------- *)
 
 let test_recovery_deterministic () =
@@ -900,6 +945,7 @@ let () =
             test_torn_tail_truncated_and_appendable;
           Alcotest.test_case "verify notes a torn tail" `Quick test_verify_torn_tail;
           Alcotest.test_case "every reader agrees at every byte" `Quick test_readers_agree;
+          Alcotest.test_case "a torn snapshot is damage" `Quick test_torn_snapshot_is_damage;
         ] );
       ( "recovery",
         [

@@ -81,12 +81,14 @@ let payoff_table atlas =
   for m = 0 to Atlas.mas_count atlas - 1 do
     let potential = Atlas.players_of_mas atlas m in
     let forced = Atlas.forced_players_of_mas atlas m in
-    let crowd = Profile.crowd profile m in
+    let crowd = Profile.aggregate profile m in
     let blank c = Payoff.value atlas Payoff.Blank ~mas:m ~crowd:c in
     Fmt.pr "%-20s| %8d | %5d (%4d,%5d) | %3.0f (%2.0f,%2.0f)@."
       (Partial.to_string (Atlas.mas atlas m).A1.mas)
-      (List.length potential) (List.length crowd) (List.length forced)
-      (List.length potential) (blank crowd) (blank forced) (blank potential)
+      (List.length potential) crowd.count (List.length forced)
+      (List.length potential)
+      (Payoff.of_crowd atlas Payoff.Blanks ~mas:m crowd)
+      (blank forced) (blank potential)
   done;
   profile
 
@@ -283,7 +285,7 @@ let ablation_baseline () =
         let mas = Profile.move_of_valuation profile v in
         let m = Option.get (Atlas.find_mas atlas mas.A1.mas) in
         let po =
-          Payoff.value atlas Payoff.Blank ~mas:m ~crowd:(Profile.crowd profile m)
+          Payoff.of_crowd atlas Payoff.Blanks ~mas:m (Profile.aggregate profile m)
         in
         ( claimed + r.Baseline.claimed_blanks,
           leaked + Baseline.rule_level_leak engine r.Baseline.disclosed,
@@ -465,7 +467,10 @@ let sweep () =
    build forces (DESIGN.md §5) is paid for by every domain beside it:
    the 200 fleet provider builds run last alone and beside idle domains
    blocked on a condition variable, as [pet serve]'s writer and builder
-   domains mostly are. *)
+   domains mostly are. After the stages, the words each stage's result
+   keeps resident ([Obj.reachable_words]; the atlas holds its engine and
+   the profile its atlas, so each row counts only what its stage adds),
+   per player, so that a memory regression names its stage too. *)
 let provider_gc () =
   section "Provider builds: stages, allocation and minor collections";
   let fleet =
@@ -532,6 +537,9 @@ let provider_gc () =
       in
       let keys = List.map key_valuations forms in
       let nodes = ref [] in
+      (* Resident words of the engine, the atlas and the profile, and
+         the players they serve. *)
+      let resident = Array.make 3 0 and players = ref 0 in
       Gc.compact ();
       List.iter2
         (fun e keys ->
@@ -540,7 +548,13 @@ let provider_gc () =
           stage 2 (fun () ->
               let mas_words = A1.mas_words engine in
               List.iter (fun v -> ignore (mas_words v ignore)) keys);
-          ignore (stage 3 (fun () -> Strategy.compute atlas));
+          let profile = stage 3 (fun () -> Strategy.compute atlas) in
+          let words = Array.map Obj.reachable_words
+              [| Obj.repr engine; Obj.repr atlas; Obj.repr profile |] in
+          resident.(0) <- resident.(0) + words.(0);
+          resident.(1) <- resident.(1) + words.(1) - words.(0);
+          resident.(2) <- resident.(2) + words.(2) - words.(1);
+          players := !players + Atlas.player_count atlas;
           if backend = Engine.Bdd then nodes := node_count engine :: !nodes)
         forms keys;
       Array.iteri
@@ -551,6 +565,11 @@ let provider_gc () =
                (Engine.backend_name backend))
             name (t.(0) *. 1e3) (t.(1) /. 1e6) t.(2))
         [| "engine"; "atlas"; "algorithm 1"; "algorithm 2" |];
+      let per_player k = float_of_int resident.(k) /. float_of_int !players in
+      Fmt.pr
+        "%s resident words per player (%d players): engine %.1f, atlas \
+         %.1f, profile %.1f@."
+        label !players (per_player 0) (per_player 1) (per_player 2);
       if !nodes <> [] then
         Fmt.pr "BDD nodes after each %s build: %s@." label
           (String.concat " " (List.rev_map string_of_int !nodes)))

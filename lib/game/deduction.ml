@@ -9,16 +9,16 @@ type disclosure = {
   crowd_size : int;
 }
 
-let of_move profile ~mas =
-  let atlas = Profile.atlas profile in
-  let crowd = Profile.crowd profile mas in
-  let w = (Atlas.mas atlas mas).Algorithm1.mas in
+let of_crowd atlas ~mas (crowd : Crowd.t) =
   {
-    published = Partial.bindings w;
-    deduced = Payoff.deduced_blanks atlas ~mas ~crowd;
-    protected = Payoff.undeducible_blanks atlas ~mas ~crowd;
-    crowd_size = List.length crowd;
+    published = Partial.bindings (Atlas.mas atlas mas).Algorithm1.mas;
+    deduced = Payoff.deduced atlas ~mas crowd;
+    protected = Payoff.protected atlas ~mas crowd;
+    crowd_size = crowd.count;
   }
+
+let of_move profile ~mas =
+  of_crowd (Profile.atlas profile) ~mas (Profile.aggregate profile mas)
 
 let for_player profile ~player =
   of_move profile ~mas:(Profile.move_of profile player)

@@ -17,10 +17,15 @@ type disclosure = {
   crowd_size : int;
 }
 
+val of_crowd : Pet_minimize.Atlas.t -> mas:int -> Crowd.t -> disclosure
+(** Disclosure of a move made by the given crowd ({!Payoff.deduced} and
+    {!Payoff.protected}). *)
+
 val of_move : Profile.t -> mas:int -> disclosure
 (** Disclosure of a move under a profile (crowd = players actually
-    committed to it). For a move nobody plays the deduced list is empty
-    and every blank counts as protected. *)
+    committed to it). For a move nobody plays both the deduced and the
+    protected lists are empty: no deduction is defined for it, and no
+    two players disagree on any blank. *)
 
 val for_player : Profile.t -> player:int -> disclosure
 val pp : disclosure Fmt.t

@@ -8,30 +8,37 @@ type deviation = {
   deviated : float;
 }
 
+(* Player [i]'s payoff at its current move, and its payoff if it
+   deviated to [m], joining [m]'s crowd. *)
+let current atlas scorer profile i =
+  let m = Profile.move_of profile i in
+  Payoff.of_crowd atlas scorer ~mas:m (Profile.aggregate profile m)
+
+let deviated atlas scorer profile i m =
+  Payoff.of_crowd atlas scorer ~mas:m
+    (Crowd.join atlas (Profile.aggregate profile m) i)
+
 let find_improvement profile payoff =
   let atlas = Profile.atlas profile in
+  let scorer = Payoff.scorer atlas payoff in
   let n = Atlas.player_count atlas in
   let rec check_player i =
     if i >= n then None
     else
       let from_mas = Profile.move_of profile i in
-      let current =
-        Payoff.value atlas payoff ~mas:from_mas
-          ~crowd:(Profile.crowd profile from_mas)
+      let current = current atlas scorer profile i in
+      let rec check_moves k =
+        if k >= Atlas.choice_count atlas i then check_player (i + 1)
+        else
+          let m = Atlas.choice atlas i k in
+          if m = from_mas then check_moves (k + 1)
+          else
+            let deviated = deviated atlas scorer profile i m in
+            if deviated > current then
+              Some { player = i; from_mas; to_mas = m; current; deviated }
+            else check_moves (k + 1)
       in
-      let rec check_moves = function
-        | [] -> check_player (i + 1)
-        | m :: rest when m = from_mas -> check_moves rest
-        | m :: rest ->
-          let deviated =
-            Payoff.value atlas payoff ~mas:m
-              ~crowd:(i :: Profile.crowd profile m)
-          in
-          if deviated > current then
-            Some { player = i; from_mas; to_mas = m; current; deviated }
-          else check_moves rest
-      in
-      check_moves (Atlas.choices_of_player atlas i)
+      check_moves 0
   in
   check_player 0
 
@@ -39,27 +46,21 @@ let is_nash profile payoff = find_improvement profile payoff = None
 
 let deviations profile payoff =
   let atlas = Profile.atlas profile in
-  let n = Atlas.player_count atlas in
-  List.concat_map
-    (fun i ->
-      let from_mas = Profile.move_of profile i in
-      let current =
-        Payoff.value atlas payoff ~mas:from_mas
-          ~crowd:(Profile.crowd profile from_mas)
-      in
-      List.filter_map
-        (fun m ->
-          if m = from_mas then None
-          else
-            let deviated =
-              Payoff.value atlas payoff ~mas:m
-                ~crowd:(i :: Profile.crowd profile m)
-            in
-            if deviated > current then
-              Some { player = i; from_mas; to_mas = m; current; deviated }
-            else None)
-        (Atlas.choices_of_player atlas i))
-    (List.init n Fun.id)
+  let scorer = Payoff.scorer atlas payoff in
+  let found = ref [] in
+  for i = Atlas.player_count atlas - 1 downto 0 do
+    let from_mas = Profile.move_of profile i in
+    let current = current atlas scorer profile i in
+    for k = Atlas.choice_count atlas i - 1 downto 0 do
+      let m = Atlas.choice atlas i k in
+      if m <> from_mas then
+        let deviated = deviated atlas scorer profile i m in
+        if deviated > current then
+          found :=
+            { player = i; from_mas; to_mas = m; current; deviated } :: !found
+    done
+  done;
+  !found
 
 let refine ?max_steps profile payoff =
   let atlas = Profile.atlas profile in

@@ -4,60 +4,79 @@ module Universe = Pet_valuation.Universe
 module Partial = Pet_valuation.Partial
 
 type kind = Blank | Sm | Weighted of (string -> float)
+type scorer = Count | Blanks | Weights of float array
 
-(* Bitmask of the blank positions on which at least two crowd members
-   disagree: positions where both a 0 and a 1 occur among the crowd. *)
-let disagreement_mask atlas ~mas ~crowd =
+let universe atlas =
+  Pet_rules.Exposure.xp (Pet_rules.Engine.exposure (Atlas.engine atlas))
+
+let scorer atlas = function
+  | Sm -> Count
+  | Blank -> Blanks
+  | Weighted weight ->
+    Weights (Array.of_list (List.map weight (Universe.names (universe atlas))))
+
+let blank_mask atlas ~mas =
   let w = (Atlas.mas atlas mas).Algorithm1.mas in
-  let universe = Partial.universe w in
-  let full = (1 lsl Universe.size universe) - 1 in
-  let blank_mask = lnot (Partial.domain_mask w) land full in
-  let ones, zeros =
-    List.fold_left
-      (fun (ones, zeros) i ->
-        let bits = Atlas.player_bits atlas i in
-        (ones lor bits, zeros lor (lnot bits land full)))
-      (0, 0) crowd
-  in
-  ones land zeros land blank_mask
+  let full = (1 lsl Universe.size (Partial.universe w)) - 1 in
+  lnot (Partial.domain_mask w) land full
 
-let blanks_of_mask universe mask =
-  List.filteri (fun i _ -> (mask lsr i) land 1 = 1) (Universe.names universe)
+let disagreement atlas ~mas (c : Crowd.t) =
+  c.ones land c.zeros land blank_mask atlas ~mas
+
+(* Sum of the weights of the set bits of [mask], in ascending bit order. *)
+let rec weight_sum weights mask k total =
+  if mask = 0 then total
+  else
+    weight_sum weights (mask lsr 1) (k + 1)
+      (if mask land 1 = 1 then total +. weights.(k) else total)
+
+let integral scorer ~disagreement ~count =
+  match scorer with
+  | Count -> max 0 (count - 1)
+  | Blanks -> Universe.popcount disagreement
+  | Weights _ -> invalid_arg "Payoff.integral: a weighted payoff"
+
+let score scorer ~disagreement ~count =
+  match scorer with
+  | Weights weights -> weight_sum weights disagreement 0 0.
+  | Count | Blanks -> float_of_int (integral scorer ~disagreement ~count)
+
+let of_crowd atlas scorer ~mas (c : Crowd.t) =
+  score scorer ~disagreement:(disagreement atlas ~mas c) ~count:c.count
+
+(* [f] of every set bit of [mask] below [k], in ascending order. *)
+let rec bits_below mask k f acc =
+  if k = 0 then acc
+  else
+    let k = k - 1 in
+    bits_below mask k f (if (mask lsr k) land 1 = 1 then f k :: acc else acc)
+
+let protected atlas ~mas c =
+  let u = universe atlas in
+  bits_below (disagreement atlas ~mas c) (Universe.size u) (Universe.name u) []
+
+let deduced atlas ~mas (c : Crowd.t) =
+  if c.count = 0 then []
+  else
+    let u = universe atlas in
+    let agree = blank_mask atlas ~mas land lnot (disagreement atlas ~mas c) in
+    bits_below agree (Universe.size u)
+      (fun k -> (Universe.name u k, (c.ones lsr k) land 1 = 1))
+      []
 
 let undeducible_blanks atlas ~mas ~crowd =
-  let w = (Atlas.mas atlas mas).Algorithm1.mas in
-  blanks_of_mask (Partial.universe w) (disagreement_mask atlas ~mas ~crowd)
+  protected atlas ~mas (Crowd.of_players atlas crowd)
 
 let deduced_blanks atlas ~mas ~crowd =
-  match crowd with
-  | [] -> []
-  | first :: _ ->
-    let w = (Atlas.mas atlas mas).Algorithm1.mas in
-    let universe = Partial.universe w in
-    let full = (1 lsl Universe.size universe) - 1 in
-    let blank_mask = lnot (Partial.domain_mask w) land full in
-    let agree = blank_mask land lnot (disagreement_mask atlas ~mas ~crowd) in
-    let bits = Atlas.player_bits atlas first in
-    List.filteri (fun i _ -> (agree lsr i) land 1 = 1) (Universe.names universe)
-    |> List.map (fun name ->
-           let i = Universe.index universe name in
-           (name, (bits lsr i) land 1 = 1))
+  deduced atlas ~mas (Crowd.of_players atlas crowd)
 
 let value atlas kind ~mas ~crowd =
-  match kind with
-  | Sm -> float_of_int (max 0 (List.length crowd - 1))
-  | Blank ->
-    float_of_int (Universe.popcount (disagreement_mask atlas ~mas ~crowd))
-  | Weighted weight ->
-    List.fold_left
-      (fun acc name -> acc +. weight name)
-      0.
-      (undeducible_blanks atlas ~mas ~crowd)
+  of_crowd atlas (scorer atlas kind) ~mas (Crowd.of_players atlas crowd)
 
 let of_profile profile kind ~player =
   let atlas = Profile.atlas profile in
   let mas = Profile.move_of profile player in
-  value atlas kind ~mas ~crowd:(Profile.crowd profile mas)
+  of_crowd atlas (scorer atlas kind) ~mas (Profile.aggregate profile mas)
 
 let weight_of_string s =
   match String.index_opt s '=' with

@@ -3,7 +3,10 @@ module Atlas = Pet_minimize.Atlas
 type t = {
   atlas : Atlas.t;
   moves : int array; (* player index -> mas index *)
-  crowds : int list array; (* mas index -> player indices, ascending *)
+  (* Per MAS index, the aggregate of its crowd (see {!Crowd}). *)
+  ones : int array;
+  zeros : int array;
+  count : int array;
 }
 
 (* Whether MAS [m] is among player [i]'s choices from the [k]-th on. *)
@@ -12,21 +15,24 @@ let rec has_choice atlas i m k =
   && (Atlas.choice atlas i k = m || has_choice atlas i m (k + 1))
 
 let make atlas f =
-  let n = Atlas.player_count atlas in
+  let nm = Atlas.mas_count atlas in
+  let ones = Array.make nm 0
+  and zeros = Array.make nm 0
+  and count = Array.make nm 0 in
   let moves =
-    Array.init n (fun i ->
+    Array.init (Atlas.player_count atlas) (fun i ->
         let m = f i in
         if not (has_choice atlas i m 0) then
           invalid_arg
             (Printf.sprintf "Profile.make: MAS %d is not a choice of player %d"
                m i);
+        let bits = Atlas.player_bits atlas i in
+        ones.(m) <- ones.(m) lor bits;
+        zeros.(m) <- zeros.(m) lor lnot bits;
+        count.(m) <- count.(m) + 1;
         m)
   in
-  let crowds = Array.make (Atlas.mas_count atlas) [] in
-  for i = n - 1 downto 0 do
-    crowds.(moves.(i)) <- i :: crowds.(moves.(i))
-  done;
-  { atlas; moves; crowds }
+  { atlas; moves; ones; zeros; count }
 
 let atlas t = t.atlas
 
@@ -35,12 +41,24 @@ let move_of t i =
     invalid_arg "Profile.move_of: out of range";
   t.moves.(i)
 
-let crowd t m =
-  if m < 0 || m >= Array.length t.crowds then
-    invalid_arg "Profile.crowd: out of range";
-  t.crowds.(m)
+let check_mas t m name =
+  if m < 0 || m >= Array.length t.count then
+    invalid_arg ("Profile." ^ name ^ ": out of range")
 
-let crowd_size t m = List.length (crowd t m)
+let aggregate t m =
+  check_mas t m "aggregate";
+  Crowd.make ~ones:t.ones.(m) ~zeros:t.zeros.(m) ~count:t.count.(m)
+
+let crowd_size t m =
+  check_mas t m "crowd_size";
+  t.count.(m)
+
+let crowd t m =
+  check_mas t m "crowd";
+  let rec go i acc =
+    if i < 0 then acc else go (i - 1) (if t.moves.(i) = m then i :: acc else acc)
+  in
+  go (Array.length t.moves - 1) []
 
 let move_of_valuation t v =
   match Atlas.find_player t.atlas v with

@@ -1,11 +1,16 @@
 (** Strategy profiles: one move (MAS index) per player of an atlas.
     The game of Section 4 is one-shot and simultaneous; a profile records
-    what every player publishes. *)
+    what every player publishes.
+
+    Beside the moves, a profile keeps each MAS's crowd as a {!Crowd.t}
+    aggregate — three ints per MAS, no per-player list — so every payoff
+    and disclosure of a move under the profile is O(1). *)
 
 type t
 
 val make : Pet_minimize.Atlas.t -> (int -> int) -> t
-(** [make atlas f] assigns MAS [f i] to player [i].
+(** [make atlas f] assigns MAS [f i] to player [i], and aggregates the
+    crowds in the same pass.
     @raise Invalid_argument when some [f i] is not among player [i]'s
     choices. *)
 
@@ -13,10 +18,15 @@ val atlas : t -> Pet_minimize.Atlas.t
 val move_of : t -> int -> int
 (** The MAS index played by a player index. *)
 
-val crowd : t -> int -> int list
-(** Player indices committed to a MAS index, ascending. *)
+val aggregate : t -> int -> Crowd.t
+(** The aggregate of the players committed to a MAS index. *)
 
 val crowd_size : t -> int -> int
+
+val crowd : t -> int -> int list
+(** Player indices committed to a MAS index, ascending. Built on demand
+    by a pass over every move: for printing and offline tools, not for a
+    payoff ({!aggregate} is O(1)). *)
 
 val move_of_valuation : t -> Pet_valuation.Total.t -> Pet_minimize.Algorithm1.choice
 (** Convenience lookup by valuation.

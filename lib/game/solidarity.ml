@@ -16,10 +16,13 @@ type result = {
   beneficiaries : int;
 }
 
+(* A move's [PO_blank] under the crowd aggregate [crowd]. *)
+let po_blank atlas ~mas crowd = Payoff.of_crowd atlas Payoff.Blanks ~mas crowd
+
 let improve ?(max_recruits = 3) profile ~mas =
   let atlas = Profile.atlas profile in
-  let base_crowd = Profile.crowd profile mas in
-  let payoff crowd = Payoff.value atlas Payoff.Blank ~mas ~crowd in
+  let base_crowd = Profile.aggregate profile mas in
+  let payoff = po_blank atlas ~mas in
   let payoff_before = payoff base_crowd in
   let candidates =
     List.filter
@@ -34,7 +37,7 @@ let improve ?(max_recruits = 3) profile ~mas =
       let best =
         List.fold_left
           (fun best i ->
-            let gain = payoff (i :: crowd) in
+            let gain = payoff (Crowd.join atlas crowd i) in
             match best with
             | Some (_, g) when g >= gain -> best
             | _ when gain > payoff crowd -> Some (i, gain)
@@ -44,7 +47,7 @@ let improve ?(max_recruits = 3) profile ~mas =
       match best with
       | None -> (crowd, List.rev chosen)
       | Some (i, _) ->
-        grow (i :: crowd) (i :: chosen)
+        grow (Crowd.join atlas crowd i) (i :: chosen)
           (List.filter (( <> ) i) candidates)
           (k - 1)
   in
@@ -57,8 +60,8 @@ let improve ?(max_recruits = 3) profile ~mas =
         (fun i ->
           let previous_mas = Profile.move_of profile i in
           let previous_payoff =
-            Payoff.value atlas Payoff.Blank ~mas:previous_mas
-              ~crowd:(Profile.crowd profile previous_mas)
+            po_blank atlas ~mas:previous_mas
+              (Profile.aggregate profile previous_mas)
           in
           { player = i; previous_mas; previous_payoff; new_payoff = payoff_after })
         chosen
@@ -66,11 +69,11 @@ let improve ?(max_recruits = 3) profile ~mas =
     Some
       {
         mas;
-        crowd_before = List.length base_crowd;
+        crowd_before = base_crowd.count;
         payoff_before;
         payoff_after;
         recruits;
-        beneficiaries = List.length base_crowd;
+        beneficiaries = base_crowd.count;
       }
 
 type plan = {
@@ -85,10 +88,8 @@ let floor_of profile =
   let atlas = Profile.atlas profile in
   let lowest = ref infinity in
   for m = 0 to Atlas.mas_count atlas - 1 do
-    match Profile.crowd profile m with
-    | [] -> ()
-    | crowd ->
-      lowest := min !lowest (Payoff.value atlas Payoff.Blank ~mas:m ~crowd)
+    let crowd = Profile.aggregate profile m in
+    if crowd.count > 0 then lowest := min !lowest (po_blank atlas ~mas:m crowd)
   done;
   if !lowest = infinity then 0. else !lowest
 
@@ -108,11 +109,9 @@ let plan ?(budget = 5) profile =
     else
       let candidates =
         List.init (Atlas.mas_count atlas) Fun.id
-        |> List.filter (fun m -> Profile.crowd profile m <> [])
+        |> List.filter (fun m -> Profile.crowd_size profile m > 0)
         |> List.map (fun m ->
-               ( Payoff.value atlas Payoff.Blank ~mas:m
-                   ~crowd:(Profile.crowd profile m),
-                 m ))
+               (po_blank atlas ~mas:m (Profile.aggregate profile m), m))
         |> List.sort compare
       in
       let rec try_moves = function

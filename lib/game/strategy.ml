@@ -1,11 +1,4 @@
 module Atlas = Pet_minimize.Atlas
-module Algorithm1 = Pet_minimize.Algorithm1
-module Universe = Pet_valuation.Universe
-module Partial = Pet_valuation.Partial
-
-(* How a move is scored. [Weights] holds the per-bit weights of
-   [Payoff.Weighted], looked up once instead of on every score. *)
-type scoring = Count | Blanks | Weights of float array
 
 (* A binary heap of ints. Deletion is lazy: an entry that went stale
    stays where it is and is dropped by [pop_valid] when it reaches the
@@ -101,8 +94,7 @@ let deadlock_before es a b =
 
 type state = {
   atlas : Atlas.t;
-  scoring : scoring;
-  full : int; (* mask of the whole form universe *)
+  scoring : Payoff.scorer;
   blank_mask : int array; (* per MAS *)
   player_bits : int array;
   (* Per MAS, in [live.(m)].(0 .. [live_len.(m)] - 1): the players to
@@ -110,9 +102,9 @@ type state = {
      and, under [Count], [delisted] ones. *)
   live : int array array;
   live_len : int array;
-  (* Per MAS, the committed crowd's aggregates, so that scoring a
-     prospective commitment is O(1): [ones]/[zeros] are the bitwise ORs
-     of the members' (negated) valuations, [count] their number. *)
+  (* Per MAS, the committed crowd's aggregate ({!Crowd}), so that
+     scoring a prospective commitment is O(1). The final state's arrays
+     become the profile's. *)
   ones : int array;
   zeros : int array;
   count : int array;
@@ -130,10 +122,6 @@ type state = {
 let make_state atlas payoff =
   let nm = Atlas.mas_count atlas in
   let np = Atlas.player_count atlas in
-  let universe =
-    Pet_rules.Exposure.xp (Pet_rules.Engine.exposure (Atlas.engine atlas))
-  in
-  let full = (1 lsl Universe.size universe) - 1 in
   let entries =
     {
       scores = Array.make 16 0.;
@@ -150,17 +138,8 @@ let make_state atlas payoff =
   done;
   {
     atlas;
-    scoring =
-      (match payoff with
-      | Payoff.Sm -> Count
-      | Payoff.Blank -> Blanks
-      | Payoff.Weighted weight ->
-        Weights (Array.of_list (List.map weight (Universe.names universe))));
-    full;
-    blank_mask =
-      Array.init nm (fun m ->
-          lnot (Partial.domain_mask (Atlas.mas atlas m).Algorithm1.mas)
-          land full);
+    scoring = Payoff.scorer atlas payoff;
+    blank_mask = Array.init nm (fun mas -> Payoff.blank_mask atlas ~mas);
     player_bits = Array.init np (Atlas.player_bits atlas);
     live;
     live_len = Array.map Array.length live;
@@ -176,30 +155,20 @@ let make_state atlas payoff =
     deadlock = Heap.create (deadlock_before entries);
   }
 
-(* Sum of the weights of the set bits of [mask], in ascending bit order
-   (the order [Payoff.value] adds them in). *)
-let rec weighted weights mask k total =
-  if mask = 0 then total
-  else
-    weighted weights (mask lsr 1) (k + 1)
-      (if mask land 1 = 1 then total +. weights.(k) else total)
-
 (* Payoff of a player with valuation [bits] if they joined a crowd of
-   [count] on move [m] whose aggregates are [ones] and [zeros]. It is
-   inlined, as are [score] and [update], so that scores stay unboxed:
-   boxed, they would be about a third of a [PO_SM] run's minor words. *)
+   [count] on move [m] whose aggregates are [ones] and [zeros]: the
+   crowd joined as in {!Crowd.add}, scored by {!Payoff.score}. It is
+   inlined, as are [score] and [update], and integral payoffs come back
+   from [Payoff.integral] as ints, so that scores stay unboxed: boxed,
+   they would be about a third of a [PO_SM] run's minor words. *)
 let[@inline] value st bits m ~ones ~zeros ~count =
+  let disagreement =
+    (ones lor bits) land (zeros lor lnot bits) land st.blank_mask.(m)
+  and count = count + 1 in
   match st.scoring with
-  | Count -> float_of_int count
-  | Blanks | Weights _ -> (
-    let disagreement =
-      (ones lor bits)
-      land (zeros lor (lnot bits land st.full))
-      land st.blank_mask.(m)
-    in
-    match st.scoring with
-    | Weights weights -> weighted weights disagreement 0 0.
-    | _ -> float_of_int (Universe.popcount disagreement))
+  | Payoff.Weights _ -> Payoff.score st.scoring ~disagreement ~count
+  | Payoff.Count | Payoff.Blanks ->
+    float_of_int (Payoff.integral st.scoring ~disagreement ~count)
 
 (* Payoff of player [i] if they joined move [m]'s committed crowd. *)
 let[@inline] score st i m =
@@ -212,14 +181,14 @@ let[@inline] score st i m =
    delisted them goes back on its [live]. *)
 let file st i bm bs dominant =
   (match st.scoring with
-  | Count ->
+  | Payoff.Count ->
     let d = st.delisted.(i) in
     if d >= 0 && not (dominant && bm = d) then begin
       st.delisted.(i) <- -1;
       st.live.(d).(st.live_len.(d)) <- i;
       st.live_len.(d) <- st.live_len.(d) + 1
     end
-  | Blanks | Weights _ -> ());
+  | Payoff.Blanks | Payoff.Weights _ -> ());
   let was_dominant = st.dominant.(i) in
   st.best.(i) <- bm;
   st.dominant.(i) <- dominant;
@@ -270,7 +239,7 @@ let join st i m =
   st.committed.(i) <- m;
   let bits = st.player_bits.(i) in
   st.ones.(m) <- st.ones.(m) lor bits;
-  st.zeros.(m) <- st.zeros.(m) lor (lnot bits land st.full);
+  st.zeros.(m) <- st.zeros.(m) lor lnot bits;
   st.count.(m) <- st.count.(m) + 1
 
 (* Commit player [i] to move [m], then update the pending players whose
@@ -285,14 +254,14 @@ let commit st i m =
   join st i m;
   let moved =
     match st.scoring with
-    | Count -> true
-    | Blanks | Weights _ ->
+    | Payoff.Count -> true
+    | Payoff.Blanks | Payoff.Weights _ ->
       ((st.ones.(m) lxor ones) lor (st.zeros.(m) lxor zeros))
       land st.blank_mask.(m)
       <> 0
   in
   if moved then begin
-    let delist = match st.scoring with Count -> true | _ -> false in
+    let delist = match st.scoring with Payoff.Count -> true | _ -> false in
     let live = st.live.(m) in
     let kept = ref 0 in
     for k = 0 to st.live_len.(m) - 1 do

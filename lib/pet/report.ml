@@ -6,6 +6,7 @@ module Universe = Pet_valuation.Universe
 module Profile = Pet_game.Profile
 module Payoff = Pet_game.Payoff
 module Deduction = Pet_game.Deduction
+module Crowd = Pet_game.Crowd
 
 type option_report = {
   mas : Partial.t;
@@ -31,32 +32,25 @@ let build ?weights atlas profile v =
     | None -> invalid_arg "Report.build: valuation is not a player"
   in
   let played = Profile.move_of profile player in
+  let weighted =
+    Option.map (fun w -> Payoff.scorer atlas (Payoff.Weighted w)) weights
+  in
   let option_of m =
     let choice = Atlas.mas atlas m in
     (* Evaluate the option as if the applicant picked it: they join the
        move's crowd (they are already in it when it is their equilibrium
        move). *)
-    let crowd = Profile.crowd profile m in
-    let crowd = if m = played then crowd else player :: crowd in
-    let disclosure =
-      {
-        (Deduction.of_move profile ~mas:m) with
-        deduced = Payoff.deduced_blanks atlas ~mas:m ~crowd;
-        protected = Payoff.undeducible_blanks atlas ~mas:m ~crowd;
-        crowd_size = List.length crowd;
-      }
-    in
+    let crowd = Profile.aggregate profile m in
+    let crowd = if m = played then crowd else Crowd.join atlas crowd player in
+    let disagreement = Payoff.disagreement atlas ~mas:m crowd in
+    let score scorer = Payoff.score scorer ~disagreement ~count:crowd.count in
     {
       mas = choice.Algorithm1.mas;
       benefits = choice.Algorithm1.benefits;
-      po_blank = Payoff.value atlas Payoff.Blank ~mas:m ~crowd;
-      po_sm = Payoff.value atlas Payoff.Sm ~mas:m ~crowd;
-      po_weighted =
-        Option.map
-          (fun weight ->
-            Payoff.value atlas (Payoff.Weighted weight) ~mas:m ~crowd)
-          weights;
-      disclosure;
+      po_blank = score Payoff.Blanks;
+      po_sm = score Payoff.Count;
+      po_weighted = Option.map score weighted;
+      disclosure = Deduction.of_crowd atlas ~mas:m crowd;
       recommended = m = played;
     }
   in

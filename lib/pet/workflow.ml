@@ -64,14 +64,15 @@ module Equilibrium = Pet_game.Equilibrium
 let pp_atlas ppf t =
   Fmt.pf ppf "%a@." Atlas.pp_summary t.atlas;
   Fmt.pf ppf "@.%-20s %9s %8s %8s %9s@." "MAS" "potential" "forced" "plays" "payoff";
+  let scorer = Pet_game.Payoff.scorer t.atlas t.payoff in
   for m = 0 to Atlas.mas_count t.atlas - 1 do
-    let crowd = Profile.crowd t.profile m in
+    let crowd = Profile.aggregate t.profile m in
     Fmt.pf ppf "%-20s %9d %8d %8d %9.0f@."
       (Partial.to_string (Atlas.mas t.atlas m).mas)
-      (List.length (Atlas.players_of_mas t.atlas m))
+      (Atlas.crowd_size t.atlas m)
       (List.length (Atlas.forced_players_of_mas t.atlas m))
-      (List.length crowd)
-      (Pet_game.Payoff.value t.atlas t.payoff ~mas:m ~crowd)
+      crowd.count
+      (Pet_game.Payoff.of_crowd t.atlas scorer ~mas:m crowd)
   done
 
 let pp_population ~solidarity ppf t =

@@ -24,12 +24,14 @@ type compiled = {
   digest : string;
   exposure : Exposure.t;
   provider : Workflow.t;
-  memo : report_answer option array;
+  mutable memo : report_answer option array;
       (* the rendered-report memo, one slot per atlas player (indexed by
-         [Atlas.find_player]): allocated when the artifact is built,
-         filled on a player's first report — later respondents with the
-         same form contents answer [get_report] with an array read and a
-         few buffer appends *)
+         [Atlas.find_player]): empty until the artifact's first
+         [get_report] ({!memo_of}), so a build that is never reported
+         holds no per-player array; a slot is filled on its player's
+         first report — later respondents with the same form contents
+         answer [get_report] with an array read and a few buffer
+         appends *)
 }
 
 type t = {
@@ -72,6 +74,21 @@ type t = {
   mutable submitted : int;
 }
 
+(* The counters this instance owns, named as gauges; a snapshot sums
+   them over every shard registered in [shared]. *)
+let shard_counters t =
+  let r = Registry.stats t.registry and s = Session.counters t.store in
+  [
+    ("pet_registry_engines", r.Registry.size);
+    ("pet_registry_hits", r.Registry.hits);
+    ("pet_registry_misses", r.Registry.misses);
+    ("pet_registry_evictions", r.Registry.evictions);
+    ("pet_sessions_active", s.Session.active);
+    ("pet_sessions_created", s.Session.created);
+    ("pet_sessions_expired", s.Session.expired);
+    ("pet_grants_submitted", t.submitted);
+  ]
+
 let create ?(payoff = Payoff.Blank) ?capacity ?ttl ?owns ?shared ?tenants
     ?(tenant_quota = 0) ?(resolve = fun _ -> None) ?(durable = false) ~now ()
     =
@@ -100,6 +117,7 @@ let create ?(payoff = Payoff.Blank) ?capacity ?ttl ?owns ?shared ?tenants
     }
   in
   Shared.register_accounts shared t.acct;
+  Shared.register_counters shared (fun () -> shard_counters t);
   (* A swept tenant session frees its quota slot even though nothing
      ever looked it up again. *)
   Session.set_on_expire t.store (fun (session : Session.t) ->
@@ -129,14 +147,23 @@ let ledger_key ~digest ~tenant =
 
 (* Build the full artifact for an exposure: compile the engine (the
    compiled backend, which keeps BDDs above its tabulation threshold),
-   enumerate the atlas, solve the equilibrium, allocate the report memo.
-   Pure apart from the allocation — it touches neither the registry nor
-   the sink, so the tenant registry's builder domain can run it off the
-   request path without any locking. *)
+   enumerate the atlas, solve the equilibrium. Pure apart from the
+   allocation — it touches neither the registry nor the sink, so the
+   tenant registry's builder domain can run it off the request path
+   without any locking. *)
 let build_artifact ~payoff exposure digest =
   let provider = Workflow.provider ~backend:Engine.Compiled ~payoff exposure in
-  let memo = Array.make (Atlas.player_count (Workflow.atlas provider)) None in
-  { digest; exposure; provider; memo }
+  { digest; exposure; provider; memo = [||] }
+
+(* The artifact's report memo, allocated on first use. An artifact lives
+   in one shard's engine registry (a tenant build is handed to the first
+   shard that resolves it; the others recompile), so only that shard
+   reads or writes its memo. *)
+let memo_of compiled =
+  if Array.length compiled.memo = 0 then
+    compiled.memo <-
+      Array.make (Atlas.player_count (Workflow.atlas compiled.provider)) None;
+  compiled.memo
 
 (* [remember:false] for tenant texts: the tenant registry retains them
    (and [Tenant_published] persists them), so they are neither copied
@@ -632,11 +659,12 @@ let get_report t ~session:sid ~valuation ~now =
     match Atlas.find_player (Workflow.atlas compiled.provider) v with
     | None -> render ()
     | Some i -> (
-      match compiled.memo.(i) with
+      let memo = memo_of compiled in
+      match memo.(i) with
       | Some answer -> Ok answer
       | None ->
         let* answer = render () in
-        compiled.memo.(i) <- Some answer;
+        memo.(i) <- Some answer;
         Ok answer)
   in
   session.Session.valuation <- Some v;
@@ -915,22 +943,22 @@ module Obs = Pet_obs.Metrics
 module Trace = Pet_obs.Trace
 let obs_swept = Obs.counter "pet_server_sessions_swept_total"
 
-(* The aggregates this instance owns, as gauges read when a snapshot is
-   taken — stale-free and free on the request path. *)
+(* The process-wide aggregates, as gauges read when a snapshot is taken —
+   stale-free and free on the request path: every shard's counters
+   summed, then the shared ledgers, consent store and tenant registry. *)
 let service_gauges t =
-  let r = Registry.stats t.registry and s = Session.counters t.store in
+  let add = List.map2 (fun (name, a) (_, b) -> (name, a + b)) in
+  let summed =
+    List.fold_left
+      (fun acc read -> add acc (read ()))
+      (List.map (fun (name, _) -> (name, 0)) (shard_counters t))
+      (Shared.counters t.shared)
+  in
   let c = Consent.counters t.consents and tt = Tenant.totals t.tenants in
   List.map
     (fun (name, v) -> (name, float_of_int v))
-    [
-      ("pet_registry_engines", r.Registry.size);
-      ("pet_registry_hits", r.Registry.hits);
-      ("pet_registry_misses", r.Registry.misses);
-      ("pet_registry_evictions", r.Registry.evictions);
-      ("pet_sessions_active", s.Session.active);
-      ("pet_sessions_created", s.Session.created);
-      ("pet_sessions_expired", s.Session.expired);
-      ("pet_grants_submitted", t.submitted);
+    (summed
+    @ [
       ( "pet_ledger_records",
         Shared.fold_ledgers t.shared (fun _ l acc -> acc + Ledger.size l) 0 );
       ("pet_consent_revoked", c.Consent.revoked);
@@ -940,10 +968,10 @@ let service_gauges t =
       ("pet_tenant_builds", tt.Tenant.builds);
       ("pet_tenant_build_failures", tt.Tenant.build_failures);
       ("pet_tenant_building", tt.Tenant.building);
-    ]
+    ])
 
 (* The one snapshot behind [metrics], [watch] frames and the flight
-   recorder: the registry plus this instance's aggregates, and the
+   recorder: the registry plus the process-wide aggregates, and the
    per-request series merged from every shard's accounting set, SLO
    windows at [now] (the service clock). *)
 let snapshot t ~now =

@@ -26,7 +26,7 @@ type t
 type compiled
 (** One fully built rule-set artifact: compiled engine, MAS atlas,
     solved equilibrium, and the rendered-report memo (one slot per atlas
-    player). Abstract — it only appears as the artifact type of the
+    player, allocated on the artifact's first [get_report]). Abstract — it only appears as the artifact type of the
     tenant registry, [compiled Pet_tenant.Tenant.t]. *)
 
 val create :

@@ -8,6 +8,7 @@ type t = {
       (* consent lifecycle state is process-wide like the ledgers: a
          revocation must reach the grant whichever shard recorded it *)
   mutable accounts : Accounting.t list;  (* in registration order *)
+  mutable counters : (unit -> (string * int) list) list;  (* likewise *)
 }
 
 let create () =
@@ -17,6 +18,7 @@ let create () =
     ledgers = Hashtbl.create 8;
     consents = Consent.create ();
     accounts = [];
+    counters = [];
   }
 
 let consents t = t.consents
@@ -56,3 +58,8 @@ let register_accounts t accounts =
   locked t (fun () -> t.accounts <- t.accounts @ [ accounts ])
 
 let accounts t = locked t (fun () -> t.accounts)
+
+let register_counters t read =
+  locked t (fun () -> t.counters <- t.counters @ [ read ])
+
+let counters t = locked t (fun () -> t.counters)

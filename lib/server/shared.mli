@@ -17,8 +17,9 @@
     - the consent-lifecycle store ({!Consent}), because a revocation must
       reach the grant whichever shard recorded it;
     - the list of every shard's per-request accounting set
-      ({!Accounting}), so a [metrics] request, a [watch] frame or a
-      flight snapshot taken on one shard merges all of them.
+      ({!Accounting}) and of its counter reader (engines, registry
+      traffic, sessions, grants), so a [metrics] request, a [watch]
+      frame or a flight snapshot taken on one shard merges all of them.
 
     All of it lives here behind one mutex (the consent store carries its
     own). The critical sections are short
@@ -60,3 +61,13 @@ val accounts : t -> Accounting.t list
     inside are not — their owning shards keep recording while a reader
     merges them (word-sized, memory-safe racy reads that may lag
     in-flight requests; see {!Accounting}). *)
+
+val register_counters : t -> (unit -> (string * int) list) -> unit
+(** Add one shard's counter reader, as {!register_accounts} adds its
+    accounting set. Every reader returns the same names in the same
+    order, and a snapshot sums their values name by name. *)
+
+val counters : t -> (unit -> (string * int) list) list
+(** Every registered reader, in registration order. A reader reads its
+    shard's counters racily, like the accounting cells: word-sized,
+    memory-safe, possibly behind requests still in flight. *)

@@ -4,7 +4,7 @@
    Tenants are named forms; each publish or rule update appends a
    *version* (monotonic number + canonical-text digest). Publishing
    returns immediately: the expensive artifact construction (engine,
-   MAS atlas, rendered-report memo) runs on a single background
+   MAS atlas, equilibrium) runs on a single background
    builder domain, and the version is atomically marked [Ready] — and
    made the tenant's active version — only when its build lands.
    Sessions pin the digest they started on, so a hot swap never changes

@@ -189,6 +189,23 @@ let test_disclosure_running () =
     d'.Deduction.deduced;
   Alcotest.(check (list string)) "none protected" [] d'.Deduction.protected
 
+(* A move nobody plays: 1__ has two blanks, but with no crowd nothing is
+   deduced and no two players disagree, so nothing is protected either. *)
+let test_disclosure_unplayed () =
+  let atlas = running_atlas () in
+  let profile = Strategy.compute atlas in
+  let m = mas_index atlas "1__" in
+  Alcotest.(check int) "1__ has two blanks" 2
+    (Partial.blank_count (Atlas.mas atlas m).A1.mas);
+  let d = Deduction.of_move profile ~mas:m in
+  Alcotest.(check int) "nobody plays 1__" 0 d.Deduction.crowd_size;
+  Alcotest.(check (list (pair string bool))) "published"
+    [ ("p1", true) ]
+    d.Deduction.published;
+  Alcotest.(check (list (pair string bool))) "nothing deduced" []
+    d.Deduction.deduced;
+  Alcotest.(check (list string)) "nothing protected" [] d.Deduction.protected
+
 let test_solidarity_none_on_running () =
   (* Every move's crowd in the running example already contains all its
      potential players, so no recruit can help. *)
@@ -623,7 +640,10 @@ let () =
             test_matches_reference_size14;
         ] );
       ( "deduction",
-        [ Alcotest.test_case "disclosure" `Quick test_disclosure_running ] );
+        [
+          Alcotest.test_case "disclosure" `Quick test_disclosure_running;
+          Alcotest.test_case "unplayed move" `Quick test_disclosure_unplayed;
+        ] );
       ( "solidarity-refine",
         [
           Alcotest.test_case "no improvement possible" `Quick

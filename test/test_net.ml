@@ -766,6 +766,42 @@ let test_accounting_across_shards () =
           Alcotest.(check int) "stats counts" (sent + 1) (sum (by_method "count"));
           Alcotest.(check int) "stats errors" errors (sum (by_method "errors"))))
 
+let test_gauges_across_shards () =
+  (* Six sessions over two shards: every scrape, whichever shard answers
+     it, shows the process-wide session and registry counters. *)
+  with_server ~domains:2 (fun server ->
+      let fd, ic, oc = connect (Server.port server) in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let call line = request oc ic line in
+          ignore
+            (call
+               {|{"pet":1,"id":0,"method":"publish_rules","params":{"source":"running"}}|});
+          for _ = 1 to 6 do
+            ignore
+              (call
+                 {|{"pet":1,"id":1,"method":"new_session","params":{"source":"running"}}|})
+          done;
+          let scrapes =
+            List.init 4 (fun _ ->
+                let metrics = json_of (call {|{"pet":1,"id":2,"method":"metrics"}|}) in
+                let gauge name = int_at metrics [ "ok"; "gauges"; name ] in
+                ( gauge "pet_sessions_created",
+                  gauge "pet_sessions_active",
+                  gauge "pet_registry_hits",
+                  gauge "pet_registry_misses" ))
+          in
+          List.iter
+            (fun (created, active, hits, misses) ->
+              Alcotest.(check int) "sessions created" 6 created;
+              Alcotest.(check int) "sessions active" 6 active;
+              (* The publish and six sessions look the rule set up: one
+                 miss per shard, a hit for every other lookup. *)
+              Alcotest.(check int) "registry lookups" 7 (hits + misses);
+              Alcotest.(check int) "registry misses" 2 misses)
+            scrapes))
+
 (* --- Watch on both transports ------------------------------------------------------- *)
 
 let watch_line frames =
@@ -1008,6 +1044,8 @@ let () =
             `Quick test_compaction_keeps_read_sessions;
           Alcotest.test_case "accounting merges shards" `Quick
             test_accounting_across_shards;
+          Alcotest.test_case "gauges sum shards" `Quick
+            test_gauges_across_shards;
           Alcotest.test_case "watch, then a request" `Quick
             test_tcp_watch_then_request;
           Alcotest.test_case "dial HOST:PORT" `Quick test_dial;

@@ -665,6 +665,231 @@ let test_bdd_queries_keep_the_manager () =
   Alcotest.(check int) "RSA nodes after 1000 reports and submissions"
     compiled served
 
+(* --- Crowd aggregates against the list-based definitions --------------------- *)
+
+(* The game layer as it was before crowds were aggregates: every crowd a
+   list of player indices, every payoff and deduction a walk over it.
+   [Report.build] and [Equilibrium.deviations] must agree with it field
+   for field. *)
+module Reference = struct
+  module Payoff = Pet_game.Payoff
+  module Profile = Pet_game.Profile
+  module Deduction = Pet_game.Deduction
+  module Equilibrium = Pet_game.Equilibrium
+  module A1 = Pet_minimize.Algorithm1
+
+  let crowds profile =
+    let atlas = Profile.atlas profile in
+    let crowds = Array.make (Atlas.mas_count atlas) [] in
+    for i = Atlas.player_count atlas - 1 downto 0 do
+      let m = Profile.move_of profile i in
+      crowds.(m) <- i :: crowds.(m)
+    done;
+    crowds
+
+  let blank_mask atlas ~mas =
+    let w = (Atlas.mas atlas mas).A1.mas in
+    let full = (1 lsl Universe.size (Partial.universe w)) - 1 in
+    (lnot (Partial.domain_mask w) land full, full)
+
+  let disagreement_mask atlas ~mas ~crowd =
+    let blanks, full = blank_mask atlas ~mas in
+    let ones, zeros =
+      List.fold_left
+        (fun (ones, zeros) i ->
+          let bits = Atlas.player_bits atlas i in
+          (ones lor bits, zeros lor (lnot bits land full)))
+        (0, 0) crowd
+    in
+    ones land zeros land blanks
+
+  let names_of atlas mask =
+    let u = Partial.universe (Atlas.mas atlas 0).A1.mas in
+    List.filteri (fun i _ -> (mask lsr i) land 1 = 1) (Universe.names u)
+
+  let undeducible atlas ~mas ~crowd =
+    names_of atlas (disagreement_mask atlas ~mas ~crowd)
+
+  let deduced atlas ~mas ~crowd =
+    match crowd with
+    | [] -> []
+    | first :: _ ->
+      let blanks, _ = blank_mask atlas ~mas in
+      let agree = blanks land lnot (disagreement_mask atlas ~mas ~crowd) in
+      let u = Partial.universe (Atlas.mas atlas mas).A1.mas in
+      let bits = Atlas.player_bits atlas first in
+      List.map
+        (fun name -> (name, (bits lsr Universe.index u name) land 1 = 1))
+        (names_of atlas agree)
+
+  let value atlas kind ~mas ~crowd =
+    match kind with
+    | Payoff.Sm -> float_of_int (max 0 (List.length crowd - 1))
+    | Payoff.Blank ->
+      float_of_int (Universe.popcount (disagreement_mask atlas ~mas ~crowd))
+    | Payoff.Weighted weight ->
+      List.fold_left
+        (fun acc name -> acc +. weight name)
+        0.
+        (undeducible atlas ~mas ~crowd)
+
+  let report ?weights atlas profile crowds v =
+    let player = Option.get (Atlas.find_player atlas v) in
+    let played = Profile.move_of profile player in
+    List.map
+      (fun m ->
+        let choice = Atlas.mas atlas m in
+        let crowd =
+          if m = played then crowds.(m) else player :: crowds.(m)
+        in
+        {
+          Report.mas = choice.A1.mas;
+          benefits = choice.A1.benefits;
+          po_blank = value atlas Payoff.Blank ~mas:m ~crowd;
+          po_sm = value atlas Payoff.Sm ~mas:m ~crowd;
+          po_weighted =
+            Option.map
+              (fun w -> value atlas (Payoff.Weighted w) ~mas:m ~crowd)
+              weights;
+          disclosure =
+            {
+              Deduction.published = Partial.bindings choice.A1.mas;
+              deduced = deduced atlas ~mas:m ~crowd;
+              protected = undeducible atlas ~mas:m ~crowd;
+              crowd_size = List.length crowd;
+            };
+          recommended = m = played;
+        })
+      (Atlas.choices_of_player atlas player)
+
+  let deviations profile kind ~players =
+    let atlas = Profile.atlas profile in
+    let crowds = crowds profile in
+    List.concat_map
+      (fun i ->
+        let from_mas = Profile.move_of profile i in
+        let current = value atlas kind ~mas:from_mas ~crowd:crowds.(from_mas) in
+        List.filter_map
+          (fun m ->
+            if m = from_mas then None
+            else
+              let deviated =
+                value atlas kind ~mas:m ~crowd:(i :: crowds.(m))
+              in
+              if deviated > current then
+                Some
+                  { Equilibrium.player = i; from_mas; to_mas = m; current; deviated }
+              else None)
+          (Atlas.choices_of_player atlas i))
+      players
+end
+
+(* The forms of test_minimize's atlas reference check: the four case
+   studies and 300 seed-0 corpus forms of 6 to 13 predicates. *)
+let reference_forms () =
+  [
+    ("running", Running.exposure ());
+    ("hcov", Pet_casestudies.Hcov.exposure ());
+    ("rsa", Pet_casestudies.Rsa.exposure ());
+    ("loan", Pet_casestudies.Loan.exposure ());
+  ]
+  @ List.init 300 (fun i ->
+        let f = Pet_corpus.Corpus.form ~seed:0 ~size:(6 + (i mod 8)) i in
+        (f.name, Pet_rules.Spec.parse_exn f.text))
+
+(* A weight per predicate name, fixed but uneven, so that weighted sums
+   round differently in different orders. *)
+let uneven_weight name = 0.1 +. (float_of_int (Hashtbl.hash name mod 7) /. 3.)
+
+let sample_above = 2048
+
+let test_aggregates_match_reference () =
+  let module Payoff = Pet_game.Payoff in
+  let module Equilibrium = Pet_game.Equilibrium in
+  let same_option name (a : Report.option_report) (b : Report.option_report) =
+    let d = a.Report.disclosure and e = b.Report.disclosure in
+    if
+      not
+        (Partial.equal a.Report.mas b.Report.mas
+        && a.benefits = b.benefits
+        && Float.equal a.po_blank b.po_blank
+        && Float.equal a.po_sm b.po_sm
+        && Option.equal Float.equal a.po_weighted b.po_weighted
+        && a.recommended = b.recommended
+        && d.published = e.published
+        && d.deduced = e.deduced
+        && d.protected = e.protected
+        && d.crowd_size = e.crowd_size)
+    then Alcotest.failf "%s: option %s differs" name (Partial.to_string a.mas)
+  in
+  List.iter
+    (fun (form, e) ->
+      let atlas = Atlas.build (Engine.create ~backend:Engine.Compiled e) in
+      (* Every player of a form of at most [sample_above] players; every
+         [stride]-th of a larger one, whose list-based deviations would
+         take minutes. *)
+      let n = Atlas.player_count atlas in
+      let stride = if n <= sample_above then 1 else n / 512 in
+      let players = List.filter (fun i -> i mod stride = 0) (List.init n Fun.id) in
+      List.iter
+        (fun (kind_name, payoff, weights) ->
+          let name = form ^ "/" ^ kind_name in
+          let profile = Strategy.compute ~payoff atlas in
+          let crowds = Reference.crowds profile in
+          List.iter
+            (fun i ->
+              let v = Atlas.player atlas i in
+              let report = Report.build ?weights atlas profile v in
+              let expected = Reference.report ?weights atlas profile crowds v in
+              Alcotest.(check int)
+                (name ^ ": option count")
+                (List.length expected)
+                (List.length report.Report.options);
+              List.iter2 (same_option name) report.Report.options expected)
+            players;
+          (* Algorithm 2's profile, which is mostly Nash, and everyone on
+             their first choice, which is mostly not. *)
+          List.iter
+            (fun profile ->
+              let sampled (d : Equilibrium.deviation) =
+                n <= sample_above || d.player mod stride = 0
+              in
+              if
+                List.filter sampled (Equilibrium.deviations profile payoff)
+                <> Reference.deviations profile payoff ~players
+              then Alcotest.failf "%s: deviations differ" name)
+            [
+              profile;
+              Pet_game.Profile.make atlas (fun i -> Atlas.choice atlas i 0);
+            ])
+        [
+          ("blank", Payoff.Blank, None);
+          ("sm", Payoff.Sm, None);
+          ("weighted", Payoff.Weighted uneven_weight, Some uneven_weight);
+        ])
+    (reference_forms ())
+
+(* A consent report is a few records per option: no walk over a crowd
+   and no per-member allocation. The cap is on the mean over every
+   player's report (the valuations are built beforehand). *)
+let test_report_minor_words () =
+  List.iter
+    (fun (name, e) ->
+      let p = Workflow.provider ~backend:Engine.Compiled e in
+      let atlas = Workflow.atlas p in
+      let n = Atlas.player_count atlas in
+      let players = Array.init n (Atlas.player atlas) in
+      let before = Gc.minor_words () in
+      Array.iter (fun v -> ignore (Workflow.report_for p v)) players;
+      let words = (Gc.minor_words () -. before) /. float_of_int n in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words <= 1000 per report" name words)
+        true (words <= 1000.))
+    [
+      ("hcov", Pet_casestudies.Hcov.exposure ());
+      ("rsa", Pet_casestudies.Rsa.exposure ());
+    ]
+
 let () =
   Alcotest.run "pet_pet"
     [
@@ -689,6 +914,9 @@ let () =
           Alcotest.test_case "sat backend" `Quick test_workflow_sat_backend;
           Alcotest.test_case "BDD queries keep the manager" `Quick
             test_bdd_queries_keep_the_manager;
+          Alcotest.test_case "aggregates match the list-based reference" `Slow
+            test_aggregates_match_reference;
+          Alcotest.test_case "report minor words" `Quick test_report_minor_words;
         ] );
       ("ledger", [ Alcotest.test_case "ledger" `Quick test_ledger ]);
       ( "json",

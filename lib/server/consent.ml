@@ -50,6 +50,9 @@ let locked t f =
 
 let find t session = locked t (fun () -> Hashtbl.find_opt t.entries session)
 
+let entries t =
+  locked t (fun () -> Hashtbl.fold (fun _ e acc -> e :: acc) t.entries [])
+
 let register t ~session ?(key = "") ?tenant () =
   locked t @@ fun () ->
   match Hashtbl.find_opt t.entries session with

@@ -35,6 +35,9 @@ type t
 val create : unit -> t
 val find : t -> string -> entry option
 
+val entries : t -> entry list
+(** Every entry, in no particular order. *)
+
 val register : t -> session:string -> ?key:string -> ?tenant:string -> unit -> entry
 (** Find-or-create the entry for a session. An entry created keyless (a
     revocation replayed before any grant was seen) learns its key from

@@ -1103,6 +1103,7 @@ let trace_payload query format =
 (* --- Stats ---------------------------------------------------------------------- *)
 
 let registry_stats t = Registry.stats t.registry
+let sessions t = Session.to_list t.store
 let session_counters t = Session.counters t.store
 
 (* Sweep on demand, at the service clock — the TCP server's ticker

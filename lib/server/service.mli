@@ -136,6 +136,9 @@ val handle_line : t -> string -> string
 
 val registry_stats : t -> Registry.stats
 
+val sessions : t -> Session.t list
+(** This instance's sessions in memory, in no particular order. *)
+
 val session_counters : t -> Session.counters
 (** Live session counters for this instance — a sharded deployment sums
     them across shards for the process-wide view. *)

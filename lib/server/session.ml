@@ -121,6 +121,7 @@ let purge store session =
   end
 
 let peek store id = Hashtbl.find_opt store.sessions id
+let to_list store = Hashtbl.fold (fun _ s acc -> s :: acc) store.sessions []
 
 let find store id ~now =
   match Hashtbl.find_opt store.sessions id with

@@ -72,6 +72,9 @@ val peek : store -> string -> t option
 (** Lookup without the expiry check — log replay must reach sessions at
     the clock of the event being replayed, not of the replay itself. *)
 
+val to_list : store -> t list
+(** Every session in memory, in no particular order. *)
+
 val purge : store -> t -> unit
 (** Remove a session outside the TTL machinery (consent revocation).
     Fires [on_expire] — the tenant quota slot is released exactly once

@@ -1180,6 +1180,222 @@ let test_ledger_tenant_namespacing () =
   Alcotest.(check int) "alpha sees one record" 1 (records "alpha");
   Alcotest.(check int) "beta sees one record" 1 (records "beta")
 
+(* --- Live state equals replayed state -------------------------------------------- *)
+
+module Shared = Pet_server.Shared
+module Consent = Pet_server.Consent
+module Tenant = Pet_tenant.Tenant
+module Ledger = Pet_pet.Ledger
+module Partial = Pet_valuation.Partial
+
+(* Three-predicate forms, so every session takes the same valuation
+   width whatever rule set it was opened under. *)
+let replay_forms =
+  [
+    Spec.to_string (Running.exposure ());
+    "form a b c\nbenefits x\nrule x := a & b";
+    "form a b c\nbenefits x y\nrule x := a | c\nrule y := b & c";
+  ]
+
+(* The durable state, one sorted line per fact: per session its id,
+   digest, tenant, state (a [Reported] session holds a valuation no
+   event carries, so it counts as [Created]), chosen form and grant;
+   every ledger's entries and next id; every consent entry's fields;
+   per tenant its versions and its session and submission counters.
+   [compacted] leaves out what a snapshot does not keep: the counters,
+   and the horizon of a revoked entry (never armed again, so inert). *)
+let durable_projection ?(compacted = false) ~shared ~tenants services =
+  let opt = Option.value ~default:"-" in
+  let time = function None -> "-" | Some t -> Printf.sprintf "%g" t in
+  let sessions =
+    List.concat_map Service.sessions services
+    |> List.map (fun (s : Session.t) ->
+           let state =
+             match s.Session.state with
+             | Session.Reported -> Session.Created
+             | state -> state
+           in
+           Printf.sprintf "session %s digest=%s tenant=%s state=%s chosen=%s grant=%s"
+             s.Session.id s.Session.digest (opt s.Session.tenant)
+             (Session.state_name state)
+             (match s.Session.chosen with
+             | None -> "-"
+             | Some (mas, benefits) ->
+               Partial.to_string mas ^ "/" ^ String.concat "," benefits)
+             (opt (Option.map string_of_int s.Session.grant_id)))
+  in
+  let ledgers =
+    Shared.fold_ledgers shared
+      (fun key ledger acc ->
+        (Printf.sprintf "ledger %s next=%d" key (Ledger.size ledger)
+        :: List.map
+             (fun (e : Ledger.entry) ->
+               Printf.sprintf "ledger %s #%d %s" key e.Ledger.id
+                 (match e.Ledger.grant with
+                 | None -> "tombstone"
+                 | Some g ->
+                   Partial.to_string g.Pet_pet.Workflow.form
+                   ^ "/"
+                   ^ String.concat "," g.Pet_pet.Workflow.benefits))
+             (Ledger.entries ledger))
+        @ acc)
+      []
+  in
+  let consents =
+    List.map
+      (fun (e : Consent.entry) ->
+        Printf.sprintf
+          "consent %s key=%s tenant=%s grant=%s revoked=%s horizon=%s expired=%b"
+          e.Consent.session e.Consent.key (opt e.Consent.tenant)
+          (opt (Option.map string_of_int e.Consent.grant_id))
+          (time e.Consent.revoked_at)
+          (match e.Consent.horizon with
+          | Some _ when compacted && e.Consent.revoked_at <> None -> "-"
+          | None -> "-"
+          | Some (h, at) -> Printf.sprintf "%g@%g" h at)
+          e.Consent.expired)
+      (Consent.entries (Shared.consents shared))
+  in
+  let tenants =
+    List.map
+      (fun (i : Tenant.info) ->
+        Printf.sprintf "tenant %s versions=%d active=%d digest=%s%s"
+          i.Tenant.info_name i.Tenant.versions i.Tenant.active i.Tenant.digest
+          (if not compacted then
+             Printf.sprintf " sessions=%d/%d submitted=%d"
+               i.Tenant.sessions_active i.Tenant.sessions_created
+               i.Tenant.submitted
+           else ""))
+      (Tenant.infos tenants)
+  in
+  List.sort compare (sessions @ ledgers @ consents @ tenants)
+
+(* One seeded request sequence through a live durable service, its
+   events captured by the sink. Sessions are picked mostly the newest,
+   else among the last few opened, so journeys reach choose and submit
+   often. *)
+let drive_random ~seed ~steps service =
+  let rng = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let sessions = ref [] in
+  let tenants = [ "alpha"; "beta" ] in
+  let call method_ params =
+    let response = request service method_ params in
+    (match (method_, Json.member "ok" response) with
+    | "new_session", Some ok -> sessions := str "session" ok :: !sessions
+    | _ -> ());
+    response
+  in
+  let session () =
+    match !sessions with
+    | [] -> Json.String "s0"
+    | l ->
+      Json.String
+        (match Random.State.int rng 5 with
+        | 0 -> pick l
+        | 1 -> pick (List.filteri (fun i _ -> i < 4) l)
+        | _ -> List.hd l)
+  in
+  let valuation () =
+    String.init 3 (fun _ -> if Random.State.int rng 4 = 0 then '0' else '1')
+  in
+  for _ = 1 to steps do
+    ignore
+      (match Random.State.int rng 21 with
+      | 0 -> call "publish_rules" [ ("rules", Json.String (pick replay_forms)) ]
+      | 1 | 2 ->
+        let name = pick tenants in
+        let quota =
+          match Random.State.int rng 3 with
+          | 0 -> []
+          | q -> [ ("quota", Json.Int q) ]
+        in
+        let method_ = if Random.State.bool rng then "publish_rules" else "update_rules" in
+        ignore
+          (call method_
+             ([ ("rules", Json.String (pick replay_forms)); ("tenant", Json.String name) ]
+             @ quota));
+        call "tenant" [ ("name", Json.String name); ("wait", Json.Bool true) ]
+      | 3 | 4 ->
+        call "new_session"
+          [
+            (match Random.State.int rng 3 with
+            | 0 -> ("source", Json.String "running")
+            | 1 -> ("rules", Json.String (pick replay_forms))
+            | _ -> ("tenant", Json.String (pick tenants)));
+          ]
+      | 5 | 6 | 7 ->
+        call "get_report"
+          [ ("session", session ()); ("valuation", Json.String (valuation ())) ]
+      | 8 | 9 | 10 ->
+        call "choose_option"
+          [ ("session", session ()); ("option", Json.Int (max 0 (Random.State.int rng 4 - 2))) ]
+      | 11 | 12 | 13 -> call "submit_form" [ ("session", session ()) ]
+      | 14 | 15 -> call "revoke" [ ("session", session ()) ]
+      | 16 | 17 ->
+        call "expire"
+          [ ("session", session ()); ("after", Json.Int (Random.State.int rng 12)) ]
+      | 18 ->
+        (* a whole journey on one session *)
+        let sid = session () in
+        ignore
+          (call "get_report"
+             [ ("session", sid); ("valuation", Json.String (valuation ())) ]);
+        ignore (call "choose_option" [ ("session", sid); ("option", Json.Int 0) ]);
+        call "submit_form" [ ("session", sid) ]
+      | _ -> call "stats" [])
+  done
+
+let test_live_equals_replay () =
+  let resolve = function
+    | "running" -> Some (Spec.to_string (Running.exposure ()))
+    | _ -> None
+  in
+  (* One clock for all three services; it stops once the traffic ends,
+     so every side applies its horizons at the same instant, at or past
+     the log's last timestamp. *)
+  let tick = ref 0 and running = ref true in
+  let now () =
+    if !running then incr tick;
+    float_of_int !tick
+  in
+  let fresh () =
+    let shared = Shared.create () and tenants = Tenant.create () in
+    (shared, tenants, Service.create ~durable:true ~shared ~tenants ~resolve ~now ())
+  in
+  let replay events =
+    let shared, tenants, service = fresh () in
+    let outcome = Pet_net.Recovery.replay [| service |] events in
+    Alcotest.(check (list string)) "no replay errors" [] outcome.Pet_net.Recovery.errors;
+    (shared, tenants, service)
+  in
+  for seed = 1 to 60 do
+    tick := 0;
+    running := true;
+    let shared, tenants, live = fresh () in
+    let logged = ref [] in
+    Service.set_sink live { Persist.emit = (fun e -> logged := e :: !logged) };
+    drive_random ~seed ~steps:120 live;
+    running := false;
+    ignore (Service.apply_horizons live);
+    let events = List.rev !logged in
+    let shared', tenants', replayed = replay events in
+    let compactor = Pet_store.Store.Compactor.create () in
+    List.iter (Pet_store.Store.Compactor.add compactor) events;
+    let shared'', tenants'', compacted =
+      replay (Pet_store.Store.Compactor.events ~ttl:0. compactor)
+    in
+    let label = Printf.sprintf "seed %d: %s" seed in
+    Alcotest.(check (list string)) (label "replay")
+      (durable_projection ~shared ~tenants [ live ])
+      (durable_projection ~shared:shared' ~tenants:tenants' [ replayed ]);
+    Alcotest.(check (list string)) (label "compacted replay")
+      (durable_projection ~compacted:true ~shared ~tenants [ live ])
+      (durable_projection ~compacted:true ~shared:shared'' ~tenants:tenants''
+         [ compacted ]);
+    List.iter Tenant.stop [ tenants; tenants'; tenants'' ]
+  done
+
 (* --- Report memo ------------------------------------------------------------------- *)
 
 (* The memo's reference is the plain pipeline: for every valuation
@@ -1336,6 +1552,8 @@ let () =
             test_consent_snapshot_replay;
           Alcotest.test_case "ledgers are namespaced per tenant" `Quick
             test_ledger_tenant_namespacing;
+          Alcotest.test_case "live state equals replayed state" `Quick
+            test_live_equals_replay;
         ] );
       ( "trace",
         [

@@ -7,7 +7,10 @@ module Trace = Pet_obs.Trace
 type outcome = { errors : string list; expired : int }
 
 let shard_of ~shards = function
-  | Persist.Rules _ | Persist.Tenant_published _ | Persist.Grant _ -> 0
+  | Persist.Rules _ | Persist.Tenant_published _
+  | Persist.Grant { session = None; _ } ->
+    0
+  | Persist.Grant { session = Some id; _ }
   | Persist.Session_created { id; _ }
   | Persist.Session_chosen { id; _ }
   | Persist.Session_submitted { id; _ }

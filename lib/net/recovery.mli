@@ -11,9 +11,10 @@ type outcome = {
 val replay :
   Pet_server.Service.t array -> Pet_server.Persist.event list -> outcome
 (** Apply [events] in log order, each on the shard that serves it:
-    session events on the {!Shard_map} owner of their id, rule sets,
-    tenant versions and grants on shard 0 (texts and ledgers are shared
-    across shards). Grants land at their own ids, so two shards'
+    session events and a session's grant on the {!Shard_map} owner of
+    its id (the shard that counted the submission live), rule sets,
+    tenant versions and session-less (pre-lifecycle) grants on shard 0
+    (texts and ledgers are shared across shards). Grants land at their own ids, so two shards'
     grants reaching the log in swapped order replay cleanly; only a
     duplicate id is an error. Then apply every expiry horizon that has
     already passed. Never raises; the sinks stay detached, so nothing

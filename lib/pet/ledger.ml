@@ -6,10 +6,9 @@ type t = { mutable entries : entry list (* newest first *); mutable next : int }
 
 let create () = { entries = []; next = 0 }
 
-let record t grant =
+let reserve t =
   let id = t.next in
   t.next <- id + 1;
-  t.entries <- { id; grant = Some grant } :: t.entries;
   id
 
 (* Entries stay newest-id first; a record replayed late lands a few
@@ -26,6 +25,11 @@ let restore t id grant =
     t.entries <- entries;
     t.next <- max t.next (id + 1);
     true
+
+let record t grant =
+  let id = reserve t in
+  ignore (restore t id (Some grant));
+  id
 
 let entries t = List.rev t.entries
 

@@ -20,8 +20,14 @@ type entry = { id : int; mutable grant : Workflow.grant option }
 
 val create : unit -> t
 
+val reserve : t -> int
+(** Take the next archive id (sequential from 0) without recording
+    anything at it yet: {!restore} lands the record. Between the two the
+    id counts towards {!size} but has no entry, like a slot a crash cut. *)
+
 val record : t -> Workflow.grant -> int
-(** Append a grant; returns its archive id (sequential from 0). *)
+(** Append a grant: {!reserve} an id, then {!restore} the grant at it.
+    Returns the id. *)
 
 val restore : t -> int -> Workflow.grant option -> bool
 (** Replay: put a record ([None]: an already-tombstoned one) at its own

@@ -15,7 +15,6 @@
 type entry = {
   session : string;
   mutable key : string;  (* the ledger the grant lives in; "" until known *)
-  mutable tenant : string option;
   mutable grant_id : int option;
   mutable revoked_at : float option;
   mutable horizon : (float * float) option;  (* (expires_at, set_at) *)
@@ -53,24 +52,15 @@ let find t session = locked t (fun () -> Hashtbl.find_opt t.entries session)
 let entries t =
   locked t (fun () -> Hashtbl.fold (fun _ e acc -> e :: acc) t.entries [])
 
-let register t ~session ?(key = "") ?tenant () =
+let register t ~session =
   locked t @@ fun () ->
   match Hashtbl.find_opt t.entries session with
-  | Some entry ->
-    (* A keyless entry (a revocation replayed before any grant was
-       seen) learns its ledger key from the first caller that knows
-       it. *)
-    if entry.key = "" && key <> "" then begin
-      entry.key <- key;
-      entry.tenant <- tenant
-    end;
-    entry
+  | Some entry -> entry
   | None ->
     let entry =
       {
         session;
-        key;
-        tenant;
+        key = "";
         grant_id = None;
         revoked_at = None;
         horizon = None;
@@ -80,7 +70,9 @@ let register t ~session ?(key = "") ?tenant () =
     Hashtbl.add t.entries session entry;
     entry
 
-let note_granted (entry : entry) grant_id = entry.grant_id <- Some grant_id
+let note_granted (entry : entry) ~key grant_id =
+  entry.key <- key;
+  entry.grant_id <- Some grant_id
 
 let revoke t (entry : entry) ~at =
   locked t @@ fun () ->

@@ -19,8 +19,7 @@ type entry = {
   session : string;
   mutable key : string;
       (** the ledger the session's grant lives in
-          ({!Service.ledger_key}); [""] until known *)
-  mutable tenant : string option;
+          ({!Service.ledger_key}); [""] until a grant is linked *)
   mutable grant_id : int option;
   mutable revoked_at : float option;
   mutable horizon : (float * float) option;  (** (expires_at, set_at) *)
@@ -38,12 +37,11 @@ val find : t -> string -> entry option
 val entries : t -> entry list
 (** Every entry, in no particular order. *)
 
-val register : t -> session:string -> ?key:string -> ?tenant:string -> unit -> entry
-(** Find-or-create the entry for a session. An entry created keyless (a
-    revocation replayed before any grant was seen) learns its key from
-    the first caller that knows it. *)
+val register : t -> session:string -> entry
+(** Find-or-create the entry for a session, keyless and unlinked. *)
 
-val note_granted : entry -> int -> unit
+val note_granted : entry -> key:string -> int -> unit
+(** Link the session's grant: the ledger it lives in and its id. *)
 
 val revoke : t -> entry -> at:float -> unit
 (** Mark revoked (first call wins; later calls keep the original

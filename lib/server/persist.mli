@@ -2,9 +2,9 @@
     persistence backend ({!Pet_store} in this repo, a no-op by default).
 
     Every state change the service must survive a restart is expressed
-    as one of these events; the service emits them to its sink as the
-    change commits, and recovery replays them through
-    {!Service.apply_event}. The events are the durability boundary of
+    as one of these events. A handler decides its events, applies them
+    through {!Service.apply_event} and emits each to its sink as it
+    applies; recovery replays them through the same function. The events are the durability boundary of
     requirement R2: a full valuation is {e representable in no event} —
     only rule texts, minimized forms ([mas]/[form] partial-valuation
     strings, possibly with blanks) and grants appear, so nothing a crash

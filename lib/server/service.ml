@@ -259,22 +259,22 @@ let resolve_rules t = function
               rules first"
              digest)))
 
-(* Non-counting engine re-read for a session that already resolved its
-   rule set. Its text is retained, so an evicted engine is recompiled;
-   no protocol sequence reaches the error, only a session recovered from
-   a log that lost its [rules] event. *)
-let engine_of_session t (session : Session.t) =
-  match Registry.peek t.registry session.Session.digest with
+(* Non-counting engine re-read for a rule set a session (or a logged
+   event) already resolved. Its text is retained, so an evicted engine
+   is recompiled; no protocol sequence reaches the error, only a log
+   that lost its [rules] event. *)
+let engine_of t digest =
+  match Registry.peek t.registry digest with
   | Some compiled -> Ok compiled
   | None -> (
-    match recompile t session.Session.digest with
+    match recompile t digest with
     | Some result -> Result.map fst result
     | None ->
       Error
         (Proto.errorf Proto.Unknown_rules
            "the text of this session's rules (digest %s) is not retained \
             here; republish the rules and retry"
-           session.Session.digest))
+           digest))
 
 let find_session t id ~now =
   match Session.find t.store id ~now with
@@ -291,25 +291,21 @@ let require_state (session : Session.t) allowed ~verb =
       (Proto.errorf Proto.Bad_state "cannot %s a session in state %S" verb
          (Session.state_name session.Session.state))
 
-(* --- Consent lifecycle: revoke and expire ------------------------------------- *)
+(* --- Consent lifecycle: guards and horizons ----------------------------------- *)
 
-(* Tombstone the grant a consent entry points at, if any. Idempotent:
-   returns the grant id only the first time it actually erased one. *)
+(* Tombstone the grant a consent entry points at, if any. Idempotent. *)
 let tombstone_grant t (entry : Consent.entry) =
   match entry.Consent.grant_id with
   | Some grant_id when entry.Consent.key <> "" ->
     Shared.with_ledger t.shared entry.Consent.key (fun ledger ->
-        match Ledger.revoke ledger grant_id with
-        | `Revoked -> Some grant_id
-        | `Already | `Unknown -> None)
-  | _ -> None
+        ignore (Ledger.revoke ledger grant_id))
+  | _ -> ()
 
-(* Resolve the target of a lifecycle request. The session must be live
-   or have a consent entry (a submitted session keeps one for the
-   lifetime of the archive, so revocation works long after the TTL
-   sweep), and must not already be revoked or expired. *)
-let lifecycle_entry t ~session:sid ~verb =
-  let live = Session.peek t.store sid in
+(* Decide for a lifecycle request: the session must be live or have a
+   consent entry (a submitted session keeps one for the lifetime of the
+   archive, so revocation works long after the TTL sweep), and must not
+   already be revoked or expired. *)
+let lifecycle_guard t ~session:sid ~verb =
   match Consent.find t.consents sid with
   | Some entry when entry.Consent.revoked_at <> None ->
     Error
@@ -319,58 +315,21 @@ let lifecycle_entry t ~session:sid ~verb =
     Error
       (Proto.errorf Proto.Bad_state
          "cannot %s session %S: its grant already expired" verb sid)
-  | (Some _ | None) as found -> (
-    match (found, live) with
-    | None, None ->
-      Error (Proto.errorf Proto.Unknown_session "unknown session %S" sid)
-    | _ ->
-      let entry =
-        match found with
-        | Some entry -> entry
-        | None ->
-          let s = Option.get live in
-          Consent.register t.consents ~session:sid
-            ~key:
-              (ledger_key ~digest:s.Session.digest ~tenant:s.Session.tenant)
-            ?tenant:s.Session.tenant ()
-      in
-      (* Entries recovered from pre-lifecycle logs (whose [Grant] events
-         carry no session) learn the link from the live session. *)
-      (match live with
-      | Some s -> (
-        match s.Session.grant_id with
-        | Some grant_id -> Consent.note_granted entry grant_id
-        | None -> ())
-      | None -> ());
-      Ok (entry, live))
+  | None when Session.peek t.store sid = None ->
+    Error (Proto.errorf Proto.Unknown_session "unknown session %S" sid)
+  | _ -> Ok ()
 
-let revoke t ~session:sid ~now =
-  let* entry, live = lifecycle_entry t ~session:sid ~verb:"revoke" in
-  Consent.revoke t.consents entry ~at:now;
-  let tombstoned = tombstone_grant t entry in
-  (* The live session dies with the consent: a [Reported] valuation or
-     [Chosen] form is erased now, not at the TTL. *)
-  (match live with Some s -> Session.purge t.store s | None -> ());
-  t.sink.emit (Persist.Session_revoked { id = sid; at = now });
-  Ok
-    (Json.Obj
-       ([ ("session", Json.String sid); ("revoked", Json.Bool true) ]
-       @
-       match tombstoned with
-       | Some grant_id -> [ ("grant", Json.Int grant_id) ]
-       | None -> []))
-
-let expire t ~session:sid ~after ~now =
-  let* entry, _live = lifecycle_entry t ~session:sid ~verb:"expire" in
-  let horizon = now +. after in
-  Consent.set_horizon t.consents entry ~horizon ~at:now;
-  (* The horizon itself is durable; its later application is not logged
-     — it is derivable (replay re-arms horizons and re-applies any that
-     passed), so the WAL stays append-only and replay-deterministic. *)
-  t.sink.emit (Persist.Session_expiry { id = sid; horizon; at = now });
-  Ok
-    (Json.Obj
-       [ ("session", Json.String sid); ("expires_at", Json.Float horizon) ])
+(* The grant a lifecycle event reaches: its consent entry's link, else —
+   for a session recovered from a pre-lifecycle log, whose [Grant]
+   events name no session — the live session's own grant. *)
+let grant_link t sid =
+  match Consent.find t.consents sid with
+  | Some { Consent.grant_id = Some grant_id; key; _ } -> Some (key, grant_id)
+  | _ -> (
+    match Session.peek t.store sid with
+    | Some { Session.grant_id = Some grant_id; digest; tenant; _ } ->
+      Some (ledger_key ~digest ~tenant, grant_id)
+    | _ -> None)
 
 (* Apply horizons that have passed: tombstone each due entry's grant,
    purge its live session if any, and mark it expired. The [Consent]
@@ -379,7 +338,7 @@ let expire t ~session:sid ~after ~now =
 let apply_due t due =
   List.iter
     (fun (entry : Consent.entry) ->
-      ignore (tombstone_grant t entry);
+      tombstone_grant t entry;
       (match Session.peek t.store entry.Consent.session with
       | Some s -> Session.purge t.store s
       | None -> ());
@@ -408,7 +367,9 @@ let horizon_guard t ~session:sid ~now =
   match Consent.find t.consents sid with
   | Some ({ Consent.horizon = Some (h, _); expired = false; _ } as entry)
     when h <= now ->
-    ignore (apply_due t [ entry ]);
+    (* A revoked entry is never armed: its grant is already gone, and
+       marking it expired here would be a change no event records. *)
+    if entry.Consent.revoked_at = None then ignore (apply_due t [ entry ]);
     Error (Proto.errorf Proto.Session_expired "session %S has expired" sid)
   | Some { Consent.expired = true; _ } ->
     (* Already applied (by the sweep): answer as expired, not unknown —
@@ -416,6 +377,163 @@ let horizon_guard t ~session:sid ~now =
        session id was forgotten. *)
     Error (Proto.errorf Proto.Session_expired "session %S has expired" sid)
   | _ -> Ok ()
+
+(* --- The transition function ------------------------------------------------ *)
+
+(* Land one committed event: the only writer of a session's state,
+   chosen form and grant, of ledger entries and of consent fields, live
+   and on replay. Handlers decide — run the request guards, take the
+   reservations that must be atomic across shards — and then apply their
+   events here; replay applies the log's. Guards are never re-run: the
+   log holds only transitions that committed. [Error] means the event
+   contradicts the state (on replay, a damaged or reordered log);
+   reported, never raised. *)
+let apply_event t event =
+  let session_of id =
+    match Session.peek t.store id with
+    | Some session -> Ok session
+    | None -> Error (Printf.sprintf "event for unknown session %S" id)
+  in
+  let partial_of digest s =
+    let* compiled =
+      Result.map_error (fun e -> e.Proto.message) (engine_of t digest)
+    in
+    match Partial.of_string (Exposure.xp compiled.exposure) s with
+    | p -> Ok p
+    | exception Invalid_argument m -> Error m
+  in
+  (* The consent entry a lifecycle event lands on, created on first use
+     and linked to the session's grant if it is not yet. *)
+  let lifecycle_entry id =
+    let entry = Consent.register t.consents ~session:id in
+    (if entry.Consent.grant_id = None then
+       match grant_link t id with
+       | Some (key, grant_id) -> Consent.note_granted entry ~key grant_id
+       | None -> ());
+    entry
+  in
+  match event with
+  | Persist.Rules { digest; text } -> (
+    match compile t text with
+    | Error e -> Error e.Proto.message
+    | Ok (compiled, _) ->
+      if compiled.digest = digest then Ok ()
+      else
+        Error
+          (Printf.sprintf
+             "rules event digest %s does not match the recompiled text (%s)"
+             digest compiled.digest))
+  | Persist.Tenant_published { tenant; version; digest; text; quota; at } ->
+    (* Replay only (a live publish queues a build instead): restored
+       versions are [Ready] with no artifact, and the engine is
+       recompiled lazily from the retained text on first use, so replay
+       stays cheap no matter how many tenants the log holds. *)
+    Tenant.restore t.tenants ~name:tenant ~version ~digest ~text ?quota
+      ~now:at ();
+    Ok ()
+  | Persist.Session_created { id; digest; tenant; at } ->
+    ignore (Session.restore t.store ~id ~digest ?tenant ~now:at ());
+    Ok ()
+  | Persist.Session_chosen { id; mas; benefits; at } ->
+    let* session = session_of id in
+    (* Live, the form is one the session's report offered, landed
+       without an engine lookup (which would refresh the engine cache's
+       LRU order); a report is never logged, so on replay it is parsed
+       under the session's rules. *)
+    let* mas =
+      match
+        List.find_opt
+          (fun (p, _) -> Partial.to_string p = mas)
+          session.Session.options
+      with
+      | Some (p, _) -> Ok p
+      | None -> partial_of session.Session.digest mas
+    in
+    (* Requirement R2: the full valuation and the unchosen options die;
+       from now on only the minimized form exists. *)
+    session.Session.valuation <- None;
+    session.Session.options <- [];
+    session.Session.chosen <- Some (mas, benefits);
+    session.Session.state <- Session.Chosen;
+    Session.touch session ~now:at;
+    Ok ()
+  | Persist.Session_submitted { id; grant_id; at } ->
+    let* session = session_of id in
+    session.Session.grant_id <- Some grant_id;
+    session.Session.state <- Session.Submitted;
+    Session.touch session ~now:at;
+    Ok ()
+  | Persist.Grant { digest; grant_id; form; benefits; session; tenant; revoked }
+    ->
+    let key = ledger_key ~digest ~tenant in
+    let* grant =
+      if revoked then
+        (* A snapshot tombstone: the id slot is restored but the empty
+           form is never parsed. *)
+        Ok None
+      else
+        let* form = partial_of digest form in
+        Ok (Some { Workflow.form; benefits })
+    in
+    (* Each grant lands at its own id, reserved live under the ledger
+       lock: shards draw ids from one ledger but may reach the single
+       WAL writer in either order. *)
+    let* () =
+      if
+        Shared.with_ledger t.shared key (fun ledger ->
+            Ledger.restore ledger grant_id grant)
+      then Ok ()
+      else
+        Error
+          (Printf.sprintf "grant %d for rule set %s appears twice in the log"
+             grant_id key)
+    in
+    (* Link the consent entry, so a later [revoke] or [expire] reaches
+       the archived record even after the session is swept. *)
+    Option.iter
+      (fun session ->
+        Consent.note_granted (Consent.register t.consents ~session) ~key
+          grant_id)
+      session;
+    t.submitted <- t.submitted + 1;
+    Option.iter (Tenant.note_submitted t.tenants) tenant;
+    Ok ()
+  | Persist.Session_revoked { id; at } ->
+    (* Revoked data is never resurrected: the live session dies with the
+       consent (a [Reported] valuation or [Chosen] form is erased now,
+       not at the TTL) and the linked grant is tombstoned. Each step is
+       idempotent — a snapshot may already hold the tombstone. *)
+    let entry = lifecycle_entry id in
+    (match Session.peek t.store id with
+    | Some s -> Session.purge t.store s
+    | None -> ());
+    Consent.revoke t.consents entry ~at;
+    tombstone_grant t entry;
+    Ok ()
+  | Persist.Session_expiry { id; horizon; at } ->
+    (* Arm only: the horizon's application is derived, not logged
+       ({!apply_due}) — judged against the service clock, by the sweep
+       live and by {!apply_horizons} after replay. *)
+    Consent.set_horizon t.consents (lifecycle_entry id) ~horizon ~at;
+    Ok ()
+
+(* Apply decided events in order, each then handed to the sink, which
+   therefore sees exactly the transitions the state holds. An [Error]
+   here means decide and apply disagree — a defect, answered as an
+   internal error rather than raised. *)
+let commit t events =
+  List.fold_left
+    (fun result event ->
+      let* () = result in
+      match apply_event t event with
+      | Ok () ->
+        t.sink.emit event;
+        Ok ()
+      | Error m ->
+        Error
+          (Proto.errorf Proto.Internal "%s event did not apply: %s"
+             (Persist.kind event) m))
+    (Ok ()) events
 
 (* --- Handlers ----------------------------------------------------------------- *)
 
@@ -573,51 +691,48 @@ let publish_rules t ~rules ~tenant ~quota ~now =
   | Some name -> publish_tenant t ~name ~quota rules ~now
 
 let new_session t rules ~now =
-  match rules with
-  | Proto.Tenant name ->
-    (* Pin the tenant's active version at open: the session keeps this
-       digest (and its answers) across any later hot swap. *)
-    let* resolved, compiled, _ = resolve_tenant t name in
-    let* () =
-      match Tenant.try_admit t.tenants name with
-      | `Ok -> Ok ()
-      | `Over quota ->
-        Error
-          (Proto.errorf Proto.Quota_exceeded
-             "tenant %S is at its quota of %d active sessions" name quota)
-    in
-    let session =
-      Session.create t.store ~digest:compiled.digest ~tenant:name ~now ()
-    in
-    t.sink.emit
-      (Persist.Session_created
-         {
-           id = session.Session.id;
-           digest = compiled.digest;
-           tenant = Some name;
-           at = now;
-         });
-    Ok
-      (Json.Obj
-         [
-           ("session", Json.String session.Session.id);
-           ("tenant", Json.String name);
-           ("version", Json.Int resolved.Tenant.res_version);
-           ("digest", Json.String compiled.digest);
-         ])
-  | _ ->
-    let* compiled, cached = resolve_rules t rules in
-    let session = Session.create t.store ~digest:compiled.digest ~now () in
-    t.sink.emit
-      (Persist.Session_created
-         { id = session.Session.id; digest = compiled.digest; tenant = None; at = now });
-    Ok
-      (Json.Obj
-         [
-           ("session", Json.String session.Session.id);
-           ("digest", Json.String compiled.digest);
-           ("cached", Json.Bool cached);
-         ])
+  let* compiled, tenant, fields =
+    match rules with
+    | Proto.Tenant name ->
+      (* Pin the tenant's active version at open: the session keeps this
+         digest (and its answers) across any later hot swap. *)
+      let* resolved, compiled, _ = resolve_tenant t name in
+      (* The quota slot is reserved here, atomically across shards. *)
+      let* () =
+        match Tenant.try_admit t.tenants name with
+        | `Ok -> Ok ()
+        | `Over quota ->
+          Error
+            (Proto.errorf Proto.Quota_exceeded
+               "tenant %S is at its quota of %d active sessions" name quota)
+      in
+      Ok
+        ( compiled,
+          Some name,
+          [
+            ("tenant", Json.String name);
+            ("version", Json.Int resolved.Tenant.res_version);
+            ("digest", Json.String compiled.digest);
+          ] )
+    | _ ->
+      let* compiled, cached = resolve_rules t rules in
+      Ok
+        ( compiled,
+          None,
+          [
+            ("digest", Json.String compiled.digest);
+            ("cached", Json.Bool cached);
+          ] )
+  in
+  let id = Session.reserve t.store in
+  let* () =
+    commit t
+      [
+        Persist.Session_created
+          { id; digest = compiled.digest; tenant; at = now };
+      ]
+  in
+  Ok (Json.Obj (("session", Json.String id) :: fields))
 
 (* A handler result: either a JSON tree for the encoder, or (from the
    report memo, or a watch frame) the same JSON already rendered to
@@ -631,7 +746,7 @@ let get_report t ~session:sid ~valuation ~now =
     require_state session [ Session.Created; Session.Reported ]
       ~verb:"get_report"
   in
-  let* compiled = engine_of_session t session in
+  let* compiled = engine_of t session.Session.digest in
   let* v =
     match Total.of_string (Exposure.xp compiled.exposure) valuation with
     | v -> Ok v
@@ -700,28 +815,17 @@ let choose_option t ~session:sid ~choice ~now =
           (Proto.errorf Proto.Invalid_params
              "%S is not one of the options offered by the report" s))
   in
-  (* Requirement R2 enforced here: the full valuation and the unchosen
-     options die; from now on only the minimized form exists. *)
-  session.Session.valuation <- None;
-  session.Session.options <- [];
-  session.Session.chosen <- Some (mas, benefits);
-  session.Session.state <- Session.Chosen;
-  Session.touch session ~now;
-  (* Only the minimized form reaches the log — the raw valuation just
-     died in memory and was never representable as an event (R2 on
-     disk). *)
-  t.sink.emit
-    (Persist.Session_chosen
-       {
-         id = session.Session.id;
-         mas = Partial.to_string mas;
-         benefits;
-         at = now;
-       });
+  (* Only the minimized form reaches the log — the raw valuation dies in
+     memory as the event applies and was never representable as an event
+     (R2 on disk). *)
+  let mas = Partial.to_string mas in
+  let* () =
+    commit t [ Persist.Session_chosen { id = sid; mas; benefits; at = now } ]
+  in
   Ok
     (Json.Obj
        [
-         ("mas", Json.String (Partial.to_string mas));
+         ("mas", Json.String mas);
          ("benefits", Json.List (List.map (fun b -> Json.String b) benefits));
        ])
 
@@ -729,55 +833,71 @@ let submit_form t ~session:sid ~now =
   let* () = horizon_guard t ~session:sid ~now in
   let* session = find_session t sid ~now in
   let* () = require_state session [ Session.Chosen ] ~verb:"submit_form" in
-  let* compiled = engine_of_session t session in
+  let* compiled = engine_of t session.Session.digest in
   let mas, _ = Option.get session.Session.chosen in
   match Workflow.submit compiled.provider mas with
   | Error m -> Error (Proto.error Proto.Rejected m)
   | Ok grant ->
-    let key =
-      ledger_key ~digest:session.Session.digest ~tenant:session.Session.tenant
-    in
+    let digest = session.Session.digest and tenant = session.Session.tenant in
     let grant_id =
-      Shared.with_ledger t.shared key (fun ledger ->
-          Ledger.record ledger grant)
+      Shared.with_ledger t.shared (ledger_key ~digest ~tenant) Ledger.reserve
     in
-    session.Session.grant_id <- Some grant_id;
-    session.Session.state <- Session.Submitted;
-    t.submitted <- t.submitted + 1;
-    (match session.Session.tenant with
-    | Some name -> Tenant.note_submitted t.tenants name
-    | None -> ());
-    (* Track where the archived record lives, so a later [revoke] or
-       [expire] can reach it even after the session is swept. *)
-    let entry =
-      Consent.register t.consents ~session:session.Session.id ~key
-        ?tenant:session.Session.tenant ()
+    let form = Partial.to_string grant.Workflow.form
+    and benefits = grant.Workflow.benefits in
+    let* () =
+      commit t
+        [
+          Persist.Grant
+            {
+              digest;
+              grant_id;
+              form;
+              benefits;
+              session = Some sid;
+              tenant;
+              revoked = false;
+            };
+          Persist.Session_submitted { id = sid; grant_id; at = now };
+        ]
     in
-    Consent.note_granted entry grant_id;
-    Session.touch session ~now;
-    t.sink.emit
-      (Persist.Grant
-         {
-           digest = session.Session.digest;
-           grant_id;
-           form = Partial.to_string grant.Workflow.form;
-           benefits = grant.Workflow.benefits;
-           session = Some session.Session.id;
-           tenant = session.Session.tenant;
-           revoked = false;
-         });
-    t.sink.emit
-      (Persist.Session_submitted
-         { id = session.Session.id; grant_id; at = now });
     Ok
       (Json.Obj
          [
            ("grant", Json.Int grant_id);
-           ("form", Json.String (Partial.to_string grant.Workflow.form));
-           ( "benefits",
-             Json.List
-               (List.map (fun b -> Json.String b) grant.Workflow.benefits) );
+           ("form", Json.String form);
+           ("benefits", Json.List (List.map (fun b -> Json.String b) benefits));
          ])
+
+let revoke t ~session:sid ~now =
+  let* () = lifecycle_guard t ~session:sid ~verb:"revoke" in
+  (* The grant this revocation erases, read before it applies: one whose
+     record still holds a form. *)
+  let erased =
+    Option.bind (grant_link t sid) (fun (key, grant_id) ->
+        Shared.with_ledger t.shared key (fun ledger ->
+            Option.map (fun _ -> grant_id) (Ledger.find ledger grant_id)))
+  in
+  let* () = commit t [ Persist.Session_revoked { id = sid; at = now } ] in
+  Ok
+    (Json.Obj
+       ([ ("session", Json.String sid); ("revoked", Json.Bool true) ]
+       @
+       match erased with
+       | Some grant_id -> [ ("grant", Json.Int grant_id) ]
+       | None -> []))
+
+let expire t ~session:sid ~after ~now =
+  let* () = lifecycle_guard t ~session:sid ~verb:"expire" in
+  let horizon = now +. after in
+  (* The horizon itself is durable; its later application is not logged
+     — it is derivable (replay re-arms horizons and re-applies any that
+     passed), so the WAL stays append-only and replay-deterministic. *)
+  let* () =
+    commit t [ Persist.Session_expiry { id = sid; horizon; at = now } ]
+  in
+  Ok
+    (Json.Obj
+       [ ("session", Json.String sid); ("expires_at", Json.Float horizon) ])
 
 let audit t rules =
   let* compiled, _ = resolve_rules t rules in
@@ -807,135 +927,18 @@ let audit t rules =
        @ [ ("failures", Json.List (List.map (fun i -> Json.Int i) failures)) ]
        ))
 
-(* --- Recovery: replaying and snapshotting durable events ----------------------- *)
+(* --- Replay ----------------------------------------------------------------------- *)
 
-let compiled_of_digest t digest =
-  match Registry.peek t.registry digest with
-  | Some compiled -> Ok compiled
-  | None -> (
-    match recompile t digest with
-    | Some (Ok (compiled, _)) -> Ok compiled
-    | Some (Error e) -> Error e.Proto.message
-    | None -> Error (Printf.sprintf "unknown rule set %s" digest))
-
-(* Replay one recovered event. The log records only transitions that
-   committed, so replay bypasses the request-level guards (state checks,
-   expiry at the replay clock) and re-applies the state change directly;
-   any failure here means the log disagrees with the semantics (corrupt
-   or reordered) and is reported, never raised. *)
+(* Replay is the transition function plus the one reservation decide
+   takes live that the log cannot carry: a tenant session's quota slot,
+   taken here without the quota check — the session was admitted when
+   first created. *)
 let apply_event t event =
-  let ( let* ) = Result.bind in
-  let session_of id =
-    match Session.peek t.store id with
-    | Some session -> Ok session
-    | None -> Error (Printf.sprintf "event for unknown session %S" id)
-  in
-  let partial_of compiled s =
-    match Partial.of_string (Exposure.xp compiled.exposure) s with
-    | p -> Ok p
-    | exception Invalid_argument m -> Error m
-  in
-  match event with
-  | Persist.Rules { digest; text } -> (
-    match compile t text with
-    | Error e -> Error e.Proto.message
-    | Ok (compiled, _) ->
-      if compiled.digest = digest then Ok ()
-      else
-        Error
-          (Printf.sprintf
-             "rules event digest %s does not match the recompiled text (%s)"
-             digest compiled.digest))
-  | Persist.Tenant_published { tenant; version; digest; text; quota; at } ->
-    (* Restored versions are [Ready] with no artifact: the engine is
-       recompiled lazily from the retained text on first use, so replay
-       stays cheap no matter how many tenants the log holds. *)
-    Tenant.restore t.tenants ~name:tenant ~version ~digest ~text ?quota
-      ~now:at ();
-    Ok ()
-  | Persist.Session_created { id; digest; tenant; at } ->
-    ignore (Session.restore t.store ~id ~digest ?tenant ~now:at ());
-    (match tenant with
-    | Some name -> Tenant.note_restored t.tenants name
-    | None -> ());
-    Ok ()
-  | Persist.Session_chosen { id; mas; benefits; at } ->
-    let* session = session_of id in
-    let* compiled = compiled_of_digest t session.Session.digest in
-    let* mas = partial_of compiled mas in
-    session.Session.valuation <- None;
-    session.Session.options <- [];
-    session.Session.chosen <- Some (mas, benefits);
-    session.Session.state <- Session.Chosen;
-    Session.touch session ~now:at;
-    Ok ()
-  | Persist.Session_submitted { id; grant_id; at } ->
-    let* session = session_of id in
-    session.Session.grant_id <- Some grant_id;
-    session.Session.state <- Session.Submitted;
-    Session.touch session ~now:at;
-    Ok ()
-  | Persist.Grant { digest; grant_id; form; benefits; session; tenant; revoked }
-    ->
-    let key = ledger_key ~digest ~tenant in
-    let* grant =
-      if revoked then
-        (* A snapshot tombstone: the id slot is restored but the empty
-           form is never parsed. *)
-        Ok None
-      else
-        let* compiled = compiled_of_digest t digest in
-        let* form = partial_of compiled form in
-        Ok (Some { Workflow.form; benefits })
-    in
-    (* Each grant lands at its own id: shards draw ids from one ledger
-       but may reach the single WAL writer in either order. *)
-    let* () =
-      if
-        Shared.with_ledger t.shared key (fun ledger ->
-            Ledger.restore ledger grant_id grant)
-      then Ok ()
-      else
-        Error
-          (Printf.sprintf "grant %d for rule set %s appears twice in the log"
-             grant_id key)
-    in
-    (* Re-link the consent entry so a post-recovery revoke (or a replayed
-       one) finds the archived record. *)
-    (match session with
-    | Some session ->
-      let entry = Consent.register t.consents ~session ~key ?tenant () in
-      Consent.note_granted entry grant_id
-    | None -> ());
-    t.submitted <- t.submitted + 1;
-    Ok ()
-  | Persist.Session_revoked { id; at } ->
-    (* Replay must not resurrect revoked data: purge the live session if
-       the log recreated it, and tombstone the linked grant. All three
-       steps are idempotent — a snapshot may already hold the tombstone. *)
-    let entry = Consent.register t.consents ~session:id () in
-    (match Session.peek t.store id with
-    | Some s ->
-      (match s.Session.grant_id with
-      | Some grant_id when entry.Consent.grant_id = None ->
-        (* pre-lifecycle [Grant] events carry no session link *)
-        if entry.Consent.key = "" then
-          entry.Consent.key <-
-            ledger_key ~digest:s.Session.digest ~tenant:s.Session.tenant;
-        Consent.note_granted entry grant_id
-      | _ -> ());
-      Session.purge t.store s
-    | None -> ());
-    Consent.revoke t.consents entry ~at;
-    ignore (tombstone_grant t entry);
-    Ok ()
-  | Persist.Session_expiry { id; horizon; at } ->
-    (* Re-arm only: whether the horizon has passed is judged against the
-       service clock after replay completes ({!apply_horizons}), not
-       against the replay clock. *)
-    let entry = Consent.register t.consents ~session:id () in
-    Consent.set_horizon t.consents entry ~horizon ~at;
-    Ok ()
+  (match event with
+  | Persist.Session_created { tenant = Some name; _ } ->
+    Tenant.note_restored t.tenants name
+  | _ -> ());
+  apply_event t event
 
 (* --- Observability ---------------------------------------------------------------- *)
 

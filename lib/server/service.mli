@@ -112,10 +112,15 @@ val apply_horizons : t -> int
 
 val apply_event : t -> Persist.event -> (unit, string) result
 (** Replay one recovered event into the service state, without emitting
-    it back to the sink. Replay bypasses request-level guards (the log
-    only holds transitions that committed) and never raises; [Error]
-    means the event contradicts the accumulated state — a damaged or
-    reordered log — and identifies the contradiction. *)
+    it back to the sink. It is the transition function the handlers
+    apply their own events through live — the one writer of sessions'
+    state, chosen forms and grants, ledger entries and consent fields —
+    plus the one reservation a handler takes before it that no event
+    carries: a tenant session's quota slot, taken without the quota
+    check. Request-level guards are not re-run (the log only holds
+    transitions that committed), and it never raises; [Error] means the
+    event contradicts the accumulated state — a damaged or reordered
+    log — and identifies the contradiction. *)
 
 val handle_line : t -> string -> string
 (** Process one request line, return the response line (no trailing

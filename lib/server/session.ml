@@ -78,15 +78,12 @@ let fresh store ~id ~digest ?tenant ~now () =
   store.created <- store.created + 1;
   session
 
-let create store ~digest ?tenant ~now () =
+let rec reserve store =
   (* Walk the shared "s<n>" sequence, skipping ids another shard owns.
      With the default predicate the first candidate always wins. *)
-  let rec pick () =
-    let id = Printf.sprintf "s%d" store.next_id in
-    store.next_id <- store.next_id + 1;
-    if store.owns id then id else pick ()
-  in
-  fresh store ~id:(pick ()) ~digest ?tenant ~now ()
+  let id = Printf.sprintf "s%d" store.next_id in
+  store.next_id <- store.next_id + 1;
+  if store.owns id then id else reserve store
 
 let restore store ~id ~digest ?tenant ~now () =
   (* Recovered ids keep their original names; the sequence continues
@@ -100,6 +97,9 @@ let restore store ~id ~digest ?tenant ~now () =
   | Some n when n >= store.next_id -> store.next_id <- n + 1
   | _ -> ());
   fresh store ~id ~digest ?tenant ~now ()
+
+let create store ~digest ?tenant ~now () =
+  restore store ~id:(reserve store) ~digest ?tenant ~now ()
 
 let is_expired store session ~now =
   store.ttl > 0. && now -. session.last_active > store.ttl

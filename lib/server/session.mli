@@ -46,19 +46,22 @@ val create_store : ?ttl:float -> ?owns:(string -> bool) -> unit -> store
     "this id hashes to my shard", partitioning the shared ["s<n>"]
     sequence without coordination. *)
 
+val reserve : store -> string
+(** Take the next sequential id ["s0"], ["s1"], … skipping ids the
+    store does not own (deterministic by design: ids order the
+    transcript, they are not authentication tokens — a fronting
+    transport would wrap them in its own opaque handles). No session
+    exists under it until {!restore} lands one. *)
+
 val create : store -> digest:string -> ?tenant:string -> now:float -> unit -> t
-(** Fresh session in state [Created], with a sequential id ["s0"],
-    ["s1"], … skipping ids the store does not own (deterministic by
-    design: ids order the transcript, they are not authentication
-    tokens — a fronting transport would wrap them in its own opaque
-    handles). *)
+(** A fresh session in state [Created] under a {!reserve}d id. *)
 
 val restore :
   store -> id:string -> digest:string -> ?tenant:string -> now:float -> unit -> t
-(** Recreate a recovered session under its original id (state [Created];
-    the caller replays later transitions). Advances the id sequence past
-    any numeric ["s<n>"] id so new sessions continue where the replayed
-    log left off. *)
+(** A session in state [Created] under a given id: one {!reserve}d
+    live, or a recovered one's original id (the caller replays later
+    transitions). Advances the id sequence past any numeric ["s<n>"] id
+    so new sessions continue where the replayed log left off. *)
 
 val set_on_expire : store -> (t -> unit) -> unit
 (** Called as a session is removed by expiry (from {!find}, {!sweep} or

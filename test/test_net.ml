@@ -1015,6 +1015,77 @@ let test_dial_lines () =
   Unix.close listener;
   Alcotest.(check (result string string)) "EOF" (Error "server closed the connection") result
 
+(* --- Replay across shards ------------------------------------------------------------ *)
+
+let test_replay_keeps_shard_stats () =
+  (* Each shard counts the submissions of the sessions it owns; replay
+     must count each on the same shard, so no shard's stats change across
+     a restart. Grants used to replay on shard 0 whatever session made
+     them. *)
+  let shards = 2 in
+  let tick = ref 0 in
+  let now () =
+    incr tick;
+    float_of_int !tick
+  in
+  let make () =
+    let shared = Shared.create () in
+    Array.init shards (fun index ->
+        Service.create ~durable:true ~resolve
+          ~owns:(fun id -> Shard_map.owner ~shards id = index)
+          ~shared ~now ())
+  in
+  let call service method_ params =
+    let line =
+      Printf.sprintf {|{"pet":1,"id":1,"method":"%s","params":{%s}}|} method_
+        params
+    in
+    let response = json_of (Service.handle_line service line) in
+    match Pet_pet.Json.member "ok" response with
+    | Some ok -> ok
+    | None ->
+      Alcotest.failf "%s failed: %s" method_ (Pet_pet.Json.to_string response)
+  in
+  let live = make () in
+  let log = ref [] in
+  Array.iter
+    (fun service ->
+      Service.set_sink service { Persist.emit = (fun e -> log := e :: !log) })
+    live;
+  ignore (call live.(0) "publish_rules" {|"source":"running"|});
+  for i = 0 to 5 do
+    (* sessions open on the shard that owns their id; shard 1 submits
+       two of its three, shard 0 all three *)
+    let service = live.(i mod shards) in
+    let sid =
+      match
+        path (call service "new_session" {|"source":"running"|}) [ "session" ]
+      with
+      | Pet_pet.Json.String sid -> sid
+      | _ -> Alcotest.fail "session id"
+    in
+    let on = Printf.sprintf {|"session":"%s"|} sid in
+    ignore (call service "get_report" (on ^ {|,"valuation":"011"|}));
+    ignore (call service "choose_option" (on ^ {|,"option":0|}));
+    if i <> 5 then ignore (call service "submit_form" on)
+  done;
+  let sessions service = path (call service "stats" "") [ "sessions" ] in
+  let before = Array.map sessions live in
+  let replayed = make () in
+  let outcome = Pet_net.Recovery.replay replayed (List.rev !log) in
+  Alcotest.(check (list string))
+    "no replay errors" [] outcome.Pet_net.Recovery.errors;
+  Array.iteri
+    (fun index service ->
+      Alcotest.(check string)
+        (Printf.sprintf "shard %d sessions" index)
+        (Pet_pet.Json.to_string before.(index))
+        (Pet_pet.Json.to_string (sessions service)))
+    replayed;
+  Alcotest.(check (list int)) "submissions per shard" [ 3; 2 ]
+    (Array.to_list (Array.map (fun j -> int_at j [ "submitted" ]) before));
+  Array.iter Service.shutdown (Array.append live replayed)
+
 let () =
   Alcotest.run "pet_net"
     [
@@ -1060,4 +1131,9 @@ let () =
         ] );
       ( "sweep",
         [ Alcotest.test_case "fairness" `Quick test_sweep_fairness ] );
+      ( "recovery",
+        [
+          Alcotest.test_case "replay keeps each shard's stats" `Quick
+            test_replay_keeps_shard_stats;
+        ] );
     ]

@@ -1180,6 +1180,48 @@ let test_ledger_tenant_namespacing () =
   Alcotest.(check int) "alpha sees one record" 1 (records "alpha");
   Alcotest.(check int) "beta sees one record" 1 (records "beta")
 
+let test_replay_keeps_tenant_submitted () =
+  (* A tenant's submission count is durable: replaying the log restores
+     it, so [tenant] answers the same before and after a restart. *)
+  let service = make_durable_service () in
+  let logged = ref [] in
+  Service.set_sink service
+    { Persist.emit = (fun event -> logged := event :: !logged) };
+  let text = Spec.to_string (Running.exposure ()) in
+  ignore
+    (ok_of
+       (request service "publish_rules"
+          [ ("rules", Json.String text); ("tenant", Json.String "alpha") ]));
+  let sid =
+    str "session"
+      (ok_of (request service "new_session" [ ("tenant", Json.String "alpha") ]))
+  in
+  ignore
+    (ok_of
+       (request service "get_report"
+          [ ("session", Json.String sid); ("valuation", Json.String "011") ]));
+  ignore
+    (ok_of
+       (request service "choose_option"
+          [ ("session", Json.String sid); ("option", Json.Int 0) ]));
+  ignore (ok_of (request service "submit_form" [ ("session", Json.String sid) ]));
+  let submitted service =
+    int_field "submitted"
+      (Option.get
+         (Json.member "sessions"
+            (ok_of (request service "tenant" [ ("name", Json.String "alpha") ]))))
+  in
+  Alcotest.(check int) "live" 1 (submitted service);
+  let recovered = make_durable_service () in
+  List.iter
+    (fun event ->
+      match Service.apply_event recovered event with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "replay error: %s" m)
+    (List.rev !logged);
+  Alcotest.(check int) "replayed" 1 (submitted recovered);
+  List.iter Service.shutdown [ service; recovered ]
+
 (* --- Live state equals replayed state -------------------------------------------- *)
 
 module Shared = Pet_server.Shared
@@ -1204,11 +1246,11 @@ let replay_forms =
    per tenant its versions and its session and submission counters.
    [compacted] leaves out what a snapshot does not keep: the counters,
    and the horizon of a revoked entry (never armed again, so inert). *)
-let durable_projection ?(compacted = false) ~shared ~tenants services =
+let durable_projection ?(compacted = false) ~shared ~tenants service =
   let opt = Option.value ~default:"-" in
   let time = function None -> "-" | Some t -> Printf.sprintf "%g" t in
   let sessions =
-    List.concat_map Service.sessions services
+    Service.sessions service
     |> List.map (fun (s : Session.t) ->
            let state =
              match s.Session.state with
@@ -1245,8 +1287,8 @@ let durable_projection ?(compacted = false) ~shared ~tenants services =
     List.map
       (fun (e : Consent.entry) ->
         Printf.sprintf
-          "consent %s key=%s tenant=%s grant=%s revoked=%s horizon=%s expired=%b"
-          e.Consent.session e.Consent.key (opt e.Consent.tenant)
+          "consent %s key=%s grant=%s revoked=%s horizon=%s expired=%b"
+          e.Consent.session e.Consent.key
           (opt (Option.map string_of_int e.Consent.grant_id))
           (time e.Consent.revoked_at)
           (match e.Consent.horizon with
@@ -1361,12 +1403,15 @@ let test_live_equals_replay () =
   in
   let fresh () =
     let shared = Shared.create () and tenants = Tenant.create () in
-    (shared, tenants, Service.create ~durable:true ~shared ~tenants ~resolve ~now ())
+    ( shared,
+      tenants,
+      Service.create ~durable:true ~shared ~tenants ~resolve ~now () )
   in
   let replay events =
     let shared, tenants, service = fresh () in
     let outcome = Pet_net.Recovery.replay [| service |] events in
-    Alcotest.(check (list string)) "no replay errors" [] outcome.Pet_net.Recovery.errors;
+    Alcotest.(check (list string))
+      "no replay errors" [] outcome.Pet_net.Recovery.errors;
     (shared, tenants, service)
   in
   for seed = 1 to 60 do
@@ -1387,12 +1432,12 @@ let test_live_equals_replay () =
     in
     let label = Printf.sprintf "seed %d: %s" seed in
     Alcotest.(check (list string)) (label "replay")
-      (durable_projection ~shared ~tenants [ live ])
-      (durable_projection ~shared:shared' ~tenants:tenants' [ replayed ]);
+      (durable_projection ~shared ~tenants live)
+      (durable_projection ~shared:shared' ~tenants:tenants' replayed);
     Alcotest.(check (list string)) (label "compacted replay")
-      (durable_projection ~compacted:true ~shared ~tenants [ live ])
+      (durable_projection ~compacted:true ~shared ~tenants live)
       (durable_projection ~compacted:true ~shared:shared'' ~tenants:tenants''
-         [ compacted ]);
+         compacted);
     List.iter Tenant.stop [ tenants; tenants'; tenants'' ]
   done
 
@@ -1552,6 +1597,8 @@ let () =
             test_consent_snapshot_replay;
           Alcotest.test_case "ledgers are namespaced per tenant" `Quick
             test_ledger_tenant_namespacing;
+          Alcotest.test_case "replay keeps a tenant's submissions" `Quick
+            test_replay_keeps_tenant_submitted;
           Alcotest.test_case "live state equals replayed state" `Quick
             test_live_equals_replay;
         ] );

@@ -1,19 +1,23 @@
 (** The single writer domain: every WAL append in the process funnels
     through here, batched.
 
-    A shard that produced events for a request calls {!submit} and
-    blocks until its batch is on disk — durable-before-reply, exactly as
-    in the stdio server. While one fsync is in flight every other
-    shard's submission queues up, so the writer's next batch carries all
-    of them and one fsync commits them together. With N shards blocking
-    at ~the same rate the steady-state batch approaches N events per
-    fsync: the ~100µs fsync that gates a single synchronous writer is
-    amortized N ways, which is where the 1→N throughput scaling of the
-    TCP server comes from on any core count.
+    Commit numbers order durability. A shard {!claim}s the next commit
+    number no later than the moment a request's first write becomes
+    visible to other shards, hands the request's events over with
+    {!submit} — which never waits for the disk — and goes straight on to
+    its next request. The writer drains whatever was submitted while the
+    previous fsync was in flight, appends it as one batch and fsyncs
+    once, so a batch holds every outstanding request, not one per shard.
+    After each batch it advances the {!durable} frontier: the highest
+    commit number at or below which every claimed number is on disk (or
+    was submitted with no events). A reply that may reveal state up to
+    commit number [n] — [n] read from {!issued} after the request ran —
+    is sent only once [durable >= n].
 
     Batches inherit {!Pet_store.Store.append_batch}'s crash contract:
-    all-or-prefix, in submission order — a reply is only ever sent for a
-    request whose events a post-crash recovery will replay. *)
+    all-or-prefix, in submission order — so a reply is only ever sent for
+    a request whose events, and the events of every write it could have
+    seen, a post-crash recovery will replay. *)
 
 type t
 
@@ -22,6 +26,7 @@ type stats = { batches : int; events : int; max_batch : int }
 val start :
   ?batch_target:int ->
   ?flight:Pet_store.Flight_log.t ->
+  ?on_durable:(unit -> unit) ->
   Pet_store.Store.t ->
   t
 (** Spawn the writer domain. The store must not be appended to or
@@ -33,24 +38,40 @@ val start :
     compaction: a session leaves the log only once a shard has dropped
     it from memory.
 
-    [batch_target] (default 1: commit immediately) is the batch size
-    worth briefly waiting for — the number of shards submitting.
-    When > 1 the writer, having found work, parks in [select] on a
-    self-pipe — yielding the core so other shards can run — and is
-    woken by the submission that completes the batch, or by the
-    200µs gather deadline (a safety bound rarely hit, kept under a
-    couple of fsyncs). On a single core this wait is
-    what lets the other shards' submissions reach the queue at all.
+    [batch_target] (default 1: commit at once) is the batch size worth
+    briefly waiting for — the number of shards. When > 1 the writer,
+    having found work, parks in [select] on a self-pipe — yielding the
+    core so shards can run — until the submission that completes the
+    batch wakes it, or for at most 200µs.
+
+    [on_durable] is called, outside every lock of this module, whenever
+    {!durable} may have advanced or the writer has failed: after each
+    batch, and by {!submit} when an empty submission resolves a number.
 
     [flight] attaches the flight-recorder journal: records handed to
     {!submit_flight} are appended to it by this same writer domain,
     after the WAL batch they queued behind. *)
 
-val submit : t -> Pet_server.Persist.event list -> unit
-(** Block until the events are durable (flushed and fsynced, in order,
-    possibly sharing the fsync with other submissions). No-op on [[]].
-    Raises [Sys_error] if the disk refused the batch or the writer is
-    stopped — the caller must not acknowledge the request. *)
+val claim : t -> int
+(** The next commit number (1, 2, …). It holds {!durable} below itself
+    until it is {!submit}ted and, if it carries events, committed. *)
+
+val submit : t -> int -> Pet_server.Persist.event list -> unit
+(** Hand over the events of a claimed commit number, in order, and
+    return at once. [[]] resolves the number without touching the disk.
+    Raises [Sys_error] if the writer is stopped. *)
+
+val issued : t -> int
+(** The last commit number claimed (0 before the first). *)
+
+val durable : t -> int
+(** The durable frontier: every commit number up to it is resolved.
+    Monotonic; frozen once the writer has failed. *)
+
+val failure : t -> string option
+(** Why the disk refused a batch, once it has. From then on no batch is
+    written and {!durable} never advances: the numbers of the failed
+    batch, and every later one, are lost. *)
 
 val note_expired : t -> string -> unit
 (** Record that a shard dropped this session from memory (swept,

@@ -21,16 +21,21 @@ module Trace = Pet_obs.Trace
      needs no locking;
    - one writer domain ([Group_commit]) owns every WAL append.
 
-   A request travels: connection thread → (queue) shard domain →
-   (submit) writer domain → back to the shard, which writes the
-   response line to the socket itself, after the commit. The reading
-   and writing halves of a connection are decoupled on purpose: the
-   reader can queue further requests (up to [max_outstanding]) while
-   earlier ones commit, which is what keeps every shard loaded and the
-   writer's batches full. A client that pipelines must correlate
-   responses by their echoed "id" — responses to requests that landed
-   on different shards may interleave; a lockstep client (one request
-   in flight, like `pet ping`) always sees strict request order. *)
+   A request travels: connection thread → (queue) shard domain, which
+   handles it, hands its events to the writer domain ([submit] never
+   waits) and holds the rendered reply, tagged with the last commit
+   number claimed so far, in its FIFO of held replies. The shard goes
+   straight on to its next request; it writes a held reply to the
+   socket itself once the writer's durable frontier reaches the tag,
+   so one fsync covers every request submitted while the previous one
+   was in flight. Replies leave a shard in the order it handled them.
+   The reading and writing halves of a connection are decoupled on
+   purpose: the reader can queue further requests (up to
+   [max_outstanding], held replies included) while earlier ones
+   commit. A client that pipelines must correlate responses by their
+   echoed "id" — responses to requests that landed on different shards
+   may interleave; a lockstep client (one request in flight, like
+   `pet ping`) always sees strict request order. *)
 
 (* One live connection. The reader thread owns the descriptor's
    lifetime; shards share the write side under [wm]. [outstanding]
@@ -58,6 +63,10 @@ type job = Request of { line : string; conn : conn } | Tick | Flight
    own service's gauges are safe to sync there) and hand it to the
    writer domain. *)
 
+(* A rendered reply waiting for the durable frontier to reach [tag],
+   rendered at [rendered] on the obs clock. *)
+type held = { tag : int; conn : conn; response : string; rendered : float }
+
 type shard = {
   index : int;
   service : Service.t;
@@ -65,8 +74,11 @@ type shard = {
   qm : Mutex.t;
   qc : Condition.t;
   pending : Persist.event list ref;
-      (* events the request being handled emitted, newest first; the
-         shard flushes them to the writer before replying *)
+      (* events the job being run emitted, newest first; the shard
+         hands them to the writer when the job ends *)
+  mutable claimed : int;
+      (* the job's commit number, 0 until it claims one *)
+  held : held Queue.t;  (* only this shard's domain touches it *)
   obs_active : Obs.gauge;
   obs_queue : Obs.gauge;
   mutable stopped : bool;
@@ -138,16 +150,18 @@ let route t line =
 
 (* --- Failure ------------------------------------------------------------------- *)
 
-(* A WAL failure is fatal: the shard answers the one affected client
-   with an [internal] error (its state change is in memory but was never
-   durable) and flags the server; [wait] returns so the driver can shut
-   down. *)
+(* A WAL failure is fatal: every held reply the durable frontier does
+   not cover is answered with an [internal] error (what it may show is
+   in memory but was never durable), and the server is flagged; [wait]
+   returns so [pet serve] can shut down. *)
 let fail t reason =
   Mutex.lock t.fm;
   let first = !(t.failure) = None in
   if first then t.failure := Some reason;
   Condition.broadcast t.fc;
   Mutex.unlock t.fm;
+  if first then
+    Log.error "net.wal_failed" ~fields:[ ("reason", Trace.String reason) ];
   (* Fatal-path flight record, written directly (the writer domain may
      be the thing that failed): the journal's last words say why. *)
   if first then
@@ -229,46 +243,121 @@ let respond conn response =
   Condition.broadcast conn.cc;
   Mutex.unlock conn.cm
 
-let handle_request t shard line conn =
-  let response =
-    let response = Service.handle_line shard.service line in
-    match t.writer with
-    | None -> response
-    | Some writer -> (
-      match List.rev !(shard.pending) with
-      | [] -> response
-      | events -> (
-        shard.pending := [];
-        match Group_commit.submit writer events with
-        | () -> response
-        | exception Sys_error m ->
-          let reason = "write-ahead log failure: " ^ m in
-          Log.error "net.wal_failed" ~fields:[ ("reason", Trace.String m) ];
-          fail t reason;
-          Proto.error_response ~id:Json.Null (Proto.error Proto.Internal reason)
-        ))
-  in
-  sync_active shard;
-  respond conn response
+let claim writer shard =
+  if shard.claimed = 0 then shard.claimed <- Group_commit.claim writer
 
+(* End the job's commit: hand its events (if it claimed a number) to the
+   writer. A stopped writer is a failed one. *)
+let submit t writer shard =
+  let lsn = shard.claimed and events = List.rev !(shard.pending) in
+  shard.claimed <- 0;
+  shard.pending := [];
+  if lsn > 0 then
+    match Group_commit.submit writer lsn events with
+    | () -> ()
+    | exception Sys_error m -> fail t ("write-ahead log failure: " ^ m)
+
+(* Write every held reply at the head of the FIFO that the durable
+   frontier covers; once the writer has failed, answer the rest with
+   the [internal] error instead. At debug level each release logs its
+   tag and the frontier it was released at. *)
+let release t writer shard =
+  let rec go () =
+    match Queue.peek_opt shard.held with
+    | None -> ()
+    | Some r ->
+      let frontier = Group_commit.durable writer in
+      let durable = r.tag <= frontier in
+      let failed = Group_commit.failure writer in
+      if durable || failed <> None then begin
+        ignore (Queue.pop shard.held);
+        if Log.level () = Log.Debug then
+          Log.debug "net.reply_released"
+            ~fields:[ ("tag", Trace.Int r.tag); ("durable", Trace.Int frontier) ];
+        if Obs.enabled () then
+          Service.record_hold shard.service (Obs.now () -. r.rendered);
+        (match failed with
+        | Some m when not durable ->
+          let reason = "write-ahead log failure: " ^ m in
+          fail t reason;
+          respond r.conn
+            (Proto.error_response ~id:Json.Null (Proto.error Proto.Internal reason))
+        | _ -> respond r.conn r.response);
+        go ()
+      end
+  in
+  go ()
+
+let releasable t shard =
+  match (t.writer, Queue.peek_opt shard.held) with
+  | Some writer, Some r ->
+    r.tag <= Group_commit.durable writer || Group_commit.failure writer <> None
+  | _ -> false
+
+(* Run one job. A reply is tagged with the last commit number claimed
+   once the job's own is submitted: that covers the job's events and
+   every write on another shard it could have seen, since a shard
+   claims before its write becomes visible. *)
+let run_job t shard job =
+  let reply =
+    match job with
+    | Tick ->
+      ignore (Service.sweep_tick ~budget:256 shard.service);
+      sync_active shard;
+      None
+    | Flight ->
+      emit_flight t shard;
+      None
+    | Request { line; conn } ->
+      let response = Service.handle_line shard.service line in
+      sync_active shard;
+      Some (conn, response)
+  in
+  match t.writer with
+  | None -> Option.iter (fun (conn, response) -> respond conn response) reply
+  | Some writer ->
+    submit t writer shard;
+    Option.iter
+      (fun (conn, response) ->
+        Queue.push
+          {
+            tag = Group_commit.issued writer;
+            conn;
+            response;
+            rendered = (if Obs.enabled () then Obs.now () else 0.);
+          }
+          shard.held)
+      reply;
+    release t writer shard
+
+(* Sleep until a job arrives or a held reply can be released; stop only
+   once stopped with nothing queued and nothing held. The writer wakes
+   every shard after each batch ([wake]). *)
 let rec shard_loop t shard =
   Mutex.lock shard.qm;
-  while Queue.is_empty shard.q && not shard.stopped do
+  while
+    Queue.is_empty shard.q
+    && (not (releasable t shard))
+    && not (shard.stopped && Queue.is_empty shard.held)
+  do
     Condition.wait shard.qc shard.qm
   done;
-  if Queue.is_empty shard.q then Mutex.unlock shard.qm (* stopped, drained *)
+  if Queue.is_empty shard.q && Queue.is_empty shard.held then
+    Mutex.unlock shard.qm (* stopped, drained *)
   else begin
-    let job = Queue.pop shard.q in
+    let job = Queue.take_opt shard.q in
     Obs.set_gauge shard.obs_queue (float_of_int (Queue.length shard.q));
     Mutex.unlock shard.qm;
     (match job with
-    | Tick ->
-      ignore (Service.sweep_tick ~budget:256 shard.service);
-      sync_active shard
-    | Flight -> emit_flight t shard
-    | Request { line; conn } -> handle_request t shard line conn);
+    | Some job -> run_job t shard job
+    | None -> Option.iter (fun writer -> release t writer shard) t.writer);
     shard_loop t shard
   end
+
+let wake shard =
+  Mutex.lock shard.qm;
+  Condition.signal shard.qc;
+  Mutex.unlock shard.qm
 
 (* --- Connection threads ----------------------------------------------------------- *)
 
@@ -498,6 +587,8 @@ let start ?payoff ?capacity ?ttl ?(tenant_quota = 0)
           qm = Mutex.create ();
           qc = Condition.create ();
           pending = ref [];
+          claimed = 0;
+          held = Queue.create ();
           obs_active = Obs.gauge ~labels "pet_net_shard_sessions_active";
           obs_queue = Obs.gauge ~labels "pet_net_shard_queue_depth";
           stopped = false;
@@ -513,23 +604,33 @@ let start ?payoff ?capacity ?ttl ?(tenant_quota = 0)
       (Recovery.recover ~dir:(Store.dir store) recovery
          (Array.map (fun shard -> shard.service) shards))
   | _ -> ());
-  (match store with
-  | None -> ()
-  | Some _ ->
-    Array.iter
-      (fun shard ->
-        Service.set_sink shard.service
-          {
-            Persist.emit =
-              (fun event -> shard.pending := event :: !(shard.pending));
-          })
-      shards);
+  let writer =
+    Option.map
+      (Group_commit.start ~batch_target:domains ?flight
+         ~on_durable:(fun () -> Array.iter wake shards))
+      store
+  in
+  Option.iter
+    (fun writer ->
+      Array.iter
+        (fun shard ->
+          Service.set_claim shard.service (fun () -> claim writer shard);
+          Service.set_sink shard.service
+            {
+              Persist.emit =
+                (fun event ->
+                  claim writer shard;
+                  shard.pending := event :: !(shard.pending));
+            })
+        shards)
+    writer;
   match
     match listen with
     | Tcp port -> Result.map (fun (fd, port) -> (Some fd, port)) (bind port)
     | Stdio _ -> Ok (None, 0)
   with
   | Error m ->
+    Option.iter Group_commit.stop writer;
     Pet_tenant.Tenant.stop tenants;
     Error m
   | Ok (listen_fd, port) ->
@@ -538,8 +639,7 @@ let start ?payoff ?capacity ?ttl ?(tenant_quota = 0)
         shards;
         shared;
         tenants;
-        writer =
-          Option.map (Group_commit.start ~batch_target:domains ?flight) store;
+        writer;
         flight;
         fenc = Pet_obs.Flight.create ();
         store_h = store;

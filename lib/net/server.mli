@@ -8,11 +8,12 @@
     domain as plain threads: a reader thread per connection parses
     nothing, routes each request line to its shard (round-robin when the
     line names no session) and moves on to the next line; the shard
-    writes the response back itself once the request's events are
-    committed. A connection that pipelines requests may therefore see
-    responses out of order when they land on different shards — the
-    echoed ["id"] correlates them; a client that waits for each response
-    before sending the next sees strict ordering.
+    writes the response back itself once it is durable, in the order
+    the shard handled its requests. A connection that pipelines
+    requests may therefore see responses out of order when they land on
+    different shards — the echoed ["id"] correlates them; a client that
+    waits for each response before sending the next sees strict
+    ordering.
 
     Over TCP connections are accepted on localhost; over stdio the
     server is one shard with a single connection, made at start on
@@ -21,8 +22,13 @@
     recorder, [watch] streaming, the fatal path — is the same code for
     both.
 
-    Replies are durable-before-reply: a request whose handling emitted
-    WAL events is only acknowledged after its batch is fsynced.
+    Replies are durable-before-reply without blocking the shard: a
+    shard hands its events to the writer and holds the rendered reply,
+    tagged with a commit number covering every write the request could
+    have seen (its own and other shards'), until the writer's durable
+    frontier reaches the tag; meanwhile it serves its next request. A
+    failed append or fsync answers every held reply the frontier does
+    not cover with an [internal] error and takes the fatal path.
 
     Rule-set texts and grant ledgers are shared across shards (see
     {!Pet_server.Shared}); compiled engines are not — each shard

@@ -172,18 +172,21 @@ let observe h v =
     if v > h.hmax then h.hmax <- v
   end
 
-let time h f =
+let time_on clock h f =
   if not !on then f ()
   else begin
-    let t0 = now () in
+    let t0 = clock () in
     match f () with
     | r ->
-      observe h (now () -. t0);
+      observe h (clock () -. t0);
       r
     | exception e ->
-      observe h (now () -. t0);
+      observe h (clock () -. t0);
       raise e
   end
+
+let time h f = time_on now h f
+let time_wall h f = time_on Unix.gettimeofday h f
 
 (* --- Snapshots ---------------------------------------------------------------- *)
 

@@ -98,9 +98,15 @@ val observe : histogram -> float -> unit
     clamp to 0 (and land in the first bucket). *)
 
 val time : histogram -> (unit -> 'a) -> 'a
-(** Run the thunk, recording its wall-clock duration when enabled. When
-    disabled the clock is not even read. Exceptions propagate after the
-    observation. *)
+(** Run the thunk, recording its duration on the {!now} clock when
+    enabled. When disabled the clock is not even read. Exceptions
+    propagate after the observation. *)
+
+val time_wall : histogram -> (unit -> 'a) -> 'a
+(** {!time} on the wall clock, whatever {!set_clock} installed: for work
+    whose number of runs depends on scheduling (the WAL writer's batched
+    appends and fsyncs), where reading a logical clock would make every
+    later reading depend on how the work happened to be batched. *)
 
 val bucket_bounds : float array
 (** The shared upper bounds, ascending; the last element is

@@ -76,6 +76,8 @@ let method_index = function
 
 type t = {
   mutable arrivals : int;
+  hold : tally;
+      (* how long the shard held rendered replies for their commit *)
   by_method : cell array;
   mutable by_tenant : cell Smap.t;
       (* replaced whole on insert, never mutated in place, so a reader
@@ -85,6 +87,7 @@ type t = {
 let create () =
   {
     arrivals = 0;
+    hold = tally ();
     by_method = Array.init (Array.length methods) (fun _ -> cell ());
     by_tenant = Smap.empty;
   }
@@ -108,6 +111,10 @@ let record t ~meth ~tenant ~now ~latency ~error =
         t.by_tenant <- Smap.add name c t.by_tenant;
         into c)
     tenant
+
+let record_hold t seconds =
+  let seconds = Float.max 0. seconds in
+  add t.hold ~bucket:(Metrics.bucket_of seconds) ~latency:seconds ~error:false
 
 let requests_json t =
   let by_method =
@@ -142,6 +149,8 @@ let () =
       ("pet_server_requests_total", "Protocol requests received.");
       ("pet_server_errors_total", "Protocol requests answered with an error.");
       ("pet_server_request_seconds", "Request latency by wire method.");
+      ( "pet_net_reply_hold_seconds",
+        "Time a rendered reply waited for its commit before it was written." );
     ]
 
 (* Tallies summed into one histogram and their error count. *)
@@ -214,9 +223,11 @@ let snapshot sets ~now (base : Metrics.snapshot) =
         by_tenant
   in
   let histogram family key (name, _, h, _) = (family ^ label key name, h) in
+  let hold, _ = summed (List.map (fun t -> t.hold) sets) in
   let histograms =
     List.map (histogram "pet_server_request_seconds" "method") by_method
     @ List.map (histogram "pet_tenant_request_seconds" "tenant") by_tenant
+    @ if hold.Metrics.count = 0 then [] else [ ("pet_net_reply_hold_seconds", hold) ]
   in
   (* An SLO key appears once it recorded a request, like the series it
      watches; tenants key as "tenant:NAME". *)

@@ -45,6 +45,11 @@ val record :
     cell and, with [tenant], that tenant's cell (created on first use).
     [now] places it in the SLO ring; negative latencies clamp to 0. *)
 
+val record_hold : t -> float -> unit
+(** Record how long (seconds) a rendered reply was held before it was
+    written: the commit wait of a durable server. Negative values clamp
+    to 0. *)
+
 val requests_json : t -> Pet_pet.Json.t
 (** This set's [stats] "requests" section: [total] arrivals and, per
     method answered at least once, [count], [errors] and [latency_s]
@@ -62,5 +67,6 @@ val snapshot :
     once that tenant failed a request, [pet_tenant_errors_total{tenant}];
     histograms
     [pet_server_request_seconds{method}] for every method and
-    [pet_tenant_request_seconds{tenant}]; and the {!Pet_obs.Slo.gauges}
+    [pet_tenant_request_seconds{tenant}] and, once a reply was held,
+    [pet_net_reply_hold_seconds]; and the {!Pet_obs.Slo.gauges}
     of every key that recorded a request, windowed at [now]. *)

@@ -96,8 +96,11 @@ val carries_valuation : Json.t -> bool
 
 type sink = { emit : event -> unit }
 (** Called synchronously after the state change it describes has been
-    applied in memory and before the response is sent — a durable sink
-    must have the event on stable storage when [emit] returns. *)
+    applied in memory and before the response is rendered. The response
+    must not reach a client before the event is on stable storage:
+    [Pet_store.Store.sink] writes it before [emit] returns; the serving
+    core's sink queues it and holds the reply until its group commit is
+    durable. *)
 
 val null : sink
 (** The no-op sink: today's pure in-memory service. *)

@@ -344,23 +344,25 @@ let frame line =
 
 let sample samples name = Option.value ~default:0. (List.assoc_opt name samples)
 
-let method_latency ?prev frame =
+(* One histogram's count, its count in the previous frame, and its p99:
+   over the interval from [prev] when it saw new values, else over the
+   whole frame. *)
+let hist_p99 ?prev frame name (n, buckets) =
   let prev_hists = match prev with Some p -> p.hists | None -> [] in
   let interval = match prev with Some p -> frame.t -. p.t > 0. | None -> false in
+  let pn, pbuckets = Option.value ~default:(0., []) (List.assoc_opt name prev_hists) in
+  let delta =
+    List.map
+      (fun (b, c) -> (b, c - Option.value ~default:0 (List.assoc_opt b pbuckets)))
+      buckets
+  in
+  let dn = int_of_float (n -. pn) in
+  (n, pn, if interval && dn > 0 then p99 delta dn else p99 buckets (int_of_float n))
+
+let method_latency ?prev frame =
   series "pet_server_request_seconds" "method" frame.hists
-  |> List.map (fun (m, name, (n, buckets)) ->
-         let pn, pbuckets =
-           Option.value ~default:(0., []) (List.assoc_opt name prev_hists)
-         in
-         let delta =
-           List.map
-             (fun (b, c) -> (b, c - Option.value ~default:0 (List.assoc_opt b pbuckets)))
-             buckets
-         in
-         let dn = int_of_float (n -. pn) in
-         let p99 =
-           if interval && dn > 0 then p99 delta dn else p99 buckets (int_of_float n)
-         in
+  |> List.map (fun (m, name, hist) ->
+         let n, pn, p99 = hist_p99 ?prev frame name hist in
          (m, n, pn, p99))
 
 (* Each frame is a full snapshot (the server starts a fresh delta
@@ -399,6 +401,14 @@ let pp_frame ~addr ~frame_no ?prev ppf frame =
       (fun (m, n, pn, p99) -> Fmt.pf ppf "  %-16s %8.0f req %s  p99 <= %gs@." m n (rate n pn) p99)
       methods
   end;
+  (* Commit wait, apart from the service time above: how long rendered
+     replies were held for their fsync. *)
+  let hold = "pet_net_reply_hold_seconds" in
+  Option.iter
+    (fun hist ->
+      let n, pn, p99 = hist_p99 ?prev frame hold hist in
+      Fmt.pf ppf "reply hold %8.0f rep %s  p99 <= %gs@." n (rate n pn) p99)
+    (List.assoc_opt hold frame.hists);
   (* Per-tenant and SLO rows ride the same gauge/counter families the
      Prometheus export serves. *)
   let tenants = series "pet_tenant_requests_total" "tenant" frame.counters in

@@ -138,7 +138,9 @@ let open_dir ?(segment_bytes = 1 lsl 20) ?(auto_compact_segments = 8)
         {
           dir;
           auto_compact_segments;
-          sync = (if fsync then Some (Pet_obs.Metrics.time obs_fsync_h) else None);
+          (* Wall-clock: how appends batch depends on scheduling. *)
+          sync =
+            (if fsync then Some (Pet_obs.Metrics.time_wall obs_fsync_h) else None);
           wal =
             Segment.writer ~dir ~prefix:"wal" ~segment_bytes (next_segment files);
           sealed = List.length (List.filter (fun (n, _) -> n > snap) (snd files));
@@ -152,7 +154,7 @@ let dir t = t.dir
 let position t = Segment.position t.wal
 
 let write t payloads =
-  Pet_obs.Metrics.time obs_append_h @@ fun () ->
+  Pet_obs.Metrics.time_wall obs_append_h @@ fun () ->
   let bytes, sealed = Segment.append ?sync:t.sync t.wal payloads in
   if sealed then begin
     t.sealed <- t.sealed + 1;
@@ -534,8 +536,10 @@ module Compactor = struct
     in
     (* Lifecycle events last: they may name sessions the snapshot
        dropped, never ones that appear later. Revocations survive
-       compaction so a second revoke still errors,
-       and horizons re-arm so recovery re-applies any that passed. *)
+       compaction so a second revoke still errors, and horizons re-arm
+       so recovery re-applies any that passed. A revoked session keeps
+       its horizon too: it is never armed again, but a request on the
+       session past it still answers [session_expired]. *)
     let by_id l = List.sort (fun (a, _) (b, _) ->
         compare (String.length a, a) (String.length b, b)) l
     in
@@ -543,10 +547,8 @@ module Compactor = struct
       List.map
         (fun (id, at) -> Persist.Session_revoked { id; at })
         (by_id (Hashtbl.fold (fun id at acc -> (id, at) :: acc) state.revoked []))
-      @ List.filter_map
-          (fun (id, (horizon, at)) ->
-            if Hashtbl.mem state.revoked id then None
-            else Some (Persist.Session_expiry { id; horizon; at }))
+      @ List.map
+          (fun (id, (horizon, at)) -> Persist.Session_expiry { id; horizon; at })
           (by_id
              (Hashtbl.fold (fun id h acc -> (id, h) :: acc) state.horizons []))
     in

@@ -187,18 +187,21 @@ let add_version t tenant ~digest ~text ~now =
   Hashtbl.replace t.by_digest digest text;
   number
 
-let apply_quota t tenant quota =
+(* Set the quota if one is given; true if that changed it. *)
+let apply_quota tenant quota =
   match quota with
-  | Some q -> tenant.quota <- max 0 q
-  | None -> ignore t
+  | Some q when max 0 q <> tenant.quota ->
+    tenant.quota <- max 0 q;
+    true
+  | Some _ | None -> false
 
 let publish t ~name ~digest ~text ?quota ~now ~build () =
   locked t (fun () ->
       match Hashtbl.find_opt t.tenants name with
       | Some tenant ->
-        apply_quota t tenant quota;
         let v = newest tenant in
-        if v.digest = digest then `Existing (v.number, v.state)
+        if v.digest = digest then
+          `Existing (v.number, v.state, apply_quota tenant quota)
         else `Conflict v.number
       | None ->
         let version =
@@ -232,9 +235,9 @@ let update t ~name ~digest ~text ?quota ~now ~build () =
       match Hashtbl.find_opt t.tenants name with
       | None -> `Unknown
       | Some tenant ->
-        apply_quota t tenant quota;
+        let requota = apply_quota tenant quota in
         let v = newest tenant in
-        if v.digest = digest then `Unchanged (v.number, v.state)
+        if v.digest = digest then `Unchanged (v.number, v.state, requota)
         else begin
           let number = add_version t tenant ~digest ~text ~now in
           enqueue_build t ~name ~number ~build;
@@ -271,7 +274,7 @@ let restore t ~name ~version:number ~digest ~text ?quota ~now () =
             submitted = 0;
           }
       | Some tenant ->
-        apply_quota t tenant quota;
+        ignore (apply_quota tenant quota);
         tenant.versions <-
           version :: List.filter (fun v -> v.number <> number) tenant.versions;
         if number > tenant.active then tenant.active <- number)

@@ -43,13 +43,15 @@ val publish :
   now:float ->
   build:(unit -> ('a, string) result) ->
   unit ->
-  [ `Created | `Existing of int * build_state | `Conflict of int ]
+  [ `Created | `Existing of int * build_state * bool | `Conflict of int ]
 (** Create tenant [name] at version 1 and enqueue its build ([`Created]
     — the caller's response reports ["building"]: the build has
     provably not run on the request path). If the tenant exists:
     [`Existing] when [digest] already is its newest version (idempotent
     republish), [`Conflict] otherwise — rule changes must go through
-    {!update}. [quota], when given, (re)sets the tenant quota. *)
+    {!update}. [quota], when given, (re)sets the tenant quota, except on
+    [`Conflict], which changes nothing; [`Existing]'s flag says whether
+    the quota changed. *)
 
 val update :
   'a t ->
@@ -60,12 +62,13 @@ val update :
   now:float ->
   build:(unit -> ('a, string) result) ->
   unit ->
-  [ `Queued of int | `Unchanged of int * build_state | `Unknown ]
+  [ `Queued of int | `Unchanged of int * build_state * bool | `Unknown ]
 (** Append a new version to an existing tenant and enqueue its build.
     The previously active version keeps serving new sessions until the
     build lands, at which point the registry atomically swaps.
-    [`Unchanged] when [digest] already is the newest version,
-    [`Unknown] when the tenant was never published. *)
+    [`Unchanged] when [digest] already is the newest version (its flag
+    says whether [quota] changed the tenant quota), [`Unknown] when the
+    tenant was never published. *)
 
 val restore :
   'a t ->

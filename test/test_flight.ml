@@ -432,7 +432,12 @@ let test_view_journal_and_frames () =
                (Accounting.snapshot [ acct ] ~now:1. (Metrics.snapshot ())))))
   in
   let f1 = frame ~now:1. in
+  Alcotest.(check bool) "no hold row before a reply was held" false
+    (List.exists
+       (String.starts_with ~prefix:"reply hold")
+       (String.split_on_char '\n' (Fmt.str "%a" (View.pp_frame ~addr:"A" ~frame_no:1 ?prev:None) f1)));
   record ~tenant:None ~latency:0.4 ~error:false;
+  Accounting.record_hold acct 0.002;
   let f2 = frame ~now:2. in
   Alcotest.(check (float 0.)) "errors counter" 1.
     (View.sample f2.View.counters "pet_server_errors_total");
@@ -451,6 +456,8 @@ let test_view_journal_and_frames () =
     "requests        0      0.0/s   errors        1      0.0/s" (List.nth lines 1);
   Alcotest.(check bool) "per-method row" true
     (List.exists (fun l -> String.starts_with ~prefix:"  get_report              5 req      1.0/s" l) lines);
+  Alcotest.(check bool) "reply hold row" true
+    (List.exists (String.starts_with ~prefix:"reply hold        1 rep      1.0/s  p99 <= ") lines);
   let first = Fmt.str "%a" (View.pp_frame ~addr:"A" ~frame_no:1 ?prev:None) f1 in
   Alcotest.(check string) "no rate on the first frame"
     "requests        0        --   errors        1        --"

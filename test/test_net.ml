@@ -119,7 +119,7 @@ let test_group_commit_batches () =
           Thread.create
             (fun () ->
               for i = 1 to each do
-                Group_commit.submit writer
+                Group_commit.submit writer (Group_commit.claim writer)
                   [
                     Persist.Session_created
                       {
@@ -159,7 +159,7 @@ let test_submit_after_stop_raises () =
     let writer = Group_commit.start store in
     Group_commit.stop writer;
     (match
-       Group_commit.submit writer
+       Group_commit.submit writer (Group_commit.claim writer)
          [
            Persist.Session_created
              { id = "s0"; digest = "d"; tenant = None; at = 0. };
@@ -314,6 +314,201 @@ let test_durable_before_reply () =
               (* publish + create + choose + submit + grant = 5 events *)
               Alcotest.(check int) "all events committed" 5
                 stats.Group_commit.events))
+
+(* Send every line, then read one reply per line. *)
+let pipeline oc ic lines =
+  List.iter
+    (fun line ->
+      output_string oc line;
+      output_char oc '\n')
+    lines;
+  flush oc;
+  List.map
+    (fun _ ->
+      match In_channel.input_line ic with
+      | Some response -> response
+      | None -> Alcotest.fail "server closed the connection")
+    lines
+
+let with_durable_server ~domains f =
+  let dir = temp_dir () in
+  match Store.open_dir ~fsync:true dir with
+  | Error m -> Alcotest.failf "open_dir: %s" m
+  | Ok (store, _) ->
+    Fun.protect
+      ~finally:(fun () -> Store.close store)
+      (fun () ->
+        with_server ~store ~domains (fun server ->
+            f server;
+            Server.stop server;
+            match Server.batch_stats server with
+            | None -> Alcotest.fail "no batch stats with a store"
+            | Some stats -> stats))
+
+let test_batches_track_outstanding () =
+  (* One shard, one connection: a shard that no longer waits for its own
+     fsync keeps handling the pipelined requests while the previous
+     batch is on its way to disk, so batches hold several requests. *)
+  let stats =
+    with_durable_server ~domains:1 (fun server ->
+        let fd, ic, oc = connect (Server.port server) in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            let replies =
+              pipeline oc ic
+                (List.init 64 (fun i ->
+                     Printf.sprintf
+                       {|{"pet":1,"id":%d,"method":"new_session","params":{"source":"running"}}|}
+                       i))
+            in
+            List.iteri
+              (fun i r ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "reply %d in request order" i)
+                  true
+                  (contains r (Printf.sprintf {|"id":%d,|} i) && contains r {|"ok"|}))
+              replies))
+  in
+  (* 64 sessions plus the one rules event *)
+  Alcotest.(check int) "events" 65 stats.Group_commit.events;
+  Alcotest.(check bool)
+    (Printf.sprintf "a batch held several requests (max %d)"
+       stats.Group_commit.max_batch)
+    true
+    (stats.Group_commit.max_batch > 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "fewer batches (%d) than events" stats.Group_commit.batches)
+    true
+    (stats.Group_commit.batches < stats.Group_commit.events)
+
+let test_no_reply_before_durable () =
+  (* Writes and cross-shard reads — the tenant registry, the ledger
+     counts in stats, sessions opened on whichever shard by digest —
+     pipelined on four connections over two shards. Every release is
+     logged at debug level with the reply's tag and the frontier it was
+     released at; none may leave before its tag is durable. *)
+  let lines = ref [] and lm = Mutex.create () in
+  Pet_obs.Log.set_level Pet_obs.Log.Debug;
+  Pet_obs.Log.set_sink (fun l -> Mutex.protect lm (fun () -> lines := l :: !lines));
+  let replies = Atomic.make 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Pet_obs.Log.set_sink prerr_endline;
+      Pet_obs.Log.set_level Pet_obs.Log.Info)
+    (fun () ->
+      ignore
+        (with_durable_server ~domains:2 (fun server ->
+             let fd, ic, oc = connect (Server.port server) in
+             let digest =
+               Fun.protect
+                 ~finally:(fun () -> Unix.close fd)
+                 (fun () ->
+                   let r =
+                     request oc ic
+                       {|{"pet":1,"id":0,"method":"publish_rules","params":{"source":"running"}}|}
+                   in
+                   ignore
+                     (request oc ic
+                        {|{"pet":1,"id":1,"method":"publish_rules","params":{"source":"running","tenant":"acme"}}|});
+                   ignore
+                     (request oc ic
+                        {|{"pet":1,"id":2,"method":"tenant","params":{"name":"acme","wait":true}}|});
+                   Atomic.set replies 3;
+                   let key = {|"digest":"|} in
+                   let i = ref 0 in
+                   while String.sub r !i (String.length key) <> key do incr i done;
+                   String.sub r (!i + String.length key) 32)
+             in
+             let client c =
+               let fd, ic, oc = connect (Server.port server) in
+               Fun.protect
+                 ~finally:(fun () -> Unix.close fd)
+                 (fun () ->
+                   let line i =
+                     let id = (100 * c) + i in
+                     match i mod 4 with
+                     | 0 ->
+                       Printf.sprintf
+                         {|{"pet":1,"id":%d,"method":"new_session","params":{"digest":"%s"}}|}
+                         id digest
+                     | 1 ->
+                       Printf.sprintf
+                         {|{"pet":1,"id":%d,"method":"new_session","params":{"tenant":"acme"}}|}
+                         id
+                     | 2 ->
+                       Printf.sprintf
+                         {|{"pet":1,"id":%d,"method":"tenant","params":{"name":"acme"}}|}
+                         id
+                     | _ -> Printf.sprintf {|{"pet":1,"id":%d,"method":"stats"}|} id
+                   in
+                   let rs = pipeline oc ic (List.init 48 line) in
+                   List.iter
+                     (fun r ->
+                       if not (contains r {|"ok"|}) then Alcotest.failf "failed: %s" r)
+                     rs;
+                   ignore (Atomic.fetch_and_add replies (List.length rs)))
+             in
+             List.iter Thread.join (List.init 4 (fun c -> Thread.create client c)))));
+  let released =
+    List.filter_map
+      (fun l ->
+        if not (contains l "net.reply_released") then None
+        else
+          Scanf.sscanf_opt l "[debug] net.reply_released tag=%d durable=%d"
+            (fun tag durable -> (tag, durable)))
+      !lines
+  in
+  Alcotest.(check int) "every reply's release logged" (Atomic.get replies)
+    (List.length released);
+  Alcotest.(check bool) "writes were tagged" true
+    (List.exists (fun (tag, _) -> tag > 0) released);
+  List.iter
+    (fun (tag, durable) ->
+      if durable < tag then
+        Alcotest.failf "a reply tagged %d left at frontier %d" tag durable)
+    released
+
+let test_wal_failure_answers_held () =
+  (* Once an append fails, nothing past the durable frontier is
+     acknowledged: every held reply gets the [internal] error and the
+     server takes the fatal path. The log's directory vanishing makes
+     the writer's next segment open fail. *)
+  let dir = temp_dir () in
+  match Store.open_dir ~fsync:true dir with
+  | Error m -> Alcotest.failf "open_dir: %s" m
+  | Ok (store, _) ->
+    with_server ~store ~domains:1 (fun server ->
+        let fd, ic, oc = connect (Server.port server) in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            let r =
+              request oc ic
+                {|{"pet":1,"id":1,"method":"publish_rules","params":{"source":"running"}}|}
+            in
+            Alcotest.(check bool) "publish ok" true (contains r {|"ok"|});
+            Store.close store;
+            Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+            Sys.rmdir dir;
+            let replies =
+              pipeline oc ic
+                (List.init 3 (fun i ->
+                     Printf.sprintf
+                       {|{"pet":1,"id":%d,"method":"new_session","params":{"source":"running"}}|}
+                       (i + 2)))
+            in
+            List.iter
+              (fun r ->
+                Alcotest.(check bool) ("internal error: " ^ r) true
+                  (contains r {|"code":"internal"|}
+                  && contains r "write-ahead log failure"))
+              replies;
+            match Server.wait server with
+            | Error m ->
+              Alcotest.(check bool) "fatal reason" true
+                (contains m "write-ahead log failure")
+            | Ok () -> Alcotest.fail "wait returned Ok after a WAL failure"))
 
 let test_cross_shard_rules () =
   (* One client publishes once; sessions land on whichever shard owns
@@ -1108,6 +1303,12 @@ let () =
         [
           Alcotest.test_case "durable before reply" `Quick
             test_durable_before_reply;
+          Alcotest.test_case "batches track outstanding requests" `Quick
+            test_batches_track_outstanding;
+          Alcotest.test_case "no reply before it is durable" `Quick
+            test_no_reply_before_durable;
+          Alcotest.test_case "a failed append answers held replies" `Quick
+            test_wal_failure_answers_held;
           Alcotest.test_case "cross-shard rules" `Quick test_cross_shard_rules;
           Alcotest.test_case "compaction bounds the log" `Quick
             test_tcp_compaction;

@@ -1141,6 +1141,53 @@ let test_consent_snapshot_replay () =
   Alcotest.(check string) "horizon re-armed, then withdrawn once" "bad_state"
     (error_code (request recovered "revoke" [ ("session", Json.String s2) ]))
 
+let test_revoked_horizon_after_compaction () =
+  (* A revoked session whose expiry horizon has passed answers
+     [session_expired] live; after a compacting restart it must answer
+     the same, not [unknown_session]: compaction keeps a revoked
+     session's horizon. *)
+  let tick = ref 0 in
+  let now () =
+    incr tick;
+    float_of_int !tick
+  in
+  let resolve = function
+    | "running" -> Some (Spec.to_string (Running.exposure ()))
+    | _ -> None
+  in
+  let live = Service.create ~durable:true ~resolve ~now () in
+  let logged = ref [] in
+  Service.set_sink live { Persist.emit = (fun e -> logged := e :: !logged) };
+  let sid =
+    str "session"
+      (ok_of (request live "new_session" [ ("source", Json.String "running") ]))
+  in
+  let session = ("session", Json.String sid) in
+  ignore
+    (ok_of (request live "get_report" [ session; ("valuation", Json.String "011") ]));
+  ignore (ok_of (request live "expire" [ session; ("after", Json.Int 3) ]));
+  ignore (ok_of (request live "revoke" [ session ]));
+  let answers service =
+    [
+      error_code
+        (request service "choose_option" [ session; ("option", Json.Int 0) ]);
+      error_code (request service "submit_form" [ session ]);
+    ]
+  in
+  Alcotest.(check (list string)) "live, past the horizon"
+    [ "session_expired"; "session_expired" ] (answers live);
+  let compactor = Pet_store.Store.Compactor.create () in
+  List.iter (Pet_store.Store.Compactor.add compactor) (List.rev !logged);
+  let restarted = Service.create ~durable:true ~resolve ~now () in
+  let outcome =
+    Pet_net.Recovery.replay [| restarted |]
+      (Pet_store.Store.Compactor.events ~ttl:0. compactor)
+  in
+  Alcotest.(check (list string)) "no replay errors" [] outcome.Pet_net.Recovery.errors;
+  ignore (Service.apply_horizons restarted);
+  Alcotest.(check (list string)) "after a compacting restart"
+    [ "session_expired"; "session_expired" ] (answers restarted)
+
 let test_ledger_tenant_namespacing () =
   (* Two tenants publishing byte-identical rules must not share a grant
      archive: ids restart per tenant and each audit sees only its own
@@ -1243,9 +1290,8 @@ let replay_forms =
    digest, tenant, state (a [Reported] session holds a valuation no
    event carries, so it counts as [Created]), chosen form and grant;
    every ledger's entries and next id; every consent entry's fields;
-   per tenant its versions and its session and submission counters.
-   [compacted] leaves out what a snapshot does not keep: the counters,
-   and the horizon of a revoked entry (never armed again, so inert). *)
+   per tenant its versions, quota, and session and submission counters.
+   [compacted] leaves out what a snapshot does not keep: the counters. *)
 let durable_projection ?(compacted = false) ~shared ~tenants service =
   let opt = Option.value ~default:"-" in
   let time = function None -> "-" | Some t -> Printf.sprintf "%g" t in
@@ -1292,7 +1338,6 @@ let durable_projection ?(compacted = false) ~shared ~tenants service =
           (opt (Option.map string_of_int e.Consent.grant_id))
           (time e.Consent.revoked_at)
           (match e.Consent.horizon with
-          | Some _ when compacted && e.Consent.revoked_at <> None -> "-"
           | None -> "-"
           | Some (h, at) -> Printf.sprintf "%g@%g" h at)
           e.Consent.expired)
@@ -1301,8 +1346,9 @@ let durable_projection ?(compacted = false) ~shared ~tenants service =
   let tenants =
     List.map
       (fun (i : Tenant.info) ->
-        Printf.sprintf "tenant %s versions=%d active=%d digest=%s%s"
+        Printf.sprintf "tenant %s versions=%d active=%d digest=%s quota=%d%s"
           i.Tenant.info_name i.Tenant.versions i.Tenant.active i.Tenant.digest
+          i.Tenant.quota
           (if not compacted then
              Printf.sprintf " sessions=%d/%d submitted=%d"
                i.Tenant.sessions_active i.Tenant.sessions_created
@@ -1599,6 +1645,8 @@ let () =
             test_ledger_tenant_namespacing;
           Alcotest.test_case "replay keeps a tenant's submissions" `Quick
             test_replay_keeps_tenant_submitted;
+          Alcotest.test_case "a revoked horizon survives compaction" `Quick
+            test_revoked_horizon_after_compaction;
           Alcotest.test_case "live state equals replayed state" `Quick
             test_live_equals_replay;
         ] );

@@ -117,7 +117,7 @@ let test_tenant_versions () =
        ~build:(fun () -> Ok 1)
        ()
    with
-  | `Existing (1, Tenant.Ready) -> ()
+  | `Existing (1, Tenant.Ready, false) -> ()
   | _ -> Alcotest.fail "expected `Existing (1, Ready)");
   (match
      Tenant.publish t ~name:"acme" ~digest:"d9" ~text:"nine" ~now:1.
@@ -143,7 +143,7 @@ let test_tenant_versions () =
        ~build:(fun () -> Ok 2)
        ()
    with
-  | `Unchanged (2, Tenant.Ready) -> ()
+  | `Unchanged (2, Tenant.Ready, false) -> ()
   | _ -> Alcotest.fail "expected `Unchanged");
   (match
      Tenant.update t ~name:"ghost" ~digest:"d" ~text:"x" ~now:3.

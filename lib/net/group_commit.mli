@@ -2,8 +2,8 @@
     through here, batched.
 
     Commit numbers order durability. A shard {!claim}s the next commit
-    number no later than the moment a request's first write becomes
-    visible to other shards, hands the request's events over with
+    number as it starts a request, before any write of the request
+    becomes visible to other shards, hands the request's events over with
     {!submit} — which never waits for the disk — and goes straight on to
     its next request. The writer drains whatever was submitted while the
     previous fsync was in flight, appends it as one batch and fsyncs

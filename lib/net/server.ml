@@ -22,20 +22,20 @@ module Trace = Pet_obs.Trace
    - one writer domain ([Group_commit]) owns every WAL append.
 
    A request travels: connection thread → (queue) shard domain, which
-   handles it, hands its events to the writer domain ([submit] never
-   waits) and holds the rendered reply, tagged with the last commit
-   number claimed so far, in its FIFO of held replies. The shard goes
-   straight on to its next request; it writes a held reply to the
-   socket itself once the writer's durable frontier reaches the tag,
-   so one fsync covers every request submitted while the previous one
-   was in flight. Replies leave a shard in the order it handled them.
-   The reading and writing halves of a connection are decoupled on
-   purpose: the reader can queue further requests (up to
-   [max_outstanding], held replies included) while earlier ones
-   commit. A client that pipelines must correlate responses by their
-   echoed "id" — responses to requests that landed on different shards
-   may interleave; a lockstep client (one request in flight, like
-   `pet ping`) always sees strict request order. *)
+   claims a commit number, handles the request, hands its events to the
+   writer domain ([submit] never waits) and holds the rendered reply,
+   tagged with the last commit number claimed so far, in its FIFO of
+   held replies. The shard goes straight on to its next request; it
+   writes a held reply to the socket itself once the writer's durable
+   frontier reaches the tag, so one fsync covers every request
+   submitted while the previous one was in flight. Replies leave a
+   shard in the order it handled them. The reading and writing halves
+   of a connection are decoupled on purpose: the reader can queue
+   further requests (up to [max_outstanding], held replies included)
+   while earlier ones commit. A client that pipelines must correlate
+   responses by their echoed "id" — responses to requests that landed
+   on different shards may interleave; a lockstep client (one request
+   in flight, like `pet ping`) always sees strict request order. *)
 
 (* One live connection. The reader thread owns the descriptor's
    lifetime; shards share the write side under [wm]. [outstanding]
@@ -76,8 +76,6 @@ type shard = {
   pending : Persist.event list ref;
       (* events the job being run emitted, newest first; the shard
          hands them to the writer when the job ends *)
-  mutable claimed : int;
-      (* the job's commit number, 0 until it claims one *)
   held : held Queue.t;  (* only this shard's domain touches it *)
   obs_active : Obs.gauge;
   obs_queue : Obs.gauge;
@@ -243,37 +241,27 @@ let respond conn response =
   Condition.broadcast conn.cc;
   Mutex.unlock conn.cm
 
-let claim writer shard =
-  if shard.claimed = 0 then shard.claimed <- Group_commit.claim writer
-
-(* End the job's commit: hand its events (if it claimed a number) to the
-   writer. A stopped writer is a failed one. *)
-let submit t writer shard =
-  let lsn = shard.claimed and events = List.rev !(shard.pending) in
-  shard.claimed <- 0;
+(* End the job's commit: hand its events to the writer under the
+   job's commit number. A stopped writer is a failed one. *)
+let submit t writer shard lsn =
+  let events = List.rev !(shard.pending) in
   shard.pending := [];
-  if lsn > 0 then
-    match Group_commit.submit writer lsn events with
-    | () -> ()
-    | exception Sys_error m -> fail t ("write-ahead log failure: " ^ m)
+  match Group_commit.submit writer lsn events with
+  | () -> ()
+  | exception Sys_error m -> fail t ("write-ahead log failure: " ^ m)
 
 (* Write every held reply at the head of the FIFO that the durable
    frontier covers; once the writer has failed, answer the rest with
-   the [internal] error instead. At debug level each release logs its
-   tag and the frontier it was released at. *)
+   the [internal] error instead. *)
 let release t writer shard =
   let rec go () =
     match Queue.peek_opt shard.held with
     | None -> ()
     | Some r ->
-      let frontier = Group_commit.durable writer in
-      let durable = r.tag <= frontier in
+      let durable = r.tag <= Group_commit.durable writer in
       let failed = Group_commit.failure writer in
       if durable || failed <> None then begin
         ignore (Queue.pop shard.held);
-        if Log.level () = Log.Debug then
-          Log.debug "net.reply_released"
-            ~fields:[ ("tag", Trace.Int r.tag); ("durable", Trace.Int frontier) ];
         if Obs.enabled () then
           Service.record_hold shard.service (Obs.now () -. r.rendered);
         (match failed with
@@ -294,29 +282,32 @@ let releasable t shard =
     r.tag <= Group_commit.durable writer || Group_commit.failure writer <> None
   | _ -> false
 
-(* Run one job. A reply is tagged with the last commit number claimed
-   once the job's own is submitted: that covers the job's events and
-   every write on another shard it could have seen, since a shard
-   claims before its write becomes visible. *)
+let handle t shard = function
+  | Tick ->
+    ignore (Service.sweep_tick ~budget:256 shard.service);
+    sync_active shard;
+    None
+  | Flight ->
+    emit_flight t shard;
+    None
+  | Request { line; conn } ->
+    let response = Service.handle_line shard.service line in
+    sync_active shard;
+    Some (conn, response)
+
+(* Run one job under a commit number claimed before it starts, so the
+   number precedes every write the job makes visible to other shards.
+   Its reply is tagged with the last number claimed once the job ends:
+   that covers the job's own events and every write on another shard it
+   could have seen. *)
 let run_job t shard job =
-  let reply =
-    match job with
-    | Tick ->
-      ignore (Service.sweep_tick ~budget:256 shard.service);
-      sync_active shard;
-      None
-    | Flight ->
-      emit_flight t shard;
-      None
-    | Request { line; conn } ->
-      let response = Service.handle_line shard.service line in
-      sync_active shard;
-      Some (conn, response)
-  in
   match t.writer with
-  | None -> Option.iter (fun (conn, response) -> respond conn response) reply
+  | None ->
+    Option.iter (fun (conn, response) -> respond conn response) (handle t shard job)
   | Some writer ->
-    submit t writer shard;
+    let lsn = Group_commit.claim writer in
+    let reply = handle t shard job in
+    submit t writer shard lsn;
     Option.iter
       (fun (conn, response) ->
         Queue.push
@@ -587,7 +578,6 @@ let start ?payoff ?capacity ?ttl ?(tenant_quota = 0)
           qm = Mutex.create ();
           qc = Condition.create ();
           pending = ref [];
-          claimed = 0;
           held = Queue.create ();
           obs_active = Obs.gauge ~labels "pet_net_shard_sessions_active";
           obs_queue = Obs.gauge ~labels "pet_net_shard_queue_depth";
@@ -610,20 +600,17 @@ let start ?payoff ?capacity ?ttl ?(tenant_quota = 0)
          ~on_durable:(fun () -> Array.iter wake shards))
       store
   in
-  Option.iter
-    (fun writer ->
-      Array.iter
-        (fun shard ->
-          Service.set_claim shard.service (fun () -> claim writer shard);
-          Service.set_sink shard.service
-            {
-              Persist.emit =
-                (fun event ->
-                  claim writer shard;
-                  shard.pending := event :: !(shard.pending));
-            })
-        shards)
-    writer;
+  (match store with
+  | None -> ()
+  | Some _ ->
+    Array.iter
+      (fun shard ->
+        Service.set_sink shard.service
+          {
+            Persist.emit =
+              (fun event -> shard.pending := event :: !(shard.pending));
+          })
+      shards);
   match
     match listen with
     | Tcp port -> Result.map (fun (fd, port) -> (Some fd, port)) (bind port)

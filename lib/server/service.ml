@@ -70,9 +70,6 @@ type t = {
          session TTL so a respondent can revoke long after the session was
          swept *)
   mutable sink : Persist.sink;
-  mutable claim : unit -> unit;
-      (* called before a write another shard could see: the durable
-         server takes the request's commit number here *)
   mutable on_expire : string -> unit;
   mutable submitted : int;
 }
@@ -115,7 +112,6 @@ let create ?(payoff = Payoff.Blank) ?capacity ?ttl ?owns ?shared ?tenants
       tenants_owned;
       consents = Shared.consents shared;
       sink = Persist.null;
-      claim = ignore;
       on_expire = ignore;
       submitted = 0;
     }
@@ -132,7 +128,6 @@ let create ?(payoff = Payoff.Blank) ?capacity ?ttl ?owns ?shared ?tenants
   t
 
 let set_sink t sink = t.sink <- sink
-let set_claim t f = t.claim <- f
 let set_on_expire t f = t.on_expire <- f
 
 let shutdown t =
@@ -188,13 +183,11 @@ let compile ?(remember = true) ?count t text =
       (* Retain the canonical text and, when durable, log each rule set
          the first time it compiles process-wide; replay refills the texts
          before the sink is attached, so recovered rule sets are not
-         re-logged. A retained text is visible to every shard, so the
-         commit number is claimed first. *)
-      if remember then begin
-        if t.durable then t.claim ();
-        if Shared.remember_text t.shared ~digest ~text:canonical && t.durable then
-          t.sink.emit (Persist.Rules { digest; text = canonical })
-      end;
+         re-logged. *)
+      if remember && Shared.remember_text t.shared ~digest ~text:canonical
+         && t.durable
+      then
+        t.sink.emit (Persist.Rules { digest; text = canonical });
       Ok (compiled, hit)
     | exception Invalid_argument m ->
       Error (Proto.errorf Proto.Invalid_params "rules: %s" m))
@@ -527,11 +520,8 @@ let apply_event t event =
 (* Apply decided events in order, each then handed to the sink, which
    therefore sees exactly the transitions the state holds. An [Error]
    here means decide and apply disagree — a defect, answered as an
-   internal error rather than raised. Ledger, consent and tenant fields
-   are visible to every shard as soon as they apply, so the commit
-   number is claimed first. *)
+   internal error rather than raised. *)
 let commit t events =
-  t.claim ();
   List.fold_left
     (fun result event ->
       let* () = result in
@@ -611,11 +601,8 @@ let log_quota t ~name ~version ~digest ~text ~quota ~now =
     (Persist.Tenant_published
        { tenant = name; version; digest; text; quota; at = now })
 
-(* The registry's writes are visible to every shard at once, so both
-   tenant handlers claim the commit number before calling it. *)
 let publish_tenant t ~name ~quota rules ~now =
   let* canonical, digest, build = prepare_tenant_build t rules in
-  t.claim ();
   match Tenant.publish t.tenants ~name ~digest ~text:canonical ?quota ~now
           ~build ()
   with
@@ -644,7 +631,6 @@ let publish_tenant t ~name ~quota rules ~now =
 
 let update_tenant t ~name ~quota rules ~now =
   let* canonical, digest, build = prepare_tenant_build t rules in
-  t.claim ();
   match Tenant.update t.tenants ~name ~digest ~text:canonical ?quota ~now
           ~build ()
   with
@@ -723,9 +709,7 @@ let new_session t rules ~now =
       (* Pin the tenant's active version at open: the session keeps this
          digest (and its answers) across any later hot swap. *)
       let* resolved, compiled, _ = resolve_tenant t name in
-      (* The quota slot is reserved here, atomically across shards —
-         and visibly to them, so the commit number is claimed first. *)
-      t.claim ();
+      (* The quota slot is reserved here, atomically across shards. *)
       let* () =
         match Tenant.try_admit t.tenants name with
         | `Ok -> Ok ()
@@ -867,8 +851,6 @@ let submit_form t ~session:sid ~now =
   | Error m -> Error (Proto.error Proto.Rejected m)
   | Ok grant ->
     let digest = session.Session.digest and tenant = session.Session.tenant in
-    (* A reserved id shows in every shard's ledger size. *)
-    t.claim ();
     let grant_id =
       Shared.with_ledger t.shared (ledger_key ~digest ~tenant) Ledger.reserve
     in

@@ -89,15 +89,6 @@ val set_sink : t -> Persist.sink -> unit
 (** Install the persistence sink (initially {!Persist.null}). Attached
     {e after} recovery replay so recovered events are not re-logged. *)
 
-val set_claim : t -> (unit -> unit) -> unit
-(** Call [f ()] before every write another instance sharing this one's
-    {!Shared} state or tenant registry could see — a retained rule
-    text, a tenant publish or quota slot, a reserved grant id, every
-    applied event — and before any event reaches the sink (initially a
-    no-op). The durable server claims the request's commit number here,
-    so that a reply on another shard that saw the write waits for it to
-    be durable. *)
-
 val record_hold : t -> float -> unit
 (** Record in this instance's accounting how long (seconds) a rendered
     reply was held for its commit ({!Accounting.record_hold}). Call it

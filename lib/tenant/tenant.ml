@@ -4,9 +4,10 @@
    Tenants are named forms; each publish or rule update appends a
    *version* (monotonic number + canonical-text digest). Publishing
    returns immediately: the expensive artifact construction (engine,
-   MAS atlas, equilibrium) runs on a single background
-   builder domain, and the version is atomically marked [Ready] — and
-   made the tenant's active version — only when its build lands.
+   MAS atlas, equilibrium) runs on [builders] background builder
+   domains, which take jobs from one FIFO, and the version is
+   atomically marked [Ready] — and made the tenant's active version —
+   only when its build lands.
    Sessions pin the digest they started on, so a hot swap never changes
    the answers of an in-flight respondent; new sessions pick up the new
    active version the instant it is ready.
@@ -19,7 +20,7 @@
    shard a properly synchronized transfer.
 
    Locking: one mutex guards every tenant, version and counter; two
-   conditions share it ([work] wakes the builder, [settled] wakes
+   conditions share it ([work] wakes a builder, [settled] wakes
    waiters blocked on a version build). Builds themselves run outside
    the lock — only the enqueue and the final state swap take it. *)
 
@@ -36,6 +37,7 @@ type 'a version = {
   text : string;  (* canonical rule text; survives any engine eviction *)
   published_at : float;
   mutable state : build_state;
+  seq : int;  (* its build's place in the job queue; 0 if restored *)
   mutable artifact : 'a option;
       (* the built artifact, handed to the first resolver (which
          installs it in its own engine cache); later resolvers — other
@@ -57,6 +59,7 @@ type 'a tenant = {
 type 'a job = {
   job_tenant : string;
   job_number : int;
+  job_seq : int;
   job_build : unit -> ('a, string) result;
 }
 
@@ -68,7 +71,10 @@ type 'a t = {
   by_digest : (string, string) Hashtbl.t;  (* digest -> canonical text *)
   jobs : 'a job Queue.t;
   default_quota : int;
-  mutable builder : unit Domain.t option;
+  mutable builders : unit Domain.t list;
+  mutable enqueued : int;  (* the last job's [seq] *)
+  mutable settled_upto : int;  (* every job up to this [seq] has settled *)
+  settled_above : (int, unit) Hashtbl.t;  (* settled jobs past [settled_upto] *)
   mutable stopping : bool;
   mutable builds : int;  (* completed, successfully *)
   mutable failures : int;
@@ -84,7 +90,10 @@ let create ?(quota = 0) () =
     by_digest = Hashtbl.create 64;
     jobs = Queue.create ();
     default_quota = quota;
-    builder = None;
+    builders = [];
+    enqueued = 0;
+    settled_upto = 0;
+    settled_above = Hashtbl.create 16;
     stopping = false;
     builds = 0;
     failures = 0;
@@ -95,7 +104,12 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-(* --- The builder domain ------------------------------------------------------ *)
+(* --- The builder domains ----------------------------------------------------- *)
+
+(* Builds are CPU-bound and independent, so two domains run them: a
+   fleet's set-up, hundreds of publishes at once, ends when the last
+   build lands. *)
+let builders = 2
 
 let find_version tenant number =
   List.find_opt (fun v -> v.number = number) tenant.versions
@@ -127,6 +141,11 @@ let run_job t job =
           | Error m ->
             version.state <- Failed m;
             t.failures <- t.failures + 1)));
+      Hashtbl.replace t.settled_above job.job_seq ();
+      while Hashtbl.mem t.settled_above (t.settled_upto + 1) do
+        Hashtbl.remove t.settled_above (t.settled_upto + 1);
+        t.settled_upto <- t.settled_upto + 1
+      done;
       Condition.broadcast t.settled)
 
 let rec builder_loop t =
@@ -143,35 +162,39 @@ let rec builder_loop t =
     run_job t job;
     builder_loop t
 
-(* Called under the mutex. The domain is spawned on first use so a
+(* Called under the mutex. The domains are spawned on first use so a
    registry that never sees a tenant costs nothing. *)
-let ensure_builder t =
-  match t.builder with
-  | Some _ -> ()
-  | None -> t.builder <- Some (Domain.spawn (fun () -> builder_loop t))
+let ensure_builders t =
+  if t.builders = [] then
+    t.builders <- List.init builders (fun _ -> Domain.spawn (fun () -> builder_loop t))
 
-let enqueue_build t ~name ~number ~build =
-  ensure_builder t;
-  Queue.add { job_tenant = name; job_number = number; job_build = build } t.jobs;
+(* Under the mutex: the [seq] of the next job, for its version. *)
+let next_seq t =
+  t.enqueued <- t.enqueued + 1;
+  t.enqueued
+
+let enqueue_build t ~name ~number ~seq ~build =
+  ensure_builders t;
+  Queue.add { job_tenant = name; job_number = number; job_seq = seq; job_build = build } t.jobs;
   t.building <- t.building + 1;
   Condition.signal t.work
 
 let stop t =
-  let builder =
+  let builders =
     locked t (fun () ->
         t.stopping <- true;
         Condition.broadcast t.work;
-        let b = t.builder in
-        t.builder <- None;
+        let b = t.builders in
+        t.builders <- [];
         b)
   in
-  Option.iter Domain.join builder
+  List.iter Domain.join builders
 
 (* --- Publishing -------------------------------------------------------------- *)
 
 let newest tenant = List.hd tenant.versions
 
-let add_version t tenant ~digest ~text ~now =
+let add_version t tenant ~digest ~text ~now ~seq =
   let number = (newest tenant).number + 1 in
   let version =
     {
@@ -180,6 +203,7 @@ let add_version t tenant ~digest ~text ~now =
       text;
       published_at = now;
       state = Building;
+      seq;
       artifact = None;
     }
   in
@@ -204,6 +228,7 @@ let publish t ~name ~digest ~text ?quota ~now ~build () =
           `Existing (v.number, v.state, apply_quota tenant quota)
         else `Conflict v.number
       | None ->
+        let seq = next_seq t in
         let version =
           {
             number = 1;
@@ -211,6 +236,7 @@ let publish t ~name ~digest ~text ?quota ~now ~build () =
             text;
             published_at = now;
             state = Building;
+            seq;
             artifact = None;
           }
         in
@@ -227,7 +253,7 @@ let publish t ~name ~digest ~text ?quota ~now ~build () =
         in
         Hashtbl.replace t.tenants name tenant;
         Hashtbl.replace t.by_digest digest text;
-        enqueue_build t ~name ~number:1 ~build;
+        enqueue_build t ~name ~number:1 ~seq ~build;
         `Created)
 
 let update t ~name ~digest ~text ?quota ~now ~build () =
@@ -239,8 +265,9 @@ let update t ~name ~digest ~text ?quota ~now ~build () =
         let v = newest tenant in
         if v.digest = digest then `Unchanged (v.number, v.state, requota)
         else begin
-          let number = add_version t tenant ~digest ~text ~now in
-          enqueue_build t ~name ~number ~build;
+          let seq = next_seq t in
+          let number = add_version t tenant ~digest ~text ~now ~seq in
+          enqueue_build t ~name ~number ~seq ~build;
           `Queued number
         end)
 
@@ -257,6 +284,7 @@ let restore t ~name ~version:number ~digest ~text ?quota ~now () =
           text;
           published_at = now;
           state = Ready;
+          seq = 0;
           artifact = None;
         }
       in
@@ -323,20 +351,17 @@ let resolve t name =
 
 (* Block until the tenant's newest version has settled (ready or
    failed): the deploy-script barrier behind the wire method
-   [tenant {"name":N,"wait":true}]. *)
+   [tenant {"name":N,"wait":true}]. Every build queued before it must
+   have settled too, so what the barrier lets a script see does not
+   depend on how the builders shared the queue. *)
 let await t name =
   locked t (fun () ->
       match Hashtbl.find_opt t.tenants name with
       | None -> ()
       | Some tenant ->
-        let rec wait_settled () =
-          match (newest tenant).state with
-          | Building ->
-            Condition.wait t.settled t.mutex;
-            wait_settled ()
-          | Ready | Failed _ -> ()
-        in
-        wait_settled ())
+        while t.settled_upto < (newest tenant).seq do
+          Condition.wait t.settled t.mutex
+        done)
 
 let text_of_digest t digest =
   locked t (fun () -> Hashtbl.find_opt t.by_digest digest)

@@ -3,8 +3,8 @@
 
     Tenants are named forms. Each publish or rule update appends a
     {e version} (monotonic number + canonical-text digest) whose
-    artifact — engine, MAS atlas, rendered-report memo — is built on a
-    single background builder domain, so publishing returns
+    artifact — engine, MAS atlas, rendered-report memo — is built on
+    one of two background builder domains, so publishing returns
     immediately. A version becomes the tenant's {e active} version (the
     one new sessions resolve) atomically when its build completes;
     sessions pin the digest they started on, so a hot swap never
@@ -26,11 +26,11 @@ type 'a t
 
 val create : ?quota:int -> unit -> 'a t
 (** [quota] is the default per-tenant cap on concurrently active
-    sessions (0, the default, means unlimited). The builder domain is
+    sessions (0, the default, means unlimited). The builder domains are
     spawned lazily on the first publish. *)
 
 val stop : 'a t -> unit
-(** Drain the build queue and join the builder domain. Terminal. *)
+(** Drain the build queue and join the builder domains. Terminal. *)
 
 (** {1 Publishing} *)
 
@@ -105,9 +105,11 @@ val resolve :
     steady-state stall. *)
 
 val await : 'a t -> string -> unit
-(** Block until the tenant's newest version settles (ready or failed);
-    no-op for unknown tenants. The wire method
-    [tenant {"name":N,"wait":true}] — a deploy script's barrier. *)
+(** Block until the tenant's newest version settles (ready or failed),
+    and with it every build queued before that version's; no-op for
+    unknown tenants. The wire method [tenant {"name":N,"wait":true}] —
+    a deploy script's barrier, which therefore sees the same registry
+    whichever builder ran which build. *)
 
 val text_of_digest : 'a t -> string -> string option
 (** Canonical rule text for any version ever published, keyed by

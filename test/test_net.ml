@@ -169,6 +169,31 @@ let test_submit_after_stop_raises () =
     | exception Sys_error _ -> ());
     Store.close store
 
+let test_claim_holds_frontier () =
+  (* The tag rule rests on this: a claimed number holds the durable
+     frontier below itself until it is submitted, even when a later
+     number resolved first. *)
+  let dir = temp_dir () in
+  match Store.open_dir ~fsync:false dir with
+  | Error m -> Alcotest.failf "open_dir: %s" m
+  | Ok (store, _) ->
+    let writer = Group_commit.start store in
+    let first = Group_commit.claim writer in
+    let second = Group_commit.claim writer in
+    Alcotest.(check int) "issued" second (Group_commit.issued writer);
+    Group_commit.submit writer second [];
+    Alcotest.(check int) "an earlier claim holds the frontier" 0
+      (Group_commit.durable writer);
+    Group_commit.submit writer first
+      [ Persist.Session_created { id = "s0"; digest = "d"; tenant = None; at = 0. } ];
+    let deadline = Unix.gettimeofday () +. 10. in
+    while Group_commit.durable writer < second && Unix.gettimeofday () < deadline do
+      Thread.delay 0.001
+    done;
+    Alcotest.(check int) "both numbers durable" second (Group_commit.durable writer);
+    Group_commit.stop writer;
+    Store.close store
+
 let test_append_batch_crash_prefix () =
   (* A batch torn mid-record by a crash recovers to a prefix of the
      batch — never a suffix, never a hole. *)
@@ -253,6 +278,30 @@ let session_of response =
     else find (i + 1)
   in
   find 0
+
+let json_of line =
+  match Pet_pet.Json.parse line with
+  | Ok json -> json
+  | Error m -> Alcotest.failf "not JSON (%s): %s" m line
+
+let path json keys =
+  List.fold_left
+    (fun json key ->
+      match Pet_pet.Json.member key json with
+      | Some v -> v
+      | None -> Alcotest.failf "no %s in %s" key (Pet_pet.Json.to_string json))
+    json keys
+
+let int_at json keys =
+  match path json keys with
+  | Pet_pet.Json.Int n -> n
+  | Pet_pet.Json.Float f -> int_of_float f
+  | v -> Alcotest.failf "not a number: %s" (Pet_pet.Json.to_string v)
+
+let fold_obj json f init =
+  match json with
+  | Pet_pet.Json.Obj kvs -> List.fold_left (fun acc (k, v) -> f k v acc) init kvs
+  | _ -> init
 
 let test_durable_before_reply () =
   let dir = temp_dir () in
@@ -348,19 +397,33 @@ let with_durable_server ~domains f =
 let test_batches_track_outstanding () =
   (* One shard, one connection: a shard that no longer waits for its own
      fsync keeps handling the pipelined requests while the previous
-     batch is on its way to disk, so batches hold several requests. *)
+     batch is on its way to disk, so batches hold several requests. A
+     shard that blocked until its own fsync would commit each of the 64
+     sessions alone. The rules go first, in a request of their own, so
+     the counts below are the sessions' alone. *)
+  let before = ref None in
   let stats =
     with_durable_server ~domains:1 (fun server ->
         let fd, ic, oc = connect (Server.port server) in
         Fun.protect
           ~finally:(fun () -> Unix.close fd)
           (fun () ->
+            let r =
+              request oc ic
+                {|{"pet":1,"id":"rules","method":"publish_rules","params":{"source":"running"}}|}
+            in
+            let digest =
+              match path (json_of r) [ "ok"; "digest" ] with
+              | Pet_pet.Json.String d -> d
+              | _ -> Alcotest.failf "no digest in %s" r
+            in
+            before := Server.batch_stats server;
             let replies =
               pipeline oc ic
                 (List.init 64 (fun i ->
                      Printf.sprintf
-                       {|{"pet":1,"id":%d,"method":"new_session","params":{"source":"running"}}|}
-                       i))
+                       {|{"pet":1,"id":%d,"method":"new_session","params":{"digest":"%s"}}|}
+                       i digest))
             in
             List.iteri
               (fun i r ->
@@ -370,104 +433,149 @@ let test_batches_track_outstanding () =
                   (contains r (Printf.sprintf {|"id":%d,|} i) && contains r {|"ok"|}))
               replies))
   in
-  (* 64 sessions plus the one rules event *)
-  Alcotest.(check int) "events" 65 stats.Group_commit.events;
+  let before =
+    match !before with
+    | Some b -> b
+    | None -> Alcotest.fail "no batch stats with a store"
+  in
+  Alcotest.(check int) "the rules alone before" 1 before.Group_commit.events;
+  let batches = stats.Group_commit.batches - before.Group_commit.batches in
+  Alcotest.(check int) "session events" 64
+    (stats.Group_commit.events - before.Group_commit.events);
   Alcotest.(check bool)
-    (Printf.sprintf "a batch held several requests (max %d)"
+    (Printf.sprintf "a batch held several sessions (max %d)"
        stats.Group_commit.max_batch)
     true
     (stats.Group_commit.max_batch > 1);
   Alcotest.(check bool)
-    (Printf.sprintf "fewer batches (%d) than events" stats.Group_commit.batches)
-    true
-    (stats.Group_commit.batches < stats.Group_commit.events)
+    (Printf.sprintf "fewer batches (%d) than sessions" batches)
+    true (batches < 64)
+
+(* The bytes of every file under [dir], as they are this moment. *)
+let copy_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.map (fun file ->
+         (file, In_channel.with_open_bin (Filename.concat dir file) In_channel.input_all))
+
+(* Every [Session_created] a recovery would replay from [files]. *)
+let logged_sessions files =
+  let dir = temp_dir () in
+  Sys.mkdir dir 0o755;
+  List.iter
+    (fun (file, bytes) ->
+      Out_channel.with_open_bin (Filename.concat dir file) (fun oc ->
+          output_string oc bytes))
+    files;
+  let recovered = Store.read dir in
+  List.iter (fun (file, _) -> Sys.remove (Filename.concat dir file)) files;
+  Sys.rmdir dir;
+  match recovered with
+  | Error m -> Alcotest.failf "read: %s" m
+  | Ok recovery ->
+    List.filter_map
+      (function
+        | Persist.Session_created { id; tenant; _ } -> Some (id, tenant)
+        | _ -> None)
+      recovery.Store.events
 
 let test_no_reply_before_durable () =
-  (* Writes and cross-shard reads — the tenant registry, the ledger
-     counts in stats, sessions opened on whichever shard by digest —
-     pipelined on four connections over two shards. Every release is
-     logged at debug level with the reply's tag and the frontier it was
-     released at; none may leave before its tag is durable. *)
-  let lines = ref [] and lm = Mutex.create () in
-  Pet_obs.Log.set_level Pet_obs.Log.Debug;
-  Pet_obs.Log.set_sink (fun l -> Mutex.protect lm (fun () -> lines := l :: !lines));
-  let replies = Atomic.make 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      Pet_obs.Log.set_sink prerr_endline;
-      Pet_obs.Log.set_level Pet_obs.Log.Info)
-    (fun () ->
-      ignore
-        (with_durable_server ~domains:2 (fun server ->
-             let fd, ic, oc = connect (Server.port server) in
-             let digest =
-               Fun.protect
-                 ~finally:(fun () -> Unix.close fd)
-                 (fun () ->
-                   let r =
-                     request oc ic
-                       {|{"pet":1,"id":0,"method":"publish_rules","params":{"source":"running"}}|}
-                   in
-                   ignore
-                     (request oc ic
-                        {|{"pet":1,"id":1,"method":"publish_rules","params":{"source":"running","tenant":"acme"}}|});
-                   ignore
-                     (request oc ic
-                        {|{"pet":1,"id":2,"method":"tenant","params":{"name":"acme","wait":true}}|});
-                   Atomic.set replies 3;
-                   let key = {|"digest":"|} in
-                   let i = ref 0 in
-                   while String.sub r !i (String.length key) <> key do incr i done;
-                   String.sub r (!i + String.length key) 32)
-             in
-             let client c =
-               let fd, ic, oc = connect (Server.port server) in
-               Fun.protect
-                 ~finally:(fun () -> Unix.close fd)
-                 (fun () ->
-                   let line i =
-                     let id = (100 * c) + i in
-                     match i mod 4 with
-                     | 0 ->
-                       Printf.sprintf
-                         {|{"pet":1,"id":%d,"method":"new_session","params":{"digest":"%s"}}|}
-                         id digest
-                     | 1 ->
-                       Printf.sprintf
-                         {|{"pet":1,"id":%d,"method":"new_session","params":{"tenant":"acme"}}|}
-                         id
-                     | 2 ->
-                       Printf.sprintf
-                         {|{"pet":1,"id":%d,"method":"tenant","params":{"name":"acme"}}|}
-                         id
-                     | _ -> Printf.sprintf {|{"pet":1,"id":%d,"method":"stats"}|} id
-                   in
-                   let rs = pipeline oc ic (List.init 48 line) in
-                   List.iter
-                     (fun r ->
-                       if not (contains r {|"ok"|}) then Alcotest.failf "failed: %s" r)
-                     rs;
-                   ignore (Atomic.fetch_and_add replies (List.length rs)))
-             in
-             List.iter Thread.join (List.init 4 (fun c -> Thread.create client c)))));
-  let released =
-    List.filter_map
-      (fun l ->
-        if not (contains l "net.reply_released") then None
-        else
-          Scanf.sscanf_opt l "[debug] net.reply_released tag=%d durable=%d"
-            (fun tag durable -> (tag, durable)))
-      !lines
-  in
-  Alcotest.(check int) "every reply's release logged" (Atomic.get replies)
-    (List.length released);
-  Alcotest.(check bool) "writes were tagged" true
-    (List.exists (fun (tag, _) -> tag > 0) released);
+  (* Writes and cross-shard reads pipelined on four connections over two
+     shards: sessions opened by digest and by tenant, and the tenant's
+     session count read through [tenant] and [stats] — a count another
+     shard's write can raise. The moment each reply arrives, the client
+     copies the log's files; a recovery from that copy must replay every
+     session the reply names, and at least as many of the tenant's
+     sessions as it counts. *)
+  let dir = temp_dir () in
+  let seen = ref [] and sm = Mutex.create () in
+  (match Store.open_dir ~fsync:true dir with
+  | Error m -> Alcotest.failf "open_dir: %s" m
+  | Ok (store, _) ->
+    Fun.protect
+      ~finally:(fun () -> Store.close store)
+      (fun () ->
+        with_server ~store ~domains:2 (fun server ->
+            let digest =
+              let fd, ic, oc = connect (Server.port server) in
+              Fun.protect
+                ~finally:(fun () -> Unix.close fd)
+                (fun () ->
+                  ignore
+                    (request oc ic
+                       {|{"pet":1,"id":1,"method":"publish_rules","params":{"source":"running","tenant":"acme"}}|});
+                  let r =
+                    request oc ic
+                      {|{"pet":1,"id":2,"method":"tenant","params":{"name":"acme","wait":true}}|}
+                  in
+                  match path (json_of r) [ "ok"; "digest" ] with
+                  | Pet_pet.Json.String d -> d
+                  | _ -> Alcotest.failf "no digest in %s" r)
+            in
+            let client c =
+              let fd, ic, oc = connect (Server.port server) in
+              Fun.protect
+                ~finally:(fun () -> Unix.close fd)
+                (fun () ->
+                  let line i =
+                    let id = (100 * c) + i in
+                    match i mod 4 with
+                    | 0 ->
+                      Printf.sprintf
+                        {|{"pet":1,"id":%d,"method":"new_session","params":{"digest":"%s"}}|}
+                        id digest
+                    | 1 ->
+                      Printf.sprintf
+                        {|{"pet":1,"id":%d,"method":"new_session","params":{"tenant":"acme"}}|}
+                        id
+                    | 2 ->
+                      Printf.sprintf
+                        {|{"pet":1,"id":%d,"method":"tenant","params":{"name":"acme"}}|}
+                        id
+                    | _ -> Printf.sprintf {|{"pet":1,"id":%d,"method":"stats"}|} id
+                  in
+                  let lines = List.init 48 line in
+                  List.iter
+                    (fun line ->
+                      output_string oc line;
+                      output_char oc '\n')
+                    lines;
+                  flush oc;
+                  List.iter
+                    (fun _ ->
+                      match In_channel.input_line ic with
+                      | Some r ->
+                        let files = copy_files dir in
+                        Mutex.protect sm (fun () -> seen := (r, files) :: !seen)
+                      | None -> ())
+                    lines)
+            in
+            List.iter Thread.join (List.init 4 (fun c -> Thread.create client c)))));
+  Alcotest.(check int) "every reply seen" (4 * 48) (List.length !seen);
   List.iter
-    (fun (tag, durable) ->
-      if durable < tag then
-        Alcotest.failf "a reply tagged %d left at frontier %d" tag durable)
-    released
+    (fun (r, files) ->
+      let ok =
+        match Pet_pet.Json.member "ok" (json_of r) with
+        | Some ok -> ok
+        | None -> Alcotest.failf "failed: %s" r
+      in
+      let logged = logged_sessions files in
+      match Pet_pet.Json.member "session" ok with
+      | Some (Pet_pet.Json.String id) ->
+        if not (List.mem_assoc id logged) then
+          Alcotest.failf "session %s acknowledged before it was logged" id
+      | _ ->
+        let counted =
+          match Pet_pet.Json.member "tenants" ok with
+          | Some tenants -> int_at tenants [ "by_tenant"; "acme"; "sessions_created" ]
+          | None -> int_at ok [ "sessions"; "created" ]
+        in
+        let on_disk =
+          List.length (List.filter (fun (_, tenant) -> tenant = Some "acme") logged)
+        in
+        if on_disk < counted then
+          Alcotest.failf "a reply counted %d acme sessions, the log held %d: %s"
+            counted on_disk r)
+    !seen
 
 let test_wal_failure_answers_held () =
   (* Once an append fails, nothing past the durable frontier is
@@ -806,30 +914,6 @@ let test_compaction_keeps_read_sessions () =
       true (Pet_audit.Audit.pass report)
 
 (* --- Accounting across shards ------------------------------------------------------- *)
-
-let json_of line =
-  match Pet_pet.Json.parse line with
-  | Ok json -> json
-  | Error m -> Alcotest.failf "not JSON (%s): %s" m line
-
-let path json keys =
-  List.fold_left
-    (fun json key ->
-      match Pet_pet.Json.member key json with
-      | Some v -> v
-      | None -> Alcotest.failf "no %s in %s" key (Pet_pet.Json.to_string json))
-    json keys
-
-let int_at json keys =
-  match path json keys with
-  | Pet_pet.Json.Int n -> n
-  | Pet_pet.Json.Float f -> int_of_float f
-  | v -> Alcotest.failf "not a number: %s" (Pet_pet.Json.to_string v)
-
-let fold_obj json f init =
-  match json with
-  | Pet_pet.Json.Obj kvs -> List.fold_left (fun acc (k, v) -> f k v acc) init kvs
-  | _ -> init
 
 let test_accounting_across_shards () =
   (* Two shards and four concurrent clients across methods and tenants:
@@ -1296,6 +1380,8 @@ let () =
             test_group_commit_batches;
           Alcotest.test_case "submit after stop" `Quick
             test_submit_after_stop_raises;
+          Alcotest.test_case "a claim holds the frontier" `Quick
+            test_claim_holds_frontier;
           Alcotest.test_case "crash prefix" `Quick
             test_append_batch_crash_prefix;
         ] );

@@ -174,6 +174,52 @@ let test_tenant_versions () =
   Alcotest.(check int) "none in flight" 0 totals.Tenant.building;
   Tenant.stop t
 
+let test_await_covers_earlier_builds () =
+  (* Two builders take builds from one queue, so a later build can land
+     first: "fast" becomes ready while "slow" still builds. The barrier
+     on "fast" still waits for "slow", queued before it, so what a
+     script sees after it does not depend on which builder ran what. *)
+  let t : int Tenant.t = Tenant.create () in
+  let gate = Atomic.make false in
+  let state name =
+    match Tenant.info t name with
+    | Some info -> info.Tenant.state
+    | None -> Alcotest.failf "unknown tenant %s" name
+  in
+  ignore
+    (Tenant.publish t ~name:"slow" ~digest:"ds" ~text:"s" ~now:0.
+       ~build:(fun () ->
+         while not (Atomic.get gate) do
+           Unix.sleepf 0.001
+         done;
+         Ok 1)
+       ());
+  ignore
+    (Tenant.publish t ~name:"fast" ~digest:"df" ~text:"f" ~now:0.
+       ~build:(fun () -> Ok 2)
+       ());
+  let returned = Atomic.make false in
+  let waiter =
+    Thread.create
+      (fun () ->
+        Tenant.await t "fast";
+        Atomic.set returned true)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 10. in
+  while state "fast" = Tenant.Building && Unix.gettimeofday () < deadline do
+    Thread.delay 0.001
+  done;
+  Alcotest.(check string) "fast built beside slow" "ready"
+    (Tenant.state_name (state "fast"));
+  Thread.delay 0.05;
+  Alcotest.(check bool) "the barrier waits for the earlier build" false
+    (Atomic.get returned);
+  Atomic.set gate true;
+  Thread.join waiter;
+  Alcotest.(check string) "slow settled" "ready" (Tenant.state_name (state "slow"));
+  Tenant.stop t
+
 let test_tenant_quota () =
   let t : unit Tenant.t = Tenant.create () in
   ignore
@@ -322,6 +368,8 @@ let () =
         [
           Alcotest.test_case "versions" `Quick test_tenant_versions;
           Alcotest.test_case "quota" `Quick test_tenant_quota;
+          Alcotest.test_case "the barrier covers earlier builds" `Quick
+            test_await_covers_earlier_builds;
         ] );
       ( "service",
         [

@@ -4,7 +4,8 @@
    batched-append crash prefixes, sweep fairness across shards,
    cross-shard rule sharing, compaction under TCP (including sessions
    only reads kept alive), per-request accounting merged across shards,
-   watch streaming on both transports, and HOST:PORT dialing. *)
+   watch streaming on both transports, one request stream answered alike
+   by every transport, and HOST:PORT dialing. *)
 
 module Spec = Pet_rules.Spec
 module Persist = Pet_server.Persist
@@ -1135,7 +1136,7 @@ let test_tcp_watch_then_request () =
 (* A stdio server over pipes: [feed] writes request lines, [close]
    sends EOF, [read] takes one response line; [finished] polls whether
    {!Server.wait} has returned. *)
-let with_stdio_server f =
+let with_stdio_server ?store ?recovery f =
   let req_r, req_w = Unix.pipe ~cloexec:true () in
   let resp_r, resp_w = Unix.pipe ~cloexec:true () in
   let server_in = Unix.in_channel_of_descr req_r in
@@ -1143,7 +1144,7 @@ let with_stdio_server f =
   let feed = Unix.out_channel_of_descr req_w in
   let responses = Unix.in_channel_of_descr resp_r in
   match
-    Server.start ~resolve ~sweep_interval:0. ~domains:1
+    Server.start ~resolve ?store ?recovery ~sweep_interval:0. ~domains:1
       ~listen:(Stdio (server_in, server_out)) ~now:Unix.gettimeofday ()
   with
   | Error m -> Alcotest.failf "server start: %s" m
@@ -1167,13 +1168,24 @@ let with_stdio_server f =
         List.iter close_out_noerr [ server_out; feed ])
       (fun () ->
         f
-          ~feed:(fun line -> output_string feed (line ^ "\n"); flush feed)
+          ~feed:(fun line -> output_string feed line; flush feed)
           ~close:(fun () -> close_out feed)
           ~read:(fun () -> Option.get (In_channel.input_line responses))
-          ~finished)
+          ~finished
+          ~rest:(fun () ->
+            (* Stop the server and close its side: every line it wrote
+               and nothing more. *)
+            Server.stop server;
+            close_out_noerr server_out;
+            In_channel.input_all responses))
+
+(* [with_stdio_server] for the callers that feed whole lines. *)
+let with_stdio_lines f =
+  with_stdio_server (fun ~feed ~close ~read ~finished ~rest:_ ->
+      f ~feed:(fun line -> feed (line ^ "\n")) ~close ~read ~finished)
 
 let test_stdio_watch_then_request () =
-  with_stdio_server (fun ~feed ~close ~read ~finished ->
+  with_stdio_lines (fun ~feed ~close ~read ~finished ->
       feed (watch_line 2);
       feed stats_line;
       close ();
@@ -1184,7 +1196,7 @@ let test_stdio_watch_then_request () =
         (finished ~within:10. = Some (Ok ())))
 
 let test_stdio_unbounded_watch_stops_at_eof () =
-  with_stdio_server (fun ~feed ~close ~read ~finished ->
+  with_stdio_lines (fun ~feed ~close ~read ~finished ->
       feed (watch_line 0);
       Alcotest.(check bool) "first frame" true (is_frame (read ()));
       Alcotest.(check bool) "second frame" true (is_frame (read ()));
@@ -1194,7 +1206,7 @@ let test_stdio_unbounded_watch_stops_at_eof () =
         (finished ~within:10. = Some (Ok ())));
   (* A line after the unbounded watch is held until EOF ends the stream,
      then answered after its last frame. *)
-  with_stdio_server (fun ~feed ~close ~read ~finished ->
+  with_stdio_lines (fun ~feed ~close ~read ~finished ->
       feed (watch_line 0);
       feed stats_line;
       Alcotest.(check bool) "streaming" true (is_frame (read ()));
@@ -1209,6 +1221,137 @@ let test_stdio_unbounded_watch_stops_at_eof () =
         (contains (after_frames 0) {|"id":"after"|});
       Alcotest.(check bool) "EOF ends the server" true
         (finished ~within:10. = Some (Ok ())))
+
+(* --- One stream over every transport ----------------------------------------------- *)
+
+(* One seeded [corpus drive] stream through [call], then one request
+   [last]: every (request, reply) pair, in order. The drive is lockstep
+   and picks its next request from the replies, so every transport sees
+   the same stream as long as it answers the same. *)
+let last_line = {|{"pet":1,"id":"last","method":"stats"}|}
+
+let drive_pairs call =
+  let pairs = ref [] in
+  let call line =
+    let reply = call line in
+    pairs := (line, reply) :: !pairs;
+    reply
+  in
+  ignore (Pet_check.Drive.run ~seed:3 ~lo:8 ~hi:12 ~count:6 ~sessions:24 ~update_every:5 call);
+  List.rev !pairs
+
+(* What must not depend on the transport: session ids renamed by first
+   appearance (a shard mints only ids it owns), trace ids dropped, and
+   the bodies of [stats], [metrics] and [watch] (counters and timings)
+   dropped. *)
+let normalize pairs =
+  let names = Hashtbl.create 64 in
+  let rename id =
+    match Hashtbl.find_opt names id with
+    | Some n -> n
+    | None ->
+      let n = Printf.sprintf "S%d" (Hashtbl.length names) in
+      Hashtbl.add names id n;
+      n
+  in
+  let module Json = Pet_pet.Json in
+  let rec walk = function
+    | Json.Obj kvs ->
+      Json.Obj
+        (List.filter_map
+           (fun (k, v) ->
+             match (k, v) with
+             | "trace", _ -> None
+             | "session", Json.String id -> Some (k, Json.String (rename id))
+             | _ -> Some (k, walk v))
+           kvs)
+    | Json.List l -> Json.List (List.map walk l)
+    | v -> v
+  in
+  List.map
+    (fun (request, reply) ->
+      let request = walk (json_of request) in
+      let reply = walk (json_of reply) in
+      let reply =
+        match (Json.member "method" request, reply) with
+        | Some (Json.String ("stats" | "metrics" | "watch")), Json.Obj kvs ->
+          Json.Obj (List.map (fun (k, v) -> if k = "ok" then (k, Json.Null) else (k, v)) kvs)
+        | _ -> reply
+      in
+      Json.to_string request ^ " -> " ^ Json.to_string reply)
+    pairs
+
+let with_data_dir durable f =
+  if not durable then f None None
+  else
+    match Store.open_dir ~fsync:false (temp_dir ()) with
+    | Error m -> Alcotest.failf "open_dir: %s" m
+    | Ok (store, recovery) ->
+      Fun.protect ~finally:(fun () -> Store.close store) (fun () -> f (Some store) (Some recovery))
+
+let sequential_pairs () =
+  let service = Service.create ~resolve ~now:Unix.gettimeofday () in
+  Fun.protect
+    ~finally:(fun () -> Service.shutdown service)
+    (fun () ->
+      let call = Service.handle_line service in
+      drive_pairs call @ [ (last_line, call last_line) ])
+
+let tcp_pairs ~domains ~durable =
+  with_data_dir durable (fun store recovery ->
+      with_server ?store ?recovery ~domains (fun server ->
+          let fd, ic, oc = connect (Server.port server) in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              let call = request oc ic in
+              drive_pairs call @ [ (last_line, call last_line) ])))
+
+(* Over stdio the stream also carries what a line splitter can get
+   wrong: blank and whitespace-only lines (no reply), requests ended by
+   "\r\n", and a last request with no newline before EOF. *)
+let stdio_pairs ~durable =
+  with_data_dir durable (fun store recovery ->
+      with_stdio_server ?store ?recovery (fun ~feed ~close ~read ~finished ~rest ->
+          let n = ref 0 in
+          let call line =
+            incr n;
+            if !n mod 7 = 1 then feed "\n \t\n";
+            feed (line ^ if !n mod 5 = 2 then "\r\n" else "\n");
+            read ()
+          in
+          let pairs = drive_pairs call in
+          feed last_line;
+          close ();
+          let last = read () in
+          Alcotest.(check bool) "EOF ends the server" true (finished ~within:10. = Some (Ok ()));
+          Alcotest.(check string) "nothing more" "" (rest ());
+          pairs @ [ (last_line, last) ]))
+
+let test_transport_differential () =
+  let expected = normalize (sequential_pairs ()) in
+  Alcotest.(check bool) "a real stream" true (List.length expected > 60);
+  let check name pairs = Alcotest.(check (list string)) name expected (normalize pairs) in
+  List.iter
+    (fun durable ->
+      let dir = if durable then " with a data dir" else "" in
+      check ("stdio" ^ dir) (stdio_pairs ~durable);
+      List.iter
+        (fun domains -> check (Printf.sprintf "tcp, %d domains%s" domains dir) (tcp_pairs ~domains ~durable))
+        [ 1; 2; 4 ])
+    [ false; true ];
+  (* A bare [quit] mid-stream ends the input: the lines before it are
+     answered, the line after it is not, and the server ends. *)
+  let first = {|{"pet":1,"id":1,"method":"publish_rules","params":{"source":"running"}}|} in
+  let service = Service.create ~resolve ~now:Unix.gettimeofday () in
+  let expected = normalize [ (first, Service.handle_line service first) ] in
+  Service.shutdown service;
+  with_stdio_server (fun ~feed ~close:_ ~read ~finished ~rest ->
+      feed (first ^ "\n quit \r\n" ^ last_line ^ "\n");
+      let reply = read () in
+      Alcotest.(check (list string)) "before quit" expected (normalize [ (first, reply) ]);
+      Alcotest.(check bool) "quit ends the server" true (finished ~within:10. = Some (Ok ()));
+      Alcotest.(check string) "nothing after quit" "" (rest ()))
 
 (* --- Dialing ----------------------------------------------------------------------- *)
 
@@ -1415,6 +1558,11 @@ let () =
             test_stdio_watch_then_request;
           Alcotest.test_case "unbounded watch stops at EOF" `Quick
             test_stdio_unbounded_watch_stops_at_eof;
+        ] );
+      ( "transport",
+        [
+          Alcotest.test_case "one stream, every transport" `Quick
+            test_transport_differential;
         ] );
       ( "sweep",
         [ Alcotest.test_case "fairness" `Quick test_sweep_fairness ] );

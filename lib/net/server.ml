@@ -11,57 +11,62 @@ module Trace = Pet_obs.Trace
 
 (* --- Wiring -------------------------------------------------------------------
 
-   Threads and domains:
-   - the main domain runs one thread per connection (blocking line I/O
-     releases the runtime lock, so they interleave freely) and, over
-     TCP, the acceptor thread; standard input/output is one more
-     connection, made at start instead of accepted;
-   - each shard is a domain running a plain queue-drain loop over its
-     own [Service.t] — sessions never leave their shard, so the service
-     needs no locking;
-   - one writer domain ([Group_commit]) owns every WAL append.
+   Each shard is a domain running one loop ([shard_loop]) over its own
+   [Service.t] — sessions never leave their shard, so the service needs
+   no locking — and over the connections dealt to it: it selects on them
+   and its wake pipe, splits their lines, runs the lines it owns and
+   posts the others to the owning shard's inbox, writes the replies it
+   releases, and fires [watch] frames and the sweep tick from its select
+   timeout. Shard 0 also accepts, and deals each connection to the
+   shards in turn; stdio is shard 0's one connection. One writer domain
+   ([Group_commit]) owns every WAL append.
 
-   A request travels: connection thread → (queue) shard domain, which
-   claims a commit number, handles the request, hands its events to the
-   writer domain ([submit] never waits) and holds the rendered reply,
-   tagged with the last commit number claimed so far, in its FIFO of
-   held replies. The shard goes straight on to its next request; it
-   writes a held reply to the socket itself once the writer's durable
-   frontier reaches the tag, so one fsync covers every request
-   submitted while the previous one was in flight. Replies leave a
-   shard in the order it handled them. The reading and writing halves
-   of a connection are decoupled on purpose: the reader can queue
-   further requests (up to [max_outstanding], held replies included)
-   while earlier ones commit. A client that pipelines must correlate
-   responses by their echoed "id" — responses to requests that landed
-   on different shards may interleave; a lockstep client (one request
-   in flight, like `pet ping`) always sees strict request order. *)
+   The shard that runs a request claims a commit number, handles it,
+   hands its events to the writer ([submit] never waits) and holds the
+   rendered reply, tagged with the last commit number claimed, until the
+   writer's durable frontier reaches the tag; meanwhile it serves on, so
+   one fsync covers every request submitted while the previous one was
+   in flight. Replies leave a shard in the order it handled them. *)
 
-(* One live connection. The reader thread owns the descriptor's
-   lifetime; shards share the write side under [wm]. [outstanding]
-   counts requests queued but not yet answered: the reader blocks at
-   [max_outstanding] (backpressure), and close waits for it to drain to
-   zero so no shard can ever write to a recycled descriptor. *)
+(* A [watch] streaming on its connection: frame [sent + 1] of [frames]
+   ([0]: until the connection's input ends) is due at [due]; every frame
+   runs on shard [target]. *)
+type watch = {
+  wline : string;
+  interval : float;
+  frames : int;
+  mutable sent : int;
+  mutable due : float;
+  target : int;
+}
+
+(* One live connection, read by its [owner] shard alone; any shard may
+   write a reply to it under [wm]. [outstanding] counts requests
+   dispatched but not yet answered: the owner stops reading at
+   [max_outstanding] (backpressure) and closes the descriptor only once
+   it is back to zero, so no shard ever writes to a recycled one. *)
 type conn = {
+  fd : Unix.file_descr;
   oc : out_channel;
   wm : Mutex.t;
-  cm : Mutex.t;
-  cc : Condition.t;
-  mutable outstanding : int;
-  mutable closed : bool;
-      (* reader saw EOF, or a write failed: watch streamers must stop
-         producing frames so the outstanding budget can drain and the
-         descriptor close *)
+  owner : int;
+  outstanding : int Atomic.t;
+  closed : bool Atomic.t;  (* a write failed: no more watch frames *)
+  draining : bool Atomic.t;  (* the owner waits for [outstanding] = 0 *)
+  partial : Buffer.t;  (* bytes read after the last newline *)
+  lines : string Queue.t;  (* read, not yet dispatched *)
+  mutable eof : bool;  (* input ended: EOF, a read error or [quit] *)
+  mutable watch : watch option;
+  release : unit -> unit;  (* close the descriptor (TCP) or flush (stdio) *)
 }
 
 type listen = Tcp of int | Stdio of in_channel * out_channel
 
 let max_outstanding = 64
 
-type job = Request of { line : string; conn : conn } | Tick | Flight
-(* [Flight] asks shard 0 to assemble one flight-recorder snapshot (its
-   own service's gauges are safe to sync there) and hand it to the
-   writer domain. *)
+(* What other domains hand a shard: a request line it owns, or a newly
+   accepted connection. *)
+type mail = Run of string * conn | Adopt of conn
 
 (* A rendered reply waiting for the durable frontier to reach [tag],
    rendered at [rendered] on the obs clock. *)
@@ -70,40 +75,46 @@ type held = { tag : int; conn : conn; response : string; rendered : float }
 type shard = {
   index : int;
   service : Service.t;
-  q : job Queue.t;
+  inbox : mail Queue.t;
   qm : Mutex.t;
-  qc : Condition.t;
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  poked : bool Atomic.t;  (* a wake byte is on its way *)
   pending : Persist.event list ref;
       (* events the job being run emitted, newest first; the shard
          hands them to the writer when the job ends *)
   held : held Queue.t;  (* only this shard's domain touches it *)
+  holding : bool Atomic.t;  (* [held] is not empty: wake on a new frontier *)
+  chunk : Bytes.t;  (* read buffer *)
+  mutable conns : conn list;
+  mutable next_tick : float;
   obs_active : Obs.gauge;
   obs_queue : Obs.gauge;
-  mutable stopped : bool;
   mutable domain : unit Domain.t option;
 }
 
 type t = {
   shards : shard array;
-  shared : Shared.t;
   tenants : Service.compiled Pet_tenant.Tenant.t;
-      (* process-wide tenant registry, shared by every shard like
-         [shared]; the server owns its builder domain's lifecycle *)
+      (* process-wide tenant registry, shared by every shard; the server
+         owns its builder domains' lifecycle *)
   writer : Group_commit.t option;
   flight : Pet_store.Flight_log.t option;
   fenc : Pet_obs.Flight.t;
   store_h : Store.t option;  (* for WAL-frontier stamps on snapshots *)
   nowf : unit -> float;
+  sweep_interval : float;
   listen : Unix.file_descr option;  (* [None] under stdio *)
   port : int;
   rr : int Atomic.t;  (* round-robin for sessionless requests *)
-  conns : int Atomic.t;
+  mutable dealt : int;  (* connections accepted; shard 0 only *)
+  mutable accept_at : float;  (* no accept before, after an error; shard 0 only *)
+  connected : int Atomic.t;
   stop_flag : bool Atomic.t;
   failure : string option ref;
   mutable finished : bool;  (* the stdio connection reached EOF, drained *)
   fm : Mutex.t;
   fc : Condition.t;
-  mutable acceptor : Thread.t option;
 }
 
 let obs_accepted = Obs.counter "pet_net_accepted_total"
@@ -111,38 +122,47 @@ let obs_conns = Obs.gauge "pet_net_connections"
 
 (* --- Routing ------------------------------------------------------------------- *)
 
+(* Whether [key] occurs in [line] at [i], compared in place. *)
+let rec occurs line i key j =
+  j = String.length key || (line.[i + j] = key.[j] && occurs line i key (j + 1))
+
+(* The first position at or after [i] where [key] occurs, or -1. *)
+let rec find line key i =
+  if i + String.length key > String.length line then -1
+  else if occurs line i key 0 then i
+  else find line key (i + 1)
+
+let rec skip_ws line i =
+  if i < String.length line && (line.[i] = ' ' || line.[i] = '\t') then skip_ws line (i + 1)
+  else i
+
 (* Cheap scan for a top-level ["session":"<id>"] pair without parsing
-   the JSON on the connection thread — the shard parses for real. A
+   the JSON — the shard parses for real; it allocates only the id. A
    false positive (the pattern inside some string value) can only route
    the request to a shard that does not know the session, which answers
    [unknown_session] exactly as a wrong id would; it cannot crash or
    cross state between shards. *)
-let session_hint line =
+let rec session_hint ~from line =
   let key = {|"session"|} in
-  let len = String.length line and klen = String.length key in
-  let is_ws c = c = ' ' || c = '\t' in
-  let rec skip_ws i = if i < len && is_ws line.[i] then skip_ws (i + 1) else i in
-  let rec search from =
-    if from + klen > len then None
-    else if String.sub line from klen <> key then search (from + 1)
+  let at = find line key from in
+  if at < 0 then None
+  else
+    let len = String.length line in
+    let i = skip_ws line (at + String.length key) in
+    if i >= len || line.[i] <> ':' then session_hint ~from:(at + 1) line
     else
-      let i = skip_ws (from + klen) in
-      if i >= len || line.[i] <> ':' then search (from + 1)
+      let i = skip_ws line (i + 1) in
+      if i >= len || line.[i] <> '"' then session_hint ~from:(at + 1) line
       else
-        let i = skip_ws (i + 1) in
-        if i >= len || line.[i] <> '"' then search (from + 1)
-        else
-          match String.index_from_opt line (i + 1) '"' with
-          | Some j when j > i + 1 -> Some (String.sub line (i + 1) (j - i - 1))
-          | _ -> search (from + 1)
-  in
-  search 0
+        match String.index_from line (i + 1) '"' with
+        | j when j > i + 1 -> Some (String.sub line (i + 1) (j - i - 1))
+        | _ | (exception Not_found) -> session_hint ~from:(at + 1) line
 
 let route t line =
   let shards = Array.length t.shards in
   if shards = 1 then 0
   else
-    match session_hint line with
+    match session_hint ~from:0 line with
     | Some id -> Shard_map.owner ~shards id
     | None -> Atomic.fetch_and_add t.rr 1 mod shards
 
@@ -187,18 +207,30 @@ let wait t =
   Mutex.unlock t.fm;
   result
 
-(* --- Shard domains -------------------------------------------------------------- *)
+(* --- Running requests ------------------------------------------------------------- *)
 
-let enqueue shard job =
+(* Wake a shard blocked in [select]. At most one byte is ever in the
+   pipe: the shard drains it, clears [poked] and only then looks at its
+   state, so a change made after that clear pokes again. *)
+let poke shard =
+  if not (Atomic.exchange shard.poked true) then
+    try ignore (Unix.write_substring shard.wake_w "x" 0 1) with Unix.Unix_error _ -> ()
+
+let post shard mail =
   Mutex.lock shard.qm;
-  Queue.add job shard.q;
-  Obs.set_gauge shard.obs_queue (float_of_int (Queue.length shard.q));
-  Condition.signal shard.qc;
-  Mutex.unlock shard.qm
+  Queue.add mail shard.inbox;
+  let depth = Queue.length shard.inbox in
+  Mutex.unlock shard.qm;
+  Obs.set_gauge shard.obs_queue (float_of_int depth);
+  poke shard
 
-let sync_active shard =
-  Obs.set_gauge shard.obs_active
-    (float_of_int (Service.session_counters shard.service).Session.active)
+let take_inbox shard =
+  let mail = Queue.create () in
+  Mutex.lock shard.qm;
+  Queue.transfer shard.inbox mail;
+  Mutex.unlock shard.qm;
+  if not (Queue.is_empty mail) then Obs.set_gauge shard.obs_queue 0.;
+  mail
 
 (* Flight records are stamped with the obs clock; SLO windows are
    judged at the service clock, the timeline requests are recorded on. *)
@@ -208,10 +240,8 @@ let flight_snap t service =
     ?wal:(Option.map Store.position t.store_h)
     ~now:(Obs.now ()) snapshot
 
-(* Assemble one flight snapshot on a shard domain (syncing that shard's
-   service gauges is safe there) and queue it behind the WAL batches.
-   Slow traces ride along; the encoder dedups ids, so a trace is
-   journaled once no matter how many ticks see it. *)
+(* Queue one flight snapshot, assembled on shard 0, behind the WAL
+   batches. Slow traces ride along; the encoder journals each once. *)
 let emit_flight t shard =
   match t.writer with
   | Some writer when t.flight <> None && Obs.enabled () ->
@@ -220,11 +250,11 @@ let emit_flight t shard =
     List.iter (Group_commit.submit_flight writer) (record :: traces)
   | _ -> ()
 
-(* Deliver a response line on the connection's write side, then release
-   one slot of its outstanding budget. A write failure means the client
-   went away; its remaining responses are dropped but the accounting
-   still runs, so the reader can drain and close. *)
-let respond conn response =
+(* Write a response line, then release one slot of the connection's
+   outstanding budget, poking the owner when that unblocks it. A write
+   failure means the client went away: its remaining responses are
+   dropped, but the accounting still runs so the owner can close. *)
+let respond t conn response =
   Mutex.lock conn.wm;
   let written =
     try
@@ -235,20 +265,10 @@ let respond conn response =
     with Sys_error _ -> false
   in
   Mutex.unlock conn.wm;
-  Mutex.lock conn.cm;
-  if not written then conn.closed <- true;
-  conn.outstanding <- conn.outstanding - 1;
-  Condition.broadcast conn.cc;
-  Mutex.unlock conn.cm
-
-(* End the job's commit: hand its events to the writer under the
-   job's commit number. A stopped writer is a failed one. *)
-let submit t writer shard lsn =
-  let events = List.rev !(shard.pending) in
-  shard.pending := [];
-  match Group_commit.submit writer lsn events with
-  | () -> ()
-  | exception Sys_error m -> fail t ("write-ahead log failure: " ^ m)
+  if not written then Atomic.set conn.closed true;
+  let before = Atomic.fetch_and_add conn.outstanding (-1) in
+  if before = max_outstanding || (before = 1 && Atomic.get conn.draining) then
+    poke t.shards.(conn.owner)
 
 (* Write every held reply at the head of the FIFO that the durable
    frontier covers; once the writer has failed, answer the rest with
@@ -256,7 +276,7 @@ let submit t writer shard lsn =
 let release t writer shard =
   let rec go () =
     match Queue.peek_opt shard.held with
-    | None -> ()
+    | None -> Atomic.set shard.holding false
     | Some r ->
       let durable = r.tag <= Group_commit.durable writer in
       let failed = Group_commit.failure writer in
@@ -268,267 +288,270 @@ let release t writer shard =
         | Some m when not durable ->
           let reason = "write-ahead log failure: " ^ m in
           fail t reason;
-          respond r.conn
+          respond t r.conn
             (Proto.error_response ~id:Json.Null (Proto.error Proto.Internal reason))
-        | _ -> respond r.conn r.response);
+        | _ -> respond t r.conn r.response);
         go ()
       end
   in
   go ()
 
-let releasable t shard =
-  match (t.writer, Queue.peek_opt shard.held) with
-  | Some writer, Some r ->
-    r.tag <= Group_commit.durable writer || Group_commit.failure writer <> None
-  | _ -> false
-
-let handle t shard = function
-  | Tick ->
-    ignore (Service.sweep_tick ~budget:256 shard.service);
-    sync_active shard;
-    None
-  | Flight ->
-    emit_flight t shard;
-    None
-  | Request { line; conn } ->
-    let response = Service.handle_line shard.service line in
-    sync_active shard;
-    Some (conn, response)
-
-(* Run one job under a commit number claimed before it starts, so the
-   number precedes every write the job makes visible to other shards.
-   Its reply is tagged with the last number claimed once the job ends:
-   that covers the job's own events and every write on another shard it
-   could have seen. *)
-let run_job t shard job =
-  match t.writer with
-  | None ->
-    Option.iter (fun (conn, response) -> respond conn response) (handle t shard job)
-  | Some writer ->
-    let lsn = Group_commit.claim writer in
-    let reply = handle t shard job in
-    submit t writer shard lsn;
+(* Run one job (a request, or the sweep) under a commit number claimed
+   before it starts, so the number precedes every write the job makes
+   visible to other shards. Its reply is tagged with the last number
+   claimed once it ends: that covers its own events and every write on
+   another shard it could have seen. A stopped writer is a failed one. *)
+let run_job t shard work =
+  let lsn = Option.map Group_commit.claim t.writer in
+  let reply = work () in
+  Obs.set_gauge shard.obs_active
+    (float_of_int (Service.session_counters shard.service).Session.active);
+  match (t.writer, lsn) with
+  | Some writer, Some lsn ->
+    let events = List.rev !(shard.pending) in
+    shard.pending := [];
+    (try Group_commit.submit writer lsn events
+     with Sys_error m -> fail t ("write-ahead log failure: " ^ m));
     Option.iter
       (fun (conn, response) ->
-        Queue.push
-          {
-            tag = Group_commit.issued writer;
-            conn;
-            response;
-            rendered = (if Obs.enabled () then Obs.now () else 0.);
-          }
-          shard.held)
+        let rendered = if Obs.enabled () then Obs.now () else 0. in
+        Queue.push { tag = Group_commit.issued writer; conn; response; rendered } shard.held;
+        Atomic.set shard.holding true)
       reply;
     release t writer shard
+  | _ -> Option.iter (fun (conn, response) -> respond t conn response) reply
 
-(* Sleep until a job arrives or a held reply can be released; stop only
-   once stopped with nothing queued and nothing held. The writer wakes
-   every shard after each batch ([wake]). *)
-let rec shard_loop t shard =
-  Mutex.lock shard.qm;
-  while
-    Queue.is_empty shard.q
-    && (not (releasable t shard))
-    && not (shard.stopped && Queue.is_empty shard.held)
-  do
-    Condition.wait shard.qc shard.qm
-  done;
-  if Queue.is_empty shard.q && Queue.is_empty shard.held then
-    Mutex.unlock shard.qm (* stopped, drained *)
-  else begin
-    let job = Queue.take_opt shard.q in
-    Obs.set_gauge shard.obs_queue (float_of_int (Queue.length shard.q));
-    Mutex.unlock shard.qm;
-    (match job with
-    | Some job -> run_job t shard job
-    | None -> Option.iter (fun writer -> release t writer shard) t.writer);
-    shard_loop t shard
-  end
+let serve t shard conn line =
+  run_job t shard (fun () -> Some (conn, Service.handle_line shard.service line))
 
-let wake shard =
-  Mutex.lock shard.qm;
-  Condition.signal shard.qc;
-  Mutex.unlock shard.qm
+(* --- Connections ------------------------------------------------------------------ *)
 
-(* --- Connection threads ----------------------------------------------------------- *)
+(* [select] cannot watch a descriptor at or past FD_SETSIZE (1024): it
+   fails with [EINVAL]. *)
+let selectable fd =
+  match Unix.select [ fd ] [] [] 0. with _ -> true | exception Unix.Unix_error _ -> false
 
-let strip_cr line =
-  let n = String.length line in
-  if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
+let connect t fd oc ~owner ~release =
+  let n = Atomic.fetch_and_add t.connected 1 + 1 in
+  Obs.set_gauge obs_conns (float_of_int n);
+  {
+    fd;
+    oc;
+    wm = Mutex.create ();
+    owner;
+    outstanding = Atomic.make 0;
+    closed = Atomic.make false;
+    draining = Atomic.make false;
+    partial = Buffer.create 256;
+    lines = Queue.create ();
+    eof = false;
+    watch = None;
+    release;
+  }
 
-(* Recognize a well-formed [watch] request without parsing anything on
-   the non-watch path: a cheap substring scan gates the full decode, so
-   lines that merely mention "watch" in a value decode once and take the
-   normal path, and every other line is byte-for-byte untouched.
-   Malformed watch requests also return [None] — the shard produces the
-   same error response it always did. *)
-let watch_params line =
-  let key = {|"watch"|} in
-  let n = String.length line and m = String.length key in
-  let rec mentions i = i + m <= n && (String.sub line i m = key || mentions (i + 1)) in
-  if not (mentions 0) then None
-  else
-    match Proto.decode line with
-    | Ok { Proto.request = Proto.Watch { interval; frames }; _ } ->
-      Some (interval, frames)
-    | Ok _ | Error _ -> None
+let close_conn t shard conn =
+  shard.conns <- List.filter (fun c -> c != conn) shard.conns;
+  let n = Atomic.fetch_and_add t.connected (-1) - 1 in
+  Obs.set_gauge obs_conns (float_of_int n);
+  conn.release ()
 
-(* Take one slot of the connection's outstanding budget, blocking at
-   [max_outstanding]. A watch frame gives up instead once the
-   connection is [closed]; a request line never does — the close path
-   waits for its response either way. *)
-let acquire ?(unless_closed = false) conn =
-  Mutex.lock conn.cm;
-  while conn.outstanding >= max_outstanding && not (unless_closed && conn.closed) do
-    Condition.wait conn.cc conn.cm
-  done;
-  let ok = not (unless_closed && conn.closed) in
-  if ok then conn.outstanding <- conn.outstanding + 1;
-  Mutex.unlock conn.cm;
-  ok
+(* True once every request dispatched on [conn] is answered; until then
+   its last reply pokes the owner. *)
+let drained conn =
+  Atomic.set conn.draining true;
+  let drained = Atomic.get conn.outstanding = 0 in
+  if drained then Atomic.set conn.draining false;
+  drained
 
-let drain conn =
-  Mutex.lock conn.cm;
-  while conn.outstanding > 0 do
-    Condition.wait conn.cc conn.cm
-  done;
-  Mutex.unlock conn.cm
+(* Blank lines are skipped; a bare [quit] ends the input like EOF; one
+   trailing '\r' is dropped. *)
+let add_line conn line =
+  let trimmed = String.trim line and n = String.length line in
+  if conn.eof || trimmed = "" then ()
+  else if trimmed = "quit" then conn.eof <- true
+  else Queue.add (if line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line) conn.lines
 
-(* Stream a watch subscription: the same request line is enqueued once
-   per frame, [interval] apart, so each frame travels the ordinary
-   request path (same queue, same outstanding budget, one ok-response
-   per frame echoing the id). Stops after [frames] frames ([0]: no
-   limit), once [stop] is set, when the connection closes, or at server
-   stop. *)
-let stream ?(stop = Atomic.make false) t conn line ~interval ~frames =
-  let shard = t.shards.(route t line) in
-  let rec go sent =
-    if (frames = 0 || sent < frames)
-       && (not (Atomic.get stop || Atomic.get t.stop_flag))
-       && acquire ~unless_closed:true conn
-    then begin
-      enqueue shard (Request { line; conn });
-      let sent = sent + 1 in
-      if interval > 0. && (frames = 0 || sent < frames) then
-        Thread.delay interval;
-      go sent
+(* Split the [n] bytes read into [buf] at each newline. At EOF a last
+   line without one still counts. *)
+let split conn buf n =
+  let rec go start i =
+    if i = n then Buffer.add_subbytes conn.partial buf start (n - start)
+    else if Bytes.get buf i <> '\n' then go start (i + 1)
+    else begin
+      Buffer.add_subbytes conn.partial buf start (i - start);
+      add_line conn (Buffer.contents conn.partial);
+      Buffer.clear conn.partial;
+      go (i + 1) (i + 1)
     end
   in
-  go 0
+  go 0 0
 
-(* A watch takes over the stream: requests after it on the same
-   connection are dispatched only once its last frame is answered, so
-   a transcript is deterministic on any number of shards. A bounded
-   watch streams from the reader itself. An unbounded one streams from
-   its own thread until the client's EOF (or [quit]) ends it; lines
-   read meanwhile are held, then answered after its last frame. *)
-let conn_loop t ic conn =
-  let watching = ref None and held = Queue.create () in
-  let dispatch ~ended line =
-    match watch_params line with
-    | Some (_, 0) when ended -> () (* it would stream until EOF: passed *)
-    | Some (interval, 0) ->
-      let stop = Atomic.make false in
-      watching :=
-        Some
-          ( stop,
-            Thread.create
-              (fun () -> stream ~stop t conn line ~interval ~frames:0)
-              () )
-    | Some (interval, frames) ->
-      stream t conn line ~interval ~frames;
-      drain conn
-    | None ->
-      ignore (acquire conn);
-      enqueue t.shards.(route t line) (Request { line; conn })
-  in
-  let rec read () =
-    match In_channel.input_line ic with
-    | None | (exception (Sys_error _ | End_of_file)) -> ()
-    | Some line ->
-      let trimmed = String.trim line in
-      if trimmed = "" then read ()
-      else if trimmed = "quit" || Atomic.get t.stop_flag then ()
-      else begin
-        let line = strip_cr line in
-        if !watching = None then dispatch ~ended:false line
-        else Queue.add line held;
-        read ()
-      end
-  in
-  read ();
-  Option.iter
-    (fun (stop, streamer) ->
-      Atomic.set stop true;
-      Thread.join streamer;
-      drain conn)
-    !watching;
-  Queue.iter (dispatch ~ended:true) held
+let read_conn shard conn =
+  match Unix.read conn.fd shard.chunk 0 (Bytes.length shard.chunk) with
+  | exception Unix.Unix_error ((EINTR | EAGAIN | EWOULDBLOCK), _, _) -> ()
+  | 0 | (exception Unix.Unix_error _) ->
+    add_line conn (Buffer.contents conn.partial);
+    conn.eof <- true
+  | n -> split conn shard.chunk n
 
-(* Serve one connection until EOF (or [quit]), then release it with
-   [close] — once every queued request's response is written: a shard
-   must never write to a descriptor that may have been recycled by a
-   newer accept. Raising [closed] first stops any watch streamer from
-   producing further frames, so the budget can actually reach zero. *)
-let serve_conn t ic oc ~close =
-  Atomic.incr t.conns;
-  Obs.set_gauge obs_conns (float_of_int (Atomic.get t.conns));
-  let conn =
-    {
-      oc;
-      wm = Mutex.create ();
-      cm = Mutex.create ();
-      cc = Condition.create ();
-      outstanding = 0;
-      closed = false;
-    }
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.lock conn.cm;
-      conn.closed <- true;
-      Condition.broadcast conn.cc;
-      Mutex.unlock conn.cm;
-      drain conn;
-      Atomic.decr t.conns;
-      Obs.set_gauge obs_conns (float_of_int (Atomic.get t.conns));
-      close ())
-    (fun () -> conn_loop t ic conn)
+(* Run a line here if this shard owns it, else post it to its owner. *)
+let deliver t shard target conn line =
+  Atomic.incr conn.outstanding;
+  if target = shard.index then serve t shard conn line
+  else post t.shards.(target) (Run (line, conn))
 
-let acceptor_loop t listen =
-  let rec go () =
-    match Unix.accept ~cloexec:true listen with
-    | fd, _ ->
-      Obs.incr obs_accepted;
+(* A watch takes over its connection: the lines after it are dispatched
+   only once its last frame is answered, so a transcript is
+   deterministic on any number of shards. Each frame is the same request
+   line run as an ordinary request (same shard, same outstanding budget,
+   one ok-response per frame echoing the id), [interval] apart. A
+   bounded watch stops after [frames] frames, an unbounded one when the
+   connection's input ends (one read after that is passed over); either
+   stops once a write to the connection fails. An in-place scan gates
+   the decode, so every other line is passed on untouched, and a
+   malformed watch gets the shard's usual error response. *)
+let dispatch t shard conn line =
+  match if find line {|"watch"|} 0 < 0 then None else Result.to_option (Proto.decode line) with
+  | Some { Proto.request = Proto.Watch { frames = 0; _ }; _ } when conn.eof -> ()
+  | Some { Proto.request = Proto.Watch { interval; frames }; _ } ->
+    conn.watch <- Some { wline = line; interval; frames; sent = 0; due = 0.; target = route t line }
+  | _ -> deliver t shard (route t line) conn line
+
+let streaming conn w =
+  (not (Atomic.get conn.closed)) && if w.frames = 0 then not conn.eof else w.sent < w.frames
+
+(* When the next frame may go, if only time holds it back. *)
+let frame_due conn =
+  match conn.watch with
+  | Some w when streaming conn w && Atomic.get conn.outstanding < max_outstanding -> Some w.due
+  | _ -> None
+
+(* Move a connection on as far as it can go now: a watch frame if one is
+   due, else its lines up to the outstanding budget; once its input has
+   ended and every reply is out, close it. *)
+let rec advance t shard now conn =
+  match conn.watch with
+  | Some w when streaming conn w -> (
+    match frame_due conn with
+    | Some due when due <= now ->
+      w.sent <- w.sent + 1;
+      w.due <- now +. w.interval;
+      deliver t shard w.target conn w.wline;
+      (* The last frame may be answered already. *)
+      if not (streaming conn w) then advance t shard now conn
+    | _ -> ())
+  | Some _ ->
+    if drained conn then begin
+      conn.watch <- None;
+      advance t shard now conn
+    end
+  | None when Queue.is_empty conn.lines ->
+    if conn.eof && drained conn then close_conn t shard conn
+  | None ->
+    if Atomic.get conn.outstanding < max_outstanding then begin
+      dispatch t shard conn (Queue.pop conn.lines);
+      advance t shard now conn
+    end
+
+(* Read while nothing read is waiting; during an unbounded watch, read
+   on to see its input end. *)
+let wants_input conn =
+  (not conn.eof)
+  && match conn.watch with Some w -> w.frames = 0 | None -> Queue.is_empty conn.lines
+
+(* Deal each accepted connection to the shards in turn. *)
+let rec accept t shard listen =
+  match Unix.accept ~cloexec:true listen with
+  | fd, _ ->
+    Obs.incr obs_accepted;
+    if not (selectable fd) then begin
+      Log.warn "net.refused" ~fields:[ ("reason", Trace.String "descriptor past select's limit") ];
+      Unix.close fd
+    end
+    else begin
+      Unix.clear_nonblock fd;
       (* Replies are single small writes: Nagle would hold each one
          back until the client's delayed ACK. *)
       (try Unix.setsockopt fd TCP_NODELAY true with Unix.Unix_error _ -> ());
-      let ic = Unix.in_channel_of_descr fd in
+      let owner = t.dealt mod Array.length t.shards in
+      t.dealt <- t.dealt + 1;
       let oc = Unix.out_channel_of_descr fd in
-      (* Exactly one close: both channels share the descriptor, and the
-         connection thread is its sole owner. *)
-      ignore
-        (Thread.create
-           (fun () -> serve_conn t ic oc ~close:(fun () -> close_out_noerr oc))
-           ());
-      go ()
-    | exception Unix.Unix_error (EINTR, _, _) -> go ()
-    | exception Unix.Unix_error _ ->
-      (* [stop] shuts the listener down to wake this thread; anything
-         else on a closed/shut socket also means we are done. *)
-      ()
-  in
-  go ()
+      (* The channel's close is the descriptor's one close. *)
+      let conn = connect t fd oc ~owner ~release:(fun () -> close_out_noerr oc) in
+      if owner = shard.index then shard.conns <- conn :: shard.conns
+      else post t.shards.(owner) (Adopt conn)
+    end;
+    accept t shard listen
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+  | exception Unix.Unix_error (e, _, _) ->
+    (* Out of descriptors, say: retry shortly rather than spin on a
+       listener that stays readable. *)
+    Log.warn "net.accept_failed" ~fields:[ ("reason", Trace.String (Unix.error_message e)) ];
+    t.accept_at <- Unix.gettimeofday () +. 0.1
 
-let ticker_loop t interval =
-  while not (Atomic.get t.stop_flag) do
-    Thread.delay interval;
-    if not (Atomic.get t.stop_flag) then begin
-      Array.iter (fun shard -> enqueue shard Tick) t.shards;
+(* Block until a poke, a readable connection or listener, a due frame or
+   the sweep tick; then read what is ready. *)
+let await t shard ~stopping =
+  let now = Unix.gettimeofday () in
+  let conns = if stopping then [] else List.filter wants_input shard.conns in
+  let listen, backoff =
+    match t.listen with
+    | Some fd when shard.index = 0 && not stopping ->
+      if now >= t.accept_at then ([ fd ], []) else ([], [ t.accept_at ])
+    | _ -> ([], [])
+  in
+  let deadlines =
+    if stopping then []
+    else
+      backoff @ List.filter_map frame_due shard.conns
+      @ if t.sweep_interval > 0. then [ shard.next_tick ] else []
+  in
+  let timeout =
+    match deadlines with
+    | [] -> -1.
+    | d :: ds -> Float.max 0. (List.fold_left Float.min d ds -. now)
+  in
+  match
+    Unix.select (shard.wake_r :: listen @ List.map (fun c -> c.fd) conns) [] []
+      timeout
+  with
+  | exception Unix.Unix_error (EINTR, _, _) -> ()
+  | ready, _, _ ->
+    if List.mem shard.wake_r ready then begin
+      (try ignore (Unix.read shard.wake_r shard.chunk 0 64) with Unix.Unix_error _ -> ());
+      Atomic.set shard.poked false
+    end;
+    List.iter (fun fd -> if List.mem fd ready then accept t shard fd) listen;
+    List.iter (fun c -> if List.mem c.fd ready then read_conn shard c) conns
+
+(* One round: run what other shards posted, release what the frontier
+   covers, move every connection on, fire the sweep tick, then wait for
+   more. Once stopped, a shard reads nothing more and ends after a round
+   that found nothing posted and left nothing held. *)
+let rec shard_loop t shard =
+  let stopping = Atomic.get t.stop_flag in
+  let mail = take_inbox shard in
+  Queue.iter
+    (function
+      | Run (line, conn) -> serve t shard conn line
+      | Adopt conn -> shard.conns <- conn :: shard.conns)
+    mail;
+  Option.iter (fun writer -> release t writer shard) t.writer;
+  if not stopping then begin
+    let now = Unix.gettimeofday () in
+    List.iter (advance t shard now) shard.conns;
+    if t.sweep_interval > 0. && now >= shard.next_tick then begin
+      shard.next_tick <- now +. t.sweep_interval;
+      run_job t shard (fun () -> ignore (Service.sweep_tick ~budget:256 shard.service); None);
       (* One flight snapshot per sweep, assembled on shard 0. *)
-      if t.flight <> None then enqueue t.shards.(0) Flight
+      if shard.index = 0 then emit_flight t shard
     end
-  done
+  end;
+  if not (stopping && Queue.is_empty shard.held) then begin
+    await t shard ~stopping;
+    shard_loop t shard
+  end
+  else if not (Queue.is_empty mail) then shard_loop t shard
 
 (* --- Lifecycle -------------------------------------------------------------------- *)
 
@@ -548,6 +571,7 @@ let bind port =
     Unix.setsockopt fd SO_REUSEADDR true;
     Unix.bind fd (ADDR_INET (Unix.inet_addr_loopback, port));
     Unix.listen fd 128;
+    Unix.set_nonblock fd;
     fd
   with
   | exception Unix.Unix_error (e, _, _) ->
@@ -555,33 +579,44 @@ let bind port =
       (Printf.sprintf "cannot listen on port %d: %s" port (Unix.error_message e))
   | fd -> (
     match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> Ok (fd, p)
-    | _ -> Ok (fd, port))
+    | Unix.ADDR_INET (_, p) -> Ok (Some fd, p)
+    | _ -> Ok (Some fd, port))
 
 let start ?payoff ?capacity ?ttl ?(tenant_quota = 0)
     ?resolve ?store ?recovery ?(sweep_interval = 1.) ?flight ~domains ~listen
     ~now () =
+  let ( let* ) = Result.bind in
+  let* listen_fd, port = match listen with Tcp port -> bind port | Stdio _ -> Ok (None, 0) in
   let domains = max 1 domains in
   let shared = Shared.create () in
   let tenants = Pet_tenant.Tenant.create ~quota:tenant_quota () in
   let durable = store <> None in
+  let started = Unix.gettimeofday () in
   let shards =
     Array.init domains (fun index ->
         let owns id = Shard_map.owner ~shards:domains id = index in
         let labels = [ ("domain", string_of_int index) ] in
+        let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+        Unix.set_nonblock wake_r;
+        Unix.set_nonblock wake_w;
         {
           index;
           service =
             Service.create ?payoff ?capacity ?ttl ?resolve
               ~owns ~shared ~tenants ~durable ~now ();
-          q = Queue.create ();
+          inbox = Queue.create ();
           qm = Mutex.create ();
-          qc = Condition.create ();
+          wake_r;
+          wake_w;
+          poked = Atomic.make false;
           pending = ref [];
           held = Queue.create ();
+          holding = Atomic.make false;
+          chunk = Bytes.create 65536;
+          conns = [];
+          next_tick = started +. sweep_interval;
           obs_active = Obs.gauge ~labels "pet_net_shard_sessions_active";
           obs_queue = Obs.gauge ~labels "pet_net_shard_queue_depth";
-          stopped = false;
           domain = None;
         })
   in
@@ -597,105 +632,77 @@ let start ?payoff ?capacity ?ttl ?(tenant_quota = 0)
   let writer =
     Option.map
       (Group_commit.start ~batch_target:domains ?flight
-         ~on_durable:(fun () -> Array.iter wake shards))
+         ~on_durable:(fun () ->
+           Array.iter (fun shard -> if Atomic.get shard.holding then poke shard) shards))
       store
   in
-  (match store with
-  | None -> ()
-  | Some _ ->
-    Array.iter
-      (fun shard ->
-        Service.set_sink shard.service
-          {
-            Persist.emit =
-              (fun event -> shard.pending := event :: !(shard.pending));
-          })
-      shards);
-  match
-    match listen with
-    | Tcp port -> Result.map (fun (fd, port) -> (Some fd, port)) (bind port)
-    | Stdio _ -> Ok (None, 0)
-  with
-  | Error m ->
-    Option.iter Group_commit.stop writer;
-    Pet_tenant.Tenant.stop tenants;
-    Error m
-  | Ok (listen_fd, port) ->
-    let t =
-      {
-        shards;
-        shared;
-        tenants;
-        writer;
-        flight;
-        fenc = Pet_obs.Flight.create ();
-        store_h = store;
-        nowf = now;
-        listen = listen_fd;
-        port;
-        rr = Atomic.make 0;
-        conns = Atomic.make 0;
-        stop_flag = Atomic.make false;
-        failure = ref None;
-        finished = false;
-        fm = Mutex.create ();
-        fc = Condition.create ();
-        acceptor = None;
-      }
-    in
-    Option.iter
-      (fun fl ->
-        tee_log t fl;
-        let fields =
-          match listen with
-          | Stdio _ -> [ ("mode", "stdio") ]
-          | Tcp _ ->
-            [
-              ("transport", "tcp");
-              ("domains", string_of_int domains);
-              ("port", string_of_int port);
-            ]
-        in
-        try
-          Pet_store.Flight_log.append fl
-            (Pet_obs.Flight.meta t.fenc ~now:(Obs.now ()) ~event:"start" fields)
-        with Sys_error _ -> ())
+  Option.iter
+    (fun writer ->
+      Array.iter
+        (fun shard ->
+          Service.set_sink shard.service
+            { Persist.emit = (fun event -> shard.pending := event :: !(shard.pending)) };
+          Service.set_on_expire shard.service (Group_commit.note_expired writer))
+        shards)
+    writer;
+  let t =
+    {
+      shards;
+      tenants;
+      writer;
       flight;
-    Option.iter
-      (fun writer ->
-        Array.iter
-          (fun shard ->
-            Service.set_on_expire shard.service (Group_commit.note_expired writer))
-          t.shards)
-      t.writer;
-    Array.iter
-      (fun shard ->
-        shard.domain <- Some (Domain.spawn (fun () -> shard_loop t shard)))
-      t.shards;
-    (match listen with
-    | Stdio (ic, oc) ->
-      (* One connection, made here rather than accepted; its EOF ends
-         the server once every reply is out. *)
-      ignore
-        (Thread.create
-           (fun () ->
-             serve_conn t ic oc ~close:(fun () ->
-                 try flush oc with Sys_error _ -> ());
-             finish t)
-           ())
-    | Tcp _ -> ());
-    Option.iter
-      (fun fd ->
-        t.acceptor <- Some (Thread.create (fun () -> acceptor_loop t fd) ());
-        Obs.set_gauge
-          (Obs.gauge ~help:"Shard domains serving this process." "pet_net_domains")
-          (float_of_int domains);
-        Log.info "net.listening"
-          ~fields:[ ("port", Trace.Int port); ("domains", Trace.Int domains) ])
-      listen_fd;
-    if sweep_interval > 0. then
-      ignore (Thread.create (fun () -> ticker_loop t sweep_interval) ());
-    Ok t
+      fenc = Pet_obs.Flight.create ();
+      store_h = store;
+      nowf = now;
+      sweep_interval;
+      listen = listen_fd;
+      port;
+      rr = Atomic.make 0;
+      dealt = 0;
+      accept_at = 0.;
+      connected = Atomic.make 0;
+      stop_flag = Atomic.make false;
+      failure = ref None;
+      finished = false;
+      fm = Mutex.create ();
+      fc = Condition.create ();
+    }
+  in
+  Option.iter
+    (fun fl ->
+      tee_log t fl;
+      let fields =
+        match listen with
+        | Stdio _ -> [ ("mode", "stdio") ]
+        | Tcp _ -> [ ("transport", "tcp"); ("domains", string_of_int domains); ("port", string_of_int port) ]
+      in
+      try
+        Pet_store.Flight_log.append fl
+          (Pet_obs.Flight.meta t.fenc ~now:(Obs.now ()) ~event:"start" fields)
+      with Sys_error _ -> ())
+    flight;
+  (match listen with
+  | Stdio (ic, oc) ->
+    (* Shard 0's one connection, made here rather than accepted; its end
+       ends the serving once every reply is out. *)
+    let fd = Unix.descr_of_in_channel ic in
+    let conn =
+      connect t fd oc ~owner:0 ~release:(fun () ->
+          (try flush oc with Sys_error _ -> ());
+          finish t)
+    in
+    if not (selectable fd) then conn.eof <- true;
+    shards.(0).conns <- [ conn ]
+  | Tcp _ ->
+    Obs.set_gauge
+      (Obs.gauge ~help:"Shard domains serving this process." "pet_net_domains")
+      (float_of_int domains);
+    Log.info "net.listening"
+      ~fields:[ ("port", Trace.Int port); ("domains", Trace.Int domains) ]);
+  Array.iter
+    (fun shard -> shard.domain <- Some (Domain.spawn (fun () -> shard_loop t shard)))
+    shards;
+  Ok t
 
 let port t = t.port
 
@@ -724,32 +731,22 @@ let stop t =
     Mutex.lock t.fm;
     Condition.broadcast t.fc;
     Mutex.unlock t.fm;
-    Option.iter
-      (fun listen ->
-        (* Shutting the listener down (not just closing it) wakes the
-           acceptor blocked in [accept]. *)
-        (try Unix.shutdown listen Unix.SHUTDOWN_ALL
-         with Unix.Unix_error _ -> ());
-        Option.iter Thread.join t.acceptor;
-        t.acceptor <- None;
-        try Unix.close listen with Unix.Unix_error _ -> ())
-      t.listen;
+    Array.iter poke t.shards;
+    Array.iter (fun shard -> Option.iter Domain.join shard.domain) t.shards;
+    (* Close the connections still open, with any dealt to a shard after
+       it ended. *)
     Array.iter
       (fun shard ->
-        Mutex.lock shard.qm;
-        shard.stopped <- true;
-        Condition.broadcast shard.qc;
-        Mutex.unlock shard.qm)
+        Queue.iter
+          (function Adopt conn -> shard.conns <- conn :: shard.conns | Run _ -> ())
+          (take_inbox shard);
+        List.iter (close_conn t shard) shard.conns)
       t.shards;
-    Array.iter
-      (fun shard ->
-        Option.iter Domain.join shard.domain;
-        shard.domain <- None)
-      t.shards;
+    Option.iter Unix.close t.listen;
     Option.iter Group_commit.stop t.writer;
     Pet_tenant.Tenant.stop t.tenants;
-    (* The ticker is not joined: it sleeps up to a sweep interval and
-       exits on its own once it sees [stop_flag]. *)
+    (* Only now: the writer's last batch may still poke a shard. *)
+    Array.iter (fun shard -> Unix.close shard.wake_r; Unix.close shard.wake_w) t.shards;
     dump_flight t
   end
 

@@ -4,23 +4,29 @@
     owns a disjoint slice of the session space ({!Shard_map} decides
     ownership from the id alone), runs its own [Service.t] with no
     locking, and funnels its durable events through the single
-    {!Group_commit} writer domain. Connection handling stays on the main
-    domain as plain threads: a reader thread per connection parses
-    nothing, routes each request line to its shard (round-robin when the
-    line names no session) and moves on to the next line; the shard
-    writes the response back itself once it is durable, in the order
-    the shard handled its requests. A connection that pipelines
-    requests may therefore see responses out of order when they land on
-    different shards — the echoed ["id"] correlates them; a client that
-    waits for each response before sending the next sees strict
-    ordering.
+    {!Group_commit} writer domain. Shards also own the connections: no
+    thread serves anything. Each shard runs one [Unix.select] loop over
+    the connections dealt to it and a wake pipe; it reads and splits
+    their lines, runs the lines whose session it owns and posts the
+    others to the owning shard (round-robin when the line names no
+    session), and fires [watch] frames and the sweep from its select
+    timeout. The shard that ran a request writes the response itself
+    once it is durable, in the order it handled its requests. A
+    connection that pipelines requests may therefore see responses out
+    of order when they land on different shards — the echoed ["id"]
+    correlates them; a client that waits for each response before
+    sending the next sees strict ordering. A connection is not read
+    while 64 of its requests are unanswered.
 
-    Over TCP connections are accepted on localhost; over stdio the
-    server is one shard with a single connection, made at start on
-    standard input/output, whose EOF ends the serving. Everything else —
-    recovery, the sweep, group commit and compaction, the flight
-    recorder, [watch] streaming, the fatal path — is the same code for
-    both.
+    Over TCP, shard 0 accepts on localhost and deals each connection to
+    the shards in turn. [select] cannot watch a descriptor numbered
+    1024 or more, so a connection accepted past that is logged and
+    closed; a failed accept is logged and retried after 100 ms. Over
+    stdio the server is one shard with a single connection, made at
+    start on standard input/output, whose EOF ends the serving.
+    Everything else — recovery, the sweep, group commit and compaction,
+    the flight recorder, [watch] streaming, the fatal path — is the same
+    code for both.
 
     Replies are durable-before-reply without blocking the shard: a
     shard hands its events to the writer and holds the rendered reply,
@@ -77,10 +83,11 @@ val start :
     else; then the writer domain starts, compacting the log whenever
     the store asks ({!Group_commit.start}, idle cut-off [ttl]). The
     caller keeps ownership of [store] and closes it after {!stop}.
-    Then the shard domains, the connection (stdio) or the acceptor
-    thread (TCP), and the sweep ticker ([sweep_interval <= 0.] disables
-    it; use with deterministic clocks). [Error] only on socket
-    failures.
+    Then the shard domains start, with the stdio connection on shard
+    0 or the listening socket on shard 0; each shard runs the sweep
+    every [sweep_interval] seconds ([<= 0.] disables it; use with
+    deterministic clocks). [Error] only when the listening socket
+    cannot be bound, before anything else starts.
 
     Every shard shares one process-wide tenant registry (default
     per-tenant session cap [tenant_quota], 0 = unlimited), so a tenant
@@ -88,16 +95,16 @@ val start :
     background builder domain is stopped by {!stop}.
 
     [flight] attaches the flight recorder: structured log lines are
-    teed into the journal, the sweep ticker also enqueues one snapshot
-    per interval (assembled on shard 0, stamped with the
+    teed into the journal, the sweep also takes one snapshot per
+    interval (assembled on shard 0, stamped with the
     {!Pet_store.Store.position} WAL frontier, journaled by the writer
     domain via {!Group_commit.submit_flight}), a fatal WAL failure
     writes its reason to the journal directly, and {!stop} writes the
     exit records. [watch] subscriptions stream frames without touching
-    non-watch traffic (their lines are intercepted on the connection
-    thread by a substring scan + full decode; everything else is
-    forwarded byte-identically); a watch takes over its connection —
-    later requests on it are answered after its last frame — and an
+    non-watch traffic (their lines are recognized by the reading shard
+    with an in-place scan + full decode; everything else is forwarded
+    byte-identically); a watch takes over its connection — later
+    requests on it are answered after its last frame — and an
     unbounded one ends at the connection's EOF. The caller owns and
     closes the journal after {!stop}. *)
 
@@ -110,12 +117,13 @@ val wait : t -> (unit, string) result
     ([Error reason]). *)
 
 val stop : t -> unit
-(** Wake the acceptor, drain and join the shard domains, stop the
-    writer (committing anything queued), then write the flight
-    journal's exit records (a final snapshot, unjournaled slow traces,
-    the [exit] mark) and detach the log tee. Idempotent. Connections
-    still open are not waited for; their threads die with the process
-    or on the next client read. *)
+(** Stop reading, let each shard run what is posted to it and write
+    every held reply, join the shard domains, close the connections
+    still open (stdio's is flushed, not closed) and the listening
+    socket, stop the writer (committing anything queued), then write
+    the flight journal's exit records (a final snapshot, unjournaled
+    slow traces, the [exit] mark) and detach the log tee.
+    Idempotent. *)
 
 val batch_stats : t -> Group_commit.stats option
 (** Group-commit totals, [None] when running without a store. *)

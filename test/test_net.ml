@@ -452,6 +452,48 @@ let test_batches_track_outstanding () =
     (Printf.sprintf "fewer batches (%d) than sessions" batches)
     true (batches < 64)
 
+let test_pipelined_across_shards () =
+  (* One connection keeps far more requests in flight than its
+     outstanding budget, over two shards behind the writer: the reading
+     shard stops at the budget and must be woken by every reply that
+     frees a slot, whichever domain writes it. A lost wake-up leaves the
+     reader asleep with requests unread, and the read below times out. *)
+  let n = 10000 in
+  ignore
+    (with_durable_server ~domains:2 (fun server ->
+         let fd, ic, oc = connect (Server.port server) in
+         Unix.setsockopt_float fd SO_RCVTIMEO 20.;
+         Unix.setsockopt_float fd SO_SNDTIMEO 20.;
+         Fun.protect
+           ~finally:(fun () -> Unix.close fd)
+           (fun () ->
+             ignore
+               (request oc ic
+                  {|{"pet":1,"id":"rules","method":"publish_rules","params":{"source":"running"}}|});
+             let sender =
+               Thread.create
+                 (fun () ->
+                   try
+                     for i = 1 to n do
+                       Printf.fprintf oc
+                         {|{"pet":1,"id":%d,"method":"new_session","params":{"source":"running"}}|} i;
+                       output_char oc '\n'
+                     done;
+                     flush oc
+                   with Sys_error _ -> ())
+                 ()
+             in
+             let answered = ref 0 in
+             (try
+                for _ = 1 to n do
+                  match In_channel.input_line ic with
+                  | Some r when contains r {|"ok"|} -> incr answered
+                  | _ -> ()
+                done
+              with Sys_error _ -> ());
+             Thread.join sender;
+             Alcotest.(check int) "every pipelined request answered" n !answered)))
+
 (* The bytes of every file under [dir], as they are this moment. *)
 let copy_files dir =
   Sys.readdir dir |> Array.to_list
@@ -1222,6 +1264,61 @@ let test_stdio_unbounded_watch_stops_at_eof () =
       Alcotest.(check bool) "EOF ends the server" true
         (finished ~within:10. = Some (Ok ())))
 
+(* --- Descriptors ------------------------------------------------------------------- *)
+
+let selectable fd =
+  match Unix.select [ fd ] [] [] 0. with
+  | _ -> true
+  | exception Unix.Unix_error (EINVAL, _, _) -> false
+
+let test_descriptors_past_select () =
+  (* Take every descriptor below select's limit of 1024, so the next
+     accept lands past it — or, where the process may open fewer, every
+     descriptor but one (for the client), so the next accept fails. *)
+  with_server ~domains:1 (fun server ->
+      let port = Server.port server in
+      let dummies = ref [] in
+      let close_dummies () =
+        List.iter Unix.close !dummies;
+        dummies := []
+      in
+      let rec fill () =
+        match Unix.openfile "/dev/null" [ O_RDONLY; O_CLOEXEC ] 0 with
+        | fd ->
+          dummies := fd :: !dummies;
+          if selectable fd then fill () else `Past_select
+        | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) ->
+          Unix.close (List.hd !dummies);
+          dummies := List.tl !dummies;
+          `Full
+      in
+      Fun.protect ~finally:close_dummies (fun () ->
+          let filled = fill () in
+          let fd, ic, oc = connect port in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              match filled with
+              | `Past_select ->
+                Alcotest.(check (option string)) "refused: EOF" None (In_channel.input_line ic)
+              | `Full ->
+                (* The accept fails while the table is full; it is
+                   retried, so the request is answered once there is
+                   room again. *)
+                output_string oc (stats_line ^ "\n");
+                flush oc;
+                Unix.sleepf 0.2;
+                close_dummies ();
+                Alcotest.(check bool) "answered after the retry" true
+                  (contains (Option.get (In_channel.input_line ic)) {|"id":"after"|})));
+      (* With the descriptors back, the server still accepts. *)
+      let fd, ic, oc = connect port in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Alcotest.(check bool) "a new connection is served" true
+            (contains (request oc ic stats_line) {|"id":"after"|})))
+
 (* --- One stream over every transport ----------------------------------------------- *)
 
 (* One seeded [corpus drive] stream through [call], then one request
@@ -1534,6 +1631,8 @@ let () =
             test_durable_before_reply;
           Alcotest.test_case "batches track outstanding requests" `Quick
             test_batches_track_outstanding;
+          Alcotest.test_case "pipelined far past the budget, two shards" `Quick
+            test_pipelined_across_shards;
           Alcotest.test_case "no reply before it is durable" `Quick
             test_no_reply_before_durable;
           Alcotest.test_case "a failed append answers held replies" `Quick
@@ -1551,6 +1650,8 @@ let () =
             test_tcp_watch_then_request;
           Alcotest.test_case "dial HOST:PORT" `Quick test_dial;
           Alcotest.test_case "line client" `Quick test_dial_lines;
+          Alcotest.test_case "descriptors past select's limit" `Quick
+            test_descriptors_past_select;
         ] );
       ( "stdio",
         [

@@ -5,7 +5,8 @@
    cross-shard rule sharing, compaction under TCP (including sessions
    only reads kept alive), per-request accounting merged across shards,
    watch streaming on both transports, one request stream answered alike
-   by every transport, and HOST:PORT dialing. *)
+   by every transport, pipelining far past the outstanding budget,
+   descriptors past select's limit, and HOST:PORT dialing. *)
 
 module Spec = Pet_rules.Spec
 module Persist = Pet_server.Persist
@@ -457,7 +458,8 @@ let test_pipelined_across_shards () =
      outstanding budget, over two shards behind the writer: the reading
      shard stops at the budget and must be woken by every reply that
      frees a slot, whichever domain writes it. A lost wake-up leaves the
-     reader asleep with requests unread, and the read below times out. *)
+     reader asleep with requests unread: the read below times out, or
+     the shard cannot be woken to stop. *)
   let n = 10000 in
   ignore
     (with_durable_server ~domains:2 (fun server ->

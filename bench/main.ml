@@ -466,8 +466,9 @@ let sweep () =
    every minor collection stops them all, so a collection a provider
    build forces (DESIGN.md §5) is paid for by every domain beside it:
    the 200 fleet provider builds run last alone and beside idle domains
-   blocked on a condition variable, as [pet serve]'s writer and builder
-   domains mostly are. After the stages, the words each stage's result
+   blocked on a condition variable, as [pet serve]'s group-commit writer
+   mostly is; what the idle domains cost is why tenant builds run on the
+   shard domains rather than on domains of their own. After the stages, the words each stage's result
    keeps resident ([Obj.reachable_words]; the atlas holds its engine and
    the profile its atlas, so each row counts only what its stage adds),
    per player, so that a memory regression names its stage too. *)
@@ -1112,8 +1113,8 @@ let server () =
 
 (* --- Tenants: multi-tenant serving and hot rule migration ---------------------------
 
-   The registry under fleet load: publish a corpus of tenants (every
-   build drains through the single background builder domain), then
+   The registry under fleet load: publish a corpus of tenants (the
+   deploy barriers run the queued builds on this domain), then
    serve Zipf-distributed respondent traffic across all of them, and
    hot-swap a busy tenant's rules mid-traffic. Corpus sizes stay at the
    small end of the band so a 1000-tenant publish finishes in CI time;
@@ -1157,7 +1158,7 @@ let tenants () =
               {|{"pet":1,"method":"tenant","params":{"name":%s,"wait":true}}|}
               (escape name)))
     in
-    (* Publish everything, then drain the builder-domain backlog. *)
+    (* Publish everything, then let the barriers run the queued builds. *)
     let t0 = Unix.gettimeofday () in
     Array.iter publish scenario.Corpus.forms;
     Array.iter (fun (f : Corpus.form) -> settle f.Corpus.name) scenario.Corpus.forms;
@@ -1238,7 +1239,6 @@ let tenants () =
       List.fold_left ( +. ) 0. !swap_ms /. float_of_int (List.length !swap_ms)
     in
     let swap_max = List.fold_left max 0. !swap_ms in
-    Pet_server.Service.shutdown service;
     Fmt.pr
       "%4d tenants: published+built in %.2fs; %d flow requests = %.0f req/s, \
        p99 %.2fms; hot swap %.1fms mean / %.1fms max; %d errors@."

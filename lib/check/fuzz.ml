@@ -821,7 +821,6 @@ let run_corpus ?(seed = 0) ~count () =
       ignore (feed (Bytes.to_string b))
   done;
   send "stats" [];
-  Service.shutdown service;
   add ~by:(Array.length forms + 1) log "tenants";
   finish log
 

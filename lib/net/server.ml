@@ -19,7 +19,9 @@ module Trace = Pet_obs.Trace
    releases, and fires [watch] frames and the sweep tick from its select
    timeout. Shard 0 also accepts, and deals each connection to the
    shards in turn; stdio is shard 0's one connection. One writer domain
-   ([Group_commit]) owns every WAL append.
+   ([Group_commit]) owns every WAL append. Tenant builds have no domain
+   of their own: each round a shard runs at most one queued build, and
+   a request that waits for a build runs queued builds itself.
 
    The shard that runs a request claims a commit number, handles it,
    hands its events to the writer ([submit] never waits) and holds the
@@ -96,8 +98,8 @@ type shard = {
 type t = {
   shards : shard array;
   tenants : Service.compiled Pet_tenant.Tenant.t;
-      (* process-wide tenant registry, shared by every shard; the server
-         owns its builder domains' lifecycle *)
+      (* process-wide tenant registry, shared by every shard, whose
+         queued builds the shard loops run *)
   writer : Group_commit.t option;
   flight : Pet_store.Flight_log.t option;
   fenc : Pet_obs.Flight.t;
@@ -508,6 +510,7 @@ let await t shard ~stopping =
   in
   let timeout =
     match deadlines with
+    | _ when (not stopping) && Pet_tenant.Tenant.queued t.tenants -> 0.
     | [] -> -1.
     | d :: ds -> Float.max 0. (List.fold_left Float.min d ds -. now)
   in
@@ -525,9 +528,12 @@ let await t shard ~stopping =
     List.iter (fun c -> if List.mem c.fd ready then read_conn shard c) conns
 
 (* One round: run what other shards posted, release what the frontier
-   covers, move every connection on, fire the sweep tick, then wait for
-   more. Once stopped, a shard reads nothing more and ends after a round
-   that found nothing posted and left nothing held. *)
+   covers, move every connection on, fire the sweep tick, run one queued
+   tenant build, then wait for more — without blocking while builds
+   remain queued. A build delays this shard's replies by its length, as
+   a cache-miss recompile on the request path does. Once stopped, a
+   shard reads nothing more, runs no build, and ends after a round that
+   found nothing posted and left nothing held. *)
 let rec shard_loop t shard =
   let stopping = Atomic.get t.stop_flag in
   let mail = take_inbox shard in
@@ -545,7 +551,8 @@ let rec shard_loop t shard =
       run_job t shard (fun () -> ignore (Service.sweep_tick ~budget:256 shard.service); None);
       (* One flight snapshot per sweep, assembled on shard 0. *)
       if shard.index = 0 then emit_flight t shard
-    end
+    end;
+    ignore (Pet_tenant.Tenant.run_one t.tenants)
   end;
   if not (stopping && Queue.is_empty shard.held) then begin
     await t shard ~stopping;
@@ -694,6 +701,11 @@ let start ?payoff ?capacity ?ttl ?(tenant_quota = 0)
     if not (selectable fd) then conn.eof <- true;
     shards.(0).conns <- [ conn ]
   | Tcp _ ->
+    (* A client that resets with replies pending fails its own writes
+       ([respond] marks it closed); left at its default, SIGPIPE would
+       end the whole server. Stdio keeps the default: a closed stdout
+       ends [pet serve] like any filter. *)
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     Obs.set_gauge
       (Obs.gauge ~help:"Shard domains serving this process." "pet_net_domains")
       (float_of_int domains);
@@ -744,7 +756,6 @@ let stop t =
       t.shards;
     Option.iter Unix.close t.listen;
     Option.iter Group_commit.stop t.writer;
-    Pet_tenant.Tenant.stop t.tenants;
     (* Only now: the writer's last batch may still poke a shard. *)
     Array.iter (fun shard -> Unix.close shard.wake_r; Unix.close shard.wake_w) t.shards;
     dump_flight t

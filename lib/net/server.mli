@@ -91,8 +91,11 @@ val start :
 
     Every shard shares one process-wide tenant registry (default
     per-tenant session cap [tenant_quota], 0 = unlimited), so a tenant
-    published through any connection is servable on every shard; its
-    background builder domain is stopped by {!stop}.
+    published through any connection is servable on every shard. Its
+    builds run on the shard domains: each shard loop runs at most one
+    queued build per round, after its inbox, its held replies and its
+    connections, and does not block in [select] while builds remain
+    queued.
 
     [flight] attaches the flight recorder: structured log lines are
     teed into the journal, the sweep also takes one snapshot per

@@ -76,9 +76,8 @@ type request =
   | Publish_rules of {
       rules : rules_ref;
       tenant : string option;
-          (** create this tenant at version 1; its build runs on the
-              background builder domain, so the response reports
-              ["building"] *)
+          (** create this tenant at version 1; its build is queued, off
+              the request path, so the response reports ["building"] *)
       quota : int option;
           (** per-tenant cap on concurrently active sessions (0 =
               unlimited); requires [tenant] *)
@@ -126,7 +125,7 @@ type code =
   | Build_failed
       (** the tenant version's background build failed (e.g. the form
           is beyond the atlas enumeration bound); the message carries
-          the builder's error *)
+          the build's error *)
   | Internal
       (** server-side failure outside the request's control — e.g. the
           write-ahead log refused the event the request produced; the

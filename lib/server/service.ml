@@ -58,12 +58,8 @@ type t = {
   tenants : compiled Tenant.t;
       (* the multi-tenant form registry: in a sharded deployment every
          shard shares one instance (like [shared]), so a tenant
-         published on one shard is servable on every other and the
-         background builder domain is process-wide *)
-  tenants_owned : bool;
-      (* whether [shutdown] should stop the tenant registry's builder
-         domain (false when the registry was passed in by the caller,
-         who then owns its lifecycle) *)
+         published on one shard is servable on every other and its
+         build queue is process-wide *)
   consents : Consent.t;
       (* [Shared.consents shared]: consent-lifecycle entries (revocations,
          expiry horizons) keyed by session id; identifiers only, kept past
@@ -92,10 +88,10 @@ let shard_counters t =
 let create ?(payoff = Payoff.Blank) ?capacity ?ttl ?owns ?shared ?tenants
     ?(tenant_quota = 0) ?(resolve = fun _ -> None) ?(durable = false) ~now ()
     =
-  let tenants, tenants_owned =
+  let tenants =
     match tenants with
-    | Some registry -> (registry, false)
-    | None -> (Tenant.create ~quota:tenant_quota (), true)
+    | Some registry -> registry
+    | None -> Tenant.create ~quota:tenant_quota ()
   in
   let shared = match shared with Some s -> s | None -> Shared.create () in
   let t =
@@ -109,7 +105,6 @@ let create ?(payoff = Payoff.Blank) ?capacity ?ttl ?owns ?shared ?tenants
       durable;
       shared;
       tenants;
-      tenants_owned;
       consents = Shared.consents shared;
       sink = Persist.null;
       on_expire = ignore;
@@ -130,8 +125,9 @@ let create ?(payoff = Payoff.Blank) ?capacity ?ttl ?owns ?shared ?tenants
 let set_sink t sink = t.sink <- sink
 let set_on_expire t f = t.on_expire <- f
 
-let shutdown t =
-  if t.tenants_owned then Tenant.stop t.tenants
+(* Nothing runs beside a service: its tenant builds run on the domains
+   that wait for them. *)
+let shutdown (_ : t) = ()
 
 let ( let* ) = Result.bind
 
@@ -148,9 +144,8 @@ let ledger_key ~digest ~tenant =
 (* Build the full artifact for an exposure: compile the engine (the
    compiled backend, which keeps BDDs above its tabulation threshold),
    enumerate the atlas, solve the equilibrium. Pure apart from the
-   allocation — it touches neither the registry nor the sink, so the
-   tenant registry's builder domain can run it off the request path
-   without any locking. *)
+   allocation — it touches neither the registry nor the sink, so any
+   domain can run it off the request path without any locking. *)
 let build_artifact ~payoff exposure digest =
   let provider = Workflow.provider ~backend:Engine.Compiled ~payoff exposure in
   { digest; exposure; provider; memo = [||] }
@@ -552,9 +547,8 @@ let rules_summary compiled ~cached =
 (* --- Tenant handlers ------------------------------------------------------------ *)
 
 (* Parse and canonicalize the rules on the request path (so malformed
-   text errors synchronously), then hand the expensive part — engine,
-   atlas, equilibrium — to the tenant registry's builder domain as a
-   pure closure. *)
+   text errors synchronously), then queue the expensive part — engine,
+   atlas, equilibrium — in the tenant registry as a pure closure. *)
 let tenant_text t = function
   | Proto.Text text -> Ok text
   | Proto.Source name -> (
@@ -613,7 +607,7 @@ let publish_tenant t ~name ~quota rules ~now =
       (Persist.Tenant_published
          { tenant = name; version = 1; digest; text = canonical; quota; at = now });
     (* Rendered from the [`Created] arm, not from a state read, so the
-       response says "building" whether or not the builder already
+       response says "building" whether or not the build already
        finished — deterministic transcripts under any scheduling. *)
     Ok (tenant_version_json ~name ~version:1 ~digest ~state:"building")
   | `Existing (version, state, requota) ->

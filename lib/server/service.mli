@@ -73,17 +73,16 @@ val create :
 
     [tenants] shares a multi-tenant form registry with other service
     instances — the sharded TCP server passes one registry to every
-    shard, like [shared] — and leaves its lifecycle (stopping the
-    background builder domain) to the caller. Absent, the service
-    creates a private registry with [tenant_quota] as the default
-    per-tenant active-session cap (default 0 = unlimited) and
-    {!shutdown} stops it. *)
+    shard, like [shared]. Absent, the service creates a private
+    registry with [tenant_quota] as the default per-tenant
+    active-session cap (default 0 = unlimited). Tenant builds queue in
+    the registry and run on whichever domain waits for them ([tenant
+    {"wait":true}], a [new_session] on a first version still building)
+    or, under [pet serve], on the shard loops. *)
 
 val shutdown : t -> unit
-(** Stop the private tenant registry's builder domain, if this instance
-    owns one ({!create} without [?tenants]). Idempotent; services
-    handed a shared registry do nothing — the driver that created it
-    stops it. *)
+(** A no-op: a service starts nothing that outlives its calls. Only
+    the load generator under [bench/load] still calls it. *)
 
 val set_sink : t -> Persist.sink -> unit
 (** Install the persistence sink (initially {!Persist.null}). Attached

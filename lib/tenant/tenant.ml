@@ -4,25 +4,29 @@
    Tenants are named forms; each publish or rule update appends a
    *version* (monotonic number + canonical-text digest). Publishing
    returns immediately: the expensive artifact construction (engine,
-   MAS atlas, equilibrium) runs on [builders] background builder
-   domains, which take jobs from one FIFO, and the version is
+   MAS atlas, equilibrium) is queued in one FIFO, and the version is
    atomically marked [Ready] — and made the tenant's active version —
    only when its build lands.
    Sessions pin the digest they started on, so a hot swap never changes
    the answers of an in-flight respondent; new sessions pick up the new
    active version the instant it is ready.
 
+   The registry starts no domain. Queued builds run on domains that are
+   already there: a serving loop takes one per round ([run_one]), and a
+   caller that must wait for a build ([resolve], [await]) runs queued
+   builds itself until what it waits for has settled.
+
    The registry is generic in the built artifact type ['a] so it does
    not depend on the server library that instantiates it (the server
    depends on this module, not the reverse). Build work arrives as
-   closures; the builder publishes results back under the registry
-   mutex, which is also what makes the artifact handoff to a consuming
-   shard a properly synchronized transfer.
+   closures; whoever runs one publishes its result back under the
+   registry mutex, which is also what makes the artifact handoff to a
+   consuming shard a properly synchronized transfer.
 
-   Locking: one mutex guards every tenant, version and counter; two
-   conditions share it ([work] wakes a builder, [settled] wakes
-   waiters blocked on a version build). Builds themselves run outside
-   the lock — only the enqueue and the final state swap take it. *)
+   Locking: one mutex guards every tenant, version and counter;
+   [settled] wakes waiters blocked on a build another domain runs.
+   Builds themselves run outside the lock — only the enqueue and the
+   final state swap take it. *)
 
 type build_state = Building | Ready | Failed of string
 
@@ -65,17 +69,15 @@ type 'a job = {
 
 type 'a t = {
   mutex : Mutex.t;
-  work : Condition.t;
   settled : Condition.t;
   tenants : (string, 'a tenant) Hashtbl.t;
   by_digest : (string, string) Hashtbl.t;  (* digest -> canonical text *)
   jobs : 'a job Queue.t;
+  queued : int Atomic.t;  (* [Queue.length jobs], read without the lock *)
   default_quota : int;
-  mutable builders : unit Domain.t list;
   mutable enqueued : int;  (* the last job's [seq] *)
   mutable settled_upto : int;  (* every job up to this [seq] has settled *)
   settled_above : (int, unit) Hashtbl.t;  (* settled jobs past [settled_upto] *)
-  mutable stopping : bool;
   mutable builds : int;  (* completed, successfully *)
   mutable failures : int;
   mutable building : int;  (* versions currently in [Building] *)
@@ -84,17 +86,15 @@ type 'a t = {
 let create ?(quota = 0) () =
   {
     mutex = Mutex.create ();
-    work = Condition.create ();
     settled = Condition.create ();
     tenants = Hashtbl.create 64;
     by_digest = Hashtbl.create 64;
     jobs = Queue.create ();
+    queued = Atomic.make 0;
     default_quota = quota;
-    builders = [];
     enqueued = 0;
     settled_upto = 0;
     settled_above = Hashtbl.create 16;
-    stopping = false;
     builds = 0;
     failures = 0;
     building = 0;
@@ -104,69 +104,81 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-(* --- The builder domains ----------------------------------------------------- *)
-
-(* Builds are CPU-bound and independent, so two domains run them: a
-   fleet's set-up, hundreds of publishes at once, ends when the last
-   build lands. *)
-let builders = 2
+(* --- Running builds ------------------------------------------------------------ *)
 
 let find_version tenant number =
   List.find_opt (fun v -> v.number = number) tenant.versions
 
-(* One build: run the closure outside the lock, then publish the result
-   and move the tenant's active version forward — the "atomic swap" is
-   exactly these few lines under the mutex. *)
-let run_job t job =
-  let result =
-    match job.job_build () with
-    | result -> result
-    | exception exn -> Error (Printexc.to_string exn)
-  in
-  locked t (fun () ->
-      (match Hashtbl.find_opt t.tenants job.job_tenant with
-      | None -> ()  (* tenant vanished; nothing to publish *)
-      | Some tenant -> (
-        match find_version tenant job.job_number with
-        | None -> ()
-        | Some version ->
-          t.building <- t.building - 1;
-          (match result with
-          | Ok artifact ->
-            version.artifact <- Some artifact;
-            version.state <- Ready;
-            t.builds <- t.builds + 1;
-            if version.number > tenant.active then
-              tenant.active <- version.number
-          | Error m ->
-            version.state <- Failed m;
-            t.failures <- t.failures + 1)));
-      Hashtbl.replace t.settled_above job.job_seq ();
-      while Hashtbl.mem t.settled_above (t.settled_upto + 1) do
-        Hashtbl.remove t.settled_above (t.settled_upto + 1);
-        t.settled_upto <- t.settled_upto + 1
-      done;
-      Condition.broadcast t.settled)
+(* Under the mutex: the next queued job, if any. *)
+let take t =
+  if Queue.is_empty t.jobs then None
+  else begin
+    Atomic.decr t.queued;
+    Some (Queue.pop t.jobs)
+  end
 
-let rec builder_loop t =
-  let job =
-    locked t (fun () ->
-        while Queue.is_empty t.jobs && not t.stopping do
-          Condition.wait t.work t.mutex
-        done;
-        if Queue.is_empty t.jobs then None else Some (Queue.pop t.jobs))
-  in
-  match job with
-  | None -> ()  (* stopping, queue drained *)
+(* Under the mutex: publish a build's result and move the tenant's
+   active version forward — the "atomic swap" is exactly these few
+   lines. *)
+let settle t job result =
+  (match Hashtbl.find_opt t.tenants job.job_tenant with
+  | None -> ()  (* tenant vanished; nothing to publish *)
+  | Some tenant -> (
+    match find_version tenant job.job_number with
+    | None -> ()
+    | Some version ->
+      t.building <- t.building - 1;
+      (match result with
+      | Ok artifact ->
+        version.artifact <- Some artifact;
+        version.state <- Ready;
+        t.builds <- t.builds + 1;
+        if version.number > tenant.active then
+          tenant.active <- version.number
+      | Error m ->
+        version.state <- Failed m;
+        t.failures <- t.failures + 1)));
+  Hashtbl.replace t.settled_above job.job_seq ();
+  while Hashtbl.mem t.settled_above (t.settled_upto + 1) do
+    Hashtbl.remove t.settled_above (t.settled_upto + 1);
+    t.settled_upto <- t.settled_upto + 1
+  done;
+  Condition.broadcast t.settled
+
+(* The build itself, outside the lock. *)
+let build job =
+  match job.job_build () with
+  | result -> result
+  | exception exn -> Error (Printexc.to_string exn)
+
+let queued t = Atomic.get t.queued > 0
+
+let run_one t =
+  queued t
+  &&
+  match locked t (fun () -> take t) with
+  | None -> false
   | Some job ->
-    run_job t job;
-    builder_loop t
+    let result = build job in
+    locked t (fun () -> settle t job result);
+    true
 
-(* Called under the mutex. The domains are spawned on first use so a
-   registry that never sees a tenant costs nothing. *)
-let ensure_builders t =
-  if t.builders = [] then
-    t.builders <- List.init builders (fun _ -> Domain.spawn (fun () -> builder_loop t))
+(* Under the mutex: wait until [ready ()] holds, running queued builds
+   meanwhile (the lock is released while one runs). It blocks on
+   [settled] only when the queue is empty; every build it still waits
+   for is then running on another domain, so a waiter cannot deadlock
+   whatever runs the builds, or when nothing else does. *)
+let rec help t ready =
+  if not (ready ()) then begin
+    (match take t with
+    | Some job ->
+      Mutex.unlock t.mutex;
+      let result = build job in
+      Mutex.lock t.mutex;
+      settle t job result
+    | None -> Condition.wait t.settled t.mutex);
+    help t ready
+  end
 
 (* Under the mutex: the [seq] of the next job, for its version. *)
 let next_seq t =
@@ -174,21 +186,9 @@ let next_seq t =
   t.enqueued
 
 let enqueue_build t ~name ~number ~seq ~build =
-  ensure_builders t;
   Queue.add { job_tenant = name; job_number = number; job_seq = seq; job_build = build } t.jobs;
-  t.building <- t.building + 1;
-  Condition.signal t.work
-
-let stop t =
-  let builders =
-    locked t (fun () ->
-        t.stopping <- true;
-        Condition.broadcast t.work;
-        let b = t.builders in
-        t.builders <- [];
-        b)
-  in
-  List.iter Domain.join builders
+  Atomic.incr t.queued;
+  t.building <- t.building + 1
 
 (* --- Publishing -------------------------------------------------------------- *)
 
@@ -316,52 +316,46 @@ type 'a resolved = {
   res_artifact : 'a option;
 }
 
-(* The active version for a new session. Blocks while that version is
-   still building — only a tenant's *first* version can be active and
-   unbuilt (updates leave the previous version active until the swap),
-   so this wait is the publish/new_session handshake, not a steady-state
-   stall. The artifact is handed over exactly once; the caller installs
-   it in its own engine cache. *)
+(* The active version for a new session. Waits, running queued builds,
+   while that version is still building — only a tenant's *first*
+   version can be active and unbuilt (updates leave the previous version
+   active until the swap), so this wait is the publish/new_session
+   handshake, not a steady-state stall. The artifact is handed over
+   exactly once; the caller installs it in its own engine cache. *)
 let resolve t name =
   locked t (fun () ->
       match Hashtbl.find_opt t.tenants name with
       | None -> `Unknown
       | Some tenant ->
-        let rec settle () =
-          match find_version tenant tenant.active with
-          | None -> `Unknown
-          | Some version -> (
-            match version.state with
-            | Building ->
-              Condition.wait t.settled t.mutex;
-              settle ()
-            | Failed m -> `Failed (version.number, m)
-            | Ready ->
-              let artifact = version.artifact in
-              version.artifact <- None;
-              `Ready
-                {
-                  res_version = version.number;
-                  res_digest = version.digest;
-                  res_text = version.text;
-                  res_artifact = artifact;
-                })
-        in
-        settle ())
+        help t (fun () ->
+            match find_version tenant tenant.active with
+            | Some { state = Building; _ } -> false
+            | _ -> true);
+        match find_version tenant tenant.active with
+        | None -> `Unknown
+        | Some { number; state = Failed m; _ } -> `Failed (number, m)
+        | Some version ->
+          let artifact = version.artifact in
+          version.artifact <- None;
+          `Ready
+            {
+              res_version = version.number;
+              res_digest = version.digest;
+              res_text = version.text;
+              res_artifact = artifact;
+            })
 
-(* Block until the tenant's newest version has settled (ready or
-   failed): the deploy-script barrier behind the wire method
-   [tenant {"name":N,"wait":true}]. Every build queued before it must
-   have settled too, so what the barrier lets a script see does not
-   depend on how the builders shared the queue. *)
+(* Wait, running queued builds, until the tenant's newest version has
+   settled (ready or failed): the deploy-script barrier behind the wire
+   method [tenant {"name":N,"wait":true}]. Every build queued before it
+   must have settled too, so what the barrier lets a script see does not
+   depend on which domain ran which build. *)
 let await t name =
   locked t (fun () ->
       match Hashtbl.find_opt t.tenants name with
       | None -> ()
       | Some tenant ->
-        while t.settled_upto < (newest tenant).seq do
-          Condition.wait t.settled t.mutex
-        done)
+        help t (fun () -> t.settled_upto >= (newest tenant).seq))
 
 let text_of_digest t digest =
   locked t (fun () -> Hashtbl.find_opt t.by_digest digest)

@@ -3,9 +3,8 @@
 
     Tenants are named forms. Each publish or rule update appends a
     {e version} (monotonic number + canonical-text digest) whose
-    artifact — engine, MAS atlas, rendered-report memo — is built on
-    one of two background builder domains, so publishing returns
-    immediately. A version becomes the tenant's {e active} version (the
+    artifact — engine, MAS atlas, rendered-report memo — is queued for
+    building, so publishing returns immediately. A version becomes the tenant's {e active} version (the
     one new sessions resolve) atomically when its build completes;
     sessions pin the digest they started on, so a hot swap never
     changes an in-flight respondent's answers.
@@ -13,6 +12,11 @@
     The registry is generic in the artifact type ['a]: the server
     instantiates it with its compiled-engine record and supplies build
     closures, so this module depends on nothing above the stdlib.
+
+    The registry starts no domain: queued builds run on the caller's
+    domains. A serving loop takes one per round with {!run_one}, and
+    {!resolve} and {!await} run queued builds themselves while what
+    they wait for is unsettled.
 
     Thread-safety: every operation is safe from any domain; one mutex
     guards all state, and builds run outside it. *)
@@ -26,11 +30,16 @@ type 'a t
 
 val create : ?quota:int -> unit -> 'a t
 (** [quota] is the default per-tenant cap on concurrently active
-    sessions (0, the default, means unlimited). The builder domains are
-    spawned lazily on the first publish. *)
+    sessions (0, the default, means unlimited). *)
 
-val stop : 'a t -> unit
-(** Drain the build queue and join the builder domains. Terminal. *)
+(** {1 Running builds} *)
+
+val queued : 'a t -> bool
+(** Whether a build waits in the queue: one atomic read, no lock. *)
+
+val run_one : 'a t -> bool
+(** Run the oldest queued build on the calling domain and publish its
+    result; false, having done nothing, when the queue is empty. *)
 
 (** {1 Publishing} *)
 
@@ -99,17 +108,20 @@ type 'a resolved = {
 
 val resolve :
   'a t -> string -> [ `Ready of 'a resolved | `Failed of int * string | `Unknown ]
-(** The active version for a new session. Blocks while that version is
-    still building — only a tenant's first version can be active and
-    unbuilt, so this is the publish/new_session handshake, not a
+(** The active version for a new session. While that version is still
+    building, runs queued builds, then blocks until a build running on
+    another domain lands — only a tenant's first version can be active
+    and unbuilt, so this is the publish/new_session handshake, not a
     steady-state stall. *)
 
 val await : 'a t -> string -> unit
-(** Block until the tenant's newest version settles (ready or failed),
+(** Wait until the tenant's newest version settles (ready or failed),
     and with it every build queued before that version's; no-op for
-    unknown tenants. The wire method [tenant {"name":N,"wait":true}] —
-    a deploy script's barrier, which therefore sees the same registry
-    whichever builder ran which build. *)
+    unknown tenants. Like {!resolve} it runs queued builds while it
+    waits, so it returns even when nothing else runs them. The wire
+    method [tenant {"name":N,"wait":true}] — a deploy script's barrier,
+    which therefore sees the same registry whichever domain ran which
+    build. *)
 
 val text_of_digest : 'a t -> string -> string option
 (** Canonical rule text for any version ever published, keyed by

@@ -6,7 +6,9 @@
    only reads kept alive), per-request accounting merged across shards,
    watch streaming on both transports, one request stream answered alike
    by every transport, pipelining far past the outstanding budget,
-   descriptors past select's limit, and HOST:PORT dialing. *)
+   descriptors past select's limit, a client reset with replies
+   pending, tenant builds run by the shard loops, and HOST:PORT
+   dialing. *)
 
 module Spec = Pet_rules.Spec
 module Persist = Pet_server.Persist
@@ -949,7 +951,6 @@ let test_compaction_keeps_read_sessions () =
           (Service.apply_event service event))
       recovery.Store.events
   in
-  Service.shutdown service;
   Alcotest.(check (list string)) "no replay errors" [] errors;
   match Pet_audit.Audit.run dir with
   | Error m -> Alcotest.fail m
@@ -1321,6 +1322,102 @@ let test_descriptors_past_select () =
           Alcotest.(check bool) "a new connection is served" true
             (contains (request oc ic stats_line) {|"id":"after"|})))
 
+let test_reset_with_replies_pending () =
+  (* A client pipelines far more than the server can answer at once and
+     resets the connection: the server's writes to it fail. That must
+     cost the client its connection, not the server its life. *)
+  with_server ~domains:2 (fun server ->
+      let port = Server.port server in
+      let fd, _, oc = connect port in
+      Unix.setsockopt_float fd SO_SNDTIMEO 20.;
+      (try
+         for _ = 1 to 5000 do
+           output_string oc stats_line;
+           output_char oc '\n'
+         done;
+         flush oc
+       with Sys_error _ -> ());
+      Unix.setsockopt_optint fd SO_LINGER (Some 0);
+      Unix.close fd;
+      let fd, ic, oc = connect port in
+      Unix.setsockopt_float fd SO_RCVTIMEO 20.;
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Alcotest.(check bool) "a new connection is served" true
+            (contains (request oc ic stats_line) {|"id":"after"|})))
+
+(* --- Tenant builds on the shard loops --------------------------------------------- *)
+
+module Corpus = Pet_corpus.Corpus
+
+let envelope meth params =
+  Pet_pet.Json.(
+    to_string
+      (Obj [ ("pet", Int 1); ("id", Int 0); ("method", String meth); ("params", Obj params) ]))
+
+let tenant_rules (form : Corpus.form) =
+  [ ("tenant", Pet_pet.Json.String form.name); ("rules", Pet_pet.Json.String form.text) ]
+
+let test_update_lands_without_wait () =
+  (* Nothing waits for the update's build: only the shard loops run it,
+     so the active version moves without a barrier at any domain count. *)
+  List.iter
+    (fun domains ->
+      with_server ~domains (fun server ->
+          let fd, ic, oc = connect (Server.port server) in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              let call meth params = json_of (request oc ic (envelope meth params)) in
+              let form = Corpus.form ~seed:5 ~size:10 0 in
+              let name = [ ("name", Pet_pet.Json.String form.name) ] in
+              ignore (call "publish_rules" (tenant_rules form));
+              ignore (call "tenant" (("wait", Pet_pet.Json.Bool true) :: name));
+              ignore (call "update_rules" (tenant_rules (Corpus.update ~seed:5 form)));
+              let deadline = Unix.gettimeofday () +. 10. in
+              let rec poll () =
+                let active = int_at (call "tenant" name) [ "ok"; "active" ] in
+                if active = 1 && Unix.gettimeofday () < deadline then begin
+                  Unix.sleepf 0.001;
+                  poll ()
+                end
+                else active
+              in
+              Alcotest.(check int)
+                (Printf.sprintf "version 2 active at %d domains" domains)
+                2 (poll ()))))
+    [ 1; 2 ]
+
+let test_new_session_on_building_tenant () =
+  (* One shard, and each new_session arrives while its tenant's first
+     build is still queued: the shard runs the build itself rather than
+     wait for a runner that is the shard. *)
+  with_server ~domains:1 (fun server ->
+      let fd, ic, oc = connect (Server.port server) in
+      Unix.setsockopt_float fd SO_RCVTIMEO 20.;
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          for i = 0 to 49 do
+            let form = Corpus.form ~seed:7 ~size:8 i in
+            match
+              pipeline oc ic
+                [
+                  envelope "publish_rules" (tenant_rules form);
+                  envelope "new_session" [ ("tenant", Pet_pet.Json.String form.name) ];
+                ]
+            with
+            | [ published; opened ] ->
+              Alcotest.(check string) (form.name ^ " published") "building"
+                (match path (json_of published) [ "ok"; "state" ] with
+                | Pet_pet.Json.String s -> s
+                | _ -> "");
+              Alcotest.(check int) (form.name ^ " session on version 1") 1
+                (int_at (json_of opened) [ "ok"; "version" ])
+            | _ -> Alcotest.fail "two replies expected"
+          done))
+
 (* --- One stream over every transport ----------------------------------------------- *)
 
 (* One seeded [corpus drive] stream through [call], then one request
@@ -1389,12 +1486,8 @@ let with_data_dir durable f =
       Fun.protect ~finally:(fun () -> Store.close store) (fun () -> f (Some store) (Some recovery))
 
 let sequential_pairs () =
-  let service = Service.create ~resolve ~now:Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () -> Service.shutdown service)
-    (fun () ->
-      let call = Service.handle_line service in
-      drive_pairs call @ [ (last_line, call last_line) ])
+  let call = Service.handle_line (Service.create ~resolve ~now:Unix.gettimeofday ()) in
+  drive_pairs call @ [ (last_line, call last_line) ]
 
 let tcp_pairs ~domains ~durable =
   with_data_dir durable (fun store recovery ->
@@ -1444,7 +1537,6 @@ let test_transport_differential () =
   let first = {|{"pet":1,"id":1,"method":"publish_rules","params":{"source":"running"}}|} in
   let service = Service.create ~resolve ~now:Unix.gettimeofday () in
   let expected = normalize [ (first, Service.handle_line service first) ] in
-  Service.shutdown service;
   with_stdio_server (fun ~feed ~close:_ ~read ~finished ~rest ->
       feed (first ^ "\n quit \r\n" ^ last_line ^ "\n");
       let reply = read () in
@@ -1604,8 +1696,7 @@ let test_replay_keeps_shard_stats () =
         (Pet_pet.Json.to_string (sessions service)))
     replayed;
   Alcotest.(check (list int)) "submissions per shard" [ 3; 2 ]
-    (Array.to_list (Array.map (fun j -> int_at j [ "submitted" ]) before));
-  Array.iter Service.shutdown (Array.append live replayed)
+    (Array.to_list (Array.map (fun j -> int_at j [ "submitted" ]) before))
 
 let () =
   Alcotest.run "pet_net"
@@ -1654,6 +1745,12 @@ let () =
           Alcotest.test_case "line client" `Quick test_dial_lines;
           Alcotest.test_case "descriptors past select's limit" `Quick
             test_descriptors_past_select;
+          Alcotest.test_case "a reset with replies pending" `Quick
+            test_reset_with_replies_pending;
+          Alcotest.test_case "an update lands without a wait" `Quick
+            test_update_lands_without_wait;
+          Alcotest.test_case "new_session on a building tenant" `Quick
+            test_new_session_on_building_tenant;
         ] );
       ( "stdio",
         [

@@ -1266,8 +1266,7 @@ let test_replay_keeps_tenant_submitted () =
       | Ok () -> ()
       | Error m -> Alcotest.failf "replay error: %s" m)
     (List.rev !logged);
-  Alcotest.(check int) "replayed" 1 (submitted recovered);
-  List.iter Service.shutdown [ service; recovered ]
+  Alcotest.(check int) "replayed" 1 (submitted recovered)
 
 (* --- Live state equals replayed state -------------------------------------------- *)
 
@@ -1483,8 +1482,7 @@ let test_live_equals_replay () =
     Alcotest.(check (list string)) (label "compacted replay")
       (durable_projection ~compacted:true ~shared ~tenants live)
       (durable_projection ~compacted:true ~shared:shared'' ~tenants:tenants''
-         compacted);
-    List.iter Tenant.stop [ tenants; tenants'; tenants'' ]
+         compacted)
   done
 
 (* --- Report memo ------------------------------------------------------------------- *)

@@ -171,16 +171,15 @@ let test_tenant_versions () =
   Alcotest.(check int) "tenants" 2 totals.Tenant.tenants;
   Alcotest.(check int) "builds" 2 totals.Tenant.builds;
   Alcotest.(check int) "build failures" 1 totals.Tenant.build_failures;
-  Alcotest.(check int) "none in flight" 0 totals.Tenant.building;
-  Tenant.stop t
+  Alcotest.(check int) "none in flight" 0 totals.Tenant.building
 
 let test_await_covers_earlier_builds () =
-  (* Two builders take builds from one queue, so a later build can land
-     first: "fast" becomes ready while "slow" still builds. The barrier
-     on "fast" still waits for "slow", queued before it, so what a
-     script sees after it does not depend on which builder ran what. *)
+  (* Two helper threads take builds from one queue, so a later build can
+     land first: "fast" becomes ready while "slow" still builds. The
+     barrier on "fast" still waits for "slow", queued before it, so what
+     a script sees after it does not depend on which domain ran what. *)
   let t : int Tenant.t = Tenant.create () in
-  let gate = Atomic.make false in
+  let gate = Atomic.make false and started = Atomic.make false in
   let state name =
     match Tenant.info t name with
     | Some info -> info.Tenant.state
@@ -189,6 +188,7 @@ let test_await_covers_earlier_builds () =
   ignore
     (Tenant.publish t ~name:"slow" ~digest:"ds" ~text:"s" ~now:0.
        ~build:(fun () ->
+         Atomic.set started true;
          while not (Atomic.get gate) do
            Unix.sleepf 0.001
          done;
@@ -198,6 +198,12 @@ let test_await_covers_earlier_builds () =
     (Tenant.publish t ~name:"fast" ~digest:"df" ~text:"f" ~now:0.
        ~build:(fun () -> Ok 2)
        ());
+  let helper () = ignore (Tenant.run_one t) in
+  let slow_runner = Thread.create helper () in
+  while not (Atomic.get started) do
+    Thread.delay 0.001
+  done;
+  let fast_runner = Thread.create helper () in
   let returned = Atomic.make false in
   let waiter =
     Thread.create
@@ -216,9 +222,42 @@ let test_await_covers_earlier_builds () =
   Alcotest.(check bool) "the barrier waits for the earlier build" false
     (Atomic.get returned);
   Atomic.set gate true;
-  Thread.join waiter;
-  Alcotest.(check string) "slow settled" "ready" (Tenant.state_name (state "slow"));
-  Tenant.stop t
+  List.iter Thread.join [ waiter; slow_runner; fast_runner ];
+  Alcotest.(check string) "slow settled" "ready" (Tenant.state_name (state "slow"))
+
+let test_waiter_runs_builds () =
+  (* Nothing else runs this registry's builds: the waiters must. *)
+  let t : int Tenant.t = Tenant.create () in
+  ignore
+    (Tenant.publish t ~name:"a" ~digest:"da" ~text:"a" ~now:0.
+       ~build:(fun () -> Ok 1)
+       ());
+  ignore
+    (Tenant.publish t ~name:"b" ~digest:"db" ~text:"b" ~now:0.
+       ~build:(fun () -> Ok 2)
+       ());
+  ignore
+    (Tenant.publish t ~name:"bad" ~digest:"dx" ~text:"x" ~now:0.
+       ~build:(fun () -> failwith "boom")
+       ());
+  Alcotest.(check bool) "builds queued" true (Tenant.queued t);
+  Tenant.await t "a";
+  Alcotest.(check string) "await built a" "ready"
+    (Tenant.state_name (Option.get (Tenant.info t "a")).Tenant.state);
+  (match Tenant.resolve t "b" with
+  | `Ready r ->
+    Alcotest.(check (option int)) "resolve built b" (Some 2) r.Tenant.res_artifact
+  | `Failed _ | `Unknown -> Alcotest.fail "expected `Ready");
+  (match Tenant.resolve t "bad" with
+  | `Failed (1, m) ->
+    Alcotest.(check string) "the exception is the message" {|Failure("boom")|} m
+  | _ -> Alcotest.fail "expected `Failed (1, _)");
+  Alcotest.(check bool) "queue drained" false (Tenant.queued t);
+  Alcotest.(check bool) "nothing left to run" false (Tenant.run_one t);
+  let totals = Tenant.totals t in
+  Alcotest.(check int) "builds" 2 totals.Tenant.builds;
+  Alcotest.(check int) "build failures" 1 totals.Tenant.build_failures;
+  Alcotest.(check int) "none in flight" 0 totals.Tenant.building
 
 let test_tenant_quota () =
   let t : unit Tenant.t = Tenant.create () in
@@ -243,8 +282,7 @@ let test_tenant_quota () =
   | `Over _ -> Alcotest.fail "admit after release");
   let info = Option.get (Tenant.info t "q") in
   Alcotest.(check int) "active sessions" 2 info.Tenant.sessions_active;
-  Alcotest.(check int) "created sessions" 3 info.Tenant.sessions_created;
-  Tenant.stop t
+  Alcotest.(check int) "created sessions" 3 info.Tenant.sessions_created
 
 (* --- Service: hot swap never evicts a pinned session's engine ------------------- *)
 
@@ -286,7 +324,6 @@ let test_swap_keeps_pinned_engine () =
         !tick)
       ()
   in
-  Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
   let form = ref (Corpus.form ~seed:3 ~size:8 0) in
   let send line = Service.handle_line service line in
   ignore
@@ -370,6 +407,8 @@ let () =
           Alcotest.test_case "quota" `Quick test_tenant_quota;
           Alcotest.test_case "the barrier covers earlier builds" `Quick
             test_await_covers_earlier_builds;
+          Alcotest.test_case "a waiter runs queued builds" `Quick
+            test_waiter_runs_builds;
         ] );
       ( "service",
         [

@@ -466,9 +466,9 @@ let sweep () =
    every minor collection stops them all, so a collection a provider
    build forces (DESIGN.md §5) is paid for by every domain beside it:
    the 200 fleet provider builds run last alone and beside idle domains
-   blocked on a condition variable, as [pet serve]'s group-commit writer
-   mostly is; what the idle domains cost is why tenant builds run on the
-   shard domains rather than on domains of their own. After the stages, the words each stage's result
+   blocked on a condition variable; what the idle domains cost is why
+   tenant builds and group commit run on the shard domains rather than
+   on domains of their own. After the stages, the words each stage's result
    keeps resident ([Obj.reachable_words]; the atlas holds its engine and
    the profile its atlas, so each row counts only what its stage adds),
    per player, so that a memory regression names its stage too. *)
@@ -796,11 +796,11 @@ let server_case ?now ?(on_create = ignore) name exposure respondents =
 
    The scenario the sharded transport exists for: concurrent clients
    each opening a session (one durable event per request, fsync ON).
-   A single domain is fsync-bound — every request pays the full
-   flush+fsync alone. With N domains the requests land on N shards
-   whose appends meet in the single writer domain and share one fsync
-   per batch, so throughput scales with the batch size even on one
-   core (the fsync wait is mostly CPU-idle time). *)
+   Requests pipelined on one connection share a shard's batch; with N
+   domains they land on N shards, and whichever shard runs the commit
+   step appends and fsyncs what every shard queued as one batch, while
+   the others serve on. Shard 0 runs on a domain spawned here, as
+   [pet serve] runs it on its main domain. *)
 
 let tcp_temp_dir =
   let counter = ref 0 in
@@ -840,6 +840,7 @@ let tcp_config ~clients ~per_client domains =
       | Ok server -> server
       | Error m -> failwith ("tcp bench: " ^ m)
     in
+    let shard0 = Domain.spawn (fun () -> Pet_net.Server.run server) in
     let port = Pet_net.Server.port server in
     let connect () =
       let fd = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
@@ -896,7 +897,7 @@ let tcp_config ~clients ~per_client domains =
     (* Pipelined client: fire every request, then read every response
        (the protocol correlates them by id; this client only counts
        errors). Pipelining is what keeps all shards loaded at once, so
-       the writer's group commits actually batch. *)
+       the group commits actually batch. *)
     let client () =
       let fd, _ic, oc = connect () in
       for _ = 1 to per_client do
@@ -941,6 +942,7 @@ let tcp_config ~clients ~per_client domains =
       | None -> failwith "tcp bench: no batch stats"
     in
     Pet_net.Server.stop server;
+    ignore (Domain.join shard0);
     Pet_store.Store.close store;
     ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
     let requests = clients * per_client in

@@ -435,9 +435,9 @@ let serve_cmd =
   in
   let domains_arg =
     opt_arg ~docv:"N" Arg.int 1 [ "domains" ]
-      "Number of worker domains for the TCP server. Sessions are sharded by respondent-id \
-       hash, one shard per domain; all write-ahead-log appends go through a single writer \
-       domain that group-commits across shards."
+      "Number of domains for the TCP server, one shard each; the first shard runs on the main \
+       domain. Sessions are sharded by respondent-id hash. The shards group-commit the \
+       write-ahead-log appends of every shard themselves, with no domain of their own for it."
   in
   let port_file_arg =
     opt_arg ~docv:"FILE" Arg.(some string) None [ "port-file" ]
@@ -512,7 +512,7 @@ let serve_cmd =
                  Out_channel.with_open_text file (fun oc ->
                      Printf.fprintf oc "%d\n" (Pet_net.Server.port server)))
                port_file;
-             let result = Pet_net.Server.wait server in
+             let result = Pet_net.Server.run server in
              Pet_net.Server.stop server;
              result)
        in
@@ -532,8 +532,8 @@ let serve_cmd =
      appended to a checksummed write-ahead log before it is acknowledged, and a restart \
      recovers the rule sets, sessions and consent archive (ids continuing where they left \
      off); the log is compacted as it grows. With $(b,--tcp) the same protocol is served over \
-     localhost TCP by $(b,--domains) worker domains (sessions sharded by id, log appends \
-     group-committed through a single writer domain)."
+     localhost TCP by $(b,--domains) shard domains, the main domain among them (sessions \
+     sharded by id, log appends group-committed across shards by the shards themselves)."
     Term.(
       const run $ payoff_arg $ deterministic_arg $ cache_arg $ ttl_arg $ tenant_quota_arg
       $ data_dir_arg $ no_fsync_arg $ trace_slow_arg $ log_level_arg $ log_json_arg $ stdio_arg

@@ -8,7 +8,6 @@ type stats = { batches : int; events : int; max_batch : int }
 type t = {
   store : Store.t;
   m : Mutex.t;
-  c : Condition.t;
   queue : (int * Persist.event list) Queue.t;
       (* submitted commit numbers and their events, in submission order *)
   unresolved : (int, unit) Hashtbl.t;
@@ -16,15 +15,13 @@ type t = {
   issued : int Atomic.t;  (* written under [m] *)
   durable : int Atomic.t;  (* written under [m] *)
   failure : string option Atomic.t;
+  committing : bool Atomic.t;
+      (* a shard is in [step]: it alone appends to the store, compacts
+         it and touches the fields below *)
   on_durable : unit -> unit;
-  batch_target : int;
-  (* self-pipe: submitters write a byte when the queue reaches
-     [batch_target], waking a writer that is mid-gather in [select] *)
-  pipe_r : Unix.file_descr;
-  pipe_w : Unix.file_descr;
-  (* flight-recorder side channel: already-rendered telemetry records
-     ride the same writer domain, appended (flush, no fsync) after the
-     WAL batch they followed — submitters never block on telemetry *)
+  (* flight-recorder side channel: already-rendered telemetry records,
+     appended (flush, no fsync) by the committing shard after the WAL
+     batch they followed — submitters never block on telemetry *)
   flight : Flight_log.t option;
   fq : string Queue.t;
   mutable expired : (string, unit) Hashtbl.t;
@@ -35,7 +32,6 @@ type t = {
   mutable batches : int;
   mutable events_total : int;
   mutable max_batch : int;
-  mutable writer : unit Domain.t option;
 }
 
 let obs_batches = Obs.counter "pet_net_commit_batches_total"
@@ -58,53 +54,13 @@ let resolve t lsns =
   Atomic.set t.durable f;
   f > from
 
-let drain_pipe t =
-  let buf = Bytes.create 64 in
-  let rec go () =
-    match Unix.read t.pipe_r buf 0 64 with
-    | 64 -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (EINTR, _, _) -> go ()
-  in
-  go ()
-
-(* The gather deadline: a safety bound, kept under a couple of fsyncs. *)
-let gather_s = 2e-4
-
-(* Having found the queue non-empty but below [batch_target], the
-   writer parks in [select] on the self-pipe — yielding the core to the
-   shards — until the submitter that completes the batch writes its
-   wakeup byte or [gather_s] elapses. Shards never wait for their own
-   fsync, so a batch fills without it too, but on journey it raises the
-   events per fsync from 1.5 to 1.9 (EXPERIMENTS.md, "Pipelined group
-   commit"). *)
-let gather t =
-  drain_pipe t;
-  let deadline = Unix.gettimeofday () +. gather_s in
-  let rec wait () =
-    if Queue.length t.queue >= t.batch_target || t.stopping then ()
-    else begin
-      let remaining = deadline -. Unix.gettimeofday () in
-      if remaining > 0. then begin
-        Mutex.unlock t.m;
-        (try ignore (Unix.select [ t.pipe_r ] [] [] remaining)
-         with Unix.Unix_error (EINTR, _, _) -> ());
-        drain_pipe t;
-        Mutex.lock t.m;
-        wait ()
-      end
-    end
-  in
-  wait ()
-
-(* Between batches the writer is the store's only user, so it squashes
-   the log here once enough segments have sealed. Submitters queue
-   meanwhile; shards serving reads never notice. Only sessions a shard
-   has already dropped leave the log — never one that merely looks idle
-   in it, since reads keep a session alive without logging. A failure
-   is logged once and turns compaction off: retrying would re-read the
-   whole chain after every batch. *)
+(* Once a batch is committed the committing shard is the store's only
+   user, so it squashes the log here once enough segments have sealed.
+   Other shards queue meanwhile; shards serving reads never notice. Only
+   sessions a shard has already dropped leave the log — never one that
+   merely looks idle in it, since reads keep a session alive without
+   logging. A failure is logged once and turns compaction off: retrying
+   would re-read the whole chain after every batch. *)
 let compact t =
   if t.compacting && Store.wants_compaction t.store then begin
     Mutex.lock t.m;
@@ -153,66 +109,60 @@ let commit t jobs =
     Mutex.unlock t.m;
     t.on_durable ()
 
-(* The writer drains whatever accumulated while the previous fsync was
-   in flight — the deeper the backlog, the more events share one fsync.
-   Shards never wait on it, so the backlog is every request submitted
-   meanwhile on any shard, topped up by the gather wait. *)
-let rec writer_loop t =
+let queued t =
   Mutex.lock t.m;
-  while Queue.is_empty t.queue && Queue.is_empty t.fq && not t.stopping do
-    Condition.wait t.c t.m
-  done;
-  if Queue.is_empty t.queue && Queue.is_empty t.fq then
-    Mutex.unlock t.m (* stopping, drained *)
-  else begin
-    (* WAL jobs first — durability ahead of telemetry. *)
-    if t.batch_target > 1 && not (Queue.is_empty t.queue) then gather t;
+  let queued = not (Queue.is_empty t.queue && Queue.is_empty t.fq) in
+  Mutex.unlock t.m;
+  queued
+
+(* The shard that finds work queued and the flag free commits for every
+   shard: it drains whatever accumulated since the last batch — the
+   deeper the backlog, the more events share one fsync — then the
+   flight records queued behind it. A shard that finds the flag taken
+   leaves its job to the committer, which looks at the queue again once
+   it has cleared the flag: a job queued before that look is its to
+   commit, one queued after it finds the flag free. *)
+let rec step t =
+  if queued t && Atomic.compare_and_set t.committing false true then begin
+    Mutex.lock t.m;
     let jobs = List.of_seq (Queue.to_seq t.queue) in
     Queue.clear t.queue;
-    Obs.set_gauge obs_queue_depth 0.;
     let records = List.of_seq (Queue.to_seq t.fq) in
     Queue.clear t.fq;
+    if jobs <> [] then Obs.set_gauge obs_queue_depth 0.;
     Mutex.unlock t.m;
+    (* WAL jobs first — durability ahead of telemetry. *)
     if jobs <> [] then commit t jobs;
     (match (t.flight, records) with
     | Some fl, _ :: _ -> (
-      (* A failing telemetry disk must not take the WAL writer down. *)
+      (* A failing telemetry disk must not take the WAL down. *)
       try Flight_log.append_batch fl records with Sys_error _ -> ())
     | _ -> ());
     compact t;
-    writer_loop t
+    Atomic.set t.committing false;
+    step t
   end
 
-let start ?(batch_target = 1) ?flight ?(on_durable = ignore) store =
-  let pipe_r, pipe_w = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock pipe_r;
-  let t =
-    {
-      batch_target = max 1 batch_target;
-      pipe_r;
-      pipe_w;
-      store;
-      m = Mutex.create ();
-      c = Condition.create ();
-      queue = Queue.create ();
-      unresolved = Hashtbl.create 64;
-      issued = Atomic.make 0;
-      durable = Atomic.make 0;
-      failure = Atomic.make None;
-      on_durable;
-      flight;
-      fq = Queue.create ();
-      expired = Hashtbl.create 64;
-      compacting = Store.compacts store;
-      stopping = false;
-      batches = 0;
-      events_total = 0;
-      max_batch = 0;
-      writer = None;
-    }
-  in
-  t.writer <- Some (Domain.spawn (fun () -> writer_loop t));
-  t
+let create ?flight ?(on_durable = ignore) store =
+  {
+    store;
+    m = Mutex.create ();
+    queue = Queue.create ();
+    unresolved = Hashtbl.create 64;
+    issued = Atomic.make 0;
+    durable = Atomic.make 0;
+    failure = Atomic.make None;
+    committing = Atomic.make false;
+    on_durable;
+    flight;
+    fq = Queue.create ();
+    expired = Hashtbl.create 64;
+    compacting = Store.compacts store;
+    stopping = false;
+    batches = 0;
+    events_total = 0;
+    max_batch = 0;
+  }
 
 let claim t =
   Mutex.lock t.m;
@@ -226,7 +176,7 @@ let submit t lsn events =
   Mutex.lock t.m;
   if t.stopping then begin
     Mutex.unlock t.m;
-    raise (Sys_error "group-commit writer is stopped")
+    raise (Sys_error "group commit is stopped")
   end;
   match events with
   | [] ->
@@ -235,12 +185,7 @@ let submit t lsn events =
     if moved then t.on_durable ()
   | events ->
     Queue.add (lsn, events) t.queue;
-    let depth = Queue.length t.queue in
-    Obs.set_gauge obs_queue_depth (float_of_int depth);
-    if depth = 1 then Condition.signal t.c;
-    if depth = t.batch_target && t.batch_target > 1 then
-      (try ignore (Unix.write_substring t.pipe_w "x" 0 1)
-       with Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EPIPE | EBADF), _, _) -> ());
+    Obs.set_gauge obs_queue_depth (float_of_int (Queue.length t.queue));
     Mutex.unlock t.m
 
 let issued t = Atomic.get t.issued
@@ -254,22 +199,14 @@ let note_expired t id =
 
 let submit_flight t record =
   Mutex.lock t.m;
-  if (not t.stopping) && t.flight <> None then begin
-    Queue.add record t.fq;
-    if Queue.length t.fq = 1 then Condition.signal t.c
-  end;
+  if (not t.stopping) && t.flight <> None then Queue.add record t.fq;
   Mutex.unlock t.m
 
 let stop t =
   Mutex.lock t.m;
   t.stopping <- true;
-  Condition.broadcast t.c;
-  (try ignore (Unix.write_substring t.pipe_w "x" 0 1) with Unix.Unix_error _ -> ());
   Mutex.unlock t.m;
-  Option.iter Domain.join t.writer;
-  t.writer <- None;
-  Unix.close t.pipe_r;
-  Unix.close t.pipe_w
+  step t
 
 let stats t =
   { batches = t.batches; events = t.events_total; max_batch = t.max_batch }

@@ -11,24 +11,28 @@ module Trace = Pet_obs.Trace
 
 (* --- Wiring -------------------------------------------------------------------
 
-   Each shard is a domain running one loop ([shard_loop]) over its own
-   [Service.t] — sessions never leave their shard, so the service needs
-   no locking — and over the connections dealt to it: it selects on them
-   and its wake pipe, splits their lines, runs the lines it owns and
-   posts the others to the owning shard's inbox, writes the replies it
-   releases, and fires [watch] frames and the sweep tick from its select
-   timeout. Shard 0 also accepts, and deals each connection to the
-   shards in turn; stdio is shard 0's one connection. One writer domain
-   ([Group_commit]) owns every WAL append. Tenant builds have no domain
-   of their own: each round a shard runs at most one queued build, and
-   a request that waits for a build runs queued builds itself.
+   The shards are the only domains: shard 0 runs on the domain that
+   calls [run], shards 1..N-1 on domains [start] spawns. Each runs one
+   loop ([shard_loop]) over its own [Service.t] — sessions never leave
+   their shard, so the service needs no locking — and over the
+   connections dealt to it: it selects on them and its wake pipe, splits
+   their lines, runs the lines it owns and posts the others to the
+   owning shard's inbox, writes the replies it releases, and fires
+   [watch] frames and the sweep tick from its select timeout. Shard 0
+   also accepts, and deals each connection to the shards in turn; stdio
+   is shard 0's one connection. Nothing has a domain of its own but the
+   shards: each round a shard runs one group-commit step and at most one
+   queued tenant build, and a request that waits for a build runs queued
+   builds itself.
 
    The shard that runs a request claims a commit number, handles it,
-   hands its events to the writer ([submit] never waits) and holds the
-   rendered reply, tagged with the last commit number claimed, until the
-   writer's durable frontier reaches the tag; meanwhile it serves on, so
-   one fsync covers every request submitted while the previous one was
-   in flight. Replies leave a shard in the order it handled them. *)
+   queues its events ([submit] never waits) and holds the rendered
+   reply, tagged with the last commit number claimed, until the durable
+   frontier reaches the tag. Once it has served what is ready it runs
+   the commit step, which commits what every shard queued unless
+   another shard is committing, so one fsync covers every request
+   submitted since the last one. Replies leave a shard in the order it
+   handled them. *)
 
 (* A [watch] streaming on its connection: frame [sent + 1] of [frames]
    ([0]: until the connection's input ends) is due at [due]; every frame
@@ -84,7 +88,7 @@ type shard = {
   poked : bool Atomic.t;  (* a wake byte is on its way *)
   pending : Persist.event list ref;
       (* events the job being run emitted, newest first; the shard
-         hands them to the writer when the job ends *)
+         queues them for group commit when the job ends *)
   held : held Queue.t;  (* only this shard's domain touches it *)
   holding : bool Atomic.t;  (* [held] is not empty: wake on a new frontier *)
   chunk : Bytes.t;  (* read buffer *)
@@ -92,15 +96,18 @@ type shard = {
   mutable next_tick : float;
   obs_active : Obs.gauge;
   obs_queue : Obs.gauge;
-  mutable domain : unit Domain.t option;
+  mutable domain : unit Domain.t option;  (* [None] for shard 0 *)
 }
+
+(* Shard 0's loop: not yet run, running in [run], or over. *)
+type main = Idle | Running | Over
 
 type t = {
   shards : shard array;
   tenants : Service.compiled Pet_tenant.Tenant.t;
       (* process-wide tenant registry, shared by every shard, whose
          queued builds the shard loops run *)
-  writer : Group_commit.t option;
+  commit : Group_commit.t option;  (* [None] without a store *)
   flight : Pet_store.Flight_log.t option;
   fenc : Pet_obs.Flight.t;
   store_h : Store.t option;  (* for WAL-frontier stamps on snapshots *)
@@ -113,8 +120,11 @@ type t = {
   mutable accept_at : float;  (* no accept before, after an error; shard 0 only *)
   connected : int Atomic.t;
   stop_flag : bool Atomic.t;
-  failure : string option ref;
-  mutable finished : bool;  (* the stdio connection reached EOF, drained *)
+      (* the serving ends: [stop], a WAL failure or the stdio
+         connection's end *)
+  stopped : bool Atomic.t;  (* [stop] has run *)
+  failure : string option Atomic.t;
+  mutable main : main;  (* under [fm] *)
   fm : Mutex.t;
   fc : Condition.t;
 }
@@ -170,53 +180,40 @@ let route t line =
 
 (* --- Failure ------------------------------------------------------------------- *)
 
-(* A WAL failure is fatal: every held reply the durable frontier does
-   not cover is answered with an [internal] error (what it may show is
-   in memory but was never durable), and the server is flagged; [wait]
-   returns so [pet serve] can shut down. *)
-let fail t reason =
-  Mutex.lock t.fm;
-  let first = !(t.failure) = None in
-  if first then t.failure := Some reason;
-  Condition.broadcast t.fc;
-  Mutex.unlock t.fm;
-  if first then
-    Log.error "net.wal_failed" ~fields:[ ("reason", Trace.String reason) ];
-  (* Fatal-path flight record, written directly (the writer domain may
-     be the thing that failed): the journal's last words say why. *)
-  if first then
-    match t.flight with
-    | Some fl -> (
-      try
-        Pet_store.Flight_log.append fl
-          (Pet_obs.Flight.meta t.fenc ~now:(Obs.now ()) ~event:"fatal"
-             [ ("reason", reason) ])
-      with Sys_error _ -> ())
-    | None -> ()
-
-let finish t =
-  Mutex.lock t.fm;
-  t.finished <- true;
-  Condition.broadcast t.fc;
-  Mutex.unlock t.fm
-
-let wait t =
-  Mutex.lock t.fm;
-  while !(t.failure) = None && not (Atomic.get t.stop_flag || t.finished) do
-    Condition.wait t.fc t.fm
-  done;
-  let result = match !(t.failure) with Some m -> Error m | None -> Ok () in
-  Mutex.unlock t.fm;
-  result
-
-(* --- Running requests ------------------------------------------------------------- *)
-
 (* Wake a shard blocked in [select]. At most one byte is ever in the
    pipe: the shard drains it, clears [poked] and only then looks at its
    state, so a change made after that clear pokes again. *)
 let poke shard =
   if not (Atomic.exchange shard.poked true) then
     try ignore (Unix.write_substring shard.wake_w "x" 0 1) with Unix.Unix_error _ -> ()
+
+(* End the serving: every shard drains what it holds and leaves its
+   loop, so [run] returns. *)
+let halt t =
+  Atomic.set t.stop_flag true;
+  Array.iter poke t.shards
+
+(* A WAL failure is fatal: every held reply the durable frontier does
+   not cover is answered with an [internal] error (what it may show is
+   in memory but was never durable), and the serving ends with [run]
+   returning the reason, so [pet serve] can shut down. *)
+let fail t reason =
+  if Atomic.compare_and_set t.failure None (Some reason) then begin
+    Log.error "net.wal_failed" ~fields:[ ("reason", Trace.String reason) ];
+    (* Fatal-path flight record, written directly (the batch that failed
+       may have been the journal's too): its last words say why. *)
+    (match t.flight with
+    | Some fl -> (
+      try
+        Pet_store.Flight_log.append fl
+          (Pet_obs.Flight.meta t.fenc ~now:(Obs.now ()) ~event:"fatal"
+             [ ("reason", reason) ])
+      with Sys_error _ -> ())
+    | None -> ());
+    halt t
+  end
+
+(* --- Running requests ------------------------------------------------------------- *)
 
 let post shard mail =
   Mutex.lock shard.qm;
@@ -243,13 +240,13 @@ let flight_snap t service =
     ~now:(Obs.now ()) snapshot
 
 (* Queue one flight snapshot, assembled on shard 0, behind the WAL
-   batches. Slow traces ride along; the encoder journals each once. *)
+   jobs. Slow traces ride along; the encoder journals each once. *)
 let emit_flight t shard =
-  match t.writer with
-  | Some writer when t.flight <> None && Obs.enabled () ->
+  match t.commit with
+  | Some commit when t.flight <> None && Obs.enabled () ->
     let record = flight_snap t shard.service in
     let traces = Pet_obs.Flight.slow_traces t.fenc ~now:(Obs.now ()) (Trace.slow ()) in
-    List.iter (Group_commit.submit_flight writer) (record :: traces)
+    List.iter (Group_commit.submit_flight commit) (record :: traces)
   | _ -> ()
 
 (* Write a response line, then release one slot of the connection's
@@ -273,15 +270,15 @@ let respond t conn response =
     poke t.shards.(conn.owner)
 
 (* Write every held reply at the head of the FIFO that the durable
-   frontier covers; once the writer has failed, answer the rest with
-   the [internal] error instead. *)
-let release t writer shard =
+   frontier covers; once a batch has failed, answer the rest with the
+   [internal] error instead. *)
+let release t commit shard =
   let rec go () =
     match Queue.peek_opt shard.held with
     | None -> Atomic.set shard.holding false
     | Some r ->
-      let durable = r.tag <= Group_commit.durable writer in
-      let failed = Group_commit.failure writer in
+      let durable = r.tag <= Group_commit.durable commit in
+      let failed = Group_commit.failure commit in
       if durable || failed <> None then begin
         ignore (Queue.pop shard.held);
         if Obs.enabled () then
@@ -302,25 +299,26 @@ let release t writer shard =
    before it starts, so the number precedes every write the job makes
    visible to other shards. Its reply is tagged with the last number
    claimed once it ends: that covers its own events and every write on
-   another shard it could have seen. A stopped writer is a failed one. *)
+   another shard it could have seen. A stopped group commit is a failed
+   one. *)
 let run_job t shard work =
-  let lsn = Option.map Group_commit.claim t.writer in
+  let lsn = Option.map Group_commit.claim t.commit in
   let reply = work () in
   Obs.set_gauge shard.obs_active
     (float_of_int (Service.session_counters shard.service).Session.active);
-  match (t.writer, lsn) with
-  | Some writer, Some lsn ->
+  match (t.commit, lsn) with
+  | Some commit, Some lsn ->
     let events = List.rev !(shard.pending) in
     shard.pending := [];
-    (try Group_commit.submit writer lsn events
+    (try Group_commit.submit commit lsn events
      with Sys_error m -> fail t ("write-ahead log failure: " ^ m));
     Option.iter
       (fun (conn, response) ->
         let rendered = if Obs.enabled () then Obs.now () else 0. in
-        Queue.push { tag = Group_commit.issued writer; conn; response; rendered } shard.held;
+        Queue.push { tag = Group_commit.issued commit; conn; response; rendered } shard.held;
         Atomic.set shard.holding true)
       reply;
-    release t writer shard
+    release t commit shard
   | _ -> Option.iter (fun (conn, response) -> respond t conn response) reply
 
 let serve t shard conn line =
@@ -527,13 +525,16 @@ let await t shard ~stopping =
     List.iter (fun fd -> if List.mem fd ready then accept t shard fd) listen;
     List.iter (fun c -> if List.mem c.fd ready then read_conn shard c) conns
 
-(* One round: run what other shards posted, release what the frontier
-   covers, move every connection on, fire the sweep tick, run one queued
-   tenant build, then wait for more — without blocking while builds
-   remain queued. A build delays this shard's replies by its length, as
-   a cache-miss recompile on the request path does. Once stopped, a
-   shard reads nothing more, runs no build, and ends after a round that
-   found nothing posted and left nothing held. *)
+(* One round: run what other shards posted, move every connection on,
+   fire the sweep tick, run the commit step and release what the
+   frontier covers, run one queued tenant build, then wait for more —
+   without blocking while builds remain queued. The commit step comes
+   before the build, so a build delays neither this shard's batch nor
+   the other shards' replies that wait on it; it delays this shard's
+   next requests by its length, as a cache-miss recompile on the
+   request path does. Once stopped, a shard reads nothing more, runs no
+   build, and ends after a round that found nothing posted and left
+   nothing held. *)
 let rec shard_loop t shard =
   let stopping = Atomic.get t.stop_flag in
   let mail = take_inbox shard in
@@ -542,7 +543,6 @@ let rec shard_loop t shard =
       | Run (line, conn) -> serve t shard conn line
       | Adopt conn -> shard.conns <- conn :: shard.conns)
     mail;
-  Option.iter (fun writer -> release t writer shard) t.writer;
   if not stopping then begin
     let now = Unix.gettimeofday () in
     List.iter (advance t shard now) shard.conns;
@@ -551,9 +551,14 @@ let rec shard_loop t shard =
       run_job t shard (fun () -> ignore (Service.sweep_tick ~budget:256 shard.service); None);
       (* One flight snapshot per sweep, assembled on shard 0. *)
       if shard.index = 0 then emit_flight t shard
-    end;
-    ignore (Pet_tenant.Tenant.run_one t.tenants)
+    end
   end;
+  Option.iter
+    (fun commit ->
+      Group_commit.step commit;
+      release t commit shard)
+    t.commit;
+  if not stopping then ignore (Pet_tenant.Tenant.run_one t.tenants);
   if not (stopping && Queue.is_empty shard.held) then begin
     await t shard ~stopping;
     shard_loop t shard
@@ -636,27 +641,27 @@ let start ?payoff ?capacity ?ttl ?(tenant_quota = 0)
       (Recovery.recover ~dir:(Store.dir store) recovery
          (Array.map (fun shard -> shard.service) shards))
   | _ -> ());
-  let writer =
+  let commit =
     Option.map
-      (Group_commit.start ~batch_target:domains ?flight
+      (Group_commit.create ?flight
          ~on_durable:(fun () ->
            Array.iter (fun shard -> if Atomic.get shard.holding then poke shard) shards))
       store
   in
   Option.iter
-    (fun writer ->
+    (fun commit ->
       Array.iter
         (fun shard ->
           Service.set_sink shard.service
             { Persist.emit = (fun event -> shard.pending := event :: !(shard.pending)) };
-          Service.set_on_expire shard.service (Group_commit.note_expired writer))
+          Service.set_on_expire shard.service (Group_commit.note_expired commit))
         shards)
-    writer;
+    commit;
   let t =
     {
       shards;
       tenants;
-      writer;
+      commit;
       flight;
       fenc = Pet_obs.Flight.create ();
       store_h = store;
@@ -669,8 +674,9 @@ let start ?payoff ?capacity ?ttl ?(tenant_quota = 0)
       accept_at = 0.;
       connected = Atomic.make 0;
       stop_flag = Atomic.make false;
-      failure = ref None;
-      finished = false;
+      stopped = Atomic.make false;
+      failure = Atomic.make None;
+      main = Idle;
       fm = Mutex.create ();
       fc = Condition.create ();
     }
@@ -696,7 +702,7 @@ let start ?payoff ?capacity ?ttl ?(tenant_quota = 0)
     let conn =
       connect t fd oc ~owner:0 ~release:(fun () ->
           (try flush oc with Sys_error _ -> ());
-          finish t)
+          halt t)
     in
     if not (selectable fd) then conn.eof <- true;
     shards.(0).conns <- [ conn ]
@@ -712,11 +718,28 @@ let start ?payoff ?capacity ?ttl ?(tenant_quota = 0)
     Log.info "net.listening"
       ~fields:[ ("port", Trace.Int port); ("domains", Trace.Int domains) ]);
   Array.iter
-    (fun shard -> shard.domain <- Some (Domain.spawn (fun () -> shard_loop t shard)))
+    (fun shard ->
+      if shard.index > 0 then
+        shard.domain <- Some (Domain.spawn (fun () -> shard_loop t shard)))
     shards;
   Ok t
 
 let port t = t.port
+
+let run t =
+  Mutex.lock t.fm;
+  let idle = t.main = Idle in
+  if idle then t.main <- Running;
+  Mutex.unlock t.fm;
+  if idle then
+    Fun.protect
+      ~finally:(fun () ->
+        Mutex.lock t.fm;
+        t.main <- Over;
+        Condition.broadcast t.fc;
+        Mutex.unlock t.fm)
+      (fun () -> shard_loop t t.shards.(0));
+  match Atomic.get t.failure with Some m -> Error m | None -> Ok ()
 
 (* The at-exit flight dump — a final delta snapshot, any slow traces the
    periodic ticks missed, the exit mark — then the log tee comes off.
@@ -739,12 +762,16 @@ let dump_flight t =
     Log.set_sink prerr_endline
 
 let stop t =
-  if not (Atomic.exchange t.stop_flag true) then begin
-    Mutex.lock t.fm;
-    Condition.broadcast t.fc;
-    Mutex.unlock t.fm;
-    Array.iter poke t.shards;
+  if not (Atomic.exchange t.stopped true) then begin
+    halt t;
     Array.iter (fun shard -> Option.iter Domain.join shard.domain) t.shards;
+    (* Shard 0's loop ends in [run], if it was ever started. *)
+    Mutex.lock t.fm;
+    while t.main = Running do
+      Condition.wait t.fc t.fm
+    done;
+    t.main <- Over;
+    Mutex.unlock t.fm;
     (* Close the connections still open, with any dealt to a shard after
        it ended. *)
     Array.iter
@@ -755,10 +782,10 @@ let stop t =
         List.iter (close_conn t shard) shard.conns)
       t.shards;
     Option.iter Unix.close t.listen;
-    Option.iter Group_commit.stop t.writer;
-    (* Only now: the writer's last batch may still poke a shard. *)
+    Option.iter Group_commit.stop t.commit;
+    (* Only now: the last batch may still poke a shard. *)
     Array.iter (fun shard -> Unix.close shard.wake_r; Unix.close shard.wake_w) t.shards;
     dump_flight t
   end
 
-let batch_stats t = Option.map Group_commit.stats t.writer
+let batch_stats t = Option.map Group_commit.stats t.commit

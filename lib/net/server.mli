@@ -1,11 +1,13 @@
 (** The serving core of the collection service, behind both transports.
 
-    One process, [domains] shards: each shard is an OCaml domain that
-    owns a disjoint slice of the session space ({!Shard_map} decides
-    ownership from the id alone), runs its own [Service.t] with no
-    locking, and funnels its durable events through the single
-    {!Group_commit} writer domain. Shards also own the connections: no
-    thread serves anything. Each shard runs one [Unix.select] loop over
+    One process, [domains] shards, and the shards are its only domains:
+    shard 0 runs on the domain that calls {!run}, every other shard on a
+    domain of its own. Each shard owns a disjoint slice of the session
+    space ({!Shard_map} decides ownership from the id alone), runs its
+    own [Service.t] with no locking, and queues its durable events for
+    {!Group_commit}, whose commit step each shard runs once per round.
+    Shards also own the connections: no thread serves anything. Each
+    shard runs one [Unix.select] loop over
     the connections dealt to it and a wake pipe; it reads and splits
     their lines, runs the lines whose session it owns and posts the
     others to the owning shard (round-robin when the line names no
@@ -28,13 +30,16 @@
     the flight recorder, [watch] streaming, the fatal path — is the same
     code for both.
 
-    Replies are durable-before-reply without blocking the shard: a
-    shard hands its events to the writer and holds the rendered reply,
-    tagged with a commit number covering every write the request could
-    have seen (its own and other shards'), until the writer's durable
-    frontier reaches the tag; meanwhile it serves its next request. A
-    failed append or fsync answers every held reply the frontier does
-    not cover with an [internal] error and takes the fatal path.
+    Replies are durable-before-reply without blocking on each request:
+    a shard queues its events and holds the rendered reply, tagged with
+    a commit number covering every write the request could have seen
+    (its own and other shards'), until the durable frontier reaches the
+    tag; meanwhile it serves its next request. Once it has served what
+    is ready, it runs the commit step: unless another shard is
+    committing, it appends and fsyncs everything queued by every shard
+    as one batch. A failed append or fsync answers every held reply the
+    frontier does not cover with an [internal] error and takes the fatal
+    path.
 
     Rule-set texts and grant ledgers are shared across shards (see
     {!Pet_server.Shared}); compiled engines are not — each shard
@@ -52,7 +57,7 @@ type listen =
       (** Serve exactly one connection over these channels (standard
           input/output under [pet serve]): requests in, responses out.
           Its EOF — or a bare [quit] line — ends the serving once every
-          outstanding reply is written, and {!wait} returns [Ok ()]. *)
+          outstanding reply is written, and {!run} returns [Ok ()]. *)
 
 type t
 
@@ -71,7 +76,10 @@ val start :
   now:(unit -> float) ->
   unit ->
   (t, string) result
-(** Build the shards, recover, then start serving on [listen].
+(** Build the shards, recover, then start serving on [listen]: spawn
+    the domains of shards 1..[domains]-1. Shard 0 — the one that
+    accepts, and the stdio connection's — serves once {!run} is
+    called.
     Every shard is its own {!Pet_server.Service.create}, so the
     rendered-report memos live with the engines they belong to: one per
     shard, never shared across domains.
@@ -80,53 +88,56 @@ val start :
     {!Pet_store.Store.open_dir}), recovery runs through {!Recovery.recover}
     — the one path that logs damage, replays into the owning shards,
     counts replay errors and applies passed horizons — before anything
-    else; then the writer domain starts, compacting the log whenever
-    the store asks ({!Group_commit.start}, idle cut-off [ttl]). The
-    caller keeps ownership of [store] and closes it after {!stop}.
-    Then the shard domains start, with the stdio connection on shard
-    0 or the listening socket on shard 0; each shard runs the sweep
-    every [sweep_interval] seconds ([<= 0.] disables it; use with
-    deterministic clocks). [Error] only when the listening socket
-    cannot be bound, before anything else starts.
+    else; then group commit takes over the store's appends, and the
+    committing shard compacts the log whenever the store asks
+    ({!Group_commit.step}). The caller keeps ownership of [store] and
+    closes it after {!stop}. Then the shard domains start, with the
+    stdio connection or the listening socket on shard 0; each shard
+    runs the sweep every [sweep_interval] seconds ([<= 0.] disables it;
+    use with deterministic clocks). [Error] only when the listening
+    socket cannot be bound, before anything else starts.
 
     Every shard shares one process-wide tenant registry (default
     per-tenant session cap [tenant_quota], 0 = unlimited), so a tenant
     published through any connection is servable on every shard. Its
     builds run on the shard domains: each shard loop runs at most one
-    queued build per round, after its inbox, its held replies and its
-    connections, and does not block in [select] while builds remain
-    queued.
+    queued build per round, after its inbox, its connections, the
+    commit step and its held replies, and does not block in [select]
+    while builds remain queued.
 
     [flight] attaches the flight recorder: structured log lines are
     teed into the journal, the sweep also takes one snapshot per
     interval (assembled on shard 0, stamped with the
-    {!Pet_store.Store.position} WAL frontier, journaled by the writer
-    domain via {!Group_commit.submit_flight}), a fatal WAL failure
-    writes its reason to the journal directly, and {!stop} writes the
-    exit records. [watch] subscriptions stream frames without touching
-    non-watch traffic (their lines are recognized by the reading shard
-    with an in-place scan + full decode; everything else is forwarded
-    byte-identically); a watch takes over its connection — later
-    requests on it are answered after its last frame — and an
-    unbounded one ends at the connection's EOF. The caller owns and
-    closes the journal after {!stop}. *)
+    {!Pet_store.Store.position} WAL frontier, journaled by the
+    committing shard via {!Group_commit.submit_flight}), a fatal WAL
+    failure writes its reason to the journal directly, and {!stop}
+    writes the exit records. [watch] subscriptions stream frames
+    without touching non-watch traffic (their lines are recognized by
+    the reading shard with an in-place scan + full decode; everything
+    else is forwarded byte-identically); a watch takes over its
+    connection — later requests on it are answered after its last
+    frame — and an unbounded one ends at the connection's EOF. The
+    caller owns and closes the journal after {!stop}. *)
 
 val port : t -> int
 (** The bound TCP port (useful with [Tcp 0]); [0] under stdio. *)
 
-val wait : t -> (unit, string) result
-(** Block until {!stop} is called or the stdio connection has ended
-    ([Ok ()]), or a shard hits a fatal write-ahead-log failure
-    ([Error reason]). *)
+val run : t -> (unit, string) result
+(** Run shard 0's loop on the calling domain until the serving ends:
+    {!stop} is called (from another domain or thread) or the stdio
+    connection has ended ([Ok ()]), or a shard hits a fatal
+    write-ahead-log failure ([Error reason]). Either way every shard
+    stops reading, writes its held replies and leaves its loop. Returns
+    at once if shard 0 has run or {!stop} has. *)
 
 val stop : t -> unit
 (** Stop reading, let each shard run what is posted to it and write
-    every held reply, join the shard domains, close the connections
-    still open (stdio's is flushed, not closed) and the listening
-    socket, stop the writer (committing anything queued), then write
-    the flight journal's exit records (a final snapshot, unjournaled
-    slow traces, the [exit] mark) and detach the log tee.
-    Idempotent. *)
+    every held reply, join the shard domains and wait for a {!run} in
+    progress to return, close the connections still open (stdio's is
+    flushed, not closed) and the listening socket, stop group commit
+    (committing anything queued), then write the flight journal's exit
+    records (a final snapshot, unjournaled slow traces, the [exit]
+    mark) and detach the log tee. Idempotent. *)
 
 val batch_stats : t -> Group_commit.stats option
 (** Group-commit totals, [None] when running without a store. *)

@@ -111,12 +111,16 @@ let test_sharded_ids_disjoint () =
 
 (* --- Group commit ---------------------------------------------------------------- *)
 
+let created id = [ Persist.Session_created { id; digest = "d"; tenant = None; at = 0. } ]
+
 let test_group_commit_batches () =
+  (* Eight submitters, each running the commit step after every submit
+     as a shard does once per round. *)
   let dir = temp_dir () in
   (match Store.open_dir ~fsync:false dir with
   | Error m -> Alcotest.failf "open_dir: %s" m
   | Ok (store, _) ->
-    let writer = Group_commit.start store in
+    let writer = Group_commit.create store in
     let submitters = 8 and each = 5 in
     let threads =
       List.init submitters (fun t ->
@@ -124,15 +128,8 @@ let test_group_commit_batches () =
             (fun () ->
               for i = 1 to each do
                 Group_commit.submit writer (Group_commit.claim writer)
-                  [
-                    Persist.Session_created
-                      {
-                        id = Printf.sprintf "s%d_%d" t i;
-                        digest = "d";
-                        tenant = None;
-                        at = 0.;
-                      };
-                  ]
+                  (created (Printf.sprintf "s%d_%d" t i));
+                Group_commit.step writer
               done)
             ())
     in
@@ -160,15 +157,9 @@ let test_submit_after_stop_raises () =
   match Store.open_dir ~fsync:false dir with
   | Error m -> Alcotest.failf "open_dir: %s" m
   | Ok (store, _) ->
-    let writer = Group_commit.start store in
+    let writer = Group_commit.create store in
     Group_commit.stop writer;
-    (match
-       Group_commit.submit writer (Group_commit.claim writer)
-         [
-           Persist.Session_created
-             { id = "s0"; digest = "d"; tenant = None; at = 0. };
-         ]
-     with
+    (match Group_commit.submit writer (Group_commit.claim writer) (created "s0") with
     | () -> Alcotest.fail "submit after stop did not raise"
     | exception Sys_error _ -> ());
     Store.close store
@@ -181,22 +172,81 @@ let test_claim_holds_frontier () =
   match Store.open_dir ~fsync:false dir with
   | Error m -> Alcotest.failf "open_dir: %s" m
   | Ok (store, _) ->
-    let writer = Group_commit.start store in
+    let writer = Group_commit.create store in
     let first = Group_commit.claim writer in
     let second = Group_commit.claim writer in
     Alcotest.(check int) "issued" second (Group_commit.issued writer);
     Group_commit.submit writer second [];
+    Group_commit.step writer;
     Alcotest.(check int) "an earlier claim holds the frontier" 0
       (Group_commit.durable writer);
-    Group_commit.submit writer first
-      [ Persist.Session_created { id = "s0"; digest = "d"; tenant = None; at = 0. } ];
-    let deadline = Unix.gettimeofday () +. 10. in
-    while Group_commit.durable writer < second && Unix.gettimeofday () < deadline do
-      Thread.delay 0.001
-    done;
+    Group_commit.submit writer first (created "s0");
+    Alcotest.(check int) "queued, not yet committed" 0 (Group_commit.durable writer);
+    Group_commit.step writer;
     Alcotest.(check int) "both numbers durable" second (Group_commit.durable writer);
     Group_commit.stop writer;
     Store.close store
+
+let test_job_queued_mid_commit () =
+  (* Shard A commits; while its batch is in hand, shard B queues a job
+     and runs its own step, which finds the flag taken and leaves the
+     job to A. A must commit it before its step returns: nothing else
+     would, since no shard submits again. *)
+  let dir = temp_dir () in
+  match Store.open_dir ~fsync:false dir with
+  | Error m -> Alcotest.failf "open_dir: %s" m
+  | Ok (store, _) ->
+    let writer = ref None in
+    let late = ref 0 and seen_mid_commit = ref (-1) in
+    let on_durable () =
+      (* Called by the committer after its batch, flag still held. *)
+      if !late = 0 then begin
+        let w = Option.get !writer in
+        let b =
+          Thread.create
+            (fun () ->
+              late := Group_commit.claim w;
+              Group_commit.submit w !late (created "s1");
+              Group_commit.step w;
+              seen_mid_commit := Group_commit.durable w)
+            ()
+        in
+        Thread.join b
+      end
+    in
+    let w = Group_commit.create ~on_durable store in
+    writer := Some w;
+    Group_commit.submit w (Group_commit.claim w) (created "s0");
+    Group_commit.step w;
+    Alcotest.(check int) "B's step left its job queued" 1 !seen_mid_commit;
+    Alcotest.(check int) "durable with no later submit" !late (Group_commit.durable w);
+    Alcotest.(check int) "two batches" 2 (Group_commit.stats w).Group_commit.batches;
+    Group_commit.stop w;
+    Store.close store
+
+let test_stop_commits_queued () =
+  (* Jobs queued with no step after them are committed by [stop]. *)
+  let dir = temp_dir () in
+  (match Store.open_dir ~fsync:false dir with
+  | Error m -> Alcotest.failf "open_dir: %s" m
+  | Ok (store, _) ->
+    let writer = Group_commit.create store in
+    let lsns =
+      List.init 3 (fun i ->
+          let lsn = Group_commit.claim writer in
+          Group_commit.submit writer lsn (created (Printf.sprintf "s%d" i));
+          lsn)
+    in
+    Alcotest.(check int) "nothing durable before stop" 0 (Group_commit.durable writer);
+    Group_commit.stop writer;
+    Store.close store;
+    Alcotest.(check int) "every number durable after stop" (List.nth lsns 2)
+      (Group_commit.durable writer));
+  match Store.open_dir ~fsync:false dir with
+  | Error m -> Alcotest.failf "reopen: %s" m
+  | Ok (store, recovery) ->
+    Store.close store;
+    Alcotest.(check int) "all events recovered" 3 (List.length recovery.Store.events)
 
 let test_append_batch_crash_prefix () =
   (* A batch torn mid-record by a crash recovers to a prefix of the
@@ -253,15 +303,39 @@ let request oc ic line =
   | Some response -> response
   | None -> Alcotest.fail "server closed the connection"
 
-let with_server ?store ?recovery ?ttl ?(domains = 4) ?(now = Unix.gettimeofday)
-    f =
+(* Run shard 0's loop on a domain of its own, as [pet serve] runs it on
+   its main domain; [f] gets the server and a poll for what {!Server.run}
+   returned, [None] until it has, waiting at most [within] seconds. *)
+let running server f =
+  let ran = Atomic.make None in
+  let shard0 = Domain.spawn (fun () -> Atomic.set ran (Some (Server.run server))) in
+  let finished ~within =
+    let deadline = Unix.gettimeofday () +. within in
+    let rec poll () =
+      match Atomic.get ran with
+      | Some result -> Some result
+      | None when Unix.gettimeofday () > deadline -> None
+      | None -> Thread.delay 0.01; poll ()
+    in
+    poll ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop server;
+      Domain.join shard0)
+    (fun () -> f ~finished)
+
+let tcp_server ?store ?recovery ?ttl ?(domains = 4) ?(now = Unix.gettimeofday) () =
   match
     Server.start ~resolve ?store ?recovery ?ttl ~sweep_interval:0. ~domains
       ~listen:(Tcp 0) ~now ()
   with
   | Error m -> Alcotest.failf "server start: %s" m
-  | Ok server ->
-    Fun.protect ~finally:(fun () -> Server.stop server) (fun () -> f server)
+  | Ok server -> server
+
+let with_server ?store ?recovery ?ttl ?domains ?now f =
+  let server = tcp_server ?store ?recovery ?ttl ?domains ?now () in
+  running server (fun ~finished:_ -> f server)
 
 let contains haystack needle =
   let h = String.length haystack and n = String.length needle in
@@ -337,7 +411,7 @@ let test_durable_before_reply () =
                 Alcotest.(check bool) "session durable before reply" true
                   (contains (read_dir_contents dir)
                      (Printf.sprintf {|"id":"%s"|} sid));
-                (* And the whole flow commits through the single writer. *)
+                (* And the whole flow commits through group commit. *)
                 let r3 =
                   request oc ic
                     (Printf.sprintf
@@ -633,7 +707,8 @@ let test_wal_failure_answers_held () =
   match Store.open_dir ~fsync:true dir with
   | Error m -> Alcotest.failf "open_dir: %s" m
   | Ok (store, _) ->
-    with_server ~store ~domains:1 (fun server ->
+    let server = tcp_server ~store ~domains:1 () in
+    running server (fun ~finished ->
         let fd, ic, oc = connect (Server.port server) in
         Fun.protect
           ~finally:(fun () -> Unix.close fd)
@@ -659,11 +734,12 @@ let test_wal_failure_answers_held () =
                   (contains r {|"code":"internal"|}
                   && contains r "write-ahead log failure"))
               replies;
-            match Server.wait server with
-            | Error m ->
+            match finished ~within:10. with
+            | Some (Error m) ->
               Alcotest.(check bool) "fatal reason" true
                 (contains m "write-ahead log failure")
-            | Ok () -> Alcotest.fail "wait returned Ok after a WAL failure"))
+            | Some (Ok ()) -> Alcotest.fail "run returned Ok after a WAL failure"
+            | None -> Alcotest.fail "run did not return after a WAL failure"))
 
 let test_cross_shard_rules () =
   (* One client publishes once; sessions land on whichever shard owns
@@ -768,8 +844,8 @@ let logical_clock () =
   fun () -> float_of_int (Atomic.fetch_and_add tick 1 + 1)
 
 let test_tcp_compaction () =
-  (* Tiny segments and a two-segment threshold: the writer domain must
-     compact between batches, so a long-running server keeps a bounded
+  (* Tiny segments and a two-segment threshold: the committing shard
+     must compact between batches, so a long-running server keeps a bounded
      directory and a restart replays a bounded log, whatever it served.
      Sessions idle past the ttl are what compaction drops; grants are
      kept. *)
@@ -919,7 +995,7 @@ let test_compaction_keeps_read_sessions () =
                    sid);
               (* Sessions opened at 120 move the log's clock 120s past
                  the read session's last logged event (ttl 100), and
-                 seal segments until the writer compacts. *)
+                 seal segments until a committing shard compacts. *)
               clock := 120.;
               let compacted () =
                 Array.exists
@@ -927,7 +1003,7 @@ let test_compaction_keeps_read_sessions () =
                   (Sys.readdir dir)
               in
               let rec fill n =
-                if n > 500 then Alcotest.fail "the writer never compacted"
+                if n > 500 then Alcotest.fail "the log was never compacted"
                 else if not (compacted ()) then begin
                   ignore (new_session ());
                   fill (n + 1)
@@ -1180,7 +1256,7 @@ let test_tcp_watch_then_request () =
 
 (* A stdio server over pipes: [feed] writes request lines, [close]
    sends EOF, [read] takes one response line; [finished] polls whether
-   {!Server.wait} has returned. *)
+   {!Server.run} has returned. *)
 let with_stdio_server ?store ?recovery f =
   let req_r, req_w = Unix.pipe ~cloexec:true () in
   let resp_r, resp_w = Unix.pipe ~cloexec:true () in
@@ -1194,24 +1270,12 @@ let with_stdio_server ?store ?recovery f =
   with
   | Error m -> Alcotest.failf "server start: %s" m
   | Ok server ->
-    let waited = Atomic.make None in
-    ignore (Thread.create (fun () -> Atomic.set waited (Some (Server.wait server))) ());
-    let finished ~within =
-      let deadline = Unix.gettimeofday () +. within in
-      let rec poll () =
-        match Atomic.get waited with
-        | Some result -> Some result
-        | None when Unix.gettimeofday () > deadline -> None
-        | None -> Thread.delay 0.01; poll ()
-      in
-      poll ()
-    in
     Fun.protect
       ~finally:(fun () ->
-        Server.stop server;
         List.iter close_in_noerr [ server_in; responses ];
         List.iter close_out_noerr [ server_out; feed ])
       (fun () ->
+        running server @@ fun ~finished ->
         f
           ~feed:(fun line -> output_string feed line; flush feed)
           ~close:(fun () -> close_out feed)
@@ -1715,6 +1779,11 @@ let () =
             test_submit_after_stop_raises;
           Alcotest.test_case "a claim holds the frontier" `Quick
             test_claim_holds_frontier;
+          Alcotest.test_case
+            "a job queued while another shard commits becomes durable with no later submit"
+            `Quick test_job_queued_mid_commit;
+          Alcotest.test_case "stop commits what is still queued" `Quick
+            test_stop_commits_queued;
           Alcotest.test_case "crash prefix" `Quick
             test_append_batch_crash_prefix;
         ] );

@@ -452,7 +452,8 @@ let sweep () =
 (* --- Provider builds and the minor GC ----------------------------------------------------------- *)
 
 (* A provider build is three stages: the engine, the atlas and
-   Algorithm 2. Each is timed and its minor words and minor collections
+   Algorithm 2. Each is timed and its minor words, minor collections,
+   words allocated directly in the major heap and major collections
    counted, summed over two form sets: the fleet workload's 200 tenant
    forms on the compiled backend, as [pet serve] builds them, and the
    substrate workload's 28 forms (the four case studies and 24 seed-0
@@ -464,14 +465,20 @@ let sweep () =
    BDD node count after each substrate build shows that queries leave
    the compiled rule BDD as it was. In a process of several domains
    every minor collection stops them all, so a collection a provider
-   build forces (DESIGN.md §5) is paid for by every domain beside it:
+   build forces, or a major cycle its garbage brings on (DESIGN.md §5),
+   is paid for by every domain beside it:
    the 200 fleet provider builds run last alone and beside idle domains
    blocked on a condition variable; what the idle domains cost is why
    tenant builds and group commit run on the shard domains rather than
    on domains of their own. After the stages, the words each stage's result
    keeps resident ([Obj.reachable_words]; the atlas holds its engine and
    the profile its atlas, so each row counts only what its stage adds),
-   per player, so that a memory regression names its stage too. *)
+   per player, so that a memory regression names its stage too, and the
+   words the domain's build scratch keeps between builds. *)
+let gc_collections () =
+  let s = Gc.quick_stat () in
+  (s.Gc.minor_collections, s.Gc.major_collections)
+
 let provider_gc () =
   section "Provider builds: stages, allocation and minor collections";
   let fleet =
@@ -517,23 +524,26 @@ let provider_gc () =
     if not was_on then Pet_obs.Metrics.disable ();
     int_of_float (Pet_obs.Metrics.gauge_value bdd_nodes)
   in
-  Fmt.pr "%-24s %-12s %10s %12s %12s@." "forms" "stage" "ms" "minor words"
-    "minor GCs";
+  Fmt.pr "%-24s %-12s %8s %12s %10s %12s %10s@." "forms" "stage" "ms"
+    "minor words" "minor GCs" "major words" "major GCs";
   List.iter
     (fun (label, backend, forms) ->
-      (* Per stage: seconds, minor words, minor collections. *)
-      let totals = Array.make_matrix 4 3 0. in
+      (* Per stage: seconds, minor words, minor collections, words
+         allocated directly in the major heap (not promoted), major
+         cycles. *)
+      let totals = Array.make_matrix 4 5 0. in
       let stage k f =
-        let words = Gc.minor_words ()
-        and collections = (Gc.quick_stat ()).Gc.minor_collections in
+        let minor, promoted, major = Gc.counters ()
+        and minors, majors = gc_collections () in
         let x, dt = time_once f in
+        let minor', promoted', major' = Gc.counters ()
+        and minors', majors' = gc_collections () in
         let t = totals.(k) in
         t.(0) <- t.(0) +. dt;
-        t.(1) <- t.(1) +. (Gc.minor_words () -. words);
-        t.(2) <-
-          t.(2)
-          +. float_of_int
-               ((Gc.quick_stat ()).Gc.minor_collections - collections);
+        t.(1) <- t.(1) +. (minor' -. minor);
+        t.(2) <- t.(2) +. float_of_int (minors' - minors);
+        t.(3) <- t.(3) +. (major' -. major) -. (promoted' -. promoted);
+        t.(4) <- t.(4) +. float_of_int (majors' - majors);
         x
       in
       let keys = List.map key_valuations forms in
@@ -561,16 +571,17 @@ let provider_gc () =
       Array.iteri
         (fun k name ->
           let t = totals.(k) in
-          Fmt.pr "%-24s %-12s %10.1f %11.2fM %12.0f@."
+          Fmt.pr "%-24s %-12s %8.1f %11.2fM %10.0f %11.2fM %10.0f@."
             (Printf.sprintf "%s (%d, %s)" label (List.length forms)
                (Engine.backend_name backend))
-            name (t.(0) *. 1e3) (t.(1) /. 1e6) t.(2))
+            name (t.(0) *. 1e3) (t.(1) /. 1e6) t.(2) (t.(3) /. 1e6) t.(4))
         [| "engine"; "atlas"; "algorithm 1"; "algorithm 2" |];
       let per_player k = float_of_int resident.(k) /. float_of_int !players in
       Fmt.pr
         "%s resident words per player (%d players): engine %.1f, atlas \
-         %.1f, profile %.1f@."
-        label !players (per_player 0) (per_player 1) (per_player 2);
+         %.1f, profile %.1f; the domain's build scratch keeps %d words@."
+        label !players (per_player 0) (per_player 1) (per_player 2)
+        (Pet_minimize.Scratch.retained_words ());
       if !nodes <> [] then
         Fmt.pr "BDD nodes after each %s build: %s@." label
           (String.concat " " (List.rev_map string_of_int !nodes)))
@@ -596,7 +607,7 @@ let provider_gc () =
   in
   List.iter
     (fun k ->
-      let collections = (Gc.quick_stat ()).Gc.minor_collections in
+      let minors, majors = gc_collections () in
       let (), dt =
         beside k (fun () ->
             time_once (fun () ->
@@ -606,11 +617,11 @@ let provider_gc () =
                       (Pet_pet.Workflow.provider ~backend:Engine.Compiled e))
                   fleet))
       in
+      let minors', majors' = gc_collections () in
       Fmt.pr
         "%d fleet provider builds beside %d idle domains: %.3f s, %d minor \
-         collections@."
-        (List.length fleet) k dt
-        ((Gc.quick_stat ()).Gc.minor_collections - collections))
+         collections, %d major collections@."
+        (List.length fleet) k dt (minors' - minors) (majors' - majors))
     [ 0; 1; 4 ]
 
 (* --- Symbolic atlas -------------------------------------------------------------------------------- *)

@@ -55,9 +55,9 @@ let conj_holds c v = v land c.mask = c.bits
 (* Each conjunction of group [i] sets bit [i] on its completions, the
    submasks [s] of its free positions: [(s - 1) land free] walks them
    downwards and the loop ends after [s = 0]. *)
-let benefit_table ~n groups =
+let fill_benefit_table ~n groups tab =
   let full = (1 lsl n) - 1 in
-  let tab = Array.make (full + 1) 0 in
+  Array.fill tab 0 (full + 1) 0;
   Array.iteri
     (fun i conjs ->
       let bit = 1 lsl i in
@@ -71,7 +71,11 @@ let benefit_table ~n groups =
             if !s = 0 then continue := false else s := (!s - 1) land free
           done)
         conjs)
-    groups;
+    groups
+
+let benefit_table ~n groups =
+  let tab = Array.make (1 lsl n) 0 in
+  fill_benefit_table ~n groups tab;
   tab
 
 let create ~xp ~benefits ~rule ~constraints =

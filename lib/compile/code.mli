@@ -48,6 +48,11 @@ val benefit_table : n:int -> conj array array -> int array
     size. No size limit beyond the [2^n] entries; [groups] must have at
     most [Sys.int_size] entries. *)
 
+val fill_benefit_table : n:int -> conj array array -> int array -> unit
+(** [fill_benefit_table ~n groups tab]: {!benefit_table} into the first
+    [2^n] elements of [tab], which may be longer; the rest is left as it
+    was. *)
+
 type t
 
 val max_tabulated_predicates : int

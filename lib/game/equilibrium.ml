@@ -76,8 +76,9 @@ let refine ?max_steps profile payoff =
       | None -> (profile, true)
       | Some d ->
         let profile' =
-          Profile.make atlas (fun i ->
-              if i = d.player then d.to_mas else Profile.move_of profile i)
+          Profile.make atlas
+            (Array.init (Atlas.player_count atlas) (fun i ->
+                 if i = d.player then d.to_mas else Profile.move_of profile i))
         in
         go profile' (steps + 1)
   in

@@ -55,10 +55,7 @@ let draw rng dist =
 
 let sample ~seed t =
   let rng = Random.State.make [| seed |] in
-  let moves =
-    Array.map (fun dist -> draw rng dist) t.strategies
-  in
-  Profile.make t.atlas (fun i -> moves.(i))
+  Profile.make t.atlas (Array.map (fun dist -> draw rng dist) t.strategies)
 
 let expected_payoff ?(samples = 200) ~seed t ~player kind =
   let degenerate =

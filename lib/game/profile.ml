@@ -14,24 +14,24 @@ let rec has_choice atlas i m k =
   k < Atlas.choice_count atlas i
   && (Atlas.choice atlas i k = m || has_choice atlas i m (k + 1))
 
-let make atlas f =
+let make atlas moves =
+  if Array.length moves <> Atlas.player_count atlas then
+    invalid_arg "Profile.make: not one move per player";
   let nm = Atlas.mas_count atlas in
   let ones = Array.make nm 0
   and zeros = Array.make nm 0
   and count = Array.make nm 0 in
-  let moves =
-    Array.init (Atlas.player_count atlas) (fun i ->
-        let m = f i in
-        if not (has_choice atlas i m 0) then
-          invalid_arg
-            (Printf.sprintf "Profile.make: MAS %d is not a choice of player %d"
-               m i);
-        let bits = Atlas.player_bits atlas i in
-        ones.(m) <- ones.(m) lor bits;
-        zeros.(m) <- zeros.(m) lor lnot bits;
-        count.(m) <- count.(m) + 1;
-        m)
-  in
+  Array.iteri
+    (fun i m ->
+      if not (has_choice atlas i m 0) then
+        invalid_arg
+          (Printf.sprintf "Profile.make: MAS %d is not a choice of player %d"
+             m i);
+      let bits = Atlas.player_bits atlas i in
+      ones.(m) <- ones.(m) lor bits;
+      zeros.(m) <- zeros.(m) lor lnot bits;
+      count.(m) <- count.(m) + 1)
+    moves;
   { atlas; moves; ones; zeros; count }
 
 let atlas t = t.atlas

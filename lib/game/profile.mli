@@ -8,11 +8,12 @@
 
 type t
 
-val make : Pet_minimize.Atlas.t -> (int -> int) -> t
-(** [make atlas f] assigns MAS [f i] to player [i], and aggregates the
-    crowds in the same pass.
-    @raise Invalid_argument when some [f i] is not among player [i]'s
-    choices. *)
+val make : Pet_minimize.Atlas.t -> int array -> t
+(** [make atlas moves] assigns MAS [moves.(i)] to player [i], and
+    aggregates the crowds from those moves. The profile takes ownership
+    of [moves]: the caller must not change it afterwards.
+    @raise Invalid_argument when [moves] does not have one entry per
+    player, or some [moves.(i)] is not among player [i]'s choices. *)
 
 val atlas : t -> Pet_minimize.Atlas.t
 val move_of : t -> int -> int

@@ -96,8 +96,9 @@ let floor_of profile =
 let apply_step profile (r : result) =
   let atlas = Profile.atlas profile in
   let moved = List.map (fun rec_ -> rec_.player) r.recruits in
-  Profile.make atlas (fun i ->
-      if List.mem i moved then r.mas else Profile.move_of profile i)
+  Profile.make atlas
+    (Array.init (Atlas.player_count atlas) (fun i ->
+         if List.mem i moved then r.mas else Profile.move_of profile i))
 
 let plan ?(budget = 5) profile =
   let atlas = Profile.atlas profile in

@@ -1,117 +1,110 @@
 module Atlas = Pet_minimize.Atlas
+module Scratch = Pet_minimize.Scratch
+module Wordbuf = Pet_minimize.Wordbuf
 
-(* A binary heap of ints. Deletion is lazy: an entry that went stale
-   stays where it is and is dropped by [pop_valid] when it reaches the
-   top. Its operations are top-level recursions over int arrays, so
-   they allocate nothing but the doubling of [data]. *)
+(* A binary heap of ints, kept in [data.a.(0 .. data.len - 1)].
+   Deletion is lazy: an entry that went stale stays where it is and is
+   dropped by [pop_valid] when it reaches the top. Its operations are
+   top-level recursions over int arrays, so they allocate nothing but
+   the doubling of [data]. *)
 module Heap = struct
-  type t = {
-    before : int -> int -> bool;
-    mutable data : int array;
-    mutable size : int;
-  }
-
-  let create before = { before; data = Array.make 16 0; size = 0 }
+  type t = { before : int -> int -> bool; data : Wordbuf.t }
 
   let rec up h x i =
+    let a = h.data.a in
     let parent = (i - 1) / 2 in
-    if i > 0 && h.before x h.data.(parent) then begin
-      h.data.(i) <- h.data.(parent);
+    if i > 0 && h.before x a.(parent) then begin
+      a.(i) <- a.(parent);
       up h x parent
     end
-    else h.data.(i) <- x
+    else a.(i) <- x
 
   let push h x =
-    if h.size = Array.length h.data then h.data <- Array.append h.data h.data;
-    up h x h.size;
-    h.size <- h.size + 1
+    Wordbuf.push h.data x;
+    up h x (h.data.len - 1)
 
   let rec down h last i =
+    let a = h.data.a and size = h.data.len in
     let l = (2 * i) + 1 in
-    if l >= h.size then h.data.(i) <- last
+    if l >= size then a.(i) <- last
     else
-      let c =
-        if l + 1 < h.size && h.before h.data.(l + 1) h.data.(l) then l + 1
-        else l
-      in
-      if h.before h.data.(c) last then begin
-        h.data.(i) <- h.data.(c);
+      let c = if l + 1 < size && h.before a.(l + 1) a.(l) then l + 1 else l in
+      if h.before a.(c) last then begin
+        a.(i) <- a.(c);
         down h last c
       end
-      else h.data.(i) <- last
+      else a.(i) <- last
 
   let remove_top h =
-    h.size <- h.size - 1;
-    if h.size > 0 then down h h.data.(h.size) 0
+    let size = h.data.len - 1 in
+    Wordbuf.truncate h.data size;
+    if size > 0 then down h h.data.a.(size) 0
 
   (* Pop entries until one satisfies [valid], and return that one; -1
      when the heap runs out. *)
   let rec pop_valid h valid =
-    if h.size = 0 then -1
+    if h.data.len = 0 then -1
     else
-      let x = h.data.(0) in
+      let x = h.data.a.(0) in
       remove_top h;
       if valid x then x else pop_valid h valid
 end
 
 (* The deadlock heap's entries: entry [e] is a pending player's best
    move and its score, as cached when the entry was pushed. They live in
-   three flat arrays, scores unboxed, so that filing one allocates
-   nothing. *)
+   flat arrays, scores unboxed, so that filing one allocates nothing but
+   their doubling. *)
 type entries = {
+  scratch : Scratch.t;
   mutable scores : float array;
-  mutable moves : int array;
-  mutable players : int array;
-  mutable count : int;
+  moves : Wordbuf.t;
+  players : Wordbuf.t;
 }
 
 let add_entry es score move player =
-  if es.count = Array.length es.moves then begin
-    let grow a fill =
-      let a' = Array.make (2 * es.count) fill in
-      Array.blit a 0 a' 0 es.count;
-      a'
-    in
-    es.scores <- grow es.scores 0.;
-    es.moves <- grow es.moves 0;
-    es.players <- grow es.players 0
+  let e = es.moves.len in
+  if e = Array.length es.scores then begin
+    let scores = Scratch.floats es.scratch (2 * e) in
+    Array.blit es.scores 0 scores 0 e;
+    es.scores <- scores
   end;
-  let e = es.count in
   es.scores.(e) <- score;
-  es.moves.(e) <- move;
-  es.players.(e) <- player;
-  es.count <- e + 1;
+  Wordbuf.push es.moves move;
+  Wordbuf.push es.players player;
   e
 
 (* The deadlock order of lines 11-16: highest score, then lowest move,
    then lowest player. *)
 let deadlock_before es a b =
   let sa = es.scores.(a) and sb = es.scores.(b) in
+  let moves = es.moves.a in
   sa > sb
   || sa = sb
-     && (es.moves.(a) < es.moves.(b)
-        || (es.moves.(a) = es.moves.(b) && es.players.(a) < es.players.(b)))
+     && (moves.(a) < moves.(b)
+        || (moves.(a) = moves.(b) && es.players.a.(a) < es.players.a.(b)))
 
+(* Every array but [committed], which becomes the profile's moves, is
+   taken from the domain's scratch (DESIGN.md §5). *)
 type state = {
   atlas : Atlas.t;
   scoring : Payoff.scorer;
   blank_mask : int array; (* per MAS *)
-  player_bits : int array;
-  (* Per MAS, in [live.(m)].(0 .. [live_len.(m)] - 1): the players to
-     update on a commit to it — those who can play it, less the committed
-     and, under [Count], [delisted] ones. *)
-  live : int array array;
+  (* Per MAS [m], in [live.(Atlas.crowd_offset atlas m + k)] for
+     [k < live_len.(m)]: the players to update on a commit to it — those
+     who can play it, less the committed and, under [Count], [delisted]
+     ones. *)
+  live : int array;
   live_len : int array;
   (* Per MAS, the committed crowd's aggregate ({!Crowd}), so that
-     scoring a prospective commitment is O(1). The final state's arrays
-     become the profile's. *)
+     scoring a prospective commitment is O(1). *)
   ones : int array;
   zeros : int array;
   count : int array;
   committed : int array; (* player -> MAS, -1 while pending *)
   (* Per pending player, kept current after every commit: *)
   best : int array; (* the first move with the maximum score *)
-  dominant : bool array; (* the best move strictly beats every other *)
+  dominant : int array; (* 1 iff the best move strictly beats every
+                           other, else 0 *)
   delisted : int array; (* [Count] only: the MAS whose [live] skips the
                            player, or -1 *)
   dominants : Heap.t; (* dominant players, lowest index on top *)
@@ -119,40 +112,47 @@ type state = {
   deadlock : Heap.t; (* entries of non-dominant players, in deadlock order *)
 }
 
-let make_state atlas payoff =
+let make_state scratch atlas payoff =
   let nm = Atlas.mas_count atlas in
   let np = Atlas.player_count atlas in
+  let ints n x = Scratch.array scratch n x in
   let entries =
     {
-      scores = Array.make 16 0.;
-      moves = Array.make 16 0;
-      players = Array.make 16 0;
-      count = 0;
+      scratch;
+      scores = Scratch.floats scratch 16;
+      moves = Scratch.buffer scratch;
+      players = Scratch.buffer scratch;
     }
   in
-  (* Filled from an immediate: [Array.init] from a young first row
-     would empty the minor heap first (DESIGN.md §5). *)
-  let live = Array.make nm [||] in
+  let live = ints (Atlas.crowd_offset atlas nm) 0
+  and live_len = ints nm 0
+  and blank_mask = ints nm 0 in
   for m = 0 to nm - 1 do
-    live.(m) <- Array.init (Atlas.crowd_size atlas m) (Atlas.crowd_member atlas m)
+    let start = Atlas.crowd_offset atlas m and size = Atlas.crowd_size atlas m in
+    for k = 0 to size - 1 do
+      live.(start + k) <- Atlas.crowd_member atlas m k
+    done;
+    live_len.(m) <- size;
+    blank_mask.(m) <- Payoff.blank_mask atlas ~mas:m
   done;
   {
     atlas;
     scoring = Payoff.scorer atlas payoff;
-    blank_mask = Array.init nm (fun mas -> Payoff.blank_mask atlas ~mas);
-    player_bits = Array.init np (Atlas.player_bits atlas);
+    blank_mask;
     live;
-    live_len = Array.map Array.length live;
-    ones = Array.make nm 0;
-    zeros = Array.make nm 0;
-    count = Array.make nm 0;
+    live_len;
+    ones = ints nm 0;
+    zeros = ints nm 0;
+    count = ints nm 0;
     committed = Array.make np (-1);
-    best = Array.make np (-1);
-    dominant = Array.make np false;
-    delisted = Array.make (match payoff with Payoff.Sm -> np | _ -> 0) (-1);
-    dominants = Heap.create (fun (i : int) j -> i < j);
+    best = ints np (-1);
+    dominant = ints np 0;
+    delisted = ints (match payoff with Payoff.Sm -> np | _ -> 0) (-1);
+    dominants =
+      { before = (fun (i : int) j -> i < j); data = Scratch.buffer scratch };
     entries;
-    deadlock = Heap.create (deadlock_before entries);
+    deadlock =
+      { before = deadlock_before entries; data = Scratch.buffer scratch };
   }
 
 (* Payoff of a player with valuation [bits] if they joined a crowd of
@@ -172,7 +172,7 @@ let[@inline] value st bits m ~ones ~zeros ~count =
 
 (* Payoff of player [i] if they joined move [m]'s committed crowd. *)
 let[@inline] score st i m =
-  value st st.player_bits.(i) m ~ones:st.ones.(m) ~zeros:st.zeros.(m)
+  value st (Atlas.player_bits st.atlas i) m ~ones:st.ones.(m) ~zeros:st.zeros.(m)
     ~count:st.count.(m)
 
 (* Cache a pending player's best move [bm], of score [bs], and file the
@@ -185,13 +185,13 @@ let file st i bm bs dominant =
     let d = st.delisted.(i) in
     if d >= 0 && not (dominant && bm = d) then begin
       st.delisted.(i) <- -1;
-      st.live.(d).(st.live_len.(d)) <- i;
+      st.live.(Atlas.crowd_offset st.atlas d + st.live_len.(d)) <- i;
       st.live_len.(d) <- st.live_len.(d) + 1
     end
   | Payoff.Blanks | Payoff.Weights _ -> ());
-  let was_dominant = st.dominant.(i) in
+  let was_dominant = st.dominant.(i) = 1 in
   st.best.(i) <- bm;
-  st.dominant.(i) <- dominant;
+  st.dominant.(i) <- Bool.to_int dominant;
   if dominant then begin
     if not was_dominant then Heap.push st.dominants i
   end
@@ -230,14 +230,14 @@ let[@inline] update st i m ~before ~after =
     let bs = score st i bm in
     if after > bs then file st i m after true
     else if after = bs then begin
-      if before < bs && (st.dominant.(i) || m < bm) then
+      if before < bs && (st.dominant.(i) = 1 || m < bm) then
         file st i (min bm m) bs false
     end
     else if before = bs then rescore st i
 
 let join st i m =
   st.committed.(i) <- m;
-  let bits = st.player_bits.(i) in
+  let bits = Atlas.player_bits st.atlas i in
   st.ones.(m) <- st.ones.(m) lor bits;
   st.zeros.(m) <- st.zeros.(m) lor lnot bits;
   st.count.(m) <- st.count.(m) + 1
@@ -262,15 +262,15 @@ let commit st i m =
   in
   if moved then begin
     let delist = match st.scoring with Payoff.Count -> true | _ -> false in
-    let live = st.live.(m) in
-    let kept = ref 0 in
-    for k = 0 to st.live_len.(m) - 1 do
+    let live = st.live and start = Atlas.crowd_offset st.atlas m in
+    let kept = ref start in
+    for k = start to start + st.live_len.(m) - 1 do
       let j = live.(k) in
       if st.committed.(j) < 0 then begin
         update st j m
-          ~before:(value st st.player_bits.(j) m ~ones ~zeros ~count)
+          ~before:(value st (Atlas.player_bits st.atlas j) m ~ones ~zeros ~count)
           ~after:(score st j m);
-        if delist && st.best.(j) = m && st.dominant.(j) then
+        if delist && st.best.(j) = m && st.dominant.(j) = 1 then
           st.delisted.(j) <- m
         else begin
           live.(!kept) <- j;
@@ -278,12 +278,12 @@ let commit st i m =
         end
       end
     done;
-    st.live_len.(m) <- !kept
+    st.live_len.(m) <- !kept - start
   end
 
-let compute ?(payoff = Payoff.Blank) atlas =
-  Pet_obs.Span.enter "algorithm2" @@ fun () ->
-  let st = make_state atlas payoff in
+(* Algorithm 2 on the scratch's arrays; the moves it commits. *)
+let select scratch atlas payoff =
+  let st = make_state scratch atlas payoff in
   let n = Atlas.player_count atlas in
   (* Players with a single possible move play it outright (lines 1-3 of
      Algorithm 2); everyone else is scored against those crowds. *)
@@ -302,10 +302,10 @@ let compute ?(payoff = Payoff.Blank) atlas =
      broken as in lines 11-16: the player/move pair with the globally best
      payoff — ties resolved by the lexicographic order on moves, then on
      players — commits. *)
-  let still_dominant i = st.committed.(i) < 0 && st.dominant.(i) in
+  let still_dominant i = st.committed.(i) < 0 && st.dominant.(i) = 1 in
   let es = st.entries in
   let current e =
-    let i = es.players.(e) and m = es.moves.(e) in
+    let i = es.players.a.(e) and m = es.moves.a.(e) in
     st.committed.(i) < 0
     && st.best.(i) = m
     && Float.equal (score st i m) es.scores.(e)
@@ -317,8 +317,13 @@ let compute ?(payoff = Payoff.Blank) atlas =
       let e = Heap.pop_valid st.deadlock current in
       (* Every pending player has a current entry. *)
       assert (e >= 0);
-      commit st es.players.(e) es.moves.(e)
+      commit st es.players.a.(e) es.moves.a.(e)
     end;
     decr pending
   done;
-  Profile.make atlas (fun i -> st.committed.(i))
+  st.committed
+
+let compute ?(payoff = Payoff.Blank) atlas =
+  Pet_obs.Span.enter "algorithm2" @@ fun () ->
+  Profile.make atlas
+    (Scratch.with_scratch (fun scratch -> select scratch atlas payoff))

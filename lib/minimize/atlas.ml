@@ -26,37 +26,51 @@ let obs_mas_gauge = Pet_obs.Metrics.gauge "pet_atlas_mas"
 let obs_players_gauge = Pet_obs.Metrics.gauge "pet_atlas_players"
 
 (* An insert-only set of non-negative ints: linear probing over a
-   power-of-two table, at most half full, -1 marking a free slot. *)
+   power-of-two table, at most half full, -1 marking a free slot. The
+   table is [slots.a.(0 .. slots.len - 1)]; it doubles into [spare], and
+   both are scratch buffers, so a set that grew in one build does not
+   grow again in the next. *)
 module Int_set = struct
-  type t = { mutable slots : int array; mutable size : int }
+  type t = {
+    mutable slots : Wordbuf.t;
+    mutable spare : Wordbuf.t;
+    mutable size : int;
+  }
 
-  let create () = { slots = Array.make 64 (-1); size = 0 }
+  let create scratch =
+    let slots = Scratch.buffer scratch in
+    Wordbuf.fill slots 64 (-1);
+    { slots; spare = Scratch.buffer scratch; size = 0 }
 
   let rec probe slots mask k i =
     let x = slots.(i) in
     if x = -1 || x = k then i else probe slots mask k ((i + 1) land mask)
 
-  let slot slots k =
-    let mask = Array.length slots - 1 in
+  let slot (slots : Wordbuf.t) k =
+    let mask = slots.len - 1 in
     let h = k * 0x9E3779B1 in
-    probe slots mask k ((h lxor (h lsr 29)) land mask)
+    probe slots.a mask k ((h lxor (h lsr 29)) land mask)
 
   let grow s =
-    let old = s.slots in
-    let slots = Array.make (2 * Array.length old) (-1) in
-    Array.iter (fun k -> if k >= 0 then slots.(slot slots k) <- k) old;
-    s.slots <- slots
+    let old = s.slots and slots = s.spare in
+    Wordbuf.fill slots (2 * old.len) (-1);
+    for i = 0 to old.len - 1 do
+      let k = old.a.(i) in
+      if k >= 0 then slots.a.(slot slots k) <- k
+    done;
+    s.slots <- slots;
+    s.spare <- old
 
-  let mem s k = s.slots.(slot s.slots k) = k
+  let mem s k = s.slots.a.(slot s.slots k) = k
 
   (* Whether [k] was new. *)
   let add s k =
     let i = slot s.slots k in
-    s.slots.(i) <> k
+    s.slots.a.(i) <> k
     && begin
-         s.slots.(i) <- k;
+         s.slots.a.(i) <- k;
          s.size <- s.size + 1;
-         if 2 * s.size > Array.length s.slots then grow s;
+         if 2 * s.size > s.slots.len then grow s;
          true
        end
 end
@@ -114,13 +128,16 @@ let build ?(mode = Algorithm1.Chain) engine =
   let rules = Exposure.conjunction_words exposure in
   let full = (1 lsl n) - 1 in
   let groups = conjunction_groups mode rules in
-  let tab =
-    match groups with
-    | Some _ ->
-      Code.benefit_table ~n
-        (Array.map (fun c -> [| c |]) (Array.concat (Array.to_list rules)))
-    | None -> Code.benefit_table ~n rules
-  in
+  (* Every working array below comes from the domain's scratch; only the
+     atlas's own arrays are allocated (DESIGN.md §5). *)
+  Scratch.with_scratch @@ fun scratch ->
+  let tab = Scratch.array scratch (full + 1) 0 in
+  (match groups with
+  | Some _ ->
+    Code.fill_benefit_table ~n
+      (Array.map (fun c -> [| c |]) (Array.concat (Array.to_list rules)))
+      tab
+  | None -> Code.fill_benefit_table ~n rules tab);
   let benefits_of set =
     match groups with Some g -> granted g set | None -> set
   in
@@ -131,10 +148,10 @@ let build ?(mode = Algorithm1.Chain) engine =
      which is that of every valuation it came from. *)
   let consistent = Exposure.consistent_word exposure in
   let mas_words = Algorithm1.mas_words ~mode engine in
-  let seen = Int_set.create () and found = Int_set.create () in
-  let doms = Wordbuf.create ()
-  and bits = Wordbuf.create ()
-  and proves = Wordbuf.create () in
+  let seen = Int_set.create scratch and found = Int_set.create scratch in
+  let doms = Scratch.buffer scratch
+  and bits = Scratch.buffer scratch
+  and proves = Scratch.buffer scratch in
   let current = ref 0 in
   let emit dom =
     let v = !current in
@@ -156,11 +173,13 @@ let build ?(mode = Algorithm1.Chain) engine =
     end
   done;
   let nm = doms.len in
-  let order = Array.init nm Fun.id in
-  Array.sort
-    (fun i j ->
-      Partial.compare_lex_words doms.a.(i) bits.a.(i) doms.a.(j) bits.a.(j))
-    order;
+  let order = Scratch.buffer scratch in
+  for i = 0 to nm - 1 do
+    Wordbuf.push order i
+  done;
+  Wordbuf.sort order (fun i j ->
+      Partial.compare_lex_words doms.a.(i) bits.a.(i) doms.a.(j) bits.a.(j));
+  let order = order.a in
   (* OCaml empties the minor heap before [Array.make], [init], [map] or
      [of_list] creates an array of more than 256 (Max_young_wosize)
      elements from a young block, and in a process of several domains
@@ -203,7 +222,7 @@ let build ?(mode = Algorithm1.Chain) engine =
       if tab.(v) <> 0 then tab.(v) <- granted g tab.(v)
     done
   | None -> ());
-  let members = Wordbuf.create () in
+  let members = Scratch.buffer scratch in
   let crowd_off = Array.make (nm + 1) 0 in
   for k = 0 to nm - 1 do
     let i = order.(k) in
@@ -329,6 +348,11 @@ let crowd_member t m k =
   if k < 0 || k >= crowd_size t m then
     invalid_arg "Atlas.crowd_member: out of range";
   t.crowds.(t.crowd_off.(m) + k)
+
+let crowd_offset t m =
+  if m < 0 || m > Array.length t.mas then
+    invalid_arg "Atlas.crowd_offset: out of range";
+  t.crowd_off.(m)
 
 let choices_of_player t i =
   List.init (choice_count t i) (fun k -> t.choices.(t.choice_off.(i) + k))

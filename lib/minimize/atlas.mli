@@ -60,6 +60,11 @@ val crowd_size : t -> int -> int
 val crowd_member : t -> int -> int -> int
 (** [crowd_member t m k]: the [k]-th element of [players_of_mas t m]. *)
 
+val crowd_offset : t -> int -> int
+(** The atlas keeps every crowd in one flat list, in MAS order:
+    [crowd_member t m k] is its [(crowd_offset t m + k)]-th element, and
+    [crowd_offset t (mas_count t)] is its length. *)
+
 val forced_players_of_mas : t -> int -> int list
 (** Players whose only choice is this MAS — the crowd lower bound reported
     in brackets in Tables 3 and 4. *)

@@ -102,10 +102,15 @@ let test_profile_validation () =
   let atlas = running_atlas () in
   Alcotest.(check bool) "invalid move rejected" true
     (match
-       Profile.make atlas (fun i ->
-           (* give everyone the first MAS, which most cannot play *)
-           ignore i;
-           0)
+       (* give everyone the first MAS, which most cannot play *)
+       Profile.make atlas (Array.make (Atlas.player_count atlas) 0)
+     with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  Alcotest.(check bool) "one move short rejected" true
+    (match
+       Profile.make atlas
+         (Array.init (Atlas.player_count atlas - 1) (Atlas.choice atlas 0))
      with
     | exception Invalid_argument _ -> true
     | _ -> false)
@@ -157,8 +162,9 @@ let test_deviation_found () =
   let m1 = mas_index atlas "1__" in
   let equilibrium = Strategy.compute atlas in
   let profile =
-    Profile.make atlas (fun i ->
-        if i = p111 then m1 else Profile.move_of equilibrium i)
+    Profile.make atlas
+      (Array.init (Atlas.player_count atlas) (fun i ->
+           if i = p111 then m1 else Profile.move_of equilibrium i))
   in
   match Equilibrium.find_improvement profile Payoff.Blank with
   | None -> Alcotest.fail "expected a profitable deviation"
@@ -232,8 +238,9 @@ let test_refine_budget () =
   let m1 = mas_index atlas "1__" in
   let equilibrium = Strategy.compute atlas in
   let profile =
-    Profile.make atlas (fun i ->
-        if i = p111 then m1 else Profile.move_of equilibrium i)
+    Profile.make atlas
+      (Array.init (Atlas.player_count atlas) (fun i ->
+           if i = p111 then m1 else Profile.move_of equilibrium i))
   in
   let refined, converged = Equilibrium.refine ~max_steps:0 profile Payoff.Blank in
   Alcotest.(check bool) "not converged" false converged;
@@ -528,7 +535,7 @@ let reference_compute ?(payoff = Payoff.Blank) atlas =
     commit i m;
     pending := List.filter (fun (j, _) -> j <> i) !pending
   done;
-  ( Profile.make atlas (fun i -> committed.(i)),
+  ( Profile.make atlas committed,
     !dominant_commits,
     !deadlock_commits )
 

@@ -474,7 +474,7 @@ let test_mas_of_matches_reference () =
         Engine.all_backends)
     (case_studies () @ corpus_forms 40)
 
-(* --- Provider builds and the minor heap -------------------------------------- *)
+(* --- Provider builds and the heaps -------------------------------------------- *)
 
 (* In a process of several domains every minor collection stops the
    world, and OCaml empties the minor heap before it creates an array of
@@ -505,6 +505,46 @@ let provider_forms () =
   :: ("rsa", Pet_casestudies.Rsa.exposure ())
   :: corpus_forms 40
 
+(* [s.run backend stage form ~input f] runs one provider-build stage,
+   [f], and returns its result; [input] is what the result holds from
+   the stage before ([()] for the engine). *)
+type stage_runner = {
+  run :
+    'a 'b. Engine.backend -> string -> string -> input:'b -> (unit -> 'a) -> 'a;
+}
+
+(* Every provider-build stage on every form, on both backends: the
+   engine, the atlas, and Algorithm 2 under [Blank] and [Sm]. *)
+let run_provider_stages forms s =
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun (form, e) ->
+          let engine =
+            s.run backend "engine" form ~input:() (fun () ->
+                Engine.create ~backend e)
+          in
+          let atlas =
+            s.run backend "atlas" form ~input:engine (fun () ->
+                Atlas.build engine)
+          in
+          List.iter
+            (fun payoff ->
+              ignore
+                (s.run backend "algorithm 2" form ~input:atlas (fun () ->
+                     Pet_game.Strategy.compute ~payoff atlas)))
+            [ Pet_game.Payoff.Blank; Pet_game.Payoff.Sm ])
+        forms)
+    [ Engine.Compiled; Engine.Bdd ]
+
+(* [f ()] in a spawned domain with metrics off. *)
+let in_fresh_domain f =
+  let was_on = Pet_obs.Metrics.enabled () in
+  Pet_obs.Metrics.disable ();
+  let x = Domain.join (Domain.spawn f) in
+  if was_on then Pet_obs.Metrics.enable ();
+  x
+
 (* Minor words per provider-build stage, summed over [provider_forms]
    with metrics off: the measured value plus 10%. Minor words do not
    depend on timing, so a kernel that starts allocating again fails
@@ -513,46 +553,26 @@ let provider_forms () =
 let minor_word_ceilings =
   [
     ( Engine.Compiled,
-      [ ("engine", 70_293.); ("atlas", 129_724.); ("algorithm 2", 1_970_652.) ]
+      [ ("engine", 68_023.); ("atlas", 88_050.); ("algorithm 2", 1_819_660.) ]
     );
     ( Engine.Bdd,
-      [ ("engine", 254_518.); ("atlas", 154_125.); ("algorithm 2", 1_970_652.) ]
+      [ ("engine", 252_248.); ("atlas", 110_730.); ("algorithm 2", 1_817_986.) ]
     );
   ]
 
 let test_provider_forces_no_minor_gc () =
-  let measure () =
-    Gc.set { (Gc.get ()) with Gc.minor_heap_size = minor_heap_words };
-    let costs = ref [] in
-    let stage backend name form f =
-      let x, words, collections = minor_cost f in
-      costs := (backend, name, form, words, collections) :: !costs;
-      x
-    in
-    List.iter
-      (fun backend ->
-        List.iter
-          (fun (form, e) ->
-            let engine =
-              stage backend "engine" form (fun () -> Engine.create ~backend e)
-            in
-            let atlas =
-              stage backend "atlas" form (fun () -> Atlas.build engine)
-            in
-            List.iter
-              (fun payoff ->
-                ignore
-                  (stage backend "algorithm 2" form (fun () ->
-                       Pet_game.Strategy.compute ~payoff atlas)))
-              [ Pet_game.Payoff.Blank; Pet_game.Payoff.Sm ])
-          (provider_forms ()))
-      [ Engine.Compiled; Engine.Bdd ];
-    List.rev !costs
+  let costs =
+    in_fresh_domain (fun () ->
+        Gc.set { (Gc.get ()) with Gc.minor_heap_size = minor_heap_words };
+        let costs = ref [] in
+        let run backend name form ~input:_ f =
+          let x, words, collections = minor_cost f in
+          costs := (backend, name, form, words, collections) :: !costs;
+          x
+        in
+        run_provider_stages (provider_forms ()) { run };
+        List.rev !costs)
   in
-  let was_on = Pet_obs.Metrics.enabled () in
-  Pet_obs.Metrics.disable ();
-  let costs = Domain.join (Domain.spawn measure) in
-  if was_on then Pet_obs.Metrics.enable ();
   List.iter
     (fun (backend, name, form, words, collections) ->
       let name =
@@ -580,6 +600,182 @@ let test_provider_forces_no_minor_gc () =
             true (words <= ceiling))
         ceilings)
     minor_word_ceilings
+
+(* [f ()], and the words it allocated directly in the major heap on this
+   domain: major words less those promoted from the minor heap. *)
+let direct_major_words f =
+  let _, promoted, major = Gc.counters () in
+  let x = f () in
+  let _, promoted', major' = Gc.counters () in
+  (x, int_of_float (major' -. major -. (promoted' -. promoted)))
+
+(* Words a stage may allocate in the major heap beyond what its result
+   keeps: headers and the odd small block. *)
+let major_slack_words = 64
+
+(* Major-heap garbage drives major cycles, and every major cycle stops
+   every domain. So a provider stage may allocate directly in the major
+   heap only what its result keeps: the growth of [Obj.reachable_words]
+   over its input. Working arrays come from the domain's scratch; the
+   first pass over the forms fills it, the second is measured. The one
+   exception is a table above [Scratch.cap] (RSA's 2^17-word benefit
+   table), which a build allocates and drops, as the scratch keeps no
+   buffer that large. Word counts do not depend on timing. *)
+let test_provider_leaves_no_major_garbage () =
+  let forms = provider_forms () in
+  let above_cap form =
+    let e = List.assoc form forms in
+    let n = Universe.size (Exposure.xp e) in
+    if 1 lsl n > Pet_minimize.Scratch.cap then (1 lsl n) + 1 else 0
+  in
+  let costs =
+    in_fresh_domain (fun () ->
+        run_provider_stages forms { run = (fun _ _ _ ~input:_ f -> f ()) };
+        let costs = ref [] in
+        let run backend name form ~input f =
+          Gc.minor ();
+          let before = Obj.reachable_words (Obj.repr input) in
+          let x, direct = direct_major_words f in
+          let kept = Obj.reachable_words (Obj.repr x) - before in
+          costs := (backend, name, form, direct, kept) :: !costs;
+          x
+        in
+        run_provider_stages forms { run };
+        List.rev !costs)
+  in
+  List.iter
+    (fun (backend, name, form, direct, kept) ->
+      let allowed =
+        kept + major_slack_words
+        + if name = "atlas" then above_cap form else 0
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s (%s): %d direct major words <= %d" form name
+           (Engine.backend_name backend) direct allowed)
+        true (direct <= allowed))
+    costs
+
+(* --- The scratch and what builds on it return --------------------------------- *)
+
+(* A profile as text: every player's move, then every MAS's crowd
+   aggregate. *)
+let profile_text profile =
+  let module P = Pet_game.Profile in
+  let atlas = P.atlas profile in
+  let b = Buffer.create 4096 in
+  for i = 0 to Atlas.player_count atlas - 1 do
+    Printf.bprintf b "%d " (P.move_of profile i)
+  done;
+  for m = 0 to Atlas.mas_count atlas - 1 do
+    let c = P.aggregate profile m in
+    Printf.bprintf b "%d/%d/%d " c.Pet_game.Crowd.ones c.zeros c.count
+  done;
+  Buffer.contents b
+
+(* Everything a provider build returns that later requests read: the
+   atlas's MAS, players and both adjacency lists, and Algorithm 2's
+   profile under [Blank] and [Sm]. *)
+let provider_text e =
+  let atlas = Atlas.build (Engine.create ~backend:Engine.Compiled e) in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  String.concat "\n"
+    (List.map (fun (c : A1.choice) -> Partial.to_string c.mas) (Atlas.mas_list atlas)
+    @ List.init (Atlas.mas_count atlas) (fun m -> ints (Atlas.players_of_mas atlas m))
+    @ List.init (Atlas.player_count atlas) (fun i ->
+          Printf.sprintf "%d:%s" (Atlas.player_bits atlas i)
+            (ints (Atlas.choices_of_player atlas i)))
+    @ List.map
+        (fun payoff -> profile_text (Pet_game.Strategy.compute ~payoff atlas))
+        [ Pet_game.Payoff.Blank; Pet_game.Payoff.Sm ])
+
+(* Algorithm 2's moves and every crowd aggregate on [provider_forms]
+   under the three payoffs, pinned to the digest the build gave before
+   its working arrays came from the scratch. *)
+let reference_provider_profiles_digest = "e1aa42a48401e0cbaf96abbb891c1343"
+
+let test_provider_profiles_pinned () =
+  let weighted =
+    Pet_game.Payoff.Weighted
+      (fun name -> 0.5 +. (0.3 *. float_of_int (Hashtbl.hash name mod 5)))
+  in
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (form, e) ->
+      let atlas = Atlas.build (Engine.create ~backend:Engine.Compiled e) in
+      List.iter
+        (fun payoff ->
+          Buffer.add_string b form;
+          Buffer.add_string b
+            (profile_text (Pet_game.Strategy.compute ~payoff atlas)))
+        [ Pet_game.Payoff.Blank; Pet_game.Payoff.Sm; weighted ])
+    (provider_forms ());
+  Alcotest.(check string) "digest" reference_provider_profiles_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* Forms of 17, 12 and 8 predicates: RSA's benefit table is above
+   [Scratch.cap], H-cov's and the corpus form's are not. *)
+let scratch_forms () =
+  let rsa = Pet_casestudies.Rsa.exposure () and hcov = Hcov.exposure () in
+  let small =
+    Pet_rules.Spec.parse_exn (Pet_corpus.Corpus.form ~seed:0 ~size:8 0).text
+  in
+  [ ("rsa", rsa); ("hcov", hcov); ("size 8", small); ("hcov", hcov);
+    ("rsa", rsa); ("size 8", small) ]
+
+(* One domain's scratch serves builds of every size in turn: each build
+   equals the same build on a fresh domain, so nothing a larger build
+   left in the scratch reaches a smaller one, or the other way round. A
+   build that starts while the scratch is held runs on a fresh one. *)
+let test_scratch_alternating_sizes () =
+  let forms = scratch_forms () in
+  let fresh =
+    List.map (fun (_, e) -> in_fresh_domain (fun () -> provider_text e)) forms
+  in
+  let in_turn =
+    in_fresh_domain (fun () -> List.map (fun (_, e) -> provider_text e) forms)
+  in
+  List.iteri
+    (fun k ((form, _), (expected, got)) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "build %d (%s) equals a fresh domain's" k form)
+        true (expected = got))
+    (List.combine forms (List.combine fresh in_turn));
+  let nested =
+    in_fresh_domain (fun () ->
+        Pet_minimize.Scratch.with_scratch (fun _ ->
+            provider_text (List.assoc "hcov" forms)))
+  in
+  Alcotest.(check bool) "a nested build equals a fresh domain's" true
+    (nested = List.nth fresh 1)
+
+(* Two domains building the same forms at the same time, each on its
+   own scratch, get what one domain gets alone. *)
+let test_scratch_two_domains () =
+  let forms = scratch_forms () @ corpus_forms 6 in
+  let expected =
+    in_fresh_domain (fun () -> List.map (fun (_, e) -> provider_text e) forms)
+  in
+  let was_on = Pet_obs.Metrics.enabled () in
+  Pet_obs.Metrics.disable ();
+  let ready = Atomic.make 0 in
+  let build () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    List.map (fun (_, e) -> provider_text e) forms
+  in
+  let a = Domain.spawn build and b = Domain.spawn build in
+  let a = Domain.join a and b = Domain.join b in
+  if was_on then Pet_obs.Metrics.enable ();
+  List.iteri
+    (fun k (form, _) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "build %d (%s) on both domains" k form)
+        true
+        (List.nth a k = List.nth expected k
+        && List.nth b k = List.nth expected k))
+    forms
 
 (* --- Random-problem properties ----------------------------------------------- *)
 
@@ -1029,6 +1225,14 @@ let () =
             test_atlas_runs_algorithm1_per_key;
           Alcotest.test_case "provider build forces no minor collection"
             `Quick test_provider_forces_no_minor_gc;
+          Alcotest.test_case "provider build leaves no major-heap garbage"
+            `Quick test_provider_leaves_no_major_garbage;
+          Alcotest.test_case "Algorithm 2 on provider forms pinned" `Quick
+            test_provider_profiles_pinned;
+          Alcotest.test_case "scratch: builds of alternating sizes" `Quick
+            test_scratch_alternating_sizes;
+          Alcotest.test_case "scratch: two domains at once" `Quick
+            test_scratch_two_domains;
         ] );
       ( "baseline",
         [

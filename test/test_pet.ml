@@ -860,7 +860,9 @@ let test_aggregates_match_reference () =
               then Alcotest.failf "%s: deviations differ" name)
             [
               profile;
-              Pet_game.Profile.make atlas (fun i -> Atlas.choice atlas i 0);
+              Pet_game.Profile.make atlas
+                (Array.init (Atlas.player_count atlas) (fun i ->
+                     Atlas.choice atlas i 0));
             ])
         [
           ("blank", Payoff.Blank, None);

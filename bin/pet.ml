@@ -436,8 +436,10 @@ let serve_cmd =
   let domains_arg =
     opt_arg ~docv:"N" Arg.int 1 [ "domains" ]
       "Number of domains for the TCP server, one shard each; the first shard runs on the main \
-       domain. Sessions are sharded by respondent-id hash. The shards group-commit the \
-       write-ahead-log appends of every shard themselves, with no domain of their own for it."
+       domain. Sessions are sharded by respondent-id hash. Each connection is dealt to one \
+       shard, which runs its requests that name no session (a new session is minted there) and \
+       writes all of its replies. The shards group-commit the write-ahead-log appends of every \
+       shard themselves, with no domain of their own for it."
   in
   let port_file_arg =
     opt_arg ~docv:"FILE" Arg.(some string) None [ "port-file" ]

@@ -6,6 +6,7 @@ module Engine = Pet_rules.Engine
 module Exposure = Pet_rules.Exposure
 module Algorithm1 = Pet_minimize.Algorithm1
 module Persist = Pet_server.Persist
+module Service = Pet_server.Service
 module Segment = Pet_store.Segment
 module Store = Pet_store.Store
 
@@ -166,9 +167,6 @@ let at_of = function
   | Persist.Session_revoked { at; _ }
   | Persist.Session_expiry { at; _ } -> Some at
 
-let ledger_key ~digest ~tenant =
-  match tenant with None -> digest | Some name -> digest ^ "@" ^ name
-
 let check_event ctx ~file ~offset event =
   (* The clock advances from the record's own timestamp {e before} its
      checks run: a record stamped at or past its session's horizon is
@@ -210,10 +208,10 @@ let check_event ctx ~file ~offset event =
     Hashtbl.replace ctx.horizons id horizon
   | Persist.Grant { digest; grant_id; form; benefits; session; tenant; revoked }
     ->
-    (* Shards draw ids from one ledger but may reach the writer in
+    (* Shards draw ids from one ledger but may reach the log in
        either order, so grants need not arrive in id order; an id may
        only appear once. Ids never seen are noted at the end. *)
-    let key = ledger_key ~digest ~tenant in
+    let key = Service.ledger_key ~digest ~tenant in
     ctx.replay.pchecked <- ctx.replay.pchecked + 1;
     if Hashtbl.mem ctx.grant_ids (key, grant_id) then
       flag ctx.replay ~file ~offset

@@ -15,15 +15,14 @@ module Trace = Pet_obs.Trace
    calls [run], shards 1..N-1 on domains [start] spawns. Each runs one
    loop ([shard_loop]) over its own [Service.t] — sessions never leave
    their shard, so the service needs no locking — and over the
-   connections dealt to it: it selects on them and its wake pipe, splits
-   their lines, runs the lines it owns and posts the others to the
-   owning shard's inbox, writes the replies it releases, and fires
-   [watch] frames and the sweep tick from its select timeout. Shard 0
-   also accepts, and deals each connection to the shards in turn; stdio
-   is shard 0's one connection. Nothing has a domain of its own but the
-   shards: each round a shard runs one group-commit step and at most one
-   queued tenant build, and a request that waits for a build runs queued
-   builds itself.
+   connections dealt to it, which are its alone: it selects on them and
+   its wake pipe, splits their lines, posts a line that names another
+   shard's session to that shard's inbox and runs every other line,
+   writes and flushes every reply to its connections, and fires [watch]
+   frames and the sweep tick from its select timeout. Shard 0 also
+   accepts, and deals each connection to the shards in turn; stdio is
+   shard 0's one connection. Each round a shard also runs one
+   group-commit step and at most one queued tenant build.
 
    The shard that runs a request claims a commit number, handles it,
    queues its events ([submit] never waits) and holds the rendered
@@ -32,33 +31,30 @@ module Trace = Pet_obs.Trace
    the commit step, which commits what every shard queued unless
    another shard is committing, so one fsync covers every request
    submitted since the last one. Replies leave a shard in the order it
-   handled them. *)
+   handled them, to the connection's owner. *)
 
 (* A [watch] streaming on its connection: frame [sent + 1] of [frames]
    ([0]: until the connection's input ends) is due at [due]; every frame
-   runs on shard [target]. *)
+   runs on the connection's owner. *)
 type watch = {
   wline : string;
   interval : float;
   frames : int;
   mutable sent : int;
   mutable due : float;
-  target : int;
 }
 
-(* One live connection, read by its [owner] shard alone; any shard may
-   write a reply to it under [wm]. [outstanding] counts requests
-   dispatched but not yet answered: the owner stops reading at
-   [max_outstanding] (backpressure) and closes the descriptor only once
-   it is back to zero, so no shard ever writes to a recycled one. *)
+(* One live connection, its [owner] shard's alone: no other shard reads
+   or writes it or its fields. [outstanding] counts requests dispatched
+   but not yet written: the owner stops reading at [max_outstanding]
+   (backpressure) and closes the connection only once it is back to
+   zero, so no reply is ever posted to a closed one. *)
 type conn = {
   fd : Unix.file_descr;
   oc : out_channel;
-  wm : Mutex.t;
   owner : int;
-  outstanding : int Atomic.t;
-  closed : bool Atomic.t;  (* a write failed: no more watch frames *)
-  draining : bool Atomic.t;  (* the owner waits for [outstanding] = 0 *)
+  mutable outstanding : int;
+  mutable closed : bool;  (* a write failed: drop its replies, no more watch frames *)
   partial : Buffer.t;  (* bytes read after the last newline *)
   lines : string Queue.t;  (* read, not yet dispatched *)
   mutable eof : bool;  (* input ended: EOF, a read error or [quit] *)
@@ -70,9 +66,9 @@ type listen = Tcp of int | Stdio of in_channel * out_channel
 
 let max_outstanding = 64
 
-(* What other domains hand a shard: a request line it owns, or a newly
-   accepted connection. *)
-type mail = Run of string * conn | Adopt of conn
+(* What other domains hand a shard: a request line it owns, a reply
+   for a connection it owns, or a newly accepted connection. *)
+type mail = Run of string * conn | Reply of conn * string | Adopt of conn
 
 (* A rendered reply waiting for the durable frontier to reach [tag],
    rendered at [rendered] on the obs clock. *)
@@ -115,7 +111,6 @@ type t = {
   sweep_interval : float;
   listen : Unix.file_descr option;  (* [None] under stdio *)
   port : int;
-  rr : int Atomic.t;  (* round-robin for sessionless requests *)
   mutable dealt : int;  (* connections accepted; shard 0 only *)
   mutable accept_at : float;  (* no accept before, after an error; shard 0 only *)
   connected : int Atomic.t;
@@ -170,13 +165,17 @@ let rec session_hint ~from line =
         | j when j > i + 1 -> Some (String.sub line (i + 1) (j - i - 1))
         | _ | (exception Not_found) -> session_hint ~from:(at + 1) line
 
-let route t line =
+(* A line that names a session runs on the shard that owns it, every
+   other line on its connection's own shard — where [new_session] mints
+   an id that shard owns, so a flow read on one connection stays on its
+   shard. *)
+let route t conn line =
   let shards = Array.length t.shards in
   if shards = 1 then 0
   else
     match session_hint ~from:0 line with
     | Some id -> Shard_map.owner ~shards id
-    | None -> Atomic.fetch_and_add t.rr 1 mod shards
+    | None -> conn.owner
 
 (* --- Failure ------------------------------------------------------------------- *)
 
@@ -249,25 +248,34 @@ let emit_flight t shard =
     List.iter (Group_commit.submit_flight commit) (record :: traces)
   | _ -> ()
 
-(* Write a response line, then release one slot of the connection's
-   outstanding budget, poking the owner when that unblocks it. A write
-   failure means the client went away: its remaining responses are
-   dropped, but the accounting still runs so the owner can close. *)
-let respond t conn response =
-  Mutex.lock conn.wm;
-  let written =
-    try
-      output_string conn.oc response;
-      output_char conn.oc '\n';
-      flush conn.oc;
-      true
-    with Sys_error _ -> false
-  in
-  Mutex.unlock conn.wm;
-  if not written then Atomic.set conn.closed true;
-  let before = Atomic.fetch_and_add conn.outstanding (-1) in
-  if before = max_outstanding || (before = 1 && Atomic.get conn.draining) then
-    poke t.shards.(conn.owner)
+(* Only a connection's owner writes to it: a reply for another shard's
+   connection goes to that shard's inbox. The owner buffers it for the
+   round's flush and frees one slot of the budget. A failed write means
+   the client went away: its later replies are dropped, but the count
+   still runs so the connection can close. A freed slot, or the last
+   reply of a connection that waits to drain, pokes the owner so its
+   round does not block while the connection can move on. *)
+let respond t shard conn response =
+  if conn.owner <> shard.index then post t.shards.(conn.owner) (Reply (conn, response))
+  else begin
+    if not conn.closed then begin
+      try
+        output_string conn.oc response;
+        output_char conn.oc '\n'
+      with Sys_error _ -> conn.closed <- true
+    end;
+    conn.outstanding <- conn.outstanding - 1;
+    if conn.outstanding = max_outstanding - 1
+       || (conn.outstanding = 0 && (conn.eof || conn.watch <> None))
+    then poke shard
+  end
+
+(* Send what the round wrote: one flush per connection, a no-op on an
+   empty buffer. A failed flush closes it as a failed write does. *)
+let flush_written shard =
+  List.iter
+    (fun c -> if not c.closed then try flush c.oc with Sys_error _ -> c.closed <- true)
+    shard.conns
 
 (* Write every held reply at the head of the FIFO that the durable
    frontier covers; once a batch has failed, answer the rest with the
@@ -287,9 +295,9 @@ let release t commit shard =
         | Some m when not durable ->
           let reason = "write-ahead log failure: " ^ m in
           fail t reason;
-          respond t r.conn
+          respond t shard r.conn
             (Proto.error_response ~id:Json.Null (Proto.error Proto.Internal reason))
-        | _ -> respond t r.conn r.response);
+        | _ -> respond t shard r.conn r.response);
         go ()
       end
   in
@@ -319,10 +327,15 @@ let run_job t shard work =
         Atomic.set shard.holding true)
       reply;
     release t commit shard
-  | _ -> Option.iter (fun (conn, response) -> respond t conn response) reply
+  | _ -> Option.iter (fun (conn, response) -> respond t shard conn response) reply
 
 let serve t shard conn line =
   run_job t shard (fun () -> Some (conn, Service.handle_line shard.service line))
+
+let receive t shard = function
+  | Run (line, conn) -> serve t shard conn line
+  | Reply (conn, response) -> respond t shard conn response
+  | Adopt conn -> shard.conns <- conn :: shard.conns
 
 (* --- Connections ------------------------------------------------------------------ *)
 
@@ -337,11 +350,9 @@ let connect t fd oc ~owner ~release =
   {
     fd;
     oc;
-    wm = Mutex.create ();
     owner;
-    outstanding = Atomic.make 0;
-    closed = Atomic.make false;
-    draining = Atomic.make false;
+    outstanding = 0;
+    closed = false;
     partial = Buffer.create 256;
     lines = Queue.create ();
     eof = false;
@@ -354,14 +365,6 @@ let close_conn t shard conn =
   let n = Atomic.fetch_and_add t.connected (-1) - 1 in
   Obs.set_gauge obs_conns (float_of_int n);
   conn.release ()
-
-(* True once every request dispatched on [conn] is answered; until then
-   its last reply pokes the owner. *)
-let drained conn =
-  Atomic.set conn.draining true;
-  let drained = Atomic.get conn.outstanding = 0 in
-  if drained then Atomic.set conn.draining false;
-  drained
 
 (* Blank lines are skipped; a bare [quit] ends the input like EOF; one
    trailing '\r' is dropped. *)
@@ -394,16 +397,16 @@ let read_conn shard conn =
     conn.eof <- true
   | n -> split conn shard.chunk n
 
-(* Run a line here if this shard owns it, else post it to its owner. *)
+(* Run a line here if this shard is its [target], else post it there. *)
 let deliver t shard target conn line =
-  Atomic.incr conn.outstanding;
+  conn.outstanding <- conn.outstanding + 1;
   if target = shard.index then serve t shard conn line
   else post t.shards.(target) (Run (line, conn))
 
 (* A watch takes over its connection: the lines after it are dispatched
    only once its last frame is answered, so a transcript is
    deterministic on any number of shards. Each frame is the same request
-   line run as an ordinary request (same shard, same outstanding budget,
+   line run as an ordinary request (on the owner, same outstanding budget,
    one ok-response per frame echoing the id), [interval] apart. A
    bounded watch stops after [frames] frames, an unbounded one when the
    connection's input ends (one read after that is passed over); either
@@ -414,16 +417,16 @@ let dispatch t shard conn line =
   match if find line {|"watch"|} 0 < 0 then None else Result.to_option (Proto.decode line) with
   | Some { Proto.request = Proto.Watch { frames = 0; _ }; _ } when conn.eof -> ()
   | Some { Proto.request = Proto.Watch { interval; frames }; _ } ->
-    conn.watch <- Some { wline = line; interval; frames; sent = 0; due = 0.; target = route t line }
-  | _ -> deliver t shard (route t line) conn line
+    conn.watch <- Some { wline = line; interval; frames; sent = 0; due = 0. }
+  | _ -> deliver t shard (route t conn line) conn line
 
 let streaming conn w =
-  (not (Atomic.get conn.closed)) && if w.frames = 0 then not conn.eof else w.sent < w.frames
+  (not conn.closed) && if w.frames = 0 then not conn.eof else w.sent < w.frames
 
 (* When the next frame may go, if only time holds it back. *)
 let frame_due conn =
   match conn.watch with
-  | Some w when streaming conn w && Atomic.get conn.outstanding < max_outstanding -> Some w.due
+  | Some w when streaming conn w && conn.outstanding < max_outstanding -> Some w.due
   | _ -> None
 
 (* Move a connection on as far as it can go now: a watch frame if one is
@@ -436,19 +439,19 @@ let rec advance t shard now conn =
     | Some due when due <= now ->
       w.sent <- w.sent + 1;
       w.due <- now +. w.interval;
-      deliver t shard w.target conn w.wline;
+      deliver t shard shard.index conn w.wline;
       (* The last frame may be answered already. *)
       if not (streaming conn w) then advance t shard now conn
     | _ -> ())
   | Some _ ->
-    if drained conn then begin
+    if conn.outstanding = 0 then begin
       conn.watch <- None;
       advance t shard now conn
     end
   | None when Queue.is_empty conn.lines ->
-    if conn.eof && drained conn then close_conn t shard conn
+    if conn.eof && conn.outstanding = 0 then close_conn t shard conn
   | None ->
-    if Atomic.get conn.outstanding < max_outstanding then begin
+    if conn.outstanding < max_outstanding then begin
       dispatch t shard conn (Queue.pop conn.lines);
       advance t shard now conn
     end
@@ -470,7 +473,7 @@ let rec accept t shard listen =
     end
     else begin
       Unix.clear_nonblock fd;
-      (* Replies are single small writes: Nagle would hold each one
+      (* A round's replies are one small write: Nagle would hold it
          back until the client's delayed ACK. *)
       (try Unix.setsockopt fd TCP_NODELAY true with Unix.Unix_error _ -> ());
       let owner = t.dealt mod Array.length t.shards in
@@ -525,24 +528,21 @@ let await t shard ~stopping =
     List.iter (fun fd -> if List.mem fd ready then accept t shard fd) listen;
     List.iter (fun c -> if List.mem c.fd ready then read_conn shard c) conns
 
-(* One round: run what other shards posted, move every connection on,
-   fire the sweep tick, run the commit step and release what the
-   frontier covers, run one queued tenant build, then wait for more —
-   without blocking while builds remain queued. The commit step comes
-   before the build, so a build delays neither this shard's batch nor
-   the other shards' replies that wait on it; it delays this shard's
-   next requests by its length, as a cache-miss recompile on the
-   request path does. Once stopped, a shard reads nothing more, runs no
-   build, and ends after a round that found nothing posted and left
-   nothing held. *)
+(* One round: run and write what other shards posted, move every
+   connection on, fire the sweep tick, run the commit step and release
+   what the frontier covers, flush what the round wrote, run one queued
+   tenant build, then wait for more — without blocking while builds
+   remain queued. The commit step and the flush come before the build,
+   so a build delays neither a batch nor the replies that wait on it; it
+   delays this shard's next requests by its length, as a cache-miss
+   recompile on the request path does. Once stopped, a shard reads
+   nothing more, runs no build, and ends after a round that found
+   nothing posted and left nothing held; [stop] writes the replies
+   posted to it after that. *)
 let rec shard_loop t shard =
   let stopping = Atomic.get t.stop_flag in
   let mail = take_inbox shard in
-  Queue.iter
-    (function
-      | Run (line, conn) -> serve t shard conn line
-      | Adopt conn -> shard.conns <- conn :: shard.conns)
-    mail;
+  Queue.iter (receive t shard) mail;
   if not stopping then begin
     let now = Unix.gettimeofday () in
     List.iter (advance t shard now) shard.conns;
@@ -558,6 +558,7 @@ let rec shard_loop t shard =
       Group_commit.step commit;
       release t commit shard)
     t.commit;
+  flush_written shard;
   if not stopping then ignore (Pet_tenant.Tenant.run_one t.tenants);
   if not (stopping && Queue.is_empty shard.held) then begin
     await t shard ~stopping;
@@ -669,7 +670,6 @@ let start ?payoff ?capacity ?ttl ?(tenant_quota = 0)
       sweep_interval;
       listen = listen_fd;
       port;
-      rr = Atomic.make 0;
       dealt = 0;
       accept_at = 0.;
       connected = Atomic.make 0;
@@ -772,13 +772,12 @@ let stop t =
     done;
     t.main <- Over;
     Mutex.unlock t.fm;
-    (* Close the connections still open, with any dealt to a shard after
-       it ended. *)
+    (* Write the replies posted to a shard after it ended, then close
+       the connections still open, with any dealt to a shard after it
+       ended. *)
     Array.iter
       (fun shard ->
-        Queue.iter
-          (function Adopt conn -> shard.conns <- conn :: shard.conns | Run _ -> ())
-          (take_inbox shard);
+        Queue.iter (function Run _ -> () | mail -> receive t shard mail) (take_inbox shard);
         List.iter (close_conn t shard) shard.conns)
       t.shards;
     Option.iter Unix.close t.listen;

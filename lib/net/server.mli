@@ -6,19 +6,23 @@
     space ({!Shard_map} decides ownership from the id alone), runs its
     own [Service.t] with no locking, and queues its durable events for
     {!Group_commit}, whose commit step each shard runs once per round.
-    Shards also own the connections: no thread serves anything. Each
-    shard runs one [Unix.select] loop over
-    the connections dealt to it and a wake pipe; it reads and splits
-    their lines, runs the lines whose session it owns and posts the
-    others to the owning shard (round-robin when the line names no
-    session), and fires [watch] frames and the sweep from its select
-    timeout. The shard that ran a request writes the response itself
-    once it is durable, in the order it handled its requests. A
-    connection that pipelines requests may therefore see responses out
-    of order when they land on different shards — the echoed ["id"]
-    correlates them; a client that waits for each response before
-    sending the next sees strict ordering. A connection is not read
-    while 64 of its requests are unanswered.
+    Shards also own the connections: no thread serves anything, and a
+    connection is its owner shard's alone. Each shard runs one
+    [Unix.select] loop over the connections dealt to it and a wake pipe;
+    it reads and splits their lines, posts a line that names another
+    shard's session to that shard and runs every other line itself —
+    [new_session] mints an id its own shard owns, so a flow read on one
+    connection stays on its shard — and fires [watch] frames and the
+    sweep from its select timeout. Only the owner writes to a
+    connection: the shard that ran a request holds the response until
+    it is durable, in the order it handled its requests, then writes it
+    if the connection is its own and posts it to the owner otherwise;
+    the owner flushes each connection once per round. A connection that
+    pipelines requests may therefore see responses out of order when
+    they run on different shards — the echoed ["id"] correlates them; a
+    client that waits for each response before sending the next sees
+    strict ordering. A connection is not read while 64 of its requests
+    are unanswered, and is closed only once every one is written.
 
     Over TCP, shard 0 accepts on localhost and deals each connection to
     the shards in turn. [select] cannot watch a descriptor numbered

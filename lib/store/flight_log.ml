@@ -14,8 +14,9 @@
    oldest segments beyond [keep] are deleted, bounding disk usage for
    long-lived servers.
 
-   Appends are mutex-guarded: the Group_commit writer domain journals
-   snapshots while the log tee appends events from arbitrary domains. *)
+   Appends are mutex-guarded: whichever shard runs a Group_commit batch
+   journals snapshots, while the log tee and the fatal path append from
+   any domain. *)
 
 let prefix = "flight"
 

@@ -8,8 +8,9 @@
     rather than fatal. Sealed segments beyond the [keep] retention knob
     are deleted on rotation, bounding disk usage.
 
-    Appends are mutex-guarded so the {!Pet_net} writer domain, the log
-    tee and exit-path dumps can share one handle. *)
+    Appends are mutex-guarded so the {!Pet_net} shard that commits a
+    batch, the log tee, the fatal path and exit-path dumps can share
+    one handle from any domain. *)
 
 type t
 

@@ -65,8 +65,9 @@ val append : t -> Persist.event -> unit
 
 val append_batch : t -> Persist.event list -> unit
 (** Group commit: frame and write every event, then flush and (unless
-    disabled) fsync {e once} for the whole batch — the amortization the
-    single writer domain of {!Pet_net} relies on. Durability is
+    disabled) fsync {e once} for the whole batch — the amortization
+    {!Pet_net}'s group commit relies on: whichever shard commits appends
+    every shard's queued events in one call. Durability is
     all-or-prefix: a crash mid-batch leaves a prefix of the batch's
     records (a torn tail is cut on recovery), never a record with a gap
     before it. Rotation is checked once, after the batch. *)

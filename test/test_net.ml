@@ -2,7 +2,9 @@
    collision-free sharded id generation, group-commit batching under
    concurrent submitters, durable-before-reply over a real socket,
    batched-append crash prefixes, sweep fairness across shards,
-   cross-shard rule sharing, compaction under TCP (including sessions
+   cross-shard rule sharing, sessionless requests on their connection's
+   shard and replies from another shard written by the connection's
+   owner, compaction under TCP (including sessions
    only reads kept alive), per-request accounting merged across shards,
    watch streaming on both transports, one request stream answered alike
    by every transport, pipelining far past the outstanding budget,
@@ -337,6 +339,27 @@ let with_server ?store ?recovery ?ttl ?domains ?now f =
   let server = tcp_server ?store ?recovery ?ttl ?domains ?now () in
   running server (fun ~finished:_ -> f server)
 
+(* A fresh data dir for [f], or none. *)
+let with_data_dir durable f =
+  if not durable then f None None
+  else
+    match Store.open_dir ~fsync:false (temp_dir ()) with
+    | Error m -> Alcotest.failf "open_dir: %s" m
+    | Ok (store, recovery) ->
+      Fun.protect ~finally:(fun () -> Store.close store) (fun () -> f (Some store) (Some recovery))
+
+(* [n] connections to [server], opened in order: the k-th connection a
+   server accepts is dealt to shard k mod N. [f] gets [call k line],
+   which sends [line] on connection [k] and returns its reply. *)
+let with_conns server n f =
+  let conns = Array.init n (fun _ -> connect (Server.port server)) in
+  Fun.protect
+    ~finally:(fun () -> Array.iter (fun (fd, _, _) -> Unix.close fd) conns)
+    (fun () ->
+      f (fun k line ->
+          let _, ic, oc = conns.(k) in
+          request oc ic line))
+
 let contains haystack needle =
   let h = String.length haystack and n = String.length needle in
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
@@ -356,6 +379,13 @@ let session_of response =
     else find (i + 1)
   in
   find 0
+
+let new_session_line = {|{"pet":1,"id":1,"method":"new_session","params":{"source":"running"}}|}
+
+let report_line ~id sid =
+  Printf.sprintf
+    {|{"pet":1,"id":%S,"method":"get_report","params":{"session":"%s","valuation":"101"}}|}
+    id sid
 
 let json_of line =
   match Pet_pet.Json.parse line with
@@ -529,48 +559,84 @@ let test_batches_track_outstanding () =
     (Printf.sprintf "fewer batches (%d) than sessions" batches)
     true (batches < 64)
 
+(* Send [n] lines ([line i], i from 1) on a connection from a thread of
+   their own while counting the ok replies; a reply that does not come
+   within 20 s ends the count (a read past [SO_RCVTIMEO] raises
+   [Sys_blocked_io]). *)
+let pipeline_far (fd, ic, oc) n line =
+  Unix.setsockopt_float fd SO_RCVTIMEO 20.;
+  Unix.setsockopt_float fd SO_SNDTIMEO 20.;
+  let sender =
+    Thread.create
+      (fun () ->
+        try
+          for i = 1 to n do
+            output_string oc (line i);
+            output_char oc '\n'
+          done;
+          flush oc
+        with Sys_error _ -> ())
+      ()
+  in
+  let answered = ref 0 in
+  (try
+     for _ = 1 to n do
+       match In_channel.input_line ic with
+       | Some r when contains r {|"ok"|} -> incr answered
+       | _ -> ()
+     done
+   with Sys_error _ | Sys_blocked_io -> ());
+  Thread.join sender;
+  !answered
+
 let test_pipelined_across_shards () =
-  (* One connection keeps far more requests in flight than its
-     outstanding budget, over two shards behind the writer: the reading
-     shard stops at the budget and must be woken by every reply that
-     frees a slot, whichever domain writes it. A lost wake-up leaves the
-     reader asleep with requests unread: the read below times out, or
+  (* Connections keep far more requests in flight than their outstanding
+     budget, over two shards. The owner stops reading a connection at
+     the budget and must move on whenever a reply frees a slot, whichever
+     shard ran the line and whichever committed it. A lost wake-up leaves
+     the owner asleep with requests unread: a read below times out, or
      the shard cannot be woken to stop. *)
   let n = 10000 in
+  let create i =
+    Printf.sprintf {|{"pet":1,"id":%d,"method":"new_session","params":{"source":"running"}}|} i
+  in
+  let publish conn =
+    let _, ic, oc = conn in
+    ignore
+      (request oc ic
+         {|{"pet":1,"id":"rules","method":"publish_rules","params":{"source":"running"}}|})
+  in
+  let with_two server f =
+    let a = connect (Server.port server) and b = connect (Server.port server) in
+    Fun.protect ~finally:(fun () -> List.iter (fun (fd, _, _) -> Unix.close fd) [ a; b ]) (fun () ->
+        publish a;
+        f a b)
+  in
+  (* One connection: every other line is a report on a session of the
+     other shard, whose reply comes back through the owner's inbox. *)
   ignore
     (with_durable_server ~domains:2 (fun server ->
-         let fd, ic, oc = connect (Server.port server) in
-         Unix.setsockopt_float fd SO_RCVTIMEO 20.;
-         Unix.setsockopt_float fd SO_SNDTIMEO 20.;
-         Fun.protect
-           ~finally:(fun () -> Unix.close fd)
-           (fun () ->
-             ignore
-               (request oc ic
-                  {|{"pet":1,"id":"rules","method":"publish_rules","params":{"source":"running"}}|});
-             let sender =
-               Thread.create
-                 (fun () ->
-                   try
-                     for i = 1 to n do
-                       Printf.fprintf oc
-                         {|{"pet":1,"id":%d,"method":"new_session","params":{"source":"running"}}|} i;
-                       output_char oc '\n'
-                     done;
-                     flush oc
-                   with Sys_error _ -> ())
-                 ()
-             in
-             let answered = ref 0 in
-             (try
-                for _ = 1 to n do
-                  match In_channel.input_line ic with
-                  | Some r when contains r {|"ok"|} -> incr answered
-                  | _ -> ()
-                done
-              with Sys_error _ -> ());
-             Thread.join sender;
-             Alcotest.(check int) "every pipelined request answered" n !answered)))
+         with_two server (fun a (_, ic, oc) ->
+             let remote = session_of (request oc ic new_session_line) in
+             Alcotest.(check int) "a session of the other shard" 1
+               (Shard_map.owner ~shards:2 remote);
+             Alcotest.(check int) "every pipelined request answered" n
+               (pipeline_far a n (fun i ->
+                    if i mod 2 = 0 then report_line ~id:(string_of_int i) remote else create i)))));
+  (* Two connections, one per shard, at once: each shard's replies are
+     often made durable by the other shard's commit, so the reply that
+     frees a slot is written in a round that has already moved its
+     connections on. *)
+  ignore
+    (with_durable_server ~domains:2 (fun server ->
+         with_two server (fun a b ->
+             let answered = Array.make 2 0 in
+             List.iter Thread.join
+               (List.mapi
+                  (fun k conn -> Thread.create (fun () -> answered.(k) <- pipeline_far conn n create) ())
+                  [ a; b ]);
+             Alcotest.(check (array int)) "every pipelined request answered, both connections"
+               [| n; n |] answered)))
 
 (* The bytes of every file under [dir], as they are this moment. *)
 let copy_files dir =
@@ -744,21 +810,19 @@ let test_wal_failure_answers_held () =
 let test_cross_shard_rules () =
   (* One client publishes once; sessions land on whichever shard owns
      their id and every shard can serve them — the canonical text is
-     shared even though each shard compiles its own engine. *)
+     shared even though each shard compiles its own engine. The creates
+     go over four connections, one per shard; every report goes over
+     the first, so most of them cross shards. *)
   with_server (fun server ->
-      let fd, ic, oc = connect (Server.port server) in
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () ->
+      with_conns server 4 (fun call ->
           let r =
-            request oc ic
-              {|{"pet":1,"id":0,"method":"publish_rules","params":{"source":"running"}}|}
+            call 0 {|{"pet":1,"id":0,"method":"publish_rules","params":{"source":"running"}}|}
           in
           Alcotest.(check bool) "publish ok" true (contains r {|"ok"|});
           let shards_hit = Hashtbl.create 4 in
           for i = 1 to 12 do
             let r =
-              request oc ic
+              call (i mod 4)
                 (Printf.sprintf
                    {|{"pet":1,"id":%d,"method":"new_session","params":{"source":"running"}}|}
                    i)
@@ -766,7 +830,7 @@ let test_cross_shard_rules () =
             let sid = session_of r in
             Hashtbl.replace shards_hit (Shard_map.owner ~shards:4 sid) ();
             let report =
-              request oc ic
+              call 0
                 (Printf.sprintf
                    {|{"pet":1,"id":%d,"method":"get_report","params":{"session":"%s","valuation":"101"}}|}
                    (100 + i) sid)
@@ -776,10 +840,70 @@ let test_cross_shard_rules () =
               true
               (contains report {|"ok"|})
           done;
-          (* Round-robin over 12 sessionless creates on 4 shards touches
-             every shard. *)
+          (* 12 sessionless creates over four connections, one per
+             shard, touch every shard. *)
           Alcotest.(check int) "all shards minted sessions" 4
             (Hashtbl.length shards_hit)))
+
+let test_sessionless_on_own_shard () =
+  (* A line that names no session runs on its connection's shard, so
+     every create on the k-th connection mints an id that shard k mod N
+     owns. Two creates per connection, so that dealing lines to the
+     shards in turn, rather than by connection, fails. *)
+  List.iter
+    (fun domains ->
+      with_server ~domains (fun server ->
+          with_conns server (2 * domains) (fun call ->
+              for k = 0 to (2 * domains) - 1 do
+                for _ = 1 to 2 do
+                  let sid = session_of (call k new_session_line) in
+                  Alcotest.(check int)
+                    (Printf.sprintf "%d domains, connection %d: %s" domains k sid)
+                    (k mod domains)
+                    (Shard_map.owner ~shards:domains sid)
+                done
+              done)))
+    [ 2; 4 ]
+
+let test_cross_shard_reply () =
+  (* Connection B pipelines 100 creates for its own shard, then 20
+     reports on a session of connection A's shard, then ends its input.
+     The reports run on A's shard and reach B through B's owner; B is
+     closed only once every reply, the last report's too, is written.
+     With and without a data dir, so replies are held on both shards. *)
+  List.iter
+    (fun durable ->
+      with_data_dir durable (fun store recovery ->
+          with_server ?store ?recovery ~domains:2 (fun server ->
+              let a_fd, a_ic, a_oc = connect (Server.port server) in
+              let b_fd, b_ic, b_oc = connect (Server.port server) in
+              Unix.setsockopt_float b_fd SO_RCVTIMEO 20.;
+              Fun.protect
+                ~finally:(fun () -> List.iter Unix.close [ a_fd; b_fd ])
+                (fun () ->
+                  let sid = session_of (request a_oc a_ic new_session_line) in
+                  Alcotest.(check int) "minted on A's shard" 0 (Shard_map.owner ~shards:2 sid);
+                  let reports = List.init 20 (fun i -> report_line ~id:(Printf.sprintf "cross%d" i) sid) in
+                  List.iter
+                    (fun line ->
+                      output_string b_oc line;
+                      output_char b_oc '\n')
+                    (List.init 100 (fun _ -> new_session_line) @ reports);
+                  flush b_oc;
+                  Unix.shutdown b_fd SHUTDOWN_SEND;
+                  let replies =
+                    String.split_on_char '\n' (In_channel.input_all b_ic)
+                    |> List.filter (fun l -> l <> "")
+                  in
+                  Alcotest.(check int) "every reply before the close" 120 (List.length replies);
+                  Alcotest.(check int) "every reply ok" 120
+                    (List.length (List.filter (fun r -> contains r {|"ok"|}) replies));
+                  for i = 0 to 19 do
+                    let id = Printf.sprintf {|"id":"cross%d"|} i in
+                    Alcotest.(check bool) (id ^ " written") true
+                      (List.exists (fun r -> contains r id) replies)
+                  done))))
+    [ false; true ]
 
 (* --- Sweep fairness ---------------------------------------------------------------- *)
 
@@ -1152,12 +1276,18 @@ let test_accounting_across_shards () =
               0
           in
           Alcotest.(check int) "slo windows, by method" sent windowed;
-          (* Two sessionless requests round-robin onto both shards; each
-             answers from its own set only. *)
+          (* Two sessionless requests on connections of both shards (the
+             sixth connection accepted is dealt to shard 1); each answers
+             from its own set only. *)
+          let stats_line = {|{"pet":1,"id":9,"method":"stats"}|} in
           let stats =
-            List.init 2 (fun _ ->
-                path (json_of (call {|{"pet":1,"id":9,"method":"stats"}|}))
-                  [ "ok"; "requests" ])
+            List.map
+              (fun reply -> path (json_of reply) [ "ok"; "requests" ])
+              [
+                call stats_line;
+                (let fd, ic, oc = connect port in
+                 Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> request oc ic stats_line));
+              ]
           in
           let sum f = List.fold_left (fun n s -> n + f s) 0 stats in
           let by_method field s =
@@ -1168,25 +1298,20 @@ let test_accounting_across_shards () =
           Alcotest.(check int) "stats errors" errors (sum (by_method "errors"))))
 
 let test_gauges_across_shards () =
-  (* Six sessions over two shards: every scrape, whichever shard answers
+  (* Six sessions over two shards, created and scraped in turn over two
+     connections, one per shard: every scrape, whichever shard answers
      it, shows the process-wide session and registry counters. *)
   with_server ~domains:2 (fun server ->
-      let fd, ic, oc = connect (Server.port server) in
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () ->
-          let call line = request oc ic line in
+      with_conns server 2 (fun call ->
           ignore
-            (call
+            (call 0
                {|{"pet":1,"id":0,"method":"publish_rules","params":{"source":"running"}}|});
-          for _ = 1 to 6 do
-            ignore
-              (call
-                 {|{"pet":1,"id":1,"method":"new_session","params":{"source":"running"}}|})
+          for i = 1 to 6 do
+            ignore (call (i mod 2) new_session_line)
           done;
           let scrapes =
-            List.init 4 (fun _ ->
-                let metrics = json_of (call {|{"pet":1,"id":2,"method":"metrics"}|}) in
+            List.init 4 (fun i ->
+                let metrics = json_of (call (i mod 2) {|{"pet":1,"id":2,"method":"metrics"}|}) in
                 let gauge name = int_at metrics [ "ok"; "gauges"; name ] in
                 ( gauge "pet_sessions_created",
                   gauge "pet_sessions_active",
@@ -1213,46 +1338,53 @@ let watch_line frames =
 let stats_line = {|{"pet":1,"id":"after","method":"stats"}|}
 let is_frame line = contains line {|"ok":{"watch"|}
 
-let test_tcp_watch_then_request () =
-  (* Pipelined in one write: the stats request lands on another shard
-     than the watch (round-robin over two), yet is answered only after
-     the watch's last frame. *)
+(* A server at two domains whose first connection watches and whose
+   second, dealt to the other shard, mints a session there: [f] gets the
+   first connection and a line on that session, which runs on another
+   shard than the watch. *)
+let with_watch_and_remote f =
   with_server ~domains:2 (fun server ->
       let fd, ic, oc = connect (Server.port server) in
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
         (fun () ->
-          output_string oc (watch_line 3 ^ "\n" ^ stats_line ^ "\n");
-          flush oc;
-          let lines = List.init 4 (fun _ -> Option.get (In_channel.input_line ic)) in
-          Alcotest.(check (list bool)) "three frames, then the stats reply"
-            [ true; true; true; false ] (List.map is_frame lines);
-          Alcotest.(check bool) "stats answered last" true
-            (contains (List.nth lines 3) {|"id":"after"|})));
+          let sid =
+            let fd, ic, oc = connect (Server.port server) in
+            Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+                session_of (request oc ic new_session_line))
+          in
+          Alcotest.(check int) "a session of the other shard" 1 (Shard_map.owner ~shards:2 sid);
+          f fd ic oc (report_line ~id:"after" sid)))
+
+let test_tcp_watch_then_request () =
+  (* Pipelined in one write: the report runs on another shard than the
+     watch, yet is answered only after the watch's last frame. *)
+  with_watch_and_remote (fun _ ic oc after_line ->
+      output_string oc (watch_line 3 ^ "\n" ^ after_line ^ "\n");
+      flush oc;
+      let lines = List.init 4 (fun _ -> Option.get (In_channel.input_line ic)) in
+      Alcotest.(check (list bool)) "three frames, then the report"
+        [ true; true; true; false ] (List.map is_frame lines);
+      Alcotest.(check bool) "report answered last" true
+        (contains (List.nth lines 3) {|"id":"after"|}));
   (* Unbounded: the line after the watch is held until the client's EOF
      ends the stream, then answered after the last frame. *)
-  with_server ~domains:2 (fun server ->
-      let fd, ic, oc = connect (Server.port server) in
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () ->
-          output_string oc (watch_line 0 ^ "\n" ^ stats_line ^ "\n");
-          flush oc;
-          Alcotest.(check bool) "streaming" true
-            (is_frame (Option.get (In_channel.input_line ic)));
-          Unix.shutdown fd Unix.SHUTDOWN_SEND;
-          let rec after_frames n =
-            match In_channel.input_line ic with
-            | Some line when is_frame line ->
-              if n > 1000 then Alcotest.fail "EOF never ended the stream";
-              after_frames (n + 1)
-            | other -> other
-          in
-          let reply = after_frames 0 in
-          Alcotest.(check bool) "stats answered after the last frame" true
-            (match reply with Some l -> contains l {|"id":"after"|} | None -> false);
-          Alcotest.(check (option string)) "then the server closes" None
-            (In_channel.input_line ic)))
+  with_watch_and_remote (fun fd ic oc after_line ->
+      output_string oc (watch_line 0 ^ "\n" ^ after_line ^ "\n");
+      flush oc;
+      Alcotest.(check bool) "streaming" true (is_frame (Option.get (In_channel.input_line ic)));
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      let rec after_frames n =
+        match In_channel.input_line ic with
+        | Some line when is_frame line ->
+          if n > 1000 then Alcotest.fail "EOF never ended the stream";
+          after_frames (n + 1)
+        | other -> other
+      in
+      let reply = after_frames 0 in
+      Alcotest.(check bool) "report answered after the last frame" true
+        (match reply with Some l -> contains l {|"id":"after"|} | None -> false);
+      Alcotest.(check (option string)) "then the server closes" None (In_channel.input_line ic))
 
 (* A stdio server over pipes: [feed] writes request lines, [close]
    sends EOF, [read] takes one response line; [finished] polls whether
@@ -1541,26 +1673,21 @@ let normalize pairs =
       Json.to_string request ^ " -> " ^ Json.to_string reply)
     pairs
 
-let with_data_dir durable f =
-  if not durable then f None None
-  else
-    match Store.open_dir ~fsync:false (temp_dir ()) with
-    | Error m -> Alcotest.failf "open_dir: %s" m
-    | Ok (store, recovery) ->
-      Fun.protect ~finally:(fun () -> Store.close store) (fun () -> f (Some store) (Some recovery))
-
 let sequential_pairs () =
   let call = Service.handle_line (Service.create ~resolve ~now:Unix.gettimeofday ()) in
   drive_pairs call @ [ (last_line, call last_line) ]
 
-let tcp_pairs ~domains ~durable =
+(* Request i goes on connection i mod [conns]: with two, a line that
+   names a session crosses shards whichever connection minted it. *)
+let tcp_pairs ~domains ~durable ~conns =
   with_data_dir durable (fun store recovery ->
       with_server ?store ?recovery ~domains (fun server ->
-          let fd, ic, oc = connect (Server.port server) in
-          Fun.protect
-            ~finally:(fun () -> Unix.close fd)
-            (fun () ->
-              let call = request oc ic in
+          with_conns server conns (fun call ->
+              let sent = ref 0 in
+              let call line =
+                incr sent;
+                call (!sent mod conns) line
+              in
               drive_pairs call @ [ (last_line, call last_line) ])))
 
 (* Over stdio the stream also carries what a line splitter can get
@@ -1593,8 +1720,11 @@ let test_transport_differential () =
       let dir = if durable then " with a data dir" else "" in
       check ("stdio" ^ dir) (stdio_pairs ~durable);
       List.iter
-        (fun domains -> check (Printf.sprintf "tcp, %d domains%s" domains dir) (tcp_pairs ~domains ~durable))
-        [ 1; 2; 4 ])
+        (fun (domains, conns) ->
+          check
+            (Printf.sprintf "tcp, %d domains, %d connection(s)%s" domains conns dir)
+            (tcp_pairs ~domains ~durable ~conns))
+        [ (1, 1); (2, 1); (4, 1); (1, 2); (2, 2); (4, 2) ])
     [ false; true ];
   (* A bare [quit] mid-stream ends the input: the lines before it are
      answered, the line after it is not, and the server ends. *)
@@ -1800,6 +1930,10 @@ let () =
           Alcotest.test_case "a failed append answers held replies" `Quick
             test_wal_failure_answers_held;
           Alcotest.test_case "cross-shard rules" `Quick test_cross_shard_rules;
+          Alcotest.test_case "sessionless requests run on their connection's shard" `Quick
+            test_sessionless_on_own_shard;
+          Alcotest.test_case "a reply from another shard reaches its connection" `Quick
+            test_cross_shard_reply;
           Alcotest.test_case "compaction bounds the log" `Quick
             test_tcp_compaction;
           Alcotest.test_case "compaction keeps read sessions"

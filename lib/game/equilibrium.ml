@@ -69,20 +69,19 @@ let refine ?max_steps profile payoff =
     | Some s -> s
     | None -> 20 * max 1 (Atlas.player_count atlas)
   in
-  let rec go profile steps =
+  (* A step moves one player in place, on a copy taken at the first
+     step: the caller's profile is never changed. *)
+  let rec go profile ~owned steps =
     if steps >= max_steps then (profile, false)
     else
       match find_improvement profile payoff with
       | None -> (profile, true)
       | Some d ->
-        let profile' =
-          Profile.make atlas
-            (Array.init (Atlas.player_count atlas) (fun i ->
-                 if i = d.player then d.to_mas else Profile.move_of profile i))
-        in
-        go profile' (steps + 1)
+        let profile = if owned then profile else Profile.copy profile in
+        Profile.move profile d.player d.to_mas;
+        go profile ~owned:true (steps + 1)
   in
-  go profile 0
+  go profile ~owned:false 0
 
 let pp_deviation ppf d =
   Fmt.pf ppf "player %d: MAS %d (%.1f) -> MAS %d (%.1f)" d.player d.from_mas

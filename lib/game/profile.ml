@@ -34,6 +34,44 @@ let make atlas moves =
     moves;
   { atlas; moves; ones; zeros; count }
 
+let copy t =
+  {
+    t with
+    moves = Array.copy t.moves;
+    ones = Array.copy t.ones;
+    zeros = Array.copy t.zeros;
+    count = Array.copy t.count;
+  }
+
+(* The target's crowd is joined in O(1); an OR cannot be undone, so the
+   source's is recounted over the players that can play it. *)
+let move t i m =
+  if i < 0 || i >= Array.length t.moves then
+    invalid_arg "Profile.move: out of range";
+  if not (has_choice t.atlas i m 0) then
+    invalid_arg
+      (Printf.sprintf "Profile.move: MAS %d is not a choice of player %d" m i);
+  let from = t.moves.(i) in
+  if from <> m then begin
+    t.moves.(i) <- m;
+    let bits = Atlas.player_bits t.atlas i in
+    t.ones.(m) <- t.ones.(m) lor bits;
+    t.zeros.(m) <- t.zeros.(m) lor lnot bits;
+    t.count.(m) <- t.count.(m) + 1;
+    let ones = ref 0 and zeros = ref 0 in
+    for k = 0 to Atlas.crowd_size t.atlas from - 1 do
+      let j = Atlas.crowd_member t.atlas from k in
+      if t.moves.(j) = from then begin
+        let bits = Atlas.player_bits t.atlas j in
+        ones := !ones lor bits;
+        zeros := !zeros lor lnot bits
+      end
+    done;
+    t.ones.(from) <- !ones;
+    t.zeros.(from) <- !zeros;
+    t.count.(from) <- t.count.(from) - 1
+  end
+
 let atlas t = t.atlas
 
 let move_of t i =

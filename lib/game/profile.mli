@@ -15,6 +15,18 @@ val make : Pet_minimize.Atlas.t -> int array -> t
     @raise Invalid_argument when [moves] does not have one entry per
     player, or some [moves.(i)] is not among player [i]'s choices. *)
 
+val copy : t -> t
+(** The same profile with arrays of its own, for {!move}. *)
+
+val move : t -> int -> int -> unit
+(** [move t i m]: player [i] plays MAS [m] from now on, in place. Only
+    the two crowds it changes are touched: [m]'s is joined by [i] in
+    O(1), and the one [i] left is recounted over the players that can
+    play it. For a profile the caller owns (from {!copy}): every other
+    holder of [t] sees the change too.
+    @raise Invalid_argument when [m] is not among player [i]'s
+    choices. *)
+
 val atlas : t -> Pet_minimize.Atlas.t
 val move_of : t -> int -> int
 (** The MAS index played by a player index. *)

@@ -535,7 +535,7 @@ let await t shard ~stopping =
    remain queued. The commit step and the flush come before the build,
    so a build delays neither a batch nor the replies that wait on it; it
    delays this shard's next requests by its length, as a cache-miss
-   recompile on the request path does. Once stopped, a shard reads
+   compile of a text rule set on the request path does. Once stopped, a shard reads
    nothing more, runs no build, and ends after a round that found
    nothing posted and left nothing held; [stop] writes the replies
    posted to it after that. *)

@@ -46,12 +46,13 @@
     path.
 
     Rule-set texts and grant ledgers are shared across shards (see
-    {!Pet_server.Shared}); compiled engines are not — each shard
-    recompiles from the shared canonical text on first use, so BDD
-    memo tables are never touched by two domains. Raw valuations never
-    cross a domain boundary: they live inside the owning shard's
-    session and only the chosen option's digested grant reaches the
-    shared ledger or the wire. *)
+    {!Pet_server.Shared}), and so is each tenant version's artifact:
+    built once, served by every shard (a BDD walk takes its engine's
+    lock). Engines of rule sets published by text are not — each shard
+    compiles its own from the shared canonical text on first use. Raw
+    valuations never cross a domain boundary: they live inside the
+    owning shard's session and only the chosen option's digested grant
+    reaches the shared ledger or the wire. *)
 
 type listen =
   | Tcp of int
@@ -84,9 +85,9 @@ val start :
     the domains of shards 1..[domains]-1. Shard 0 — the one that
     accepts, and the stdio connection's — serves once {!run} is
     called.
-    Every shard is its own {!Pet_server.Service.create}, so the
-    rendered-report memos live with the engines they belong to: one per
-    shard, never shared across domains.
+    Every shard is its own {!Pet_server.Service.create}. A report memo
+    lives with the engine it belongs to, so a text rule set has one per
+    shard and a tenant artifact one for all shards.
 
     With [store] and its [recovery] (both from
     {!Pet_store.Store.open_dir}), recovery runs through {!Recovery.recover}

@@ -13,7 +13,8 @@ type backend = Brute | Sat | Bdd | Compiled
 type impl =
   | Ibrute
   | Isat of Solver.t
-  | Ibdd of { man : Bdd.man; r : Bdd.node }
+  | Ibdd of { man : Bdd.man; r : Bdd.node; lock : Mutex.t }
+      (* a walk writes the manager's scratch, so one runs at a time *)
   | Icode of Code.t
 
 type t = { e : Exposure.t; kind : backend; impl : impl }
@@ -75,7 +76,7 @@ let make_bdd e =
     | F.Implies (a, b) -> Bdd.imp man (compile a) (compile b)
     | F.Iff (a, b) -> Bdd.iff man (compile a) (compile b)
   in
-  Ibdd { man; r = compile (Exposure.to_formula e) }
+  Ibdd { man; r = compile (Exposure.to_formula e); lock = Mutex.create () }
 
 let make_code e =
   Icode
@@ -165,11 +166,27 @@ let sat_refutes solver ~dom ~bits extra =
 
 (* --- BDD backend ------------------------------------------------------------ *)
 
-(* One walk of [r] under the cube [(dom, bits)]: the form predicates are
-   BDD variables [0 .. np-1], the walk's lower window, and the benefits
-   follow from [np], its upper window. *)
-let bdd_walk t man r ~dom ~bits =
-  Bdd.walk man r ~dom ~bits ~upper:(Universe.size (Exposure.xp t.e))
+(* One walk of [r] under the cube [(dom, bits)], and [read] of its
+   answer: the form predicates are BDD variables [0 .. np-1], the walk's
+   lower window, and the benefits follow from [np], its upper window.
+   The walk writes the manager's epoch, memo arrays and result record,
+   and an engine may be shared by domains (a tenant's artifact serves
+   every shard), so the walk and the read run under the engine's lock.
+   [read] is a closed function, so a query still allocates nothing. *)
+let bdd_walk t man r lock ~dom ~bits read =
+  let upper = Universe.size (Exposure.xp t.e) in
+  Mutex.lock lock;
+  match read (Bdd.walk man r ~dom ~bits ~upper) with
+  | answer ->
+    Mutex.unlock lock;
+    answer
+  | exception e ->
+    Mutex.unlock lock;
+    raise e
+
+let upper_false w = w.Bdd.upper_false
+let lower_true w = w.Bdd.lower_true
+let lower_false w = w.Bdd.lower_false
 
 (* --- Dispatch ------------------------------------------------------------------ *)
 
@@ -188,8 +205,8 @@ let count_query t =
 
 let sync_obs t =
   match t.impl with
-  | Ibdd { man; _ } ->
-    let s = Bdd.stats man in
+  | Ibdd { man; lock; _ } ->
+    let s = Mutex.protect lock (fun () -> Bdd.stats man) in
     Pet_obs.Metrics.set_gauge obs_bdd_nodes (float_of_int s.Bdd.nodes);
     Pet_obs.Metrics.set_gauge obs_bdd_ite (float_of_int s.Bdd.ite_calls);
     Pet_obs.Metrics.set_gauge obs_bdd_hits (float_of_int s.Bdd.ite_cache_hits)
@@ -203,7 +220,8 @@ let consistent t w =
   | Ibrute -> brute_consistent t.e w
   | Isat solver ->
     Solver.solve ~assumptions:(sat_assumptions ~dom ~bits) solver = Solver.Sat
-  | Ibdd { man; r } -> (bdd_walk t man r ~dom ~bits).Bdd.sat
+  | Ibdd { man; r; lock } ->
+    bdd_walk t man r lock ~dom ~bits (fun w -> w.Bdd.sat)
   | Icode c -> Code.consistent c ~dom ~bits
 
 let benefit_index t b =
@@ -219,9 +237,9 @@ let entails_benefit t w b =
     brute_entails_benefit t.e w b
   | Isat solver ->
     sat_refutes solver ~dom ~bits (Lit.make (benefit_index t b) false)
-  | Ibdd { man; r } ->
+  | Ibdd { man; r; lock } ->
     let bit = 1 lsl Universe.index (Exposure.xb t.e) b in
-    (bdd_walk t man r ~dom ~bits).Bdd.upper_false land bit = 0
+    bdd_walk t man r lock ~dom ~bits upper_false land bit = 0
   | Icode c ->
     Code.entails_benefit c ~dom ~bits (Universe.index (Exposure.xb t.e) b)
 
@@ -244,8 +262,8 @@ let benefit_mask t ~dom ~bits =
   count_query t;
   match t.impl with
   | Icode c -> Code.benefit_mask c ~dom ~bits
-  | Ibdd { man; r } ->
-    lnot (bdd_walk t man r ~dom ~bits).Bdd.upper_false land ((1 lsl nb) - 1)
+  | Ibdd { man; r; lock } ->
+    lnot (bdd_walk t man r lock ~dom ~bits upper_false) land ((1 lsl nb) - 1)
   | Isat solver ->
     each_benefit nb (fun i ->
         sat_refutes solver ~dom ~bits (Lit.make (np + i) false))
@@ -274,9 +292,9 @@ let forces t w p value =
   match t.impl with
   | Ibrute -> brute_entails_literal t.e w p value
   | Isat solver -> sat_refutes solver ~dom ~bits (Lit.make i (not value))
-  | Ibdd { man; r } ->
-    let walk = bdd_walk t man r ~dom ~bits in
-    (if value then walk.Bdd.lower_false else walk.Bdd.lower_true)
+  | Ibdd { man; r; lock } ->
+    bdd_walk t man r lock ~dom ~bits
+      (if value then lower_false else lower_true)
     land (1 lsl i)
     = 0
   | Icode c -> Code.entails_literal c ~dom ~bits i value
@@ -291,12 +309,12 @@ let deduced_literals t w =
   count_query t;
   let forced =
     match t.impl with
-    | Ibdd { man; r } ->
+    | Ibdd { man; r; lock } ->
       (* One walk decides every predicate. *)
-      let walk =
-        bdd_walk t man r ~dom:(Partial.domain_mask w) ~bits:(Partial.bits w)
+      let can_true, can_false =
+        bdd_walk t man r lock ~dom:(Partial.domain_mask w)
+          ~bits:(Partial.bits w) (fun w -> (w.Bdd.lower_true, w.Bdd.lower_false))
       in
-      let can_true = walk.Bdd.lower_true and can_false = walk.Bdd.lower_false in
       fun p value ->
         let bit = 1 lsl Universe.index (Exposure.xp t.e) p in
         (if value then can_false else can_true) land bit = 0

@@ -17,7 +17,13 @@
       the name but falls back to the BDD representation.
 
     All four agree on every input; the test suite checks this
-    exhaustively on small universes and randomly on larger ones. *)
+    exhaustively on small universes and randomly on larger ones.
+
+    Domains: a [Brute], [Compiled] or [Bdd] engine may be queried from
+    several domains at once, as a tenant's artifact is by every shard.
+    Its tables are read-only once built, and a BDD walk, which writes
+    the manager's scratch, takes the engine's lock. A [Sat] engine's
+    solver belongs to one domain at a time. *)
 
 type backend = Brute | Sat | Bdd | Compiled
 

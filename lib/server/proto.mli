@@ -111,8 +111,8 @@ type code =
   | Invalid_params
   | Unknown_rules
       (** no rule set with that digest was ever published here (an
-          evicted one is recompiled from its retained text); the
-          message names the offending digest *)
+          evicted one is reinstalled from its tenant or recompiled from
+          its retained text); the message names the offending digest *)
   | Unknown_source  (** no built-in rule set of that name *)
   | Unknown_session
   | Unknown_tenant  (** no tenant of that name was ever published *)

@@ -36,9 +36,10 @@ val peek : 'a t -> string -> 'a option
     clock, which makes a {e recently used} entry safe from the next
     eviction. That is weaker than a pin: an idle session's engine can
     still be evicted by enough later inserts — e.g. a burst of tenant
-    version swaps — and the service then recompiles it from the
-    retained rule text (durable store, shard-shared texts, or the
-    tenant registry, all of which outlive the cache) rather than
+    version swaps — and the service then takes it back from the tenant
+    registry, when it is a tenant's active version, or recompiles it
+    from the retained rule text (durable store, shard-shared texts, or
+    the tenant registry, all of which outlive the cache) rather than
     failing the session. Only when no text was retained anywhere does
     the session's next request fail, with the offending digest in the
     [unknown_rules] message. *)

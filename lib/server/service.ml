@@ -24,14 +24,16 @@ type compiled = {
   digest : string;
   exposure : Exposure.t;
   provider : Workflow.t;
-  mutable memo : report_answer option array;
+  memo : report_answer option array Atomic.t;
       (* the rendered-report memo, one slot per atlas player (indexed by
          [Atlas.find_player]): empty until the artifact's first
          [get_report] ({!memo_of}), so a build that is never reported
          holds no per-player array; a slot is filled on its player's
          first report — later respondents with the same form contents
          answer [get_report] with an array read and a few buffer
-         appends *)
+         appends. A tenant artifact is shared by every shard, so the
+         array is published once, atomically, and a slot written by
+         two shards at once gets the same bytes from either. *)
 }
 
 type t = {
@@ -58,8 +60,9 @@ type t = {
   tenants : compiled Tenant.t;
       (* the multi-tenant form registry: in a sharded deployment every
          shard shares one instance (like [shared]), so a tenant
-         published on one shard is servable on every other and its
-         build queue is process-wide *)
+         published on one shard is servable on every other, its build
+         queue is process-wide, and every shard serves the one artifact
+         each tenant version built *)
   consents : Consent.t;
       (* [Shared.consents shared]: consent-lifecycle entries (revocations,
          expiry horizons) keyed by session id; identifiers only, kept past
@@ -141,24 +144,48 @@ let ledger_key ~digest ~tenant =
 
 (* --- Rule-set resolution ----------------------------------------------------- *)
 
+let obs_provider_builds =
+  Pet_obs.Metrics.counter
+    ~help:"Provider builds (engine, atlas, Algorithm 2), process-wide."
+    "pet_provider_builds_total"
+
 (* Build the full artifact for an exposure: compile the engine (the
    compiled backend, which keeps BDDs above its tabulation threshold),
    enumerate the atlas, solve the equilibrium. Pure apart from the
    allocation — it touches neither the registry nor the sink, so any
    domain can run it off the request path without any locking. *)
 let build_artifact ~payoff exposure digest =
+  Pet_obs.Metrics.incr obs_provider_builds;
   let provider = Workflow.provider ~backend:Engine.Compiled ~payoff exposure in
-  { digest; exposure; provider; memo = [||] }
+  { digest; exposure; provider; memo = Atomic.make [||] }
 
-(* The artifact's report memo, allocated on first use. An artifact lives
-   in one shard's engine registry (a tenant build is handed to the first
-   shard that resolves it; the others recompile), so only that shard
-   reads or writes its memo. *)
+(* A tenant version's build, as the tenant registry runs it: the
+   artifact, or why it could not be built. *)
+let try_build ~payoff exposure digest =
+  match build_artifact ~payoff exposure digest with
+  | artifact -> Ok artifact
+  | exception Invalid_argument m -> Error m
+  | exception e -> Error (Printexc.to_string e)
+
+(* The build of a restored tenant version, from its canonical text. *)
+let build_text t text =
+  match Spec.parse text with
+  | Error m -> Error m
+  | Ok exposure -> try_build ~payoff:t.payoff exposure (Registry.digest text)
+
+(* The artifact's report memo, allocated on first use. A tenant artifact
+   is shared by every shard that resolves it, so two shards may both
+   find the memo empty: the first array published wins, and the other
+   shard reads that one. *)
 let memo_of compiled =
-  if Array.length compiled.memo = 0 then
-    compiled.memo <-
-      Array.make (Atlas.player_count (Workflow.atlas compiled.provider)) None;
-  compiled.memo
+  let memo = Atomic.get compiled.memo in
+  if Array.length memo > 0 then memo
+  else
+    let fresh =
+      Array.make (Atlas.player_count (Workflow.atlas compiled.provider)) None
+    in
+    if Atomic.compare_and_set compiled.memo memo fresh then fresh
+    else Atomic.get compiled.memo
 
 (* [remember:false] for tenant texts: the tenant registry retains them
    (and [Tenant_published] persists them), so they are neither copied
@@ -189,11 +216,11 @@ let compile ?(remember = true) ?count t text =
 
 (* Resolve a tenant to its active version's artifact. Blocks only while
    the tenant's {e first} version is still building (later versions keep
-   serving the previous one); installs a finished background build into
-   the engine cache on first touch, and recompiles from the tenant's
-   retained text if the cache evicted it since. *)
+   serving the previous one). The artifact is the one every shard
+   shares; a shard whose engine cache misses it installs it again, so
+   its later lookups stay lock-free. *)
 let resolve_tenant t name =
-  match Tenant.resolve t.tenants name with
+  match Tenant.resolve t.tenants ~build:(build_text t) name with
   | `Unknown ->
     Error
       (Proto.errorf Proto.Unknown_tenant
@@ -204,30 +231,30 @@ let resolve_tenant t name =
     Error
       (Proto.errorf Proto.Build_failed "tenant %S version %d failed to build: %s"
          name version m)
-  | `Ready resolved ->
-    let* compiled, cached =
-      match resolved.Tenant.res_artifact with
-      | Some compiled ->
-        Registry.add t.registry resolved.Tenant.res_digest compiled;
-        Ok (compiled, false)
-      | None -> (
-        match Registry.find t.registry resolved.Tenant.res_digest with
-        | Some compiled -> Ok (compiled, true)
-        | None ->
-          compile ~remember:false ~count:false t resolved.Tenant.res_text)
-    in
-    Ok (resolved, compiled, cached)
+  | `Ready resolved -> (
+    let digest = resolved.Tenant.res_digest in
+    match Registry.find t.registry digest with
+    | Some compiled -> Ok (resolved, compiled, true)
+    | None ->
+      Registry.add t.registry digest resolved.Tenant.res_artifact;
+      Ok (resolved, resolved.Tenant.res_artifact, false))
 
-(* Recompile a rule set the cache no longer holds from its retained
-   canonical text: a published text from [Shared], else a tenant
-   version's text from the tenant registry. [None] for a digest never
-   compiled here. [count] as for [compile]. *)
-let recompile ?count t digest =
-  match Shared.find_text t.shared digest with
-  | Some text -> Some (compile ?count t text)
-  | None ->
-    Option.map (compile ~remember:false ?count t)
-      (Tenant.text_of_digest t.tenants digest)
+(* Reinstall a rule set the cache no longer holds: a tenant version's
+   shared artifact, else a compilation of its retained canonical text —
+   a published text from [Shared], or the text of a superseded tenant
+   version, which holds no artifact. [None] for a digest never compiled
+   here. [count] as for [compile]. *)
+let reinstall ?count t digest =
+  match Tenant.artifact_of_digest t.tenants ~build:(build_text t) digest with
+  | Some compiled ->
+    Registry.add t.registry digest compiled;
+    Some (Ok (compiled, false))
+  | None -> (
+    match Shared.find_text t.shared digest with
+    | Some text -> Some (compile ?count t text)
+    | None ->
+      Option.map (compile ~remember:false ?count t)
+        (Tenant.text_of_digest t.tenants digest))
 
 (* Counting resolution (publish_rules / new_session / audit): cache hits
    and misses here measure how often a compilation was saved. *)
@@ -245,7 +272,7 @@ let resolve_rules t = function
     match Registry.find t.registry digest with
     | Some compiled -> Ok (compiled, true)
     | None -> (
-      match recompile ~count:false t digest with
+      match reinstall ~count:false t digest with
       | Some result -> result
       | None ->
         Error
@@ -254,22 +281,40 @@ let resolve_rules t = function
               rules first"
              digest)))
 
-(* Non-counting engine re-read for a rule set a session (or a logged
-   event) already resolved. Its text is retained, so an evicted engine
-   is recompiled; no protocol sequence reaches the error, only a log
-   that lost its [rules] event. *)
+let not_retained digest =
+  Printf.sprintf
+    "the text of this session's rules (digest %s) is not retained here; \
+     republish the rules and retry"
+    digest
+
+(* Non-counting engine re-read for a rule set a session already
+   resolved. Its text is retained, so an evicted engine is reinstalled
+   or recompiled; no protocol sequence reaches the error. *)
 let engine_of t digest =
   match Registry.peek t.registry digest with
   | Some compiled -> Ok compiled
   | None -> (
-    match recompile t digest with
+    match reinstall t digest with
     | Some result -> Result.map fst result
-    | None ->
-      Error
-        (Proto.errorf Proto.Unknown_rules
-           "the text of this session's rules (digest %s) is not retained \
-            here; republish the rules and retry"
-           digest))
+    | None -> Error (Proto.error Proto.Unknown_rules (not_retained digest)))
+
+(* The form universe of a rule set a logged event names, to parse the
+   event's valuation: the cached engine's, else its retained text's. An
+   event needs no more, so replaying one builds nothing. Only a log
+   that lost its [rules] event reaches the error. *)
+let universe_of t digest =
+  match Registry.peek t.registry digest with
+  | Some compiled -> Ok (Exposure.xp compiled.exposure)
+  | None -> (
+    let text =
+      match Shared.find_text t.shared digest with
+      | Some text -> Some text
+      | None -> Tenant.text_of_digest t.tenants digest
+    in
+    match Option.map Spec.parse text with
+    | Some (Ok exposure) -> Ok (Exposure.xp exposure)
+    | Some (Error m) -> Error ("rules: " ^ m)
+    | None -> Error (not_retained digest))
 
 let find_session t id ~now =
   match Session.find t.store id ~now with
@@ -390,10 +435,8 @@ let apply_event t event =
     | None -> Error (Printf.sprintf "event for unknown session %S" id)
   in
   let partial_of digest s =
-    let* compiled =
-      Result.map_error (fun e -> e.Proto.message) (engine_of t digest)
-    in
-    match Partial.of_string (Exposure.xp compiled.exposure) s with
+    let* xp = universe_of t digest in
+    match Partial.of_string xp s with
     | p -> Ok p
     | exception Invalid_argument m -> Error m
   in
@@ -420,9 +463,10 @@ let apply_event t event =
              digest compiled.digest))
   | Persist.Tenant_published { tenant; version; digest; text; quota; at } ->
     (* Replay only (a live publish queues a build instead): restored
-       versions are [Ready] with no artifact, and the engine is
-       recompiled lazily from the retained text on first use, so replay
-       stays cheap no matter how many tenants the log holds. *)
+       versions are [Ready] with no artifact, and the active one is built
+       from the retained text by its first resolver and shared from then
+       on, so replay stays cheap no matter how many tenants the log
+       holds. *)
     Tenant.restore t.tenants ~name:tenant ~version ~digest ~text ?quota
       ~now:at ();
     Ok ()
@@ -579,13 +623,7 @@ let prepare_tenant_build t rules =
   | Ok exposure ->
     let canonical = Spec.to_string exposure in
     let digest = Registry.digest canonical in
-    let build () =
-      match build_artifact ~payoff:t.payoff exposure digest with
-      | artifact -> Ok artifact
-      | exception Invalid_argument m -> Error m
-      | exception e -> Error (Printexc.to_string e)
-    in
-    Ok (canonical, digest, build)
+    Ok (canonical, digest, fun () -> try_build ~payoff:t.payoff exposure digest)
 
 (* A quota change on a version that already exists is logged as that
    version's record again, carrying the new quota: replay replaces a

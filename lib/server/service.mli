@@ -26,8 +26,10 @@ type t
 type compiled
 (** One fully built rule-set artifact: compiled engine, MAS atlas,
     solved equilibrium, and the rendered-report memo (one slot per atlas
-    player, allocated on the artifact's first [get_report]). Abstract — it only appears as the artifact type of the
-    tenant registry, [compiled Pet_tenant.Tenant.t]. *)
+    player, allocated on the artifact's first [get_report]). Safe to
+    serve from several domains at once: a tenant's artifact is shared
+    by every shard. Abstract — it only appears as the artifact type of
+    the tenant registry, [compiled Pet_tenant.Tenant.t]. *)
 
 val create :
   ?payoff:Pet_game.Payoff.kind ->
@@ -78,7 +80,10 @@ val create :
     active-session cap (default 0 = unlimited). Tenant builds queue in
     the registry and run on whichever domain waits for them ([tenant
     {"wait":true}], a [new_session] on a first version still building)
-    or, under [pet serve], on the shard loops. *)
+    or, under [pet serve], on the shard loops. Each tenant version is
+    built once per process: every instance sharing the registry serves
+    its one artifact. Every provider build, tenant or not, counts in
+    [pet_provider_builds_total]. *)
 
 val shutdown : t -> unit
 (** A no-op: a service starts nothing that outlives its calls. Only

@@ -10,8 +10,9 @@
 
     - the canonical rule texts, keyed by digest, so a session created on
       one shard can be served by any shard (which recompiles the text
-      into its own engine cache — compiled engines are {e not} shared,
-      because the BDD backend mutates its memo tables on every query);
+      into its own engine cache — engines of rule sets published by
+      text are {e not} shared, so each shard's LRU bounds its own; a
+      tenant's artifact is, through the tenant registry);
     - the grant ledgers, because grant ids are sequential per rule set
       across the whole process and the audit must see every grant;
     - the consent-lifecycle store ({!Consent}), because a revocation must

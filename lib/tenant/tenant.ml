@@ -20,8 +20,14 @@
    not depend on the server library that instantiates it (the server
    depends on this module, not the reverse). Build work arrives as
    closures; whoever runs one publishes its result back under the
-   registry mutex, which is also what makes the artifact handoff to a
-   consuming shard a properly synchronized transfer.
+   registry mutex, which is also what makes the artifact's publication
+   to every consuming shard a properly synchronized transfer.
+
+   One artifact per tenant: a version keeps its artifact for as long as
+   it is the tenant's active version, and every resolver, on any shard,
+   gets that same artifact. A newer version's landing drops the old
+   one's. A restored version has none until its first resolver builds
+   it from the retained text and stores it for the others.
 
    Locking: one mutex guards every tenant, version and counter;
    [settled] wakes waiters blocked on a build another domain runs.
@@ -43,9 +49,10 @@ type 'a version = {
   mutable state : build_state;
   seq : int;  (* its build's place in the job queue; 0 if restored *)
   mutable artifact : 'a option;
-      (* the built artifact, handed to the first resolver (which
-         installs it in its own engine cache); later resolvers — other
-         shards — recompile from [text] as usual *)
+      (* the built artifact while this is the tenant's active version,
+         shared by every resolver; [None] once a newer version is
+         active, and until the first resolver of a restored version
+         builds it *)
 }
 
 type 'a tenant = {
@@ -71,7 +78,8 @@ type 'a t = {
   mutex : Mutex.t;
   settled : Condition.t;
   tenants : (string, 'a tenant) Hashtbl.t;
-  by_digest : (string, string) Hashtbl.t;  (* digest -> canonical text *)
+  by_digest : (string, 'a tenant * 'a version) Hashtbl.t;
+      (* digest -> its latest version, which holds the canonical text *)
   jobs : 'a job Queue.t;
   queued : int Atomic.t;  (* [Queue.length jobs], read without the lock *)
   default_quota : int;
@@ -130,11 +138,18 @@ let settle t job result =
       t.building <- t.building - 1;
       (match result with
       | Ok artifact ->
-        version.artifact <- Some artifact;
         version.state <- Ready;
         t.builds <- t.builds + 1;
-        if version.number > tenant.active then
+        (* Only the active version keeps its artifact: one landing after
+           a newer version is superseded on arrival. *)
+        if version.number >= tenant.active then begin
+          if version.number > tenant.active then
+            Option.iter
+              (fun old -> old.artifact <- None)
+              (find_version tenant tenant.active);
+          version.artifact <- Some artifact;
           tenant.active <- version.number
+        end
       | Error m ->
         version.state <- Failed m;
         t.failures <- t.failures + 1)));
@@ -208,7 +223,7 @@ let add_version t tenant ~digest ~text ~now ~seq =
     }
   in
   tenant.versions <- version :: tenant.versions;
-  Hashtbl.replace t.by_digest digest text;
+  Hashtbl.replace t.by_digest digest (tenant, version);
   number
 
 (* Set the quota if one is given; true if that changed it. *)
@@ -252,7 +267,7 @@ let publish t ~name ~digest ~text ?quota ~now ~build () =
           }
         in
         Hashtbl.replace t.tenants name tenant;
-        Hashtbl.replace t.by_digest digest text;
+        Hashtbl.replace t.by_digest digest (tenant, version);
         enqueue_build t ~name ~number:1 ~seq ~build;
         `Created)
 
@@ -271,12 +286,11 @@ let update t ~name ~digest ~text ?quota ~now ~build () =
           `Queued number
         end)
 
-(* Recovery: re-register a version recorded in the WAL. The artifact is
-   compiled lazily on first resolution (from the retained text), so
+(* Recovery: re-register a version recorded in the WAL, with no
+   artifact: its first resolver builds it from the retained text, so
    replaying a thousand tenants costs table inserts, not builds. *)
 let restore t ~name ~version:number ~digest ~text ?quota ~now () =
   locked t (fun () ->
-      Hashtbl.replace t.by_digest digest text;
       let version =
         {
           number;
@@ -288,45 +302,75 @@ let restore t ~name ~version:number ~digest ~text ?quota ~now () =
           artifact = None;
         }
       in
-      match Hashtbl.find_opt t.tenants name with
-      | None ->
-        Hashtbl.replace t.tenants name
-          {
-            name;
-            versions = [ version ];
-            active = number;
-            quota =
-              (match quota with Some q -> max 0 q | None -> t.default_quota);
-            sessions_active = 0;
-            sessions_created = 0;
-            submitted = 0;
-          }
-      | Some tenant ->
-        ignore (apply_quota tenant quota);
-        tenant.versions <-
-          version :: List.filter (fun v -> v.number <> number) tenant.versions;
-        if number > tenant.active then tenant.active <- number)
+      let tenant =
+        match Hashtbl.find_opt t.tenants name with
+        | None ->
+          let tenant =
+            {
+              name;
+              versions = [ version ];
+              active = number;
+              quota =
+                (match quota with Some q -> max 0 q | None -> t.default_quota);
+              sessions_active = 0;
+              sessions_created = 0;
+              submitted = 0;
+            }
+          in
+          Hashtbl.replace t.tenants name tenant;
+          tenant
+        | Some tenant ->
+          ignore (apply_quota tenant quota);
+          tenant.versions <-
+            version :: List.filter (fun v -> v.number <> number) tenant.versions;
+          if number > tenant.active then tenant.active <- number;
+          tenant
+      in
+      Hashtbl.replace t.by_digest digest (tenant, version))
 
 (* --- Resolution -------------------------------------------------------------- *)
 
 type 'a resolved = {
   res_version : int;
   res_digest : string;
-  res_text : string;
-  res_artifact : 'a option;
+  res_artifact : 'a;
 }
 
-(* The active version for a new session. Waits, running queued builds,
-   while that version is still building — only a tenant's *first*
-   version can be active and unbuilt (updates leave the previous version
-   active until the swap), so this wait is the publish/new_session
-   handshake, not a steady-state stall. The artifact is handed over
-   exactly once; the caller installs it in its own engine cache. *)
-let resolve t name =
+(* Under the mutex: the artifact of [version], a ready version of
+   [tenant]. One it holds is shared; else (a restored version) it is
+   built from the text with the lock released, and kept if the version
+   is still active and holds none yet — when two domains race at first
+   touch, the first store wins and both return it. *)
+let artifact_of t ~build tenant version =
+  match version.artifact with
+  | Some artifact -> Ok artifact
+  | None ->
+    Mutex.unlock t.mutex;
+    let result =
+      match build version.text with
+      | result -> result
+      | exception exn -> Error (Printexc.to_string exn)
+    in
+    Mutex.lock t.mutex;
+    Result.map
+      (fun built ->
+        match version.artifact with
+        | Some first -> first
+        | None ->
+          if version.number = tenant.active then version.artifact <- Some built;
+          built)
+      result
+
+(* The active version for a new session, and its artifact. Waits,
+   running queued builds, while that version is still building — only a
+   tenant's *first* version can be active and unbuilt (updates leave the
+   previous version active until the swap), so this wait is the
+   publish/new_session handshake, not a steady-state stall. *)
+let resolve t ~build name =
   locked t (fun () ->
       match Hashtbl.find_opt t.tenants name with
       | None -> `Unknown
-      | Some tenant ->
+      | Some tenant -> (
         help t (fun () ->
             match find_version tenant tenant.active with
             | Some { state = Building; _ } -> false
@@ -334,16 +378,16 @@ let resolve t name =
         match find_version tenant tenant.active with
         | None -> `Unknown
         | Some { number; state = Failed m; _ } -> `Failed (number, m)
-        | Some version ->
-          let artifact = version.artifact in
-          version.artifact <- None;
-          `Ready
-            {
-              res_version = version.number;
-              res_digest = version.digest;
-              res_text = version.text;
-              res_artifact = artifact;
-            })
+        | Some version -> (
+          match artifact_of t ~build tenant version with
+          | Ok artifact ->
+            `Ready
+              {
+                res_version = version.number;
+                res_digest = version.digest;
+                res_artifact = artifact;
+              }
+          | Error m -> `Failed (version.number, m))))
 
 (* Wait, running queued builds, until the tenant's newest version has
    settled (ready or failed): the deploy-script barrier behind the wire
@@ -357,8 +401,22 @@ let await t name =
       | Some tenant ->
         help t (fun () -> t.settled_upto >= (newest tenant).seq))
 
+(* The artifact of the version with this digest while it is active —
+   built here if it was restored and never resolved; [None] for a
+   superseded version, which holds none: the caller serves its session
+   from {!text_of_digest}. *)
+let artifact_of_digest t ~build digest =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.by_digest digest with
+      | Some (tenant, version)
+        when version.state = Ready && version.number = tenant.active ->
+        Result.to_option (artifact_of t ~build tenant version)
+      | Some _ | None -> None)
+
 let text_of_digest t digest =
-  locked t (fun () -> Hashtbl.find_opt t.by_digest digest)
+  locked t (fun () ->
+      Option.map (fun (_, version) -> version.text)
+        (Hashtbl.find_opt t.by_digest digest))
 
 (* --- Quotas and per-tenant counters ------------------------------------------ *)
 

@@ -4,8 +4,9 @@
     Tenants are named forms. Each publish or rule update appends a
     {e version} (monotonic number + canonical-text digest) whose
     artifact — engine, MAS atlas, rendered-report memo — is queued for
-    building, so publishing returns immediately. A version becomes the tenant's {e active} version (the
-    one new sessions resolve) atomically when its build completes;
+    building, so publishing returns immediately. A version becomes the
+    tenant's {e active} version (the one new sessions resolve)
+    atomically when its build completes;
     sessions pin the digest they started on, so a hot swap never
     changes an in-flight respondent's answers.
 
@@ -90,29 +91,42 @@ val restore :
   unit ->
   unit
 (** Recovery: re-register a version recorded in the WAL as [Ready]
-    with no artifact — it recompiles lazily from [text] on first
-    resolution, so replaying a thousand tenants costs table inserts,
-    not builds. The active version is the highest restored number. *)
+    with no artifact — its first resolver builds it from [text] and
+    keeps it for every later one, so replaying a thousand tenants costs
+    table inserts, not builds. The active version is the highest
+    restored number. *)
 
-(** {1 Resolution} *)
+(** {1 Resolution}
+
+    Every resolver of a version, on any domain, gets the same artifact:
+    a version keeps its artifact for as long as it is the tenant's
+    active version, and drops it when a newer version becomes active,
+    so the registry holds at most one artifact per tenant. The artifact
+    must therefore be safe to use from several domains at once. *)
 
 type 'a resolved = {
   res_version : int;
   res_digest : string;
-  res_text : string;
-  res_artifact : 'a option;
-      (** the background-built artifact, handed over exactly once; the
-          first resolver installs it in its own engine cache, later
-          resolvers (other shards) recompile from [res_text] *)
+  res_artifact : 'a;
+      (** the active version's artifact: the one its build produced, or
+          for a restored version the one its first resolver built with
+          [build] and stored — physically the same for every resolver
+          while the version stays active *)
 }
 
 val resolve :
-  'a t -> string -> [ `Ready of 'a resolved | `Failed of int * string | `Unknown ]
+  'a t ->
+  build:(string -> ('a, string) result) ->
+  string ->
+  [ `Ready of 'a resolved | `Failed of int * string | `Unknown ]
 (** The active version for a new session. While that version is still
     building, runs queued builds, then blocks until a build running on
     another domain lands — only a tenant's first version can be active
     and unbuilt, so this is the publish/new_session handshake, not a
-    steady-state stall. *)
+    steady-state stall. A restored version's artifact is built here,
+    from its canonical text, outside the lock; when two domains race,
+    the first to store it wins and both get that one. A build that fails
+    answers [`Failed] and stores nothing. *)
 
 val await : 'a t -> string -> unit
 (** Wait until the tenant's newest version settles (ready or failed),
@@ -123,10 +137,18 @@ val await : 'a t -> string -> unit
     which therefore sees the same registry whichever domain ran which
     build. *)
 
+val artifact_of_digest :
+  'a t -> build:(string -> ('a, string) result) -> string -> 'a option
+(** The artifact of the version with this digest, for an engine cache
+    that missed: the one it holds, or, for an active version restored
+    and not yet resolved, the one built as {!resolve} builds it. [None]
+    for a digest no tenant published, a version still building or
+    failed, and a superseded version, which holds no artifact. *)
+
 val text_of_digest : 'a t -> string -> string option
 (** Canonical rule text for any version ever published, keyed by
-    digest — the fallback that lets a pinned session's engine be
-    recompiled after an LRU eviction, independent of durable mode. *)
+    digest — the fallback that lets a session pinned to a superseded
+    version be served after its engine cache evicted the engine. *)
 
 (** {1 Quotas and per-tenant counters} *)
 

@@ -615,6 +615,79 @@ let test_matches_reference_size14 () =
     (check_against_reference [ Payoff.Blank ]
        (List.init 3 (corpus_form ~size:14)))
 
+(* [Equilibrium.refine] as it was before steps moved one player in place:
+   every step rebuilds the whole profile. The oracle for the in-place
+   steps. *)
+let reference_refine ~max_steps profile payoff =
+  let atlas = Profile.atlas profile in
+  let rec go profile steps =
+    if steps >= max_steps then (profile, false)
+    else
+      match Equilibrium.find_improvement profile payoff with
+      | None -> (profile, true)
+      | Some d ->
+        go
+          (Profile.make atlas
+             (Array.init (Atlas.player_count atlas) (fun i ->
+                  if i = d.player then d.to_mas else Profile.move_of profile i)))
+          (steps + 1)
+  in
+  go profile 0
+
+let test_refine_matches_rebuild () =
+  (* From Algorithm 2's profile (already Nash on the case studies) and
+     from two that are not (every player on its first, or its last,
+     choice), on the four case studies under each payoff: the same
+     profile, the same verdict, and the start left untouched. The step
+     budget bounds the O(players x choices) reference on RSA. *)
+  let moved = ref 0 and cases = ref 0 in
+  List.iter
+    (fun (name, e) ->
+      let atlas = Atlas.build (Engine.create ~backend:Engine.Compiled e) in
+      let n = Atlas.player_count atlas in
+      let pick k = Array.init n (fun i -> Atlas.choice atlas i (k i)) in
+      let max_steps = min 60 (20 * n) in
+      List.iter
+        (fun payoff ->
+          List.iter
+            (fun (start_name, start) ->
+              let before = moves start in
+              let label =
+                Fmt.str "%s, %s start, %a" name start_name Payoff.pp_kind payoff
+              in
+              let expected, converged = reference_refine ~max_steps start payoff in
+              let refined, converged' = Equilibrium.refine ~max_steps start payoff in
+              incr cases;
+              if not (Profile.equal start refined) then incr moved;
+              Alcotest.(check bool) (label ^ ": same profile") true
+                (Profile.equal expected refined);
+              Alcotest.(check bool) (label ^ ": same verdict") converged converged';
+              Alcotest.(check string) (label ^ ": start untouched") before
+                (moves start);
+              List.iter
+                (fun m ->
+                  Alcotest.(check int)
+                    (Fmt.str "%s: crowd of MAS %d" label m)
+                    (Profile.crowd_size expected m)
+                    (Profile.crowd_size refined m);
+                  Alcotest.(check bool)
+                    (Fmt.str "%s: aggregate of MAS %d" label m)
+                    true
+                    (Profile.aggregate expected m = Profile.aggregate refined m))
+                (List.init (Atlas.mas_count atlas) Fun.id))
+            [
+              ("algorithm 2", Strategy.compute ~payoff atlas);
+              ("first-choice", Profile.make atlas (pick (fun _ -> 0)));
+              ( "last-choice",
+                Profile.make atlas
+                  (pick (fun i -> Atlas.choice_count atlas i - 1)) );
+            ])
+        [ Payoff.Blank; Payoff.Sm; Payoff.Weighted uneven_weight ])
+    (differential_case_studies ());
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d refinements took steps" !moved !cases)
+    true (!moved > !cases / 3)
+
 let () =
   let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests) in
   Alcotest.run "pet_game"
@@ -656,6 +729,8 @@ let () =
           Alcotest.test_case "no improvement possible" `Quick
             test_solidarity_none_on_running;
           Alcotest.test_case "refine budget" `Quick test_refine_budget;
+          Alcotest.test_case "refine matches the rebuilding reference" `Quick
+            test_refine_matches_rebuild;
           Alcotest.test_case "unknown valuation" `Quick
             test_profile_unknown_valuation;
         ] );

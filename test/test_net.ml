@@ -1738,6 +1738,171 @@ let test_transport_differential () =
       Alcotest.(check bool) "quit ends the server" true (finished ~within:10. = Some (Ok ()));
       Alcotest.(check string) "nothing after quit" "" (rest ()))
 
+(* --- One build per tenant version ----------------------------------------------------- *)
+
+let with_metrics f =
+  let was_on = Pet_obs.Metrics.enabled () in
+  Pet_obs.Metrics.enable ();
+  Fun.protect ~finally:(fun () -> if not was_on then Pet_obs.Metrics.disable ()) f
+
+let provider_builds call =
+  int_at
+    (json_of (call 0 {|{"pet":1,"id":"m","method":"metrics"}|}))
+    [ "ok"; "counters"; "pet_provider_builds_total" ]
+
+let test_one_build_per_tenant () =
+  (* Two shards whose engine caches hold two rule sets each, and 20
+     tenants. Every tenant gets a session on both connections, one per
+     shard, and only then a report on each, so by the time a report runs
+     its shard's cache has evicted the engine. Each shard serves every
+     tenant from the one artifact its build produced: 20 builds in all,
+     none on a cache miss. *)
+  with_metrics (fun () ->
+      let server =
+        match
+          Server.start ~resolve ~capacity:2 ~sweep_interval:0. ~domains:2
+            ~listen:(Tcp 0) ~now:Unix.gettimeofday ()
+        with
+        | Error m -> Alcotest.failf "server start: %s" m
+        | Ok server -> server
+      in
+      running server (fun ~finished:_ ->
+          with_conns server 2 (fun call ->
+              let before = provider_builds call in
+              let forms = List.init 20 (fun i -> Corpus.form ~seed:13 ~size:8 i) in
+              List.iter
+                (fun (form : Corpus.form) ->
+                  ignore (call 0 (envelope "publish_rules" (tenant_rules form))))
+                forms;
+              List.iter
+                (fun (form : Corpus.form) ->
+                  ignore
+                    (call 0
+                       (envelope "tenant"
+                          [
+                            ("name", Pet_pet.Json.String form.name);
+                            ("wait", Pet_pet.Json.Bool true);
+                          ])))
+                forms;
+              let sessions =
+                List.concat_map
+                  (fun (form : Corpus.form) ->
+                    List.init 2 (fun conn ->
+                        let opened =
+                          call conn
+                            (envelope "new_session"
+                               [ ("tenant", Pet_pet.Json.String form.name) ])
+                        in
+                        (conn, form, session_of opened)))
+                  forms
+              in
+              List.iter
+                (fun (conn, form, sid) ->
+                  let reply =
+                    call conn
+                      (envelope "get_report"
+                         [
+                           ("session", Pet_pet.Json.String sid);
+                           ( "valuation",
+                             Pet_pet.Json.String (Corpus.valuation ~seed:13 form conn) );
+                         ])
+                  in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s report on connection %d" form.name conn)
+                    true
+                    (contains reply {|"ok"|} || contains reply {|"ineligible"|}))
+                sessions;
+              Alcotest.(check int) "provider builds" 20 (provider_builds call - before))))
+
+(* A flow per respondent: open, report, choose the first option, submit.
+   Submitting asks the engine, so two connections' flows query one
+   tenant's engine from both shards at once. *)
+let respondent_flow (form : Corpus.form) respondent =
+  let sid = Printf.sprintf "@%d" respondent in
+  [
+    envelope "new_session" [ ("tenant", Pet_pet.Json.String form.name) ];
+    envelope "get_report"
+      [
+        ("session", Pet_pet.Json.String sid);
+        ("valuation", Pet_pet.Json.String (Corpus.valuation ~seed:17 form respondent));
+      ];
+    envelope "choose_option"
+      [ ("session", Pet_pet.Json.String sid); ("option", Pet_pet.Json.Int 0) ];
+    envelope "submit_form" [ ("session", Pet_pet.Json.String sid) ];
+  ]
+
+(* Send a respondent's flow lockstep through [call], putting the session
+   the first reply minted where the flow says ["@k"]; the pairs, with
+   grant ids (drawn from one process-wide sequence, so interleaved
+   between concurrent flows) dropped. *)
+let run_flows call flows =
+  List.concat_map
+    (fun lines ->
+      let sid = ref "" in
+      List.map
+        (fun line ->
+          let line =
+            match String.index_opt line '@' with
+            | Some i when !sid <> "" ->
+              let j = String.index_from line i '"' in
+              String.sub line 0 i ^ !sid ^ String.sub line j (String.length line - j)
+            | _ -> line
+          in
+          let reply = call line in
+          if !sid = "" then sid := session_of reply;
+          let module Json = Pet_pet.Json in
+          let reply =
+            match json_of reply with
+            | Json.Obj kvs ->
+              Json.to_string
+                (Json.Obj
+                   (List.map
+                      (function
+                        | "ok", Json.Obj ok ->
+                          ("ok", Json.Obj (List.filter (fun (k, _) -> k <> "grant") ok))
+                        | kv -> kv)
+                      kvs))
+            | _ -> reply
+          in
+          (line, reply))
+        lines)
+    flows
+
+let test_shared_bdd_tenant () =
+  (* An 18-predicate tenant, so its engine is a BDD: two connections, one
+     per shard, run twelve respondents each at the same time against its
+     one artifact, and each connection's stream is answered exactly as
+     one sequential service answers it. *)
+  let form = Corpus.form ~seed:17 ~size:18 0 in
+  let flows conn = List.init 12 (fun k -> respondent_flow form ((2 * k) + conn)) in
+  let setup call =
+    ignore (call (envelope "publish_rules" (tenant_rules form)));
+    ignore
+      (call
+         (envelope "tenant"
+            [ ("name", Pet_pet.Json.String form.name); ("wait", Pet_pet.Json.Bool true) ]))
+  in
+  let expected =
+    let call = Service.handle_line (Service.create ~resolve ~now:Unix.gettimeofday ()) in
+    setup call;
+    List.map (fun conn -> normalize (run_flows call (flows conn))) [ 0; 1 ]
+  in
+  with_server ~domains:2 (fun server ->
+      with_conns server 2 (fun call ->
+          setup (call 0);
+          let answered =
+            List.map
+              (fun conn -> Domain.spawn (fun () -> run_flows (call conn) (flows conn)))
+              [ 0; 1 ]
+            |> List.map (fun d -> normalize (Domain.join d))
+          in
+          List.iteri
+            (fun conn (expected, answered) ->
+              Alcotest.(check (list string))
+                (Printf.sprintf "connection %d" conn)
+                expected answered)
+            (List.combine expected answered)))
+
 (* --- Dialing ----------------------------------------------------------------------- *)
 
 let test_dial () =
@@ -1952,6 +2117,10 @@ let () =
             test_reset_with_replies_pending;
           Alcotest.test_case "an update lands without a wait" `Quick
             test_update_lands_without_wait;
+          Alcotest.test_case "one build per tenant version" `Quick
+            test_one_build_per_tenant;
+          Alcotest.test_case "an 18-predicate tenant on two shards" `Quick
+            test_shared_bdd_tenant;
           Alcotest.test_case "new_session on a building tenant" `Quick
             test_new_session_on_building_tenant;
         ] );

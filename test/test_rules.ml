@@ -526,6 +526,54 @@ and test_spec_comments () =
   in
   Alcotest.(check int) "one predicate" 1 (Universe.size (Exposure.xp e))
 
+(* A tenant's artifact serves every shard, so one BDD-backed engine (a
+   [Compiled] engine above the tabulation threshold) is queried from two
+   domains at once. Each domain asks every question of 10,000 seeded
+   partial valuations of a 20-predicate corpus form, one domain in
+   reverse order, and must get the answers one domain alone gets. *)
+let test_bdd_engine_shared_by_domains () =
+  let form = Pet_corpus.Corpus.form ~seed:11 ~size:20 0 in
+  let e = Spec.parse_exn form.Pet_corpus.Corpus.text in
+  let xp = Exposure.xp e in
+  let np = Universe.size xp in
+  let engine = Engine.create ~backend:Engine.Compiled e in
+  let rng = Random.State.make [| 20 |] in
+  let queries =
+    Array.init 10_000 (fun _ ->
+        let dom = Random.State.bits rng land ((1 lsl np) - 1) in
+        (dom, Random.State.bits rng land dom))
+  in
+  let answer (dom, bits) =
+    let w = Partial.of_masks xp ~dom ~bits in
+    ( Engine.consistent engine w,
+      Engine.benefits engine w,
+      Engine.benefit_mask engine ~dom ~bits )
+  in
+  let alone = Array.map answer queries in
+  let n = Array.length queries in
+  let shared =
+    List.map
+      (fun reverse ->
+        Domain.spawn (fun () ->
+            Array.init n (fun k -> answer queries.(if reverse then n - 1 - k else k))))
+      [ false; true ]
+    |> List.map Domain.join
+  in
+  let mismatches answers ~reverse =
+    let wrong = ref 0 in
+    Array.iteri
+      (fun k a -> if a <> alone.(if reverse then n - 1 - k else k) then incr wrong)
+      answers;
+    !wrong
+  in
+  match shared with
+  | [ forward; backward ] ->
+    Alcotest.(check int) "forward domain's wrong answers" 0
+      (mismatches forward ~reverse:false);
+    Alcotest.(check int) "reverse domain's wrong answers" 0
+      (mismatches backward ~reverse:true)
+  | _ -> assert false
+
 let () =
   let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests) in
   Alcotest.run "pet_rules"
@@ -554,6 +602,8 @@ let () =
             test_benefit_mask_agrees;
           Alcotest.test_case "universe mismatch" `Quick
             test_engine_universe_mismatch;
+          Alcotest.test_case "one BDD engine, two domains" `Quick
+            test_bdd_engine_shared_by_domains;
         ] );
       ( "spec",
         [

@@ -87,6 +87,116 @@ let test_corpus_valuations () =
 
 (* --- Tenant registry ------------------------------------------------------------ *)
 
+(* The text build a resolver passes, for a registry whose every version
+   was built by its queued job. *)
+let no_build text = Alcotest.failf "unexpected build of %S" text
+
+(* [resolve]'s artifact, which must be ready. *)
+let artifact_of t ~build name =
+  match Tenant.resolve t ~build name with
+  | `Ready r -> r.Tenant.res_artifact
+  | `Failed (_, m) -> Alcotest.failf "%s failed: %s" name m
+  | `Unknown -> Alcotest.failf "%s unknown" name
+
+let test_resolvers_share_artifact () =
+  (* Every resolver, on any domain, gets the very artifact the build
+     produced — not a copy, and not [None] after the first. *)
+  let t : int ref Tenant.t = Tenant.create () in
+  ignore
+    (Tenant.publish t ~name:"acme" ~digest:"d1" ~text:"one" ~now:0.
+       ~build:(fun () -> Ok (ref 1))
+       ());
+  Tenant.await t "acme";
+  let first = artifact_of t ~build:no_build "acme" in
+  let others =
+    List.init 2 (fun _ ->
+        Domain.spawn (fun () ->
+            List.init 50 (fun _ -> artifact_of t ~build:no_build "acme")))
+    |> List.concat_map Domain.join
+  in
+  Alcotest.(check int) "the built value" 1 !first;
+  Alcotest.(check bool) "every resolver gets the same artifact" true
+    (List.for_all
+       (fun a -> a == first)
+       (artifact_of t ~build:no_build "acme" :: others));
+  Alcotest.(check bool) "so does a digest lookup" true
+    (match Tenant.artifact_of_digest t ~build:no_build "d1" with
+    | Some a -> a == first
+    | None -> false)
+
+let test_superseded_drops_artifact () =
+  (* Once a newer version is active the old one holds no artifact: the
+     registry keeps one per tenant, and the old version is served from
+     its text. *)
+  let t : int ref Tenant.t = Tenant.create () in
+  ignore
+    (Tenant.publish t ~name:"acme" ~digest:"d1" ~text:"one" ~now:0.
+       ~build:(fun () -> Ok (ref 1))
+       ());
+  Tenant.await t "acme";
+  let v1 = artifact_of t ~build:no_build "acme" in
+  ignore
+    (Tenant.update t ~name:"acme" ~digest:"d2" ~text:"two" ~now:1.
+       ~build:(fun () -> Ok (ref 2))
+       ());
+  (* Until version 2 lands, version 1 keeps serving with its artifact. *)
+  Alcotest.(check bool) "active version keeps it while the next builds" true
+    (match Tenant.artifact_of_digest t ~build:no_build "d1" with
+    | Some a -> a == v1
+    | None -> false);
+  Tenant.await t "acme";
+  let v2 = artifact_of t ~build:no_build "acme" in
+  Alcotest.(check int) "version 2 serves" 2 !v2;
+  Alcotest.(check bool) "the superseded version dropped its artifact" true
+    (Tenant.artifact_of_digest t ~build:no_build "d1" = None);
+  Alcotest.(check (option string)) "its text stays" (Some "one")
+    (Tenant.text_of_digest t "d1");
+  Alcotest.(check bool) "the active version holds its own" true
+    (match Tenant.artifact_of_digest t ~build:no_build "d2" with
+    | Some a -> a == v2
+    | None -> false);
+  Alcotest.(check bool) "unknown digest" true
+    (Tenant.artifact_of_digest t ~build:no_build "d9" = None)
+
+let test_restored_built_once () =
+  (* A restored version has no artifact. Its first resolver builds it
+     from the text and stores it; every later resolver, and a digest
+     lookup, takes that one. Two domains racing at first touch may both
+     build, but the first store wins and both get it. A superseded
+     restored version is never built. *)
+  let builds = Atomic.make 0 in
+  let build text =
+    Atomic.incr builds;
+    Unix.sleepf 0.01;
+    Ok (ref (String.length text))
+  in
+  let t : int ref Tenant.t = Tenant.create () in
+  Tenant.restore t ~name:"old" ~version:1 ~digest:"o1" ~text:"x" ~now:0. ();
+  Tenant.restore t ~name:"old" ~version:2 ~digest:"o2" ~text:"xy" ~now:0. ();
+  Tenant.restore t ~name:"race" ~version:1 ~digest:"r1" ~text:"xyz" ~now:0. ();
+  let first = artifact_of t ~build "old" in
+  Alcotest.(check int) "built from the active version's text" 2 !first;
+  Alcotest.(check int) "one build" 1 (Atomic.get builds);
+  Alcotest.(check bool) "then shared" true (artifact_of t ~build "old" == first);
+  Alcotest.(check bool) "by digest too" true
+    (match Tenant.artifact_of_digest t ~build "o2" with
+    | Some a -> a == first
+    | None -> false);
+  Alcotest.(check bool) "a superseded restored version is not built" true
+    (Tenant.artifact_of_digest t ~build "o1" = None);
+  Alcotest.(check int) "still one build" 1 (Atomic.get builds);
+  let racers =
+    List.init 2 (fun _ -> Domain.spawn (fun () -> artifact_of t ~build "race"))
+    |> List.map Domain.join
+  in
+  let winner = artifact_of t ~build "race" in
+  Alcotest.(check bool) "racers get the first stored" true
+    (List.for_all (fun a -> a == winner) racers);
+  let built = Atomic.get builds in
+  Alcotest.(check bool) "at most one build per racer" true (built = 2 || built = 3);
+  ignore (artifact_of t ~build "race");
+  Alcotest.(check int) "no build after the store" built (Atomic.get builds)
+
 let test_tenant_versions () =
   let t : int Tenant.t = Tenant.create () in
   (match
@@ -97,19 +207,11 @@ let test_tenant_versions () =
   | `Created -> ()
   | `Existing _ | `Conflict _ -> Alcotest.fail "expected `Created");
   Tenant.await t "acme";
-  (match Tenant.resolve t "acme" with
+  (match Tenant.resolve t ~build:no_build "acme" with
   | `Ready r ->
     Alcotest.(check int) "version 1" 1 r.Tenant.res_version;
     Alcotest.(check string) "digest" "d1" r.Tenant.res_digest;
-    Alcotest.(check (option int)) "artifact handed over" (Some 1)
-      r.Tenant.res_artifact;
-    (* The artifact is handed over exactly once; later resolvers
-       recompile from the retained text. *)
-    (match Tenant.resolve t "acme" with
-    | `Ready r ->
-      Alcotest.(check (option int)) "take-once" None r.Tenant.res_artifact;
-      Alcotest.(check string) "text retained" "one" r.Tenant.res_text
-    | _ -> Alcotest.fail "second resolve failed")
+    Alcotest.(check int) "the built artifact" 1 r.Tenant.res_artifact
   | `Failed _ | `Unknown -> Alcotest.fail "expected `Ready");
   (* Idempotent republish vs conflicting republish. *)
   (match
@@ -135,7 +237,7 @@ let test_tenant_versions () =
   | `Queued 2 -> ()
   | _ -> Alcotest.fail "expected `Queued 2");
   Tenant.await t "acme";
-  (match Tenant.resolve t "acme" with
+  (match Tenant.resolve t ~build:no_build "acme" with
   | `Ready r -> Alcotest.(check int) "active swapped" 2 r.Tenant.res_version
   | _ -> Alcotest.fail "expected version 2");
   (match
@@ -164,7 +266,7 @@ let test_tenant_versions () =
   | `Created -> ()
   | _ -> Alcotest.fail "expected `Created");
   Tenant.await t "bad";
-  (match Tenant.resolve t "bad" with
+  (match Tenant.resolve t ~build:no_build "bad" with
   | `Failed (1, m) -> Alcotest.(check string) "failure message" "boom" m
   | _ -> Alcotest.fail "expected `Failed");
   let totals = Tenant.totals t in
@@ -244,11 +346,10 @@ let test_waiter_runs_builds () =
   Tenant.await t "a";
   Alcotest.(check string) "await built a" "ready"
     (Tenant.state_name (Option.get (Tenant.info t "a")).Tenant.state);
-  (match Tenant.resolve t "b" with
-  | `Ready r ->
-    Alcotest.(check (option int)) "resolve built b" (Some 2) r.Tenant.res_artifact
+  (match Tenant.resolve t ~build:no_build "b" with
+  | `Ready r -> Alcotest.(check int) "resolve built b" 2 r.Tenant.res_artifact
   | `Failed _ | `Unknown -> Alcotest.fail "expected `Ready");
-  (match Tenant.resolve t "bad" with
+  (match Tenant.resolve t ~build:no_build "bad" with
   | `Failed (1, m) ->
     Alcotest.(check string) "the exception is the message" {|Failure("boom")|} m
   | _ -> Alcotest.fail "expected `Failed (1, _)");
@@ -390,6 +491,71 @@ let test_swap_keeps_pinned_engine () =
       baseline (send report_line)
   done
 
+let test_recovered_tenant_built_on_first_use () =
+  (* A tenant's log replays without a provider build: a replayed choice
+     or grant needs only the form universe. The first session after the
+     replay builds the tenant once, and a second shard sharing the
+     registry serves that same build. *)
+  let counter = Pet_obs.Metrics.counter "pet_provider_builds_total" in
+  let was_on = Pet_obs.Metrics.enabled () in
+  Pet_obs.Metrics.enable ();
+  Fun.protect ~finally:(fun () -> if not was_on then Pet_obs.Metrics.disable ())
+  @@ fun () ->
+  let now =
+    let tick = ref 0. in
+    fun () ->
+      tick := !tick +. 1.;
+      !tick
+  in
+  let live = Service.create ~now () in
+  let logged = ref [] in
+  Service.set_sink live
+    { Pet_server.Persist.emit = (fun e -> logged := e :: !logged) };
+  let call method_ params = Service.handle_line live (request_line method_ params) in
+  let form = Corpus.form ~seed:3 ~size:8 0 in
+  let name = Json.String form.Corpus.name in
+  ignore
+    (parse_ok
+       (call "publish_rules"
+          [ ("rules", Json.String form.Corpus.text); ("tenant", name) ]));
+  ignore (parse_ok (call "tenant" [ ("name", name); ("wait", Json.Bool true) ]));
+  let submitted = ref 0 in
+  for respondent = 0 to 7 do
+    let sid = str "session" (parse_ok (call "new_session" [ ("tenant", name) ])) in
+    let session = ("session", Json.String sid) in
+    let valuation = Corpus.valuation ~seed:3 form respondent in
+    match
+      Json.parse
+        (call "get_report" [ session; ("valuation", Json.String valuation) ])
+    with
+    | Ok o when Json.member "ok" o <> None ->
+      ignore (parse_ok (call "choose_option" [ session; ("option", Json.Int 0) ]));
+      ignore (parse_ok (call "submit_form" [ session ]));
+      incr submitted
+    | _ -> ()
+  done;
+  Alcotest.(check bool) "some respondents submitted" true (!submitted > 0);
+  let shared = Pet_server.Shared.create () and tenants = Tenant.create () in
+  let shards = Array.init 2 (fun _ -> Service.create ~shared ~tenants ~now ()) in
+  let before = Pet_obs.Metrics.counter_value counter in
+  List.iter
+    (fun event ->
+      match Service.apply_event shards.(0) event with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "replay: %s" m)
+    (List.rev !logged);
+  Alcotest.(check int) "replay builds nothing" 0
+    (Pet_obs.Metrics.counter_value counter - before);
+  Array.iter
+    (fun shard ->
+      ignore
+        (parse_ok
+           (Service.handle_line shard
+              (request_line "new_session" [ ("tenant", name) ]))))
+    shards;
+  Alcotest.(check int) "one build for both shards" 1
+    (Pet_obs.Metrics.counter_value counter - before)
+
 let () =
   Alcotest.run "pet_tenant"
     [
@@ -404,6 +570,12 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "versions" `Quick test_tenant_versions;
+          Alcotest.test_case "every resolver gets the same artifact" `Quick
+            test_resolvers_share_artifact;
+          Alcotest.test_case "a superseded version drops its artifact" `Quick
+            test_superseded_drops_artifact;
+          Alcotest.test_case "a restored version is built once and then shared"
+            `Quick test_restored_built_once;
           Alcotest.test_case "quota" `Quick test_tenant_quota;
           Alcotest.test_case "the barrier covers earlier builds" `Quick
             test_await_covers_earlier_builds;
@@ -414,5 +586,7 @@ let () =
         [
           Alcotest.test_case "hot swap keeps pinned engines" `Quick
             test_swap_keeps_pinned_engine;
+          Alcotest.test_case "a recovered tenant is built on first use" `Quick
+            test_recovered_tenant_built_on_first_use;
         ] );
     ]

@@ -474,7 +474,10 @@ let sweep () =
    keeps resident ([Obj.reachable_words]; the atlas holds its engine and
    the profile its atlas, so each row counts only what its stage adds),
    per player, so that a memory regression names its stage too, and the
-   words the domain's build scratch keeps between builds. *)
+   words the domain's build scratch keeps between builds. The atlas and
+   the profile keep their integer arrays as 32-bit cells
+   ([Pet_minimize.Cells]): on the fleet forms about 2.6 and 0.6 words
+   per player, against 4.8 and 1.1 as [int] arrays. *)
 let gc_collections () =
   let s = Gc.quick_stat () in
   (s.Gc.minor_collections, s.Gc.major_collections)

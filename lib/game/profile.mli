@@ -4,16 +4,21 @@
 
     Beside the moves, a profile keeps each MAS's crowd as a {!Crowd.t}
     aggregate — three ints per MAS, no per-player list — so every payoff
-    and disclosure of a move under the profile is O(1). *)
+    and disclosure of a move under the profile is O(1). Moves and
+    aggregates are kept as 32-bit {!Pet_minimize.Cells}: half a word per
+    player and a word and a half per MAS. *)
 
 type t
 
 val make : Pet_minimize.Atlas.t -> int array -> t
 (** [make atlas moves] assigns MAS [moves.(i)] to player [i], and
-    aggregates the crowds from those moves. The profile takes ownership
-    of [moves]: the caller must not change it afterwards.
-    @raise Invalid_argument when [moves] does not have one entry per
-    player, or some [moves.(i)] is not among player [i]'s choices. *)
+    aggregates the crowds from those moves. The profile copies [moves]
+    into cells of its own. Entries past [Atlas.player_count atlas] are
+    ignored: Algorithm 2 hands over an array from the domain's build
+    scratch, which may be longer.
+    @raise Invalid_argument when [moves] has fewer entries than there
+    are players, or some [moves.(i)] is not among player [i]'s
+    choices. *)
 
 val copy : t -> t
 (** The same profile with arrays of its own, for {!move}. *)

@@ -83,8 +83,8 @@ let deadlock_before es a b =
      && (moves.(a) < moves.(b)
         || (moves.(a) = moves.(b) && es.players.a.(a) < es.players.a.(b)))
 
-(* Every array but [committed], which becomes the profile's moves, is
-   taken from the domain's scratch (DESIGN.md §5). *)
+(* Every array is taken from the domain's scratch (DESIGN.md §5);
+   {!Profile.make} copies [committed] into the profile's cells. *)
 type state = {
   atlas : Atlas.t;
   scoring : Payoff.scorer;
@@ -144,7 +144,7 @@ let make_state scratch atlas payoff =
     ones = ints nm 0;
     zeros = ints nm 0;
     count = ints nm 0;
-    committed = Array.make np (-1);
+    committed = ints np (-1);
     best = ints np (-1);
     dominant = ints np 0;
     delisted = ints (match payoff with Payoff.Sm -> np | _ -> 0) (-1);
@@ -281,7 +281,8 @@ let commit st i m =
     st.live_len.(m) <- !kept - start
   end
 
-(* Algorithm 2 on the scratch's arrays; the moves it commits. *)
+(* Algorithm 2 on the scratch's arrays; the moves it commits, in a
+   scratch array that may be longer than the players. *)
 let select scratch atlas payoff =
   let st = make_state scratch atlas payoff in
   let n = Atlas.player_count atlas in
@@ -325,5 +326,5 @@ let select scratch atlas payoff =
 
 let compute ?(payoff = Payoff.Blank) atlas =
   Pet_obs.Span.enter "algorithm2" @@ fun () ->
-  Profile.make atlas
-    (Scratch.with_scratch (fun scratch -> select scratch atlas payoff))
+  Scratch.with_scratch (fun scratch ->
+      Profile.make atlas (select scratch atlas payoff))

@@ -57,10 +57,26 @@ let vars dnf =
   Sset.elements
     (List.fold_left (fun acc c -> List.fold_left add acc c) Sset.empty dnf)
 
-let pp_conjunction ppf = function
-  | [] -> Fmt.string ppf "true"
-  | c -> Fmt.(list ~sep:(any " & ") Literal.pp) ppf c
+(* [x1 sep x2 sep ... xn], each [x] printed by [add]. *)
+let add_separated b add sep = function
+  | [] -> ()
+  | x :: xs ->
+    add b x;
+    List.iter
+      (fun x ->
+        Buffer.add_string b sep;
+        add b x)
+      xs
 
-let pp ppf = function
-  | [] -> Fmt.string ppf "false"
-  | dnf -> Fmt.(list ~sep:(any " | ") pp_conjunction) ppf dnf
+let add_conjunction b = function
+  | [] -> Buffer.add_string b "true"
+  | c -> add_separated b Literal.add_to_buffer " & " c
+
+let add_to_buffer b = function
+  | [] -> Buffer.add_string b "false"
+  | dnf -> add_separated b add_conjunction " | " dnf
+
+let pp ppf dnf =
+  let b = Buffer.create 64 in
+  add_to_buffer b dnf;
+  Fmt.string ppf (Buffer.contents b)

@@ -32,4 +32,8 @@ val subsumes : conjunction -> conjunction -> bool
 val remove_subsumed : t -> t
 
 val pp : t Fmt.t
-val pp_conjunction : conjunction Fmt.t
+(** Conjunctions joined by [" | "], literals by [" & "]; [true] and
+    [false] for the empty conjunction and the empty DNF. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** What {!pp} prints, appended to the buffer. *)

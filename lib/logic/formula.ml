@@ -131,24 +131,37 @@ let equivalent f g =
 (* Printing with minimal parentheses. Precedences, tightest first:
    atoms/negation, conjunction, disjunction, implication (right
    associative), equivalence. *)
-let pp ppf f =
-  let rec go prec ppf f =
-    let paren p body = if p < prec then Fmt.pf ppf "(%t)" body else body ppf in
-    match f with
-    | True -> Fmt.string ppf "true"
-    | False -> Fmt.string ppf "false"
-    | Var x -> Fmt.string ppf x
-    | Not f -> paren 4 (fun ppf -> Fmt.pf ppf "!%a" (go 5) f)
-    | And (a, b) -> paren 3 (fun ppf -> Fmt.pf ppf "%a & %a" (go 3) a (go 4) b)
-    | Or (a, b) -> paren 2 (fun ppf -> Fmt.pf ppf "%a | %a" (go 2) a (go 3) b)
-    | Implies (a, b) ->
-      paren 1 (fun ppf -> Fmt.pf ppf "%a -> %a" (go 2) a (go 1) b)
-    | Iff (a, b) ->
-      paren 0 (fun ppf -> Fmt.pf ppf "%a <-> %a" (go 1) a (go 1) b)
+let add_to_buffer b f =
+  let rec go prec = function
+    | True -> Buffer.add_string b "true"
+    | False -> Buffer.add_string b "false"
+    | Var x -> Buffer.add_string b x
+    | Not f ->
+      if 4 < prec then Buffer.add_char b '(';
+      Buffer.add_char b '!';
+      go 5 f;
+      if 4 < prec then Buffer.add_char b ')'
+    | And (l, r) -> binary prec 3 l " & " r 3 4
+    | Or (l, r) -> binary prec 2 l " | " r 2 3
+    | Implies (l, r) -> binary prec 1 l " -> " r 2 1
+    | Iff (l, r) -> binary prec 0 l " <-> " r 1 1
+  (* An operator of precedence [p] in a context of [prec]: parenthesized
+     when it binds more loosely; its operands printed at [pl] and [pr]. *)
+  and binary prec p l op r pl pr =
+    if p < prec then Buffer.add_char b '(';
+    go pl l;
+    Buffer.add_string b op;
+    go pr r;
+    if p < prec then Buffer.add_char b ')'
   in
-  go 0 ppf f
+  go 0 f
 
-let to_string f = Fmt.str "%a" pp f
+let to_string f =
+  let b = Buffer.create 64 in
+  add_to_buffer b f;
+  Buffer.contents b
+
+let pp ppf f = Fmt.string ppf (to_string f)
 
 let ( && ) = and_
 let ( || ) = or_

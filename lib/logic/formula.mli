@@ -74,3 +74,6 @@ val pp : t Fmt.t
 (** Fully parenthesis-minimal printing, with [!], [&], [|], [->], [<->]. *)
 
 val to_string : t -> string
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** What {!pp} prints, appended to the buffer. *)

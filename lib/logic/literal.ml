@@ -17,4 +17,12 @@ let of_formula = function
   | _ -> None
 
 let holds rho l = Bool.equal (rho l.var) l.sign
-let pp ppf l = if l.sign then Fmt.string ppf l.var else Fmt.pf ppf "!%s" l.var
+
+let add_to_buffer b l =
+  if not l.sign then Buffer.add_char b '!';
+  Buffer.add_string b l.var
+
+let pp ppf l =
+  let b = Buffer.create 16 in
+  add_to_buffer b l;
+  Fmt.string ppf (Buffer.contents b)

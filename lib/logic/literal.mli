@@ -16,3 +16,6 @@ val of_formula : Formula.t -> t option
 
 val holds : (string -> bool) -> t -> bool
 val pp : t Fmt.t
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** What {!pp} prints, appended to the buffer. *)

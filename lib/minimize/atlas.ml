@@ -9,18 +9,30 @@ type t = {
   engine : Engine.t;
   xp : Universe.t;
   mas : Algorithm1.choice array; (* lexicographic order *)
-  players : int array; (* valuation bits, increasing *)
+  np : int;
+  (* Players: [Cells.length players], kept so that {!player_count}, which
+     Algorithm 2 calls in its loops, reads a field. A call to
+     [Cells.length] is not inlined across the -opaque modules of dune's
+     default profile. *)
+  (* The integer arrays are 32-bit {!Cells}: every value is a valuation
+     word of at most 24 bits, an index or an offset. *)
+  players : Cells.t; (* valuation bits, increasing *)
   (* The bipartite graph as two flat adjacency lists. The players of MAS
-     [m] are [crowds.(crowd_off.(m) .. crowd_off.(m + 1) - 1)], ascending
-     player indices; the choices of player [i] are [choices] over
-     [choice_off.(i) .. choice_off.(i + 1) - 1], ascending MAS indices. *)
-  crowd_off : int array;
-  crowds : int array;
-  choice_off : int array;
-  choices : int array;
+     [m] are [crowds] over [crowd_off[m] .. crowd_off[m + 1] - 1],
+     ascending player indices; the choices of player [i] are [choices]
+     over [choice_off[i] .. choice_off[i + 1] - 1], ascending MAS
+     indices. *)
+  crowd_off : Cells.t;
+  crowds : Cells.t;
+  choice_off : Cells.t;
+  choices : Cells.t;
 }
 
 let max_enumerable_predicates = 24
+
+(* Cell [i] of [c], unchecked: every read below is of an index the build
+   wrote or an accessor checked. *)
+let[@inline] cell c i = Int32.to_int (Cells.unsafe_get32 c (4 * i))
 
 let obs_mas_gauge = Pet_obs.Metrics.gauge "pet_atlas_mas"
 let obs_players_gauge = Pet_obs.Metrics.gauge "pet_atlas_players"
@@ -183,9 +195,10 @@ let build ?(mode = Algorithm1.Chain) engine =
   (* OCaml empties the minor heap before [Array.make], [init], [map] or
      [of_list] creates an array of more than 256 (Max_young_wosize)
      elements from a young block, and in a process of several domains
-     every minor collection stops the world (DESIGN.md §5). So every
-     array below holds ints, or, here, comes from [Array.concat], which
-     allocates a large result in the major heap. *)
+     every minor collection stops the world (DESIGN.md §5). So the MAS
+     array comes from [Array.concat], which allocates a large result in
+     the major heap, and every other array below is {!Cells}, which are
+     bytes. *)
   (* The MAS of one benefit bitset share its list of names. *)
   let names = Hashtbl.create 8 in
   let benefits granted =
@@ -223,7 +236,7 @@ let build ?(mode = Algorithm1.Chain) engine =
     done
   | None -> ());
   let members = Scratch.buffer scratch in
-  let crowd_off = Array.make (nm + 1) 0 in
+  let crowd_off = Cells.create (nm + 1) in
   for k = 0 to nm - 1 do
     let i = order.(k) in
     let b = bits.a.(i) and p = proves.a.(i) in
@@ -235,55 +248,59 @@ let build ?(mode = Algorithm1.Chain) engine =
       s := (!s - free) land free;
       continue := !s <> 0
     done;
-    crowd_off.(k + 1) <- members.len
+    Cells.set crowd_off (k + 1) members.len
   done;
-  let crowds = Wordbuf.to_array members in
   (* The benefit table is dead now; it becomes the player index. Crowd
      members are marked -1 (benefit bitsets are non-negative), then
      numbered in one ascending pass, and the crowds renumbered. *)
+  let ne = members.len in
   let np = ref 0 in
-  Array.iter
-    (fun v ->
-      if tab.(v) >= 0 then begin
-        tab.(v) <- -1;
-        incr np
-      end)
-    crowds;
+  for e = 0 to ne - 1 do
+    let v = members.a.(e) in
+    if tab.(v) >= 0 then begin
+      tab.(v) <- -1;
+      incr np
+    end
+  done;
   let np = !np in
-  let players = Array.make np 0 in
+  let players = Cells.create np in
   let next = ref 0 in
   for v = 0 to full do
     if tab.(v) < 0 then begin
       tab.(v) <- !next;
-      players.(!next) <- v;
+      Cells.set players !next v;
       incr next
     end
   done;
-  Array.iteri (fun e v -> crowds.(e) <- tab.(v)) crowds;
-  (* The choices of each player: count them into [choice_off.(p + 1)]
-     and sum, so [choice_off.(p)] is where [p]'s start; fill in MAS
-     order, advancing [choice_off.(p)] to where [p + 1]'s start; shift
-     back. *)
-  let choice_off = Array.make (np + 1) 0 in
-  Array.iter (fun p -> choice_off.(p + 1) <- choice_off.(p + 1) + 1) crowds;
-  for p = 0 to np - 1 do
-    choice_off.(p + 1) <- choice_off.(p + 1) + choice_off.(p)
+  for e = 0 to ne - 1 do
+    members.a.(e) <- tab.(members.a.(e))
   done;
-  let choices = Array.make (Array.length crowds) 0 in
+  let crowds = Cells.of_wordbuf members in
+  (* The choices of each player, in [members], which is dead now: count
+     them into [off.(p + 1)] and sum, so [off.(p)] is where [p]'s start
+     and [off] is [choice_off]; fill in MAS order, advancing [off.(p)]. *)
+  let off = members in
+  Wordbuf.fill off (np + 1) 0;
+  let off = off.a in
+  for e = 0 to ne - 1 do
+    let p = cell crowds e + 1 in
+    off.(p) <- off.(p) + 1
+  done;
+  for p = 1 to np do
+    off.(p) <- off.(p) + off.(p - 1)
+  done;
+  let choice_off = Cells.of_wordbuf members in
+  let choices = Cells.create ne in
   for m = 0 to nm - 1 do
-    for e = crowd_off.(m) to crowd_off.(m + 1) - 1 do
-      let p = crowds.(e) in
-      choices.(choice_off.(p)) <- m;
-      choice_off.(p) <- choice_off.(p) + 1
+    for e = cell crowd_off m to cell crowd_off (m + 1) - 1 do
+      let p = cell crowds e in
+      Cells.set choices off.(p) m;
+      off.(p) <- off.(p) + 1
     done
   done;
-  for p = np downto 1 do
-    choice_off.(p) <- choice_off.(p - 1)
-  done;
-  choice_off.(0) <- 0;
   Pet_obs.Metrics.set_gauge obs_mas_gauge (float_of_int nm);
   Pet_obs.Metrics.set_gauge obs_players_gauge (float_of_int np);
-  { engine; xp; mas; players; crowd_off; crowds; choice_off; choices }
+  { engine; xp; mas; np; players; crowd_off; crowds; choice_off; choices }
 
 let engine t = t.engine
 let mas_count t = Array.length t.mas
@@ -294,78 +311,93 @@ let mas t i =
 
 let mas_list t = Array.to_list t.mas
 
-(* Binary search over [a], sorted by [cmp]. *)
-let search a cmp x =
+(* Binary search over [0 .. n - 1] for the index whose [cmp] with [x],
+   ascending in the index, is 0. *)
+let search n cmp x =
   let rec go lo hi =
     if lo >= hi then None
     else
       let mid = (lo + hi) / 2 in
-      let c = cmp a.(mid) x in
+      let c = cmp mid x in
       if c = 0 then Some mid else if c < 0 then go (mid + 1) hi else go lo mid
   in
-  go 0 (Array.length a)
+  go 0 n
 
 (* [compare_lex] ranks each position _ < 0 < 1 from the domain and value
    masks, so on one universe it is 0 exactly when [Partial.equal] holds;
    the final [equal] also rejects a [w] with bits beyond the universe. *)
 let find_mas t w =
-  let cmp (c : Algorithm1.choice) w = Partial.compare_lex c.mas w in
-  match search t.mas cmp w with
+  let cmp i w = Partial.compare_lex t.mas.(i).Algorithm1.mas w in
+  match search (Array.length t.mas) cmp w with
   | Some i when Partial.equal t.mas.(i).mas w -> Some i
   | _ -> None
 
-let player_count t = Array.length t.players
-
-let player_bits t i =
-  if i < 0 || i >= Array.length t.players then
-    invalid_arg "Atlas.player: out of range";
-  t.players.(i)
-
-let player t i = Total.of_bits t.xp (player_bits t i)
-let find_player t v = search t.players Int.compare (Total.bits v)
+(* The accessors check the player or MAS index, and then read the
+   cells unchecked: the offsets are in range by construction. *)
+let player_count t = t.np
 
 let check_player t i =
-  if i < 0 || i >= Array.length t.players then
-    invalid_arg "Atlas.choices_of_player: out of range"
+  if i < 0 || i >= t.np then invalid_arg "Atlas.choices_of_player: out of range"
 
 let check_mas t m =
   if m < 0 || m >= Array.length t.mas then
     invalid_arg "Atlas.players_of_mas: out of range"
 
+let player_bits t i =
+  if i < 0 || i >= t.np then invalid_arg "Atlas.player: out of range";
+  cell t.players i
+
+let player t i = Total.of_bits t.xp (player_bits t i)
+
+let find_player t v =
+  search t.np
+    (fun i x -> Int.compare (cell t.players i) x)
+    (Total.bits v)
+
 let choice_count t i =
   check_player t i;
-  t.choice_off.(i + 1) - t.choice_off.(i)
+  cell t.choice_off (i + 1) - cell t.choice_off i
 
 let choice t i k =
-  if k < 0 || k >= choice_count t i then invalid_arg "Atlas.choice: out of range";
-  t.choices.(t.choice_off.(i) + k)
+  check_player t i;
+  let off = cell t.choice_off i in
+  if k < 0 || k >= cell t.choice_off (i + 1) - off then
+    invalid_arg "Atlas.choice: out of range";
+  cell t.choices (off + k)
+
+(* Whether [m] is among [choices] from [e] up to [last]. *)
+let rec scan_choices choices m e last =
+  e < last && (cell choices e = m || scan_choices choices m (e + 1) last)
+
+let has_choice t i m =
+  check_player t i;
+  scan_choices t.choices m (cell t.choice_off i) (cell t.choice_off (i + 1))
 
 let crowd_size t m =
   check_mas t m;
-  t.crowd_off.(m + 1) - t.crowd_off.(m)
+  cell t.crowd_off (m + 1) - cell t.crowd_off m
 
 let crowd_member t m k =
-  if k < 0 || k >= crowd_size t m then
+  check_mas t m;
+  let off = cell t.crowd_off m in
+  if k < 0 || k >= cell t.crowd_off (m + 1) - off then
     invalid_arg "Atlas.crowd_member: out of range";
-  t.crowds.(t.crowd_off.(m) + k)
+  cell t.crowds (off + k)
 
 let crowd_offset t m =
   if m < 0 || m > Array.length t.mas then
     invalid_arg "Atlas.crowd_offset: out of range";
-  t.crowd_off.(m)
+  cell t.crowd_off m
 
-let choices_of_player t i =
-  List.init (choice_count t i) (fun k -> t.choices.(t.choice_off.(i) + k))
-
-let players_of_mas t m =
-  List.init (crowd_size t m) (fun k -> t.crowds.(t.crowd_off.(m) + k))
+let choices_of_player t i = List.init (choice_count t i) (choice t i)
+let players_of_mas t m = List.init (crowd_size t m) (crowd_member t m)
 
 let forced_players_of_mas t m =
   List.filter (fun i -> choice_count t i = 1) (players_of_mas t m)
 
 let choice_distribution t =
   let tbl = Hashtbl.create 8 in
-  for i = 0 to Array.length t.players - 1 do
+  for i = 0 to player_count t - 1 do
     let k = choice_count t i in
     Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
   done;

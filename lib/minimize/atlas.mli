@@ -5,7 +5,13 @@
 
     Players of a MAS are counted as in the paper: all total extensions
     with the same benefit set, without re-filtering by [R_ADD] ("we
-    consider that all valuations are realistic", Section 4.1). *)
+    consider that all valuations are realistic", Section 4.1).
+
+    An atlas stays resident for as long as its form is served, so it is
+    kept compact: the players' valuation words and the graph's two flat
+    adjacency lists, with their offsets, are 32-bit {!Cells}, about 2.6
+    words per player on the fleet workload's forms beside the MAS
+    records. The accessors below read them without building lists. *)
 
 type t
 
@@ -48,6 +54,10 @@ val choice_count : t -> int -> int
 
 val choice : t -> int -> int -> int
 (** [choice t i k]: the [k]-th element of [choices_of_player t i]. *)
+
+val has_choice : t -> int -> int -> bool
+(** [has_choice t i m]: whether MAS [m] is among player [i]'s
+    choices. *)
 
 val players_of_mas : t -> int -> int list
 (** Player indices that can play the MAS — the "potential" crowd,

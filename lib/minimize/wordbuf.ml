@@ -60,5 +60,3 @@ let sort_unique b =
     done;
     b.len <- !kept
   end
-
-let to_array b = Array.sub b.a 0 b.len

@@ -23,6 +23,3 @@ val sort : t -> (int -> int -> int) -> unit
 
 val sort_unique : t -> unit
 (** Sort ascending and drop repeats, in place. *)
-
-val to_array : t -> int array
-(** A fresh array of the words. *)

@@ -107,17 +107,35 @@ let parse input =
 let parse_exn input =
   match parse input with Ok e -> e | Error m -> invalid_arg m
 
-let print ppf e =
-  Fmt.pf ppf "form %s@."
-    (String.concat " " (Universe.names (Exposure.xp e)));
-  Fmt.pf ppf "benefits %s@."
-    (String.concat " " (Universe.names (Exposure.xb e)));
+(* The canonical text, built in one buffer: tenant digests are taken over
+   it, and a publish line pays for every word it allocates. *)
+let to_string e =
+  let b = Buffer.create 512 in
+  let words prefix names =
+    Buffer.add_string b prefix;
+    List.iteri
+      (fun i w ->
+        if i > 0 then Buffer.add_char b ' ';
+        Buffer.add_string b w)
+      names;
+    Buffer.add_char b '\n'
+  in
+  words "form " (Universe.names (Exposure.xp e));
+  words "benefits " (Universe.names (Exposure.xb e));
   List.iter
     (fun (r : Rule.t) ->
-      Fmt.pf ppf "rule %s := %a@." r.benefit Pet_logic.Dnf.pp r.dnf)
+      Buffer.add_string b "rule ";
+      Buffer.add_string b r.benefit;
+      Buffer.add_string b " := ";
+      Pet_logic.Dnf.add_to_buffer b r.dnf;
+      Buffer.add_char b '\n')
     (Exposure.rules e);
   List.iter
-    (fun c -> Fmt.pf ppf "constraint %a@." F.pp c)
-    (Exposure.constraints e)
+    (fun c ->
+      Buffer.add_string b "constraint ";
+      F.add_to_buffer b c;
+      Buffer.add_char b '\n')
+    (Exposure.constraints e);
+  Buffer.contents b
 
-let to_string e = Fmt.str "%a" print e
+let print ppf e = Fmt.string ppf (to_string e)

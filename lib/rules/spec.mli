@@ -20,8 +20,11 @@ val parse : string -> (Exposure.t, string) result
 val parse_exn : string -> Exposure.t
 (** @raise Invalid_argument with the error message. *)
 
-val print : Exposure.t Fmt.t
-(** Render an exposure problem back to the rule-file syntax; [parse] of
-    the output reconstructs an equivalent problem. *)
-
 val to_string : Exposure.t -> string
+(** Render an exposure problem back to the rule-file syntax; [parse] of
+    the output reconstructs an equivalent problem. It is the canonical
+    text that rule and tenant digests are taken over, built in one
+    buffer without [Format]. *)
+
+val print : Exposure.t Fmt.t
+(** Prints {!to_string}'s text. *)

@@ -139,6 +139,31 @@ let prop_parse_print_roundtrip =
   QCheck2.Test.make ~count:500 ~name:"parse (print f) = f" ~print:print_formula
     gen_formula (fun f -> F.equal (Parse.formula (F.to_string f)) f)
 
+(* The Format printer [F.to_string] replaced, as it was: the buffer
+   printer must print the same text, since tenant digests are taken over
+   rule texts that hold formulas. *)
+let reference_pp ppf f =
+  let rec go prec ppf f =
+    let paren p body = if p < prec then Fmt.pf ppf "(%t)" body else body ppf in
+    match (f : F.t) with
+    | True -> Fmt.string ppf "true"
+    | False -> Fmt.string ppf "false"
+    | Var x -> Fmt.string ppf x
+    | Not f -> paren 4 (fun ppf -> Fmt.pf ppf "!%a" (go 5) f)
+    | And (a, b) -> paren 3 (fun ppf -> Fmt.pf ppf "%a & %a" (go 3) a (go 4) b)
+    | Or (a, b) -> paren 2 (fun ppf -> Fmt.pf ppf "%a | %a" (go 2) a (go 3) b)
+    | Implies (a, b) ->
+      paren 1 (fun ppf -> Fmt.pf ppf "%a -> %a" (go 2) a (go 1) b)
+    | Iff (a, b) ->
+      paren 0 (fun ppf -> Fmt.pf ppf "%a <-> %a" (go 1) a (go 1) b)
+  in
+  go 0 ppf f
+
+let prop_print_matches_format =
+  QCheck2.Test.make ~count:500 ~name:"to_string f = the Format printer's text"
+    ~print:print_formula gen_formula (fun f ->
+      String.equal (F.to_string f) (Fmt.str "%a" reference_pp f))
+
 let test_parse_alternative_spellings () =
   let check s expected =
     Alcotest.check formula_testable s (Parse.formula expected) (Parse.formula s)
@@ -319,6 +344,7 @@ let () =
       qsuite "properties"
         [
           prop_parse_print_roundtrip;
+          prop_print_matches_format;
           prop_all_assignments_complete;
           prop_nnf_equivalent;
           prop_nnf_shape;

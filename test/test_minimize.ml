@@ -777,6 +777,62 @@ let test_scratch_two_domains () =
         && List.nth b k = List.nth expected k))
     forms
 
+(* --- Resident words of a provider artifact ------------------------------------ *)
+
+(* A tenant's artifact stays resident while it is the active version, so
+   a collector pays these words per hosted form. Over the 200 forms of
+   the fleet workload on the compiled backend, the atlas's own words
+   ([Obj.reachable_words] beyond its engine's) and the profile's (beyond
+   its atlas's), per player. With 64-bit [int] arrays they read 4.8 and
+   1.1; the 32-bit cells halve the arrays. Word counts do not depend on
+   timing. *)
+let test_resident_words_per_player () =
+  let forms =
+    (Pet_corpus.Corpus.scenario ~seed:0 ~lo:8 ~hi:12 ~count:200 ()).forms
+  in
+  let atlas_words = ref 0 and profile_words = ref 0 and players = ref 0 in
+  Array.iter
+    (fun (f : Pet_corpus.Corpus.form) ->
+      let engine =
+        Engine.create ~backend:Engine.Compiled (Pet_rules.Spec.parse_exn f.text)
+      in
+      let atlas = Atlas.build engine in
+      let profile = Pet_game.Strategy.compute atlas in
+      let words x = Obj.reachable_words (Obj.repr x) in
+      let e = words engine and a = words atlas in
+      atlas_words := !atlas_words + a - e;
+      profile_words := !profile_words + words profile - a;
+      players := !players + Atlas.player_count atlas)
+    forms;
+  let per_player w = float_of_int w /. float_of_int !players in
+  let check name w ceiling =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.3f words per player <= %.1f" name (per_player w)
+         ceiling)
+      true
+      (per_player w <= ceiling)
+  in
+  check "atlas" !atlas_words 2.6;
+  check "profile" !profile_words 0.6
+
+(* A cell holds 31 bits and never truncates. *)
+let test_cells_range () =
+  let module Cells = Pet_minimize.Cells in
+  let c = Cells.create 3 in
+  let rejects x =
+    match Cells.set c 1 x with exception Invalid_argument _ -> true | () -> false
+  in
+  Alcotest.(check bool) "-1 rejected" true (rejects (-1));
+  Alcotest.(check bool) "2^31 rejected" true (rejects (1 lsl 31));
+  Alcotest.(check bool) "min_int rejected" true (rejects min_int);
+  Cells.set c 0 Cells.max_value;
+  Cells.set c 2 7;
+  Alcotest.(check (list int)) "stored" [ Cells.max_value; 0; 7 ]
+    (List.init (Cells.length c) (fun i ->
+         Int32.to_int (Cells.unsafe_get32 c (4 * i))));
+  Alcotest.(check bool) "index past the end rejected" true
+    (match Cells.set c 3 0 with exception Invalid_argument _ -> true | () -> false)
+
 (* --- Random-problem properties ----------------------------------------------- *)
 
 let gen_problem =
@@ -1233,6 +1289,10 @@ let () =
             test_scratch_alternating_sizes;
           Alcotest.test_case "scratch: two domains at once" `Quick
             test_scratch_two_domains;
+          Alcotest.test_case "resident words per player" `Quick
+            test_resident_words_per_player;
+          Alcotest.test_case "cells reject values outside 31 bits" `Quick
+            test_cells_range;
         ] );
       ( "baseline",
         [

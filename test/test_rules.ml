@@ -495,6 +495,60 @@ let test_spec_roundtrip () =
         (F.equivalent (Exposure.to_formula e) (Exposure.to_formula e')))
     [ Running.exposure (); Hcov.exposure (); Pet_casestudies.Rsa.exposure () ]
 
+(* The Format printer of a DNF that [Spec.to_string] replaced, as it
+   was; test_logic compares formulas against the old one. *)
+module Reference_print = struct
+  let conjunction ppf = function
+    | [] -> Fmt.string ppf "true"
+    | c -> Fmt.(list ~sep:(any " & ") Pet_logic.Literal.pp) ppf c
+
+  let dnf ppf = function
+    | [] -> Fmt.string ppf "false"
+    | d -> Fmt.(list ~sep:(any " | ") conjunction) ppf d
+
+  let spec ppf e =
+    Fmt.pf ppf "form %s@."
+      (String.concat " " (Universe.names (Exposure.xp e)));
+    Fmt.pf ppf "benefits %s@."
+      (String.concat " " (Universe.names (Exposure.xb e)));
+    List.iter
+      (fun (r : Rule.t) -> Fmt.pf ppf "rule %s := %a@." r.benefit dnf r.dnf)
+      (Exposure.rules e);
+    List.iter
+      (fun c -> Fmt.pf ppf "constraint %a@." F.pp c)
+      (Exposure.constraints e)
+end
+
+(* Tenant digests are taken over [Spec.to_string], so its text must stay
+   byte for byte what the Format printer printed: on the case studies
+   and on seed-0 corpus forms of 6 to 24 predicates. *)
+let test_spec_to_string_is_print () =
+  let corpus =
+    List.concat_map
+      (fun size ->
+        List.init 4 (fun i ->
+            ( Printf.sprintf "corpus size %d #%d" size i,
+              Spec.parse_exn
+                (Pet_corpus.Corpus.form ~seed:0 ~size i).Pet_corpus.Corpus.text
+            )))
+      (List.init 19 (fun k -> 6 + k))
+  in
+  List.iter
+    (fun (name, e) ->
+      let text = Spec.to_string e in
+      Alcotest.(check string) (name ^ ": print") (Fmt.str "%a" Spec.print e) text;
+      Alcotest.(check string)
+        (name ^ ": the Format printer")
+        (Fmt.str "%a" Reference_print.spec e)
+        text)
+    ([
+       ("running", Running.exposure ());
+       ("hcov", Hcov.exposure ());
+       ("rsa", Pet_casestudies.Rsa.exposure ());
+       ("loan", Pet_casestudies.Loan.exposure ());
+     ]
+    @ corpus)
+
 let test_spec_errors () =
   let err s = match Spec.parse s with Error m -> Some m | Ok _ -> None in
   let check_err name input =
@@ -608,6 +662,8 @@ let () =
       ( "spec",
         [
           Alcotest.test_case "roundtrip" `Quick test_spec_roundtrip;
+          Alcotest.test_case "to_string is print's text" `Quick
+            test_spec_to_string_is_print;
           Alcotest.test_case "errors" `Quick test_spec_errors;
           Alcotest.test_case "comments" `Quick test_spec_comments;
         ] );

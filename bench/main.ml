@@ -474,10 +474,12 @@ let sweep () =
    keeps resident ([Obj.reachable_words]; the atlas holds its engine and
    the profile its atlas, so each row counts only what its stage adds),
    per player, so that a memory regression names its stage too, and the
-   words the domain's build scratch keeps between builds. The atlas and
-   the profile keep their integer arrays as 32-bit cells
-   ([Pet_minimize.Cells]): on the fleet forms about 2.6 and 0.6 words
-   per player, against 4.8 and 1.1 as [int] arrays. *)
+   words the domain's build scratch keeps between builds. The engine's
+   words are also given per valuation ([2^n] per form), split into what
+   its backend adds (the compiled engine's one table of [2^n] entries,
+   one byte each on the fleet forms, or the BDD) and its exposure. The
+   atlas and the profile keep their integer arrays as 16-bit cells where
+   the values fit ([Pet_minimize.Cells]). *)
 let gc_collections () =
   let s = Gc.quick_stat () in
   (s.Gc.minor_collections, s.Gc.major_collections)
@@ -554,6 +556,7 @@ let provider_gc () =
       (* Resident words of the engine, the atlas and the profile, and
          the players they serve. *)
       let resident = Array.make 3 0 and players = ref 0 in
+      let exposure_words = ref 0 and valuations = ref 0 in
       Gc.compact ();
       List.iter2
         (fun e keys ->
@@ -569,6 +572,10 @@ let provider_gc () =
           resident.(1) <- resident.(1) + words.(1) - words.(0);
           resident.(2) <- resident.(2) + words.(2) - words.(1);
           players := !players + Atlas.player_count atlas;
+          exposure_words := !exposure_words + Obj.reachable_words (Obj.repr e);
+          valuations :=
+            !valuations
+            + (1 lsl Pet_valuation.Universe.size (Pet_rules.Exposure.xp e));
           if backend = Engine.Bdd then nodes := node_count engine :: !nodes)
         forms keys;
       Array.iteri
@@ -585,6 +592,14 @@ let provider_gc () =
          %.1f, profile %.1f; the domain's build scratch keeps %d words@."
         label !players (per_player 0) (per_player 1) (per_player 2)
         (Pet_minimize.Scratch.retained_words ());
+      let per_valuation w = float_of_int w /. float_of_int !valuations in
+      Fmt.pr
+        "%s engine resident words per valuation (%d valuations): %.3f, of \
+         which the %s backend %.4f and the exposure %.4f@."
+        label !valuations (per_valuation resident.(0))
+        (Engine.backend_name backend)
+        (per_valuation (resident.(0) - !exposure_words))
+        (per_valuation !exposure_words);
       if !nodes <> [] then
         Fmt.pr "BDD nodes after each %s build: %s@." label
           (String.concat " " (List.rev_map string_of_int !nodes)))

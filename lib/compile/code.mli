@@ -11,11 +11,14 @@
     For forms up to {!max_tabulated_predicates} predicates the
     constructor additionally tabulates, for every one of the [2^n]
     total valuations, whether it satisfies the consistency constraints
-    and which benefits it triggers. Every proof-relation question
-    ([w, R |= _]) then reduces to a walk over the consistent
-    completions of [w] — a submask enumeration reading two flat
-    arrays. This is the compiled engine backend; the brute/SAT/BDD
-    backends differentially test it (DESIGN.md §14). *)
+    and which benefits it triggers, in one table: a valuation's entry
+    is its benefit bitset and its consistency flag, one byte for a form
+    of at most 7 benefits and eight bytes beyond. Every proof-relation
+    question ([w, R |= _]) then reduces to a walk over the consistent
+    completions of [w] — a submask enumeration reading one entry per
+    completion. This is the
+    compiled engine backend; the brute/SAT/BDD backends differentially
+    test it (DESIGN.md §14). *)
 
 type conj = { mask : int; bits : int }
 (** One compiled conjunction: [v] satisfies it iff
@@ -38,27 +41,22 @@ val compile_formula :
     @raise Not_found when the formula mentions a variable outside the
     universe. *)
 
-val benefit_table : n:int -> conj array array -> int array
-(** [benefit_table ~n groups]: for every valuation word [v] of [n]
-    predicates, the bitset whose bit [i] is set iff some conjunction of
-    [groups.(i)] holds on [v]. With a benefit's rule per group it is the
-    benefit bitset of every total valuation, the table {!create} keeps.
-    Each conjunction sets its bit on its [2^(n - k)] completions ([k]
-    literals), so the cost follows the rules, not [2^n] times their
-    size. No size limit beyond the [2^n] entries; [groups] must have at
-    most [Sys.int_size] entries. *)
-
 val fill_benefit_table : n:int -> conj array array -> int array -> unit
-(** [fill_benefit_table ~n groups tab]: {!benefit_table} into the first
-    [2^n] elements of [tab], which may be longer; the rest is left as it
-    was. *)
+(** [fill_benefit_table ~n groups tab]: for every valuation word [v] of
+    [n] predicates, sets [tab.(v)] to the bitset whose bit [i] is set iff
+    some conjunction of [groups.(i)] holds on [v]. With a benefit's rule
+    per group it is the benefit bitset of every total valuation. Each
+    conjunction sets its bit on its [2^(n - k)] completions ([k]
+    literals), so the cost follows the rules, not [2^n] times their
+    size. [tab] may be longer than [2^n]; the rest is left as it was.
+    [groups] must have at most [Sys.int_size] entries. *)
 
 type t
 
 val max_tabulated_predicates : int
 (** [16]: the largest form size whose [2^n] valuation tables are
     tabulated at publish time (64K entries — microseconds to build,
-    kilobytes to hold). Callers with bigger forms must fall back to a
+    64 KiB to hold at one byte per entry). Callers with bigger forms must fall back to a
     symbolic backend; {!create} refuses them. *)
 
 val create :
@@ -71,8 +69,8 @@ val create :
     mapping each benefit to its decision rule's DNF (over [xp] only),
     [constraints] the [R_ADD] formulas (over [xp] only).
     @raise Invalid_argument when [xp] exceeds
-    {!max_tabulated_predicates} or a formula mentions a variable
-    outside [xp]. *)
+    {!max_tabulated_predicates}, there are more than [Sys.int_size - 1]
+    benefits, or a formula mentions a variable outside [xp]. *)
 
 val predicates : t -> int
 (** Form universe size [n]; valuation words use bits [0..n-1]. *)
@@ -82,19 +80,18 @@ val benefit_name : t -> int -> string
 val full_benefit_mask : t -> int
 (** [(1 lsl benefit_count) - 1]. *)
 
-val conjunctions : t -> int -> conj array
-(** The compiled DNF of benefit [i]'s rule. *)
-
 val conj_holds : conj -> int -> bool
 (** [conj_holds c v] is [(v land c.mask) = c.bits]. *)
 
 val consistent_bits : t -> int -> bool
-(** Table lookup: does total valuation [v] satisfy the constraints? *)
+(** Table lookup: does total valuation [v] satisfy the constraints?
+    @raise Invalid_argument when [v] is outside [0 .. 2^n - 1]. *)
 
 val benefit_bits : t -> int -> int
 (** Table lookup: the bitset of benefits triggered by total valuation
     [v] (bit [i] = benefit [i] in benefit-universe order). Ignores the
-    constraints, like {!Pet_rules.Exposure.benefits_of_assignment}. *)
+    constraints, like {!Pet_rules.Exposure.benefits_of_assignment}.
+    @raise Invalid_argument when [v] is outside [0 .. 2^n - 1]. *)
 
 val benefit_mask : t -> dom:int -> bits:int -> int
 (** The AND of the benefit bitsets of the consistent completions of the

@@ -1,27 +1,37 @@
 module Atlas = Pet_minimize.Atlas
 module Cells = Pet_minimize.Cells
 
-(* Every array is 32-bit {!Cells}. A crowd's [zeros] is the OR of its
-   members' complements: valuation words have at most 24 bits, so a
-   non-empty crowd's [zeros] has every bit from the 24th up set, and an
-   empty one's is 0. The cell keeps its low 31 bits and [zeros] puts the
-   rest back from [count]. *)
+(* Both arrays are {!Cells}, as narrow as their largest values allow.
+   The aggregate of MAS [m]'s crowd (see {!Crowd}) is the three cells
+   from [3 * m]: its [ones], [zeros] and [count], side by side, and one
+   array rather than three saves a block per profile. A crowd's [zeros]
+   is the OR of its members' complements. The cells are at least as
+   wide as the OR of every player's word, so a non-empty crowd's
+   [zeros] has every bit above the cells' capacity set, and an empty
+   one's is 0. The cell keeps the bits within its capacity and [zeros]
+   puts the rest back from [count]. *)
 type t = {
   atlas : Atlas.t;
   moves : Cells.t; (* player index -> mas index *)
-  (* Per MAS index, the aggregate of its crowd (see {!Crowd}). *)
-  ones : Cells.t;
-  zeros : Cells.t;
-  count : Cells.t;
+  crowds : Cells.t;
 }
 
 (* Cell [i] of [c], unchecked: callers check [i] against the atlas. *)
-let[@inline] cell c i = Int32.to_int (Cells.unsafe_get32 c (4 * i))
+let[@inline] cell c i =
+  if Cells.byte c 0 = '\002' then Cells.get16 c ((2 * i) + 2)
+  else Int32.to_int (Cells.get32 c ((4 * i) + 4))
+
+let[@inline] ones t m = cell t.crowds (3 * m)
+let[@inline] count t m = cell t.crowds ((3 * m) + 2)
 
 let[@inline] zeros t m =
-  if cell t.count m = 0 then 0 else cell t.zeros m lor lnot Cells.max_value
+  if count t m = 0 then 0
+  else cell t.crowds ((3 * m) + 1) lor lnot (Cells.capacity t.crowds)
 
-let set_zeros t m z = Cells.set t.zeros m (z land Cells.max_value)
+let set_aggregate t m ~ones ~zeros ~count =
+  Cells.set t.crowds (3 * m) ones;
+  Cells.set t.crowds ((3 * m) + 1) (zeros land Cells.capacity t.crowds);
+  Cells.set t.crowds ((3 * m) + 2) count
 
 let check_choice name atlas i m =
   if not (Atlas.has_choice atlas i m) then
@@ -42,21 +52,27 @@ let recount t m =
       incr count
     end
   done;
-  Cells.set t.ones m !ones;
-  set_zeros t m !zeros;
-  Cells.set t.count m !count
+  set_aggregate t m ~ones:!ones ~zeros:!zeros ~count:!count
 
 let make atlas moves =
   let np = Atlas.player_count atlas and nm = Atlas.mas_count atlas in
   if Array.length moves < np then
     invalid_arg "Profile.make: fewer moves than players";
+  (* Players ascend, so no word has a bit above the last one's highest:
+     [words] sets that bit and every lower one, so no crowd's [ones]
+     exceeds it. *)
+  let words =
+    if np = 0 then 0
+    else
+      let top = Atlas.player_bits atlas (np - 1) in
+      let rec fill w = if w >= top then w else fill ((2 * w) + 1) in
+      fill 0
+  in
   let t =
     {
       atlas;
-      moves = Cells.create np;
-      ones = Cells.create nm;
-      zeros = Cells.create nm;
-      count = Cells.create nm;
+      moves = Cells.create ~max:(nm - 1) np;
+      crowds = Cells.create ~max:(Int.max words np) (3 * nm);
     }
   in
   for i = 0 to np - 1 do
@@ -72,9 +88,7 @@ let copy t =
   {
     t with
     moves = Cells.copy t.moves;
-    ones = Cells.copy t.ones;
-    zeros = Cells.copy t.zeros;
-    count = Cells.copy t.count;
+    crowds = Cells.copy t.crowds;
   }
 
 (* The target's crowd is joined in O(1); an OR cannot be undone, so the
@@ -87,9 +101,8 @@ let move t i m =
   if from <> m then begin
     Cells.set t.moves i m;
     let bits = Atlas.player_bits t.atlas i in
-    Cells.set t.ones m (cell t.ones m lor bits);
-    set_zeros t m (zeros t m lor lnot bits);
-    Cells.set t.count m (cell t.count m + 1);
+    set_aggregate t m ~ones:(ones t m lor bits)
+      ~zeros:(zeros t m lor lnot bits) ~count:(count t m + 1);
     recount t from
   end
 
@@ -101,16 +114,16 @@ let move_of t i =
   cell t.moves i
 
 let check_mas t m name =
-  if m < 0 || m >= Cells.length t.count then
+  if m < 0 || m >= Atlas.mas_count t.atlas then
     invalid_arg ("Profile." ^ name ^ ": out of range")
 
 let aggregate t m =
   check_mas t m "aggregate";
-  Crowd.make ~ones:(cell t.ones m) ~zeros:(zeros t m) ~count:(cell t.count m)
+  Crowd.make ~ones:(ones t m) ~zeros:(zeros t m) ~count:(count t m)
 
 let crowd_size t m =
   check_mas t m "crowd_size";
-  cell t.count m
+  count t m
 
 let crowd t m =
   check_mas t m "crowd";

@@ -5,8 +5,9 @@
     Beside the moves, a profile keeps each MAS's crowd as a {!Crowd.t}
     aggregate — three ints per MAS, no per-player list — so every payoff
     and disclosure of a move under the profile is O(1). Moves and
-    aggregates are kept as 32-bit {!Pet_minimize.Cells}: half a word per
-    player and a word and a half per MAS. *)
+    aggregates are kept as {!Pet_minimize.Cells}, 16 bits each where
+    the atlas's sizes and valuation words fit: a quarter of a word per
+    player and three quarters per MAS. *)
 
 type t
 

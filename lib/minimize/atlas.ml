@@ -14,8 +14,9 @@ type t = {
      Algorithm 2 calls in its loops, reads a field. A call to
      [Cells.length] is not inlined across the -opaque modules of dune's
      default profile. *)
-  (* The integer arrays are 32-bit {!Cells}: every value is a valuation
-     word of at most 24 bits, an index or an offset. *)
+  (* The integer arrays are {!Cells}, each as narrow as its largest
+     value allows: every value is a valuation word of at most 24 bits, an
+     index or an offset. *)
   players : Cells.t; (* valuation bits, increasing *)
   (* The bipartite graph as two flat adjacency lists. The players of MAS
      [m] are [crowds] over [crowd_off[m] .. crowd_off[m + 1] - 1],
@@ -32,7 +33,9 @@ let max_enumerable_predicates = 24
 
 (* Cell [i] of [c], unchecked: every read below is of an index the build
    wrote or an accessor checked. *)
-let[@inline] cell c i = Int32.to_int (Cells.unsafe_get32 c (4 * i))
+let[@inline] cell c i =
+  if Cells.byte c 0 = '\002' then Cells.get16 c ((2 * i) + 2)
+  else Int32.to_int (Cells.get32 c ((4 * i) + 4))
 
 let obs_mas_gauge = Pet_obs.Metrics.gauge "pet_atlas_mas"
 let obs_players_gauge = Pet_obs.Metrics.gauge "pet_atlas_players"
@@ -199,19 +202,23 @@ let build ?(mode = Algorithm1.Chain) engine =
      array comes from [Array.concat], which allocates a large result in
      the major heap, and every other array below is {!Cells}, which are
      bytes. *)
-  (* The MAS of one benefit bitset share its list of names. *)
+  (* The MAS of one benefit bitset share its list of names, and the list
+     of a bitset is its lowest benefit's name on the list of the rest, so
+     each bitset costs one cons cell. *)
   let names = Hashtbl.create 8 in
-  let benefits granted =
-    match Hashtbl.find_opt names granted with
-    | Some l -> l
-    | None ->
-      let l =
-        List.filteri
-          (fun i _ -> granted land (1 lsl i) <> 0)
-          (Universe.names xb)
-      in
-      Hashtbl.add names granted l;
-      l
+  let rec benefits granted =
+    if granted = 0 then []
+    else
+      match Hashtbl.find_opt names granted with
+      | Some l -> l
+      | None ->
+        let low = granted land -granted in
+        let l =
+          Universe.name xb (Universe.popcount (low - 1))
+          :: benefits (granted lxor low)
+        in
+        Hashtbl.add names granted l;
+        l
   in
   let mas = ref [] in
   for k = nm - 1 downto 0 do
@@ -236,7 +243,8 @@ let build ?(mode = Algorithm1.Chain) engine =
     done
   | None -> ());
   let members = Scratch.buffer scratch in
-  let crowd_off = Cells.create (nm + 1) in
+  let offsets = Scratch.buffer scratch in
+  Wordbuf.push offsets 0;
   for k = 0 to nm - 1 do
     let i = order.(k) in
     let b = bits.a.(i) and p = proves.a.(i) in
@@ -248,22 +256,24 @@ let build ?(mode = Algorithm1.Chain) engine =
       s := (!s - free) land free;
       continue := !s <> 0
     done;
-    Cells.set crowd_off (k + 1) members.len
+    Wordbuf.push offsets members.len
   done;
+  let crowd_off = Cells.of_wordbuf offsets in
   (* The benefit table is dead now; it becomes the player index. Crowd
      members are marked -1 (benefit bitsets are non-negative), then
      numbered in one ascending pass, and the crowds renumbered. *)
   let ne = members.len in
-  let np = ref 0 in
+  let np = ref 0 and top = ref 0 in
   for e = 0 to ne - 1 do
     let v = members.a.(e) in
     if tab.(v) >= 0 then begin
       tab.(v) <- -1;
-      incr np
+      incr np;
+      top := Int.max !top v
     end
   done;
   let np = !np in
-  let players = Cells.create np in
+  let players = Cells.create ~max:!top np in
   let next = ref 0 in
   for v = 0 to full do
     if tab.(v) < 0 then begin
@@ -290,9 +300,9 @@ let build ?(mode = Algorithm1.Chain) engine =
     off.(p) <- off.(p) + off.(p - 1)
   done;
   let choice_off = Cells.of_wordbuf members in
-  let choices = Cells.create ne in
+  let choices = Cells.create ~max:(nm - 1) ne in
   for m = 0 to nm - 1 do
-    for e = cell crowd_off m to cell crowd_off (m + 1) - 1 do
+    for e = offsets.a.(m) to offsets.a.(m + 1) - 1 do
       let p = cell crowds e in
       Cells.set choices off.(p) m;
       off.(p) <- off.(p) + 1

@@ -9,9 +9,9 @@
 
     An atlas stays resident for as long as its form is served, so it is
     kept compact: the players' valuation words and the graph's two flat
-    adjacency lists, with their offsets, are 32-bit {!Cells}, about 2.6
-    words per player on the fleet workload's forms beside the MAS
-    records. The accessors below read them without building lists. *)
+    adjacency lists, with their offsets, are {!Cells} of 16 bits where
+    their values fit, else 32; on the fleet workload's forms all are 16
+    bits. The accessors below read them without building lists. *)
 
 type t
 

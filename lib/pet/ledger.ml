@@ -2,9 +2,17 @@ module Partial = Pet_valuation.Partial
 
 type entry = { id : int; mutable grant : Workflow.grant option }
 
-type t = { mutable entries : entry list (* newest first *); mutable next : int }
+type t = {
+  mutable entries : entry list; (* newest first *)
+  mutable next : int;
+  mutable stored : int; (* the predicate values the live grants hold *)
+}
 
-let create () = { entries = []; next = 0 }
+let create () = { entries = []; next = 0; stored = 0 }
+
+let values = function
+  | Some grant -> Partial.domain_size grant.Workflow.form
+  | None -> 0
 
 let reserve t =
   let id = t.next in
@@ -24,6 +32,7 @@ let restore t id grant =
   | Some entries ->
     t.entries <- entries;
     t.next <- max t.next (id + 1);
+    t.stored <- t.stored + values grant;
     true
 
 let record t grant =
@@ -46,6 +55,7 @@ let revoke t id =
     (* The tombstone: the minimized form is erased in place — the id
        keeps its slot so the archive ordering (and every later grant's
        id) is untouched, but the subvaluation itself is gone. *)
+    t.stored <- t.stored - values e.grant;
     e.grant <- None;
     `Revoked
 
@@ -56,13 +66,7 @@ let tombstones t =
     (fun acc e -> if e.grant = None then acc + 1 else acc)
     0 t.entries
 
-let stored_values t =
-  List.fold_left
-    (fun acc e ->
-      match e.grant with
-      | Some grant -> acc + Partial.domain_size grant.Workflow.form
-      | None -> acc)
-    0 t.entries
+let stored_values t = t.stored
 
 let audit t provider =
   List.filter_map

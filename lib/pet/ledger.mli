@@ -12,7 +12,7 @@
 
 type t
 
-type entry = { id : int; mutable grant : Workflow.grant option }
+type entry = private { id : int; mutable grant : Workflow.grant option }
 (** [grant = None] is a tombstone: the record's minimized form was
     erased after the respondent revoked consent (or the grant passed its
     expiry horizon); only the id remains, as proof a record existed and
@@ -55,7 +55,8 @@ val entries : t -> entry list
 val stored_values : t -> int
 (** Total number of predicate values held — the provider's storage
     footprint, to compare against [size * form width] for the legacy
-    full-form process. Tombstoned records hold zero. *)
+    full-form process. Tombstoned records hold zero. A running count,
+    kept by {!restore} and {!revoke}: O(1), however many records. *)
 
 val audit : t -> Workflow.t -> int list
 (** Re-verify every archived record against the rules

@@ -32,6 +32,7 @@ type t = {
          exhausted — the consent twin of [Session.sweep_step] *)
   mutable revoked : int;
   mutable expired : int;
+  mutable pending : int; (* the armed entries *)
 }
 
 let create () =
@@ -41,6 +42,7 @@ let create () =
     cursor = [];
     revoked = 0;
     expired = 0;
+    pending = 0;
   }
 
 let locked t f =
@@ -74,17 +76,27 @@ let note_granted (entry : entry) ~key grant_id =
   entry.key <- key;
   entry.grant_id <- Some grant_id
 
+let armed (entry : entry) =
+  (not entry.expired) && entry.revoked_at = None && entry.horizon <> None
+
+(* [f ()] changes [entry]; [pending] follows whether it is armed. *)
+let rearm t entry f =
+  let before = armed entry in
+  f ();
+  t.pending <- t.pending + Bool.to_int (armed entry) - Bool.to_int before
+
 let revoke t (entry : entry) ~at =
   locked t @@ fun () ->
   if entry.revoked_at = None then begin
-    entry.revoked_at <- Some at;
+    rearm t entry (fun () -> entry.revoked_at <- Some at);
     t.revoked <- t.revoked + 1
   end
 
 let set_horizon t (entry : entry) ~horizon ~at =
   locked t @@ fun () ->
-  entry.horizon <- Some (horizon, at);
-  entry.expired <- false;
+  rearm t entry (fun () ->
+      entry.horizon <- Some (horizon, at);
+      entry.expired <- false);
   (* Front of the cursor: a freshly armed horizon is seen within one
      sweep call even mid-round. *)
   t.cursor <- entry.session :: t.cursor
@@ -92,12 +104,9 @@ let set_horizon t (entry : entry) ~horizon ~at =
 let note_expired t (entry : entry) =
   locked t @@ fun () ->
   if not entry.expired then begin
-    entry.expired <- true;
+    rearm t entry (fun () -> entry.expired <- true);
     t.expired <- t.expired + 1
   end
-
-let armed (entry : entry) =
-  (not entry.expired) && entry.revoked_at = None && entry.horizon <> None
 
 (* Entries whose horizon has passed, visiting at most [budget] armed
    entries and resuming where the previous call stopped. The caller
@@ -145,14 +154,9 @@ let all_due t ~now =
 
 let counters t =
   locked t @@ fun () ->
-  let pending =
-    Hashtbl.fold
-      (fun _ entry acc -> if armed entry then acc + 1 else acc)
-      t.entries 0
-  in
   {
     tracked = Hashtbl.length t.entries;
     revoked = t.revoked;
     expired = t.expired;
-    pending;
+    pending = t.pending;
   }

@@ -15,7 +15,7 @@
     route by session id) and the sweep's ledger tombstoning is
     idempotent. *)
 
-type entry = {
+type entry = private {
   session : string;
   mutable key : string;
       (** the ledger the session's grant lives in
@@ -67,3 +67,7 @@ val all_due : t -> now:float -> entry list
     applying whatever horizons a crash interrupted. *)
 
 val counters : t -> counters
+(** Each count is kept as the entries change, so a [stats] or a metrics
+    scrape takes the lock for O(1), however many entries there are.
+    [pending] counts the entries the sweep has yet to apply: those
+    carrying a horizon, not revoked and not yet expired. *)

@@ -9,9 +9,9 @@
     only rule texts, minimized forms ([mas]/[form] partial-valuation
     strings, possibly with blanks) and grants appear, so nothing a crash
     leaves on disk can contain more than the provider was ever allowed
-    to keep. The [Reported] session state (the only state holding a raw
-    valuation) is deliberately not persisted: such a session recovers as
-    [Created] and the respondent re-requests the report. *)
+    to keep. The [Reported] session state (the options a report offered)
+    is deliberately not persisted: such a session recovers as [Created]
+    and the respondent re-requests the report. *)
 
 module Json = Pet_pet.Json
 

@@ -488,9 +488,8 @@ let apply_event t event =
       | Some (p, _) -> Ok p
       | None -> partial_of session.Session.digest mas
     in
-    (* Requirement R2: the full valuation and the unchosen options die;
-       from now on only the minimized form exists. *)
-    session.Session.valuation <- None;
+    (* Requirement R2: the unchosen options die; from now on only the
+       minimized form exists. The full valuation was never kept. *)
     session.Session.options <- [];
     session.Session.chosen <- Some (mas, benefits);
     session.Session.state <- Session.Chosen;
@@ -539,9 +538,10 @@ let apply_event t event =
     Ok ()
   | Persist.Session_revoked { id; at } ->
     (* Revoked data is never resurrected: the live session dies with the
-       consent (a [Reported] valuation or [Chosen] form is erased now,
-       not at the TTL) and the linked grant is tombstoned. Each step is
-       idempotent — a snapshot may already hold the tombstone. *)
+       consent (a [Reported] session's options or [Chosen] form are
+       erased now, not at the TTL) and the linked grant is tombstoned.
+       Each step is idempotent — a snapshot may already hold the
+       tombstone. *)
     let entry = lifecycle_entry id in
     (match Session.peek t.store id with
     | Some s -> Session.purge t.store s
@@ -826,7 +826,6 @@ let get_report t ~session:sid ~valuation ~now =
         memo.(i) <- Some answer;
         Ok answer)
   in
-  session.Session.valuation <- Some v;
   session.Session.options <- answer.options;
   session.Session.state <- Session.Reported;
   Session.touch session ~now;
@@ -859,9 +858,9 @@ let choose_option t ~session:sid ~choice ~now =
           (Proto.errorf Proto.Invalid_params
              "%S is not one of the options offered by the report" s))
   in
-  (* Only the minimized form reaches the log — the raw valuation dies in
-     memory as the event applies and was never representable as an event
-     (R2 on disk). *)
+  (* Only the minimized form reaches the log: no session keeps the raw
+     valuation past [get_report], and it was never representable as an
+     event (R2 on disk). *)
   let mas = Partial.to_string mas in
   let* () =
     commit t [ Persist.Session_chosen { id = sid; mas; benefits; at = now } ]

@@ -19,7 +19,6 @@ type t = {
   created_at : float;
   mutable last_active : float;
   mutable state : state;
-  mutable valuation : Total.t option;
   mutable options : (Partial.t * string list) list;
   mutable chosen : (Partial.t * string list) option;
   mutable grant_id : int option;
@@ -68,7 +67,6 @@ let fresh store ~id ~digest ?tenant ~now () =
       created_at = now;
       last_active = now;
       state = Created;
-      valuation = None;
       options = [];
       chosen = None;
       grant_id = None;

@@ -6,11 +6,13 @@
                                    |                          |
                                    +-----(re-report)          +--submit_form--> Submitted v}
 
-    The full valuation exists only in the [Reported] state; the moment an
-    option is chosen the valuation (and the other options) are erased and
-    only the minimized form survives — the service-side enforcement of
-    requirement R2. Sessions idle longer than the store's TTL are swept,
-    which also erases any un-chosen full valuation. *)
+    A session never holds the full valuation: [get_report] computes the
+    report from it and keeps only the offered options, each a minimized
+    subvaluation, in the [Reported] state; the moment an option is chosen
+    the other options are erased and only the minimized form survives —
+    the service-side enforcement of requirement R2. Sessions idle longer
+    than the store's TTL are swept, which also erases any un-chosen
+    options. *)
 
 type state = Created | Reported | Chosen | Submitted
 
@@ -26,8 +28,6 @@ type t = {
   created_at : float;
   mutable last_active : float;
   mutable state : state;
-  mutable valuation : Pet_valuation.Total.t option;
-      (** the full form; [Some] only while [Reported] *)
   mutable options : (Pet_valuation.Partial.t * string list) list;
       (** the offered MAS (with their benefits), report order; only while
           [Reported] *)

@@ -77,11 +77,9 @@ let test_conj_holds_vs_literals () =
       let n = Code.predicates code in
       for i = 0 to Code.benefit_count code - 1 do
         let conjs = Rule.conjunctions (Exposure.rule_for e (Code.benefit_name code i)) in
-        let compiled = Code.conjunctions code i in
-        Alcotest.(check int) "conjunction count" (List.length conjs)
-          (Array.length compiled);
-        List.iteri
-          (fun j lits ->
+        List.iter
+          (fun lits ->
+            let compiled = Code.compile_conjunction xp lits in
             for v = 0 to (1 lsl n) - 1 do
               let expected =
                 List.for_all
@@ -90,7 +88,7 @@ let test_conj_holds_vs_literals () =
                   lits
               in
               Alcotest.(check bool) "conj_holds" expected
-                (Code.conj_holds compiled.(j) v)
+                (Code.conj_holds compiled v)
             done)
           conjs
       done)
@@ -143,6 +141,120 @@ let test_scan_vs_enumeration () =
         done
       done)
     [ Running.exposure (); generated 4 11; generated 5 12 ]
+
+(* The table against the brute-force engine, at every partial valuation
+   (dom, bits) of each form. A partial is indexed by its ternary digits,
+   one per predicate: 0 unset, 1 false, 2 true. A total valuation's
+   consistency and benefit bitset come from the brute-force engine; a
+   partial's from its two extensions on its lowest unset predicate,
+   which have higher indices, so a descending pass meets them first. Per
+   partial: whether some completion is consistent, the AND of the
+   consistent completions' benefit bitsets (every benefit when there is
+   none), and the OR of their words and of their complements. Over the
+   case studies the table serves, seeded corpus forms of 8 to 12
+   predicates, and generated forms of 7 benefits, whose entries are one
+   byte like the case studies', and of 8, 9, 20 and 40, whose entries
+   are eight bytes. *)
+let test_table_vs_brute () =
+  let corpus =
+    List.init 5 (fun i ->
+        ( Printf.sprintf "corpus size %d" (8 + i),
+          Pet_rules.Spec.parse_exn
+            (Pet_corpus.Corpus.form ~seed:3 ~size:(8 + i) i).text ))
+  in
+  let wide benefits seed =
+    ( Printf.sprintf "%d benefits" benefits,
+      Generate.exposure
+        ~config:
+          {
+            Generate.predicates = 6;
+            benefits;
+            conjunctions = 2;
+            width = 2;
+            implications = 2;
+          }
+        ~seed () )
+  in
+  List.iter
+    (fun (name, e) ->
+      let xp = Exposure.xp e in
+      let n = Universe.size xp in
+      let full = (1 lsl n) - 1 in
+      let code = code_of e in
+      let brute = Engine.create ~backend:Engine.Brute e in
+      let pow3 = Array.make (n + 1) 1 in
+      for i = 1 to n do
+        pow3.(i) <- 3 * pow3.(i - 1)
+      done;
+      let size = pow3.(n) in
+      let any = Array.make size false and mask = Array.make size 0 in
+      let ones = Array.make size 0 and zeros = Array.make size 0 in
+      let wrong = ref 0 in
+      for t = size - 1 downto 0 do
+        let dom = ref 0 and bits = ref 0 and free = ref (-1) and r = ref t in
+        for i = 0 to n - 1 do
+          (match !r mod 3 with
+          | 0 -> if !free < 0 then free := i
+          | 1 -> dom := !dom lor (1 lsl i)
+          | _ ->
+            dom := !dom lor (1 lsl i);
+            bits := !bits lor (1 lsl i));
+          r := !r / 3
+        done;
+        let dom = !dom and bits = !bits in
+        if !free < 0 then begin
+          any.(t) <- Engine.consistent brute (Partial.of_masks xp ~dom ~bits);
+          mask.(t) <-
+            (if any.(t) then Engine.benefit_mask brute ~dom ~bits
+             else Code.full_benefit_mask code);
+          if any.(t) then begin
+            ones.(t) <- bits;
+            zeros.(t) <- full land lnot bits
+          end
+        end
+        else begin
+          let a = t + pow3.(!free) and b = t + (2 * pow3.(!free)) in
+          any.(t) <- any.(a) || any.(b);
+          mask.(t) <- mask.(a) land mask.(b);
+          ones.(t) <- ones.(a) lor ones.(b);
+          zeros.(t) <- zeros.(a) lor zeros.(b)
+        end;
+        let expect what ok =
+          if not ok then begin
+            if !wrong = 0 then
+              Printf.printf "%s: %s differs at dom %d bits %d\n" name what dom
+                bits;
+            incr wrong
+          end
+        in
+        expect "consistent" (Code.consistent code ~dom ~bits = any.(t));
+        expect "benefit_mask" (Code.benefit_mask code ~dom ~bits = mask.(t));
+        for i = 0 to Code.benefit_count code - 1 do
+          expect "entails_benefit"
+            (Code.entails_benefit code ~dom ~bits i
+            = ((mask.(t) lsr i) land 1 = 1))
+        done;
+        for i = 0 to n - 1 do
+          expect "entails_literal true"
+            (Code.entails_literal code ~dom ~bits i true
+            = ((zeros.(t) lsr i) land 1 = 0));
+          expect "entails_literal false"
+            (Code.entails_literal code ~dom ~bits i false
+            = ((ones.(t) lsr i) land 1 = 0))
+        done
+      done;
+      Alcotest.(check int) (name ^ ": answers that differ") 0 !wrong)
+    ([
+       ("running", Running.exposure ());
+       ("hcov", Pet_casestudies.Hcov.exposure ());
+       ("loan", Pet_casestudies.Loan.exposure ());
+       wide 7 4;
+       wide 8 5;
+       wide 9 1;
+       wide 20 2;
+       wide 40 3;
+     ]
+    @ corpus)
 
 let test_create_refuses () =
   let xp = Universe.of_names (List.init 17 (fun i -> Printf.sprintf "p%d" i)) in
@@ -391,11 +503,11 @@ let test_decode_fast_oversized () =
     (Proto.decode_fast line = None);
   Alcotest.(check bool) "full decoder rejects it" true
     (match Proto.decode line with Error _ -> true | Ok _ -> false)
-(* The one benefit-table kernel (the compiled engine's table and the
-   atlas's) against its per-valuation definition: bit [i] of valuation
-   [v] is set iff some conjunction of benefit [i]'s rule holds on [v].
-   Over the fleet workload's 200 corpus forms and the four case
-   studies. *)
+(* The atlas's benefit-table kernel and the compiled engine's table
+   against their per-valuation definition: bit [i] of valuation [v] is
+   set iff some conjunction of benefit [i]'s rule holds on [v]. Over the
+   fleet workload's 200 corpus forms and the four case studies (RSA's 17
+   predicates are above the engine's tabulation threshold). *)
 let test_benefit_table_vs_definition () =
   let fleet =
     Array.to_list
@@ -408,7 +520,11 @@ let test_benefit_table_vs_definition () =
     (fun e ->
       let n = Universe.size (Exposure.xp e) in
       let rules = Exposure.conjunction_words e in
-      let tab = Code.benefit_table ~n rules in
+      let tab = Array.make (1 lsl n) 0 in
+      Code.fill_benefit_table ~n rules tab;
+      let code =
+        if n <= Code.max_tabulated_predicates then Some (code_of e) else None
+      in
       let wrong = ref 0 in
       for v = 0 to (1 lsl n) - 1 do
         let expected = ref 0 in
@@ -417,7 +533,10 @@ let test_benefit_table_vs_definition () =
             if Array.exists (fun c -> Code.conj_holds c v) conjs then
               expected := !expected lor (1 lsl i))
           rules;
-        if tab.(v) <> !expected then incr wrong
+        if tab.(v) <> !expected then incr wrong;
+        match code with
+        | Some code when Code.benefit_bits code v <> !expected -> incr wrong
+        | _ -> ()
       done;
       Alcotest.(check int) "valuations whose bitset differs" 0 !wrong)
     ([
@@ -439,6 +558,8 @@ let () =
           Alcotest.test_case "scan vs enumeration" `Quick
             test_scan_vs_enumeration;
           Alcotest.test_case "create refuses" `Quick test_create_refuses;
+          Alcotest.test_case "table vs brute at every partial" `Quick
+            test_table_vs_brute;
           Alcotest.test_case "benefit_table vs definition" `Quick
             test_benefit_table_vs_definition;
         ] );

@@ -781,57 +781,103 @@ let test_scratch_two_domains () =
 
 (* A tenant's artifact stays resident while it is the active version, so
    a collector pays these words per hosted form. Over the 200 forms of
-   the fleet workload on the compiled backend, the atlas's own words
-   ([Obj.reachable_words] beyond its engine's) and the profile's (beyond
-   its atlas's), per player. With 64-bit [int] arrays they read 4.8 and
-   1.1; the 32-bit cells halve the arrays. Word counts do not depend on
+   the fleet workload on the compiled backend: the engine's words beyond
+   its exposure's, per valuation ([2^n] per form), and the atlas's own
+   words ([Obj.reachable_words] beyond its engine's) and the profile's
+   (beyond its atlas's), per player. With an [int] per valuation and a
+   consistency byte beside it the engine read 1.19; with 32-bit cells
+   the atlas and the profile read 2.55 and 0.56, with 64-bit [int]
+   arrays 4.8 and 1.1. One byte per valuation and 16-bit cells bring
+   them to 0.150, 1.401 and 0.283. Word counts do not depend on
    timing. *)
 let test_resident_words_per_player () =
   let forms =
     (Pet_corpus.Corpus.scenario ~seed:0 ~lo:8 ~hi:12 ~count:200 ()).forms
   in
+  let engine_words = ref 0 and valuations = ref 0 in
   let atlas_words = ref 0 and profile_words = ref 0 and players = ref 0 in
   Array.iter
     (fun (f : Pet_corpus.Corpus.form) ->
-      let engine =
-        Engine.create ~backend:Engine.Compiled (Pet_rules.Spec.parse_exn f.text)
-      in
+      let exposure = Pet_rules.Spec.parse_exn f.text in
+      let engine = Engine.create ~backend:Engine.Compiled exposure in
       let atlas = Atlas.build engine in
       let profile = Pet_game.Strategy.compute atlas in
       let words x = Obj.reachable_words (Obj.repr x) in
       let e = words engine and a = words atlas in
+      engine_words := !engine_words + e - words exposure;
+      valuations := !valuations + (1 lsl Universe.size (Exposure.xp exposure));
       atlas_words := !atlas_words + a - e;
       profile_words := !profile_words + words profile - a;
       players := !players + Atlas.player_count atlas)
     forms;
-  let per_player w = float_of_int w /. float_of_int !players in
-  let check name w ceiling =
+  let check name w per count ceiling =
+    let ratio = float_of_int w /. float_of_int count in
     Alcotest.(check bool)
-      (Printf.sprintf "%s: %.3f words per player <= %.1f" name (per_player w)
-         ceiling)
-      true
-      (per_player w <= ceiling)
+      (Printf.sprintf "%s: %.3f words per %s <= %.2f" name ratio per ceiling)
+      true (ratio <= ceiling)
   in
-  check "atlas" !atlas_words 2.6;
-  check "profile" !profile_words 0.6
+  check "engine" !engine_words "valuation" !valuations 0.16;
+  check "atlas" !atlas_words "player" !players 1.41;
+  check "profile" !profile_words "player" !players 0.29
 
-(* A cell holds 31 bits and never truncates. *)
+(* [create] picks 16-bit cells up to [2^16 - 1] and 32-bit ones up to
+   [2^31 - 1]; a cell holds every value up to its width's capacity and
+   never truncates. *)
 let test_cells_range () =
   let module Cells = Pet_minimize.Cells in
-  let c = Cells.create 3 in
-  let rejects x =
+  let read = Cells.get in
+  let rejects c x =
     match Cells.set c 1 x with exception Invalid_argument _ -> true | () -> false
   in
-  Alcotest.(check bool) "-1 rejected" true (rejects (-1));
-  Alcotest.(check bool) "2^31 rejected" true (rejects (1 lsl 31));
-  Alcotest.(check bool) "min_int rejected" true (rejects min_int);
-  Cells.set c 0 Cells.max_value;
-  Cells.set c 2 7;
-  Alcotest.(check (list int)) "stored" [ Cells.max_value; 0; 7 ]
-    (List.init (Cells.length c) (fun i ->
-         Int32.to_int (Cells.unsafe_get32 c (4 * i))));
-  Alcotest.(check bool) "index past the end rejected" true
-    (match Cells.set c 3 0 with exception Invalid_argument _ -> true | () -> false)
+  let width c = 8 * Char.code (Cells.byte c 0) in
+  let max16 = (1 lsl 16) - 1 in
+  List.iter
+    (fun (max, bits, capacity) ->
+      let c = Cells.create ~max 3 in
+      let name = Printf.sprintf "max %d" max in
+      Alcotest.(check int) (name ^ ": width") bits (width c);
+      Alcotest.(check int) (name ^ ": capacity") capacity (Cells.capacity c);
+      Alcotest.(check bool) (name ^ ": -1 rejected") true (rejects c (-1));
+      Alcotest.(check bool) (name ^ ": min_int rejected") true (rejects c min_int);
+      Alcotest.(check bool) (name ^ ": capacity + 1 rejected") true
+        (rejects c (capacity + 1));
+      Cells.set c 0 capacity;
+      Cells.set c 2 max;
+      Alcotest.(check (list int)) (name ^ ": stored") [ capacity; 0; max ]
+        (List.init (Cells.length c) (read c));
+      let copy = Cells.copy c in
+      Cells.set c 0 7;
+      Alcotest.(check (list int)) (name ^ ": copy") [ capacity; 0; max ]
+        (List.init (Cells.length copy) (read copy));
+      let raises f =
+        match f () with exception Invalid_argument _ -> true | _ -> false
+      in
+      Alcotest.(check bool) (name ^ ": index past the end rejected") true
+        (raises (fun () -> Cells.set c 3 0)
+        && raises (fun () -> Cells.get c 3));
+      Alcotest.(check bool) (name ^ ": negative index rejected") true
+        (raises (fun () -> Cells.set c (-1) 0)
+        && raises (fun () -> Cells.get c (-1))))
+    [
+      (0, 16, max16);
+      (max16, 16, max16);
+      (max16 + 1, 32, Cells.max_value);
+      (Cells.max_value, 32, Cells.max_value);
+    ];
+  Alcotest.(check bool) "max 2^31 refused" true
+    (match Cells.create ~max:(Cells.max_value + 1) 1 with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  let buf words =
+    let b = Pet_minimize.Wordbuf.create () in
+    List.iter (Pet_minimize.Wordbuf.push b) words;
+    Cells.of_wordbuf b
+  in
+  Alcotest.(check int) "of_wordbuf up to 2^16 - 1" 16 (width (buf [ 3; max16; 0 ]));
+  Alcotest.(check int) "of_wordbuf with 2^16" 32 (width (buf [ 3; max16 + 1 ]));
+  Alcotest.(check (list int)) "of_wordbuf words" [ 3; max16 + 1 ]
+    (let c = buf [ 3; max16 + 1 ] in
+     List.init (Cells.length c) (read c))
 
 (* --- Random-problem properties ----------------------------------------------- *)
 

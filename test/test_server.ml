@@ -1624,6 +1624,76 @@ let test_report_memo_matches_engine () =
       let n = Atlas.player_count atlas in
       List.init 20 (fun i -> Atlas.player atlas (i * (n / 20))))
 
+(* A ledger's stored values and the consent store's pending count are
+   kept as records and entries change, not folded over them when read.
+   Over seeded sequences of records, replays (live and tombstoned, at
+   fresh and taken ids), revocations, horizons and expiries, each equals
+   its fold after every step. *)
+let test_counters_equal_folds () =
+  let provider = Pet_pet.Workflow.provider (Running.exposure ()) in
+  let u3 = Pet_valuation.Universe.of_names [ "p1"; "p2"; "p3" ] in
+  let grants =
+    List.filter_map
+      (fun w ->
+        Result.to_option (Pet_pet.Workflow.submit provider (Partial.of_string u3 w)))
+      [ "_11"; "1_0"; "111"; "11_" ]
+  in
+  let grants = Array.of_list grants in
+  Alcotest.(check bool) "grants to draw from" true (Array.length grants >= 2);
+  for seed = 0 to 49 do
+    let rng = Random.State.make [| seed |] in
+    let ledger = Ledger.create () and consents = Consent.create () in
+    let pick n = Random.State.int rng n in
+    let sessions = Array.init 8 (Printf.sprintf "s%d") in
+    for step = 0 to 199 do
+      let grant () = grants.(pick (Array.length grants)) in
+      (match pick 8 with
+      | 0 -> ignore (Ledger.record ledger (grant ()))
+      | 1 ->
+        ignore
+          (Ledger.restore ledger
+             (pick (Ledger.size ledger + 3))
+             (if pick 3 = 0 then None else Some (grant ())))
+      | 2 -> ignore (Ledger.revoke ledger (pick (Ledger.size ledger + 1)))
+      | 3 -> ignore (Consent.register consents ~session:sessions.(pick 8))
+      | 4 ->
+        Consent.set_horizon consents
+          (Consent.register consents ~session:sessions.(pick 8))
+          ~horizon:(float_of_int (pick 100))
+          ~at:(float_of_int step)
+      | 5 ->
+        Consent.revoke consents
+          (Consent.register consents ~session:sessions.(pick 8))
+          ~at:(float_of_int step)
+      | 6 ->
+        List.iter (Consent.note_expired consents)
+          (Consent.due ~budget:(1 + pick 4) consents
+             ~now:(float_of_int (pick 100)))
+      | _ ->
+        Consent.note_expired consents
+          (Consent.register consents ~session:sessions.(pick 8)));
+      let stored =
+        List.fold_left
+          (fun acc (e : Ledger.entry) ->
+            match e.Ledger.grant with
+            | Some g -> acc + Partial.domain_size g.Pet_pet.Workflow.form
+            | None -> acc)
+          0 (Ledger.entries ledger)
+      and pending =
+        List.length
+          (List.filter
+             (fun (e : Consent.entry) ->
+               (not e.expired) && e.revoked_at = None && e.horizon <> None)
+             (Consent.entries consents))
+      in
+      let name what = Printf.sprintf "seed %d step %d: %s" seed step what in
+      Alcotest.(check int) (name "stored values") stored
+        (Ledger.stored_values ledger);
+      Alcotest.(check int) (name "pending") pending
+        (Consent.counters consents).Consent.pending
+    done
+  done
+
 let () =
   Alcotest.run "pet_server"
     [
@@ -1691,6 +1761,8 @@ let () =
             test_revoked_horizon_after_compaction;
           Alcotest.test_case "live state equals replayed state" `Quick
             test_live_equals_replay;
+          Alcotest.test_case "running counters equal their folds" `Quick
+            test_counters_equal_folds;
         ] );
       ( "trace",
         [

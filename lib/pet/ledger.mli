@@ -8,11 +8,23 @@
     and the only mutation consent law forces on it is {!revoke}, which
     erases a record's subvaluation in place (a tombstone) while keeping
     its id slot, so every later grant id and the audit ordering stay
-    valid. *)
+    valid.
+
+    The records are kept as a flat table indexed by id, three immediates
+    per id: the form's domain and value masks (read back under the
+    universe of the ledger's first form) and a tag, the index of the
+    record's benefit list among the ledger's distinct lists, or a mark
+    for a tombstone or an id with no record. So {!find} and {!revoke}
+    are O(1) and a record costs three words, not a boxed grant. The
+    benefit list is interned as it was given, not re-derived from a
+    rule set, so a replayed or tampered list reads back verbatim. A
+    record the table cannot hold — a form over another universe, or an
+    id below 0 or more than 65,536 past the table's end — is kept aside
+    in a hash table. *)
 
 type t
 
-type entry = private { id : int; mutable grant : Workflow.grant option }
+type entry = { id : int; grant : Workflow.grant option }
 (** [grant = None] is a tombstone: the record's minimized form was
     erased after the respondent revoked consent (or the grant passed its
     expiry horizon); only the id remains, as proof a record existed and
@@ -42,15 +54,15 @@ val revoke : t -> int -> [ `Revoked | `Already | `Unknown ]
     is already a tombstone, [`Unknown] if the id was never recorded. *)
 
 val find : t -> int -> Workflow.grant option
-(** [None] for unknown ids {e and} for tombstoned records. *)
+(** [None] for unknown ids {e and} for tombstoned records. O(1). *)
 
 val size : t -> int
 
 val tombstones : t -> int
-(** How many records are tombstones. *)
+(** How many records are tombstones: a running count, O(1). *)
 
 val entries : t -> entry list
-(** In insertion order. *)
+(** In id order. *)
 
 val stored_values : t -> int
 (** Total number of predicate values held — the provider's storage

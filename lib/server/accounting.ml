@@ -6,24 +6,26 @@ module Smap = Map.Make (String)
 let n_buckets = Array.length Metrics.bucket_bounds
 
 (* Requests summed: a cell's running total, or one slice of its SLO
-   ring, whose aligned start [t0] is nan until first used. *)
+   ring, whose aligned start [t0] is nan until first used. [counts] is
+   empty until the tally's first [add]: most of a tenant's slices, and
+   most methods' cells, never record anything. *)
 type tally = {
   mutable t0 : float;
   mutable n : int;
   mutable errors : int;
   mutable sum : float;
   mutable max : float;
-  counts : int array;
+  mutable counts : int array;
 }
 
-let tally () =
-  { t0 = nan; n = 0; errors = 0; sum = 0.; max = 0.; counts = Array.make n_buckets 0 }
+let tally () = { t0 = nan; n = 0; errors = 0; sum = 0.; max = 0.; counts = [||] }
 
 let add x ~bucket ~latency ~error =
   x.n <- x.n + 1;
   if error then x.errors <- x.errors + 1;
   x.sum <- x.sum +. latency;
   if latency > x.max then x.max <- latency;
+  if Array.length x.counts = 0 then x.counts <- Array.make n_buckets 0;
   x.counts.(bucket) <- x.counts.(bucket) + 1
 
 type cell = { total : tally; ring : tally array }
@@ -43,7 +45,7 @@ let slice_for cell ~now =
     s.errors <- 0;
     s.sum <- 0.;
     s.max <- 0.;
-    Array.fill s.counts 0 n_buckets 0
+    Array.fill s.counts 0 (Array.length s.counts) 0
   end;
   s
 

@@ -7,7 +7,10 @@
     {!Pet_obs.Slo.slices} time-aligned SLO slices. A set has one cell
     per wire method (an array indexed by a static match on the
     request), one per tenant it has served, and the shard's arrival
-    count.
+    count. A tally (a cell's total, or one slice) allocates its bucket
+    counts on its first record, so a tenant's cell that recorded in one
+    slice takes about 200 words, not 650; readers take a tally that
+    never recorded as empty.
 
     Only the owning shard records into its set, so recording takes no
     lock. Readers on other domains ({!snapshot}) read the cells racily:

@@ -68,6 +68,10 @@ type t = {
          expiry horizons) keyed by session id; identifiers only, kept past
          session TTL so a respondent can revoke long after the session was
          swept *)
+  sources : (string, string) Hashtbl.t;
+      (* the digest each named source compiled to here: [resolve] is a
+         function of the name, so a later session by source skips its
+         text's parse, print and digest *)
   mutable sink : Persist.sink;
   mutable on_expire : string -> unit;
   mutable submitted : int;
@@ -109,6 +113,7 @@ let create ?(payoff = Payoff.Blank) ?capacity ?ttl ?owns ?shared ?tenants
       shared;
       tenants;
       consents = Shared.consents shared;
+      sources = Hashtbl.create 8;
       sink = Persist.null;
       on_expire = ignore;
       submitted = 0;
@@ -118,11 +123,11 @@ let create ?(payoff = Payoff.Blank) ?capacity ?ttl ?owns ?shared ?tenants
   Shared.register_counters shared (fun () -> shard_counters t);
   (* A swept tenant session frees its quota slot even though nothing
      ever looked it up again. *)
-  Session.set_on_expire t.store (fun (session : Session.t) ->
-      (match session.Session.tenant with
+  Session.set_on_expire t.store (fun session ->
+      (match Session.tenant t.store session with
       | Some name -> Tenant.release t.tenants name
       | None -> ());
-      t.on_expire session.Session.id);
+      t.on_expire (Session.id t.store session));
   t
 
 let set_sink t sink = t.sink <- sink
@@ -256,15 +261,30 @@ let reinstall ?count t digest =
       Option.map (compile ~remember:false ?count t)
         (Tenant.text_of_digest t.tenants digest))
 
+(* A named source's rule set: its memoised digest's engine when the
+   cache holds it (one counted hit, as a compilation would count), else
+   a compilation of the text [resolve] gives. *)
+let compile_source t name =
+  let memo = Hashtbl.find_opt t.sources name in
+  match Option.bind memo (Registry.find t.registry) with
+  | Some compiled -> Ok (compiled, true)
+  | None -> (
+    match t.resolve name with
+    | Some text ->
+      (* A memoised digest's lookup above already counted the miss. *)
+      let result = compile ~count:(memo = None) t text in
+      Result.iter
+        (fun (compiled, _) -> Hashtbl.replace t.sources name compiled.digest)
+        result;
+      result
+    | None ->
+      Error (Proto.errorf Proto.Unknown_source "unknown rule source %S" name))
+
 (* Counting resolution (publish_rules / new_session / audit): cache hits
    and misses here measure how often a compilation was saved. *)
 let resolve_rules t = function
   | Proto.Text text -> compile t text
-  | Proto.Source name -> (
-    match t.resolve name with
-    | Some text -> compile t text
-    | None ->
-      Error (Proto.errorf Proto.Unknown_source "unknown rule source %S" name))
+  | Proto.Source name -> compile_source t name
   | Proto.Tenant name ->
     Result.map (fun (_, compiled, cached) -> (compiled, cached))
       (resolve_tenant t name)
@@ -324,65 +344,71 @@ let find_session t id ~now =
   | Error `Expired ->
     Error (Proto.errorf Proto.Session_expired "session %S has expired" id)
 
-let require_state (session : Session.t) allowed ~verb =
-  if List.mem session.Session.state allowed then Ok ()
+let require_state t session allowed ~verb =
+  let state = Session.state t.store session in
+  if List.mem state allowed then Ok ()
   else
     Error
       (Proto.errorf Proto.Bad_state "cannot %s a session in state %S" verb
-         (Session.state_name session.Session.state))
+         (Session.state_name state))
 
 (* --- Consent lifecycle: guards and horizons ----------------------------------- *)
 
-(* Tombstone the grant a consent entry points at, if any. Idempotent. *)
-let tombstone_grant t (entry : Consent.entry) =
-  match entry.Consent.grant_id with
-  | Some grant_id when entry.Consent.key <> "" ->
-    Shared.with_ledger t.shared entry.Consent.key (fun ledger ->
+(* Tombstone the grant a session's consent link points at, if any.
+   Idempotent. *)
+let tombstone_grant t sid =
+  match Consent.link t.consents sid with
+  | Some (key, grant_id) ->
+    Shared.with_ledger t.shared key (fun ledger ->
         ignore (Ledger.revoke ledger grant_id))
-  | _ -> ()
+  | None -> ()
 
-(* Decide for a lifecycle request: the session must be live or have a
-   consent entry (a submitted session keeps one for the lifetime of the
-   archive, so revocation works long after the TTL sweep), and must not
-   already be revoked or expired. *)
+(* Decide for a lifecycle request: the session must be live or tracked
+   by the consent store (a submitted session keeps its grant link for
+   the lifetime of the archive, so revocation works long after the TTL
+   sweep), and must not already be revoked or expired. *)
 let lifecycle_guard t ~session:sid ~verb =
-  match Consent.find t.consents sid with
-  | Some entry when entry.Consent.revoked_at <> None ->
+  match Consent.lifecycle t.consents sid with
+  | Some r when r.Consent.revoked_at <> None ->
     Error
       (Proto.errorf Proto.Bad_state
          "cannot %s session %S: consent was already revoked" verb sid)
-  | Some entry when entry.Consent.expired ->
+  | Some r when r.Consent.expired ->
     Error
       (Proto.errorf Proto.Bad_state
          "cannot %s session %S: its grant already expired" verb sid)
-  | None when Session.peek t.store sid = None ->
-    Error (Proto.errorf Proto.Unknown_session "unknown session %S" sid)
-  | _ -> Ok ()
+  | _ ->
+    if Session.peek t.store sid = None && not (Consent.tracked t.consents sid)
+    then Error (Proto.errorf Proto.Unknown_session "unknown session %S" sid)
+    else Ok ()
 
-(* The grant a lifecycle event reaches: its consent entry's link, else —
-   for a session recovered from a pre-lifecycle log, whose [Grant]
-   events name no session — the live session's own grant. *)
+(* The grant a lifecycle event reaches: its consent link, else — for a
+   session recovered from a pre-lifecycle log, whose [Grant] events name
+   no session — the live session's own grant. *)
 let grant_link t sid =
-  match Consent.find t.consents sid with
-  | Some { Consent.grant_id = Some grant_id; key; _ } -> Some (key, grant_id)
-  | _ -> (
-    match Session.peek t.store sid with
-    | Some { Session.grant_id = Some grant_id; digest; tenant; _ } ->
-      Some (ledger_key ~digest ~tenant, grant_id)
-    | _ -> None)
+  match Consent.link t.consents sid with
+  | Some link -> Some link
+  | None ->
+    Option.bind (Session.peek t.store sid) (fun s ->
+        Option.map
+          (fun grant_id ->
+            ( ledger_key ~digest:(Session.digest t.store s)
+                ~tenant:(Session.tenant t.store s),
+              grant_id ))
+          (Session.grant_id t.store s))
 
-(* Apply horizons that have passed: tombstone each due entry's grant,
+(* Apply horizons that have passed: tombstone each due session's grant,
    purge its live session if any, and mark it expired. The [Consent]
-   store hands back the due entries so the ledger lock is never taken
+   store hands back the due records so the ledger lock is never taken
    under the consent lock. *)
 let apply_due t due =
   List.iter
-    (fun (entry : Consent.entry) ->
-      tombstone_grant t entry;
-      (match Session.peek t.store entry.Consent.session with
+    (fun (r : Consent.lifecycle) ->
+      tombstone_grant t r.Consent.session;
+      (match Session.peek t.store r.Consent.session with
       | Some s -> Session.purge t.store s
       | None -> ());
-      Consent.note_expired t.consents entry)
+      Consent.note_expired t.consents r)
     due;
   List.length due
 
@@ -404,12 +430,12 @@ let apply_horizons t =
    sweep would persist an establishing record past the horizon, and the
    offline auditor would rightly flag a healthy log. *)
 let horizon_guard t ~session:sid ~now =
-  match Consent.find t.consents sid with
-  | Some ({ Consent.horizon = Some (h, _); expired = false; _ } as entry)
+  match Consent.lifecycle t.consents sid with
+  | Some ({ Consent.horizon = Some (h, _); expired = false; _ } as r)
     when h <= now ->
-    (* A revoked entry is never armed: its grant is already gone, and
+    (* A revoked record is never armed: its grant is already gone, and
        marking it expired here would be a change no event records. *)
-    if entry.Consent.revoked_at = None then ignore (apply_due t [ entry ]);
+    if r.Consent.revoked_at = None then ignore (apply_due t [ r ]);
     Error (Proto.errorf Proto.Session_expired "session %S has expired" sid)
   | Some { Consent.expired = true; _ } ->
     (* Already applied (by the sweep): answer as expired, not unknown —
@@ -440,15 +466,15 @@ let apply_event t event =
     | p -> Ok p
     | exception Invalid_argument m -> Error m
   in
-  (* The consent entry a lifecycle event lands on, created on first use
-     and linked to the session's grant if it is not yet. *)
+  (* The lifecycle record a lifecycle event lands on, created on first
+     use, with the session's grant linked if it is not yet. *)
   let lifecycle_entry id =
-    let entry = Consent.register t.consents ~session:id in
-    (if entry.Consent.grant_id = None then
+    (if Consent.link t.consents id = None then
        match grant_link t id with
-       | Some (key, grant_id) -> Consent.note_granted entry ~key grant_id
+       | Some (key, grant_id) ->
+         Consent.note_granted t.consents ~session:id ~key grant_id
        | None -> ());
-    entry
+    Consent.register t.consents ~session:id
   in
   match event with
   | Persist.Rules { digest; text } -> (
@@ -483,23 +509,18 @@ let apply_event t event =
       match
         List.find_opt
           (fun (p, _) -> Partial.to_string p = mas)
-          session.Session.options
+          (Session.options t.store session)
       with
       | Some (p, _) -> Ok p
-      | None -> partial_of session.Session.digest mas
+      | None -> partial_of (Session.digest t.store session) mas
     in
     (* Requirement R2: the unchosen options die; from now on only the
        minimized form exists. The full valuation was never kept. *)
-    session.Session.options <- [];
-    session.Session.chosen <- Some (mas, benefits);
-    session.Session.state <- Session.Chosen;
-    Session.touch session ~now:at;
+    Session.choose t.store session mas benefits ~now:at;
     Ok ()
   | Persist.Session_submitted { id; grant_id; at } ->
     let* session = session_of id in
-    session.Session.grant_id <- Some grant_id;
-    session.Session.state <- Session.Submitted;
-    Session.touch session ~now:at;
+    Session.submit t.store session ~grant_id ~now:at;
     Ok ()
   | Persist.Grant { digest; grant_id; form; benefits; session; tenant; revoked }
     ->
@@ -529,9 +550,7 @@ let apply_event t event =
     (* Link the consent entry, so a later [revoke] or [expire] reaches
        the archived record even after the session is swept. *)
     Option.iter
-      (fun session ->
-        Consent.note_granted (Consent.register t.consents ~session) ~key
-          grant_id)
+      (fun session -> Consent.note_granted t.consents ~session ~key grant_id)
       session;
     t.submitted <- t.submitted + 1;
     Option.iter (Tenant.note_submitted t.tenants) tenant;
@@ -542,12 +561,12 @@ let apply_event t event =
        erased now, not at the TTL) and the linked grant is tombstoned.
        Each step is idempotent — a snapshot may already hold the
        tombstone. *)
-    let entry = lifecycle_entry id in
+    let r = lifecycle_entry id in
     (match Session.peek t.store id with
     | Some s -> Session.purge t.store s
     | None -> ());
-    Consent.revoke t.consents entry ~at;
-    tombstone_grant t entry;
+    Consent.revoke t.consents r ~at;
+    tombstone_grant t id;
     Ok ()
   | Persist.Session_expiry { id; horizon; at } ->
     (* Arm only: the horizon's application is derived, not logged
@@ -787,10 +806,10 @@ type payload = Tree of Json.t | Rendered of string
 let get_report t ~session:sid ~valuation ~now =
   let* session = find_session t sid ~now in
   let* () =
-    require_state session [ Session.Created; Session.Reported ]
+    require_state t session [ Session.Created; Session.Reported ]
       ~verb:"get_report"
   in
-  let* compiled = engine_of t session.Session.digest in
+  let* compiled = engine_of t (Session.digest t.store session) in
   let* v =
     match Total.of_string (Exposure.xp compiled.exposure) valuation with
     | v -> Ok v
@@ -826,16 +845,14 @@ let get_report t ~session:sid ~valuation ~now =
         memo.(i) <- Some answer;
         Ok answer)
   in
-  session.Session.options <- answer.options;
-  session.Session.state <- Session.Reported;
-  Session.touch session ~now;
+  Session.report t.store session answer.options ~now;
   Ok (Rendered answer.payload)
 
 let choose_option t ~session:sid ~choice ~now =
   let* () = horizon_guard t ~session:sid ~now in
   let* session = find_session t sid ~now in
-  let* () = require_state session [ Session.Reported ] ~verb:"choose_option" in
-  let options = session.Session.options in
+  let* () = require_state t session [ Session.Reported ] ~verb:"choose_option" in
+  let options = Session.options t.store session in
   let* mas, benefits =
     match choice with
     | Proto.Index i -> (
@@ -875,13 +892,14 @@ let choose_option t ~session:sid ~choice ~now =
 let submit_form t ~session:sid ~now =
   let* () = horizon_guard t ~session:sid ~now in
   let* session = find_session t sid ~now in
-  let* () = require_state session [ Session.Chosen ] ~verb:"submit_form" in
-  let* compiled = engine_of t session.Session.digest in
-  let mas, _ = Option.get session.Session.chosen in
+  let* () = require_state t session [ Session.Chosen ] ~verb:"submit_form" in
+  let digest = Session.digest t.store session in
+  let* compiled = engine_of t digest in
+  let mas, _ = Option.get (Session.chosen t.store session) in
   match Workflow.submit compiled.provider mas with
   | Error m -> Error (Proto.error Proto.Rejected m)
   | Ok grant ->
-    let digest = session.Session.digest and tenant = session.Session.tenant in
+    let tenant = Session.tenant t.store session in
     let grant_id =
       Shared.with_ledger t.shared (ledger_key ~digest ~tenant) Ledger.reserve
     in
@@ -1150,7 +1168,7 @@ let trace_payload query format =
 
 let record_hold t seconds = Accounting.record_hold t.acct seconds
 let registry_stats t = Registry.stats t.registry
-let sessions t = Session.to_list t.store
+let session_store t = t.store
 let session_counters t = Session.counters t.store
 
 (* Sweep on demand, at the service clock — the TCP server's ticker
@@ -1289,7 +1307,7 @@ let tenant_of_request t = function
   | Proto.Submit_form { session }
   | Proto.Revoke { session }
   | Proto.Expire { session; _ } ->
-    Option.bind (Session.peek t.store session) (fun s -> s.Session.tenant)
+    Option.bind (Session.peek t.store session) (Session.tenant t.store)
   | _ -> None
 
 (* Identifier annotations only: sessions, digests and source names go on

@@ -150,8 +150,8 @@ val handle_line : t -> string -> string
 
 val registry_stats : t -> Registry.stats
 
-val sessions : t -> Session.t list
-(** This instance's sessions in memory, in no particular order. *)
+val session_store : t -> Session.store
+(** This instance's sessions ({!Session.to_list} lists them). *)
 
 val session_counters : t -> Session.counters
 (** Live session counters for this instance — a sharded deployment sums

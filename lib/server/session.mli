@@ -10,31 +10,28 @@
     report from it and keeps only the offered options, each a minimized
     subvaluation, in the [Reported] state; the moment an option is chosen
     the other options are erased and only the minimized form survives —
-    the service-side enforcement of requirement R2. Sessions idle longer
-    than the store's TTL are swept, which also erases any un-chosen
-    options. *)
+    the service-side enforcement of requirement R2 — and once it is
+    submitted the form lives in the ledger alone and the session keeps
+    its grant id. Sessions idle longer than the store's TTL are swept,
+    which also erases any un-chosen options.
+
+    A store keeps its sessions in flat tables indexed by slot
+    ({!Slots}), one immediate per session in each: the idle clock (an
+    unboxed float), a packed word (the state, and the chosen benefit
+    list's index or the grant id), the chosen form's domain and value
+    masks, a pointer to the offered options (a report memo's shared
+    list, [[]] outside [Reported]) and one to the rule set, a record
+    shared by every session of the store under that digest and tenant.
+    With the id index that is about nine words per live session. *)
 
 type state = Created | Reported | Chosen | Submitted
 
 val state_name : state -> string
 
-type t = {
-  id : string;
-  digest : string;  (** the rule set this session applies under *)
-  tenant : string option;
-      (** the tenant this session was opened under, if any; [digest]
-          pins the tenant {e version} it resolved, so a hot rule swap
-          never changes this session's answers *)
-  created_at : float;
-  mutable last_active : float;
-  mutable state : state;
-  mutable options : (Pet_valuation.Partial.t * string list) list;
-      (** the offered MAS (with their benefits), report order; only while
-          [Reported] *)
-  mutable chosen : (Pet_valuation.Partial.t * string list) option;
-      (** the minimized form; [Some] from [Chosen] on *)
-  mutable grant_id : int option;  (** archive id once [Submitted] *)
-}
+type t
+(** A session in its store: valid until it is swept or purged (its slot
+    may then be reused), so a handle never outlives the request that
+    looked it up. *)
 
 type store
 type counters = { active : int; created : int; expired : int }
@@ -63,10 +60,58 @@ val restore :
     transitions). Advances the id sequence past any numeric ["s<n>"] id
     so new sessions continue where the replayed log left off. *)
 
+(** {2 Reading a session} *)
+
+val id : store -> t -> string
+val digest : store -> t -> string
+(** The rule set this session applies under. *)
+
+val tenant : store -> t -> string option
+(** The tenant this session was opened under, if any; {!digest} pins
+    the tenant {e version} it resolved, so a hot rule swap never changes
+    this session's answers. *)
+
+val state : store -> t -> state
+
+val options : store -> t -> (Pet_valuation.Partial.t * string list) list
+(** The offered MAS (with their benefits), report order; [[]] outside
+    [Reported]. *)
+
+val chosen : store -> t -> (Pet_valuation.Partial.t * string list) option
+(** The chosen form and its benefits; [Some] in [Chosen] only. *)
+
+val grant_id : store -> t -> int option
+(** The archive id; [Some] in [Submitted] only. *)
+
+(** {2 Transitions} *)
+
+val report :
+  store -> t -> (Pet_valuation.Partial.t * string list) list -> now:float -> unit
+(** Enter [Reported] offering these options (kept by reference). *)
+
+val choose :
+  store -> t -> Pet_valuation.Partial.t -> string list -> now:float -> unit
+(** Enter [Chosen]: the options are erased, the form is kept as its two
+    masks and the benefit list as an index into the rule set's distinct
+    lists. *)
+
+val submit : store -> t -> grant_id:int -> now:float -> unit
+(** Enter [Submitted]: the chosen form is erased (the ledger holds it),
+    the grant id kept. *)
+
+val touch : store -> t -> now:float -> unit
+(** Refresh the idle clock (called on every successful request). *)
+
+(** {2 The store} *)
+
+val to_list : store -> t list
+(** Every session in memory, in no particular order. *)
+
 val set_on_expire : store -> (t -> unit) -> unit
 (** Called as a session is removed by expiry (from {!find}, {!sweep} or
-    {!sweep_step}) — the service releases the session's tenant quota
-    slot here. Default: nothing. *)
+    {!sweep_step}) or by {!purge}, while the session can still be read
+    — the service releases the session's tenant quota slot here.
+    Default: nothing. *)
 
 val find : store -> string -> now:float -> (t, [ `Unknown | `Expired ]) result
 (** Expired sessions are removed on lookup and reported as [`Expired]. *)
@@ -75,28 +120,21 @@ val peek : store -> string -> t option
 (** Lookup without the expiry check — log replay must reach sessions at
     the clock of the event being replayed, not of the replay itself. *)
 
-val to_list : store -> t list
-(** Every session in memory, in no particular order. *)
-
 val purge : store -> t -> unit
 (** Remove a session outside the TTL machinery (consent revocation).
     Fires [on_expire] — the tenant quota slot is released exactly once
     however the session leaves — but does not count towards the
-    [expired] counter. Idempotent: purging a session already removed
-    (or swept) does nothing, so a purge followed by a sweep can never
-    double-release. *)
-
-val touch : t -> now:float -> unit
-(** Refresh the idle clock (called on every successful request). *)
+    [expired] counter. *)
 
 val sweep : store -> now:float -> int
 (** Remove every expired session; returns how many were removed. *)
 
 val sweep_step : ?budget:int -> store -> now:float -> int
-(** Incremental {!sweep}: examine at most [budget] (default 32) sessions,
-    resuming where the previous call stopped and restarting a pass over
-    the live table when one completes. Amortized O(budget) per call;
-    called on every request so abandoned sessions are reclaimed even if
-    nothing ever looks them up again. *)
+(** Incremental {!sweep}: examine at most [budget] (default 32)
+    sessions and eight times as many slots, walking the slots from
+    where the previous call stopped and starting a new pass after the
+    last slot. Amortized O(budget)
+    per call, allocating nothing; called on every request so abandoned
+    sessions are reclaimed even if nothing ever looks them up again. *)
 
 val counters : store -> counters

@@ -102,7 +102,7 @@ let test_sharded_ids_disjoint () =
     (fun index store ->
       for _ = 1 to 50 do
         let session = Session.create store ~digest:"d" ~now:0. () in
-        let id = session.Session.id in
+        let id = Session.id store session in
         Alcotest.(check int) (id ^ " owned by its shard") index
           (Shard_map.owner ~shards id);
         if Hashtbl.mem seen id then Alcotest.failf "id %s minted twice" id;

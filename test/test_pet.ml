@@ -413,6 +413,142 @@ let test_ledger () =
   Alcotest.(check bool) "json has _11" true (contains json "\"_11\"");
   Alcotest.(check bool) "json has 1_0" true (contains json "\"1_0\"")
 
+(* The list-based ledger the table replaced: newest id first, [find]
+   and [revoke] walk the list. *)
+module Reference_ledger = struct
+  type entry = { id : int; mutable grant : Workflow.grant option }
+  type t = { mutable entries : entry list; mutable next : int }
+
+  let create () = { entries = []; next = 0 }
+
+  let restore t id grant =
+    let rec insert = function
+      | e :: rest when e.id > id -> Option.map (List.cons e) (insert rest)
+      | e :: _ when e.id = id -> None
+      | rest -> Some ({ id; grant } :: rest)
+    in
+    match insert t.entries with
+    | None -> false
+    | Some entries ->
+      t.entries <- entries;
+      t.next <- max t.next (id + 1);
+      true
+
+  let record t grant =
+    let id = t.next in
+    t.next <- id + 1;
+    ignore (restore t id (Some grant));
+    id
+
+  let revoke t id =
+    match List.find_opt (fun e -> e.id = id) t.entries with
+    | None -> `Unknown
+    | Some { grant = None; _ } -> `Already
+    | Some e ->
+      e.grant <- None;
+      `Revoked
+
+  let audit t provider =
+    List.filter_map
+      (fun e ->
+        match e.grant with
+        | Some grant when not (Workflow.audit provider grant) -> Some e.id
+        | _ -> None)
+      t.entries
+    |> List.sort Int.compare
+
+  let to_json t =
+    Json.List
+      (List.rev_map
+         (fun e ->
+           match e.grant with
+           | None -> Json.Obj [ ("id", Json.Int e.id); ("revoked", Json.Bool true) ]
+           | Some grant ->
+             Json.Obj
+               [
+                 ("id", Json.Int e.id);
+                 ("form", Json.String (Partial.to_string grant.Workflow.form));
+                 ( "benefits",
+                   Json.List (List.map (fun b -> Json.String b) grant.Workflow.benefits) );
+               ])
+         t.entries)
+end
+
+(* 100,000 H-cov grants, some forged, some replayed out of order or past
+   gaps, some revoked, then one over another universe: the table answers
+   [to_json] and [audit] like the list-based ledger, and revoking its
+   oldest grants costs what revoking its newest does. *)
+let test_ledger_100k () =
+  let module Ledger = Pet_pet.Ledger in
+  let hcov = Pet_casestudies.Hcov.exposure () in
+  let provider = Workflow.provider hcov in
+  let atlas = Workflow.atlas provider in
+  let grants =
+    Array.init (Atlas.mas_count atlas) (fun i ->
+        match Workflow.submit provider (Atlas.mas atlas i).Pet_minimize.Algorithm1.mas with
+        | Ok g -> g
+        | Error m -> Alcotest.fail m)
+  in
+  let other =
+    match Workflow.submit (Workflow.provider (Running.exposure ()))
+            (Partial.of_string (Universe.of_names [ "p1"; "p2"; "p3" ]) "_11")
+    with
+    | Ok g -> g
+    | Error m -> Alcotest.fail m
+  in
+  let n = 100_000 in
+  let rng = Random.State.make [| 100 |] in
+  let ledger = Ledger.create () and reference = Reference_ledger.create () in
+  let both f g = Alcotest.(check bool) "same outcome" true (f ledger = g reference) in
+  for i = 0 to n - 1 do
+    let grant = grants.(Random.State.int rng (Array.length grants)) in
+    match Random.State.int rng 100 with
+    | 0 ->
+      let forged = { grant with Workflow.benefits = List.rev ("forged" :: grant.Workflow.benefits) } in
+      both (fun l -> Ledger.record l forged) (fun r -> Reference_ledger.record r forged)
+    | 2 ->
+      let id = i + 2 + Random.State.int rng 3 in
+      both (fun l -> Ledger.restore l id (Some grant))
+        (fun r -> Reference_ledger.restore r id (Some grant))
+    | 3 ->
+      let id = Random.State.int rng (i + 1) in
+      both (fun l -> Ledger.revoke l id) (fun r -> Reference_ledger.revoke r id)
+    | _ -> both (fun l -> Ledger.record l grant) (fun r -> Reference_ledger.record r grant)
+  done;
+  both (fun l -> Ledger.restore l (n + 100_000) None)
+    (fun r -> Reference_ledger.restore r (n + 100_000) None);
+  Alcotest.(check int) "size" reference.Reference_ledger.next (Ledger.size ledger);
+  Alcotest.(check (list int)) "audit" (Reference_ledger.audit reference provider)
+    (Ledger.audit ledger provider);
+  (* A form over another universe cannot be audited under H-cov; the
+     ledger keeps it aside and lists it in its place. *)
+  both (fun l -> Ledger.record l other) (fun r -> Reference_ledger.record r other);
+  let gap =
+    let taken = Hashtbl.create n in
+    List.iter (fun e -> Hashtbl.replace taken e.Reference_ledger.id ()) reference.entries;
+    List.find (fun id -> not (Hashtbl.mem taken id)) (List.init n Fun.id)
+  in
+  both (fun l -> Ledger.restore l gap (Some other))
+    (fun r -> Reference_ledger.restore r gap (Some other));
+  Alcotest.(check bool) "read back" true (Ledger.find ledger gap = Some other);
+  Alcotest.(check string) "to_json"
+    (Json.to_string (Reference_ledger.to_json reference))
+    (Json.to_string (Ledger.to_json ledger));
+  (* Revoking the 1,000 oldest ids against the 1,000 newest: a list walk
+     makes the oldest 100,000 steps away. *)
+  let time ids =
+    let start = Unix.gettimeofday () in
+    List.iter (fun id -> ignore (Ledger.revoke ledger id)) ids;
+    Unix.gettimeofday () -. start
+  in
+  let size = Ledger.size ledger in
+  let newest = time (List.init 1000 (fun i -> size - 100_000 - 1 - i))
+  and oldest = time (List.init 1000 Fun.id) in
+  Alcotest.(check bool)
+    (Printf.sprintf "oldest %.2g s against newest %.2g s" oldest newest)
+    true
+    (oldest <= (10. *. newest) +. 0.005)
+
 (* --- JSON emitter ------------------------------------------------------------------ *)
 
 let test_json_parse () =
@@ -920,7 +1056,11 @@ let () =
             test_aggregates_match_reference;
           Alcotest.test_case "report minor words" `Quick test_report_minor_words;
         ] );
-      ("ledger", [ Alcotest.test_case "ledger" `Quick test_ledger ]);
+      ( "ledger",
+        [
+          Alcotest.test_case "ledger" `Quick test_ledger;
+          Alcotest.test_case "100k grants against a list" `Quick test_ledger_100k;
+        ] );
       ( "json",
         [
           Alcotest.test_case "escaping" `Quick test_json_escaping;

@@ -175,11 +175,12 @@ let test_session_lifecycle () =
   let store = Session.create_store ~ttl:10. () in
   let s0 = Session.create store ~digest:"d" ~now:0. () in
   let s1 = Session.create store ~digest:"d" ~now:0. () in
-  Alcotest.(check string) "sequential ids s0" "s0" s0.Session.id;
-  Alcotest.(check string) "sequential ids s1" "s1" s1.Session.id;
-  Alcotest.(check bool) "starts created" true (s0.Session.state = Session.Created);
+  Alcotest.(check string) "sequential ids s0" "s0" (Session.id store s0);
+  Alcotest.(check string) "sequential ids s1" "s1" (Session.id store s1);
+  Alcotest.(check bool) "starts created" true
+    (Session.state store s0 = Session.Created);
   (match Session.find store "s0" ~now:5. with
-  | Ok s -> Alcotest.(check string) "found" "s0" s.Session.id
+  | Ok s -> Alcotest.(check string) "found" "s0" (Session.id store s)
   | Error _ -> Alcotest.fail "expected to find s0");
   Alcotest.(check bool) "unknown" true
     (Session.find store "zz" ~now:0. = Error `Unknown)
@@ -189,7 +190,7 @@ let test_session_expiry () =
   let s0 = Session.create store ~digest:"d" ~now:0. () in
   let _s1 = Session.create store ~digest:"d" ~now:8. () in
   (* Touching resets the idle clock. *)
-  Session.touch s0 ~now:9.;
+  Session.touch store s0 ~now:9.;
   Alcotest.(check int) "nothing stale yet" 0 (Session.sweep store ~now:15.);
   Alcotest.(check bool) "s0 alive at 15" true
     (Result.is_ok (Session.find store "s0" ~now:15.));
@@ -235,6 +236,41 @@ let test_session_sweep_step () =
     (Session.sweep_step eternal ~now:1e12);
   Alcotest.(check int) "still active" 1
     (Session.counters eternal).Session.active
+
+(* The id index against a hash table, over random adds, removals and
+   lookups of "s<n>" ids (dense and far apart) and of other ids. *)
+let test_slots_match_hashtbl () =
+  let module Slots = Pet_server.Slots in
+  for seed = 0 to 19 do
+    let rng = Random.State.make [| seed |] in
+    let slots = Slots.create () and model = Hashtbl.create 64 in
+    let draw () =
+      match Random.State.int rng 4 with
+      | 0 -> Printf.sprintf "s%d" (Random.State.int rng 1_000_000_000)
+      | 1 -> Printf.sprintf "x%d" (Random.State.int rng 50)
+      | _ -> Printf.sprintf "s%d" (Random.State.int rng 300)
+    in
+    for step = 0 to 2999 do
+      let id = draw () in
+      let name what = Printf.sprintf "seed %d step %d %s: %s" seed step id what in
+      (match (Hashtbl.find_opt model id, Random.State.int rng 3) with
+      | None, (0 | 1) -> Hashtbl.replace model id (Slots.add slots id)
+      | Some slot, 0 ->
+        Slots.remove slots slot;
+        Hashtbl.remove model id
+      | _ -> ());
+      Alcotest.(check int) (name "find")
+        (Option.value ~default:(-1) (Hashtbl.find_opt model id))
+        (Slots.find slots id);
+      Alcotest.(check int) (name "length") (Hashtbl.length model) (Slots.length slots)
+    done;
+    Hashtbl.iter
+      (fun id slot ->
+        Alcotest.(check int) ("find " ^ id) slot (Slots.find slots id);
+        Alcotest.(check string) "id of slot" id (Slots.id slots slot);
+        Alcotest.(check bool) "held" true (Slots.held slots slot))
+      model
+  done
 
 (* --- Service ----------------------------------------------------------------------- *)
 
@@ -1336,22 +1372,24 @@ let replay_forms =
 let durable_projection ?(compacted = false) ~shared ~tenants service =
   let opt = Option.value ~default:"-" in
   let time = function None -> "-" | Some t -> Printf.sprintf "%g" t in
+  let store = Service.session_store service in
   let sessions =
-    Service.sessions service
-    |> List.map (fun (s : Session.t) ->
+    Session.to_list store
+    |> List.map (fun s ->
            let state =
-             match s.Session.state with
+             match Session.state store s with
              | Session.Reported -> Session.Created
              | state -> state
            in
            Printf.sprintf "session %s digest=%s tenant=%s state=%s chosen=%s grant=%s"
-             s.Session.id s.Session.digest (opt s.Session.tenant)
+             (Session.id store s) (Session.digest store s)
+             (opt (Session.tenant store s))
              (Session.state_name state)
-             (match s.Session.chosen with
+             (match Session.chosen store s with
              | None -> "-"
              | Some (mas, benefits) ->
                Partial.to_string mas ^ "/" ^ String.concat "," benefits)
-             (opt (Option.map string_of_int s.Session.grant_id)))
+             (opt (Option.map string_of_int (Session.grant_id store s))))
   in
   let ledgers =
     Shared.fold_ledgers shared
@@ -1694,6 +1732,267 @@ let test_counters_equal_folds () =
     done
   done
 
+(* Grant links read back as they were noted, for "s<n>" ids and other
+   ids, grant ids that pack into one word and ones that do not, and a
+   link noted again. *)
+let test_grant_links () =
+  let consents = Consent.create () in
+  let cases =
+    List.init 1000 (fun i ->
+        (Printf.sprintf "s%d" (i * 7), Printf.sprintf "k%d" (i mod 13), i))
+    @ [
+        ("replayed-id", "k1", 5);
+        ("s3", "k2", 1 lsl 40);
+        ("s5", "k3", -1);
+        ("s14", "k4", 1 lsl 33);
+      ]
+  in
+  List.iter
+    (fun (session, key, id) -> Consent.note_granted consents ~session ~key id)
+    cases;
+  (* A link noted again replaces the earlier one, packed or not. *)
+  Consent.note_granted consents ~session:"s14" ~key:"k5" 9;
+  let expected = Hashtbl.create 1024 in
+  List.iter (fun (session, key, id) -> Hashtbl.replace expected session (key, id)) cases;
+  Hashtbl.replace expected "s14" ("k5", 9);
+  Hashtbl.iter
+    (fun session link ->
+      Alcotest.(check (option (pair string int)))
+        ("link of " ^ session) (Some link)
+        (Consent.link consents session))
+    expected;
+  Alcotest.(check (option (pair string int))) "no link" None
+    (Consent.link consents "s1");
+  Alcotest.(check bool) "tracked" true (Consent.tracked consents "replayed-id");
+  Alcotest.(check int) "one entry per linked session" (Hashtbl.length expected)
+    (List.length (Consent.entries consents))
+
+(* --- Resident words per respondent ------------------------------------------ *)
+
+(* The words a service keeps per respondent flow: H-cov published by
+   text on a clock that never reaches the TTL, [warm] flows to fill the
+   report memo, then the growth of [Obj.reachable_words] over [flows]
+   more, divided by [flows]. [flow rng line] runs one flow's requests
+   through [line], which returns the response's "ok" payload. *)
+let resident_words ~warm ~flows flow =
+  let hcov = Spec.to_string (Pet_casestudies.Hcov.exposure ()) in
+  let service = Service.create ~resolve:(fun _ -> None) ~now:(fun () -> 0.) () in
+  let line method_ params =
+    let text =
+      Json.to_string
+        (Json.Obj
+           [
+             ("pet", Json.Int Proto.version);
+             ("id", Json.Int 1);
+             ("method", Json.String method_);
+             ("params", Json.Obj params);
+           ])
+    in
+    match Json.parse (Service.handle_line service text) with
+    | Ok response -> Json.member "ok" response
+    | Error m -> Alcotest.failf "response is not JSON: %s" m
+  in
+  let digest =
+    match line "publish_rules" [ ("rules", Json.String hcov) ] with
+    | Some ok -> str "digest" ok
+    | None -> Alcotest.fail "publish failed"
+  in
+  let run from upto =
+    for i = from to upto - 1 do
+      flow (Random.State.make [| 1; i |]) ~digest line
+    done
+  in
+  run 0 warm;
+  Gc.full_major ();
+  let before = Obj.reachable_words (Obj.repr service) in
+  run warm (warm + flows);
+  Gc.full_major ();
+  let after = Obj.reachable_words (Obj.repr service) in
+  float_of_int (after - before) /. float_of_int flows
+
+let hcov_eligible =
+  lazy
+    (Array.of_list
+       (List.map Pet_valuation.Total.to_string
+          (Pet_rules.Exposure.eligible (Pet_casestudies.Hcov.exposure ()))))
+
+(* One respondent: open by digest, [reports] reports, then (when
+   [submit]) choose the first option and submit; returns the session. *)
+let respondent ~digest line ~reports ~submit =
+  let session =
+    match line "new_session" [ ("digest", Json.String digest) ] with
+    | Some ok -> str "session" ok
+    | None -> Alcotest.fail "new_session failed"
+  in
+  let on method_ extra =
+    ignore (line method_ (("session", Json.String session) :: extra))
+  in
+  List.iter (fun v -> on "get_report" [ ("valuation", Json.String v) ]) reports;
+  if submit then begin
+    on "choose_option" [ ("option", Json.Int 0) ];
+    on "submit_form" []
+  end;
+  (session, on)
+
+(* The load benchmark's journey: one report, choose, submit; then 10%
+   revoke and 5% arm an expiry an hour out. Browse: eight reports from
+   a pool of 32 valuations, and 20% choose and submit. *)
+let test_resident_words () =
+  let eligible = Lazy.force hcov_eligible in
+  let pick rng = eligible.(Random.State.int rng (Array.length eligible)) in
+  let journey rng ~digest line =
+    let _, on = respondent ~digest line ~reports:[ pick rng ] ~submit:true in
+    let u = Random.State.float rng 1. in
+    if u < 0.10 then on "revoke" []
+    else if u < 0.15 then on "expire" [ ("after", Json.Float 3600.) ]
+  in
+  let pool =
+    let rng = Random.State.make [| 2 |] in
+    Array.init 32 (fun _ -> pick rng)
+  in
+  let browse rng ~digest line =
+    let reports =
+      List.init 8 (fun _ -> pool.(Random.State.int rng (Array.length pool)))
+    in
+    ignore
+      (respondent ~digest line ~reports ~submit:(Random.State.float rng 1. < 0.20))
+  in
+  List.iter
+    (fun (name, flow, cap) ->
+      let words = resident_words ~warm:1600 ~flows:6000 flow in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s keeps %.1f words per flow (cap %d)" name words cap)
+        true
+        (words <= float_of_int cap))
+    [ ("journey", journey, 26); ("browse", browse, 16) ]
+
+(* A tenant's accounting cell allocates a slice's bucket counts only
+   once the slice records: a tenant that recorded requests in one SLO
+   slice adds at most 240 words to its shard's set (its cell, the map
+   node and the name), where 40 counts per tally would take 654. *)
+let test_accounting_cell_words () =
+  let module Accounting = Pet_server.Accounting in
+  let acct = Accounting.create () in
+  let words () = Obj.reachable_words (Obj.repr acct) in
+  let record tenant =
+    Accounting.record acct ~meth:3 ~tenant:(Some tenant) ~now:1. ~latency:0.001
+      ~error:false
+  in
+  record "warm";
+  let before = words () in
+  for _ = 1 to 10 do
+    record "alpha"
+  done;
+  let cell = words () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "one-slice cell: %d words" cell)
+    true (cell <= 240);
+  (* The merged views read never-used tallies as empty. *)
+  let snapshot =
+    Accounting.snapshot [ acct ] ~now:1.
+      { Pet_obs.Metrics.counters = []; gauges = []; histograms = [] }
+  in
+  Alcotest.(check (option int)) "alpha's requests" (Some 10)
+    (List.assoc_opt {|pet_tenant_requests_total{tenant="alpha"}|}
+       snapshot.Pet_obs.Metrics.counters)
+
+(* Mean minor words per request, by method, over 400 H-cov journeys
+   after 200 that fill the report memo; each ceiling is the measured
+   mean plus 10%. A session opened by source reuses the digest its
+   source compiled to, so it costs about what one opened by digest does
+   (784 against 761 words), not a parse, print and digest of the text
+   (5,608 words without the memo). *)
+let test_minor_words_per_method () =
+  let hcov = Spec.to_string (Pet_casestudies.Hcov.exposure ()) in
+  let resolve = function "hcov" -> Some hcov | _ -> None in
+  let service = Service.create ~resolve ~now:(fun () -> 0.) () in
+  let line method_ params =
+    Service.handle_line service
+      (Json.to_string
+         (Json.Obj
+            [
+              ("pet", Json.Int Proto.version);
+              ("id", Json.Int 1);
+              ("method", Json.String method_);
+              ("params", Json.Obj params);
+            ]))
+  in
+  let digest =
+    match Json.parse (line "publish_rules" [ ("source", Json.String "hcov") ]) with
+    | Ok r -> str "digest" (ok_of r)
+    | Error m -> Alcotest.fail m
+  in
+  let eligible = Lazy.force hcov_eligible in
+  let totals = Hashtbl.create 8 in
+  let measure name method_ params =
+    (* The request line is built before the count starts. *)
+    let text =
+      Json.to_string
+        (Json.Obj
+           [
+             ("pet", Json.Int Proto.version);
+             ("id", Json.Int 1);
+             ("method", Json.String method_);
+             ("params", Json.Obj params);
+           ])
+    in
+    let before = Gc.minor_words () in
+    let response = Service.handle_line service text in
+    let words = Gc.minor_words () -. before in
+    let total = Option.value ~default:0. (Hashtbl.find_opt totals name) in
+    Hashtbl.replace totals name (total +. words);
+    response
+  in
+  let journey i ~count =
+    let measure = if count then measure else fun _ -> line in
+    let opener =
+      if i mod 2 = 0 then ("new_session by source", [ ("source", Json.String "hcov") ])
+      else ("new_session by digest", [ ("digest", Json.String digest) ])
+    in
+    let session =
+      match Json.parse (measure (fst opener) "new_session" (snd opener)) with
+      | Ok r -> str "session" (ok_of r)
+      | Error m -> Alcotest.fail m
+    in
+    let on name extra =
+      ignore (measure name name (("session", Json.String session) :: extra))
+    in
+    on "get_report"
+      [ ("valuation", Json.String eligible.(i * 7919 mod Array.length eligible)) ];
+    on "choose_option" [ ("option", Json.Int 0) ];
+    on "submit_form" []
+  in
+  for i = 0 to 199 do
+    journey i ~count:false
+  done;
+  let n = 400 in
+  for i = 0 to n - 1 do
+    journey i ~count:true
+  done;
+  let mean name =
+    let per = if String.starts_with ~prefix:"new_session" name then n / 2 else n in
+    Hashtbl.find totals name /. float_of_int per
+  in
+  List.iter
+    (fun (name, ceiling) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words (ceiling %d)" name (mean name) ceiling)
+        true
+        (mean name <= float_of_int ceiling))
+    [
+      ("new_session by digest", 840);
+      ("new_session by source", 870);
+      ("get_report", 1670);
+      ("choose_option", 910);
+      ("submit_form", 1120);
+    ];
+  let by_source = mean "new_session by source"
+  and by_digest = mean "new_session by digest" in
+  Alcotest.(check bool)
+    (Printf.sprintf "by source %.0f within 2x of by digest %.0f" by_source by_digest)
+    true
+    (by_source <= 2. *. by_digest)
+
 let () =
   Alcotest.run "pet_server"
     [
@@ -1716,6 +2015,8 @@ let () =
           Alcotest.test_case "lifecycle" `Quick test_session_lifecycle;
           Alcotest.test_case "expiry" `Quick test_session_expiry;
           Alcotest.test_case "incremental sweep" `Quick test_session_sweep_step;
+          Alcotest.test_case "slots match a hash table" `Quick
+            test_slots_match_hashtbl;
         ] );
       ( "service",
         [
@@ -1763,6 +2064,7 @@ let () =
             test_live_equals_replay;
           Alcotest.test_case "running counters equal their folds" `Quick
             test_counters_equal_folds;
+          Alcotest.test_case "grant links read back" `Quick test_grant_links;
         ] );
       ( "trace",
         [
@@ -1772,5 +2074,14 @@ let () =
           Alcotest.test_case "trace method" `Quick test_service_trace_method;
           Alcotest.test_case "captures are valuation-free" `Quick
             test_trace_privacy;
+        ] );
+      ( "memory",
+        [
+          Alcotest.test_case "resident words per respondent flow" `Quick
+            test_resident_words;
+          Alcotest.test_case "an accounting cell that recorded once" `Quick
+            test_accounting_cell_words;
+          Alcotest.test_case "minor words per method" `Quick
+            test_minor_words_per_method;
         ] );
     ]
